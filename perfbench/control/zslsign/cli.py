@@ -1,0 +1,474 @@
+"""Command-line entry point: synth, train, predict, eval, analyze, baseline, sweep.
+
+Every command is deterministic given its config and seed; outputs carry no
+timestamps and floats are serialized with full round-trip precision, so a
+rerun writes byte-identical files. Exit codes: 0 success, 2 input error,
+3 dimension/schema error, 4 mode error, 1 internal error.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+
+from .data import SplitMode, load_dataset, save_dataset
+from .errors import (
+    DimensionMismatch,
+    InvariantViolation,
+    MissingFile,
+    MissingReduction,
+    ModeWithoutAttributes,
+    ParseError,
+    SchemaMismatch,
+    ZslSignError,
+)
+from .evaluation import random_baseline
+from .experiment import (
+    RunConfig,
+    analysis_samples,
+    candidate_descriptors,
+    evaluate,
+    load_run_config,
+    rank_samples,
+    sweep_text_dim,
+    train_from_config,
+)
+from .influence import (
+    InfluenceReport,
+    class_influence_matrix,
+    confusion_influence_matrix,
+    positive_affiliation_summary,
+)
+from .models import load_model, save_model
+from .synth import SynthSpec, generate
+
+_CONFIG_FLAGS = [
+    ("manifest", str),
+    ("aggregator", str),
+    ("embedding", str),
+    ("d_t", int),
+    ("method", str),
+    ("lam", float),
+    ("learning_rate", float),
+    ("epochs", int),
+    ("seed", int),
+    ("init_scale", float),
+    ("gamma", float),
+    ("lam_sae", float),
+    ("repeats", int),
+]
+
+
+def _out_dir(args, cfg: RunConfig | None = None) -> Path:
+    root = os.environ.get("ZSLSIGN_OUT_ROOT", ".")
+    chosen = getattr(args, "out", None) or (cfg.out_dir if cfg else None) or root
+    path = Path(chosen)
+    path.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def _write_json(path: Path, payload) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _resolve_config(args) -> RunConfig:
+    cfg = load_run_config(args.config) if getattr(args, "config", None) else RunConfig()
+    overrides = {}
+    for name, _type in _CONFIG_FLAGS:
+        value = getattr(args, name, None)
+        if value is not None:
+            overrides[name] = value
+    if getattr(args, "tsm_weights", None) is not None:
+        overrides["tsm_weights"] = tuple(float(v) for v in args.tsm_weights.split(","))
+    if getattr(args, "use_hand", None) is not None:
+        overrides["use_hand"] = args.use_hand
+    if getattr(args, "ks", None) is not None:
+        overrides["ks"] = tuple(int(k) for k in args.ks.split(","))
+    if getattr(args, "out", None) is not None:
+        overrides["out_dir"] = args.out
+    return replace(cfg, **overrides)
+
+
+def _echo_config(out: Path, cfg: RunConfig) -> None:
+    _write_json(out / "effective_config.json", cfg.to_dict())
+
+
+def _print_metric_table(rows: dict[str, dict[int, float] | None], ks) -> None:
+    header = "metric".ljust(10) + "".join(f"top-{k}".rjust(9) for k in ks)
+    print(header)
+    for label, per_k in rows.items():
+        if per_k is None:
+            continue
+        print(label.ljust(10) + "".join(f"{per_k[k]:9.1f}" for k in ks))
+
+
+def _class_sizes(truths: list[str]) -> list[int]:
+    counts: dict[str, int] = {}
+    for t in truths:
+        counts[t] = counts.get(t, 0) + 1
+    return [counts[c] for c in sorted(counts)]
+
+
+# ---------------------------------------------------------------------------
+# commands
+# ---------------------------------------------------------------------------
+
+
+def cmd_synth(args) -> int:
+    spec = SynthSpec(
+        n_classes=args.classes,
+        n_seen=args.seen,
+        n_unseen=args.unseen,
+        attribute_count=args.attributes,
+        text_dim=args.text_dim,
+        samples_per_class=args.samples_per_class,
+        snippets=args.snippets,
+        stream_width=args.width,
+        noise_sigma=args.noise,
+        planted_map_scale=args.scale,
+        seed=args.seed,
+        split_mode=SplitMode.GZSL if args.gzsl else SplitMode.ZSL,
+    )
+    dataset, planted = generate(spec)
+    out = _out_dir(args)
+    manifest_path = save_dataset(dataset, out)
+    lines = [",".join(repr(v) for v in row) for row in planted.tolist()]
+    (out / "planted_map.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_json(
+        out / "synth_spec.json",
+        {
+            "n_classes": spec.n_classes,
+            "n_seen": spec.n_seen,
+            "n_unseen": spec.n_unseen,
+            "attribute_count": spec.attribute_count,
+            "text_dim": spec.text_dim,
+            "samples_per_class": spec.samples_per_class,
+            "snippets": spec.snippets,
+            "stream_width": spec.stream_width,
+            "noise_sigma": spec.noise_sigma,
+            "planted_map_scale": spec.planted_map_scale,
+            "seed": spec.seed,
+            "split_mode": spec.split_mode.value,
+        },
+    )
+    print(f"wrote {manifest_path}")
+    return 0
+
+
+def _write_training_log(path: Path, history: tuple[float, ...], final_loss: float) -> None:
+    rows = ["epoch,loss"]
+    if history:
+        rows.extend(f"{epoch},{loss!r}" for epoch, loss in enumerate(history))
+    else:
+        rows.append(f"0,{final_loss!r}")
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+
+def cmd_train(args) -> int:
+    cfg = _resolve_config(args)
+    dataset = load_dataset(cfg.manifest)
+    out = _out_dir(args, cfg)
+    _echo_config(out, cfg)
+
+    if cfg.repeats <= 1:
+        model = train_from_config(dataset, cfg)
+        save_model(model, out / "model.json")
+        _write_training_log(out / "training_log.csv", model.loss_history, model.final_loss)
+        print(f"trained {cfg.method} model: final loss {model.final_loss!r}")
+        print(f"wrote {out / 'model.json'}")
+        return 0
+
+    finals = []
+    for r in range(cfg.repeats):
+        model = train_from_config(dataset, cfg, seed=cfg.seed + r)
+        save_model(model, out / f"model_r{r}.json")
+        _write_training_log(out / f"training_log_r{r}.csv", model.loss_history, model.final_loss)
+        finals.append(model.final_loss)
+    summary = {
+        "repeats": cfg.repeats,
+        "seeds": [cfg.seed + r for r in range(cfg.repeats)],
+        "final_loss_mean": float(np.mean(finals)),
+        "final_loss_stddev": float(np.std(finals, ddof=1)) if len(finals) > 1 else 0.0,
+        "final_losses": [float(v) for v in finals],
+        "models": [f"model_r{r}.json" for r in range(cfg.repeats)],
+    }
+    _write_json(out / "summary.json", summary)
+    print(f"trained {cfg.repeats} {cfg.method} models: mean final loss {summary['final_loss_mean']!r}")
+    print(f"wrote {out / 'summary.json'}")
+    return 0
+
+
+def cmd_predict(args) -> int:
+    cfg = _resolve_config(args)
+    dataset = load_dataset(cfg.manifest)
+    model = load_model(args.model)
+    sample_ids, rankings, truths = rank_samples(dataset, model, cfg)
+    out = _out_dir(args, cfg)
+    rows = ["sample_id,truth,predicted,truth_rank"]
+    for sid, ranking, truth in zip(sample_ids, rankings, truths):
+        rank = ranking.index(truth) + 1 if truth in ranking else 0
+        rows.append(f"{sid},{truth},{ranking[0]},{rank}")
+    (out / "predictions.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    print(f"wrote {out / 'predictions.csv'}")
+    return 0
+
+
+def cmd_eval(args) -> int:
+    cfg = _resolve_config(args)
+    dataset = load_dataset(cfg.manifest)
+    model = load_model(args.model)
+    report = evaluate(dataset, model, cfg)
+    payload = report.to_dict()
+
+    table: dict[str, dict[int, float] | None] = {"overall": report.per_k}
+    if dataset.split.mode is SplitMode.GZSL:
+        table["seen"] = report.seen_per_k
+        table["unseen"] = report.unseen_per_k
+        table["harmonic"] = report.harmonic_per_k
+    if args.random_baseline:
+        candidates = candidate_descriptors(dataset)
+        truths = [s.class_id for s in dataset.samples_of({c.class_id for c in candidates})]
+        baseline = random_baseline(
+            len(candidates), _class_sizes(truths), cfg.ks, trials=args.trials, seed=cfg.seed
+        )
+        table["random"] = baseline
+        payload["random_per_k"] = {str(k): v for k, v in sorted(baseline.items())}
+
+    out = _out_dir(args, cfg)
+    _echo_config(out, cfg)
+    _write_json(out / "report.json", payload)
+    _print_metric_table(table, cfg.ks)
+    print(f"wrote {out / 'report.json'}")
+    return 0
+
+
+def _write_influence_csv(path: Path, report: InfluenceReport) -> None:
+    header = "subject,support," + ",".join(report.attribute_names)
+    rows = [header]
+    for row in report.rows:
+        subject = row.subject if isinstance(row.subject, str) else f"{row.subject[0]}->{row.subject[1]}"
+        rows.append(f"{subject},{row.support}," + ",".join(repr(float(v)) for v in row.scores))
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+
+def _write_affiliation_csv(path: Path, report: InfluenceReport, attrs_of, which: str) -> None:
+    header = "subject," + ",".join(report.attribute_names)
+    rows = [header]
+    for row in report.rows:
+        if isinstance(row.subject, str):
+            subject, cid = row.subject, row.subject
+        else:
+            subject = f"{row.subject[0]}->{row.subject[1]}"
+            cid = row.subject[0] if which == "truth" else row.subject[1]
+        bits = attrs_of(cid)
+        rows.append(f"{subject}," + ",".join(str(int(b)) for b in bits))
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+
+def cmd_analyze(args) -> int:
+    cfg = _resolve_config(args)
+    dataset = load_dataset(cfg.manifest)
+    model = load_model(args.model)
+    pairs, candidates = analysis_samples(dataset, cfg)
+    out = _out_dir(args, cfg)
+    _echo_config(out, cfg)
+    attrs_of = lambda cid: dataset.classes_by_id[cid].attributes
+
+    if args.confusions is not None:
+        report = confusion_influence_matrix(model, pairs, candidates, top_n_confusions=args.confusions)
+        _write_json(out / "influence_confusions.json", report.to_dict())
+        _write_influence_csv(out / "influence_confusions.csv", report)
+        _write_affiliation_csv(out / "affiliation_predicted.csv", report, attrs_of, which="predicted")
+        _write_affiliation_csv(out / "affiliation_truth.csv", report, attrs_of, which="truth")
+        print(f"wrote {out / 'influence_confusions.json'} ({len(report.rows)} confusion rows)")
+        return 0
+
+    unseen = sorted(dataset.split.unseen_classes)
+    report = class_influence_matrix(model, pairs, unseen, candidates)
+    _write_json(out / "influence_correct.json", report.to_dict())
+    _write_influence_csv(out / "influence_correct.csv", report)
+    _write_affiliation_csv(out / "affiliation_correct.csv", report, attrs_of, which="predicted")
+    if args.min_affiliation is not None:
+        class_attrs = {cid: attrs_of(cid) for cid in unseen}
+        summary = positive_affiliation_summary(report, class_attrs, args.min_affiliation)
+        rows = ["attribute,mean_influence"]
+        rows.extend(f"{report.attribute_names[k]},{v!r}" for k, v in sorted(summary.items()))
+        (out / "affiliation_summary.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    print(f"wrote {out / 'influence_correct.json'} ({len(report.rows)} class rows)")
+    return 0
+
+
+def cmd_baseline(args) -> int:
+    ks = tuple(int(k) for k in args.ks.split(","))
+    if args.manifest:
+        dataset = load_dataset(args.manifest)
+        candidates = candidate_descriptors(dataset)
+        truths = [s.class_id for s in dataset.samples_of({c.class_id for c in candidates})]
+        n_classes = len(candidates)
+        sizes = _class_sizes(truths)
+    else:
+        if args.classes is None:
+            raise ParseError("baseline needs either --manifest or --classes")
+        n_classes = args.classes
+        if args.sizes:
+            sizes = [int(s) for s in args.sizes.split(",")]
+        else:
+            sizes = [args.samples_per_class] * n_classes
+    result = random_baseline(n_classes, sizes, ks, trials=args.trials, seed=args.seed)
+    _print_metric_table({"random": result}, ks)
+    if args.out:
+        out = _out_dir(args)
+        _write_json(
+            out / "baseline.json",
+            {
+                "n_classes": n_classes,
+                "class_sizes": sizes,
+                "trials": args.trials,
+                "seed": args.seed,
+                "per_k": {str(k): v for k, v in sorted(result.items())},
+            },
+        )
+        print(f"wrote {out / 'baseline.json'}")
+    return 0
+
+
+def cmd_sweep(args) -> int:
+    cfg = _resolve_config(args)
+    if args.param != "d_t":
+        raise ParseError(f"only the d_t parameter can be swept, got {args.param!r}")
+    dataset = load_dataset(cfg.manifest)
+    values = [int(v) for v in args.values.split(",")]
+    rows = sweep_text_dim(dataset, cfg, values)
+    out = _out_dir(args, cfg)
+    _echo_config(out, cfg)
+    lines = ["d_t,mean_val_top1,stddev"]
+    lines.extend(f"{value},{mean!r},{std!r}" for value, mean, std in rows)
+    (out / "sweep_d_t.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for value, mean, std in rows:
+        print(f"d_t={value}: val top-1 {mean:.1f} +- {std:.1f}")
+    print(f"wrote {out / 'sweep_d_t.csv'}")
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# parser
+# ---------------------------------------------------------------------------
+
+
+def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", help="run-config JSON file")
+    p.add_argument("--manifest", help="dataset manifest path")
+    p.add_argument("--aggregator", choices=["avgpool", "tsm"])
+    p.add_argument("--tsm-weights", dest="tsm_weights", help="w1,w2,w3")
+    hand = p.add_mutually_exclusive_group()
+    hand.add_argument("--use-hand", dest="use_hand", action="store_true", default=None)
+    hand.add_argument("--no-use-hand", dest="use_hand", action="store_false", default=None)
+    p.add_argument("--embedding", choices=["attr", "text", "combined"])
+    p.add_argument("--d-t", dest="d_t", type=int)
+    p.add_argument("--method", choices=["lle", "eszsl", "sae"])
+    p.add_argument("--lam", type=float)
+    p.add_argument("--learning-rate", dest="learning_rate", type=float)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--init-scale", dest="init_scale", type=float)
+    p.add_argument("--gamma", type=float)
+    p.add_argument("--lam-sae", dest="lam_sae", type=float)
+    p.add_argument("--ks", help="comma-separated top-k values, e.g. 1,2,5")
+    p.add_argument("--repeats", type=int)
+    p.add_argument("--out", help="output directory")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="zslsign",
+        description="Zero-shot sign recognition toolkit over precomputed feature sequences.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("synth", help="generate a synthetic dataset with planted structure")
+    p.add_argument("--out", required=True)
+    p.add_argument("--classes", type=int, default=39)
+    p.add_argument("--seen", type=int, default=24)
+    p.add_argument("--unseen", type=int, default=10)
+    p.add_argument("--attributes", type=int, default=12)
+    p.add_argument("--text-dim", dest="text_dim", type=int, default=8)
+    p.add_argument("--samples-per-class", dest="samples_per_class", type=int, default=20)
+    p.add_argument("--snippets", type=int, default=6)
+    p.add_argument("--width", type=int, default=24)
+    p.add_argument("--noise", type=float, default=0.01)
+    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--gzsl", action="store_true")
+    p.set_defaults(func=cmd_synth)
+
+    p = sub.add_parser("train", help="train a compatibility model")
+    _add_config_flags(p)
+    p.set_defaults(func=cmd_train)
+
+    p = sub.add_parser("predict", help="rank candidates for every evaluation sample")
+    _add_config_flags(p)
+    p.add_argument("--model", required=True)
+    p.set_defaults(func=cmd_predict)
+
+    p = sub.add_parser("eval", help="evaluate a trained model")
+    _add_config_flags(p)
+    p.add_argument("--model", required=True)
+    p.add_argument("--random-baseline", dest="random_baseline", action="store_true")
+    p.add_argument("--trials", type=int, default=10000)
+    p.set_defaults(func=cmd_eval)
+
+    p = sub.add_parser("analyze", help="attribute flip-difference analysis")
+    _add_config_flags(p)
+    p.add_argument("--model", required=True)
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--correct", action="store_true")
+    group.add_argument("--confusions", type=int, metavar="N")
+    p.add_argument("--min-affiliation", dest="min_affiliation", type=int)
+    p.set_defaults(func=cmd_analyze)
+
+    p = sub.add_parser("baseline", help="Monte-Carlo random prediction baseline")
+    p.add_argument("--manifest")
+    p.add_argument("--classes", type=int)
+    p.add_argument("--sizes", help="comma-separated per-class sample counts")
+    p.add_argument("--samples-per-class", dest="samples_per_class", type=int, default=20)
+    p.add_argument("--ks", default="1,2,5")
+    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out")
+    p.set_defaults(func=cmd_baseline)
+
+    p = sub.add_parser("sweep", help="sweep the text-reduction width against validation accuracy")
+    _add_config_flags(p)
+    p.add_argument("--param", default="d_t")
+    p.add_argument("--values", required=True, help="comma-separated widths, e.g. 8,16,32,64")
+    p.set_defaults(func=cmd_sweep)
+
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (MissingFile, ParseError, InvariantViolation, FileNotFoundError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (DimensionMismatch, SchemaMismatch) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except (ModeWithoutAttributes, MissingReduction) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except (ZslSignError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

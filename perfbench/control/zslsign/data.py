@@ -1,0 +1,381 @@
+"""Domain types and dataset I/O.
+
+A dataset lives on disk as one JSON manifest plus plain-text feature files
+(one snippet per line, comma-separated reals). All types are immutable after
+construction; invariants that depend on the data content (finiteness, binary
+attributes, split disjointness, ...) are checked by :func:`validate_dataset`,
+which :func:`load_dataset` runs before handing a dataset out.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from dataclasses import dataclass, replace
+from enum import Enum
+from functools import cached_property
+from pathlib import Path
+from typing import Mapping
+
+import numpy as np
+
+from .errors import InvariantViolation, MissingFile, ParseError
+
+DEFAULT_ATTRIBUTE_COUNT = 53
+TEXT_NORM_TOL = 1e-9
+
+
+class Stream(Enum):
+    BODY = "body"
+    HAND = "hand"
+
+
+class SplitMode(Enum):
+    ZSL = "zsl"
+    GZSL = "gzsl"
+
+
+def _freeze(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True)
+class FeatureSequence:
+    """T snippet-feature rows of one stream of one sample."""
+
+    sample_id: str
+    stream: Stream
+    data: np.ndarray  # T x d_s, float64
+
+    def __post_init__(self) -> None:
+        arr = np.asarray(self.data, dtype=np.float64)
+        if arr.ndim != 2:
+            raise ValueError(f"feature sequence for {self.sample_id!r} must be 2-D, got ndim={arr.ndim}")
+        if arr.shape[0] < 1 or arr.shape[1] < 1:
+            raise ValueError(f"feature sequence for {self.sample_id!r} must be at least 1x1, got {arr.shape}")
+        object.__setattr__(self, "data", _freeze(arr))
+
+    @property
+    def length(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.data.shape[1]
+
+
+@dataclass(frozen=True)
+class Sample:
+    """One labeled video, carried as per-stream feature sequences."""
+
+    sample_id: str
+    class_id: str
+    sequences: Mapping[Stream, FeatureSequence]
+
+    def __post_init__(self) -> None:
+        seqs = dict(self.sequences)
+        if Stream.BODY not in seqs:
+            raise ValueError(f"sample {self.sample_id!r} has no body sequence")
+        object.__setattr__(self, "sequences", seqs)
+
+    @property
+    def body(self) -> FeatureSequence:
+        return self.sequences[Stream.BODY]
+
+    @property
+    def hand(self) -> FeatureSequence | None:
+        return self.sequences.get(Stream.HAND)
+
+
+@dataclass(frozen=True)
+class ClassDescriptor:
+    """Class identity plus its binary attribute vector and unit text vector."""
+
+    class_id: str
+    name: str
+    attributes: np.ndarray  # length A, entries in {0, 1}
+    text: np.ndarray  # length D_text, unit l2 norm
+
+    def __post_init__(self) -> None:
+        attrs = np.asarray(self.attributes, dtype=np.float64)
+        text = np.asarray(self.text, dtype=np.float64)
+        if attrs.ndim != 1:
+            raise ValueError(f"class {self.class_id!r}: attributes must be a vector")
+        if text.ndim != 1:
+            raise ValueError(f"class {self.class_id!r}: text must be a vector")
+        object.__setattr__(self, "attributes", _freeze(attrs))
+        object.__setattr__(self, "text", _freeze(text))
+
+
+@dataclass(frozen=True)
+class SplitConfig:
+    """Disjoint seen/validation/unseen class-id sets defining the candidate sets."""
+
+    seen_classes: frozenset[str]
+    validation_classes: frozenset[str]
+    unseen_classes: frozenset[str]
+    mode: SplitMode
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "seen_classes", frozenset(self.seen_classes))
+        object.__setattr__(self, "validation_classes", frozenset(self.validation_classes))
+        object.__setattr__(self, "unseen_classes", frozenset(self.unseen_classes))
+
+    def with_mode(self, mode: SplitMode) -> "SplitConfig":
+        return replace(self, mode=mode)
+
+
+@dataclass(frozen=True)
+class Dataset:
+    classes: tuple[ClassDescriptor, ...]
+    samples: tuple[Sample, ...]
+    split: SplitConfig
+    attribute_count: int = DEFAULT_ATTRIBUTE_COUNT
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "classes", tuple(self.classes))
+        object.__setattr__(self, "samples", tuple(self.samples))
+
+    @cached_property
+    def classes_by_id(self) -> dict[str, ClassDescriptor]:
+        return {c.class_id: c for c in self.classes}
+
+    @property
+    def has_full_hand_coverage(self) -> bool:
+        """True when every sample carries a hand sequence.
+
+        Hand-stream use is disabled dataset-wide otherwise, since two-stream
+        concatenation needs uniform dimensionality.
+        """
+        return all(s.hand is not None for s in self.samples)
+
+    def samples_of(self, class_ids: frozenset[str] | set[str]) -> list[Sample]:
+        return [s for s in self.samples if s.class_id in class_ids]
+
+    def descriptors_of(self, class_ids: frozenset[str] | set[str]) -> list[ClassDescriptor]:
+        """Descriptors for the given ids, sorted by class_id for determinism."""
+        return [self.classes_by_id[cid] for cid in sorted(class_ids)]
+
+
+def _unit_normalized(vec: np.ndarray, class_id: str) -> np.ndarray:
+    """Scale to unit l2 norm.
+
+    Vectors already within TEXT_NORM_TOL of unit norm are returned untouched
+    so that a save/load round trip is bit-exact.
+    """
+    norm = float(np.linalg.norm(vec))
+    if norm == 0.0 or not math.isfinite(norm):
+        raise InvariantViolation(f"class {class_id!r}: text vector has no finite nonzero norm")
+    if abs(norm - 1.0) <= TEXT_NORM_TOL:
+        return vec
+    return vec / norm
+
+
+def _read_feature_matrix(path: Path, entity: str) -> np.ndarray:
+    if not path.exists():
+        raise MissingFile(f"{entity}: feature file not found: {path}")
+    rows: list[list[float]] = []
+    width: int | None = None
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        if not line.strip():
+            continue
+        values = []
+        for fieldno, token in enumerate(line.split(","), start=1):
+            try:
+                values.append(float(token))
+            except ValueError:
+                raise ParseError(
+                    f"{entity} line {lineno} field {fieldno}: not a number: {token.strip()!r}"
+                ) from None
+        if width is None:
+            width = len(values)
+        elif len(values) != width:
+            raise InvariantViolation(
+                f"{entity} line {lineno}: ragged row (expected {width} columns, got {len(values)})"
+            )
+        rows.append(values)
+    if not rows:
+        raise InvariantViolation(f"{entity}: feature file {path} has no rows")
+    return np.array(rows, dtype=np.float64)
+
+
+def _require(entry: dict, key: str, entity: str):
+    if key not in entry:
+        raise ParseError(f"{entity}: missing field {key!r}")
+    return entry[key]
+
+
+def load_dataset(manifest_path: str | Path) -> Dataset:
+    """Load and validate a dataset from a JSON manifest.
+
+    Text vectors are brought to unit l2 norm; all invariants are enforced and
+    the first batch of violations is raised as InvariantViolation.
+    """
+    manifest_path = Path(manifest_path)
+    if not manifest_path.exists():
+        raise MissingFile(f"manifest not found: {manifest_path}")
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"manifest {manifest_path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    if not isinstance(manifest, dict):
+        raise ParseError(f"manifest {manifest_path}: top level must be a JSON object")
+
+    root = manifest_path.parent
+    attribute_count = manifest.get("attribute_count", DEFAULT_ATTRIBUTE_COUNT)
+    if not isinstance(attribute_count, int) or attribute_count < 1:
+        raise ParseError(f"manifest field 'attribute_count': expected positive integer, got {attribute_count!r}")
+
+    classes = []
+    for entry in _require(manifest, "classes", "manifest"):
+        cid = _require(entry, "id", "class entry")
+        name = entry.get("name", cid)
+        attrs = np.asarray(_require(entry, "attributes", f"class {cid!r}"), dtype=np.float64)
+        if "text" in entry and "text_file" in entry:
+            raise ParseError(f"class {cid!r}: give either 'text' or 'text_file', not both")
+        if "text" in entry:
+            text = np.asarray(entry["text"], dtype=np.float64)
+        elif "text_file" in entry:
+            text = _read_feature_matrix(root / entry["text_file"], f"class {cid!r} text")[0]
+        else:
+            raise ParseError(f"class {cid!r}: missing field 'text' or 'text_file'")
+        classes.append(ClassDescriptor(cid, name, attrs, _unit_normalized(text, cid)))
+
+    samples = []
+    for entry in _require(manifest, "samples", "manifest"):
+        sid = _require(entry, "id", "sample entry")
+        class_id = _require(entry, "class_id", f"sample {sid!r}")
+        sequences = {
+            Stream.BODY: FeatureSequence(
+                sid, Stream.BODY, _read_feature_matrix(root / _require(entry, "body", f"sample {sid!r}"), f"sample {sid!r} body")
+            )
+        }
+        if entry.get("hand") is not None:
+            sequences[Stream.HAND] = FeatureSequence(
+                sid, Stream.HAND, _read_feature_matrix(root / entry["hand"], f"sample {sid!r} hand")
+            )
+        samples.append(Sample(sid, class_id, sequences))
+
+    split_entry = _require(manifest, "split", "manifest")
+    mode_token = _require(split_entry, "mode", "split")
+    try:
+        mode = SplitMode(mode_token)
+    except ValueError:
+        raise ParseError(f"split field 'mode': expected 'zsl' or 'gzsl', got {mode_token!r}") from None
+    split = SplitConfig(
+        seen_classes=frozenset(split_entry.get("seen", [])),
+        validation_classes=frozenset(split_entry.get("validation", [])),
+        unseen_classes=frozenset(split_entry.get("unseen", [])),
+        mode=mode,
+    )
+
+    dataset = Dataset(tuple(classes), tuple(samples), split, attribute_count)
+    violations = validate_dataset(dataset)
+    if violations:
+        raise InvariantViolation("; ".join(violations))
+    return dataset
+
+
+def validate_dataset(dataset: Dataset) -> list[str]:
+    """Return a description of every broken invariant (empty list == valid)."""
+    violations: list[str] = []
+
+    seen_ids: set[str] = set()
+    for c in dataset.classes:
+        if c.class_id in seen_ids:
+            violations.append(f"class {c.class_id!r} duplicated")
+        seen_ids.add(c.class_id)
+        if c.attributes.shape[0] != dataset.attribute_count:
+            violations.append(
+                f"class {c.class_id!r} has {c.attributes.shape[0]} attributes, expected {dataset.attribute_count}"
+            )
+        for k, value in enumerate(c.attributes):
+            if value not in (0.0, 1.0):
+                violations.append(f"class {c.class_id!r} attribute {k} not binary")
+        if not np.all(np.isfinite(c.text)):
+            violations.append(f"class {c.class_id!r} text vector non-finite")
+        elif abs(float(np.linalg.norm(c.text)) - 1.0) > TEXT_NORM_TOL:
+            violations.append(f"class {c.class_id!r} text vector not unit norm")
+
+    text_widths = {c.text.shape[0] for c in dataset.classes}
+    if len(text_widths) > 1:
+        violations.append(f"classes disagree on text dimensionality: {sorted(text_widths)}")
+
+    known = {c.class_id for c in dataset.classes}
+    sample_ids: set[str] = set()
+    for s in dataset.samples:
+        if s.sample_id in sample_ids:
+            violations.append(f"sample {s.sample_id!r} duplicated")
+        sample_ids.add(s.sample_id)
+        if s.class_id not in known:
+            violations.append(f"sample {s.sample_id!r} references unknown class {s.class_id!r}")
+        for stream, seq in s.sequences.items():
+            finite = np.isfinite(seq.data).all(axis=1)
+            for row in np.flatnonzero(~finite):
+                violations.append(f"sample {s.sample_id!r} {stream.value} row {row} non-finite")
+        hand = s.hand
+        if hand is not None and hand.length != s.body.length:
+            violations.append(
+                f"sample {s.sample_id!r} hand length {hand.length} != body length {s.body.length}"
+            )
+
+    split = dataset.split
+    for label, ids in (
+        ("seen", split.seen_classes),
+        ("validation", split.validation_classes),
+        ("unseen", split.unseen_classes),
+    ):
+        for cid in sorted(ids - known):
+            violations.append(f"split {label} references unknown class {cid!r}")
+    if split.mode is SplitMode.ZSL:
+        for a, b in (("seen", "validation"), ("seen", "unseen"), ("validation", "unseen")):
+            overlap = getattr(split, f"{a}_classes") & getattr(split, f"{b}_classes")
+            for cid in sorted(overlap):
+                violations.append(f"class {cid!r} appears in both {a} and {b} splits")
+
+    return violations
+
+
+def save_dataset(dataset: Dataset, out_dir: str | Path, manifest_name: str = "manifest.json") -> Path:
+    """Write the manifest plus feature-file tree; inverse of load_dataset.
+
+    Floats are serialized with shortest round-trip representation, so
+    load(save(load(p))) reproduces every numeric field bit-exactly.
+    """
+    out_dir = Path(out_dir)
+    features_dir = out_dir / "features"
+    features_dir.mkdir(parents=True, exist_ok=True)
+
+    sample_entries = []
+    for s in dataset.samples:
+        entry: dict = {"id": s.sample_id, "class_id": s.class_id}
+        for stream, seq in sorted(s.sequences.items(), key=lambda kv: kv[0].value):
+            rel = f"features/{s.sample_id}_{stream.value}.csv"
+            lines = [",".join(repr(v) for v in row) for row in seq.data.tolist()]
+            (out_dir / rel).write_text("\n".join(lines) + "\n", encoding="utf-8")
+            entry[stream.value] = rel
+        sample_entries.append(entry)
+
+    manifest = {
+        "attribute_count": dataset.attribute_count,
+        "classes": [
+            {
+                "id": c.class_id,
+                "name": c.name,
+                "attributes": [int(v) for v in c.attributes],
+                "text": c.text.tolist(),
+            }
+            for c in dataset.classes
+        ],
+        "samples": sample_entries,
+        "split": {
+            "mode": dataset.split.mode.value,
+            "seen": sorted(dataset.split.seen_classes),
+            "validation": sorted(dataset.split.validation_classes),
+            "unseen": sorted(dataset.split.unseen_classes),
+        },
+    }
+    manifest_path = out_dir / manifest_name
+    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return manifest_path

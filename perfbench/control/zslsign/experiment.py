@@ -1,0 +1,244 @@
+"""Wiring between datasets, aggregation, model training and evaluation.
+
+This module owns the run configuration and the deterministic recipes the CLI
+drives: building embedding matrices, selecting candidate sets per split mode,
+training a model from a config, ranking evaluation samples and sweeping the
+text-reduction width.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass, replace
+from pathlib import Path
+from typing import Sequence
+
+import numpy as np
+
+from .data import ClassDescriptor, Dataset, Sample, SplitConfig, SplitMode
+from .embeddings import ClassEmbeddingSet, EmbeddingMode, ModeKind
+from .errors import DimensionMismatch, MissingFile, MissingHandStream, ParseError
+from .evaluation import EvalReport, gzsl_report, topk_accuracy
+from .models import CompatModel, Method, TrainConfig, predict, train_eszsl, train_lle, train_sae
+from .temporal import AggregatorKind, AggregatorSpec, VideoEmbedding, embed_video
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """One experiment run; every field can come from JSON config or CLI flags."""
+
+    manifest: str = ""
+    aggregator: str = "avgpool"  # "avgpool" | "tsm"
+    tsm_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
+    use_hand: bool = False
+    embedding: str = "attr"  # "attr" | "text" | "combined"
+    d_t: int = 64
+    method: str = "lle"  # "lle" | "eszsl" | "sae"
+    lam: float = 1e-3
+    learning_rate: float = 1e-2
+    epochs: int = 1000
+    seed: int = 0
+    init_scale: float = 1e-3
+    gamma: float = 1e-3
+    lam_sae: float = 1e-3
+    ks: tuple[int, ...] = (1, 2, 5)
+    out_dir: str | None = None
+    repeats: int = 5
+
+    def __post_init__(self) -> None:
+        if not self.ks or any(k < 1 for k in self.ks):
+            raise ValueError(f"ks must be nonempty positive integers, got {list(self.ks)}")
+        if self.repeats < 1:
+            raise ValueError(f"repeats must be >= 1, got {self.repeats}")
+
+    def aggregator_spec(self) -> AggregatorSpec:
+        return AggregatorSpec(kind=AggregatorKind(self.aggregator), weights=tuple(self.tsm_weights))
+
+    def embedding_mode(self) -> EmbeddingMode:
+        return EmbeddingMode(kind=ModeKind(self.embedding), d_t=self.d_t)
+
+    def train_config(self, seed: int | None = None) -> TrainConfig:
+        return TrainConfig(
+            lam=self.lam,
+            learning_rate=self.learning_rate,
+            epochs=self.epochs,
+            seed=self.seed if seed is None else seed,
+            init_scale=self.init_scale,
+        )
+
+    def to_dict(self) -> dict:
+        return {
+            "manifest": self.manifest,
+            "aggregator": self.aggregator,
+            "tsm_weights": list(self.tsm_weights),
+            "use_hand": self.use_hand,
+            "embedding": self.embedding,
+            "d_t": self.d_t,
+            "method": self.method,
+            "lam": self.lam,
+            "learning_rate": self.learning_rate,
+            "epochs": self.epochs,
+            "seed": self.seed,
+            "init_scale": self.init_scale,
+            "gamma": self.gamma,
+            "lam_sae": self.lam_sae,
+            "ks": list(self.ks),
+            "out_dir": self.out_dir,
+            "repeats": self.repeats,
+        }
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "RunConfig":
+        known = {f for f in cls.__dataclass_fields__}
+        unknown = set(raw) - known
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        cfg = dict(raw)
+        if "tsm_weights" in cfg:
+            cfg["tsm_weights"] = tuple(float(v) for v in cfg["tsm_weights"])
+        if "ks" in cfg:
+            cfg["ks"] = tuple(int(k) for k in cfg["ks"])
+        return cls(**cfg)
+
+
+def check_hand_usable(dataset: Dataset, use_hand: bool) -> None:
+    if use_hand and not dataset.has_full_hand_coverage:
+        missing = next(s.sample_id for s in dataset.samples if s.hand is None)
+        raise MissingHandStream(
+            f"hand stream disabled dataset-wide: sample {missing!r} (at least) has no hand sequence"
+        )
+
+
+def stack_video_embeddings(
+    samples: Sequence[Sample], spec: AggregatorSpec, use_hand: bool
+) -> tuple[list[str], np.ndarray]:
+    """Embed samples (sorted by sample_id) into one N x d matrix."""
+    ordered = sorted(samples, key=lambda s: s.sample_id)
+    embeddings = [embed_video(s, spec, use_hand) for s in ordered]
+    widths = {e.dim for e in embeddings}
+    if len(widths) > 1:
+        raise DimensionMismatch(f"samples disagree on embedded width: {sorted(widths)}")
+    return [e.sample_id for e in embeddings], np.stack([e.vector for e in embeddings])
+
+
+def candidate_class_ids(split: SplitConfig) -> list[str]:
+    """Prediction-time candidate classes: unseen for ZSL, seen + unseen for GZSL."""
+    if split.mode is SplitMode.GZSL:
+        return sorted(split.seen_classes | split.unseen_classes)
+    return sorted(split.unseen_classes)
+
+
+def candidate_descriptors(dataset: Dataset) -> list[ClassDescriptor]:
+    return [dataset.classes_by_id[cid] for cid in candidate_class_ids(dataset.split)]
+
+
+def train_from_config(dataset: Dataset, cfg: RunConfig, seed: int | None = None) -> CompatModel:
+    """Train on the seen-class samples following the run configuration."""
+    check_hand_usable(dataset, cfg.use_hand)
+    agg = cfg.aggregator_spec()
+    mode = cfg.embedding_mode()
+    train_samples = dataset.samples_of(dataset.split.seen_classes)
+    _, features = stack_video_embeddings(train_samples, agg, cfg.use_hand)
+    labels = [s.class_id for s in sorted(train_samples, key=lambda s: s.sample_id)]
+    classes = ClassEmbeddingSet.from_descriptors(
+        dataset.descriptors_of(dataset.split.seen_classes), mode
+    )
+    method = Method(cfg.method)
+    if method is Method.LLE:
+        return train_lle(features, labels, classes, cfg.train_config(seed))
+    if method is Method.ESZSL:
+        return train_eszsl(features, labels, classes, gamma=cfg.gamma, lam=cfg.lam)
+    return train_sae(features, labels, classes, lam_sae=cfg.lam_sae)
+
+
+def rank_samples(
+    dataset: Dataset,
+    model: CompatModel,
+    cfg: RunConfig,
+    samples: Sequence[Sample] | None = None,
+    candidates: Sequence[ClassDescriptor] | None = None,
+) -> tuple[list[str], list[list[str]], list[str]]:
+    """Deterministic rankings for the evaluation samples of the split mode."""
+    check_hand_usable(dataset, cfg.use_hand)
+    if candidates is None:
+        candidates = candidate_descriptors(dataset)
+    if samples is None:
+        samples = dataset.samples_of({c.class_id for c in candidates})
+    agg = cfg.aggregator_spec()
+    embeddings = model.candidate_embeddings(candidates)
+    sample_ids, features = stack_video_embeddings(samples, agg, cfg.use_hand)
+    truths = [s.class_id for s in sorted(samples, key=lambda s: s.sample_id)]
+    rankings = [predict(features[i], model, embeddings)[1] for i in range(len(sample_ids))]
+    return sample_ids, rankings, truths
+
+
+def evaluate(dataset: Dataset, model: CompatModel, cfg: RunConfig) -> EvalReport:
+    """ZSL or GZSL evaluation report, per the dataset's split mode."""
+    _, rankings, truths = rank_samples(dataset, model, cfg)
+    if dataset.split.mode is SplitMode.GZSL:
+        return gzsl_report(rankings, truths, dataset.split, cfg.ks)
+    return topk_accuracy(rankings, truths, cfg.ks)
+
+
+def validation_top1(dataset: Dataset, model: CompatModel, cfg: RunConfig) -> float:
+    """Class-normalized top-1 accuracy on the validation classes (ZSL style)."""
+    val_ids = dataset.split.validation_classes
+    if not val_ids:
+        raise ValueError("dataset split has no validation classes")
+    candidates = dataset.descriptors_of(val_ids)
+    samples = dataset.samples_of(val_ids)
+    _, rankings, truths = rank_samples(dataset, model, cfg, samples=samples, candidates=candidates)
+    return topk_accuracy(rankings, truths, ks=(1,)).per_k[1]
+
+
+def analysis_samples(
+    dataset: Dataset, cfg: RunConfig
+) -> tuple[list[tuple[VideoEmbedding, str]], list[ClassDescriptor]]:
+    """(video embedding, truth) pairs plus candidate descriptors for influence analysis."""
+    check_hand_usable(dataset, cfg.use_hand)
+    candidates = candidate_descriptors(dataset)
+    samples = dataset.samples_of({c.class_id for c in candidates})
+    agg = cfg.aggregator_spec()
+    sample_ids, features = stack_video_embeddings(samples, agg, cfg.use_hand)
+    truths = [s.class_id for s in sorted(samples, key=lambda s: s.sample_id)]
+    pairs = [
+        (VideoEmbedding(sid, features[i]), truths[i]) for i, sid in enumerate(sample_ids)
+    ]
+    return pairs, candidates
+
+
+def sweep_text_dim(
+    dataset: Dataset, cfg: RunConfig, values: Sequence[int]
+) -> list[tuple[int, float, float]]:
+    """Validation top-1 across text-reduction widths; (value, mean, stddev) rows.
+
+    A value equal to the raw text width runs without a reduction layer.
+    """
+    mode_kind = ModeKind(cfg.embedding)
+    if mode_kind is ModeKind.ATTRIBUTES:
+        raise ValueError("sweeping d_t needs a text-bearing embedding mode")
+    rows = []
+    for value in values:
+        run = replace(cfg, d_t=int(value))
+        scores = []
+        for r in range(cfg.repeats):
+            model = train_from_config(dataset, run, seed=cfg.seed + r)
+            scores.append(validation_top1(dataset, model, run))
+        mean = float(np.mean(scores))
+        std = float(np.std(scores, ddof=1)) if len(scores) > 1 else 0.0
+        rows.append((int(value), mean, std))
+    return rows
+
+
+def load_run_config(path: str | Path) -> RunConfig:
+    path = Path(path)
+    if not path.exists():
+        raise MissingFile(f"config file not found: {path}")
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"config {path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    try:
+        return RunConfig.from_dict(raw)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"config {path}: {exc}") from None

@@ -1,0 +1,483 @@
+"""Bilinear compatibility models: training, scoring, prediction, persistence.
+
+The compatibility score of a video embedding phi and class embedding rho is
+the dense bilinear form phi' W rho. Three trainers produce W:
+
+* lle    - softmax cross-entropy with l2 penalty on W, minimized by
+           deterministic full-batch gradient descent; a text-reduction matrix
+           M is optimized jointly when the embedding mode calls for one.
+* eszsl  - ridge-style regression closed form
+           W = (X X' + gamma I)^-1 X Y S' (S S' + lam I)^-1.
+* sae    - auto-encoding projection solving the Sylvester equation
+           S S' P + lam P X X' = (1 + lam) S X', stored transposed.
+
+Class posteriors p(c|v) are defined as the softmax of compatibility scores
+over the active candidate set, matching the training loss. This is the
+posterior the attribute-influence analysis differentiates.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from dataclasses import dataclass, field
+from enum import Enum
+from pathlib import Path
+from typing import Sequence
+
+import numpy as np
+
+from .embeddings import ClassEmbedding, ClassEmbeddingSet, EmbeddingMode, ModeKind, compose_embedding
+from .data import ClassDescriptor
+from .errors import (
+    DegenerateData,
+    DimensionMismatch,
+    EmptyCandidates,
+    MissingFile,
+    NonFiniteLoss,
+    SchemaMismatch,
+    SingularSystem,
+)
+from . import oracles
+
+MAX_STEP_HALVINGS = 30
+
+
+class Method(Enum):
+    LLE = "lle"
+    ESZSL = "eszsl"
+    SAE = "sae"
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    """Gradient-descent settings for the lle trainer."""
+
+    lam: float = 1e-3
+    learning_rate: float = 1e-2
+    epochs: int = 1000
+    seed: int = 0
+    init_scale: float = 1e-3
+
+    def __post_init__(self) -> None:
+        if self.lam < 0:
+            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        if self.learning_rate <= 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.init_scale <= 0:
+            raise ValueError(f"init_scale must be > 0, got {self.init_scale}")
+
+
+@dataclass(frozen=True)
+class CompatModel:
+    W: np.ndarray  # d x t
+    M: np.ndarray | None  # D_text x d_t, present when the mode trains a reduction
+    mode: EmbeddingMode
+    method: Method
+    hyperparams: dict[str, float]
+    seed: int = 0
+    epochs: int = 0
+    final_loss: float = float("nan")
+    d_text: int | None = None
+    loss_history: tuple[float, ...] = field(default=(), compare=False)  # in-memory only
+
+    def __post_init__(self) -> None:
+        W = np.asarray(self.W, dtype=np.float64)
+        if W.ndim != 2:
+            raise ValueError(f"W must be a matrix, got ndim={W.ndim}")
+        if not np.all(np.isfinite(W)):
+            raise ValueError("W contains non-finite entries")
+        object.__setattr__(self, "W", W)
+        if self.M is not None:
+            M = np.asarray(self.M, dtype=np.float64)
+            if not np.all(np.isfinite(M)):
+                raise ValueError("M contains non-finite entries")
+            object.__setattr__(self, "M", M)
+
+    @property
+    def d(self) -> int:
+        return self.W.shape[0]
+
+    @property
+    def t(self) -> int:
+        return self.W.shape[1]
+
+    def class_embedding(self, descriptor: ClassDescriptor) -> ClassEmbedding:
+        return compose_embedding(descriptor, self.mode, self.M)
+
+    def candidate_embeddings(self, descriptors: Sequence[ClassDescriptor]) -> list[ClassEmbedding]:
+        return [self.class_embedding(c) for c in descriptors]
+
+
+def _as_vector(v) -> np.ndarray:
+    return v.vector if hasattr(v, "vector") else np.asarray(v, dtype=np.float64)
+
+
+def compatibility(phi, model: CompatModel, rho) -> float:
+    """Bilinear score phi' W rho."""
+    p = _as_vector(phi)
+    r = _as_vector(rho)
+    if p.shape[0] != model.d:
+        raise DimensionMismatch(f"video embedding has length {p.shape[0]}, W expects {model.d}")
+    if r.shape[0] != model.t:
+        raise DimensionMismatch(f"class embedding has length {r.shape[0]}, W expects {model.t}")
+    return float(p @ model.W @ r)
+
+
+def score_candidates(phi, model: CompatModel, candidates: Sequence[ClassEmbedding]) -> np.ndarray:
+    """Compatibility scores against every candidate, in candidate order.
+
+    Each score depends only on its own candidate vector, so scores of
+    untouched candidates are bit-identical across calls.
+    """
+    if len(candidates) == 0:
+        raise EmptyCandidates("no candidate classes given")
+    p = _as_vector(phi)
+    if p.shape[0] != model.d:
+        raise DimensionMismatch(f"video embedding has length {p.shape[0]}, W expects {model.d}")
+    q = p @ model.W
+    scores = np.empty(len(candidates))
+    for i, cand in enumerate(candidates):
+        r = _as_vector(cand)
+        if r.shape[0] != model.t:
+            raise DimensionMismatch(
+                f"class embedding {getattr(cand, 'class_id', i)!r} has length {r.shape[0]}, W expects {model.t}"
+            )
+        scores[i] = float(q @ r)
+    return scores
+
+
+def _softmax(scores: np.ndarray) -> np.ndarray:
+    shifted = scores - scores.max()
+    e = np.exp(shifted)
+    return e / e.sum()
+
+
+def _log_softmax(scores: np.ndarray) -> np.ndarray:
+    shifted = scores - scores.max()
+    return shifted - math.log(np.exp(shifted).sum())
+
+
+def posteriors(phi, model: CompatModel, candidates: Sequence[ClassEmbedding]) -> np.ndarray:
+    """Max-shifted softmax over compatibility scores; sums to 1 within 1e-12."""
+    return _softmax(score_candidates(phi, model, candidates))
+
+
+def log_posteriors(phi, model: CompatModel, candidates: Sequence[ClassEmbedding]) -> np.ndarray:
+    return _log_softmax(score_candidates(phi, model, candidates))
+
+
+def predict(phi, model: CompatModel, candidates: Sequence[ClassEmbedding]) -> tuple[str, list[str]]:
+    """Argmax class plus the full descending ranking (ties: ascending class_id)."""
+    scores = score_candidates(phi, model, candidates)
+    order = sorted(range(len(candidates)), key=lambda i: (-scores[i], candidates[i].class_id))
+    ranking = [candidates[i].class_id for i in order]
+    return ranking[0], ranking
+
+
+# ---------------------------------------------------------------------------
+# lle: regularized softmax cross-entropy, full-batch gradient descent
+# ---------------------------------------------------------------------------
+
+
+def _label_indices(labels: Sequence[str], classes: ClassEmbeddingSet) -> np.ndarray:
+    return np.array([classes.index_of(label) for label in labels], dtype=np.intp)
+
+
+def _text_column_block(W: np.ndarray, classes: ClassEmbeddingSet) -> np.ndarray:
+    offset = classes.attributes.shape[1] if classes.mode.uses_attributes else 0
+    return W[:, offset:]
+
+
+def lle_objective(
+    W: np.ndarray,
+    M: np.ndarray | None,
+    features: np.ndarray,
+    labels: Sequence[str],
+    classes: ClassEmbeddingSet,
+    lam: float,
+) -> float:
+    """Mean cross-entropy of the true class under softmax scores, plus lam * ||W||^2."""
+    y = _label_indices(labels, classes)
+    S = classes.compose(M)
+    Z = features @ W @ S.T
+    shifted = Z - Z.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    nll = -log_probs[np.arange(len(y)), y].mean()
+    return float(nll + lam * np.sum(W * W))
+
+
+def lle_gradients(
+    W: np.ndarray,
+    M: np.ndarray | None,
+    features: np.ndarray,
+    labels: Sequence[str],
+    classes: ClassEmbeddingSet,
+    lam: float,
+) -> tuple[float, np.ndarray, np.ndarray | None]:
+    """Objective value and analytic gradients with respect to W (and M if present)."""
+    y = _label_indices(labels, classes)
+    n = len(y)
+    S = classes.compose(M)
+    Z = features @ W @ S.T
+    shifted = Z - Z.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    loss = float(-log_probs[np.arange(n), y].mean() + lam * np.sum(W * W))
+
+    G = np.exp(log_probs)
+    G[np.arange(n), y] -= 1.0
+    G /= n
+    grad_W = features.T @ G @ S + 2.0 * lam * W
+    grad_M = None
+    if M is not None:
+        text_block = _text_column_block(W, classes)
+        grad_M = classes.texts.T @ (G.T @ (features @ text_block))
+    return loss, grad_W, grad_M
+
+
+def train_lle(
+    features: np.ndarray,
+    labels: Sequence[str],
+    classes: ClassEmbeddingSet,
+    cfg: TrainConfig = TrainConfig(),
+) -> CompatModel:
+    """Fit W (and, in text-reducing modes, M) by deterministic gradient descent.
+
+    Each epoch takes one full-batch step; if the step would increase the loss
+    the step size is halved, up to MAX_STEP_HALVINGS times, before giving up
+    with NonFiniteLoss. Same seed and config therefore reproduce the exact
+    same parameters.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    if classes.n_classes < 2:
+        raise DegenerateData(f"need at least 2 seen classes to train, got {classes.n_classes}")
+    if features.ndim != 2 or features.shape[0] != len(labels):
+        raise DimensionMismatch(
+            f"features must be N x d with one row per label, got {features.shape} for {len(labels)} labels"
+        )
+
+    d = features.shape[1]
+    t = classes.embedding_dim
+    mode = classes.mode
+    trains_reduction = mode.uses_text and mode.d_t != classes.text_dim
+
+    rng = np.random.default_rng(cfg.seed)
+    W = rng.uniform(-cfg.init_scale, cfg.init_scale, size=(d, t))
+    M = rng.uniform(-cfg.init_scale, cfg.init_scale, size=(classes.text_dim, mode.d_t)) if trains_reduction else None
+
+    loss, grad_W, grad_M = lle_gradients(W, M, features, labels, classes, cfg.lam)
+    if not math.isfinite(loss):
+        raise NonFiniteLoss(f"initial loss is {loss}")
+    history = [loss]
+
+    # at a converged point the theoretical decrease of a tiny step underflows and
+    # re-evaluation noise sits a few ulps above the current loss; treat that as a plateau
+    plateau_tol = 32.0 * np.finfo(np.float64).eps * max(1.0, abs(loss))
+    for _ in range(cfg.epochs):
+        step = cfg.learning_rate
+        moved = False
+        loss_try = math.inf
+        for _attempt in range(MAX_STEP_HALVINGS + 1):
+            W_try = W - step * grad_W
+            M_try = M - step * grad_M if M is not None else None
+            loss_try = lle_objective(W_try, M_try, features, labels, classes, cfg.lam)
+            if math.isfinite(loss_try) and loss_try <= loss:
+                W, M, loss = W_try, M_try, loss_try
+                moved = True
+                break
+            step *= 0.5
+        if moved:
+            loss, grad_W, grad_M = lle_gradients(W, M, features, labels, classes, cfg.lam)
+        elif not (math.isfinite(loss_try) and loss_try - loss <= plateau_tol):
+            raise NonFiniteLoss(
+                f"step halving exhausted after {MAX_STEP_HALVINGS} halvings at loss {loss!r}"
+            )
+        history.append(loss)
+
+    return CompatModel(
+        W=W,
+        M=M,
+        mode=mode,
+        method=Method.LLE,
+        hyperparams={"lam": cfg.lam, "learning_rate": cfg.learning_rate, "init_scale": cfg.init_scale},
+        seed=cfg.seed,
+        epochs=cfg.epochs,
+        final_loss=history[-1],
+        d_text=classes.text_dim if mode.uses_text else None,
+        loss_history=tuple(history),
+    )
+
+
+# ---------------------------------------------------------------------------
+# eszsl: regression closed form
+# ---------------------------------------------------------------------------
+
+
+def train_eszsl(
+    features: np.ndarray,
+    labels: Sequence[str],
+    classes: ClassEmbeddingSet,
+    gamma: float = 1e-3,
+    lam: float = 1e-3,
+    reduction: np.ndarray | None = None,
+) -> CompatModel:
+    """Closed-form ridge solution with +1/-1 class indicator targets.
+
+    The reduction matrix, when a text-bearing mode needs one, is taken as a
+    fixed input here: the closed form solves for W only.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    X = features.T  # d x N
+    S = classes.compose(reduction).T  # t x |C|
+    y_idx = _label_indices(labels, classes)
+    n = X.shape[1]
+    Y = -np.ones((n, classes.n_classes))
+    Y[np.arange(n), y_idx] = 1.0
+
+    A = X @ X.T + gamma * np.eye(X.shape[0])
+    B = S @ S.T + lam * np.eye(S.shape[0])
+    try:
+        W = np.linalg.solve(A, X @ Y @ S.T)
+        W = np.linalg.solve(B, W.T).T  # right-multiply by B^-1 (B symmetric)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"eszsl normal equations are singular: {exc}") from None
+
+    return CompatModel(
+        W=W,
+        M=reduction,
+        mode=classes.mode,
+        method=Method.ESZSL,
+        hyperparams={"gamma": gamma, "lam": lam},
+        final_loss=oracles.eszsl_objective(W, X, S, Y, gamma, lam),
+        d_text=classes.text_dim if classes.mode.uses_text else None,
+    )
+
+
+# ---------------------------------------------------------------------------
+# sae: auto-encoder projection via a Sylvester solve
+# ---------------------------------------------------------------------------
+
+
+def solve_sylvester(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Solve A W + W B = C by Kronecker vectorization (dense, desk-scale)."""
+    t = A.shape[0]
+    d = B.shape[0]
+    K = np.kron(np.eye(d), A) + np.kron(B.T, np.eye(t))
+    try:
+        w = np.linalg.solve(K, C.flatten(order="F"))
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"sylvester system is singular: {exc}") from None
+    return w.reshape((t, d), order="F")
+
+
+def train_sae(
+    features: np.ndarray,
+    labels: Sequence[str],
+    classes: ClassEmbeddingSet,
+    lam_sae: float = 1e-3,
+    reduction: np.ndarray | None = None,
+) -> CompatModel:
+    """Fit the semantic auto-encoder projection and store it as a compatibility W.
+
+    Solves S S' P + lam P X X' = (1 + lam) S X' for the t x d projection P,
+    with S holding one class-embedding column per training sample; W = P'.
+    """
+    if lam_sae <= 0:
+        raise ValueError(f"lam_sae must be > 0, got {lam_sae}")
+    features = np.asarray(features, dtype=np.float64)
+    X = features.T  # d x N
+    S_classes = classes.compose(reduction)
+    y_idx = _label_indices(labels, classes)
+    S = S_classes[y_idx].T  # t x N, one column per sample
+
+    A = S @ S.T
+    B = lam_sae * (X @ X.T)
+    C = (1.0 + lam_sae) * S @ X.T
+    P = solve_sylvester(A, B, C)
+    residual = oracles.sylvester_residual(P, S, X, lam_sae)
+    if not math.isfinite(residual):
+        raise SingularSystem(f"sylvester solve produced non-finite residual {residual!r}")
+
+    return CompatModel(
+        W=P.T,
+        M=reduction,
+        mode=classes.mode,
+        method=Method.SAE,
+        hyperparams={"lam_sae": lam_sae},
+        final_loss=residual,
+        d_text=classes.text_dim if classes.mode.uses_text else None,
+    )
+
+
+# ---------------------------------------------------------------------------
+# persistence
+# ---------------------------------------------------------------------------
+
+
+def save_model(model: CompatModel, path: str | Path) -> Path:
+    """Write the model as JSON with full round-trip float precision."""
+    path = Path(path)
+    doc = {
+        "method": model.method.value,
+        "mode": model.mode.kind.value,
+        "d": model.d,
+        "t": model.t,
+        "d_text": model.d_text,
+        "d_t": model.mode.d_t,
+        "W": [float(v) for v in model.W.ravel()],
+        "M": [float(v) for v in model.M.ravel()] if model.M is not None else None,
+        "hyperparams": {k: float(v) for k, v in sorted(model.hyperparams.items())},
+        "seed": model.seed,
+        "epochs": model.epochs,
+        "final_loss": float(model.final_loss),
+    }
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
+    return path
+
+
+def load_model(path: str | Path) -> CompatModel:
+    path = Path(path)
+    if not path.exists():
+        raise MissingFile(f"model file not found: {path}")
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise SchemaMismatch(f"model file {path} is not valid JSON: {exc.msg}") from None
+
+    try:
+        method = Method(doc["method"])
+        mode = EmbeddingMode(kind=ModeKind(doc["mode"]), d_t=doc["d_t"])
+        d, t = int(doc["d"]), int(doc["t"])
+        flat_w = doc["W"]
+        flat_m = doc["M"]
+        d_text = doc["d_text"]
+    except (KeyError, ValueError, TypeError) as exc:
+        raise SchemaMismatch(f"model file {path} is missing or corrupts a schema field: {exc}") from None
+
+    if len(flat_w) != d * t:
+        raise SchemaMismatch(f"model file {path}: W has {len(flat_w)} entries, header says {d}x{t}")
+    W = np.array(flat_w, dtype=np.float64).reshape(d, t)
+    M = None
+    if flat_m is not None:
+        if d_text is None:
+            raise SchemaMismatch(f"model file {path}: M present but d_text is null")
+        if len(flat_m) != d_text * mode.d_t:
+            raise SchemaMismatch(
+                f"model file {path}: M has {len(flat_m)} entries, header says {d_text}x{mode.d_t}"
+            )
+        M = np.array(flat_m, dtype=np.float64).reshape(d_text, mode.d_t)
+
+    return CompatModel(
+        W=W,
+        M=M,
+        mode=mode,
+        method=method,
+        hyperparams=dict(doc.get("hyperparams", {})),
+        seed=int(doc.get("seed", 0)),
+        epochs=int(doc.get("epochs", 0)),
+        final_loss=float(doc["final_loss"]),
+        d_text=d_text,
+    )

@@ -1,0 +1,156 @@
+"""Brute-force reference implementations used to cross-check the fast paths.
+
+Every function here recomputes its target with the most direct algorithm
+available (explicit loops, extended-precision accumulation) and is kept
+deliberately independent of the implementations it checks. All oracles are
+desk-scale only: instances beyond 64 per dimension are rejected.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Sequence
+
+import numpy as np
+
+from .errors import InstanceTooLarge
+
+MAX_DIM = 64
+
+
+def _guard(**dims: int) -> None:
+    for name, value in dims.items():
+        if value > MAX_DIM:
+            raise InstanceTooLarge(f"oracle limit: {name}={value} exceeds {MAX_DIM}")
+
+
+def brute_bilinear(phi: np.ndarray, W: np.ndarray, rho: np.ndarray) -> float:
+    """phi' W rho by explicit double loop in extended precision."""
+    d, t = W.shape
+    _guard(d=d, t=t)
+    acc = np.longdouble(0.0)
+    for i in range(d):
+        for j in range(t):
+            acc += np.longdouble(phi[i]) * np.longdouble(W[i, j]) * np.longdouble(rho[j])
+    return float(acc)
+
+
+def brute_softmax(scores: Sequence[float]) -> np.ndarray:
+    """Direct exp/sum softmax in extended precision (no stabilizing shift).
+
+    80-bit exponent range keeps exp finite for scores up to a few thousand,
+    which is exactly what lets this stay independent of the max-shift path.
+    """
+    _guard(n=len(scores))
+    s = np.asarray(scores, dtype=np.longdouble)
+    e = np.exp(s)
+    return (e / e.sum()).astype(np.float64)
+
+
+def brute_column_means(matrix: np.ndarray) -> np.ndarray:
+    """Column means by per-element summation loops."""
+    rows, cols = matrix.shape
+    _guard(rows=rows, cols=cols)
+    out = np.zeros(cols)
+    for j in range(cols):
+        acc = np.longdouble(0.0)
+        for i in range(rows):
+            acc += np.longdouble(matrix[i, j])
+        out[j] = float(acc / rows)
+    return out
+
+
+def brute_tsm(matrix: np.ndarray, weights: Sequence[float]) -> np.ndarray:
+    """3-tap shift kernel + average pooling via explicit index loops."""
+    rows, cols = matrix.shape
+    _guard(rows=rows, cols=cols)
+    w1, w2, w3 = weights
+    out = np.zeros(cols)
+    for j in range(cols):
+        acc = np.longdouble(0.0)
+        for i in range(rows):
+            prev = matrix[i - 1, j] if i - 1 >= 0 else 0.0
+            nxt = matrix[i + 1, j] if i + 1 < rows else 0.0
+            acc += np.longdouble(w1 * prev + w2 * matrix[i, j] + w3 * nxt)
+        out[j] = float(acc / rows)
+    return out
+
+
+def brute_topk_count(
+    rankings: Sequence[Sequence[str]],
+    truths: Sequence[str],
+    ks: Sequence[int],
+) -> dict[int, float]:
+    """Class-normalized top-k accuracy by per-sample membership counting."""
+    _guard(n_samples=len(truths))
+    per_class: dict[str, list[Sequence[str]]] = {}
+    for ranking, truth in zip(rankings, truths):
+        per_class.setdefault(truth, []).append(ranking)
+    out = {}
+    for k in ks:
+        rates = []
+        for truth in sorted(per_class):
+            hits = 0
+            for ranking in per_class[truth]:
+                if truth in list(ranking)[:k]:
+                    hits += 1
+            rates.append(hits / len(per_class[truth]))
+        out[k] = 100.0 * sum(rates) / len(rates)
+    return out
+
+
+def finite_difference_grad(
+    fn: Callable[[np.ndarray], float],
+    x0: np.ndarray,
+    step: float = 1e-5,
+) -> np.ndarray:
+    """Central finite differences of a scalar function, coordinate by coordinate."""
+    if x0.size > MAX_DIM * MAX_DIM:
+        raise InstanceTooLarge(f"oracle limit: {x0.size} parameters exceed {MAX_DIM * MAX_DIM}")
+    grad = np.zeros_like(x0, dtype=np.float64)
+    flat = x0.ravel()
+    gflat = grad.ravel()
+    for i in range(flat.size):
+        orig = flat[i]
+        probe = x0.copy()
+        probe.ravel()[i] = orig + step
+        f_plus = fn(probe)
+        probe.ravel()[i] = orig - step
+        f_minus = fn(probe)
+        gflat[i] = (f_plus - f_minus) / (2.0 * step)
+    return grad
+
+
+def eszsl_objective(
+    W: np.ndarray, X: np.ndarray, S: np.ndarray, Y: np.ndarray, gamma: float, lam: float
+) -> float:
+    """Ridge-regularized regression objective whose minimizer is the closed form.
+
+    X is d x N (sample columns), S is t x |C| (class columns), Y is N x |C|
+    with +1 at the true class and -1 elsewhere.
+    """
+    fit = X.T @ W @ S - Y
+    return float(
+        np.sum(fit * fit)
+        + gamma * np.sum((W @ S) ** 2)
+        + lam * np.sum((X.T @ W) ** 2)
+        + gamma * lam * np.sum(W * W)
+    )
+
+
+def eszsl_gradient(
+    W: np.ndarray, X: np.ndarray, S: np.ndarray, Y: np.ndarray, gamma: float, lam: float
+) -> np.ndarray:
+    """Symbolic gradient of eszsl_objective with respect to W."""
+    return 2.0 * (
+        X @ (X.T @ W @ S - Y) @ S.T
+        + gamma * W @ (S @ S.T)
+        + lam * (X @ X.T) @ W
+        + gamma * lam * W
+    )
+
+
+def sylvester_residual(W: np.ndarray, S: np.ndarray, X: np.ndarray, lam: float) -> float:
+    """Relative residual of S S' W + lam W X X' = (1 + lam) S X'."""
+    rhs = (1.0 + lam) * S @ X.T
+    lhs = S @ S.T @ W + lam * W @ (X @ X.T)
+    return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))
