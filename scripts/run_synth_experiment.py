@@ -14,7 +14,7 @@ from pathlib import Path
 
 from zslsign.data import Dataset, SplitMode, save_dataset
 from zslsign.evaluation import random_baseline
-from zslsign.experiment import RunConfig, analysis_samples, evaluate, train_from_config
+from zslsign.experiment import RunConfig, evaluate, evaluation_samples, train_from_config
 from zslsign.influence import class_influence_matrix, confusion_influence_matrix
 from zslsign.errors import NoMisclassifications
 from zslsign.models import save_model
@@ -66,12 +66,13 @@ def main() -> None:
             lle_model = model
             lle_cfg = cfg
 
-    pairs, candidates = analysis_samples(dataset, lle_cfg)
-    correct = class_influence_matrix(lle_model, pairs, sorted(dataset.split.unseen_classes), candidates)
+    candidates, _, features, truths = evaluation_samples(dataset, lle_cfg)
+    unseen = sorted(dataset.split.unseen_classes)
+    correct = class_influence_matrix(lle_model, features, truths, unseen, candidates)
     print(f"influence (correct predictions): {len(correct.rows)} class rows, "
           f"{len(correct.omitted)} omitted")
     try:
-        confusions = confusion_influence_matrix(lle_model, pairs, candidates, top_n_confusions=4)
+        confusions = confusion_influence_matrix(lle_model, features, truths, candidates, top_n_confusions=4)
         print(f"influence (confusions): {len(confusions.rows)} pair rows")
         for row in confusions.rows:
             truth, predicted = row.subject

@@ -12,12 +12,13 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .data import SplitMode, load_dataset, save_dataset
+from .data import Dataset, SplitMode, load_dataset, save_dataset
 from .errors import (
     DimensionMismatch,
     InvariantViolation,
@@ -31,9 +32,9 @@ from .errors import (
 from .evaluation import random_baseline
 from .experiment import (
     RunConfig,
-    analysis_samples,
     candidate_descriptors,
     evaluate,
+    evaluation_samples,
     load_run_config,
     rank_samples,
     sweep_text_dim,
@@ -108,11 +109,11 @@ def _print_metric_table(rows: dict[str, dict[int, float] | None], ks) -> None:
         print(label.ljust(10) + "".join(f"{per_k[k]:9.1f}" for k in ks))
 
 
-def _class_sizes(truths: list[str]) -> list[int]:
-    counts: dict[str, int] = {}
-    for t in truths:
-        counts[t] = counts.get(t, 0) + 1
-    return [counts[c] for c in sorted(counts)]
+def _candidate_sizes(dataset: Dataset) -> tuple[int, list[int]]:
+    """Number of prediction candidates and, per candidate class with samples, its sample count."""
+    candidates = candidate_descriptors(dataset)
+    counts = Counter(s.class_id for s in dataset.samples_of({c.class_id for c in candidates}))
+    return len(candidates), [counts[c] for c in sorted(counts)]
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +233,8 @@ def cmd_eval(args) -> int:
         table["unseen"] = report.unseen_per_k
         table["harmonic"] = report.harmonic_per_k
     if args.random_baseline:
-        candidates = candidate_descriptors(dataset)
-        truths = [s.class_id for s in dataset.samples_of({c.class_id for c in candidates})]
-        baseline = random_baseline(
-            len(candidates), _class_sizes(truths), cfg.ks, trials=args.trials, seed=cfg.seed
-        )
+        n_classes, sizes = _candidate_sizes(dataset)
+        baseline = random_baseline(n_classes, sizes, cfg.ks, trials=args.trials, seed=cfg.seed)
         table["random"] = baseline
         payload["random_per_k"] = {str(k): v for k, v in sorted(baseline.items())}
 
@@ -275,13 +273,15 @@ def cmd_analyze(args) -> int:
     cfg = _resolve_config(args)
     dataset = load_dataset(cfg.manifest)
     model = load_model(args.model)
-    pairs, candidates = analysis_samples(dataset, cfg)
+    candidates, _, features, truths = evaluation_samples(dataset, cfg)
     out = _out_dir(args, cfg)
     _echo_config(out, cfg)
     attrs_of = lambda cid: dataset.classes_by_id[cid].attributes
 
     if args.confusions is not None:
-        report = confusion_influence_matrix(model, pairs, candidates, top_n_confusions=args.confusions)
+        report = confusion_influence_matrix(
+            model, features, truths, candidates, top_n_confusions=args.confusions
+        )
         _write_json(out / "influence_confusions.json", report.to_dict())
         _write_influence_csv(out / "influence_confusions.csv", report)
         _write_affiliation_csv(out / "affiliation_predicted.csv", report, attrs_of, which="predicted")
@@ -290,7 +290,7 @@ def cmd_analyze(args) -> int:
         return 0
 
     unseen = sorted(dataset.split.unseen_classes)
-    report = class_influence_matrix(model, pairs, unseen, candidates)
+    report = class_influence_matrix(model, features, truths, unseen, candidates)
     _write_json(out / "influence_correct.json", report.to_dict())
     _write_influence_csv(out / "influence_correct.csv", report)
     _write_affiliation_csv(out / "affiliation_correct.csv", report, attrs_of, which="predicted")
@@ -307,11 +307,7 @@ def cmd_analyze(args) -> int:
 def cmd_baseline(args) -> int:
     ks = tuple(int(k) for k in args.ks.split(","))
     if args.manifest:
-        dataset = load_dataset(args.manifest)
-        candidates = candidate_descriptors(dataset)
-        truths = [s.class_id for s in dataset.samples_of({c.class_id for c in candidates})]
-        n_classes = len(candidates)
-        sizes = _class_sizes(truths)
+        n_classes, sizes = _candidate_sizes(load_dataset(args.manifest))
     else:
         if args.classes is None:
             raise ParseError("baseline needs either --manifest or --classes")

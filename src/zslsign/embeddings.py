@@ -1,10 +1,12 @@
 """Class-embedding composition from binary attributes and text vectors.
 
 A class embedding is the attribute vector, a linearly reduced text vector, or
-their concatenation (attributes first). The reduction matrix is a trainable
-parameter owned by the model; composition itself is stateless. When the
-requested text width equals the raw text width and no reduction matrix is
-supplied, the raw text vector is used directly.
+their concatenation (attributes first). ClassEmbeddingSet.compose is the one
+composition path: it stacks every class of a candidate or training set into a
+|C| x t matrix. The reduction matrix is a trainable parameter owned by the
+model; composition itself is stateless. When the requested text width equals
+the raw text width and no reduction matrix is supplied, the raw text vectors
+are used directly.
 """
 
 from __future__ import annotations
@@ -48,53 +50,6 @@ class EmbeddingMode:
         text_part = self.d_t if self.uses_text else 0
         attr_part = attribute_count if self.uses_attributes else 0
         return attr_part + text_part
-
-
-@dataclass(frozen=True)
-class ClassEmbedding:
-    class_id: str
-    vector: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vector", np.asarray(self.vector, dtype=np.float64))
-
-    @property
-    def dim(self) -> int:
-        return self.vector.shape[0]
-
-
-def _text_block(text: np.ndarray, mode: EmbeddingMode, reduction: np.ndarray | None) -> np.ndarray:
-    if reduction is None:
-        if mode.d_t == text.shape[0]:
-            return text  # identity bypass: use the raw text vector
-        raise MissingReduction(
-            f"mode {mode.kind.value!r} with d_t={mode.d_t} needs a {text.shape[0]}x{mode.d_t} reduction matrix"
-        )
-    if reduction.shape != (text.shape[0], mode.d_t):
-        raise DimensionMismatch(
-            f"reduction matrix is {reduction.shape}, expected ({text.shape[0]}, {mode.d_t})"
-        )
-    return text @ reduction
-
-
-def compose_embedding(
-    descriptor: ClassDescriptor,
-    mode: EmbeddingMode,
-    reduction: np.ndarray | None = None,
-) -> ClassEmbedding:
-    """Build the class embedding for one descriptor.
-
-    Attribute values enter as raw {0,1} reals. For text-bearing modes the text
-    vector is mapped through the reduction matrix (bias-free); concatenation
-    order is attributes-then-text, always.
-    """
-    if mode.kind is ModeKind.ATTRIBUTES:
-        vec = descriptor.attributes.astype(np.float64)
-    elif mode.kind is ModeKind.TEXT:
-        vec = _text_block(descriptor.text, mode, reduction)
-    else:
-        vec = np.concatenate([descriptor.attributes, _text_block(descriptor.text, mode, reduction)])
-    return ClassEmbedding(descriptor.class_id, vec)
 
 
 def flip_attribute(descriptor: ClassDescriptor, k: int) -> ClassDescriptor:

@@ -9,7 +9,7 @@ text-reduction width.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -19,8 +19,8 @@ from .data import ClassDescriptor, Dataset, Sample, SplitConfig, SplitMode
 from .embeddings import ClassEmbeddingSet, EmbeddingMode, ModeKind
 from .errors import DimensionMismatch, MissingFile, MissingHandStream, ParseError
 from .evaluation import EvalReport, gzsl_report, topk_accuracy
-from .models import CompatModel, Method, TrainConfig, predict, train_eszsl, train_lle, train_sae
-from .temporal import AggregatorKind, AggregatorSpec, VideoEmbedding, embed_video
+from .models import CompatModel, Method, TrainConfig, rank_scores, train_eszsl, train_lle, train_sae
+from .temporal import AggregatorKind, AggregatorSpec, embed_video
 
 
 @dataclass(frozen=True)
@@ -67,25 +67,7 @@ class RunConfig:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "manifest": self.manifest,
-            "aggregator": self.aggregator,
-            "tsm_weights": list(self.tsm_weights),
-            "use_hand": self.use_hand,
-            "embedding": self.embedding,
-            "d_t": self.d_t,
-            "method": self.method,
-            "lam": self.lam,
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "init_scale": self.init_scale,
-            "gamma": self.gamma,
-            "lam_sae": self.lam_sae,
-            "ks": list(self.ks),
-            "out_dir": self.out_dir,
-            "repeats": self.repeats,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -111,14 +93,17 @@ def check_hand_usable(dataset: Dataset, use_hand: bool) -> None:
 
 def stack_video_embeddings(
     samples: Sequence[Sample], spec: AggregatorSpec, use_hand: bool
-) -> tuple[list[str], np.ndarray]:
-    """Embed samples (sorted by sample_id) into one N x d matrix."""
+) -> tuple[list[str], np.ndarray, list[str]]:
+    """Embed samples (sorted by sample_id) into one N x d matrix.
+
+    Returns the sample ids, the matrix and the class id of each row.
+    """
     ordered = sorted(samples, key=lambda s: s.sample_id)
     embeddings = [embed_video(s, spec, use_hand) for s in ordered]
-    widths = {e.dim for e in embeddings}
+    widths = {e.shape[0] for e in embeddings}
     if len(widths) > 1:
         raise DimensionMismatch(f"samples disagree on embedded width: {sorted(widths)}")
-    return [e.sample_id for e in embeddings], np.stack([e.vector for e in embeddings])
+    return [s.sample_id for s in ordered], np.stack(embeddings), [s.class_id for s in ordered]
 
 
 def candidate_class_ids(split: SplitConfig) -> list[str]:
@@ -138,8 +123,7 @@ def train_from_config(dataset: Dataset, cfg: RunConfig, seed: int | None = None)
     agg = cfg.aggregator_spec()
     mode = cfg.embedding_mode()
     train_samples = dataset.samples_of(dataset.split.seen_classes)
-    _, features = stack_video_embeddings(train_samples, agg, cfg.use_hand)
-    labels = [s.class_id for s in sorted(train_samples, key=lambda s: s.sample_id)]
+    _, features, labels = stack_video_embeddings(train_samples, agg, cfg.use_hand)
     classes = ClassEmbeddingSet.from_descriptors(
         dataset.descriptors_of(dataset.split.seen_classes), mode
     )
@@ -151,6 +135,24 @@ def train_from_config(dataset: Dataset, cfg: RunConfig, seed: int | None = None)
     return train_sae(features, labels, classes, lam_sae=cfg.lam_sae)
 
 
+def evaluation_samples(
+    dataset: Dataset,
+    cfg: RunConfig,
+    samples: Sequence[Sample] | None = None,
+    candidates: Sequence[ClassDescriptor] | None = None,
+) -> tuple[list[ClassDescriptor], list[str], np.ndarray, list[str]]:
+    """Candidate descriptors plus the stacked evaluation samples of the split mode.
+
+    Returns (candidates, sample ids, N x d features, truths), samples sorted by id.
+    """
+    check_hand_usable(dataset, cfg.use_hand)
+    if candidates is None:
+        candidates = candidate_descriptors(dataset)
+    if samples is None:
+        samples = dataset.samples_of({c.class_id for c in candidates})
+    return list(candidates), *stack_video_embeddings(samples, cfg.aggregator_spec(), cfg.use_hand)
+
+
 def rank_samples(
     dataset: Dataset,
     model: CompatModel,
@@ -159,17 +161,10 @@ def rank_samples(
     candidates: Sequence[ClassDescriptor] | None = None,
 ) -> tuple[list[str], list[list[str]], list[str]]:
     """Deterministic rankings for the evaluation samples of the split mode."""
-    check_hand_usable(dataset, cfg.use_hand)
-    if candidates is None:
-        candidates = candidate_descriptors(dataset)
-    if samples is None:
-        samples = dataset.samples_of({c.class_id for c in candidates})
-    agg = cfg.aggregator_spec()
-    embeddings = model.candidate_embeddings(candidates)
-    sample_ids, features = stack_video_embeddings(samples, agg, cfg.use_hand)
-    truths = [s.class_id for s in sorted(samples, key=lambda s: s.sample_id)]
-    rankings = [predict(features[i], model, embeddings)[1] for i in range(len(sample_ids))]
-    return sample_ids, rankings, truths
+    candidates, sample_ids, features, truths = evaluation_samples(dataset, cfg, samples, candidates)
+    classes = ClassEmbeddingSet.from_descriptors(candidates, model.mode)
+    scores = model.scores(features, classes.compose(model.M))
+    return sample_ids, rank_scores(scores, classes.class_ids), truths
 
 
 def evaluate(dataset: Dataset, model: CompatModel, cfg: RunConfig) -> EvalReport:
@@ -189,22 +184,6 @@ def validation_top1(dataset: Dataset, model: CompatModel, cfg: RunConfig) -> flo
     samples = dataset.samples_of(val_ids)
     _, rankings, truths = rank_samples(dataset, model, cfg, samples=samples, candidates=candidates)
     return topk_accuracy(rankings, truths, ks=(1,)).per_k[1]
-
-
-def analysis_samples(
-    dataset: Dataset, cfg: RunConfig
-) -> tuple[list[tuple[VideoEmbedding, str]], list[ClassDescriptor]]:
-    """(video embedding, truth) pairs plus candidate descriptors for influence analysis."""
-    check_hand_usable(dataset, cfg.use_hand)
-    candidates = candidate_descriptors(dataset)
-    samples = dataset.samples_of({c.class_id for c in candidates})
-    agg = cfg.aggregator_spec()
-    sample_ids, features = stack_video_embeddings(samples, agg, cfg.use_hand)
-    truths = [s.class_id for s in sorted(samples, key=lambda s: s.sample_id)]
-    pairs = [
-        (VideoEmbedding(sid, features[i]), truths[i]) for i, sid in enumerate(sample_ids)
-    ]
-    return pairs, candidates
 
 
 def sweep_text_dim(

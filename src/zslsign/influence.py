@@ -2,17 +2,23 @@
 
 Binary attributes admit no partial derivatives, so influence is measured by
 flipping one attribute of one class at inference time and differencing the
-model's output before and after:
+model's output before and after. Flipping attribute k of class c moves only
+that class's score, by delta_k = (phi' W)[k] * (1 - 2 a_ck), because the
+attributes are the first coordinates of every attribute-bearing embedding.
+Both analyses therefore have closed forms over all samples and attributes:
 
-* correct predictions: the drop in the posterior of the (correctly)
-  predicted class when one of its attributes is flipped;
+* correct predictions: the drop p_c - softmax(s + delta_k e_c)_c in the
+  posterior of the (correctly) predicted class, in stable log-sum-exp form;
 * misclassifications: the drop in the log-ratio of the wrongly predicted
   class over the true class when an attribute of the predicted class is
-  flipped. Because only the predicted class's score moves, this equals the
-  raw score difference, independent of the remaining candidates.
+  flipped. The other scores cancel, so this is exactly -delta_k of the
+  predicted class, independent of the remaining candidates.
 
 Aggregation averages these per-sample values per class (over correctly
-classified samples) or per ground-truth/predicted confusion pair.
+classified samples) or per ground-truth/predicted confusion pair. The
+per-sample references that recompose the flipped class and rescore every
+candidate are flip_influence_correct, flip_influence_confusion and log_ratio
+in oracles.py.
 """
 
 from __future__ import annotations
@@ -25,9 +31,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import ClassDescriptor
-from .embeddings import flip_attribute
-from .errors import ModeWithoutAttributes, NoMisclassifications
-from .models import CompatModel, predict, posteriors, log_posteriors
+from .embeddings import ClassEmbeddingSet
+from .errors import DimensionMismatch, ModeWithoutAttributes, NoMisclassifications
+from .models import CompatModel
 
 
 class InfluenceKind(Enum):
@@ -73,83 +79,58 @@ def default_attribute_names(count: int) -> tuple[str, ...]:
     return tuple(f"attr_{i:0{width}d}" for i in range(count))
 
 
-def _require_attributes(model: CompatModel) -> None:
+def _class_scores(model: CompatModel, features, truths: Sequence[str], candidates: Sequence[ClassDescriptor]):
+    """Class-id-sorted candidate set, N x |C| scores, predicted columns and q = Phi W."""
     if not model.mode.uses_attributes:
         raise ModeWithoutAttributes(
             f"influence analysis needs an attribute-bearing mode, got {model.mode.kind.value!r}"
         )
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[0] != len(truths):
+        raise DimensionMismatch(
+            f"features must be N x d with one row per truth, got {features.shape} for {len(truths)} truths"
+        )
+    classes = ClassEmbeddingSet.from_descriptors(list(candidates), model.mode)
+    scores = model.scores(features, classes.compose(model.M))
+    # argmax takes the first maximum: on class-id-sorted columns, the smallest class_id
+    return classes, scores, scores.argmax(axis=1), features @ model.W
 
 
-def _index_of(class_id: str, candidates: Sequence[ClassDescriptor]) -> int:
-    for i, c in enumerate(candidates):
-        if c.class_id == class_id:
-            return i
-    raise ValueError(f"class {class_id!r} is not among the candidates")
+def _flip_deltas(q: np.ndarray, attributes: np.ndarray) -> np.ndarray:
+    """Score change of a class when each attribute is flipped: q[k] * (1 - 2 a[k]).
 
-
-def _with_flip(
-    candidates: Sequence[ClassDescriptor], idx: int, k: int
-) -> list[ClassDescriptor]:
-    flipped = list(candidates)
-    flipped[idx] = flip_attribute(flipped[idx], k)
-    return flipped
-
-
-def flip_influence_correct(
-    model: CompatModel,
-    phi,
-    target: ClassDescriptor,
-    k: int,
-    candidates: Sequence[ClassDescriptor],
-) -> float:
-    """Posterior of the target class minus its posterior after flipping attribute k.
-
-    Only the target class is recomposed; every other candidate keeps its
-    original embedding, so their raw scores are untouched by the flip.
+    Attributes come first in every attribute-bearing mode, so attribute k is
+    embedding coordinate k; rows of q and attributes pair up sample by sample.
     """
-    _require_attributes(model)
-    idx = _index_of(target.class_id, candidates)
-    before = posteriors(phi, model, model.candidate_embeddings(candidates))[idx]
-    flipped = _with_flip(candidates, idx, k)
-    after = posteriors(phi, model, model.candidate_embeddings(flipped))[idx]
-    return float(before - after)
+    return q[:, : attributes.shape[1]] * (1.0 - 2.0 * attributes)
 
 
-def log_ratio(
-    model: CompatModel,
-    phi,
-    c_star: str,
-    c_other: str,
-    candidates: Sequence[ClassDescriptor],
-) -> float:
-    """log p(c_star|v) - log p(c_other|v), computed via stable log-softmax."""
-    log_p = log_posteriors(phi, model, model.candidate_embeddings(candidates))
-    return float(log_p[_index_of(c_star, candidates)] - log_p[_index_of(c_other, candidates)])
+def _softplus(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
-def flip_influence_confusion(
-    model: CompatModel,
-    phi,
-    c_star: str,
-    c_other: str,
-    k: int,
-    candidates: Sequence[ClassDescriptor],
-) -> float:
-    """Log-ratio drop when attribute k of the predicted class c_star is flipped.
+def _confidence_drops(scores: np.ndarray, cols: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """p_c - softmax(s + delta_k e_c)_c for each row's class c and each flip k.
 
-    Large positive values flag attributes that drive the misclassification of
-    a c_other sample as c_star.
+    With r = logsumexp of the other classes' scores, p_c = exp(-softplus(r - s_c)),
+    so only the target's own score enters the flipped posterior.
     """
-    _require_attributes(model)
-    before = log_ratio(model, phi, c_star, c_other, candidates)
-    flipped = _with_flip(candidates, _index_of(c_star, candidates), k)
-    after = log_ratio(model, phi, c_star, c_other, flipped)
-    return float(before - after)
+    rows = np.arange(len(cols))
+    own = scores[rows, cols]
+    others = scores.copy()
+    others[rows, cols] = -np.inf
+    top = others.max(axis=1)
+    top = np.where(np.isfinite(top), top, 0.0)  # a single candidate has no other class
+    with np.errstate(divide="ignore"):
+        rest = top + np.log(np.exp(others - top[:, None]).sum(axis=1))
+    gap = rest - own
+    return np.exp(-_softplus(gap))[:, None] - np.exp(-_softplus(gap[:, None] - deltas))
 
 
 def class_influence_matrix(
     model: CompatModel,
-    test_samples: Sequence[tuple[object, str]],  # (video embedding, truth class_id)
+    features,  # N x d video embeddings
+    truths: Sequence[str],
     report_classes: Sequence[str],
     candidates: Sequence[ClassDescriptor],
     attribute_names: Sequence[str] | None = None,
@@ -159,31 +140,24 @@ def class_influence_matrix(
     One row per class in report_classes that has at least one correctly
     classified sample; classes without any are listed as omitted.
     """
-    _require_attributes(model)
-    n_attrs = candidates[0].attributes.shape[0]
+    classes, scores, predicted, q = _class_scores(model, features, truths, candidates)
+    n_attrs = classes.attributes.shape[1]
     names = tuple(attribute_names) if attribute_names is not None else default_attribute_names(n_attrs)
-
-    embeddings = model.candidate_embeddings(candidates)
-    correct: dict[str, list[object]] = {}
-    for phi, truth in test_samples:
-        predicted, _ = predict(phi, model, embeddings)
-        if predicted == truth:
-            correct.setdefault(truth, []).append(phi)
+    truths = np.asarray(truths, dtype=object)
+    correct = np.flatnonzero(truths == np.asarray(classes.class_ids, dtype=object)[predicted])
+    cols = predicted[correct]
+    drops = _confidence_drops(
+        scores[correct], cols, _flip_deltas(q[correct], classes.attributes[cols])
+    )
 
     rows = []
     omitted = []
     for cid in sorted(set(report_classes)):
-        phis = correct.get(cid, [])
-        if not phis:
+        mine = truths[correct] == cid
+        if not mine.any():
             omitted.append(cid)
             continue
-        target = candidates[_index_of(cid, candidates)]
-        scores = np.zeros(n_attrs)
-        for k in range(n_attrs):
-            scores[k] = float(
-                np.mean([flip_influence_correct(model, phi, target, k, candidates) for phi in phis])
-            )
-        rows.append(InfluenceRow(subject=cid, scores=scores, support=len(phis)))
+        rows.append(InfluenceRow(subject=cid, scores=drops[mine].mean(axis=0), support=int(mine.sum())))
 
     return InfluenceReport(
         kind=InfluenceKind.CORRECT_CONFIDENCE,
@@ -222,7 +196,8 @@ def positive_affiliation_summary(
 
 def confusion_influence_matrix(
     model: CompatModel,
-    test_samples: Sequence[tuple[object, str]],
+    features,  # N x d video embeddings
+    truths: Sequence[str],
     candidates: Sequence[ClassDescriptor],
     top_n_confusions: int = 4,
     attribute_names: Sequence[str] | None = None,
@@ -233,36 +208,21 @@ def confusion_influence_matrix(
     ties broken by lexicographic pair order; the top pairs each contribute one
     row averaged over their samples.
     """
-    _require_attributes(model)
-    n_attrs = candidates[0].attributes.shape[0]
+    classes, _, predicted, q = _class_scores(model, features, truths, candidates)
+    n_attrs = classes.attributes.shape[1]
     names = tuple(attribute_names) if attribute_names is not None else default_attribute_names(n_attrs)
-
-    embeddings = model.candidate_embeddings(candidates)
-    confused: dict[tuple[str, str], list[object]] = {}
-    for phi, truth in test_samples:
-        predicted, _ = predict(phi, model, embeddings)
-        if predicted != truth:
-            confused.setdefault((truth, predicted), []).append(phi)
-    if not confused:
+    pairs = [(truth, classes.class_ids[col]) for truth, col in zip(truths, predicted)]
+    counts = Counter(pair for pair in pairs if pair[0] != pair[1])
+    if not counts:
         raise NoMisclassifications("every prediction is correct; no confusion pairs to analyze")
-
-    counts = Counter({pair: len(phis) for pair, phis in confused.items()})
     ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))[:top_n_confusions]
 
+    # the log-ratio drop is -delta of the predicted class: the other scores cancel
+    drops = -_flip_deltas(q, classes.attributes[predicted])
     rows = []
-    for (truth, predicted), _count in ranked:
-        phis = confused[(truth, predicted)]
-        scores = np.zeros(n_attrs)
-        for k in range(n_attrs):
-            scores[k] = float(
-                np.mean(
-                    [
-                        flip_influence_confusion(model, phi, predicted, truth, k, candidates)
-                        for phi in phis
-                    ]
-                )
-            )
-        rows.append(InfluenceRow(subject=(truth, predicted), scores=scores, support=len(phis)))
+    for pair, count in ranked:
+        mine = np.array([p == pair for p in pairs])
+        rows.append(InfluenceRow(subject=pair, scores=drops[mine].mean(axis=0), support=count))
 
     return InfluenceReport(
         kind=InfluenceKind.CONFUSION_LOG_RATIO,

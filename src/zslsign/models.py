@@ -1,7 +1,8 @@
-"""Bilinear compatibility models: training, scoring, prediction, persistence.
+"""Bilinear compatibility models: training, scoring, ranking, persistence.
 
 The compatibility score of a video embedding phi and class embedding rho is
-the dense bilinear form phi' W rho. Three trainers produce W:
+the dense bilinear form phi' W rho; CompatModel.scores evaluates it for all
+samples and classes at once as Phi W S'. Three trainers produce W:
 
 * lle    - softmax cross-entropy with l2 penalty on W, minimized by
            deterministic full-batch gradient descent; a text-reduction matrix
@@ -27,8 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .embeddings import ClassEmbedding, ClassEmbeddingSet, EmbeddingMode, ModeKind, compose_embedding
-from .data import ClassDescriptor
+from .embeddings import ClassEmbeddingSet, EmbeddingMode, ModeKind
 from .errors import (
     DegenerateData,
     DimensionMismatch,
@@ -104,77 +104,47 @@ class CompatModel:
     def t(self) -> int:
         return self.W.shape[1]
 
-    def class_embedding(self, descriptor: ClassDescriptor) -> ClassEmbedding:
-        return compose_embedding(descriptor, self.mode, self.M)
+    def scores(self, features, class_matrix) -> np.ndarray:
+        """Compatibility scores Phi W S' of each video embedding against each class row.
 
-    def candidate_embeddings(self, descriptors: Sequence[ClassDescriptor]) -> list[ClassEmbedding]:
-        return [self.class_embedding(c) for c in descriptors]
-
-
-def _as_vector(v) -> np.ndarray:
-    return v.vector if hasattr(v, "vector") else np.asarray(v, dtype=np.float64)
-
-
-def compatibility(phi, model: CompatModel, rho) -> float:
-    """Bilinear score phi' W rho."""
-    p = _as_vector(phi)
-    r = _as_vector(rho)
-    if p.shape[0] != model.d:
-        raise DimensionMismatch(f"video embedding has length {p.shape[0]}, W expects {model.d}")
-    if r.shape[0] != model.t:
-        raise DimensionMismatch(f"class embedding has length {r.shape[0]}, W expects {model.t}")
-    return float(p @ model.W @ r)
+        features is one video embedding (length d) or an N x d matrix;
+        class_matrix is |C| x t, as ClassEmbeddingSet.compose returns it.
+        """
+        phi = np.asarray(features, dtype=np.float64)
+        S = np.asarray(class_matrix, dtype=np.float64)
+        if len(S) == 0:
+            raise EmptyCandidates("no candidate classes given")
+        if phi.shape[-1] != self.d:
+            raise DimensionMismatch(f"video embedding has length {phi.shape[-1]}, W expects {self.d}")
+        if S.ndim != 2 or S.shape[1] != self.t:
+            raise DimensionMismatch(f"class embeddings have shape {S.shape}, W expects length {self.t}")
+        return phi @ self.W @ S.T
 
 
-def score_candidates(phi, model: CompatModel, candidates: Sequence[ClassEmbedding]) -> np.ndarray:
-    """Compatibility scores against every candidate, in candidate order.
-
-    Each score depends only on its own candidate vector, so scores of
-    untouched candidates are bit-identical across calls.
-    """
-    if len(candidates) == 0:
-        raise EmptyCandidates("no candidate classes given")
-    p = _as_vector(phi)
-    if p.shape[0] != model.d:
-        raise DimensionMismatch(f"video embedding has length {p.shape[0]}, W expects {model.d}")
-    q = p @ model.W
-    scores = np.empty(len(candidates))
-    for i, cand in enumerate(candidates):
-        r = _as_vector(cand)
-        if r.shape[0] != model.t:
-            raise DimensionMismatch(
-                f"class embedding {getattr(cand, 'class_id', i)!r} has length {r.shape[0]}, W expects {model.t}"
-            )
-        scores[i] = float(q @ r)
-    return scores
-
-
-def _softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max()
+def posteriors(scores: np.ndarray) -> np.ndarray:
+    """Row-wise max-shifted softmax over compatibility scores; rows sum to 1 within 1e-12."""
+    shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def _log_softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max()
-    return shifted - math.log(np.exp(shifted).sum())
+def log_posteriors(scores: np.ndarray) -> np.ndarray:
+    """Row-wise stable log-softmax over compatibility scores."""
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def posteriors(phi, model: CompatModel, candidates: Sequence[ClassEmbedding]) -> np.ndarray:
-    """Max-shifted softmax over compatibility scores; sums to 1 within 1e-12."""
-    return _softmax(score_candidates(phi, model, candidates))
+def rank_scores(scores: np.ndarray, class_ids: Sequence[str]) -> list[list[str]]:
+    """Descending class ranking of each score row (ties: ascending class_id).
 
-
-def log_posteriors(phi, model: CompatModel, candidates: Sequence[ClassEmbedding]) -> np.ndarray:
-    return _log_softmax(score_candidates(phi, model, candidates))
-
-
-def predict(phi, model: CompatModel, candidates: Sequence[ClassEmbedding]) -> tuple[str, list[str]]:
-    """Argmax class plus the full descending ranking (ties: ascending class_id)."""
-    scores = score_candidates(phi, model, candidates)
-    order = sorted(range(len(candidates)), key=lambda i: (-scores[i], candidates[i].class_id))
-    ranking = [candidates[i].class_id for i in order]
-    return ranking[0], ranking
+    The columns must follow ascending class_id, as ClassEmbeddingSet rows do,
+    so that a stable sort on -score breaks ties by class_id.
+    """
+    ids = list(class_ids)
+    if ids != sorted(ids):
+        raise ValueError("score columns must follow ascending class_id order")
+    order = np.argsort(-scores, axis=1, kind="stable")
+    return np.array(ids, dtype=object)[order].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +156,26 @@ def _label_indices(labels: Sequence[str], classes: ClassEmbeddingSet) -> np.ndar
     return np.array([classes.index_of(label) for label in labels], dtype=np.intp)
 
 
-def _text_column_block(W: np.ndarray, classes: ClassEmbeddingSet) -> np.ndarray:
-    offset = classes.attributes.shape[1] if classes.mode.uses_attributes else 0
-    return W[:, offset:]
+def _lle_forward(W, M, features, y, classes, lam) -> tuple[float, np.ndarray, np.ndarray]:
+    """Objective value, class matrix S and log-posteriors of one lle evaluation."""
+    S = classes.compose(M)
+    log_probs = log_posteriors(features @ W @ S.T)
+    loss = float(-log_probs[np.arange(len(y)), y].mean() + lam * np.sum(W * W))
+    return loss, S, log_probs
+
+
+def _lle_backward(W, M, features, y, classes, lam, S, log_probs) -> tuple[np.ndarray, np.ndarray | None]:
+    """Gradients with respect to W (and M if present) from a forward pass at (W, M)."""
+    n = len(y)
+    G = np.exp(log_probs)
+    G[np.arange(n), y] -= 1.0
+    G /= n
+    grad_W = features.T @ G @ S + 2.0 * lam * W
+    grad_M = None
+    if M is not None:
+        offset = classes.attributes.shape[1] if classes.mode.uses_attributes else 0  # text columns of W
+        grad_M = classes.texts.T @ (G.T @ (features @ W[:, offset:]))
+    return grad_W, grad_M
 
 
 def lle_objective(
@@ -200,13 +187,7 @@ def lle_objective(
     lam: float,
 ) -> float:
     """Mean cross-entropy of the true class under softmax scores, plus lam * ||W||^2."""
-    y = _label_indices(labels, classes)
-    S = classes.compose(M)
-    Z = features @ W @ S.T
-    shifted = Z - Z.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    nll = -log_probs[np.arange(len(y)), y].mean()
-    return float(nll + lam * np.sum(W * W))
+    return _lle_forward(W, M, features, _label_indices(labels, classes), classes, lam)[0]
 
 
 def lle_gradients(
@@ -219,22 +200,8 @@ def lle_gradients(
 ) -> tuple[float, np.ndarray, np.ndarray | None]:
     """Objective value and analytic gradients with respect to W (and M if present)."""
     y = _label_indices(labels, classes)
-    n = len(y)
-    S = classes.compose(M)
-    Z = features @ W @ S.T
-    shifted = Z - Z.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    loss = float(-log_probs[np.arange(n), y].mean() + lam * np.sum(W * W))
-
-    G = np.exp(log_probs)
-    G[np.arange(n), y] -= 1.0
-    G /= n
-    grad_W = features.T @ G @ S + 2.0 * lam * W
-    grad_M = None
-    if M is not None:
-        text_block = _text_column_block(W, classes)
-        grad_M = classes.texts.T @ (G.T @ (features @ text_block))
-    return loss, grad_W, grad_M
+    loss, S, log_probs = _lle_forward(W, M, features, y, classes, lam)
+    return (loss, *_lle_backward(W, M, features, y, classes, lam, S, log_probs))
 
 
 def train_lle(
@@ -267,9 +234,11 @@ def train_lle(
     W = rng.uniform(-cfg.init_scale, cfg.init_scale, size=(d, t))
     M = rng.uniform(-cfg.init_scale, cfg.init_scale, size=(classes.text_dim, mode.d_t)) if trains_reduction else None
 
-    loss, grad_W, grad_M = lle_gradients(W, M, features, labels, classes, cfg.lam)
+    y = _label_indices(labels, classes)
+    loss, S, log_probs = _lle_forward(W, M, features, y, classes, cfg.lam)
     if not math.isfinite(loss):
         raise NonFiniteLoss(f"initial loss is {loss}")
+    grad_W, grad_M = _lle_backward(W, M, features, y, classes, cfg.lam, S, log_probs)
     history = [loss]
 
     # at a converged point the theoretical decrease of a tiny step underflows and
@@ -282,14 +251,14 @@ def train_lle(
         for _attempt in range(MAX_STEP_HALVINGS + 1):
             W_try = W - step * grad_W
             M_try = M - step * grad_M if M is not None else None
-            loss_try = lle_objective(W_try, M_try, features, labels, classes, cfg.lam)
+            loss_try, S, log_probs = _lle_forward(W_try, M_try, features, y, classes, cfg.lam)
             if math.isfinite(loss_try) and loss_try <= loss:
                 W, M, loss = W_try, M_try, loss_try
                 moved = True
                 break
             step *= 0.5
         if moved:
-            loss, grad_W, grad_M = lle_gradients(W, M, features, labels, classes, cfg.lam)
+            grad_W, grad_M = _lle_backward(W, M, features, y, classes, cfg.lam, S, log_probs)
         elif not (math.isfinite(loss_try) and loss_try - loss <= plateau_tol):
             raise NonFiniteLoss(
                 f"step halving exhausted after {MAX_STEP_HALVINGS} halvings at loss {loss!r}"

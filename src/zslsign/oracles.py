@@ -12,6 +12,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .data import ClassDescriptor
+from .embeddings import flip_attribute
 from .errors import InstanceTooLarge
 
 MAX_DIM = 64
@@ -154,3 +156,59 @@ def sylvester_residual(W: np.ndarray, S: np.ndarray, X: np.ndarray, lam: float) 
     rhs = (1.0 + lam) * S @ X.T
     lhs = S @ S.T @ W + lam * W @ (X @ X.T)
     return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))
+
+
+# ---------------------------------------------------------------------------
+# per-sample attribute flip influence: recompose the flipped class, rescore all
+# ---------------------------------------------------------------------------
+
+
+def _candidate_scores(model, phi, candidates: Sequence[ClassDescriptor]) -> np.ndarray:
+    """phi' W rho for each candidate, composing each rho from its own descriptor."""
+    _guard(candidates=len(candidates))
+    mode = model.mode
+    q = np.asarray(phi, dtype=np.float64) @ model.W
+    scores = np.empty(len(candidates))
+    for i, c in enumerate(candidates):
+        parts = [c.attributes] if mode.uses_attributes else []
+        if mode.uses_text:
+            parts.append(c.text if model.M is None else c.text @ model.M)
+        scores[i] = float(q @ np.concatenate(parts))
+    return scores
+
+
+def _target_posterior(model, phi, idx: int, candidates: Sequence[ClassDescriptor]) -> float:
+    scores = _candidate_scores(model, phi, candidates)
+    e = np.exp(scores - scores.max())
+    return float(e[idx] / e.sum())
+
+
+def flip_influence_correct(
+    model, phi, target: ClassDescriptor, k: int, candidates: Sequence[ClassDescriptor]
+) -> float:
+    """Posterior of the target class minus its posterior after flipping attribute k.
+
+    Only the target class is recomposed; every other candidate keeps its
+    original embedding, so their raw scores are untouched by the flip.
+    """
+    idx = [c.class_id for c in candidates].index(target.class_id)
+    flipped = [flip_attribute(c, k) if i == idx else c for i, c in enumerate(candidates)]
+    return _target_posterior(model, phi, idx, candidates) - _target_posterior(model, phi, idx, flipped)
+
+
+def log_ratio(model, phi, c_star: str, c_other: str, candidates: Sequence[ClassDescriptor]) -> float:
+    """log p(c_star|v) - log p(c_other|v), computed via stable log-softmax."""
+    scores = _candidate_scores(model, phi, candidates)
+    shifted = scores - scores.max()
+    log_p = shifted - np.log(np.exp(shifted).sum())
+    ids = [c.class_id for c in candidates]
+    return float(log_p[ids.index(c_star)] - log_p[ids.index(c_other)])
+
+
+def flip_influence_confusion(
+    model, phi, c_star: str, c_other: str, k: int, candidates: Sequence[ClassDescriptor]
+) -> float:
+    """Log-ratio drop when attribute k of the predicted class c_star is flipped."""
+    idx = [c.class_id for c in candidates].index(c_star)
+    flipped = [flip_attribute(c, k) if i == idx else c for i, c in enumerate(candidates)]
+    return log_ratio(model, phi, c_star, c_other, candidates) - log_ratio(model, phi, c_star, c_other, flipped)

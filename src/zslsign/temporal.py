@@ -42,20 +42,6 @@ class AggregatorSpec:
         object.__setattr__(self, "weights", w)
 
 
-@dataclass(frozen=True)
-class VideoEmbedding:
-    sample_id: str
-    vector: np.ndarray
-
-    def __post_init__(self) -> None:
-        vec = np.asarray(self.vector, dtype=np.float64)
-        object.__setattr__(self, "vector", vec)
-
-    @property
-    def dim(self) -> int:
-        return self.vector.shape[0]
-
-
 def _matrix(seq: FeatureSequence | np.ndarray) -> np.ndarray:
     mat = seq.data if isinstance(seq, FeatureSequence) else np.asarray(seq, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] < 1:
@@ -101,12 +87,12 @@ def aggregate(seq: FeatureSequence | np.ndarray, spec: AggregatorSpec) -> np.nda
     return tsm_aggregate(seq, spec)
 
 
-def embed_video(sample: Sample, spec: AggregatorSpec, use_hand: bool = False) -> VideoEmbedding:
-    """Aggregate each stream and concatenate, body first, hand second."""
+def embed_video(sample: Sample, spec: AggregatorSpec, use_hand: bool = False) -> np.ndarray:
+    """Video embedding: each stream aggregated, then concatenated body first, hand second."""
     parts = [aggregate(sample.body, spec)]
     if use_hand:
         hand = sample.hand
         if hand is None:
             raise MissingHandStream(f"sample {sample.sample_id!r} has no hand sequence")
         parts.append(aggregate(hand, spec))
-    return VideoEmbedding(sample.sample_id, np.concatenate(parts))
+    return np.concatenate(parts)

@@ -17,16 +17,13 @@ from zslsign.embeddings import ClassEmbeddingSet, EmbeddingMode, ModeKind, flip_
 from zslsign.errors import InvariantViolation
 from zslsign.evaluation import harmonic_mean, random_baseline
 from zslsign.experiment import RunConfig, candidate_class_ids, evaluate, rank_samples, train_from_config
-from zslsign.influence import flip_influence_confusion, flip_influence_correct
 from zslsign.models import (
     CompatModel,
     Method,
     TrainConfig,
-    compatibility,
     lle_gradients,
     lle_objective,
     posteriors,
-    predict,
     train_eszsl,
     train_sae,
 )
@@ -38,6 +35,8 @@ from zslsign.oracles import (
     eszsl_gradient,
     eszsl_objective,
     finite_difference_grad,
+    flip_influence_confusion,
+    flip_influence_correct,
     sylvester_residual,
 )
 from zslsign.evaluation import topk_accuracy
@@ -61,6 +60,11 @@ def unit(v):
 
 def attr_model(W) -> CompatModel:
     return CompatModel(W=np.asarray(W, float), M=None, mode=ATTR, method=Method.LLE, hyperparams={})
+
+
+def scores_of(model, phi, cands) -> np.ndarray:
+    """Scores of phi against cands, in class_id order (the order the tests build them in)."""
+    return model.scores(phi, ClassEmbeddingSet.from_descriptors(cands, model.mode).compose(model.M))
 
 
 def report(criterion: int, detail: str) -> None:
@@ -213,10 +217,10 @@ def test_criterion_07_flip_difference_identities():
     model_b = attr_model(rng.normal(size=(3, 4)))
     cands_b = [make_descriptor(f"c{i}", rng.integers(0, 2, size=4)) for i in range(5)]
     phi_b = rng.normal(size=3)
-    before = posteriors(phi_b, model_b, model_b.candidate_embeddings(cands_b))
+    before = posteriors(scores_of(model_b, phi_b, cands_b))
     twice = list(cands_b)
     twice[2] = flip_attribute(flip_attribute(cands_b[2], 1), 1)
-    after = posteriors(phi_b, model_b, model_b.candidate_embeddings(twice))
+    after = posteriors(scores_of(model_b, phi_b, twice))
     assert np.array_equal(before, after)
 
     # (c) confusion influence equals the raw score difference, 200 random instances
@@ -234,8 +238,8 @@ def test_criterion_07_flip_difference_identities():
         other = cands_c[int(other_idx)]  # a confusion pair: predicted != ground truth
         k = int(rng.integers(A))
         got = flip_influence_confusion(model_c, phi_c, star.class_id, other.class_id, k, cands_c)
-        s_before = compatibility(phi_c, model_c, model_c.class_embedding(star).vector)
-        s_after = compatibility(phi_c, model_c, model_c.class_embedding(flip_attribute(star, k)).vector)
+        s_before = scores_of(model_c, phi_c, [star])[0]
+        s_after = scores_of(model_c, phi_c, [flip_attribute(star, k)])[0]
         worst = max(worst, abs(got - (s_before - s_after)))
     elapsed = time.perf_counter() - start
     assert worst < 1e-12
@@ -255,16 +259,13 @@ def test_criterion_08_oracle_equivalence():
         phi = rng.normal(size=d)
         rho = rng.normal(size=t)
         model = attr_model(W)
-        worst["bilinear"] = max(worst["bilinear"], abs(compatibility(phi, model, rho) - brute_bilinear(phi, W, rho)))
+        gap = abs(model.scores(phi, rho[None, :])[0] - brute_bilinear(phi, W, rho))
+        worst["bilinear"] = max(worst["bilinear"], gap)
 
         n = int(rng.integers(2, 9))
-        cands = [np.asarray(v) for v in rng.normal(size=(n, t))]
-        from zslsign.embeddings import ClassEmbedding
-
-        embs = [ClassEmbedding(f"c{i}", v) for i, v in enumerate(cands)]
-        scores = [compatibility(phi, model, v) for v in cands]
+        scores = model.scores(phi, rng.normal(size=(n, t)))
         worst["softmax"] = max(
-            worst["softmax"], float(np.max(np.abs(posteriors(phi, model, embs) - brute_softmax(scores))))
+            worst["softmax"], float(np.max(np.abs(posteriors(scores) - brute_softmax(list(scores)))))
         )
 
         classes = [f"c{i}" for i in range(4)]

@@ -8,7 +8,6 @@ from zslsign.embeddings import (
     ClassEmbeddingSet,
     EmbeddingMode,
     ModeKind,
-    compose_embedding,
     flip_attribute,
 )
 from zslsign.errors import DimensionMismatch, IndexOutOfRange, MissingReduction
@@ -23,22 +22,27 @@ def unit(v):
     return v / np.linalg.norm(v)
 
 
+def compose_one(descriptor, mode, reduction=None) -> np.ndarray:
+    """Embedding of a single class through the one composition path."""
+    return ClassEmbeddingSet.from_descriptors([descriptor], mode).compose(reduction)[0]
+
+
 def test_attr_only_is_identity_embed():
     c = make_descriptor("c", [1, 0, 1])
-    assert np.array_equal(compose_embedding(c, ATTR).vector, [1.0, 0.0, 1.0])
+    assert np.array_equal(compose_one(c, ATTR), [1.0, 0.0, 1.0])
 
 
 def test_text_only_identity_reduction():
     c = make_descriptor("c", [1], text=unit([1.0, 2.0, 2.0]))
     mode = EmbeddingMode(kind=ModeKind.TEXT, d_t=3)
-    got = compose_embedding(c, mode, reduction=np.eye(3))
-    assert np.array_equal(got.vector, c.text)
+    got = compose_one(c, mode, reduction=np.eye(3))
+    assert np.array_equal(got, c.text)
 
 
 def test_text_only_bypass_without_reduction():
     c = make_descriptor("c", [1], text=unit([3.0, 4.0]))
     mode = EmbeddingMode(kind=ModeKind.TEXT, d_t=2)
-    assert np.array_equal(compose_embedding(c, mode).vector, c.text)
+    assert np.array_equal(compose_one(c, mode), c.text)
 
 
 def test_combined_standard_widths():
@@ -46,19 +50,19 @@ def test_combined_standard_widths():
     c = make_descriptor("c", rng.integers(0, 2, size=53), text=unit(rng.normal(size=768)))
     mode = EmbeddingMode(kind=ModeKind.COMBINED, d_t=64)
     M = rng.normal(size=(768, 64))
-    assert compose_embedding(c, mode, M).dim == 117  # 53 + 64
+    assert compose_one(c, mode, M).shape == (117,)  # 53 + 64
 
 
 def test_missing_reduction_raises():
     c = make_descriptor("c", [1], text=unit([1.0, 1.0, 1.0]))
     with pytest.raises(MissingReduction):
-        compose_embedding(c, EmbeddingMode(kind=ModeKind.TEXT, d_t=2))
+        compose_one(c, EmbeddingMode(kind=ModeKind.TEXT, d_t=2))
 
 
 def test_wrong_reduction_shape_raises():
     c = make_descriptor("c", [1], text=unit([1.0, 1.0, 1.0]))
     with pytest.raises(DimensionMismatch):
-        compose_embedding(c, EmbeddingMode(kind=ModeKind.TEXT, d_t=2), reduction=np.eye(3))
+        compose_one(c, EmbeddingMode(kind=ModeKind.TEXT, d_t=2), reduction=np.eye(3))
 
 
 def test_flip_examples():
@@ -95,8 +99,8 @@ def test_composition_linear_in_text():
     c1 = ClassDescriptor("a", "a", np.array([1.0]), t1)
     c2 = ClassDescriptor("a", "a", np.array([1.0]), t2)
     c12 = ClassDescriptor("a", "a", np.array([1.0]), 2.0 * t1 + 3.0 * t2)
-    lhs = compose_embedding(c12, mode, M).vector
-    rhs = 2.0 * compose_embedding(c1, mode, M).vector + 3.0 * compose_embedding(c2, mode, M).vector
+    lhs = compose_one(c12, mode, M)
+    rhs = 2.0 * compose_one(c1, mode, M) + 3.0 * compose_one(c2, mode, M)
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -104,9 +108,9 @@ def test_combined_prefix_equals_attr_embedding():
     rng = np.random.default_rng(6)
     c = make_descriptor("c", rng.integers(0, 2, size=5), text=unit(rng.normal(size=6)))
     M = rng.normal(size=(6, 2))
-    combined = compose_embedding(c, EmbeddingMode(kind=ModeKind.COMBINED, d_t=2), M)
-    attr_only = compose_embedding(c, ATTR)
-    assert np.array_equal(combined.vector[:5], attr_only.vector)
+    combined = compose_one(c, EmbeddingMode(kind=ModeKind.COMBINED, d_t=2), M)
+    attr_only = compose_one(c, ATTR)
+    assert np.array_equal(combined[:5], attr_only)
 
 
 def test_flip_changes_exactly_one_combined_coordinate():
@@ -114,8 +118,8 @@ def test_flip_changes_exactly_one_combined_coordinate():
     c = make_descriptor("c", rng.integers(0, 2, size=5), text=unit(rng.normal(size=6)))
     M = rng.normal(size=(6, 2))
     mode = EmbeddingMode(kind=ModeKind.COMBINED, d_t=2)
-    base = compose_embedding(c, mode, M).vector
-    flipped = compose_embedding(flip_attribute(c, 3), mode, M).vector
+    base = compose_one(c, mode, M)
+    flipped = compose_one(flip_attribute(c, 3), mode, M)
     diff = flipped - base
     assert np.count_nonzero(diff) == 1
     assert diff[3] in (1.0, -1.0)
@@ -136,7 +140,8 @@ def test_embedding_set_matches_per_class_composition():
     for i, cid in enumerate(table.class_ids):
         descriptor = next(c for c in descriptors if c.class_id == cid)
         # matrix-matrix vs vector-matrix products may differ in the last ulp
-        assert np.allclose(S[i], compose_embedding(descriptor, mode, M).vector, atol=1e-12)
+        per_class = np.concatenate([descriptor.attributes, descriptor.text @ M])
+        assert np.allclose(S[i], per_class, atol=1e-12)
         assert np.array_equal(S[i, :4], descriptor.attributes)
     assert table.embedding_dim == 7
     assert table.index_of("c3") == list(table.class_ids).index("c3")

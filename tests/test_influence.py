@@ -1,19 +1,16 @@
 import numpy as np
 import pytest
 
-from zslsign.embeddings import EmbeddingMode, ModeKind, flip_attribute
-from zslsign.errors import IndexOutOfRange, ModeWithoutAttributes, NoMisclassifications
+from zslsign.embeddings import ClassEmbeddingSet, EmbeddingMode, ModeKind, flip_attribute
+from zslsign.errors import DimensionMismatch, IndexOutOfRange, ModeWithoutAttributes, NoMisclassifications
 from zslsign.influence import (
     InfluenceKind,
     class_influence_matrix,
     confusion_influence_matrix,
-    flip_influence_confusion,
-    flip_influence_correct,
-    log_ratio,
     positive_affiliation_summary,
 )
-from zslsign.models import CompatModel, Method, compatibility, posteriors, score_candidates
-from zslsign.oracles import brute_softmax
+from zslsign.models import CompatModel, Method, posteriors
+from zslsign.oracles import brute_softmax, flip_influence_confusion, flip_influence_correct, log_ratio
 
 from conftest import make_descriptor
 
@@ -26,6 +23,16 @@ def attr_model(W) -> CompatModel:
 
 def candidates_of(attr_rows):
     return [make_descriptor(f"c{i}", row) for i, row in enumerate(attr_rows)]
+
+
+def scores_of(model, phi, cands) -> np.ndarray:
+    """Scores of phi against cands, in class_id order (the order candidates_of gives)."""
+    return model.scores(phi, ClassEmbeddingSet.from_descriptors(cands, model.mode).compose(model.M))
+
+
+def stacked(samples):
+    """(phi, truth) pairs as an N x d feature matrix and a truth list."""
+    return np.array([phi for phi, _ in samples]), [truth for _, truth in samples]
 
 
 def random_setup(seed, d=3, A=4, n_classes=5):
@@ -43,25 +50,31 @@ def test_zero_weight_column_gives_exact_zero():
     phi = np.array([0.7, -0.3])
     assert flip_influence_correct(model, phi, cands[0], 1, cands) == 0.0
     assert flip_influence_confusion(model, phi, "c0", "c2", 1, cands) == 0.0
+    winner = cands[int(np.argmax(scores_of(model, phi, cands)))].class_id
+    other = next(c.class_id for c in cands if c.class_id != winner)
+    correct = class_influence_matrix(model, phi[None, :], [winner], [winner], cands)
+    assert correct.rows[0].scores[1] == 0.0
+    confusion = confusion_influence_matrix(model, phi[None, :], [other], cands)
+    assert confusion.rows[0].scores[1] == 0.0
 
 
 def test_double_flip_restores_posteriors_bit_exactly():
     model, cands, phi, _ = random_setup(0)
     target = cands[2]
-    before = posteriors(phi, model, model.candidate_embeddings(cands))
+    before = posteriors(scores_of(model, phi, cands))
     restored_target = flip_attribute(flip_attribute(target, 3), 3)
     restored = list(cands)
     restored[2] = restored_target
-    after = posteriors(phi, model, model.candidate_embeddings(restored))
+    after = posteriors(scores_of(model, phi, restored))
     assert np.array_equal(before, after)
 
 
 def test_flip_changes_only_target_score():
     model, cands, phi, _ = random_setup(1)
-    base_scores = score_candidates(phi, model, model.candidate_embeddings(cands))
+    base_scores = scores_of(model, phi, cands)
     flipped = list(cands)
     flipped[1] = flip_attribute(cands[1], 0)
-    new_scores = score_candidates(phi, model, model.candidate_embeddings(flipped))
+    new_scores = scores_of(model, phi, flipped)
     for i in range(len(cands)):
         if i == 1:
             continue
@@ -70,12 +83,11 @@ def test_flip_changes_only_target_score():
 
 def test_correct_influence_matches_brute_force_recomputation():
     model, cands3, phi, _ = random_setup(2, n_classes=3)
-    embeddings = model.candidate_embeddings(cands3)
-    scores = [compatibility(phi, model, e.vector) for e in embeddings]
+    scores = list(scores_of(model, phi, cands3))
     for k in range(4):
         flipped = flip_attribute(cands3[0], k)
         flipped_scores = list(scores)
-        flipped_scores[0] = compatibility(phi, model, model.class_embedding(flipped).vector)
+        flipped_scores[0] = scores_of(model, phi, [flipped])[0]
         expected = brute_softmax(scores)[0] - brute_softmax(flipped_scores)[0]
         got = flip_influence_correct(model, phi, cands3[0], k, cands3)
         assert abs(got - expected) < 1e-12
@@ -100,7 +112,9 @@ def test_influence_needs_attribute_mode():
     )
     cands = candidates_of([[1, 0], [0, 1]])
     with pytest.raises(ModeWithoutAttributes):
-        flip_influence_correct(model, np.zeros(2), cands[0], 0, cands)
+        class_influence_matrix(model, np.zeros((1, 2)), ["c0"], ["c0"], cands)
+    with pytest.raises(ModeWithoutAttributes):
+        confusion_influence_matrix(model, np.zeros((1, 2)), ["c0"], cands)
 
 
 def test_influence_index_out_of_range():
@@ -119,9 +133,7 @@ def test_log_ratio_identities():
 def test_log_ratio_matches_direct_posterior_ratio():
     for seed in range(20):
         model, cands, phi, _ = random_setup(200 + seed)
-        embeddings = model.candidate_embeddings(cands)
-        scores = [compatibility(phi, model, e.vector) for e in embeddings]
-        p = brute_softmax(scores)
+        p = brute_softmax(list(scores_of(model, phi, cands)))
         expected = float(np.log(np.longdouble(p[2]) / np.longdouble(p[0])))
         got = log_ratio(model, phi, "c2", "c0", cands)
         assert abs(got - expected) < 1e-10
@@ -133,8 +145,8 @@ def test_confusion_influence_equals_score_difference():
         k = int(rng.integers(4))
         star = cands[1]
         got = flip_influence_confusion(model, phi, "c1", "c3", k, cands)
-        s_before = compatibility(phi, model, model.class_embedding(star).vector)
-        s_after = compatibility(phi, model, model.class_embedding(flip_attribute(star, k)).vector)
+        s_before = scores_of(model, phi, [star])[0]
+        s_after = scores_of(model, phi, [flip_attribute(star, k)])[0]
         assert abs(got - (s_before - s_after)) < 1e-12
         # and independent of the candidate set beyond the two classes
         subset = [cands[1], cands[3]]
@@ -150,14 +162,16 @@ def test_confusion_influence_hand_computed():
     # flipping attribute 0 of c0: score drops from 2*(1 - 2) = -2 to 2*(0 - 2) = -4
     got = flip_influence_confusion(model, phi, "c0", "c1", 0, cands)
     assert abs(got - 2.0) < 1e-12
+    report = confusion_influence_matrix(model, phi[None, :], ["c1"], cands)  # c0 scores -2 > -4
+    assert report.rows[0].subject == ("c1", "c0")
+    assert abs(report.rows[0].scores[0] - 2.0) < 1e-12
 
 
 def test_class_matrix_single_sample_row():
     model, cands, phi, _ = random_setup(5)
-    embeddings = model.candidate_embeddings(cands)
-    winner = score_candidates(phi, model, embeddings).argmax()
+    winner = scores_of(model, phi, cands).argmax()
     cid = cands[int(winner)].class_id
-    report = class_influence_matrix(model, [(phi, cid)], [cid], cands)
+    report = class_influence_matrix(model, phi[None, :], [cid], [cid], cands)
     assert len(report.rows) == 1
     row = report.rows[0]
     assert row.subject == cid and row.support == 1
@@ -169,13 +183,12 @@ def test_class_matrix_single_sample_row():
 
 def test_class_matrix_omits_never_correct_classes():
     model, cands, phi, _ = random_setup(6)
-    embeddings = model.candidate_embeddings(cands)
     winner_id, _ = max(
-        ((c.class_id, s) for c, s in zip(cands, score_candidates(phi, model, embeddings))),
+        ((c.class_id, s) for c, s in zip(cands, scores_of(model, phi, cands))),
         key=lambda pair: pair[1],
     )
     loser = next(c.class_id for c in cands if c.class_id != winner_id)
-    report = class_influence_matrix(model, [(phi, loser)], [loser], cands)
+    report = class_influence_matrix(model, phi[None, :], [loser], [loser], cands)
     assert report.rows == ()
     assert report.omitted == (loser,)
 
@@ -184,14 +197,13 @@ def test_class_matrix_matches_reaggregation_oracle():
     rng = np.random.default_rng(7)
     model = attr_model(rng.normal(size=(4, 5)))
     cands = candidates_of(rng.integers(0, 2, size=(5, 5)))
-    embeddings = model.candidate_embeddings(cands)
     samples = []
     for _ in range(30):
         phi = rng.normal(size=4)
-        winner = int(np.argmax(score_candidates(phi, model, embeddings)))
+        winner = int(np.argmax(scores_of(model, phi, cands)))
         samples.append((phi, cands[winner].class_id))  # label everything with its prediction
     ids = [c.class_id for c in cands]
-    report = class_influence_matrix(model, samples, ids, cands)
+    report = class_influence_matrix(model, *stacked(samples), ids, cands)
     by_subject = {r.subject: r for r in report.rows}
     for cid, row in by_subject.items():
         target = cands[ids.index(cid)]
@@ -204,10 +216,9 @@ def test_class_matrix_matches_reaggregation_oracle():
 
 def test_affiliation_summary_single_class():
     model, cands, phi, _ = random_setup(8)
-    embeddings = model.candidate_embeddings(cands)
-    winner = int(np.argmax(score_candidates(phi, model, embeddings)))
+    winner = int(np.argmax(scores_of(model, phi, cands)))
     cid = cands[winner].class_id
-    report = class_influence_matrix(model, [(phi, cid)], [cid], cands)
+    report = class_influence_matrix(model, phi[None, :], [cid], [cid], cands)
     attrs = {cid: cands[winner].attributes}
     summary = positive_affiliation_summary(report, attrs, min_affiliation=1)
     row = report.rows[0]
@@ -220,10 +231,9 @@ def test_affiliation_summary_single_class():
 
 def test_affiliation_summary_threshold_excludes():
     model, cands, phi, _ = random_setup(9)
-    embeddings = model.candidate_embeddings(cands)
-    winner = int(np.argmax(score_candidates(phi, model, embeddings)))
+    winner = int(np.argmax(scores_of(model, phi, cands)))
     cid = cands[winner].class_id
-    report = class_influence_matrix(model, [(phi, cid)], [cid], cands)
+    report = class_influence_matrix(model, phi[None, :], [cid], [cid], cands)
     attrs = {cid: np.ones(4)}  # positive in exactly one class, threshold demands ten
     assert positive_affiliation_summary(report, attrs, min_affiliation=10) == {}
 
@@ -232,14 +242,13 @@ def test_affiliation_summary_matches_filtered_mean():
     rng = np.random.default_rng(10)
     model = attr_model(rng.normal(size=(4, 3)))
     cands = candidates_of(rng.integers(0, 2, size=(4, 3)))
-    embeddings = model.candidate_embeddings(cands)
     samples = []
     for _ in range(40):
         phi = rng.normal(size=4)
-        winner = int(np.argmax(score_candidates(phi, model, embeddings)))
+        winner = int(np.argmax(scores_of(model, phi, cands)))
         samples.append((phi, cands[winner].class_id))
     ids = [c.class_id for c in cands]
-    report = class_influence_matrix(model, samples, ids, cands)
+    report = class_influence_matrix(model, *stacked(samples), ids, cands)
     class_attrs = {c.class_id: c.attributes for c in cands}
     summary = positive_affiliation_summary(report, class_attrs, min_affiliation=2)
     by_subject = {r.subject: r.scores for r in report.rows}
@@ -252,24 +261,22 @@ def test_affiliation_summary_matches_filtered_mean():
 
 def test_confusion_matrix_requires_misclassifications():
     model, cands, phi, _ = random_setup(11)
-    embeddings = model.candidate_embeddings(cands)
-    winner = int(np.argmax(score_candidates(phi, model, embeddings)))
+    winner = int(np.argmax(scores_of(model, phi, cands)))
     with pytest.raises(NoMisclassifications):
-        confusion_influence_matrix(model, [(phi, cands[winner].class_id)], cands)
+        confusion_influence_matrix(model, phi[None, :], [cands[winner].class_id], cands)
 
 
 def test_confusion_matrix_shape_and_ordering():
     rng = np.random.default_rng(12)
     model = attr_model(rng.normal(size=(4, 5)))
     cands = candidates_of(rng.integers(0, 2, size=(6, 5)))
-    embeddings = model.candidate_embeddings(cands)
     samples = []
     for _ in range(120):
         phi = rng.normal(size=4)
-        winner = int(np.argmax(score_candidates(phi, model, embeddings)))
+        winner = int(np.argmax(scores_of(model, phi, cands)))
         wrong = (winner + 1 + int(rng.integers(5))) % 6  # truth differs from prediction
         samples.append((phi, cands[wrong].class_id))
-    report = confusion_influence_matrix(model, samples, cands, top_n_confusions=4)
+    report = confusion_influence_matrix(model, *stacked(samples), cands, top_n_confusions=4)
     assert report.kind is InfluenceKind.CONFUSION_LOG_RATIO
     assert len(report.rows) == 4
     supports = [r.support for r in report.rows]
@@ -284,14 +291,13 @@ def test_confusion_matrix_matches_reaggregation_oracle():
     rng = np.random.default_rng(13)
     model = attr_model(rng.normal(size=(3, 4)))
     cands = candidates_of(rng.integers(0, 2, size=(4, 4)))
-    embeddings = model.candidate_embeddings(cands)
     samples = []
     for _ in range(60):
         phi = rng.normal(size=3)
-        winner = int(np.argmax(score_candidates(phi, model, embeddings)))
+        winner = int(np.argmax(scores_of(model, phi, cands)))
         truth = (winner + 1) % 4
         samples.append((phi, cands[truth].class_id))
-    report = confusion_influence_matrix(model, samples, cands, top_n_confusions=3)
+    report = confusion_influence_matrix(model, *stacked(samples), cands, top_n_confusions=3)
     ids = [c.class_id for c in cands]
     for row in report.rows:
         truth, predicted = row.subject
@@ -299,7 +305,7 @@ def test_confusion_matrix_matches_reaggregation_oracle():
             phi
             for phi, t in samples
             if t == truth
-            and cands[int(np.argmax(score_candidates(phi, model, embeddings)))].class_id == predicted
+            and cands[int(np.argmax(scores_of(model, phi, cands)))].class_id == predicted
         ]
         assert row.support == len(phis)
         for k in range(4):
@@ -307,3 +313,65 @@ def test_confusion_matrix_matches_reaggregation_oracle():
                 flip_influence_confusion(model, phi, predicted, truth, k, cands) for phi in phis
             ]
             assert abs(row.scores[k] - np.mean(values)) < 1e-12
+
+
+def combined_setup(seed, d=4, A=5, text_dim=6, d_t=3, n_classes=5):
+    """Combined-mode model with a trained-style reduction M: attributes first, then text @ M."""
+    rng = np.random.default_rng(seed)
+    mode = EmbeddingMode(kind=ModeKind.COMBINED, d_t=d_t)
+    model = CompatModel(
+        W=rng.normal(size=(d, A + d_t)), M=rng.normal(size=(text_dim, d_t)), mode=mode,
+        method=Method.LLE, hyperparams={},
+    )
+    cands = [
+        make_descriptor(f"c{i}", rng.integers(0, 2, size=A), text=rng.normal(size=text_dim))
+        for i in range(n_classes)
+    ]
+    return model, cands, rng
+
+
+def test_class_matrix_matches_oracle_in_combined_mode_with_reduction():
+    model, cands, rng = combined_setup(15)
+    ids = [c.class_id for c in cands]
+    phis = rng.normal(size=(40, 4))
+    truths = [ids[int(np.argmax(scores_of(model, phi, cands)))] for phi in phis]  # all correct
+    report = class_influence_matrix(model, phis, truths, ids, cands)
+    assert len(report.rows) >= 2
+    for row in report.rows:
+        target = cands[ids.index(row.subject)]
+        mine = [phi for phi, t in zip(phis, truths) if t == row.subject]
+        assert row.support == len(mine)
+        for k in range(5):
+            values = [flip_influence_correct(model, phi, target, k, cands) for phi in mine]
+            assert abs(row.scores[k] - np.mean(values)) < 1e-12
+    single = class_influence_matrix(model, phis[:1], truths[:1], truths[:1], cands).rows[0]
+    target = cands[ids.index(truths[0])]
+    for k in range(5):
+        assert single.scores[k] == pytest.approx(
+            flip_influence_correct(model, phis[0], target, k, cands), abs=1e-15
+        )
+
+
+def test_confusion_matrix_matches_oracle_in_combined_mode_with_reduction():
+    model, cands, rng = combined_setup(16)
+    ids = [c.class_id for c in cands]
+    phis = rng.normal(size=(60, 4))
+    predicted = [ids[int(np.argmax(scores_of(model, phi, cands)))] for phi in phis]
+    truths = [ids[(ids.index(p) + 1) % len(ids)] for p in predicted]
+    report = confusion_influence_matrix(model, phis, truths, cands, top_n_confusions=3)
+    assert len(report.rows) == 3
+    for row in report.rows:
+        truth, pred = row.subject
+        mine = [phi for phi, t, p in zip(phis, truths, predicted) if (t, p) == (truth, pred)]
+        assert row.support == len(mine)
+        for k in range(5):
+            values = [flip_influence_confusion(model, phi, pred, truth, k, cands) for phi in mine]
+            assert abs(row.scores[k] - np.mean(values)) < 1e-12
+
+
+def test_influence_matrices_reject_truths_of_wrong_length():
+    model, cands, phi, _ = random_setup(17)
+    with pytest.raises(DimensionMismatch):
+        class_influence_matrix(model, phi[None, :], ["c0", "c1"], ["c0"], cands)
+    with pytest.raises(DimensionMismatch):
+        confusion_influence_matrix(model, phi[None, :], [], cands)

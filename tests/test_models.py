@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
 
-from zslsign.embeddings import ClassEmbedding, ClassEmbeddingSet, EmbeddingMode, ModeKind
+from zslsign.embeddings import ClassEmbeddingSet, EmbeddingMode, ModeKind
 from zslsign.errors import DegenerateData, DimensionMismatch, EmptyCandidates, SchemaMismatch
 from zslsign.models import (
     CompatModel,
     Method,
     TrainConfig,
-    compatibility,
     lle_gradients,
     lle_objective,
     load_model,
     posteriors,
-    predict,
+    rank_scores,
     save_model,
     solve_sylvester,
     train_eszsl,
@@ -39,10 +38,6 @@ def attr_model(W, **kwargs) -> CompatModel:
     return CompatModel(W=np.asarray(W, dtype=float), M=None, **defaults)
 
 
-def embeddings_of(vectors) -> list[ClassEmbedding]:
-    return [ClassEmbedding(f"c{i}", np.asarray(v, dtype=float)) for i, v in enumerate(vectors)]
-
-
 def unit(v):
     v = np.asarray(v, dtype=float)
     return v / np.linalg.norm(v)
@@ -63,20 +58,20 @@ def random_training_problem(seed, n=24, d=5, n_classes=4, attr_count=3, text_dim
 
 
 # ---------------------------------------------------------------------------
-# compatibility / posteriors / predict
+# scores / posteriors / rank_scores
 # ---------------------------------------------------------------------------
 
 
 def test_compatibility_identity():
     model = attr_model(np.eye(2))
-    assert compatibility([1.0, 0.0], model, [1.0, 0.0]) == 1.0
+    assert model.scores([1.0, 0.0], [[1.0, 0.0]])[0] == 1.0
 
 
 def test_compatibility_zero_matrix():
     model = attr_model(np.zeros((3, 2)))
     rng = np.random.default_rng(0)
     for _ in range(5):
-        assert compatibility(rng.normal(size=3), model, rng.normal(size=2)) == 0.0
+        assert model.scores(rng.normal(size=3), rng.normal(size=(1, 2)))[0] == 0.0
 
 
 def test_compatibility_matches_double_loop_oracle():
@@ -85,27 +80,27 @@ def test_compatibility_matches_double_loop_oracle():
         W = rng.normal(size=(3, 2))
         phi = rng.normal(size=3)
         rho = rng.normal(size=2)
-        got = compatibility(phi, attr_model(W), rho)
+        got = attr_model(W).scores(phi, rho[None, :])[0]
         assert abs(got - brute_bilinear(phi, W, rho)) < 1e-12
 
 
 def test_compatibility_dimension_mismatch():
     model = attr_model(np.eye(2))
     with pytest.raises(DimensionMismatch):
-        compatibility([1.0, 2.0, 3.0], model, [1.0, 0.0])
+        model.scores([1.0, 2.0, 3.0], [[1.0, 0.0]])
     with pytest.raises(DimensionMismatch):
-        compatibility([1.0, 2.0], model, [1.0])
+        model.scores([1.0, 2.0], [[1.0]])
 
 
 def test_posteriors_symmetry():
     model = attr_model(np.eye(2))
-    p = posteriors([1.0, 1.0], model, embeddings_of([[1.0, 0.0], [0.0, 1.0]]))
+    p = posteriors(model.scores([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]]))
     assert np.allclose(p, [0.5, 0.5], atol=1e-15)
 
 
 def test_posteriors_extreme_scores_stable():
     model = attr_model(np.array([[1000.0, 0.0]]))
-    p = posteriors([1.0], model, embeddings_of([[1.0, 0.0], [0.0, 1.0]]))
+    p = posteriors(model.scores([1.0], [[1.0, 0.0], [0.0, 1.0]]))
     assert np.all(np.isfinite(p))
     assert p[0] > 1.0 - 1e-12
     assert p[1] < 1e-12
@@ -116,9 +111,9 @@ def test_posteriors_match_extended_precision_oracle():
     for _ in range(50):
         model = attr_model(rng.normal(size=(4, 3)))
         phi = rng.normal(size=4)
-        cands = embeddings_of(rng.normal(size=(5, 3)))
-        scores = [compatibility(phi, model, c.vector) for c in cands]
-        got = posteriors(phi, model, cands)
+        cands = rng.normal(size=(5, 3))
+        scores = [brute_bilinear(phi, model.W, c) for c in cands]
+        got = posteriors(model.scores(phi, cands))
         assert np.max(np.abs(got - brute_softmax(scores))) < 1e-12
         assert abs(got.sum() - 1.0) < 1e-12
         assert np.all((got >= 0.0) & (got <= 1.0))
@@ -126,50 +121,64 @@ def test_posteriors_match_extended_precision_oracle():
 
 def test_posteriors_empty_candidates():
     with pytest.raises(EmptyCandidates):
-        posteriors([1.0], attr_model(np.eye(1)), [])
+        posteriors(attr_model(np.eye(1)).scores([1.0], []))
 
 
 def test_predict_single_candidate():
     model = attr_model(np.eye(1))
-    winner, ranking = predict([1.0], model, embeddings_of([[2.0]]))
-    assert winner == "c0" and ranking == ["c0"]
+    assert rank_scores(model.scores([[1.0]], [[2.0]]), ["c0"]) == [["c0"]]
 
 
 def test_predict_tie_breaks_by_class_id():
-    model = attr_model(np.eye(1))
-    cands = [ClassEmbedding("b", np.array([2.0])), ClassEmbedding("a", np.array([2.0]))]
-    winner, ranking = predict([1.0], model, cands)
-    assert winner == "a"
+    model = attr_model(np.array([[2.0]]))
+    classes = ClassEmbeddingSet.from_descriptors([make_descriptor("b", [1]), make_descriptor("a", [1])], ATTR)
+    ranking = rank_scores(model.scores([[1.0]], classes.compose()), classes.class_ids)[0]
     assert ranking == ["a", "b"]
+    with pytest.raises(ValueError):
+        rank_scores(np.array([[2.0, 2.0]]), ["b", "a"])  # columns not in class_id order
 
 
 def test_predict_matches_linear_scan_oracle():
     rng = np.random.default_rng(3)
+    ids = [f"c{i}" for i in range(10)]
     for _ in range(30):
         model = attr_model(rng.normal(size=(4, 3)))
         phi = rng.normal(size=4)
-        cands = embeddings_of(rng.normal(size=(10, 3)))
-        winner, ranking = predict(phi, model, cands)
-        scores = {c.class_id: compatibility(phi, model, c.vector) for c in cands}
+        cands = rng.normal(size=(10, 3))
+        row = model.scores(phi, cands)
+        ranking = rank_scores(row[None, :], ids)[0]
+        scores = dict(zip(ids, row))
         best = max(scores, key=lambda cid: (scores[cid], [-ord(ch) for ch in cid]))
-        assert winner == best
+        assert ranking[0] == best
         assert sorted(ranking, key=lambda cid: (-scores[cid], cid)) == ranking
 
 
 def test_predict_invariant_to_positive_rescale_and_shift():
     rng = np.random.default_rng(4)
     W = rng.normal(size=(3, 2))
-    phi = rng.normal(size=3)
-    cands = embeddings_of(rng.normal(size=(6, 2)))
-    _, base = predict(phi, attr_model(W), cands)
-    _, scaled = predict(phi, attr_model(2.5 * W), cands)
+    phi = rng.normal(size=(1, 3))
+    cands = rng.normal(size=(6, 2))
+    ids = [f"c{i}" for i in range(6)]
+    base = rank_scores(attr_model(W).scores(phi, cands), ids)
+    scaled = rank_scores(attr_model(2.5 * W).scores(phi, cands), ids)
     assert scaled == base
     # additive shift: augment with a constant coordinate contributing +c to every score
     W_aug = np.block([[W, np.zeros((3, 1))], [np.zeros((1, 2)), np.array([[7.0]])]])
-    phi_aug = np.concatenate([phi, [1.0]])
-    cands_aug = [ClassEmbedding(c.class_id, np.concatenate([c.vector, [1.0]])) for c in cands]
-    _, shifted = predict(phi_aug, attr_model(W_aug), cands_aug)
+    phi_aug = np.hstack([phi, [[1.0]]])
+    cands_aug = np.hstack([cands, np.ones((6, 1))])
+    shifted = rank_scores(attr_model(W_aug).scores(phi_aug, cands_aug), ids)
     assert shifted == base
+
+
+def test_rank_scores_matches_sorted_reference_with_ties():
+    rng = np.random.default_rng(14)
+    ids = [f"c{i:02d}" for i in range(12)]
+    for _ in range(50):
+        scores = rng.integers(-2, 3, size=(8, 12)).astype(float)  # five values: many exact ties
+        scores[0, :2] = [0.0, -0.0]  # signed zeros compare equal
+        rankings = rank_scores(scores, ids)
+        for row, ranking in zip(scores, rankings):
+            assert ranking == sorted(ids, key=lambda cid: (-row[ids.index(cid)], cid))
 
 
 # ---------------------------------------------------------------------------

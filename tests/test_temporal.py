@@ -119,8 +119,8 @@ def test_average_pool_permutation_invariant_tsm_not():
 def test_embed_video_concatenation_order():
     sample = make_sample("s", "c", body=[[1.0, 2.0]], hand=[[3.0]])
     spec = AggregatorSpec()
-    assert np.array_equal(embed_video(sample, spec, use_hand=True).vector, [1.0, 2.0, 3.0])
-    assert np.array_equal(embed_video(sample, spec, use_hand=False).vector, [1.0, 2.0])
+    assert np.array_equal(embed_video(sample, spec, use_hand=True), [1.0, 2.0, 3.0])
+    assert np.array_equal(embed_video(sample, spec, use_hand=False), [1.0, 2.0])
 
 
 def test_embed_video_missing_hand():
@@ -133,7 +133,7 @@ def test_two_stream_width_doubles():
     rng = np.random.default_rng(1)
     sample = make_sample("s", "c", body=rng.normal(size=(3, 1024)), hand=rng.normal(size=(3, 1024)))
     emb = embed_video(sample, AggregatorSpec(), use_hand=True)
-    assert emb.dim == 2048
+    assert emb.shape == (2048,)
 
 
 def test_weights_must_be_finite():
