@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, SplitMode, load_dataset, save_dataset
+from .data import Dataset, SplitMode, csv_text, load_dataset, save_dataset
 from .errors import (
     DimensionMismatch,
     InvariantViolation,
@@ -139,8 +139,7 @@ def cmd_synth(args) -> int:
     dataset, planted = generate(spec)
     out = _out_dir(args)
     manifest_path = save_dataset(dataset, out)
-    lines = [",".join(repr(v) for v in row) for row in planted.tolist()]
-    (out / "planted_map.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (out / "planted_map.csv").write_text(csv_text(planted), encoding="utf-8")
     _write_json(
         out / "synth_spec.json",
         {

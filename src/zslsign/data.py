@@ -5,12 +5,27 @@ A dataset lives on disk as one JSON manifest plus plain-text feature files
 construction; invariants that depend on the data content (finiteness, binary
 attributes, split disjointness, ...) are checked by :func:`validate_dataset`,
 which :func:`load_dataset` runs before handing a dataset out.
+
+The CSV files and the manifest are the source of truth. :func:`save_dataset`
+also writes a feature pack next to the manifest: ``<stem>.pack.npy`` holds
+every sample feature file's values as one little-endian float64 vector, and
+``<stem>.pack.json`` records, per file path, the offset and rows x cols of its
+values, the byte length and ``zlib.crc32`` of its CSV bytes, and the CRC-32 of
+its packed values. :func:`load_dataset` still reads every CSV, and takes a
+file's values from the pack only when its path, byte length and both CRC-32s
+match; anything else (no pack, a stale, torn, truncated or garbage pack,
+``text_file`` rows) is parsed from the CSV. CRC-32 comes with zlib, which
+numpy already loads; a digest from ``hashlib`` would map OpenSSL's libcrypto
+into every command for no gain in detecting edits. The manifest is written as
+compact JSON.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import zlib
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -172,12 +187,16 @@ def _unit_normalized(vec: np.ndarray, class_id: str) -> np.ndarray:
     return vec / norm
 
 
-def _read_feature_matrix(path: Path, entity: str) -> np.ndarray:
+def _read_bytes(path: Path, entity: str) -> bytes:
     if not path.exists():
         raise MissingFile(f"{entity}: feature file not found: {path}")
+    return path.read_bytes()
+
+
+def _parse_feature_matrix(raw: bytes, path: Path, entity: str) -> np.ndarray:
     rows: list[list[float]] = []
     width: int | None = None
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(raw.decode("utf-8").splitlines(), start=1):
         if not line.strip():
             continue
         values = []
@@ -198,6 +217,92 @@ def _read_feature_matrix(path: Path, entity: str) -> np.ndarray:
     if not rows:
         raise InvariantViolation(f"{entity}: feature file {path} has no rows")
     return np.array(rows, dtype=np.float64)
+
+
+def csv_text(matrix: np.ndarray) -> str:
+    """One line per row, comma-separated shortest round-trip reals, LF-terminated."""
+    return "\n".join(",".join(map(repr, row)) for row in matrix.tolist()) + "\n"
+
+
+_PACK_DTYPE = np.dtype("<f8")
+
+
+def _pack_paths(manifest_path: Path) -> tuple[Path, Path]:
+    """The pack's value file and index, named after the manifest stem."""
+    return manifest_path.with_suffix(".pack.npy"), manifest_path.with_suffix(".pack.json")
+
+
+class _FeaturePack:
+    """Parsed values of the feature CSVs as of the last save, checked per file on use."""
+
+    def __init__(self, values: np.ndarray, files: dict) -> None:
+        self.values = values
+        self.files = files
+
+    @classmethod
+    def read(cls, manifest_path: Path) -> "_FeaturePack | None":
+        """The pack saved with this manifest, or None when it is missing or unreadable."""
+        npy_path, index_path = _pack_paths(manifest_path)
+        try:
+            raw = npy_path.read_bytes()
+            index = json.loads(index_path.read_bytes())
+        except (OSError, ValueError):
+            return None
+        files = index.get("files") if isinstance(index, dict) else None
+        if not isinstance(files, dict):
+            return None
+        stream = io.BytesIO(raw)
+        try:
+            if np.lib.format.read_magic(stream) != (1, 0):
+                return None
+            shape, _, dtype = np.lib.format.read_array_header_1_0(stream)
+            values = np.frombuffer(raw, dtype=_PACK_DTYPE, offset=stream.tell())
+        except ValueError:
+            return None
+        if dtype != _PACK_DTYPE or shape != values.shape:
+            return None
+        return cls(values, files)
+
+    def matrix(self, rel: str, raw: bytes) -> np.ndarray | None:
+        """The packed rows of `rel` if the pack saw exactly these CSV bytes, else None."""
+        entry = self.files.get(rel)
+        if not isinstance(entry, dict):
+            return None
+        fields = [entry.get(k) for k in ("offset", "rows", "cols", "bytes", "crc32", "values_crc32")]
+        if not all(type(v) is int for v in fields):
+            return None
+        offset, rows, cols, nbytes, crc, values_crc = fields
+        if nbytes != len(raw) or crc != zlib.crc32(raw):
+            return None
+        if offset < 0 or rows < 1 or cols < 1 or offset + rows * cols > self.values.size:
+            return None
+        values = self.values[offset : offset + rows * cols]
+        if values_crc != zlib.crc32(values):
+            return None
+        return values.reshape(rows, cols)
+
+    @staticmethod
+    def write(manifest_path: Path, files: dict[str, tuple[np.ndarray, bytes]]) -> None:
+        """Pack each file's matrix, indexed by its path and the CSV bytes written for it."""
+        npy_path, index_path = _pack_paths(manifest_path)
+        matrices = [m.astype(_PACK_DTYPE).ravel() for m, _ in files.values()]
+        values = np.concatenate(matrices) if matrices else np.empty(0, dtype=_PACK_DTYPE)
+        index = {}
+        offset = 0
+        for (rel, (matrix, raw)), flat in zip(files.items(), matrices):
+            rows, cols = matrix.shape
+            index[rel] = {
+                "offset": offset,
+                "rows": rows,
+                "cols": cols,
+                "bytes": len(raw),
+                "crc32": zlib.crc32(raw),
+                "values_crc32": zlib.crc32(flat),
+            }
+            offset += flat.size
+        with open(npy_path, "wb") as f:
+            np.lib.format.write_array(f, values, version=(1, 0))
+        index_path.write_text(json.dumps({"files": index}) + "\n", encoding="utf-8")
 
 
 def _require(entry: dict, key: str, entity: str):
@@ -237,24 +342,30 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         if "text" in entry:
             text = np.asarray(entry["text"], dtype=np.float64)
         elif "text_file" in entry:
-            text = _read_feature_matrix(root / entry["text_file"], f"class {cid!r} text")[0]
+            path, entity = root / entry["text_file"], f"class {cid!r} text"
+            text = _parse_feature_matrix(_read_bytes(path, entity), path, entity)[0]
         else:
             raise ParseError(f"class {cid!r}: missing field 'text' or 'text_file'")
         classes.append(ClassDescriptor(cid, name, attrs, _unit_normalized(text, cid)))
+
+    pack = _FeaturePack.read(manifest_path)
+
+    def read_sequence(sid: str, stream: Stream, rel: str) -> FeatureSequence:
+        path = root / rel
+        entity = f"sample {sid!r} {stream.value}"
+        raw = _read_bytes(path, entity)
+        data = pack.matrix(rel, raw) if pack is not None else None
+        if data is None:
+            data = _parse_feature_matrix(raw, path, entity)
+        return FeatureSequence(sid, stream, data)
 
     samples = []
     for entry in _require(manifest, "samples", "manifest"):
         sid = _require(entry, "id", "sample entry")
         class_id = _require(entry, "class_id", f"sample {sid!r}")
-        sequences = {
-            Stream.BODY: FeatureSequence(
-                sid, Stream.BODY, _read_feature_matrix(root / _require(entry, "body", f"sample {sid!r}"), f"sample {sid!r} body")
-            )
-        }
+        sequences = {Stream.BODY: read_sequence(sid, Stream.BODY, _require(entry, "body", f"sample {sid!r}"))}
         if entry.get("hand") is not None:
-            sequences[Stream.HAND] = FeatureSequence(
-                sid, Stream.HAND, _read_feature_matrix(root / entry["hand"], f"sample {sid!r} hand")
-            )
+            sequences[Stream.HAND] = read_sequence(sid, Stream.HAND, entry["hand"])
         samples.append(Sample(sid, class_id, sequences))
 
     split_entry = _require(manifest, "split", "manifest")
@@ -338,7 +449,7 @@ def validate_dataset(dataset: Dataset) -> list[str]:
 
 
 def save_dataset(dataset: Dataset, out_dir: str | Path, manifest_name: str = "manifest.json") -> Path:
-    """Write the manifest plus feature-file tree; inverse of load_dataset.
+    """Write the manifest, the feature-file tree and the feature pack; inverse of load_dataset.
 
     Floats are serialized with shortest round-trip representation, so
     load(save(load(p))) reproduces every numeric field bit-exactly.
@@ -348,13 +459,15 @@ def save_dataset(dataset: Dataset, out_dir: str | Path, manifest_name: str = "ma
     features_dir.mkdir(parents=True, exist_ok=True)
 
     sample_entries = []
+    written: dict[str, tuple[np.ndarray, bytes]] = {}
     for s in dataset.samples:
         entry: dict = {"id": s.sample_id, "class_id": s.class_id}
         for stream, seq in sorted(s.sequences.items(), key=lambda kv: kv[0].value):
             rel = f"features/{s.sample_id}_{stream.value}.csv"
-            lines = [",".join(repr(v) for v in row) for row in seq.data.tolist()]
-            (out_dir / rel).write_text("\n".join(lines) + "\n", encoding="utf-8")
+            raw = csv_text(seq.data).encode("utf-8")
+            (out_dir / rel).write_bytes(raw)
             entry[stream.value] = rel
+            written[rel] = (seq.data, raw)
         sample_entries.append(entry)
 
     manifest = {
@@ -377,5 +490,6 @@ def save_dataset(dataset: Dataset, out_dir: str | Path, manifest_name: str = "ma
         },
     }
     manifest_path = out_dir / manifest_name
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _FeaturePack.write(manifest_path, written)
+    manifest_path.write_text(json.dumps(manifest, sort_keys=True) + "\n", encoding="utf-8")
     return manifest_path

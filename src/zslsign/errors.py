@@ -78,4 +78,4 @@ class NoMisclassifications(ZslSignError, ValueError):
 
 
 class InstanceTooLarge(ZslSignError, ValueError):
-    """A brute-force oracle was asked to handle an instance beyond its size bound."""
+    """An instance exceeds a brute-force oracle's size bound or a dense solve's memory."""

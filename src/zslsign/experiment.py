@@ -120,13 +120,20 @@ def candidate_descriptors(dataset: Dataset) -> list[ClassDescriptor]:
 def train_from_config(dataset: Dataset, cfg: RunConfig, seed: int | None = None) -> CompatModel:
     """Train on the seen-class samples following the run configuration."""
     check_hand_usable(dataset, cfg.use_hand)
-    agg = cfg.aggregator_spec()
-    mode = cfg.embedding_mode()
     train_samples = dataset.samples_of(dataset.split.seen_classes)
-    _, features, labels = stack_video_embeddings(train_samples, agg, cfg.use_hand)
-    classes = ClassEmbeddingSet.from_descriptors(
-        dataset.descriptors_of(dataset.split.seen_classes), mode
-    )
+    _, features, labels = stack_video_embeddings(train_samples, cfg.aggregator_spec(), cfg.use_hand)
+    return _train_stacked(features, labels, dataset.descriptors_of(dataset.split.seen_classes), cfg, seed)
+
+
+def _train_stacked(
+    features: np.ndarray,
+    labels: Sequence[str],
+    descriptors: Sequence[ClassDescriptor],
+    cfg: RunConfig,
+    seed: int | None = None,
+) -> CompatModel:
+    """Train the configured method on already-stacked video embeddings."""
+    classes = ClassEmbeddingSet.from_descriptors(descriptors, cfg.embedding_mode())
     method = Method(cfg.method)
     if method is Method.LLE:
         return train_lle(features, labels, classes, cfg.train_config(seed))
@@ -162,9 +169,15 @@ def rank_samples(
 ) -> tuple[list[str], list[list[str]], list[str]]:
     """Deterministic rankings for the evaluation samples of the split mode."""
     candidates, sample_ids, features, truths = evaluation_samples(dataset, cfg, samples, candidates)
+    return sample_ids, _rank_stacked(model, features, candidates), truths
+
+
+def _rank_stacked(
+    model: CompatModel, features: np.ndarray, candidates: Sequence[ClassDescriptor]
+) -> list[list[str]]:
+    """Candidate rankings of already-stacked video embeddings, one list per row."""
     classes = ClassEmbeddingSet.from_descriptors(candidates, model.mode)
-    scores = model.scores(features, classes.compose(model.M))
-    return sample_ids, rank_scores(scores, classes.class_ids), truths
+    return rank_scores(model.scores(features, classes.compose(model.M)), classes.class_ids)
 
 
 def evaluate(dataset: Dataset, model: CompatModel, cfg: RunConfig) -> EvalReport:
@@ -175,13 +188,16 @@ def evaluate(dataset: Dataset, model: CompatModel, cfg: RunConfig) -> EvalReport
     return topk_accuracy(rankings, truths, cfg.ks)
 
 
-def validation_top1(dataset: Dataset, model: CompatModel, cfg: RunConfig) -> float:
-    """Class-normalized top-1 accuracy on the validation classes (ZSL style)."""
+def _validation_set(dataset: Dataset) -> tuple[list[ClassDescriptor], list[Sample]]:
     val_ids = dataset.split.validation_classes
     if not val_ids:
         raise ValueError("dataset split has no validation classes")
-    candidates = dataset.descriptors_of(val_ids)
-    samples = dataset.samples_of(val_ids)
+    return dataset.descriptors_of(val_ids), dataset.samples_of(val_ids)
+
+
+def validation_top1(dataset: Dataset, model: CompatModel, cfg: RunConfig) -> float:
+    """Class-normalized top-1 accuracy on the validation classes (ZSL style)."""
+    candidates, samples = _validation_set(dataset)
     _, rankings, truths = rank_samples(dataset, model, cfg, samples=samples, candidates=candidates)
     return topk_accuracy(rankings, truths, ks=(1,)).per_k[1]
 
@@ -191,18 +207,27 @@ def sweep_text_dim(
 ) -> list[tuple[int, float, float]]:
     """Validation top-1 across text-reduction widths; (value, mean, stddev) rows.
 
-    A value equal to the raw text width runs without a reduction layer.
+    A value equal to the raw text width runs without a reduction layer. The
+    seen and the validation samples are embedded once for the whole sweep.
     """
     mode_kind = ModeKind(cfg.embedding)
     if mode_kind is ModeKind.ATTRIBUTES:
         raise ValueError("sweeping d_t needs a text-bearing embedding mode")
+    check_hand_usable(dataset, cfg.use_hand)
+    agg = cfg.aggregator_spec()
+    seen = dataset.split.seen_classes
+    _, train_features, labels = stack_video_embeddings(dataset.samples_of(seen), agg, cfg.use_hand)
+    seen_descriptors = dataset.descriptors_of(seen)
+    val_candidates, val_samples = _validation_set(dataset)
+    _, val_features, truths = stack_video_embeddings(val_samples, agg, cfg.use_hand)
     rows = []
     for value in values:
         run = replace(cfg, d_t=int(value))
         scores = []
         for r in range(cfg.repeats):
-            model = train_from_config(dataset, run, seed=cfg.seed + r)
-            scores.append(validation_top1(dataset, model, run))
+            model = _train_stacked(train_features, labels, seen_descriptors, run, seed=cfg.seed + r)
+            rankings = _rank_stacked(model, val_features, val_candidates)
+            scores.append(topk_accuracy(rankings, truths, ks=(1,)).per_k[1])
         mean = float(np.mean(scores))
         std = float(np.std(scores, ddof=1)) if len(scores) > 1 else 0.0
         rows.append((int(value), mean, std))

@@ -33,6 +33,7 @@ from .errors import (
     DegenerateData,
     DimensionMismatch,
     EmptyCandidates,
+    InstanceTooLarge,
     MissingFile,
     NonFiniteLoss,
     SchemaMismatch,
@@ -330,12 +331,21 @@ def train_eszsl(
 
 
 def solve_sylvester(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Solve A W + W B = C by Kronecker vectorization (dense, desk-scale)."""
+    """Solve A W + W B = C by Kronecker vectorization (dense, desk-scale).
+
+    Raises InstanceTooLarge when the (t*d) x (t*d) system cannot be allocated.
+    """
     t = A.shape[0]
     d = B.shape[0]
-    K = np.kron(np.eye(d), A) + np.kron(B.T, np.eye(t))
     try:
+        K = np.kron(np.eye(d), A) + np.kron(B.T, np.eye(t))
         w = np.linalg.solve(K, C.flatten(order="F"))
+    except MemoryError:
+        nbytes = (t * d) ** 2 * np.dtype(np.float64).itemsize
+        raise InstanceTooLarge(
+            f"sae: the dense Sylvester system for t={t}, d={d} is a {t * d} x {t * d} matrix; "
+            f"allocating it ({nbytes} bytes, {nbytes / 2**30:.1f} GiB) failed"
+        ) from None
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"sylvester system is singular: {exc}") from None
     return w.reshape((t, d), order="F")

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from zslsign.cli import main
@@ -217,6 +218,19 @@ def test_analyze_confusions_on_perfect_model_exits_1(workspace, tmp_path):
         + TRAIN_OVERRIDES
     )
     assert code == 1  # the fixture model is perfectly accurate: NoMisclassifications
+
+
+def test_train_sae_out_of_memory_exits_1_with_error_line(workspace, tmp_path, monkeypatch, capsys):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate")
+
+    monkeypatch.setattr(np, "kron", no_memory)
+    argv = ["train", "--manifest", workspace["manifest"], "--out", tmp_path / "sae"] + TRAIN_OVERRIDES
+    code = run(argv + ["--method", "sae"])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: sae: the dense Sylvester system for t=")
+    assert not (tmp_path / "sae" / "model.json").exists()
 
 
 def test_analyze_text_model_exits_4(workspace, tmp_path):

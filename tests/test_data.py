@@ -1,8 +1,14 @@
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from zslsign import data as data_module
 from zslsign.data import (
     Dataset,
     SplitConfig,
@@ -12,7 +18,7 @@ from zslsign.data import (
     save_dataset,
     validate_dataset,
 )
-from zslsign.errors import InvariantViolation, MissingFile, ParseError
+from zslsign.errors import InvariantViolation, MissingFile, ParseError, ZslSignError
 
 from conftest import make_descriptor, make_sample, small_manifest, write_feature_file, write_manifest
 
@@ -235,3 +241,252 @@ def test_sequences_are_immutable(tiny_dataset):
     body = tiny_dataset.samples[0].body.data
     with pytest.raises(ValueError):
         body[0, 0] = 99.0
+
+
+# ---------------------------------------------------------------------------
+# feature pack
+# ---------------------------------------------------------------------------
+
+
+def _packed_copy(tmp_path) -> Path:
+    """The manifest of a small dataset saved with its pack."""
+    return save_dataset(load_dataset(small_manifest(tmp_path / "orig")), tmp_path / "copy")
+
+
+def _drop_pack(manifest: Path) -> None:
+    manifest.with_suffix(".pack.npy").unlink()
+    manifest.with_suffix(".pack.json").unlink()
+
+
+def _features(dataset) -> dict:
+    return {(s.sample_id, stream): seq.data for s in dataset.samples for stream, seq in s.sequences.items()}
+
+
+def _assert_same_bits(a, b) -> None:
+    fa, fb = _features(a), _features(b)
+    assert fa.keys() == fb.keys()
+    for key in fa:
+        assert fa[key].shape == fb[key].shape, key
+        assert fa[key].tobytes() == fb[key].tobytes(), key
+
+
+def _load_error(manifest: Path) -> tuple[type, str]:
+    with pytest.raises(ZslSignError) as info:
+        load_dataset(manifest)
+    return type(info.value), str(info.value)
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300, 1.7976931348623157e308]
+_values = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _datasets(draw):
+    """Valid one- or two-stream datasets over a fixed two-class schema."""
+    two_streams = draw(st.booleans())
+    n_samples = draw(st.integers(1, 3))
+    body_cols = draw(st.integers(1, 3))
+    hand_cols = draw(st.integers(1, 3))
+    samples = []
+    for j in range(n_samples):
+        rows = draw(st.integers(1, 3))
+        body = draw(st.lists(_values, min_size=rows * body_cols, max_size=rows * body_cols))
+        hand = draw(st.lists(_values, min_size=rows * hand_cols, max_size=rows * hand_cols))
+        samples.append(
+            make_sample(
+                f"s{j}",
+                f"c{j % 2}",
+                np.reshape(body, (rows, body_cols)),
+                hand=np.reshape(hand, (rows, hand_cols)) if two_streams else None,
+            )
+        )
+    classes = (make_descriptor("c0", [0, 1]), make_descriptor("c1", [1, 0]))
+    split = SplitConfig(frozenset({"c0"}), frozenset(), frozenset({"c1"}), SplitMode.ZSL)
+    return Dataset(classes, tuple(samples), split, attribute_count=2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_datasets())
+def test_pack_loads_the_same_bits_as_the_csvs(dataset):
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = save_dataset(dataset, tmp)
+        packed = load_dataset(manifest)
+        _drop_pack(manifest)
+        parsed = load_dataset(manifest)
+    _assert_same_bits(packed, parsed)
+    _assert_same_bits(packed, dataset)
+
+
+def test_intact_pack_replaces_every_feature_parse(tmp_path, monkeypatch):
+    manifest = _packed_copy(tmp_path)
+    reference = load_dataset(manifest)
+
+    def no_parse(*args):
+        raise AssertionError("a feature CSV was parsed although the pack matched it")
+
+    monkeypatch.setattr(data_module, "_parse_feature_matrix", no_parse)
+    _assert_same_bits(load_dataset(manifest), reference)
+
+
+def test_manifest_is_one_line_of_json(tmp_path):
+    source = json.loads(small_manifest(tmp_path / "orig").read_text())
+    text = _packed_copy(tmp_path).read_text(encoding="utf-8")
+    assert text.count("\n") == 1 and text.endswith("}\n")
+    saved = json.loads(text)
+    assert saved["split"] == source["split"]
+    assert saved["classes"] == source["classes"]
+
+
+def _bump_last_digit(text: str) -> str:
+    """The same text with its last mantissa digit changed: equal length, other value."""
+    i = max(text.rfind(d) for d in "123456789")
+    return text[:i] + str(int(text[i]) % 9 + 1) + text[i + 1 :]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda f: f.write_text("7.25" + f.read_text()[f.read_text().index(","):]), id="edit"),
+        pytest.param(lambda f: f.write_text(_bump_last_digit(f.read_text())), id="edit-same-length"),
+        pytest.param(lambda f: f.write_text(f.read_text().split("\n", 1)[0] + "\n"), id="truncate"),
+        pytest.param(lambda f: f.write_text(f.read_text()[:-6] + "\n"), id="cut-last-value"),
+    ],
+)
+def test_edited_csv_overrides_the_pack(tmp_path, edit):
+    manifest = _packed_copy(tmp_path)
+    before = load_dataset(manifest)
+    edit(manifest.parent / "features" / "s0_body.csv")
+    with_pack = load_dataset(manifest)
+    _drop_pack(manifest)
+    without_pack = load_dataset(manifest)
+    _assert_same_bits(with_pack, without_pack)
+    s0 = next(s for s in with_pack.samples if s.sample_id == "s0")
+    assert s0.body.data.tobytes() != before.samples[0].body.data.tobytes()
+
+
+def test_swapped_csvs_override_the_pack(tmp_path):
+    manifest = _packed_copy(tmp_path)
+    before = {s.sample_id: s.body.data for s in load_dataset(manifest).samples}
+    f0, f1 = (manifest.parent / "features" / f"s{j}_body.csv" for j in (0, 1))
+    b0, b1 = f0.read_bytes(), f1.read_bytes()
+    f0.write_bytes(b1)
+    f1.write_bytes(b0)
+    after = {s.sample_id: s.body.data for s in load_dataset(manifest).samples}
+    assert np.array_equal(after["s0"], before["s1"]) and np.array_equal(after["s1"], before["s0"])
+
+
+@pytest.mark.parametrize(
+    "content, expected",
+    [
+        ("1.0,2.0,3.0\n1.0,oops,3.0\n", r"line 2 field 2"),
+        ("1.0,2.0,3.0\n1.0,2.0\n", "ragged"),
+        ("1.0,2.0,3.0\nnan,2.0,3.0\n", "row 1 non-finite"),
+        ("1.0,2.0,3.0\n1.0,inf,3.0\n", "row 1 non-finite"),
+        ("\n\n", "no rows"),
+    ],
+)
+def test_bad_csv_raises_the_same_error_with_and_without_a_pack(tmp_path, content, expected):
+    manifest = _packed_copy(tmp_path)
+    (manifest.parent / "features" / "s0_body.csv").write_text(content, encoding="utf-8")
+    with_pack = _load_error(manifest)
+    _drop_pack(manifest)
+    assert _load_error(manifest) == with_pack
+    assert re.search(expected, with_pack[1])
+
+
+def _rewrite_index(path: Path, change) -> None:
+    index = json.loads(path.read_text())
+    change(index["files"]["features/s0_body.csv"])
+    path.write_text(json.dumps(index))
+
+
+def _write_npy(path: Path, array) -> None:
+    with open(path, "wb") as f:
+        np.save(f, array)
+
+
+_PACK_DAMAGE = {
+    "npy-garbage": (".pack.npy", lambda p: p.write_bytes(b"not a pack" * 20)),
+    "npy-empty": (".pack.npy", lambda p: p.write_bytes(b"")),
+    "npy-truncated": (".pack.npy", lambda p: p.write_bytes(p.read_bytes()[:200])),
+    "npy-cut-one-byte": (".pack.npy", lambda p: p.write_bytes(p.read_bytes()[:-1])),
+    "npy-header-only": (".pack.npy", lambda p: p.write_bytes(p.read_bytes()[:128])),
+    "npy-float32": (".pack.npy", lambda p: _write_npy(p, np.load(p).astype(np.float32))),
+    "npy-big-endian": (".pack.npy", lambda p: _write_npy(p, np.load(p).astype(">f8"))),
+    "npy-2d": (".pack.npy", lambda p: _write_npy(p, np.load(p).reshape(-1, 3))),
+    "npy-shorter": (".pack.npy", lambda p: _write_npy(p, np.load(p)[:10])),
+    "npy-missing": (".pack.npy", lambda p: p.unlink()),
+    "index-garbage": (".pack.json", lambda p: p.write_bytes(b"\xff\xfe{not json")),
+    "index-truncated": (".pack.json", lambda p: p.write_text(p.read_text()[:40])),
+    "index-list": (".pack.json", lambda p: p.write_text("[]")),
+    "index-files-list": (".pack.json", lambda p: p.write_text('{"files": []}')),
+    "index-missing": (".pack.json", lambda p: p.unlink()),
+    "offset-negative": (".pack.json", lambda p: _rewrite_index(p, lambda e: e.update(offset=-1))),
+    "offset-past-end": (".pack.json", lambda p: _rewrite_index(p, lambda e: e.update(offset=10**9))),
+    "rows-zero": (".pack.json", lambda p: _rewrite_index(p, lambda e: e.update(rows=0))),
+    "rows-float": (".pack.json", lambda p: _rewrite_index(p, lambda e: e.update(rows=4.0))),
+    "cols-bool": (".pack.json", lambda p: _rewrite_index(p, lambda e: e.update(cols=True))),
+    "crc-missing": (".pack.json", lambda p: _rewrite_index(p, lambda e: e.pop("crc32"))),
+    "crc-wrong": (".pack.json", lambda p: _rewrite_index(p, lambda e: e.update(crc32=e["crc32"] ^ 1))),
+    "bytes-wrong": (".pack.json", lambda p: _rewrite_index(p, lambda e: e.update(bytes=e["bytes"] + 1))),
+    "values-crc-wrong": (".pack.json", lambda p: _rewrite_index(p, lambda e: e.update(values_crc32=0))),
+    "entry-string": (".pack.json", lambda p: _rewrite_index(p, lambda e: e.clear())),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(_PACK_DAMAGE))
+def test_damaged_pack_falls_back_to_the_csvs(tmp_path, damage):
+    manifest = _packed_copy(tmp_path)
+    reference = load_dataset(manifest)
+    suffix, change = _PACK_DAMAGE[damage]
+    change(manifest.with_suffix(suffix))
+    _assert_same_bits(load_dataset(manifest), reference)
+
+
+def test_stale_pack_entry_is_not_used(tmp_path):
+    # The index points s0 at s1's values: only the CRC of s0's own bytes may pick a slice.
+    manifest = _packed_copy(tmp_path)
+    reference = load_dataset(manifest)
+    index_path = manifest.with_suffix(".pack.json")
+    index = json.loads(index_path.read_text())
+    files = index["files"]
+    files["features/s0_body.csv"]["offset"] = files["features/s1_body.csv"]["offset"]
+    index_path.write_text(json.dumps(index))
+    assert np.array_equal(load_dataset(manifest).samples[0].body.data, reference.samples[0].body.data)
+    files["features/s0_body.csv"]["crc32"] = files["features/s1_body.csv"]["crc32"]
+    index_path.write_text(json.dumps(index))
+    assert np.array_equal(load_dataset(manifest).samples[0].body.data, reference.samples[0].body.data)
+
+
+def test_index_of_another_save_is_not_used(tmp_path):
+    # A save torn between the value file and the index leaves an index that
+    # describes other values; s0's CSV is unchanged, but its offset moved.
+    first = load_dataset(small_manifest(tmp_path / "orig"))
+    manifest = save_dataset(first, tmp_path / "copy")
+    old_index = manifest.with_suffix(".pack.json").read_bytes()
+    reordered = Dataset(first.classes, first.samples[::-1], first.split, first.attribute_count)
+    save_dataset(reordered, tmp_path / "copy")
+    manifest.with_suffix(".pack.json").write_bytes(old_index)
+    _assert_same_bits(load_dataset(manifest), first)
+
+
+def test_two_manifests_in_one_directory_keep_their_own_packs(tmp_path):
+    first = load_dataset(small_manifest(tmp_path / "orig"))
+    shifted = tuple(
+        make_sample(s.sample_id if j % 2 else f"x{j}", s.class_id, s.body.data + 1.0)
+        for j, s in enumerate(first.samples)
+    )
+    second = Dataset(first.classes, shifted, first.split, first.attribute_count)
+    out = tmp_path / "shared"
+    a = save_dataset(first, out, "a.json")
+    b = save_dataset(second, out, "b.json")
+    assert a.with_suffix(".pack.npy").read_bytes() != b.with_suffix(".pack.npy").read_bytes()
+    packed = load_dataset(a), load_dataset(b)
+    # s1, s3, s5 were overwritten by the second save: a.json must read b's CSV values for them.
+    for m in (a, b):
+        _drop_pack(m)
+    for with_pack, manifest in zip(packed, (a, b)):
+        _assert_same_bits(with_pack, load_dataset(manifest))
+    a_bodies = {s.sample_id: s.body.data for s in packed[0].samples}
+    assert np.array_equal(a_bodies["s0"], first.samples[0].body.data)
+    assert np.array_equal(a_bodies["s1"], first.samples[1].body.data + 1.0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from zslsign.embeddings import ClassEmbeddingSet, EmbeddingMode, ModeKind
-from zslsign.errors import DegenerateData, DimensionMismatch, EmptyCandidates, SchemaMismatch
+from zslsign.errors import DegenerateData, DimensionMismatch, EmptyCandidates, InstanceTooLarge, SchemaMismatch
 from zslsign.models import (
     CompatModel,
     Method,
@@ -360,6 +360,15 @@ def test_solve_sylvester_rectangular():
     C = rng.normal(size=(4, 6))
     W = solve_sylvester(A, B, C)
     assert np.max(np.abs(A @ W + W @ B - C)) < 1e-9
+
+
+def test_solve_sylvester_out_of_memory_raises_instance_too_large(monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate")
+
+    monkeypatch.setattr(np, "kron", no_memory)
+    with pytest.raises(InstanceTooLarge, match=r"t=4, d=6 .* 24 x 24 .*\(4608 bytes"):
+        solve_sylvester(np.eye(4), np.eye(6), np.zeros((4, 6)))
 
 
 def test_sae_rejects_nonpositive_lam():

@@ -47,9 +47,11 @@ def test_same_seed_gives_byte_identical_output(tmp_path):
         dataset, _ = generate(small_spec())
         save_dataset(dataset, tmp_path / sub)
     a, b = tmp_path / "a", tmp_path / "b"
-    assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
-    for f in sorted((a / "features").iterdir()):
-        assert f.read_bytes() == (b / "features" / f.name).read_bytes()
+    files = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+    assert {"manifest.json", "manifest.pack.npy", "manifest.pack.json"} <= {str(f) for f in files}
+    assert files == sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
+    for f in files:
+        assert (a / f).read_bytes() == (b / f).read_bytes()
 
 
 def test_different_seed_changes_output():
