@@ -10,7 +10,9 @@ samples and classes at once as Phi W S'. Three trainers produce W:
 * eszsl  - ridge-style regression closed form
            W = (X X' + gamma I)^-1 X Y S' (S S' + lam I)^-1.
 * sae    - auto-encoding projection solving the Sylvester equation
-           S S' P + lam P X X' = (1 + lam) S X', stored transposed.
+           S S' P + lam P X X' = (1 + lam) S X', stored transposed; the
+           minimum-norm solution comes in closed form from thin SVDs of
+           the per-sample class matrix S and the feature matrix X.
 
 Class posteriors p(c|v) are defined as the softmax of compatibility scores
 over the active candidate set, matching the training loss. This is the
@@ -330,25 +332,11 @@ def train_eszsl(
 # ---------------------------------------------------------------------------
 
 
-def solve_sylvester(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Solve A W + W B = C by Kronecker vectorization (dense, desk-scale).
-
-    Raises InstanceTooLarge when the (t*d) x (t*d) system cannot be allocated.
-    """
-    t = A.shape[0]
-    d = B.shape[0]
-    try:
-        K = np.kron(np.eye(d), A) + np.kron(B.T, np.eye(t))
-        w = np.linalg.solve(K, C.flatten(order="F"))
-    except MemoryError:
-        nbytes = (t * d) ** 2 * np.dtype(np.float64).itemsize
-        raise InstanceTooLarge(
-            f"sae: the dense Sylvester system for t={t}, d={d} is a {t * d} x {t * d} matrix; "
-            f"allocating it ({nbytes} bytes, {nbytes / 2**30:.1f} GiB) failed"
-        ) from None
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"sylvester system is singular: {exc}") from None
-    return w.reshape((t, d), order="F")
+def _kept_svd(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD M = U diag(s) Vh without singular values at or below max(shape) * eps * s_max (matrix_rank's cut)."""
+    U, s, Vh = np.linalg.svd(M, full_matrices=False)
+    keep = s > max(M.shape) * np.finfo(np.float64).eps * s.max(initial=0.0)
+    return U[:, keep], s[keep], Vh[keep]
 
 
 def train_sae(
@@ -362,6 +350,11 @@ def train_sae(
 
     Solves S S' P + lam P X X' = (1 + lam) S X' for the t x d projection P,
     with S holding one class-embedding column per training sample; W = P'.
+    With thin SVDs S = Q diag(s) R' and X = V diag(x) Z' the minimum-norm
+    solution is P = Q [(1 + lam) s_i (R'Z)_ij x_j / (s_i^2 + lam x_j^2)] V':
+    the right-hand side lies in range(S) x range(X), so the cut singular
+    values carry none of it and every kept denominator is positive. No t x t,
+    d x d or (t d) x (t d) matrix is formed.
     """
     if lam_sae <= 0:
         raise ValueError(f"lam_sae must be > 0, got {lam_sae}")
@@ -371,11 +364,23 @@ def train_sae(
     y_idx = _label_indices(labels, classes)
     S = S_classes[y_idx].T  # t x N, one column per sample
 
-    A = S @ S.T
-    B = lam_sae * (X @ X.T)
-    C = (1.0 + lam_sae) * S @ X.T
-    P = solve_sylvester(A, B, C)
-    residual = oracles.sylvester_residual(P, S, X, lam_sae)
+    (t, n), d = S.shape, X.shape[0]
+    try:
+        Q, s, Rh = _kept_svd(S)
+        V, x, Zh = _kept_svd(X)
+        core = (1.0 + lam_sae) * s[:, None] * (Rh @ Zh.T) * x
+        if not np.any(core):
+            raise SingularSystem("sae: (1 + lam) S X' is zero, so the minimum-norm projection is zero")
+        P = Q @ (core / (s[:, None] ** 2 + lam_sae * x**2)) @ V.T
+        residual = oracles.sylvester_residual(P, S, X, lam_sae)
+    except MemoryError:
+        nbytes = max(t * n, d * n, t * d) * np.dtype(np.float64).itemsize
+        raise InstanceTooLarge(
+            f"sae: the Sylvester solve for t={t}, d={d}, N={n} could not allocate its operands "
+            f"(the largest is {nbytes} bytes, {nbytes / 2**30:.1f} GiB)"
+        ) from None
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"sae: singular value decomposition failed: {exc}") from None
     if not math.isfinite(residual):
         raise SingularSystem(f"sylvester solve produced non-finite residual {residual!r}")
 
@@ -405,8 +410,8 @@ def save_model(model: CompatModel, path: str | Path) -> Path:
         "t": model.t,
         "d_text": model.d_text,
         "d_t": model.mode.d_t,
-        "W": [float(v) for v in model.W.ravel()],
-        "M": [float(v) for v in model.M.ravel()] if model.M is not None else None,
+        "W": model.W.ravel().tolist(),
+        "M": model.M.ravel().tolist() if model.M is not None else None,
         "hyperparams": {k: float(v) for k, v in sorted(model.hyperparams.items())},
         "seed": model.seed,
         "epochs": model.epochs,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import ClassDescriptor
 from .embeddings import flip_attribute
-from .errors import InstanceTooLarge
+from .errors import InstanceTooLarge, SingularSystem
 
 MAX_DIM = 64
 
@@ -151,10 +151,27 @@ def eszsl_gradient(
     )
 
 
+def brute_sylvester(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Solve A W + W B = C through the dense (t d) x (t d) Kronecker system."""
+    t = A.shape[0]
+    d = B.shape[0]
+    _guard(t=t, d=d)
+    K = np.kron(np.eye(d), A) + np.kron(B.T, np.eye(t))
+    try:
+        w = np.linalg.solve(K, C.flatten(order="F"))
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"sylvester system is singular: {exc}") from None
+    return w.reshape((t, d), order="F")
+
+
 def sylvester_residual(W: np.ndarray, S: np.ndarray, X: np.ndarray, lam: float) -> float:
-    """Relative residual of S S' W + lam W X X' = (1 + lam) S X'."""
+    """Relative residual of S S' W + lam W X X' = (1 + lam) S X'.
+
+    The products are taken through the sample dimension, so no t x t or d x d
+    Gram matrix is formed.
+    """
     rhs = (1.0 + lam) * S @ X.T
-    lhs = S @ S.T @ W + lam * W @ (X @ X.T)
+    lhs = S @ (S.T @ W) + lam * (W @ X) @ X.T
     return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))
 
 

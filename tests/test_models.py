@@ -1,8 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from zslsign.embeddings import ClassEmbeddingSet, EmbeddingMode, ModeKind
-from zslsign.errors import DegenerateData, DimensionMismatch, EmptyCandidates, InstanceTooLarge, SchemaMismatch
+from zslsign.errors import (
+    DegenerateData,
+    DimensionMismatch,
+    EmptyCandidates,
+    InstanceTooLarge,
+    SchemaMismatch,
+    SingularSystem,
+)
 from zslsign.models import (
     CompatModel,
     Method,
@@ -13,7 +24,6 @@ from zslsign.models import (
     posteriors,
     rank_scores,
     save_model,
-    solve_sylvester,
     train_eszsl,
     train_lle,
     train_sae,
@@ -21,6 +31,7 @@ from zslsign.models import (
 from zslsign.oracles import (
     brute_bilinear,
     brute_softmax,
+    brute_sylvester,
     eszsl_gradient,
     eszsl_objective,
     finite_difference_grad,
@@ -351,24 +362,142 @@ def test_sae_residual_on_random_instances():
         assert model.final_loss < 1e-8
 
 
-def test_solve_sylvester_rectangular():
-    rng = np.random.default_rng(14)
-    A = rng.normal(size=(4, 4))
-    A = A @ A.T + np.eye(4)
-    B = rng.normal(size=(6, 6))
-    B = B @ B.T + np.eye(6)
-    C = rng.normal(size=(4, 6))
-    W = solve_sylvester(A, B, C)
-    assert np.max(np.abs(A @ W + W @ B - C)) < 1e-9
+def sae_instance(seed, distinct=None, column_scale=1.0, **sizes):
+    """An attribute-mode training problem with its per-sample class matrix S (t x N) and X (d x N).
+
+    Only the first `distinct` feature rows differ (the rest repeat them), and
+    the first feature column is multiplied by column_scale.
+    """
+    features, labels, classes, _ = random_training_problem(seed, mode_kind=ModeKind.ATTRIBUTES, **sizes)
+    features = features[np.arange(len(features)) % (distinct or len(features))]
+    features[:, 0] *= column_scale
+    S = classes.compose(None)[[classes.index_of(label) for label in labels]].T
+    return features, labels, classes, S, features.T
 
 
-def test_solve_sylvester_out_of_memory_raises_instance_too_large(monkeypatch):
+def kronecker_oracle(S, X, lam):
+    return brute_sylvester(S @ S.T, lam * (X @ X.T), (1.0 + lam) * S @ X.T)
+
+
+def full_row_rank(M) -> bool:
+    return np.linalg.matrix_rank(M) == M.shape[0]
+
+
+def range_projector(M) -> np.ndarray:
+    """Orthogonal projector onto the column space of M, at numpy's matrix_rank tolerance."""
+    U = np.linalg.svd(M, full_matrices=False)[0][:, : np.linalg.matrix_rank(M)]
+    return U @ U.T
+
+
+def gram_spectrum(M) -> np.ndarray:
+    """Eigenvalues of M M' from the singular values of M (zero past its rank)."""
+    spectrum = np.zeros(M.shape[0])
+    sv = np.linalg.svd(M, compute_uv=False)
+    spectrum[: len(sv)] = sv**2
+    return spectrum
+
+
+@st.composite
+def sae_problems(draw):
+    n_classes = draw(st.integers(1, 6))
+    n = draw(st.integers(n_classes, 40))
+    instance = sae_instance(
+        draw(st.integers(0, 2**32 - 1)),
+        distinct=draw(st.integers(1, n)),
+        column_scale=draw(st.sampled_from([1.0, 1e-4, 1e-8])),
+        attr_count=draw(st.integers(1, 32)),
+        d=draw(st.integers(1, 32)),
+        n_classes=n_classes,
+        n=n,
+    )
+    assume(np.any(instance[3]))  # an all-zero S raises SingularSystem, see test_sae_zero_semantics_*
+    return instance, draw(st.floats(0.05, 2.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sae_problems())
+def test_sae_matches_kronecker_oracle_at_full_row_rank(problem):
+    (features, labels, classes, S, X), lam = problem
+    assume(full_row_rank(S) or full_row_rank(X))
+    P = train_sae(features, labels, classes, lam_sae=lam).W.T
+    assert sylvester_residual(P, S, X, lam) <= 1e-12
+    spectrum = np.add.outer(gram_spectrum(S), lam * gram_spectrum(X))
+    kappa = spectrum.max() / spectrum.min()
+    try:
+        P_oracle = kronecker_oracle(S, X, lam)
+    except SingularSystem:
+        assert kappa > 1e12  # the oracle's LU fails only where the system is singular to working precision
+        return
+    # both are backward-stable float64 solves of one nonsingular system, so they
+    # may differ by a small multiple of eps times its condition number kappa
+    assert np.linalg.norm(P - P_oracle) <= max(1e-12, 1e-14 * kappa) * np.linalg.norm(P_oracle)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sae_problems())
+def test_sae_is_the_minimum_norm_solution_when_rank_deficient(problem):
+    (features, labels, classes, S, X), lam = problem
+    assume(not (full_row_rank(S) or full_row_rank(X)))
+    P = train_sae(features, labels, classes, lam_sae=lam).W.T
+    assert sylvester_residual(P, S, X, lam) <= 1e-12
+    # the minimum-norm solution lies in range(S) x range(X); every other
+    # solution adds a null-space component orthogonal to it
+    in_range = range_projector(S) @ P @ range_projector(X)
+    assert np.linalg.norm(P - in_range) <= 1e-12 * np.linalg.norm(P)
+    try:
+        P_oracle = kronecker_oracle(S, X, lam)
+    except SingularSystem:
+        return
+    assert np.linalg.norm(P) <= (1.0 + 1e-12) * np.linalg.norm(P_oracle)
+
+
+def test_sae_trains_where_the_kronecker_system_is_singular():
+    features, labels, classes, S, X = sae_instance(6, attr_count=7, d=7, n_classes=2, n=3)
+    with pytest.raises(SingularSystem):
+        kronecker_oracle(S, X, 0.5)
+    model = train_sae(features, labels, classes, lam_sae=0.5)
+    assert sylvester_residual(model.W.T, S, X, 0.5) <= 1e-12
+
+
+def test_sae_paper_shaped_instance_trains():
+    # t = 53 attributes + 768 text columns, d = 256, one sample of each of 170 classes
+    features, labels, classes, _ = random_training_problem(
+        21, n=170, d=256, n_classes=170, attr_count=53, text_dim=768, d_t=768
+    )
+    assert (classes.embedding_dim, features.shape) == (821, (170, 256))
+    model = train_sae(features, labels, classes, lam_sae=1e-3)
+    S = classes.compose(None)[[classes.index_of(l) for l in labels]].T
+    assert sylvester_residual(model.W.T, S, features.T, 1e-3) < 1e-12
+
+
+def test_sae_zero_semantics_raises_singular_system_without_warnings():
+    descriptors = [make_descriptor(f"c{i}", [0, 0, 0]) for i in range(3)]
+    classes = ClassEmbeddingSet.from_descriptors(descriptors, ATTR)
+    features = np.random.default_rng(22).normal(size=(6, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularSystem, match="zero"):
+            train_sae(features, [f"c{i % 3}" for i in range(6)], classes, lam_sae=0.5)
+
+
+def test_sae_out_of_memory_raises_instance_too_large(monkeypatch):
     def no_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate")
 
-    monkeypatch.setattr(np, "kron", no_memory)
-    with pytest.raises(InstanceTooLarge, match=r"t=4, d=6 .* 24 x 24 .*\(4608 bytes"):
-        solve_sylvester(np.eye(4), np.eye(6), np.zeros((4, 6)))
+    features, labels, classes, _ = random_training_problem(23, n=12, d=6, mode_kind=ModeKind.ATTRIBUTES)
+    monkeypatch.setattr(np.linalg, "svd", no_memory)
+    with pytest.raises(InstanceTooLarge, match=r"t=3, d=6, N=12 .* \(the largest is 576 bytes"):
+        train_sae(features, labels, classes, lam_sae=0.5)
+
+
+def test_sae_svd_failure_raises_singular_system(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    features, labels, classes, _ = random_training_problem(24, n=12, d=6, mode_kind=ModeKind.ATTRIBUTES)
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    with pytest.raises(SingularSystem, match="did not converge"):
+        train_sae(features, labels, classes, lam_sae=0.5)
 
 
 def test_sae_rejects_nonpositive_lam():
@@ -396,6 +525,24 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.final_loss == model.final_loss
     assert loaded.hyperparams == model.hyperparams
     assert loaded.d_text == classes.text_dim
+
+
+def test_save_model_pins_float_bytes(tmp_path):
+    W = np.array([[-0.0, 5e-324, 1.1125369292536007e-308], [1e300, -1e300, 0.1]])
+    M = np.array([[-1e300, -0.0], [2.5e-320, 1.7976931348623157e308]])
+    model = CompatModel(
+        W=W, M=M, mode=EmbeddingMode(kind=ModeKind.COMBINED, d_t=2), method=Method.SAE,
+        hyperparams={"lam_sae": 0.5}, final_loss=-0.0, d_text=2,
+    )
+    path = save_model(model, tmp_path / "model.json")
+    assert path.read_bytes() == (
+        b'{"M": [-1e+300, -0.0, 2.5e-320, 1.7976931348623157e+308], '
+        b'"W": [-0.0, 5e-324, 1.1125369292536007e-308, 1e+300, -1e+300, 0.1], '
+        b'"d": 2, "d_t": 2, "d_text": 2, "epochs": 0, "final_loss": -0.0, "hyperparams": {"lam_sae": 0.5}, '
+        b'"method": "sae", "mode": "combined", "seed": 0, "t": 3}\n'
+    )
+    loaded = load_model(path)
+    assert loaded.W.tobytes() == W.tobytes() and loaded.M.tobytes() == M.tobytes()
 
 
 def test_load_rejects_wrong_dimension_header(tmp_path):

@@ -6,6 +6,7 @@ from zslsign.oracles import (
     brute_bilinear,
     brute_column_means,
     brute_softmax,
+    brute_sylvester,
     brute_topk_count,
     brute_tsm,
     eszsl_gradient,
@@ -70,6 +71,28 @@ def test_sylvester_residual_zero_for_exact_solution():
     X = np.array([[1.0]])
     W = np.array([[1.0]])
     assert sylvester_residual(W, S, X, 1.0) == 0.0
+
+
+def test_brute_sylvester_rectangular():
+    rng = np.random.default_rng(14)
+    A = rng.normal(size=(4, 4))
+    A = A @ A.T + np.eye(4)
+    B = rng.normal(size=(6, 6))
+    B = B @ B.T + np.eye(6)
+    C = rng.normal(size=(4, 6))
+    W = brute_sylvester(A, B, C)
+    assert np.max(np.abs(A @ W + W @ B - C)) < 1e-9
+
+
+def test_brute_sylvester_size_guard_refuses_before_allocating(monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the Kronecker system must not be built beyond the guard")
+
+    monkeypatch.setattr(np, "kron", no_allocation)
+    with pytest.raises(InstanceTooLarge, match=r"oracle limit: t=65 exceeds 64"):
+        brute_sylvester(np.eye(65), np.eye(6), np.zeros((65, 6)))
+    with pytest.raises(InstanceTooLarge, match=r"oracle limit: d=65 exceeds 64"):
+        brute_sylvester(np.eye(4), np.eye(65), np.zeros((4, 65)))
 
 
 def test_size_guards():
