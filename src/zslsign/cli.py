@@ -1,8 +1,10 @@
 """Command-line entry point: synth, train, predict, eval, analyze, baseline, sweep.
 
 Every command is deterministic given its config and seed; outputs carry no
-timestamps and floats are serialized with full round-trip precision, so a
-rerun writes byte-identical files. Exit codes: 0 success, 2 input error,
+timestamps, floats in text outputs are written with full round-trip
+precision, and `train` writes each model as a JSON header (model.json) plus
+its raw float64 weights (model.npy), so a rerun under the same BLAS thread
+count writes byte-identical files. Exit codes: 0 success, 2 input error,
 3 dimension/schema error, 4 mode error, 1 internal error.
 """
 

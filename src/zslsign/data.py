@@ -8,16 +8,22 @@ which :func:`load_dataset` runs before handing a dataset out.
 
 The CSV files and the manifest are the source of truth. :func:`save_dataset`
 also writes a feature pack next to the manifest: ``<stem>.pack.npy`` holds
-every sample feature file's values as one little-endian float64 vector, and
+every sample feature file's values, then the class text matrix, as one
+little-endian float64 vector (see :func:`write_vector`), and
 ``<stem>.pack.json`` records, per file path, the offset and rows x cols of its
 values, the byte length and ``zlib.crc32`` of its CSV bytes, and the CRC-32 of
-its packed values. :func:`load_dataset` still reads every CSV, and takes a
-file's values from the pack only when its path, byte length and both CRC-32s
-match; anything else (no pack, a stale, torn, truncated or garbage pack,
-``text_file`` rows) is parsed from the CSV. CRC-32 comes with zlib, which
-numpy already loads; a digest from ``hashlib`` would map OpenSSL's libcrypto
-into every command for no gain in detecting edits. The manifest is written as
-compact JSON.
+its packed values. The manifest gets the same kind of entry, whose values are
+the class text vectors, plus the manifest's fields without those vectors.
+:func:`load_dataset` still reads the manifest and every CSV. It takes a file's
+values from the pack only when its path, byte length and both CRC-32s match,
+and it takes the manifest's fields and text vectors from the pack only when
+the manifest's byte length and CRC-32 match, so the 250 x 768 text floats of a
+paper-sized manifest are not parsed as JSON text. Anything else (no pack, an
+edited manifest or CSV, a stale, torn, truncated or garbage pack,
+hand-written ``text_file`` rows) is parsed from the files. CRC-32 comes with
+zlib, which numpy already loads; a digest from ``hashlib`` would map
+OpenSSL's libcrypto into every command for no gain in detecting edits. The
+manifest is written as compact JSON.
 """
 
 from __future__ import annotations
@@ -188,7 +194,7 @@ def _unit_normalized(vec: np.ndarray, class_id: str) -> np.ndarray:
 
 
 def _read_bytes(path: Path, entity: str) -> bytes:
-    if not path.exists():
+    if not path.is_file():
         raise MissingFile(f"{entity}: feature file not found: {path}")
     return path.read_bytes()
 
@@ -224,7 +230,34 @@ def csv_text(matrix: np.ndarray) -> str:
     return "\n".join(",".join(map(repr, row)) for row in matrix.tolist()) + "\n"
 
 
-_PACK_DTYPE = np.dtype("<f8")
+_VECTOR_DTYPE = np.dtype("<f8")
+
+
+def write_vector(path: Path, values: np.ndarray) -> int:
+    """Write values as one little-endian float64 npy 1.0 vector; return the CRC-32 of the values."""
+    values = np.ascontiguousarray(values, dtype=_VECTOR_DTYPE).ravel()
+    with open(path, "wb") as f:
+        np.lib.format.write_array(f, values, version=(1, 0))
+    return zlib.crc32(values)
+
+
+def read_vector(raw: bytes) -> np.ndarray:
+    """The values of npy bytes as :func:`write_vector` writes them; ValueError says what differs.
+
+    The header is read with np.lib.format and the values are a read-only view
+    of raw, so a corrupt header cannot trigger a large allocation.
+    """
+    stream = io.BytesIO(raw)
+    version = np.lib.format.read_magic(stream)
+    if version != (1, 0):
+        raise ValueError(f"npy format version {version}, expected (1, 0)")
+    shape, _, dtype = np.lib.format.read_array_header_1_0(stream)
+    if dtype != _VECTOR_DTYPE:
+        raise ValueError(f"dtype {dtype.str}, expected {_VECTOR_DTYPE.str}")
+    values = np.frombuffer(raw, dtype=_VECTOR_DTYPE, offset=stream.tell())
+    if shape != values.shape:
+        raise ValueError(f"header shape {shape}, but the file holds {values.size} values")
+    return values
 
 
 def _pack_paths(manifest_path: Path) -> tuple[Path, Path]:
@@ -233,39 +266,29 @@ def _pack_paths(manifest_path: Path) -> tuple[Path, Path]:
 
 
 class _FeaturePack:
-    """Parsed values of the feature CSVs as of the last save, checked per file on use."""
+    """Parsed values of the feature CSVs and the manifest as of the last save, checked per file on use."""
 
-    def __init__(self, values: np.ndarray, files: dict) -> None:
+    def __init__(self, values: np.ndarray, files: dict, manifest) -> None:
         self.values = values
         self.files = files
+        self.manifest_entry = manifest
 
     @classmethod
     def read(cls, manifest_path: Path) -> "_FeaturePack | None":
         """The pack saved with this manifest, or None when it is missing or unreadable."""
         npy_path, index_path = _pack_paths(manifest_path)
         try:
-            raw = npy_path.read_bytes()
+            values = read_vector(npy_path.read_bytes())
             index = json.loads(index_path.read_bytes())
         except (OSError, ValueError):
             return None
         files = index.get("files") if isinstance(index, dict) else None
         if not isinstance(files, dict):
             return None
-        stream = io.BytesIO(raw)
-        try:
-            if np.lib.format.read_magic(stream) != (1, 0):
-                return None
-            shape, _, dtype = np.lib.format.read_array_header_1_0(stream)
-            values = np.frombuffer(raw, dtype=_PACK_DTYPE, offset=stream.tell())
-        except ValueError:
-            return None
-        if dtype != _PACK_DTYPE or shape != values.shape:
-            return None
-        return cls(values, files)
+        return cls(values, files, index.get("manifest"))
 
-    def matrix(self, rel: str, raw: bytes) -> np.ndarray | None:
-        """The packed rows of `rel` if the pack saw exactly these CSV bytes, else None."""
-        entry = self.files.get(rel)
+    def _block(self, entry, raw: bytes) -> np.ndarray | None:
+        """The rows x cols values of an index entry if it was written for exactly these bytes, else None."""
         if not isinstance(entry, dict):
             return None
         fields = [entry.get(k) for k in ("offset", "rows", "cols", "bytes", "crc32", "values_crc32")]
@@ -281,34 +304,95 @@ class _FeaturePack:
             return None
         return values.reshape(rows, cols)
 
+    def matrix(self, rel: str, raw: bytes) -> np.ndarray | None:
+        """The packed rows of `rel` if the pack saw exactly these CSV bytes, else None."""
+        return self._block(self.files.get(rel), raw)
+
+    def manifest(self, raw: bytes) -> dict | None:
+        """The manifest parsed from the pack if the pack saw exactly these manifest bytes, else None."""
+        texts = self._block(self.manifest_entry, raw)
+        if texts is None:
+            return None
+        fields = self.manifest_entry.get("fields")
+        classes = fields.get("classes") if isinstance(fields, dict) else None
+        if not isinstance(classes, list) or len(classes) != len(texts) or not all(isinstance(c, dict) for c in classes):
+            return None
+        return {**fields, "classes": [{**c, "text": row} for c, row in zip(classes, texts)]}
+
     @staticmethod
-    def write(manifest_path: Path, files: dict[str, tuple[np.ndarray, bytes]]) -> None:
-        """Pack each file's matrix, indexed by its path and the CSV bytes written for it."""
+    def write(manifest_path: Path, files: dict[str, tuple[np.ndarray, bytes]], manifest=None) -> None:
+        """Pack each file's matrix, indexed by its path and the CSV bytes written for it.
+
+        manifest, when given, is (class text matrix, manifest bytes, manifest
+        fields without the text vectors); its block follows the files'.
+        """
         npy_path, index_path = _pack_paths(manifest_path)
-        matrices = [m.astype(_PACK_DTYPE).ravel() for m, _ in files.values()]
-        values = np.concatenate(matrices) if matrices else np.empty(0, dtype=_PACK_DTYPE)
-        index = {}
+        blocks = [*files.values(), *([manifest[:2]] if manifest is not None else [])]
+        flats = [m.astype(_VECTOR_DTYPE).ravel() for m, _ in blocks]
+        entries = []
         offset = 0
-        for (rel, (matrix, raw)), flat in zip(files.items(), matrices):
+        for (matrix, raw), flat in zip(blocks, flats):
             rows, cols = matrix.shape
-            index[rel] = {
-                "offset": offset,
-                "rows": rows,
-                "cols": cols,
-                "bytes": len(raw),
-                "crc32": zlib.crc32(raw),
-                "values_crc32": zlib.crc32(flat),
-            }
+            entries.append(
+                {
+                    "offset": offset,
+                    "rows": rows,
+                    "cols": cols,
+                    "bytes": len(raw),
+                    "crc32": zlib.crc32(raw),
+                    "values_crc32": zlib.crc32(flat),
+                }
+            )
             offset += flat.size
-        with open(npy_path, "wb") as f:
-            np.lib.format.write_array(f, values, version=(1, 0))
-        index_path.write_text(json.dumps({"files": index}) + "\n", encoding="utf-8")
+        index: dict = {"files": dict(zip(files, entries))}
+        if manifest is not None:
+            index["manifest"] = {**entries[-1], "fields": manifest[2]}
+        write_vector(npy_path, np.concatenate(flats) if flats else np.empty(0))
+        index_path.write_text(json.dumps(index) + "\n", encoding="utf-8")
 
 
 def _require(entry: dict, key: str, entity: str):
     if key not in entry:
         raise ParseError(f"{entity}: missing field {key!r}")
     return entry[key]
+
+
+def _entries(manifest: dict, key: str) -> list[dict]:
+    entries = _require(manifest, key, "manifest")
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ParseError(f"manifest field {key!r}: expected a list of objects")
+    return entries
+
+
+def _path_field(value, entity: str, key: str) -> str:
+    if not isinstance(value, str):
+        raise ParseError(f"{entity}: field {key!r} must be a relative file path, got {type(value).__name__}")
+    return value
+
+
+def _vector_field(value, entity: str, key: str) -> np.ndarray:
+    """A JSON list of numbers (or a packed row) as a float64 vector."""
+    try:
+        vec = np.asarray(value)
+    except ValueError:  # ragged nesting
+        vec = None
+    if vec is None or vec.ndim != 1 or vec.dtype.kind not in "biuf":
+        raise ParseError(f"{entity}: field {key!r} must be a flat list of numbers")
+    return vec.astype(np.float64, copy=False)
+
+
+def _read_manifest(manifest_path: Path, pack: _FeaturePack | None) -> dict:
+    """The manifest's content: from the pack if it saw exactly these bytes, else parsed from them."""
+    raw = manifest_path.read_bytes()
+    manifest = pack.manifest(raw) if pack is not None else None
+    if manifest is None:
+        try:
+            manifest = json.loads(raw.decode("utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"manifest {manifest_path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    if not isinstance(manifest, dict):
+        raise ParseError(f"manifest {manifest_path}: top level must be a JSON object")
+    return manifest
 
 
 def load_dataset(manifest_path: str | Path) -> Dataset:
@@ -320,47 +404,43 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
         raise MissingFile(f"manifest not found: {manifest_path}")
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"manifest {manifest_path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    if not isinstance(manifest, dict):
-        raise ParseError(f"manifest {manifest_path}: top level must be a JSON object")
+    pack = _FeaturePack.read(manifest_path)
+    manifest = _read_manifest(manifest_path, pack)
 
     root = manifest_path.parent
     attribute_count = manifest.get("attribute_count", DEFAULT_ATTRIBUTE_COUNT)
     if not isinstance(attribute_count, int) or attribute_count < 1:
         raise ParseError(f"manifest field 'attribute_count': expected positive integer, got {attribute_count!r}")
 
+    def read_matrix(rel: str, entity: str) -> np.ndarray:
+        path = root / rel
+        content = _read_bytes(path, entity)
+        data = pack.matrix(rel, content) if pack is not None else None
+        return _parse_feature_matrix(content, path, entity) if data is None else data
+
     classes = []
-    for entry in _require(manifest, "classes", "manifest"):
+    for entry in _entries(manifest, "classes"):
         cid = _require(entry, "id", "class entry")
+        entity = f"class {cid!r}"
         name = entry.get("name", cid)
-        attrs = np.asarray(_require(entry, "attributes", f"class {cid!r}"), dtype=np.float64)
+        attrs = _vector_field(_require(entry, "attributes", entity), entity, "attributes")
         if "text" in entry and "text_file" in entry:
-            raise ParseError(f"class {cid!r}: give either 'text' or 'text_file', not both")
+            raise ParseError(f"{entity}: give either 'text' or 'text_file', not both")
         if "text" in entry:
-            text = np.asarray(entry["text"], dtype=np.float64)
+            text = _vector_field(entry["text"], entity, "text")
         elif "text_file" in entry:
-            path, entity = root / entry["text_file"], f"class {cid!r} text"
-            text = _parse_feature_matrix(_read_bytes(path, entity), path, entity)[0]
+            text = read_matrix(_path_field(entry["text_file"], entity, "text_file"), f"{entity} text")[0]
         else:
-            raise ParseError(f"class {cid!r}: missing field 'text' or 'text_file'")
+            raise ParseError(f"{entity}: missing field 'text' or 'text_file'")
         classes.append(ClassDescriptor(cid, name, attrs, _unit_normalized(text, cid)))
 
-    pack = _FeaturePack.read(manifest_path)
-
-    def read_sequence(sid: str, stream: Stream, rel: str) -> FeatureSequence:
-        path = root / rel
-        entity = f"sample {sid!r} {stream.value}"
-        raw = _read_bytes(path, entity)
-        data = pack.matrix(rel, raw) if pack is not None else None
-        if data is None:
-            data = _parse_feature_matrix(raw, path, entity)
+    def read_sequence(sid: str, stream: Stream, rel) -> FeatureSequence:
+        entity = f"sample {sid!r}"
+        data = read_matrix(_path_field(rel, entity, stream.value), f"{entity} {stream.value}")
         return FeatureSequence(sid, stream, data)
 
     samples = []
-    for entry in _require(manifest, "samples", "manifest"):
+    for entry in _entries(manifest, "samples"):
         sid = _require(entry, "id", "sample entry")
         class_id = _require(entry, "class_id", f"sample {sid!r}")
         sequences = {Stream.BODY: read_sequence(sid, Stream.BODY, _require(entry, "body", f"sample {sid!r}"))}
@@ -470,15 +550,10 @@ def save_dataset(dataset: Dataset, out_dir: str | Path, manifest_name: str = "ma
             written[rel] = (seq.data, raw)
         sample_entries.append(entry)
 
-    manifest = {
+    fields = {
         "attribute_count": dataset.attribute_count,
         "classes": [
-            {
-                "id": c.class_id,
-                "name": c.name,
-                "attributes": [int(v) for v in c.attributes],
-                "text": c.text.tolist(),
-            }
+            {"id": c.class_id, "name": c.name, "attributes": [int(v) for v in c.attributes]}
             for c in dataset.classes
         ],
         "samples": sample_entries,
@@ -489,7 +564,15 @@ def save_dataset(dataset: Dataset, out_dir: str | Path, manifest_name: str = "ma
             "unseen": sorted(dataset.split.unseen_classes),
         },
     }
+    manifest = {
+        **fields,
+        "classes": [{**entry, "text": c.text.tolist()} for entry, c in zip(fields["classes"], dataset.classes)],
+    }
+    raw = (json.dumps(manifest, sort_keys=True) + "\n").encode("utf-8")
+    # the text vectors go into the pack as one matrix, so they need a common width
+    widths = {c.text.shape for c in dataset.classes}
+    texts = np.array([c.text for c in dataset.classes]) if len(widths) == 1 else None
     manifest_path = out_dir / manifest_name
-    _FeaturePack.write(manifest_path, written)
-    manifest_path.write_text(json.dumps(manifest, sort_keys=True) + "\n", encoding="utf-8")
+    _FeaturePack.write(manifest_path, written, (texts, raw, fields) if texts is not None else None)
+    manifest_path.write_bytes(raw)
     return manifest_path

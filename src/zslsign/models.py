@@ -17,12 +17,17 @@ samples and classes at once as Phi W S'. Three trainers produce W:
 Class posteriors p(c|v) are defined as the softmax of compatibility scores
 over the active candidate set, matching the training loss. This is the
 posterior the attribute-influence analysis differentiates.
+
+A saved model is a JSON header plus a binary weights file beside it
+(model.json and model.npy); the header binds the weights by the CRC-32 of
+their values, and a header that still holds W inline is refused.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import zlib
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -30,6 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .data import read_vector, write_vector
 from .embeddings import ClassEmbeddingSet, EmbeddingMode, ModeKind
 from .errors import (
     DegenerateData,
@@ -298,21 +304,33 @@ def train_eszsl(
     """Closed-form ridge solution with +1/-1 class indicator targets.
 
     The reduction matrix, when a text-bearing mode needs one, is taken as a
-    fixed input here: the closed form solves for W only.
+    fixed input here: the closed form solves for W only. A MemoryError in the
+    d x d and t x t systems becomes InstanceTooLarge, and a zero X Y S'
+    raises SingularSystem, as in sae.
     """
     features = np.asarray(features, dtype=np.float64)
     X = features.T  # d x N
     S = classes.compose(reduction).T  # t x |C|
     y_idx = _label_indices(labels, classes)
-    n = X.shape[1]
-    Y = -np.ones((n, classes.n_classes))
-    Y[np.arange(n), y_idx] = 1.0
-
-    A = X @ X.T + gamma * np.eye(X.shape[0])
-    B = S @ S.T + lam * np.eye(S.shape[0])
+    (d, n), (t, c) = X.shape, S.shape
     try:
-        W = np.linalg.solve(A, X @ Y @ S.T)
+        Y = -np.ones((n, c))
+        Y[np.arange(n), y_idx] = 1.0
+        A = X @ X.T + gamma * np.eye(d)
+        B = S @ S.T + lam * np.eye(t)
+        rhs = X @ Y @ S.T
+        if not np.any(rhs):
+            raise SingularSystem("eszsl: X Y S' is zero, so the ridge solution is zero")
+        W = np.linalg.solve(A, rhs)
+        del rhs  # d x t: free it before the t x t solve
         W = np.linalg.solve(B, W.T).T  # right-multiply by B^-1 (B symmetric)
+        final_loss = oracles.eszsl_objective(W, X, S, Y, gamma, lam)
+    except MemoryError:
+        nbytes = max(d * d, t * t, d * n, t * c, d * t, n * c) * np.dtype(np.float64).itemsize
+        raise InstanceTooLarge(
+            f"eszsl: the ridge solve for t={t}, d={d}, N={n} could not allocate its operands "
+            f"(the largest is {nbytes} bytes, {nbytes / 2**30:.1f} GiB)"
+        ) from None
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"eszsl normal equations are singular: {exc}") from None
 
@@ -322,7 +340,7 @@ def train_eszsl(
         mode=classes.mode,
         method=Method.ESZSL,
         hyperparams={"gamma": gamma, "lam": lam},
-        final_loss=oracles.eszsl_objective(W, X, S, Y, gamma, lam),
+        final_loss=final_loss,
         d_text=classes.text_dim if classes.mode.uses_text else None,
     )
 
@@ -401,8 +419,18 @@ def train_sae(
 
 
 def save_model(model: CompatModel, path: str | Path) -> Path:
-    """Write the model as JSON with full round-trip float precision."""
+    """Write the model as a JSON header at path plus its weights in <stem>.npy beside it.
+
+    The .npy file holds W.ravel() then M.ravel() as one little-endian float64
+    vector (data.write_vector), so the values round-trip bit for bit. The
+    header names that file and carries the CRC-32 of its values, which binds
+    the two files of one save together.
+    """
     path = Path(path)
+    weights = path.with_suffix(".npy")
+    parts = [model.W.ravel()] + ([model.M.ravel()] if model.M is not None else [])
+    path.parent.mkdir(parents=True, exist_ok=True)
+    crc = write_vector(weights, np.concatenate(parts))
     doc = {
         "method": model.method.value,
         "mode": model.mode.kind.value,
@@ -410,19 +438,20 @@ def save_model(model: CompatModel, path: str | Path) -> Path:
         "t": model.t,
         "d_text": model.d_text,
         "d_t": model.mode.d_t,
-        "W": model.W.ravel().tolist(),
-        "M": model.M.ravel().tolist() if model.M is not None else None,
+        "has_M": model.M is not None,
+        "weights": weights.name,
+        "weights_crc32": crc,
         "hyperparams": {k: float(v) for k, v in sorted(model.hyperparams.items())},
         "seed": model.seed,
         "epochs": model.epochs,
         "final_loss": float(model.final_loss),
     }
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
     return path
 
 
 def load_model(path: str | Path) -> CompatModel:
+    """Read a model written by save_model; a header that disagrees with its weights is a SchemaMismatch."""
     path = Path(path)
     if not path.exists():
         raise MissingFile(f"model file not found: {path}")
@@ -430,29 +459,44 @@ def load_model(path: str | Path) -> CompatModel:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaMismatch(f"model file {path} is not valid JSON: {exc.msg}") from None
+    if not isinstance(doc, dict):
+        raise SchemaMismatch(f"model file {path}: top level must be a JSON object")
+    if "W" in doc:
+        raise SchemaMismatch(
+            f"model file {path} holds W inline, an older format that is no longer read; "
+            f"retrain the model to write its weights to {path.with_suffix('.npy').name}"
+        )
 
     try:
         method = Method(doc["method"])
         mode = EmbeddingMode(kind=ModeKind(doc["mode"]), d_t=doc["d_t"])
         d, t = int(doc["d"]), int(doc["t"])
-        flat_w = doc["W"]
-        flat_m = doc["M"]
         d_text = doc["d_text"]
+        has_m = doc["has_M"]
+        name = doc["weights"]
+        crc = doc["weights_crc32"]
     except (KeyError, ValueError, TypeError) as exc:
         raise SchemaMismatch(f"model file {path} is missing or corrupts a schema field: {exc}") from None
+    if d < 1 or t < 1 or type(has_m) is not bool or not isinstance(name, str):
+        raise SchemaMismatch(f"model file {path}: corrupt d, t, has_M or weights field")
+    if has_m and not (type(d_text) is int and d_text >= 1):
+        raise SchemaMismatch(f"model file {path}: M present but d_text is {d_text!r}")
 
-    if len(flat_w) != d * t:
-        raise SchemaMismatch(f"model file {path}: W has {len(flat_w)} entries, header says {d}x{t}")
-    W = np.array(flat_w, dtype=np.float64).reshape(d, t)
-    M = None
-    if flat_m is not None:
-        if d_text is None:
-            raise SchemaMismatch(f"model file {path}: M present but d_text is null")
-        if len(flat_m) != d_text * mode.d_t:
-            raise SchemaMismatch(
-                f"model file {path}: M has {len(flat_m)} entries, header says {d_text}x{mode.d_t}"
-            )
-        M = np.array(flat_m, dtype=np.float64).reshape(d_text, mode.d_t)
+    weights = path.parent / name
+    if not weights.is_file():
+        raise MissingFile(f"model weights file not found: {weights}")
+    try:
+        flat = read_vector(weights.read_bytes())
+    except ValueError as exc:
+        raise SchemaMismatch(f"model weights {weights} are not a float64 npy vector: {exc}") from None
+    m_size = d_text * mode.d_t if has_m else 0
+    if flat.size != d * t + m_size:
+        expected = f"{d}x{t}" + (f" + {d_text}x{mode.d_t}" if has_m else "")
+        raise SchemaMismatch(f"model weights {weights} hold {flat.size} values, header {path} says {expected}")
+    if zlib.crc32(flat) != crc:
+        raise SchemaMismatch(f"model weights {weights} do not match the CRC-32 in {path} (another save's file?)")
+    W = flat[: d * t].reshape(d, t)
+    M = flat[d * t :].reshape(d_text, mode.d_t) if has_m else None
 
     return CompatModel(
         W=W,

@@ -316,6 +316,7 @@ def test_criterion_09_command_determinism(tmp_path):
 
     run_all()
     first = {d: _snapshot(d) for d in (train_dir, eval_dir, analyze_dir)}
+    assert {"model.json", "model.npy"} <= set(first[train_dir])
     run_all()
     second = {d: _snapshot(d) for d in (train_dir, eval_dir, analyze_dir)}
     assert first == second

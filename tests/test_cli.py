@@ -94,8 +94,10 @@ def test_train_repeats_default_writes_five_models_and_summary(workspace, tmp_pat
     )
     assert code == 0
     for r in range(5):
-        assert (out / f"model_r{r}.json").exists()
+        assert json.loads((out / f"model_r{r}.json").read_text())["weights"] == f"model_r{r}.npy"
+        assert (out / f"model_r{r}.npy").exists()
         assert (out / f"training_log_r{r}.csv").exists()
+    assert len({(out / f"model_r{r}.npy").read_bytes() for r in range(5)}) == 5
     summary = json.loads((out / "summary.json").read_text())
     assert summary["repeats"] == 5
     assert summary["seeds"] == [5, 6, 7, 8, 9]
@@ -234,6 +236,72 @@ def test_train_sae_out_of_memory_exits_1_with_error_line(workspace, tmp_path, mo
     assert not (tmp_path / "sae" / "model.json").exists()
 
 
+def test_train_eszsl_out_of_memory_exits_1_with_error_line(workspace, tmp_path, monkeypatch, capsys):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate")
+
+    monkeypatch.setattr(np.linalg, "solve", no_memory)
+    argv = ["train", "--manifest", workspace["manifest"], "--out", tmp_path / "eszsl"] + TRAIN_OVERRIDES
+    code = run(argv + ["--method", "eszsl"])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and re.match(r"error: eszsl: the ridge solve for t=\d+, d=\d+, N=\d+ .* \d+ bytes", err[0])
+    assert not (tmp_path / "eszsl" / "model.json").exists()
+    assert not (tmp_path / "eszsl" / "model.npy").exists()
+
+
+def _copy_model(workspace, dest: Path) -> Path:
+    dest.mkdir()
+    for name in ("model.json", "model.npy"):
+        (dest / name).write_bytes((workspace["train"] / name).read_bytes())
+    return dest / "model.json"
+
+
+def _inline_w(path: Path) -> None:
+    doc = json.loads(path.read_text())
+    flat = np.load(path.with_suffix(".npy"))
+    d, t = doc["d"], doc["t"]
+    doc["W"], doc["M"] = flat[: d * t].tolist(), flat[d * t :].tolist() if doc["has_M"] else None
+    for key in ("has_M", "weights", "weights_crc32"):
+        del doc[key]
+    path.write_text(json.dumps(doc, sort_keys=True) + "\n")
+
+
+@pytest.mark.parametrize(
+    "damage, code",
+    [
+        pytest.param(lambda p: p.with_suffix(".npy").unlink(), 2, id="npy-missing"),
+        pytest.param(lambda p: p.with_suffix(".npy").write_bytes(b"garbage" * 30), 3, id="npy-garbage"),
+        pytest.param(lambda p: p.with_suffix(".npy").write_bytes(p.with_suffix(".npy").read_bytes()[:-8]), 3, id="npy-truncated"),
+        pytest.param(lambda p: np.save(p.with_suffix(".npy"), np.load(p.with_suffix(".npy")).astype(np.float32)), 3, id="npy-float32"),
+        pytest.param(lambda p: np.save(p.with_suffix(".npy"), np.load(p.with_suffix(".npy"))[1:]), 3, id="npy-wrong-size"),
+        pytest.param(lambda p: np.save(p.with_suffix(".npy"), np.load(p.with_suffix(".npy")) * 2.0), 3, id="npy-crc"),
+        pytest.param(_inline_w, 3, id="inline-W"),
+    ],
+)
+def test_damaged_model_file_exit_codes(workspace, tmp_path, capsys, damage, code):
+    model = _copy_model(workspace, tmp_path / "m")
+    damage(model)
+    argv = ["eval", "--manifest", workspace["manifest"], "--model", model, "--out", tmp_path / "e"]
+    assert run(argv + TRAIN_OVERRIDES) == code
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (tmp_path / "e" / "report.json").exists()
+
+
+def test_malformed_manifest_field_exits_2(workspace, tmp_path, capsys):
+    data = tmp_path / "data"
+    assert run(SYNTH_ARGS + ["--out", data]) == 0
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest["samples"][0]["body"] = 5
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    code = run(["train", "--manifest", data / "manifest.json", "--out", tmp_path / "t"] + TRAIN_OVERRIDES)
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "field 'body' must be a relative file path" in err[0]
+
+
 def test_analyze_text_model_exits_4(workspace, tmp_path):
     train_text = tmp_path / "train_text"
     argv = ["train", "--manifest", workspace["manifest"], "--out", train_text] + TRAIN_OVERRIDES
@@ -251,6 +319,7 @@ def test_train_rerun_is_byte_identical(workspace, tmp_path):
     argv = ["train", "--manifest", workspace["manifest"], "--out", out] + TRAIN_OVERRIDES
     assert run(argv) == 0
     first = snapshot(out)
+    assert {"model.json", "model.npy", "training_log.csv"} <= set(first)
     assert run(argv) == 0
     assert snapshot(out) == first
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zslsign import data as data_module
@@ -86,6 +86,15 @@ def test_missing_feature_file(tmp_path):
         load_dataset(path)
 
 
+def test_feature_path_naming_a_directory_is_a_missing_file(tmp_path):
+    path = small_manifest(tmp_path)
+    manifest = json.loads(path.read_text())
+    manifest["samples"][0]["body"] = "features"
+    write_manifest(tmp_path, manifest)
+    with pytest.raises(MissingFile, match="sample 's0' body: feature file not found"):
+        load_dataset(path)
+
+
 def test_parse_error_names_line_and_field(tmp_path):
     path = small_manifest(tmp_path)
     (tmp_path / "features" / "s0.csv").write_text("1.0,2.0,3.0\n1.0,oops,3.0\n", encoding="utf-8")
@@ -135,6 +144,48 @@ def test_missing_body_field_rejected(tmp_path):
     del manifest["samples"][0]["body"]
     write_manifest(tmp_path, manifest)
     with pytest.raises(ParseError, match="body"):
+        load_dataset(path)
+
+
+def _set(section: str, key: str, value):
+    def change(manifest):
+        manifest[section][0][key] = value
+
+    return change
+
+
+@pytest.mark.parametrize(
+    "change, expected",
+    [
+        pytest.param(_set("samples", "body", 5), r"sample 's0': field 'body' must be a relative file path", id="body-int"),
+        pytest.param(_set("samples", "hand", ["a.csv"]), r"sample 's0': field 'hand'", id="hand-list"),
+        pytest.param(_set("classes", "attributes", ["x"] * 5), r"class 'c0': field 'attributes'", id="attributes-text"),
+        pytest.param(_set("classes", "attributes", 1), r"class 'c0': field 'attributes'", id="attributes-scalar"),
+        pytest.param(_set("classes", "attributes", [[1, 0]] * 5), r"class 'c0': field 'attributes'", id="attributes-2d"),
+        pytest.param(_set("classes", "text", [[0.6, 0.8]] * 2), r"class 'c0': field 'text'", id="text-2d"),
+        pytest.param(_set("classes", "text", [0.6, [0.8]]), r"class 'c0': field 'text'", id="text-ragged"),
+        pytest.param(_set("classes", "text", [0.6, None]), r"class 'c0': field 'text'", id="text-null-entry"),
+        pytest.param(_set("classes", "text", {"a": 1.0}), r"class 'c0': field 'text'", id="text-object"),
+        pytest.param(lambda m: m.update(classes={"c0": {}}), r"'classes': expected a list of objects", id="classes-object"),
+        pytest.param(lambda m: m["samples"].append(5), r"'samples': expected a list of objects", id="sample-int"),
+    ],
+)
+def test_malformed_fields_raise_parse_error(tmp_path, change, expected):
+    path = small_manifest(tmp_path)
+    manifest = json.loads(path.read_text())
+    change(manifest)
+    write_manifest(tmp_path, manifest)
+    with pytest.raises(ParseError, match=expected):
+        load_dataset(path)
+
+
+def test_malformed_text_file_field_raises_parse_error(tmp_path):
+    path = small_manifest(tmp_path)
+    manifest = json.loads(path.read_text())
+    del manifest["classes"][0]["text"]
+    manifest["classes"][0]["text_file"] = 5
+    write_manifest(tmp_path, manifest)
+    with pytest.raises(ParseError, match=r"class 'c0': field 'text_file' must be a relative file path"):
         load_dataset(path)
 
 
@@ -262,12 +313,18 @@ def _features(dataset) -> dict:
     return {(s.sample_id, stream): seq.data for s in dataset.samples for stream, seq in s.sequences.items()}
 
 
+def _classes(dataset) -> list:
+    return [(c.class_id, c.name, c.attributes.tobytes(), c.text.shape, c.text.tobytes()) for c in dataset.classes]
+
+
 def _assert_same_bits(a, b) -> None:
     fa, fb = _features(a), _features(b)
     assert fa.keys() == fb.keys()
     for key in fa:
         assert fa[key].shape == fb[key].shape, key
         assert fa[key].tobytes() == fb[key].tobytes(), key
+    assert _classes(a) == _classes(b)
+    assert (a.split, a.attribute_count) == (b.split, b.attribute_count)
 
 
 def _load_error(manifest: Path) -> tuple[type, str]:
@@ -278,6 +335,7 @@ def _load_error(manifest: Path) -> tuple[type, str]:
 
 _SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300, 1.7976931348623157e308]
 _values = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+_text_values = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 1.0]), st.floats(-1.0, 1.0))
 
 
 @st.composite
@@ -300,9 +358,15 @@ def _datasets(draw):
                 hand=np.reshape(hand, (rows, hand_cols)) if two_streams else None,
             )
         )
-    classes = (make_descriptor("c0", [0, 1]), make_descriptor("c1", [1, 0]))
+    text_dim = draw(st.integers(1, 4))
+    classes = []
+    for cid, attrs in (("c0", [0, 1]), ("c1", [1, 0])):
+        text = np.array(draw(st.lists(_text_values, min_size=text_dim, max_size=text_dim)))
+        norm = np.linalg.norm(text)
+        assume(norm > 0)
+        classes.append(make_descriptor(cid, attrs, text / norm))
     split = SplitConfig(frozenset({"c0"}), frozenset(), frozenset({"c1"}), SplitMode.ZSL)
-    return Dataset(classes, tuple(samples), split, attribute_count=2)
+    return Dataset(tuple(classes), tuple(samples), split, attribute_count=2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -326,6 +390,123 @@ def test_intact_pack_replaces_every_feature_parse(tmp_path, monkeypatch):
 
     monkeypatch.setattr(data_module, "_parse_feature_matrix", no_parse)
     _assert_same_bits(load_dataset(manifest), reference)
+
+
+def test_intact_pack_serves_the_manifest_without_parsing_its_floats(tmp_path, monkeypatch):
+    manifest = _packed_copy(tmp_path)
+    raw = manifest.read_text(encoding="utf-8")
+    reference = load_dataset(manifest)
+    parsed = []
+    loads = json.loads
+
+    def spy(text, *args, **kwargs):
+        parsed.append(text.decode("utf-8") if isinstance(text, bytes) else text)
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(data_module.json, "loads", spy)
+    _assert_same_bits(load_dataset(manifest), reference)
+    assert parsed and raw not in parsed  # only the pack index was parsed
+    assert not any(str(c.text[0]) in text for c in reference.classes for text in parsed)
+
+
+def test_pack_manifest_matches_a_parse_of_the_manifest(tmp_path):
+    manifest = _packed_copy(tmp_path)
+    index = json.loads(manifest.with_suffix(".pack.json").read_text())
+    fields = index["manifest"]["fields"]
+    source = json.loads(manifest.read_text())
+    assert fields == {**source, "classes": [{k: v for k, v in c.items() if k != "text"} for c in source["classes"]]}
+    with_pack = load_dataset(manifest)
+    _drop_pack(manifest)
+    _assert_same_bits(with_pack, load_dataset(manifest))
+
+
+def _rename_class(text: str) -> str:
+    """The same manifest with class c1 named "sign X": equal length, other content."""
+    return text.replace('"sign 1"', '"sign X"')
+
+
+def _text_digit(text: str) -> str:
+    """The same manifest with one text float's last digit changed: equal length, other value."""
+    start = text.index('"text": [') + len('"text": [')
+    end = text.index(",", start)
+    return text[:start] + _bump_last_digit(text[start:end]) + text[end:]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(_text_digit, id="text-same-length"),
+        pytest.param(_rename_class, id="name-same-length"),
+        pytest.param(lambda t: t.replace('"seen": ["c0"]', '"seen": ["c2"]'), id="split-same-length"),
+        pytest.param(lambda t: json.dumps(json.loads(t), indent=1), id="reformatted"),
+    ],
+)
+def test_edited_manifest_overrides_the_pack(tmp_path, edit):
+    manifest = _packed_copy(tmp_path)
+    before = manifest.read_text(encoding="utf-8")
+    after = edit(before)
+    assert after != before
+    manifest.write_text(after, encoding="utf-8")
+    pack = data_module._FeaturePack.read(manifest)
+    assert pack is not None and pack.manifest(manifest.read_bytes()) is None
+    try:
+        with_pack = load_dataset(manifest)
+    except ZslSignError:  # the split edit makes c2 both seen and unseen
+        with_pack = _load_error(manifest)
+        _drop_pack(manifest)
+        assert _load_error(manifest) == with_pack
+        return
+    _drop_pack(manifest)
+    _assert_same_bits(with_pack, load_dataset(manifest))
+
+
+def _rewrite_manifest_entry(path: Path, change) -> None:
+    index = json.loads(path.read_text())
+    change(index["manifest"])
+    path.write_text(json.dumps(index))
+
+
+_MANIFEST_ENTRY_DAMAGE = {
+    "missing": lambda e: e.clear(),
+    "fields-missing": lambda e: e.pop("fields"),
+    "fields-list": lambda e: e.update(fields=[]),
+    "classes-missing": lambda e: e["fields"].pop("classes"),
+    "classes-not-objects": lambda e: e["fields"].update(classes=[1, 2, 3]),
+    "one-class-less": lambda e: e["fields"]["classes"].pop(),
+    "rows-wrong": lambda e: e.update(rows=e["rows"] - 1),
+    "cols-wrong": lambda e: e.update(cols=e["cols"] + 1),
+    "offset-wrong": lambda e: e.update(offset=0),
+    "crc-wrong": lambda e: e.update(crc32=e["crc32"] ^ 1),
+    "bytes-wrong": lambda e: e.update(bytes=e["bytes"] - 1),
+    "values-crc-wrong": lambda e: e.update(values_crc32=e["values_crc32"] ^ 1),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(_MANIFEST_ENTRY_DAMAGE))
+def test_damaged_manifest_entry_falls_back_to_the_manifest(tmp_path, damage):
+    manifest = _packed_copy(tmp_path)
+    reference = load_dataset(manifest)
+    index_path = manifest.with_suffix(".pack.json")
+    if damage == "missing":
+        index = json.loads(index_path.read_text())
+        del index["manifest"]
+        index_path.write_text(json.dumps(index))
+    else:
+        _rewrite_manifest_entry(index_path, _MANIFEST_ENTRY_DAMAGE[damage])
+    assert data_module._FeaturePack.read(manifest).manifest(manifest.read_bytes()) is None
+    _assert_same_bits(load_dataset(manifest), reference)
+
+
+def test_text_of_mixed_widths_is_left_to_the_manifest(tmp_path):
+    first = load_dataset(small_manifest(tmp_path / "orig"))
+    short = make_descriptor("c0", first.classes[0].attributes, [0.6, 0.8])
+    mixed = Dataset((short, *first.classes[1:]), first.samples, first.split, first.attribute_count)
+    manifest = save_dataset(mixed, tmp_path / "copy")
+    assert "manifest" not in json.loads(manifest.with_suffix(".pack.json").read_text())
+    with_pack = _load_error(manifest)
+    assert "text dimensionality" in with_pack[1]
+    _drop_pack(manifest)
+    assert _load_error(manifest) == with_pack
 
 
 def test_manifest_is_one_line_of_json(tmp_path):

@@ -1,4 +1,7 @@
+import json
+import struct
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from zslsign.errors import (
     DimensionMismatch,
     EmptyCandidates,
     InstanceTooLarge,
+    MissingFile,
     SchemaMismatch,
     SingularSystem,
 )
@@ -329,6 +333,27 @@ def test_eszsl_gradient_matches_finite_differences():
     assert np.max(np.abs(grad - fd)) < 1e-5 * max(1.0, np.max(np.abs(grad)))
 
 
+def test_eszsl_out_of_memory_raises_instance_too_large(monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate")
+
+    features, labels, classes, _ = random_training_problem(25, n=12, d=6, mode_kind=ModeKind.ATTRIBUTES)
+    monkeypatch.setattr(np.linalg, "solve", no_memory)
+    # operands: d x d, t x t, d x N (the largest: 6 * 12 * 8 bytes), t x |C|, d x t, N x |C|
+    with pytest.raises(InstanceTooLarge, match=r"eszsl: .* t=3, d=6, N=12 .* \(the largest is 576 bytes"):
+        train_eszsl(features, labels, classes, gamma=0.1, lam=0.2)
+
+
+def test_eszsl_zero_semantics_raises_singular_system_without_warnings():
+    descriptors = [make_descriptor(f"c{i}", [0, 0, 0]) for i in range(3)]
+    classes = ClassEmbeddingSet.from_descriptors(descriptors, ATTR)
+    features = np.random.default_rng(26).normal(size=(6, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularSystem, match="zero"):
+            train_eszsl(features, [f"c{i % 3}" for i in range(6)], classes, gamma=0.1, lam=0.2)
+
+
 # ---------------------------------------------------------------------------
 # train_sae
 # ---------------------------------------------------------------------------
@@ -535,24 +560,110 @@ def test_save_model_pins_float_bytes(tmp_path):
         hyperparams={"lam_sae": 0.5}, final_loss=-0.0, d_text=2,
     )
     path = save_model(model, tmp_path / "model.json")
+    values = struct.pack("<10d", *W.ravel(), *M.ravel())
     assert path.read_bytes() == (
-        b'{"M": [-1e+300, -0.0, 2.5e-320, 1.7976931348623157e+308], '
-        b'"W": [-0.0, 5e-324, 1.1125369292536007e-308, 1e+300, -1e+300, 0.1], '
-        b'"d": 2, "d_t": 2, "d_text": 2, "epochs": 0, "final_loss": -0.0, "hyperparams": {"lam_sae": 0.5}, '
-        b'"method": "sae", "mode": "combined", "seed": 0, "t": 3}\n'
+        b'{"d": 2, "d_t": 2, "d_text": 2, "epochs": 0, "final_loss": -0.0, "has_M": true, '
+        b'"hyperparams": {"lam_sae": 0.5}, "method": "sae", "mode": "combined", "seed": 0, "t": 3, '
+        b'"weights": "model.npy", "weights_crc32": %d}\n' % zlib.crc32(values)
+    )
+    assert zlib.crc32(values) == 60213159
+    header = b"{'descr': '<f8', 'fortran_order': False, 'shape': (10,), }"
+    assert (tmp_path / "model.npy").read_bytes() == (
+        b"\x93NUMPY\x01\x00\x76\x00" + header + b" " * (117 - len(header)) + b"\n" + values
     )
     loaded = load_model(path)
     assert loaded.W.tobytes() == W.tobytes() and loaded.M.tobytes() == M.tobytes()
+
+
+def _saved_lle(tmp_path, seed=5):
+    features, labels, classes, _ = random_training_problem(16)
+    model = train_lle(features, labels, classes, TrainConfig(epochs=5, seed=seed))
+    return model, save_model(model, tmp_path / "model.json")
+
+
+def _write_npy(path, array) -> None:
+    with open(path, "wb") as f:
+        np.save(f, array)
+
+
+def _other_save(path) -> None:
+    _, other = _saved_lle(path.parent / "other", seed=6)
+    path.write_bytes(other.with_suffix(".npy").read_bytes())
+
+
+def _rewrite_header(path, change) -> None:
+    doc = json.loads(path.read_text())
+    change(doc)
+    path.write_text(json.dumps(doc))
+
+
+def _flip_last_bit(path) -> None:
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-1] + bytes([raw[-1] ^ 1]))
+
+
+# each change gets the header path h and the weights path w
+_WEIGHTS_DAMAGE = {
+    "npy-missing": (MissingFile, "not found", lambda h, w: w.unlink()),
+    "npy-empty": (SchemaMismatch, "npy", lambda h, w: w.write_bytes(b"")),
+    "npy-garbage": (SchemaMismatch, "npy", lambda h, w: w.write_bytes(b"not a model" * 20)),
+    "npy-truncated": (SchemaMismatch, "npy", lambda h, w: w.write_bytes(w.read_bytes()[:200])),
+    "npy-cut-one-byte": (SchemaMismatch, "npy", lambda h, w: w.write_bytes(w.read_bytes()[:-1])),
+    "npy-float32": (SchemaMismatch, "dtype", lambda h, w: _write_npy(w, np.load(w).astype(np.float32))),
+    "npy-big-endian": (SchemaMismatch, "dtype", lambda h, w: _write_npy(w, np.load(w).astype(">f8"))),
+    "npy-2d": (SchemaMismatch, "shape", lambda h, w: _write_npy(w, np.load(w).reshape(1, -1))),
+    "npy-one-value-less": (SchemaMismatch, "hold", lambda h, w: _write_npy(w, np.load(w)[:-1])),
+    "npy-one-value-more": (SchemaMismatch, "hold", lambda h, w: _write_npy(w, np.append(np.load(w), 0.0))),
+    "npy-of-another-save": (SchemaMismatch, "CRC-32", lambda h, w: _other_save(w)),
+    "npy-one-bit-flipped": (SchemaMismatch, "CRC-32", lambda h, w: _flip_last_bit(w)),
+    "header-crc": (SchemaMismatch, "CRC-32", lambda h, w: _rewrite_header(h, lambda d: d.update(weights_crc32=d["weights_crc32"] ^ 1))),
+    "header-no-crc": (SchemaMismatch, "weights_crc32", lambda h, w: _rewrite_header(h, lambda d: d.pop("weights_crc32"))),
+    "header-weights-elsewhere": (MissingFile, "absent.npy", lambda h, w: _rewrite_header(h, lambda d: d.update(weights="absent.npy"))),
+    "header-weights-int": (SchemaMismatch, "weights", lambda h, w: _rewrite_header(h, lambda d: d.update(weights=3))),
+    "header-without-M": (SchemaMismatch, "hold", lambda h, w: _rewrite_header(h, lambda d: d.update(has_M=False))),
+    "header-d-zero": (SchemaMismatch, "corrupt", lambda h, w: _rewrite_header(h, lambda d: d.update(d=0))),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(_WEIGHTS_DAMAGE))
+def test_damaged_weights_are_refused(tmp_path, damage):
+    error, message, change = _WEIGHTS_DAMAGE[damage]
+    _, path = _saved_lle(tmp_path)
+    change(path, path.with_suffix(".npy"))
+    with pytest.raises(error, match=message):
+        load_model(path)
+
+
+def test_inline_w_model_file_is_refused(tmp_path):
+    # the format written before the weights moved to model.npy
+    model, path = _saved_lle(tmp_path)
+    doc = json.loads(path.read_text())
+    for key in ("has_M", "weights", "weights_crc32"):
+        del doc[key]
+    doc["W"], doc["M"] = model.W.ravel().tolist(), model.M.ravel().tolist()
+    path.write_text(json.dumps(doc, sort_keys=True) + "\n")
+    path.with_suffix(".npy").unlink()
+    with pytest.raises(SchemaMismatch, match="inline.*retrain"):
+        load_model(path)
+
+
+def test_weights_file_is_named_after_the_header(tmp_path):
+    model, path = _saved_lle(tmp_path)
+    other = save_model(model, tmp_path / "model_r3.json")
+    assert json.loads(other.read_text())["weights"] == "model_r3.npy"
+    assert (tmp_path / "model_r3.npy").read_bytes() == (tmp_path / "model.npy").read_bytes()
+    moved = tmp_path / "moved"
+    moved.mkdir()
+    for f in (other, tmp_path / "model_r3.npy"):
+        f.rename(moved / f.name)
+    assert load_model(moved / "model_r3.json").W.tobytes() == model.W.tobytes()
 
 
 def test_load_rejects_wrong_dimension_header(tmp_path):
     features, labels, classes, _ = random_training_problem(16)
     model = train_lle(features, labels, classes, TrainConfig(epochs=5, seed=5))
     path = save_model(model, tmp_path / "model.json")
-    doc = path.read_text()
-    import json
-
-    raw = json.loads(doc)
+    raw = json.loads(path.read_text())
     raw["d"] = raw["d"] + 1
     path.write_text(json.dumps(raw))
     with pytest.raises(SchemaMismatch):
