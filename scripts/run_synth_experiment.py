@@ -39,7 +39,7 @@ def main() -> None:
     )
     ks = (1, 2, 5)
     n_unseen = len(dataset.split.unseen_classes)
-    baseline = random_baseline(n_unseen, [spec.samples_per_class] * n_unseen, ks, seed=args.seed)
+    baseline = random_baseline(n_unseen, ks)
     print("random baseline (ZSL candidates): "
           + "  ".join(f"top-{k} {baseline[k]:5.1f}" for k in ks))
 

@@ -14,13 +14,12 @@ import argparse
 import json
 import os
 import sys
-from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, SplitMode, csv_text, load_dataset, save_dataset
+from .data import SplitMode, csv_text, load_dataset, save_dataset
 from .errors import (
     DimensionMismatch,
     InvariantViolation,
@@ -34,7 +33,7 @@ from .errors import (
 from .evaluation import random_baseline
 from .experiment import (
     RunConfig,
-    candidate_descriptors,
+    candidate_class_ids,
     evaluate,
     evaluation_samples,
     load_run_config,
@@ -109,13 +108,6 @@ def _print_metric_table(rows: dict[str, dict[int, float] | None], ks) -> None:
         if per_k is None:
             continue
         print(label.ljust(10) + "".join(f"{per_k[k]:9.1f}" for k in ks))
-
-
-def _candidate_sizes(dataset: Dataset) -> tuple[int, list[int]]:
-    """Number of prediction candidates and, per candidate class with samples, its sample count."""
-    candidates = candidate_descriptors(dataset)
-    counts = Counter(s.class_id for s in dataset.samples_of({c.class_id for c in candidates}))
-    return len(candidates), [counts[c] for c in sorted(counts)]
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +202,11 @@ def cmd_predict(args) -> int:
     cfg = _resolve_config(args)
     dataset = load_dataset(cfg.manifest)
     model = load_model(args.model)
-    sample_ids, rankings, truths = rank_samples(dataset, model, cfg)
+    sample_ids, ranks, truths, predicted = rank_samples(dataset, model, cfg)
     out = _out_dir(args, cfg)
     rows = ["sample_id,truth,predicted,truth_rank"]
-    for sid, ranking, truth in zip(sample_ids, rankings, truths):
-        rank = ranking.index(truth) + 1 if truth in ranking else 0
-        rows.append(f"{sid},{truth},{ranking[0]},{rank}")
+    for sid, rank, truth, pred in zip(sample_ids, ranks, truths, predicted):
+        rows.append(f"{sid},{truth},{pred},{rank + 1}")
     (out / "predictions.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     print(f"wrote {out / 'predictions.csv'}")
     return 0
@@ -234,8 +225,7 @@ def cmd_eval(args) -> int:
         table["unseen"] = report.unseen_per_k
         table["harmonic"] = report.harmonic_per_k
     if args.random_baseline:
-        n_classes, sizes = _candidate_sizes(dataset)
-        baseline = random_baseline(n_classes, sizes, cfg.ks, trials=args.trials, seed=cfg.seed)
+        baseline = random_baseline(len(candidate_class_ids(dataset.split)), cfg.ks)
         table["random"] = baseline
         payload["random_per_k"] = {str(k): v for k, v in sorted(baseline.items())}
 
@@ -308,29 +298,17 @@ def cmd_analyze(args) -> int:
 def cmd_baseline(args) -> int:
     ks = tuple(int(k) for k in args.ks.split(","))
     if args.manifest:
-        n_classes, sizes = _candidate_sizes(load_dataset(args.manifest))
+        n_classes = len(candidate_class_ids(load_dataset(args.manifest).split))
+    elif args.classes is None:
+        raise ParseError("baseline needs either --manifest or --classes")
     else:
-        if args.classes is None:
-            raise ParseError("baseline needs either --manifest or --classes")
         n_classes = args.classes
-        if args.sizes:
-            sizes = [int(s) for s in args.sizes.split(",")]
-        else:
-            sizes = [args.samples_per_class] * n_classes
-    result = random_baseline(n_classes, sizes, ks, trials=args.trials, seed=args.seed)
+    result = random_baseline(n_classes, ks)
     _print_metric_table({"random": result}, ks)
     if args.out:
         out = _out_dir(args)
-        _write_json(
-            out / "baseline.json",
-            {
-                "n_classes": n_classes,
-                "class_sizes": sizes,
-                "trials": args.trials,
-                "seed": args.seed,
-                "per_k": {str(k): v for k, v in sorted(result.items())},
-            },
-        )
+        per_k = {str(k): v for k, v in sorted(result.items())}
+        _write_json(out / "baseline.json", {"n_classes": n_classes, "per_k": per_k})
         print(f"wrote {out / 'baseline.json'}")
     return 0
 
@@ -417,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.add_argument("--model", required=True)
     p.add_argument("--random-baseline", dest="random_baseline", action="store_true")
-    p.add_argument("--trials", type=int, default=10000)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("analyze", help="attribute flip-difference analysis")
@@ -429,14 +406,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-affiliation", dest="min_affiliation", type=int)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("baseline", help="Monte-Carlo random prediction baseline")
-    p.add_argument("--manifest")
-    p.add_argument("--classes", type=int)
-    p.add_argument("--sizes", help="comma-separated per-class sample counts")
-    p.add_argument("--samples-per-class", dest="samples_per_class", type=int, default=20)
+    p = sub.add_parser(
+        "baseline", help="exact class-normalized top-k accuracy of uniformly random rankings, 100*min(k,n)/n"
+    )
+    p.add_argument("--manifest", help="take n from the manifest's prediction candidates")
+    p.add_argument("--classes", type=int, help="number of candidate classes n")
     p.add_argument("--ks", default="1,2,5")
-    p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_baseline)
 

@@ -1,19 +1,22 @@
 """Class-normalized top-k accuracy, GZSL summaries and the random baseline.
 
-Accuracy is normalized by class sizes: the unweighted mean over classes of
-per-class top-k hit rates, times 100. All percentages are kept at full
-precision here; rounding to one decimal is a presentation concern.
+Evaluation takes one integer truth rank per sample (models.truth_ranks), not
+ranked lists of class ids. Accuracy is normalized by class sizes: the
+unweighted mean over classes of per-class top-k hit rates, times 100. The
+random baseline is its exact expectation under uniformly random rankings.
+All percentages are kept at full precision here; rounding to one decimal is a
+presentation concern.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
 from .data import SplitConfig
-from .errors import EmptyEvaluationSet, UnrankedClass
+from .errors import EmptyEvaluationSet
 
 
 def harmonic_mean(seen: float, unseen: float) -> float:
@@ -50,117 +53,63 @@ class EvalReport:
         }
 
 
-def _per_class_rates(
-    rankings: Sequence[Sequence[str]],
+def topk_accuracy(
+    ranks: Sequence[int],
     truths: Sequence[str],
-    ks: Sequence[int],
-) -> dict[str, dict[int, float]]:
-    if len(rankings) != len(truths):
-        raise ValueError(f"{len(rankings)} rankings for {len(truths)} truths")
-    if not truths:
+    ks: Sequence[int] = (1, 2, 5),
+) -> EvalReport:
+    """Class-normalized top-k accuracy from each sample's 0-based truth rank; a hit is rank < k."""
+    ranks = np.asarray(ranks)
+    if ranks.shape != (len(truths),):
+        raise ValueError(f"{ranks.shape} ranks for {len(truths)} truths")
+    if not len(truths):
         raise EmptyEvaluationSet("no samples to evaluate")
     if not ks or any(k < 1 for k in ks):
         raise ValueError(f"ks must be nonempty positive integers, got {list(ks)}")
 
-    positions: dict[str, list[int]] = {}
-    for i, (ranking, truth) in enumerate(zip(rankings, truths)):
-        ranking = list(ranking)
-        try:
-            pos = ranking.index(truth)
-        except ValueError:
-            raise UnrankedClass(
-                f"sample {i}: truth class {truth!r} absent from its candidate ranking"
-            ) from None
-        positions.setdefault(truth, []).append(pos)
-
-    return {
-        cid: {k: float(np.mean([pos < k for pos in pos_list])) for k in ks}
-        for cid, pos_list in positions.items()
-    }
-
-
-def topk_accuracy(
-    rankings: Sequence[Sequence[str]],
-    truths: Sequence[str],
-    ks: Sequence[int] = (1, 2, 5),
-) -> EvalReport:
-    """Class-normalized top-k accuracy over deterministic rankings."""
-    per_class = _per_class_rates(rankings, truths, ks)
-    ordered = sorted(per_class)
-    per_k = {k: 100.0 * float(np.mean([per_class[c][k] for c in ordered])) for k in ks}
-    return EvalReport(per_k=per_k, per_class=per_class, n_samples=len(truths), n_classes=len(per_class))
+    classes, column = np.unique(np.asarray(truths, dtype=str), return_inverse=True)  # sorted class ids
+    sizes = np.bincount(column)
+    hits = {k: np.bincount(column, weights=ranks < k, minlength=len(classes)) for k in ks}
+    per_class = {str(cid): {k: float(hits[k][j] / sizes[j]) for k in ks} for j, cid in enumerate(classes)}
+    per_k = {k: 100.0 * float(np.mean([rates[k] for rates in per_class.values()])) for k in ks}
+    return EvalReport(per_k=per_k, per_class=per_class, n_samples=len(truths), n_classes=len(classes))
 
 
 def gzsl_report(
-    rankings: Sequence[Sequence[str]],
+    ranks: Sequence[int],
     truths: Sequence[str],
     split: SplitConfig,
     ks: Sequence[int] = (1, 2, 5),
 ) -> EvalReport:
     """Top-k report with seen/unseen breakdown and harmonic means.
 
-    Rankings must have been produced against the joint seen+unseen candidate
-    set. A missing seen (or unseen) sample subset leaves that breakdown absent
-    and the harmonic mean at 0.
+    Ranks must have been taken against the joint seen+unseen candidate set.
+    A missing seen (or unseen) sample subset leaves that breakdown absent and
+    the harmonic mean at 0.
     """
-    overall = topk_accuracy(rankings, truths, ks)
+    overall = topk_accuracy(ranks, truths, ks)
+    ranks, labels = np.asarray(ranks), np.asarray(truths, dtype=str)
 
     def subset(ids: frozenset[str]) -> dict[int, float] | None:
-        selected = [(r, t) for r, t in zip(rankings, truths) if t in ids]
-        if not selected:
-            return None
-        sub = topk_accuracy([r for r, _ in selected], [t for _, t in selected], ks)
-        return sub.per_k
+        mask = np.isin(labels, sorted(ids))
+        return topk_accuracy(ranks[mask], labels[mask].tolist(), ks).per_k if mask.any() else None
 
-    seen = subset(split.seen_classes)
-    unseen = subset(split.unseen_classes)
-    harmonic = {
-        k: harmonic_mean(
-            seen[k] if seen is not None else 0.0,
-            unseen[k] if unseen is not None else 0.0,
-        )
-        for k in ks
-    }
-    return EvalReport(
-        per_k=overall.per_k,
-        per_class=overall.per_class,
-        n_samples=overall.n_samples,
-        n_classes=overall.n_classes,
-        seen_per_k=seen,
-        unseen_per_k=unseen,
-        harmonic_per_k=harmonic,
-    )
+    seen, unseen = subset(split.seen_classes), subset(split.unseen_classes)
+    harmonic = {k: harmonic_mean(seen[k] if seen else 0.0, unseen[k] if unseen else 0.0) for k in ks}
+    return replace(overall, seen_per_k=seen, unseen_per_k=unseen, harmonic_per_k=harmonic)
 
 
-def random_baseline(
-    n_classes: int,
-    class_sizes: Mapping[str, int] | Sequence[int],
-    ks: Sequence[int] = (1, 2, 5),
-    trials: int = 10000,
-    seed: int = 0,
-) -> dict[int, float]:
-    """Monte-Carlo class-normalized top-k accuracy of uniformly random rankings.
+def random_baseline(n_classes: int, ks: Sequence[int] = (1, 2, 5)) -> dict[int, float]:
+    """Exact class-normalized top-k accuracy of a uniformly random ranking.
 
-    Each trial draws, per sample, a uniform position of the truth class inside
-    a random ranking of the n_classes candidates; the class-normalized top-k
-    accuracy of the trial is then averaged over trials. Deterministic per seed.
+    The truth lands in each of the n_classes positions with probability 1/n,
+    so every sample, and therefore every class whatever its size, is a top-k
+    hit with probability min(k, n)/n. The expected accuracy is that rate
+    times 100; oracles.brute_random_baseline estimates it by sampling.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    sizes = list(class_sizes.values()) if isinstance(class_sizes, Mapping) else list(class_sizes)
-    if not sizes or any(s < 1 for s in sizes):
-        raise ValueError("class_sizes must be nonempty positive counts")
-
-    rng = np.random.default_rng(seed)
-    total = sum(sizes)
-    positions = rng.integers(0, n_classes, size=(trials, total), dtype=np.int32)
-
-    bounds = np.cumsum([0] + sizes)
-    out: dict[int, float] = {}
+    if n_classes < 1:
+        raise ValueError(f"the baseline needs at least one candidate class, got n_classes={n_classes}")
     for k in ks:
-        hit = positions < k
-        class_rates = np.stack(
-            [hit[:, bounds[i] : bounds[i + 1]].mean(axis=1) for i in range(len(sizes))], axis=1
-        )
-        out[k] = float(100.0 * class_rates.mean(axis=1).mean())
-    return out
+        if k < 1:
+            raise ValueError(f"top-k needs k >= 1, got k={k}")
+    return {k: 100.0 * min(k, n_classes) / n_classes for k in ks}

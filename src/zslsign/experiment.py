@@ -2,8 +2,8 @@
 
 This module owns the run configuration and the deterministic recipes the CLI
 drives: building embedding matrices, selecting candidate sets per split mode,
-training a model from a config, ranking evaluation samples and sweeping the
-text-reduction width.
+training a model from a config, taking the truth rank and predicted class of
+each evaluation sample, and sweeping the text-reduction width.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .data import ClassDescriptor, Dataset, Sample, SplitConfig, SplitMode
 from .embeddings import ClassEmbeddingSet, EmbeddingMode, ModeKind
 from .errors import DimensionMismatch, MissingFile, MissingHandStream, ParseError
 from .evaluation import EvalReport, gzsl_report, topk_accuracy
-from .models import CompatModel, Method, TrainConfig, rank_scores, train_eszsl, train_lle, train_sae
+from .models import CompatModel, Method, TrainConfig, train_eszsl, train_lle, train_sae, truth_ranks
 from .temporal import AggregatorKind, AggregatorSpec, embed_video
 
 
@@ -166,26 +166,30 @@ def rank_samples(
     cfg: RunConfig,
     samples: Sequence[Sample] | None = None,
     candidates: Sequence[ClassDescriptor] | None = None,
-) -> tuple[list[str], list[list[str]], list[str]]:
-    """Deterministic rankings for the evaluation samples of the split mode."""
+) -> tuple[list[str], np.ndarray, list[str], list[str]]:
+    """Sample ids, 0-based truth ranks, truths and predicted classes of the split mode's samples."""
     candidates, sample_ids, features, truths = evaluation_samples(dataset, cfg, samples, candidates)
-    return sample_ids, _rank_stacked(model, features, candidates), truths
+    ranks, predicted = _rank_stacked(model, features, candidates, truths)
+    return sample_ids, ranks, truths, predicted
 
 
 def _rank_stacked(
-    model: CompatModel, features: np.ndarray, candidates: Sequence[ClassDescriptor]
-) -> list[list[str]]:
-    """Candidate rankings of already-stacked video embeddings, one list per row."""
+    model: CompatModel, features: np.ndarray, candidates: Sequence[ClassDescriptor], truths: Sequence[str]
+) -> tuple[np.ndarray, list[str]]:
+    """Truth ranks and predicted classes of already-stacked video embeddings."""
     classes = ClassEmbeddingSet.from_descriptors(candidates, model.mode)
-    return rank_scores(model.scores(features, classes.compose(model.M)), classes.class_ids)
+    scores = model.scores(features, classes.compose(model.M))
+    # argmax takes the first maximum: on class-id-sorted columns, the smallest class_id
+    predicted = [classes.class_ids[j] for j in scores.argmax(axis=1)]
+    return truth_ranks(scores, classes.class_ids, truths), predicted
 
 
 def evaluate(dataset: Dataset, model: CompatModel, cfg: RunConfig) -> EvalReport:
     """ZSL or GZSL evaluation report, per the dataset's split mode."""
-    _, rankings, truths = rank_samples(dataset, model, cfg)
+    _, ranks, truths, _ = rank_samples(dataset, model, cfg)
     if dataset.split.mode is SplitMode.GZSL:
-        return gzsl_report(rankings, truths, dataset.split, cfg.ks)
-    return topk_accuracy(rankings, truths, cfg.ks)
+        return gzsl_report(ranks, truths, dataset.split, cfg.ks)
+    return topk_accuracy(ranks, truths, cfg.ks)
 
 
 def _validation_set(dataset: Dataset) -> tuple[list[ClassDescriptor], list[Sample]]:
@@ -198,8 +202,8 @@ def _validation_set(dataset: Dataset) -> tuple[list[ClassDescriptor], list[Sampl
 def validation_top1(dataset: Dataset, model: CompatModel, cfg: RunConfig) -> float:
     """Class-normalized top-1 accuracy on the validation classes (ZSL style)."""
     candidates, samples = _validation_set(dataset)
-    _, rankings, truths = rank_samples(dataset, model, cfg, samples=samples, candidates=candidates)
-    return topk_accuracy(rankings, truths, ks=(1,)).per_k[1]
+    _, ranks, truths, _ = rank_samples(dataset, model, cfg, samples=samples, candidates=candidates)
+    return topk_accuracy(ranks, truths, ks=(1,)).per_k[1]
 
 
 def sweep_text_dim(
@@ -226,8 +230,8 @@ def sweep_text_dim(
         scores = []
         for r in range(cfg.repeats):
             model = _train_stacked(train_features, labels, seen_descriptors, run, seed=cfg.seed + r)
-            rankings = _rank_stacked(model, val_features, val_candidates)
-            scores.append(topk_accuracy(rankings, truths, ks=(1,)).per_k[1])
+            ranks, _ = _rank_stacked(model, val_features, val_candidates, truths)
+            scores.append(topk_accuracy(ranks, truths, ks=(1,)).per_k[1])
         mean = float(np.mean(scores))
         std = float(np.std(scores, ddof=1)) if len(scores) > 1 else 0.0
         rows.append((int(value), mean, std))

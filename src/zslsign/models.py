@@ -1,4 +1,4 @@
-"""Bilinear compatibility models: training, scoring, ranking, persistence.
+"""Bilinear compatibility models: training, scoring, truth ranks, persistence.
 
 The compatibility score of a video embedding phi and class embedding rho is
 the dense bilinear form phi' W rho; CompatModel.scores evaluates it for all
@@ -16,7 +16,9 @@ samples and classes at once as Phi W S'. Three trainers produce W:
 
 Class posteriors p(c|v) are defined as the softmax of compatibility scores
 over the active candidate set, matching the training loss. This is the
-posterior the attribute-influence analysis differentiates.
+posterior the attribute-influence analysis differentiates. Evaluation reads
+the score matrix directly: truth_ranks gives each sample the integer rank of
+its true class, and the predicted class is the row's argmax.
 
 A saved model is a JSON header plus a binary weights file beside it
 (model.json and model.npy); the header binds the weights by the CRC-32 of
@@ -46,6 +48,7 @@ from .errors import (
     NonFiniteLoss,
     SchemaMismatch,
     SingularSystem,
+    UnrankedClass,
 )
 from . import oracles
 
@@ -143,17 +146,27 @@ def log_posteriors(scores: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def rank_scores(scores: np.ndarray, class_ids: Sequence[str]) -> list[list[str]]:
-    """Descending class ranking of each score row (ties: ascending class_id).
+def truth_ranks(scores: np.ndarray, class_ids: Sequence[str], truths: Sequence[str]) -> np.ndarray:
+    """0-based rank of each row's truth class in descending score order (ties: ascending class_id).
 
-    The columns must follow ascending class_id, as ClassEmbeddingSet rows do,
-    so that a stable sort on -score breaks ties by class_id.
+    The rank counts the columns that score above the truth, plus those that tie
+    with it and come before it; the columns must follow ascending class_id, as
+    ClassEmbeddingSet rows do. Rank 0 is the row's argmax (its first maximum).
     """
     ids = list(class_ids)
     if ids != sorted(ids):
         raise ValueError("score columns must follow ascending class_id order")
-    order = np.argsort(-scores, axis=1, kind="stable")
-    return np.array(ids, dtype=object)[order].tolist()
+    scores = np.asarray(scores)
+    if scores.shape != (len(truths), len(ids)):
+        raise DimensionMismatch(f"scores have shape {scores.shape}, expected {len(truths)} x {len(ids)}")
+    column = {cid: j for j, cid in enumerate(ids)}
+    try:
+        cols = np.array([column[t] for t in truths], dtype=np.intp)
+    except KeyError as exc:
+        raise UnrankedClass(f"truth class {exc.args[0]!r} is not among the {len(ids)} candidates") from None
+    z = scores[np.arange(len(cols)), cols][:, None]
+    before = np.arange(len(ids)) < cols[:, None]
+    return np.count_nonzero((scores > z) | ((scores == z) & before), axis=1)
 
 
 # ---------------------------------------------------------------------------

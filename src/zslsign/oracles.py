@@ -100,6 +100,49 @@ def brute_topk_count(
     return out
 
 
+def rank_scores(scores: np.ndarray, class_ids: Sequence[str]) -> list[list[str]]:
+    """Each score row's class ids in descending order; a stable sort keeps ties in (ascending) column order."""
+    _guard(rows=scores.shape[0], classes=len(class_ids))
+    ids = list(class_ids)
+    if ids != sorted(ids):
+        raise ValueError("score columns must follow ascending class_id order")
+    order = np.argsort(-scores, axis=1, kind="stable")
+    return np.array(ids, dtype=object)[order].tolist()
+
+
+def brute_random_baseline(
+    n_classes: int,
+    class_sizes: Sequence[int],
+    ks: Sequence[int],
+    trials: int = 10000,
+    seed: int = 0,
+) -> dict[int, float]:
+    """Monte-Carlo class-normalized top-k accuracy of uniformly random rankings.
+
+    Each trial draws, per sample, a uniform position of the truth class inside
+    a random ranking of the n_classes candidates; the class-normalized top-k
+    accuracy of the trial is then averaged over trials. Deterministic per seed.
+    """
+    _guard(n_classes=n_classes, class_count=len(class_sizes))
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    sizes = list(class_sizes)
+    if not sizes or any(s < 1 for s in sizes):
+        raise ValueError("class_sizes must be nonempty positive counts")
+
+    rng = np.random.default_rng(seed)
+    positions = rng.integers(0, n_classes, size=(trials, sum(sizes)), dtype=np.int32)
+    bounds = np.cumsum([0] + sizes)
+    out: dict[int, float] = {}
+    for k in ks:
+        hit = positions < k
+        class_rates = np.stack(
+            [hit[:, bounds[i] : bounds[i + 1]].mean(axis=1) for i in range(len(sizes))], axis=1
+        )
+        out[k] = float(100.0 * class_rates.mean(axis=1).mean())
+    return out
+
+
 def finite_difference_grad(
     fn: Callable[[np.ndarray], float],
     x0: np.ndarray,

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -60,7 +62,7 @@ def test_gzsl_candidates_are_seen_plus_unseen(fixture_dataset):
 
 
 def test_gzsl_predict_on_unseen_candidates_equals_zsl(fixture_dataset, fixture_model):
-    zsl_ids, zsl_rankings, zsl_truths = rank_samples(fixture_dataset, fixture_model, FIXTURE_CFG)
+    zsl_ids, zsl_ranks, zsl_truths, zsl_predicted = rank_samples(fixture_dataset, fixture_model, FIXTURE_CFG)
     gzsl_dataset = Dataset(
         fixture_dataset.classes,
         fixture_dataset.samples,
@@ -69,12 +71,28 @@ def test_gzsl_predict_on_unseen_candidates_equals_zsl(fixture_dataset, fixture_m
     )
     unseen = [gzsl_dataset.classes_by_id[c] for c in sorted(gzsl_dataset.split.unseen_classes)]
     samples = gzsl_dataset.samples_of(gzsl_dataset.split.unseen_classes)
-    g_ids, g_rankings, g_truths = rank_samples(
+    g_ids, g_ranks, g_truths, g_predicted = rank_samples(
         gzsl_dataset, fixture_model, FIXTURE_CFG, samples=samples, candidates=unseen
     )
     assert g_ids == zsl_ids
     assert g_truths == zsl_truths
-    assert g_rankings == zsl_rankings  # exact, not approximate
+    assert np.array_equal(g_ranks, zsl_ranks)  # exact, not approximate
+    assert g_predicted == zsl_predicted
+    # every unseen class taken in turn as the truth: the whole ranking agrees
+    for cid in sorted(gzsl_dataset.split.unseen_classes):
+        relabeled = [replace(s, class_id=cid) for s in samples]
+        _, g_all, _, _ = rank_samples(gzsl_dataset, fixture_model, FIXTURE_CFG, samples=relabeled, candidates=unseen)
+        _, z_all, _, _ = rank_samples(fixture_dataset, fixture_model, FIXTURE_CFG, samples=relabeled)
+        assert np.array_equal(g_all, z_all)
+
+
+def test_rank_samples_breaks_ties_by_class_id(fixture_dataset, fixture_model):
+    # W = 0 scores every candidate 0: the smallest class id is predicted, and each truth ranks by its id
+    model = replace(fixture_model, W=np.zeros_like(fixture_model.W))
+    _, ranks, truths, predicted = rank_samples(fixture_dataset, model, FIXTURE_CFG)
+    ids = candidate_class_ids(fixture_dataset.split)
+    assert predicted == [ids[0]] * len(truths)
+    assert ranks.tolist() == [ids.index(t) for t in truths]
 
 
 def test_training_recovers_planted_structure(fixture_dataset, fixture_model):

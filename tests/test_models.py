@@ -26,11 +26,11 @@ from zslsign.models import (
     lle_objective,
     load_model,
     posteriors,
-    rank_scores,
     save_model,
     train_eszsl,
     train_lle,
     train_sae,
+    truth_ranks,
 )
 from zslsign.oracles import (
     brute_bilinear,
@@ -39,6 +39,7 @@ from zslsign.oracles import (
     eszsl_gradient,
     eszsl_objective,
     finite_difference_grad,
+    rank_scores,
     sylvester_residual,
 )
 
@@ -73,7 +74,7 @@ def random_training_problem(seed, n=24, d=5, n_classes=4, attr_count=3, text_dim
 
 
 # ---------------------------------------------------------------------------
-# scores / posteriors / rank_scores
+# scores / posteriors / truth_ranks
 # ---------------------------------------------------------------------------
 
 
@@ -139,18 +140,28 @@ def test_posteriors_empty_candidates():
         posteriors(attr_model(np.eye(1)).scores([1.0], []))
 
 
+def every_truth_rank(scores, ids):
+    """Rank of every class taken in turn as the truth: the inverse of each row's ranking."""
+    n = scores.shape[0]
+    return np.stack([truth_ranks(scores, ids, [cid] * n) for cid in ids], axis=1)
+
+
 def test_predict_single_candidate():
     model = attr_model(np.eye(1))
-    assert rank_scores(model.scores([[1.0]], [[2.0]]), ["c0"]) == [["c0"]]
+    scores = model.scores([[1.0]], [[2.0]])
+    assert truth_ranks(scores, ["c0"], ["c0"]).tolist() == [0]
+    assert scores.argmax(axis=1).tolist() == [0]
 
 
 def test_predict_tie_breaks_by_class_id():
     model = attr_model(np.array([[2.0]]))
     classes = ClassEmbeddingSet.from_descriptors([make_descriptor("b", [1]), make_descriptor("a", [1])], ATTR)
-    ranking = rank_scores(model.scores([[1.0]], classes.compose()), classes.class_ids)[0]
-    assert ranking == ["a", "b"]
+    scores = model.scores([[1.0]], classes.compose())
+    assert classes.class_ids == ("a", "b")
+    assert every_truth_rank(scores, classes.class_ids).tolist() == [[0, 1]]
+    assert scores.argmax(axis=1).tolist() == [0]
     with pytest.raises(ValueError):
-        rank_scores(np.array([[2.0, 2.0]]), ["b", "a"])  # columns not in class_id order
+        truth_ranks(np.array([[2.0, 2.0]]), ["b", "a"], ["a"])  # columns not in class_id order
 
 
 def test_predict_matches_linear_scan_oracle():
@@ -161,11 +172,11 @@ def test_predict_matches_linear_scan_oracle():
         phi = rng.normal(size=4)
         cands = rng.normal(size=(10, 3))
         row = model.scores(phi, cands)
-        ranking = rank_scores(row[None, :], ids)[0]
         scores = dict(zip(ids, row))
         best = max(scores, key=lambda cid: (scores[cid], [-ord(ch) for ch in cid]))
-        assert ranking[0] == best
-        assert sorted(ranking, key=lambda cid: (-scores[cid], cid)) == ranking
+        assert ids[int(row.argmax())] == best
+        ranks = every_truth_rank(row[None, :], ids)[0]
+        assert [ids[j] for j in np.argsort(ranks)] == sorted(ids, key=lambda cid: (-scores[cid], cid))
 
 
 def test_predict_invariant_to_positive_rescale_and_shift():
@@ -174,15 +185,16 @@ def test_predict_invariant_to_positive_rescale_and_shift():
     phi = rng.normal(size=(1, 3))
     cands = rng.normal(size=(6, 2))
     ids = [f"c{i}" for i in range(6)]
-    base = rank_scores(attr_model(W).scores(phi, cands), ids)
-    scaled = rank_scores(attr_model(2.5 * W).scores(phi, cands), ids)
-    assert scaled == base
+    base = every_truth_rank(attr_model(W).scores(phi, cands), ids)
+    assert sorted(base[0].tolist()) == list(range(6))  # a permutation: the whole ranking
+    scaled = every_truth_rank(attr_model(2.5 * W).scores(phi, cands), ids)
+    assert np.array_equal(scaled, base)
     # additive shift: augment with a constant coordinate contributing +c to every score
     W_aug = np.block([[W, np.zeros((3, 1))], [np.zeros((1, 2)), np.array([[7.0]])]])
     phi_aug = np.hstack([phi, [[1.0]]])
     cands_aug = np.hstack([cands, np.ones((6, 1))])
-    shifted = rank_scores(attr_model(W_aug).scores(phi_aug, cands_aug), ids)
-    assert shifted == base
+    shifted = every_truth_rank(attr_model(W_aug).scores(phi_aug, cands_aug), ids)
+    assert np.array_equal(shifted, base)
 
 
 def test_rank_scores_matches_sorted_reference_with_ties():
@@ -194,6 +206,33 @@ def test_rank_scores_matches_sorted_reference_with_ties():
         rankings = rank_scores(scores, ids)
         for row, ranking in zip(scores, rankings):
             assert ranking == sorted(ids, key=lambda cid: (-row[ids.index(cid)], cid))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 12),
+    n_classes=st.integers(1, 10),
+    high=st.integers(0, 3),
+)
+def test_truth_ranks_and_argmax_match_the_ranking_oracle(seed, n, n_classes, high):
+    # integer scores in [-high, high]: exact ties everywhere, zeros of both signs
+    rng = np.random.default_rng(seed)
+    scores = rng.integers(-high, high + 1, size=(n, n_classes)).astype(float)
+    scores = np.where(rng.random(scores.shape) < 0.5, -scores, scores)
+    ids = sorted(f"c{i}" for i in rng.permutation(n_classes * 3)[:n_classes])
+    truths = [ids[j] for j in rng.integers(0, n_classes, size=n)]
+    rankings = rank_scores(scores, ids)
+    ranks = truth_ranks(scores, ids, truths)
+    assert ranks.tolist() == [ranking.index(t) for ranking, t in zip(rankings, truths)]
+    assert [ids[j] for j in scores.argmax(axis=1)] == [ranking[0] for ranking in rankings]
+
+
+def test_truth_ranks_rejects_a_score_matrix_of_the_wrong_shape():
+    with pytest.raises(DimensionMismatch):
+        truth_ranks(np.zeros((2, 3)), ["a", "b", "c"], ["a"])
+    with pytest.raises(DimensionMismatch):
+        truth_ranks(np.zeros((1, 2)), ["a", "b", "c"], ["a"])
 
 
 # ---------------------------------------------------------------------------

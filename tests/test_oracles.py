@@ -5,6 +5,7 @@ from zslsign.errors import InstanceTooLarge
 from zslsign.oracles import (
     brute_bilinear,
     brute_column_means,
+    brute_random_baseline,
     brute_softmax,
     brute_sylvester,
     brute_topk_count,
@@ -12,6 +13,7 @@ from zslsign.oracles import (
     eszsl_gradient,
     eszsl_objective,
     finite_difference_grad,
+    rank_scores,
     sylvester_residual,
 )
 
@@ -109,3 +111,11 @@ def test_size_guards():
         finite_difference_grad(lambda v: 0.0, np.zeros((65, 65)))
     with pytest.raises(InstanceTooLarge):
         brute_topk_count([["a"]] * 65, ["a"] * 65, [1])
+    with pytest.raises(InstanceTooLarge):
+        rank_scores(np.zeros((65, 2)), ["a", "b"])
+    with pytest.raises(InstanceTooLarge):
+        rank_scores(np.zeros((2, 65)), [f"c{i:02d}" for i in range(65)])
+    with pytest.raises(InstanceTooLarge):
+        brute_random_baseline(65, [1], [1])
+    with pytest.raises(InstanceTooLarge):
+        brute_random_baseline(2, [1] * 65, [1])
