@@ -9,10 +9,11 @@ samples and classes at once as Phi W S'. Three trainers produce W:
            M is optimized jointly when the embedding mode calls for one.
 * eszsl  - ridge-style regression closed form
            W = (X X' + gamma I)^-1 X Y S' (S S' + lam I)^-1.
-* sae    - auto-encoding projection solving the Sylvester equation
-           S S' P + lam P X X' = (1 + lam) S X', stored transposed; the
-           minimum-norm solution comes in closed form from thin SVDs of
-           the per-sample class matrix S and the feature matrix X.
+* sae    - auto-encoding projection: the minimum-norm solution P of the
+           Sylvester equation S S' P + lam P X X' = (1 + lam) S X', as W = P'.
+
+eszsl and sae share one closed form from thin SVDs of X and S; neither forms
+a d x d or t x t matrix or solves a linear system.
 
 Class posteriors p(c|v) are defined as the softmax of compatibility scores
 over the active candidate set, matching the training loss. This is the
@@ -30,10 +31,11 @@ from __future__ import annotations
 import json
 import math
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -302,8 +304,46 @@ def train_lle(
 
 
 # ---------------------------------------------------------------------------
-# eszsl: regression closed form
+# eszsl and sae: closed forms from thin SVDs
 # ---------------------------------------------------------------------------
+
+
+def _kept_svd(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD M = U diag(s) Vh without singular values at or below max(shape) * eps * s_max (matrix_rank's cut)."""
+    U, s, Vh = np.linalg.svd(M, full_matrices=False)
+    keep = s > max(M.shape) * np.finfo(np.float64).eps * s.max(initial=0.0)
+    return U[:, keep], s[keep], Vh[keep]
+
+
+@contextmanager
+def _closed_form_errors(method: Method, solve: str, t: int, d: int, n: int, largest: int) -> Iterator[None]:
+    """Turn a closed form's MemoryError into InstanceTooLarge and a failed SVD into SingularSystem."""
+    try:
+        yield
+    except MemoryError:
+        nbytes = largest * np.dtype(np.float64).itemsize
+        raise InstanceTooLarge(
+            f"{method.value}: the {solve} for t={t}, d={d}, N={n} could not allocate its operands "
+            f"(the largest is {nbytes} bytes, {nbytes / 2**30:.1f} GiB)"
+        ) from None
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"{method.value}: singular value decomposition failed: {exc}") from None
+
+
+def _svd_closed_form(A, B, mixing, scale, denominator, zero_rhs: str) -> np.ndarray:
+    """U [scale a_i (Vh mixing Wh')_ij b_j / denominator(a_i, b_j)] P' from A = U diag(a) Vh and B = P diag(b) Wh.
+
+    Both SVDs are cut by _kept_svd; mixing None is the identity. The right-hand side lies in
+    range(A) x range(B), so cut singular values carry none of it. A projected middle within
+    rounding of zero (relative to ||mixing||) raises SingularSystem(zero_rhs), not noise.
+    """
+    U, a, Vh = _kept_svd(A)
+    P, b, Wh = _kept_svd(B)
+    middle = Vh @ Wh.T if mixing is None else Vh @ mixing @ Wh.T
+    norm = 1.0 if mixing is None else np.linalg.norm(mixing)
+    if np.abs(middle).max(initial=0.0) <= (Vh.shape[1] + Wh.shape[1]) * np.finfo(np.float64).eps * norm:
+        raise SingularSystem(zero_rhs)
+    return U @ (scale * a[:, None] * middle * b / denominator(a[:, None], b)) @ P.T
 
 
 def train_eszsl(
@@ -314,38 +354,25 @@ def train_eszsl(
     lam: float = 1e-3,
     reduction: np.ndarray | None = None,
 ) -> CompatModel:
-    """Closed-form ridge solution with +1/-1 class indicator targets.
+    """Ridge solution W = (X X' + gamma I)^-1 X Y S' (S S' + lam I)^-1 with +1/-1 class targets Y.
 
-    The reduction matrix, when a text-bearing mode needs one, is taken as a
-    fixed input here: the closed form solves for W only. A MemoryError in the
-    d x d and t x t systems becomes InstanceTooLarge, and a zero X Y S'
-    raises SingularSystem, as in sae.
+    With thin SVDs X = V diag(x) Z' (d x N) and S = Q diag(s) R' (t x |C|) it is exactly
+    W = V [x_i / (x_i^2 + gamma) (Z'YR)_ij s_j / (s_j^2 + lam)] Q': no d x d or t x t matrix is
+    formed and nothing is solved. gamma and lam must be > 0. A text-bearing mode's reduction is a
+    fixed input: the closed form solves for W only. Errors are as in sae.
     """
-    features = np.asarray(features, dtype=np.float64)
-    X = features.T  # d x N
+    if gamma <= 0:
+        raise ValueError(f"gamma must be > 0, got {gamma}")
+    if lam <= 0:
+        raise ValueError(f"lam must be > 0, got {lam}")
+    X = np.asarray(features, dtype=np.float64).T  # d x N
     S = classes.compose(reduction).T  # t x |C|
-    y_idx = _label_indices(labels, classes)
     (d, n), (t, c) = X.shape, S.shape
-    try:
-        Y = -np.ones((n, c))
-        Y[np.arange(n), y_idx] = 1.0
-        A = X @ X.T + gamma * np.eye(d)
-        B = S @ S.T + lam * np.eye(t)
-        rhs = X @ Y @ S.T
-        if not np.any(rhs):
-            raise SingularSystem("eszsl: X Y S' is zero, so the ridge solution is zero")
-        W = np.linalg.solve(A, rhs)
-        del rhs  # d x t: free it before the t x t solve
-        W = np.linalg.solve(B, W.T).T  # right-multiply by B^-1 (B symmetric)
+    with _closed_form_errors(Method.ESZSL, "ridge solve", t, d, n, max(d * n, t * c, d * t, n * c)):
+        Y = np.where(np.arange(c) == _label_indices(labels, classes)[:, None], 1.0, -1.0)
+        zero = "eszsl: X Y S' is zero, so the ridge solution is zero"
+        W = _svd_closed_form(X, S, Y, 1.0, lambda x, s: (x**2 + gamma) * (s**2 + lam), zero)
         final_loss = oracles.eszsl_objective(W, X, S, Y, gamma, lam)
-    except MemoryError:
-        nbytes = max(d * d, t * t, d * n, t * c, d * t, n * c) * np.dtype(np.float64).itemsize
-        raise InstanceTooLarge(
-            f"eszsl: the ridge solve for t={t}, d={d}, N={n} could not allocate its operands "
-            f"(the largest is {nbytes} bytes, {nbytes / 2**30:.1f} GiB)"
-        ) from None
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"eszsl normal equations are singular: {exc}") from None
 
     return CompatModel(
         W=W,
@@ -356,18 +383,6 @@ def train_eszsl(
         final_loss=final_loss,
         d_text=classes.text_dim if classes.mode.uses_text else None,
     )
-
-
-# ---------------------------------------------------------------------------
-# sae: auto-encoder projection via a Sylvester solve
-# ---------------------------------------------------------------------------
-
-
-def _kept_svd(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD M = U diag(s) Vh without singular values at or below max(shape) * eps * s_max (matrix_rank's cut)."""
-    U, s, Vh = np.linalg.svd(M, full_matrices=False)
-    keep = s > max(M.shape) * np.finfo(np.float64).eps * s.max(initial=0.0)
-    return U[:, keep], s[keep], Vh[keep]
 
 
 def train_sae(
@@ -382,36 +397,18 @@ def train_sae(
     Solves S S' P + lam P X X' = (1 + lam) S X' for the t x d projection P,
     with S holding one class-embedding column per training sample; W = P'.
     With thin SVDs S = Q diag(s) R' and X = V diag(x) Z' the minimum-norm
-    solution is P = Q [(1 + lam) s_i (R'Z)_ij x_j / (s_i^2 + lam x_j^2)] V':
-    the right-hand side lies in range(S) x range(X), so the cut singular
-    values carry none of it and every kept denominator is positive. No t x t,
-    d x d or (t d) x (t d) matrix is formed.
+    solution is P = Q [(1 + lam) s_i (R'Z)_ij x_j / (s_i^2 + lam x_j^2)] V',
+    where every kept denominator is positive.
     """
     if lam_sae <= 0:
         raise ValueError(f"lam_sae must be > 0, got {lam_sae}")
-    features = np.asarray(features, dtype=np.float64)
-    X = features.T  # d x N
-    S_classes = classes.compose(reduction)
-    y_idx = _label_indices(labels, classes)
-    S = S_classes[y_idx].T  # t x N, one column per sample
-
+    X = np.asarray(features, dtype=np.float64).T  # d x N
+    S = classes.compose(reduction)[_label_indices(labels, classes)].T  # t x N, one column per sample
     (t, n), d = S.shape, X.shape[0]
-    try:
-        Q, s, Rh = _kept_svd(S)
-        V, x, Zh = _kept_svd(X)
-        core = (1.0 + lam_sae) * s[:, None] * (Rh @ Zh.T) * x
-        if not np.any(core):
-            raise SingularSystem("sae: (1 + lam) S X' is zero, so the minimum-norm projection is zero")
-        P = Q @ (core / (s[:, None] ** 2 + lam_sae * x**2)) @ V.T
+    with _closed_form_errors(Method.SAE, "Sylvester solve", t, d, n, max(t * n, d * n, t * d)):
+        zero = "sae: (1 + lam) S X' is zero, so the minimum-norm projection is zero"
+        P = _svd_closed_form(S, X, None, 1.0 + lam_sae, lambda s, x: s**2 + lam_sae * x**2, zero)
         residual = oracles.sylvester_residual(P, S, X, lam_sae)
-    except MemoryError:
-        nbytes = max(t * n, d * n, t * d) * np.dtype(np.float64).itemsize
-        raise InstanceTooLarge(
-            f"sae: the Sylvester solve for t={t}, d={d}, N={n} could not allocate its operands "
-            f"(the largest is {nbytes} bytes, {nbytes / 2**30:.1f} GiB)"
-        ) from None
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"sae: singular value decomposition failed: {exc}") from None
     if not math.isfinite(residual):
         raise SingularSystem(f"sylvester solve produced non-finite residual {residual!r}")
 

@@ -17,6 +17,7 @@ from .embeddings import flip_attribute
 from .errors import InstanceTooLarge, SingularSystem
 
 MAX_DIM = 64
+TRIAL_CHUNK = 10_000  # Monte-Carlo trials drawn at once
 
 
 def _guard(**dims: int) -> None:
@@ -131,16 +132,15 @@ def brute_random_baseline(
         raise ValueError("class_sizes must be nonempty positive counts")
 
     rng = np.random.default_rng(seed)
-    positions = rng.integers(0, n_classes, size=(trials, sum(sizes)), dtype=np.int32)
     bounds = np.cumsum([0] + sizes)
-    out: dict[int, float] = {}
-    for k in ks:
-        hit = positions < k
-        class_rates = np.stack(
-            [hit[:, bounds[i] : bounds[i + 1]].mean(axis=1) for i in range(len(sizes))], axis=1
-        )
-        out[k] = float(100.0 * class_rates.mean(axis=1).mean())
-    return out
+    totals = dict.fromkeys(ks, 0.0)
+    for start in range(0, trials, TRIAL_CHUNK):  # memory stays flat in the number of trials
+        positions = rng.integers(0, n_classes, size=(min(TRIAL_CHUNK, trials - start), bounds[-1]), dtype=np.int32)
+        for k in totals:
+            hit = positions < k
+            class_rates = np.stack([hit[:, bounds[i] : bounds[i + 1]].mean(axis=1) for i in range(len(sizes))], axis=1)
+            totals[k] += class_rates.mean(axis=1).sum()
+    return {k: float(100.0 * total / trials) for k, total in totals.items()}
 
 
 def finite_difference_grad(

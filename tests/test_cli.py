@@ -240,7 +240,7 @@ def test_train_eszsl_out_of_memory_exits_1_with_error_line(workspace, tmp_path, 
     def no_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate")
 
-    monkeypatch.setattr(np.linalg, "solve", no_memory)
+    monkeypatch.setattr(np.linalg, "svd", no_memory)
     argv = ["train", "--manifest", workspace["manifest"], "--out", tmp_path / "eszsl"] + TRAIN_OVERRIDES
     code = run(argv + ["--method", "eszsl"])
     assert code == 1
@@ -248,6 +248,15 @@ def test_train_eszsl_out_of_memory_exits_1_with_error_line(workspace, tmp_path, 
     assert len(err) == 1 and re.match(r"error: eszsl: the ridge solve for t=\d+, d=\d+, N=\d+ .* \d+ bytes", err[0])
     assert not (tmp_path / "eszsl" / "model.json").exists()
     assert not (tmp_path / "eszsl" / "model.npy").exists()
+
+
+def test_train_eszsl_negative_gamma_exits_1_with_error_line(workspace, tmp_path, capsys):
+    argv = ["train", "--manifest", workspace["manifest"], "--out", tmp_path / "eszsl"] + TRAIN_OVERRIDES
+    code = run(argv + ["--method", "eszsl", "--gamma=-1e-3"])  # argparse reads a bare "-1e-3" as an option
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: gamma must be > 0, got -0.001"]
+    assert not (tmp_path / "eszsl" / "model.json").exists()
 
 
 def _copy_model(workspace, dest: Path) -> Path:

@@ -377,10 +377,28 @@ def test_eszsl_out_of_memory_raises_instance_too_large(monkeypatch):
         raise MemoryError("Unable to allocate")
 
     features, labels, classes, _ = random_training_problem(25, n=12, d=6, mode_kind=ModeKind.ATTRIBUTES)
-    monkeypatch.setattr(np.linalg, "solve", no_memory)
-    # operands: d x d, t x t, d x N (the largest: 6 * 12 * 8 bytes), t x |C|, d x t, N x |C|
-    with pytest.raises(InstanceTooLarge, match=r"eszsl: .* t=3, d=6, N=12 .* \(the largest is 576 bytes"):
+    monkeypatch.setattr(np.linalg, "svd", no_memory)
+    # operands: d x N (the largest: 6 * 12 * 8 bytes), t x |C|, d x t, N x |C|
+    with pytest.raises(InstanceTooLarge, match=r"eszsl: the ridge solve for t=3, d=6, N=12 .* \(the largest is 576 bytes"):
         train_eszsl(features, labels, classes, gamma=0.1, lam=0.2)
+
+
+def test_eszsl_svd_failure_raises_singular_system(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    features, labels, classes, _ = random_training_problem(27, n=12, d=6, mode_kind=ModeKind.ATTRIBUTES)
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    with pytest.raises(SingularSystem, match="eszsl: .*did not converge"):
+        train_eszsl(features, labels, classes, gamma=0.1, lam=0.2)
+
+
+@pytest.mark.parametrize("name, value", [("gamma", 0.0), ("gamma", -1e-3), ("lam", 0.0), ("lam", -1e-3)])
+def test_eszsl_rejects_nonpositive_penalties(name, value):
+    # with gamma < 0 the objective has no minimum and the closed form is a saddle point
+    features, labels, classes, _ = random_training_problem(28, n=4, d=6, mode_kind=ModeKind.ATTRIBUTES)
+    with pytest.raises(ValueError, match=rf"{name} must be > 0, got {value}"):
+        train_eszsl(features, labels, classes, **{"gamma": 1e-3, "lam": 1e-3, name: value})
 
 
 def test_eszsl_zero_semantics_raises_singular_system_without_warnings():
@@ -391,6 +409,30 @@ def test_eszsl_zero_semantics_raises_singular_system_without_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SingularSystem, match="zero"):
             train_eszsl(features, [f"c{i % 3}" for i in range(6)], classes, gamma=0.1, lam=0.2)
+
+
+def test_eszsl_two_classes_with_one_embedding_raise_singular_system():
+    # Y S' is exactly zero, but the SVD factors of S leave a rounding-level X Y S'
+    classes = ClassEmbeddingSet.from_descriptors([make_descriptor(f"c{i}", [1, 0, 1]) for i in range(2)], ATTR)
+    features = np.random.default_rng(29).normal(size=(6, 4))
+    with pytest.raises(SingularSystem, match="zero"):
+        train_eszsl(features, [f"c{i % 2}" for i in range(6)], classes, gamma=0.1, lam=0.2)
+
+
+def eszsl_operands(features, labels, classes):
+    """X (d x N), S (t x |C|) and the +1/-1 targets Y (N x |C|) of an eszsl problem without a trained reduction."""
+    Y = -np.ones((len(labels), classes.n_classes))
+    Y[np.arange(len(labels)), [classes.index_of(label) for label in labels]] = 1.0
+    return features.T, classes.compose(None).T, Y
+
+
+def normal_equation_residual(W, features, labels, classes, gamma, lam) -> float:
+    """||A W B - X Y S'|| / (||A|| ||W|| ||B||) for A = X X' + gamma I, B = S S' + lam I (2-norms of A, B)."""
+    X, S, Y = eszsl_operands(features, labels, classes)
+    A = X @ X.T + gamma * np.eye(len(X))
+    B = S @ S.T + lam * np.eye(len(S))
+    scale = np.linalg.norm(A, 2) * np.linalg.norm(W) * np.linalg.norm(B, 2)
+    return float(np.linalg.norm(A @ W @ B - X @ Y @ S.T) / scale)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +504,8 @@ def gram_spectrum(M) -> np.ndarray:
 
 
 @st.composite
-def sae_problems(draw):
+def attribute_instances(draw):
+    """sae_instance draws: t, d <= 32, N <= 40, 1-6 classes, repeated samples and one scaled feature row."""
     n_classes = draw(st.integers(1, 6))
     n = draw(st.integers(n_classes, 40))
     instance = sae_instance(
@@ -474,8 +517,40 @@ def sae_problems(draw):
         n_classes=n_classes,
         n=n,
     )
-    assume(np.any(instance[3]))  # an all-zero S raises SingularSystem, see test_sae_zero_semantics_*
-    return instance, draw(st.floats(0.05, 2.0))
+    assume(np.any(instance[3]))  # an all-zero S raises SingularSystem, see test_*_zero_semantics_*
+    return instance
+
+
+@st.composite
+def sae_problems(draw):
+    return draw(attribute_instances()), draw(st.floats(0.05, 2.0))
+
+
+log_uniform_penalties = st.floats(-6.0, np.log10(2.0)).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(attribute_instances(), log_uniform_penalties, log_uniform_penalties)
+def test_eszsl_satisfies_its_normal_equation(instance, gamma, lam):
+    features, labels, classes, _, _ = instance
+    try:
+        W = train_eszsl(features, labels, classes, gamma=gamma, lam=lam).W
+    except SingularSystem:
+        # refused only where the ridge solution is zero: X Y S' vanishes to working precision
+        X, S, Y = eszsl_operands(features, labels, classes)
+        assert np.linalg.norm(X @ Y @ S.T) <= 1e-13 * np.linalg.norm(X) * np.linalg.norm(Y) * np.linalg.norm(S)
+        return
+    assert normal_equation_residual(W, features, labels, classes, gamma, lam) <= 1e-13
+
+
+def test_eszsl_paper_shaped_instance_satisfies_its_normal_equation():
+    # t = 53 attributes + 768 text columns, d = 256, one sample of each of 170 classes
+    features, labels, classes, _ = random_training_problem(
+        30, n=170, d=256, n_classes=170, attr_count=53, text_dim=768, d_t=768
+    )
+    assert (classes.embedding_dim, features.shape) == (821, (170, 256))
+    model = train_eszsl(features, labels, classes, gamma=1e-3, lam=1e-2)
+    assert normal_equation_residual(model.W, features, labels, classes, 1e-3, 1e-2) <= 1e-13
 
 
 @settings(max_examples=60, deadline=None)
