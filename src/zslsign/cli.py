@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -424,8 +425,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")  # -1e-3, -.5, -0.5,1,0.5
+_LONG_OPTION = re.compile(r"--[^=]+$")  # an option without an attached "=value"
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Join a negative value to the long option before it, so "--gamma -1e-3" parses as "--gamma=-1e-3".
+
+    argparse takes "-1e-3" or "-0.5,1,0.5" after a space for an option, since only
+    plain numbers like "-0.001" look negative to it.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and _NEGATIVE_VALUE.match(token) and _LONG_OPTION.match(out[-1]):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except (MissingFile, ParseError, InvariantViolation, FileNotFoundError) as exc:

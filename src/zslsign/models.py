@@ -2,11 +2,14 @@
 
 The compatibility score of a video embedding phi and class embedding rho is
 the dense bilinear form phi' W rho; CompatModel.scores evaluates it for all
-samples and classes at once as Phi W S'. Three trainers produce W:
+samples and classes at once as Phi W S', in whichever association costs fewer
+multiply-adds for the shapes. Three trainers produce W:
 
 * lle    - softmax cross-entropy with l2 penalty on W, minimized by
            deterministic full-batch gradient descent; a text-reduction matrix
-           M is optimized jointly when the embedding mode calls for one.
+           M is optimized jointly when the embedding mode calls for one. Each
+           pass scores through the same Phi W S' path, exponentiates once, and
+           shares one d x |C| product F'G between the gradients of W and M.
 * eszsl  - ridge-style regression closed form
            W = (X X' + gamma I)^-1 X Y S' (S S' + lam I)^-1.
 * sae    - auto-encoding projection: the minimum-norm solution P of the
@@ -132,7 +135,7 @@ class CompatModel:
             raise DimensionMismatch(f"video embedding has length {phi.shape[-1]}, W expects {self.d}")
         if S.ndim != 2 or S.shape[1] != self.t:
             raise DimensionMismatch(f"class embeddings have shape {S.shape}, W expects length {self.t}")
-        return phi @ self.W @ S.T
+        return _bilinear(phi, self.W, S)
 
 
 def posteriors(scores: np.ndarray) -> np.ndarray:
@@ -142,10 +145,12 @@ def posteriors(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def log_posteriors(scores: np.ndarray) -> np.ndarray:
-    """Row-wise stable log-softmax over compatibility scores."""
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+def _bilinear(features: np.ndarray, W: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Phi W S' in whichever association, (Phi W) S' or Phi (W S'), costs fewer multiply-adds.
+
+    multi_dot decides from the shapes alone, so the same shapes always take the same path.
+    """
+    return np.linalg.multi_dot([features, W, S.T])
 
 
 def truth_ranks(scores: np.ndarray, class_ids: Sequence[str], truths: Sequence[str]) -> np.ndarray:
@@ -180,25 +185,38 @@ def _label_indices(labels: Sequence[str], classes: ClassEmbeddingSet) -> np.ndar
     return np.array([classes.index_of(label) for label in labels], dtype=np.intp)
 
 
-def _lle_forward(W, M, features, y, classes, lam) -> tuple[float, np.ndarray, np.ndarray]:
-    """Objective value, class matrix S and log-posteriors of one lle evaluation."""
+def _lle_forward(W, M, features, y, classes, lam) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Objective value, class matrix S, and the softmax pieces E = exp(Z - max) and s = E.sum(1) of one pass.
+
+    The loss is mean(m + log s - z_y) + lam ||W||^2 for scores Z with row maxima m; E
+    overwrites Z, so one N x |C| array holds scores, then numerators.
+    """
     S = classes.compose(M)
-    log_probs = log_posteriors(features @ W @ S.T)
-    loss = float(-log_probs[np.arange(len(y)), y].mean() + lam * np.sum(W * W))
-    return loss, S, log_probs
+    Z = _bilinear(features, W, S)
+    z_y = Z[np.arange(len(y)), y]
+    m = Z.max(axis=1)
+    Z -= m[:, None]
+    E = np.exp(Z, out=Z)
+    s = E.sum(axis=1)
+    loss = float(np.mean(np.log(s) - (z_y - m)) + lam * np.sum(W * W))
+    return loss, S, E, s
 
 
-def _lle_backward(W, M, features, y, classes, lam, S, log_probs) -> tuple[np.ndarray, np.ndarray | None]:
-    """Gradients with respect to W (and M if present) from a forward pass at (W, M)."""
+def _lle_backward(W, M, features, y, classes, lam, S, E, s) -> tuple[np.ndarray, np.ndarray | None]:
+    """Gradients with respect to W (and M if present) from a forward pass at (W, M); E is overwritten.
+
+    With G = E / (n s) - onehot / n, both gradients share FG = F'G (d x |C|):
+    grad_W = FG S + 2 lam W and grad_M = T' (FG' W_text).
+    """
     n = len(y)
-    G = np.exp(log_probs)
-    G[np.arange(n), y] -= 1.0
-    G /= n
-    grad_W = features.T @ G @ S + 2.0 * lam * W
+    G = np.divide(E, (n * s)[:, None], out=E)
+    G[np.arange(n), y] -= 1.0 / n
+    FG = features.T @ G
+    grad_W = FG @ S + 2.0 * lam * W
     grad_M = None
     if M is not None:
         offset = classes.attributes.shape[1] if classes.mode.uses_attributes else 0  # text columns of W
-        grad_M = classes.texts.T @ (G.T @ (features @ W[:, offset:]))
+        grad_M = classes.texts.T @ (FG.T @ W[:, offset:])
     return grad_W, grad_M
 
 
@@ -224,8 +242,8 @@ def lle_gradients(
 ) -> tuple[float, np.ndarray, np.ndarray | None]:
     """Objective value and analytic gradients with respect to W (and M if present)."""
     y = _label_indices(labels, classes)
-    loss, S, log_probs = _lle_forward(W, M, features, y, classes, lam)
-    return (loss, *_lle_backward(W, M, features, y, classes, lam, S, log_probs))
+    loss, *forward = _lle_forward(W, M, features, y, classes, lam)
+    return (loss, *_lle_backward(W, M, features, y, classes, lam, *forward))
 
 
 def train_lle(
@@ -239,7 +257,10 @@ def train_lle(
     Each epoch takes one full-batch step; if the step would increase the loss
     the step size is halved, up to MAX_STEP_HALVINGS times, before giving up
     with NonFiniteLoss. Same seed and config therefore reproduce the exact
-    same parameters.
+    same parameters. A trial step costs one forward pass (scores, one max-shifted
+    exp, the loss); only an accepted step adds the backward pass, which turns
+    that pass's exp into G = softmax/n - onehot/n and shares F'G between
+    grad_W = F'G S + 2 lam W and grad_M = T' (F'G)' W_text.
     """
     features = np.asarray(features, dtype=np.float64)
     if classes.n_classes < 2:
@@ -259,10 +280,10 @@ def train_lle(
     M = rng.uniform(-cfg.init_scale, cfg.init_scale, size=(classes.text_dim, mode.d_t)) if trains_reduction else None
 
     y = _label_indices(labels, classes)
-    loss, S, log_probs = _lle_forward(W, M, features, y, classes, cfg.lam)
+    loss, *forward = _lle_forward(W, M, features, y, classes, cfg.lam)
     if not math.isfinite(loss):
         raise NonFiniteLoss(f"initial loss is {loss}")
-    grad_W, grad_M = _lle_backward(W, M, features, y, classes, cfg.lam, S, log_probs)
+    grad_W, grad_M = _lle_backward(W, M, features, y, classes, cfg.lam, *forward)
     history = [loss]
 
     # at a converged point the theoretical decrease of a tiny step underflows and
@@ -275,14 +296,14 @@ def train_lle(
         for _attempt in range(MAX_STEP_HALVINGS + 1):
             W_try = W - step * grad_W
             M_try = M - step * grad_M if M is not None else None
-            loss_try, S, log_probs = _lle_forward(W_try, M_try, features, y, classes, cfg.lam)
+            loss_try, *forward = _lle_forward(W_try, M_try, features, y, classes, cfg.lam)
             if math.isfinite(loss_try) and loss_try <= loss:
                 W, M, loss = W_try, M_try, loss_try
                 moved = True
                 break
             step *= 0.5
         if moved:
-            grad_W, grad_M = _lle_backward(W, M, features, y, classes, cfg.lam, S, log_probs)
+            grad_W, grad_M = _lle_backward(W, M, features, y, classes, cfg.lam, *forward)
         elif not (math.isfinite(loss_try) and loss_try - loss <= plateau_tol):
             raise NonFiniteLoss(
                 f"step halving exhausted after {MAX_STEP_HALVINGS} halvings at loss {loss!r}"

@@ -49,6 +49,60 @@ def brute_softmax(scores: Sequence[float]) -> np.ndarray:
     return (e / e.sum()).astype(np.float64)
 
 
+def _lle_samples(W, M, features, labels, classes):
+    """Per sample: its row, the posteriors of every class and the truth's index; plus the class embeddings.
+
+    Each class embedding is composed by hand as [attributes, text @ M] (raw text when M is
+    None), scored against the sample with brute_bilinear and normalized with brute_softmax.
+    """
+    n, d = features.shape
+    _guard(n=n, d=d, classes=classes.n_classes, text=classes.text_dim)
+    mode = classes.mode
+    rhos = []
+    for a, text in zip(classes.attributes, classes.texts):
+        parts = [a] if mode.uses_attributes else []
+        if mode.uses_text:
+            parts.append(text if M is None else text.astype(np.longdouble) @ M.astype(np.longdouble))
+        rhos.append(np.concatenate(parts))
+    samples = []
+    for phi, label in zip(features, labels):
+        probs = brute_softmax([brute_bilinear(phi, W, rho) for rho in rhos])
+        samples.append((phi, probs, list(classes.class_ids).index(label)))
+    return samples, rhos
+
+
+def brute_lle_objective(W, M, features, labels, classes, lam: float) -> float:
+    """lle's objective, mean_i -log p(y_i | phi_i) + lam ||W||^2, one sample at a time in extended precision."""
+    samples, _ = _lle_samples(W, M, features, labels, classes)
+    acc = np.longdouble(0.0)
+    for _, probs, y in samples:
+        acc -= np.log(np.longdouble(probs[y]))
+    penalty = sum(np.longdouble(w) * np.longdouble(w) for w in W.ravel())
+    return float(acc / len(samples) + np.longdouble(lam) * penalty)
+
+
+def brute_lle_gradients(W, M, features, labels, classes, lam: float) -> tuple[np.ndarray, np.ndarray | None]:
+    """Gradients of brute_lle_objective with respect to W (and M if given), summed per sample and class.
+
+    With g_c = (p_c - [c = y]) / n, a sample adds g_c phi rho_c' to grad_W and, through the
+    text block rho_c = [.., M' tau_c], g_c tau_c (W_text' phi)' to grad_M.
+    """
+    samples, rhos = _lle_samples(W, M, features, labels, classes)
+    n = len(samples)
+    offset = classes.attributes.shape[1] if classes.mode.uses_attributes else 0  # rho = [attributes, text]
+    W_text = W[:, offset:].astype(np.longdouble)
+    grad_W = 2 * np.longdouble(lam) * W.astype(np.longdouble)
+    grad_M = None if M is None else np.zeros(M.shape, dtype=np.longdouble)
+    for phi, probs, y in samples:
+        phi = phi.astype(np.longdouble)
+        for c, (rho, text) in enumerate(zip(rhos, classes.texts)):
+            g = (np.longdouble(probs[c]) - (c == y)) / n
+            grad_W += g * np.outer(phi, rho.astype(np.longdouble))
+            if grad_M is not None:
+                grad_M += g * np.outer(text.astype(np.longdouble), phi @ W_text)
+    return grad_W.astype(np.float64), None if grad_M is None else grad_M.astype(np.float64)
+
+
 def brute_column_means(matrix: np.ndarray) -> np.ndarray:
     """Column means by per-element summation loops."""
     rows, cols = matrix.shape

@@ -259,6 +259,42 @@ def test_train_eszsl_negative_gamma_exits_1_with_error_line(workspace, tmp_path,
     assert not (tmp_path / "eszsl" / "model.json").exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--method", "eszsl", "--gamma", "-1e-3"], "error: gamma must be > 0, got -0.001"),
+        (["--method", "eszsl", "--lam", "-1e-3"], "error: lam must be > 0, got -0.001"),
+    ],
+    ids=["gamma", "lam"],
+)
+def test_negative_exponent_value_after_a_space_reaches_the_value_check(workspace, tmp_path, capsys, flags, message):
+    argv = ["train", "--manifest", workspace["manifest"], "--out", tmp_path / "out"] + TRAIN_OVERRIDES + flags
+    assert run(argv) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [message]
+    assert not (tmp_path / "out" / "model.json").exists()
+
+
+def test_negative_tsm_weights_after_a_space_train_as_the_equals_form(workspace, tmp_path):
+    base = ["train", "--manifest", workspace["manifest"]] + TRAIN_OVERRIDES + ["--aggregator", "tsm"]
+    spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+    assert run(base + ["--out", spaced, "--tsm-weights", "-0.5,1,0.5"]) == 0
+    assert run(base + ["--out", joined, "--tsm-weights=-0.5,1,0.5"]) == 0
+    configs = [json.loads((out / "effective_config.json").read_text()) for out in (spaced, joined)]
+    assert configs[0]["tsm_weights"] == configs[1]["tsm_weights"] == [-0.5, 1.0, 0.5]
+    files = [snapshot(out) for out in (spaced, joined)]
+    for tree in files:
+        del tree["effective_config.json"]  # names its own --out
+    assert files[0] == files[1]
+
+
+def test_option_followed_by_another_option_still_exits_2(workspace, tmp_path, capsys):
+    argv = ["train", "--manifest", workspace["manifest"], "--out", tmp_path / "out", "--method", "eszsl"]
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--gamma", "--lam", "1"])
+    assert exc.value.code == 2
+    assert "argument --gamma: expected one argument" in capsys.readouterr().err
+
+
 def _copy_model(workspace, dest: Path) -> Path:
     dest.mkdir()
     for name in ("model.json", "model.npy"):

@@ -5,7 +5,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from zslsign.embeddings import ClassEmbeddingSet, EmbeddingMode, ModeKind
@@ -34,6 +34,8 @@ from zslsign.models import (
 )
 from zslsign.oracles import (
     brute_bilinear,
+    brute_lle_gradients,
+    brute_lle_objective,
     brute_softmax,
     brute_sylvester,
     eszsl_gradient,
@@ -106,6 +108,35 @@ def test_compatibility_dimension_mismatch():
         model.scores([1.0, 2.0, 3.0], [[1.0, 0.0]])
     with pytest.raises(DimensionMismatch):
         model.scores([1.0, 2.0], [[1.0]])
+
+
+def phi_w_first(n, d, t, c) -> bool:
+    """Whether Phi W S' (n x d, d x t, c x t) is cheaper as (Phi W) S' than as Phi (W S')."""
+    return n * t * (d + c) < d * c * (n + t)
+
+
+@st.composite
+def bilinear_shapes(draw, phi_first: bool):
+    """N, d, t, |C| that put Phi W S' on the given side of the association switch."""
+    if phi_first:  # few samples, many classes
+        n, d, t, c = draw(st.integers(1, 3)), draw(st.integers(4, 16)), draw(st.integers(1, 4)), draw(st.integers(8, 24))
+    else:  # many samples, few classes
+        n, d, t, c = draw(st.integers(8, 24)), draw(st.integers(1, 4)), draw(st.integers(5, 16)), draw(st.integers(1, 4))
+    assert phi_w_first(n, d, t, c) == phi_first
+    return n, d, t, c
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.booleans().flatmap(bilinear_shapes), st.booleans(), st.integers(0, 2**32 - 1))
+def test_scores_match_the_double_loop_oracle_in_either_association(shape, one_row, seed):
+    n, d, t, c = shape
+    rng = np.random.default_rng(seed)
+    W, S = rng.normal(size=(d, t)), rng.normal(size=(c, t))
+    features = rng.normal(size=d) if one_row else rng.normal(size=(n, d))
+    got = attr_model(W).scores(features, S)
+    want = np.array([[brute_bilinear(phi, W, rho) for rho in S] for phi in np.atleast_2d(features)])
+    assert got.shape == ((c,) if one_row else (n, c))
+    assert np.max(np.abs(np.atleast_2d(got) - want)) < 1e-12
 
 
 def test_posteriors_symmetry():
@@ -286,6 +317,80 @@ def test_lle_gradients_match_finite_differences():
 
     assert max_rel_err(grad_W, fd_W) < 1e-5
     assert max_rel_err(grad_M, fd_M) < 1e-5
+
+
+def lle_problem(rng, n, d, n_classes, attr_count, text_dim, d_t, kind, with_m):
+    """A random lle evaluation point: W, M (or None), features, labels (repeats allowed), classes, lam."""
+    mode = EmbeddingMode(kind=kind, d_t=d_t if with_m else text_dim)
+    classes = ClassEmbeddingSet(
+        class_ids=tuple(f"c{i:02d}" for i in range(n_classes)),
+        attributes=rng.integers(0, 2, size=(n_classes, attr_count)).astype(float),
+        texts=rng.normal(size=(n_classes, text_dim)),
+        mode=mode,
+    )
+    W = rng.normal(scale=0.5, size=(d, classes.embedding_dim))
+    M = rng.normal(scale=0.5, size=(text_dim, d_t)) if with_m else None
+    labels = [classes.class_ids[j] for j in rng.integers(0, n_classes, size=n)]
+    lam = float(rng.choice([0.0, 1e-3, 0.1, 1.0]))
+    return W, M, rng.normal(size=(n, d)), labels, classes, lam
+
+
+@st.composite
+def lle_problems(draw):
+    """lle points in both associations: N > d with t > |C| (Phi (W S')), N < d with t < |C| ((Phi W) S')."""
+    kind = draw(st.sampled_from(list(ModeKind)))
+    with_m = kind is not ModeKind.ATTRIBUTES and draw(st.booleans())
+    if draw(st.booleans()):  # N > d, t > |C|: every part of t is at least 5
+        n, d, n_classes = draw(st.integers(5, 24)), draw(st.integers(1, 4)), draw(st.integers(2, 4))
+        attr_count, text_dim, d_t = (draw(st.integers(5, 8)) for _ in range(3))
+    else:  # N < d, t < |C|: t is at most 8
+        n, d, n_classes = draw(st.integers(1, 3)), draw(st.integers(4, 10)), draw(st.integers(9, 16))
+        attr_count, text_dim, d_t = (draw(st.integers(1, 4)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    problem = lle_problem(rng, n, d, n_classes, attr_count, text_dim, d_t, kind, with_m)
+    assert phi_w_first(n, d, problem[0].shape[1], n_classes) == (n < d)
+    return problem
+
+
+def overflowing_lle_problem():
+    """Integer data whose scores (711 to 730) are exact and overflow an unshifted exp; truths not always on top."""
+    classes = ClassEmbeddingSet(
+        class_ids=("a", "b", "c"), attributes=np.eye(3), texts=np.zeros((3, 1)), mode=ATTR
+    )
+    features = np.array([[711.0, 712.0, 715.0], [730.0, 720.0, 725.0], [713.0, 713.0, 711.0]])
+    return np.eye(3), None, features, ["b", "a", "c"], classes, 1e-3
+
+
+def gradient_term_scales(W, M, features, classes, lam):
+    """Largest entry each lle gradient could reach term by term; rows of G carry |.| mass at most 2/n."""
+    n = len(features)
+    row_mass = 2.0 / n * np.abs(features).sum(axis=0)  # sum_i |F_i| |G_ic| summed over c, per column of F
+    S = np.abs(classes.compose(M))
+    scale_W = np.max(np.outer(row_mass, S.max(axis=0)) + 2.0 * lam * np.abs(W))
+    if M is None:
+        return scale_W, None
+    offset = classes.attributes.shape[1] if classes.mode.uses_attributes else 0
+    scale_M = np.max(np.outer(np.abs(classes.texts).max(axis=0), row_mass @ np.abs(W[:, offset:])))
+    return scale_W, scale_M
+
+
+@settings(max_examples=150, deadline=None)
+@given(lle_problems())
+@example(overflowing_lle_problem())
+def test_lle_objective_and_gradients_match_the_per_sample_oracle(problem):
+    W, M, features, labels, classes, lam = problem
+    want_loss = brute_lle_objective(W, M, features, labels, classes, lam)
+    want_W, want_M = brute_lle_gradients(W, M, features, labels, classes, lam)
+    loss = lle_objective(W, M, features, labels, classes, lam)
+    loss_again, grad_W, grad_M = lle_gradients(W, M, features, labels, classes, lam)
+    assert loss_again == loss
+    # log s >= 0 is read off s >= 1, so a loss below 1 carries its rounding in absolute terms
+    assert abs(loss - want_loss) <= 1e-12 * max(1.0, abs(want_loss))
+    scale_W, scale_M = gradient_term_scales(W, M, features, classes, lam)
+    assert np.max(np.abs(grad_W - want_W)) <= 1e-12 * scale_W
+    assert (grad_M is None) == (M is None)
+    if M is not None:
+        assert np.max(np.abs(grad_M - want_M)) <= 1e-12 * scale_M
 
 
 def test_lle_loss_is_non_increasing():

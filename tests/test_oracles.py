@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from zslsign.embeddings import ClassEmbeddingSet, EmbeddingMode
 from zslsign.errors import InstanceTooLarge
 from zslsign.oracles import (
     brute_bilinear,
     brute_column_means,
+    brute_lle_gradients,
+    brute_lle_objective,
     brute_random_baseline,
     brute_softmax,
     brute_sylvester,
@@ -119,3 +122,9 @@ def test_size_guards():
         brute_random_baseline(65, [1], [1])
     with pytest.raises(InstanceTooLarge):
         brute_random_baseline(2, [1] * 65, [1])
+    classes = ClassEmbeddingSet(("a", "b"), np.eye(2), np.zeros((2, 1)), EmbeddingMode())
+    for oracle in (brute_lle_objective, brute_lle_gradients):
+        with pytest.raises(InstanceTooLarge, match=r"oracle limit: n=65 exceeds 64"):
+            oracle(np.eye(2), None, np.zeros((65, 2)), ["a"] * 65, classes, 0.0)
+        with pytest.raises(InstanceTooLarge, match=r"oracle limit: d=65 exceeds 64"):
+            oracle(np.zeros((65, 2)), None, np.zeros((1, 65)), ["a"], classes, 0.0)
