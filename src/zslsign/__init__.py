@@ -1,100 +1,1 @@
 """Zero-shot and generalized zero-shot sign recognition over precomputed features."""
-
-from .data import (
-    ClassDescriptor,
-    Dataset,
-    FeatureSequence,
-    Sample,
-    SplitConfig,
-    SplitMode,
-    Stream,
-    load_dataset,
-    save_dataset,
-    validate_dataset,
-)
-from .embeddings import (
-    ClassEmbeddingSet,
-    EmbeddingMode,
-    ModeKind,
-    flip_attribute,
-)
-from .evaluation import EvalReport, gzsl_report, harmonic_mean, random_baseline, topk_accuracy
-from .experiment import RunConfig, candidate_class_ids, evaluate, rank_samples, train_from_config
-from .influence import (
-    InfluenceKind,
-    InfluenceReport,
-    class_influence_matrix,
-    confusion_influence_matrix,
-    positive_affiliation_summary,
-)
-from .models import (
-    CompatModel,
-    Method,
-    TrainConfig,
-    load_model,
-    posteriors,
-    save_model,
-    train_eszsl,
-    train_lle,
-    train_sae,
-    truth_ranks,
-)
-from .synth import SynthSpec, generate
-from .temporal import (
-    AggregatorKind,
-    AggregatorSpec,
-    average_pool,
-    embed_video,
-    shift_1d,
-    tsm_aggregate,
-)
-
-__all__ = [
-    "AggregatorKind",
-    "AggregatorSpec",
-    "ClassDescriptor",
-    "ClassEmbeddingSet",
-    "CompatModel",
-    "Dataset",
-    "EmbeddingMode",
-    "EvalReport",
-    "FeatureSequence",
-    "InfluenceKind",
-    "InfluenceReport",
-    "Method",
-    "ModeKind",
-    "RunConfig",
-    "Sample",
-    "SplitConfig",
-    "SplitMode",
-    "Stream",
-    "SynthSpec",
-    "TrainConfig",
-    "average_pool",
-    "candidate_class_ids",
-    "class_influence_matrix",
-    "confusion_influence_matrix",
-    "embed_video",
-    "evaluate",
-    "flip_attribute",
-    "generate",
-    "gzsl_report",
-    "harmonic_mean",
-    "load_dataset",
-    "load_model",
-    "positive_affiliation_summary",
-    "posteriors",
-    "random_baseline",
-    "rank_samples",
-    "save_dataset",
-    "save_model",
-    "shift_1d",
-    "topk_accuracy",
-    "train_eszsl",
-    "train_from_config",
-    "train_lle",
-    "train_sae",
-    "truth_ranks",
-    "tsm_aggregate",
-    "validate_dataset",
-]

@@ -15,7 +15,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,22 +51,6 @@ from .influence import (
 from .models import load_model, save_model
 from .synth import SynthSpec, generate
 
-_CONFIG_FLAGS = [
-    ("manifest", str),
-    ("aggregator", str),
-    ("embedding", str),
-    ("d_t", int),
-    ("method", str),
-    ("lam", float),
-    ("learning_rate", float),
-    ("epochs", int),
-    ("seed", int),
-    ("init_scale", float),
-    ("gamma", float),
-    ("lam_sae", float),
-    ("repeats", int),
-]
-
 
 def _out_dir(args, cfg: RunConfig | None = None) -> Path:
     root = os.environ.get("ZSLSIGN_OUT_ROOT", ".")
@@ -82,16 +66,12 @@ def _write_json(path: Path, payload) -> None:
 
 def _resolve_config(args) -> RunConfig:
     cfg = load_run_config(args.config) if getattr(args, "config", None) else RunConfig()
-    overrides = {}
-    for name, _type in _CONFIG_FLAGS:
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if getattr(args, "tsm_weights", None) is not None:
+    overrides = {
+        f.name: getattr(args, f.name) for f in fields(RunConfig) if getattr(args, f.name, None) is not None
+    }
+    if "tsm_weights" in overrides:
         overrides["tsm_weights"] = tuple(float(v) for v in args.tsm_weights.split(","))
-    if getattr(args, "use_hand", None) is not None:
-        overrides["use_hand"] = args.use_hand
-    if getattr(args, "ks", None) is not None:
+    if "ks" in overrides:
         overrides["ks"] = tuple(int(k) for k in args.ks.split(","))
     if getattr(args, "out", None) is not None:
         overrides["out_dir"] = args.out

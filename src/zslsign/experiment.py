@@ -113,10 +113,6 @@ def candidate_class_ids(split: SplitConfig) -> list[str]:
     return sorted(split.unseen_classes)
 
 
-def candidate_descriptors(dataset: Dataset) -> list[ClassDescriptor]:
-    return [dataset.classes_by_id[cid] for cid in candidate_class_ids(dataset.split)]
-
-
 def train_from_config(dataset: Dataset, cfg: RunConfig, seed: int | None = None) -> CompatModel:
     """Train on the seen-class samples following the run configuration."""
     check_hand_usable(dataset, cfg.use_hand)
@@ -154,7 +150,7 @@ def evaluation_samples(
     """
     check_hand_usable(dataset, cfg.use_hand)
     if candidates is None:
-        candidates = candidate_descriptors(dataset)
+        candidates = [dataset.classes_by_id[cid] for cid in candidate_class_ids(dataset.split)]
     if samples is None:
         samples = dataset.samples_of({c.class_id for c in candidates})
     return list(candidates), *stack_video_embeddings(samples, cfg.aggregator_spec(), cfg.use_hand)
@@ -197,13 +193,6 @@ def _validation_set(dataset: Dataset) -> tuple[list[ClassDescriptor], list[Sampl
     if not val_ids:
         raise ValueError("dataset split has no validation classes")
     return dataset.descriptors_of(val_ids), dataset.samples_of(val_ids)
-
-
-def validation_top1(dataset: Dataset, model: CompatModel, cfg: RunConfig) -> float:
-    """Class-normalized top-1 accuracy on the validation classes (ZSL style)."""
-    candidates, samples = _validation_set(dataset)
-    _, ranks, truths, _ = rank_samples(dataset, model, cfg, samples=samples, candidates=candidates)
-    return topk_accuracy(ranks, truths, ks=(1,)).per_k[1]
 
 
 def sweep_text_dim(

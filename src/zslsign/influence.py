@@ -206,8 +206,10 @@ def confusion_influence_matrix(
 
     Pairs (ground truth, predicted) with gt != predicted are ranked by count,
     ties broken by lexicographic pair order; the top pairs each contribute one
-    row averaged over their samples.
+    row averaged over their samples. top_n_confusions must be at least 1.
     """
+    if top_n_confusions < 1:
+        raise ValueError(f"top_n_confusions must be >= 1, got {top_n_confusions}")
     classes, _, predicted, q = _class_scores(model, features, truths, candidates)
     n_attrs = classes.attributes.shape[1]
     names = tuple(attribute_names) if attribute_names is not None else default_attribute_names(n_attrs)

@@ -42,49 +42,22 @@ class AggregatorSpec:
         object.__setattr__(self, "weights", w)
 
 
-def _matrix(seq: FeatureSequence | np.ndarray) -> np.ndarray:
+def aggregate(seq: FeatureSequence | np.ndarray, spec: AggregatorSpec) -> np.ndarray:
+    """Pool a T x d sequence into one d-vector.
+
+    Pooling is linear, so the shift kernel folds into the column sums S: the
+    zero-filled backward shift sums to S - x_last and the forward shift to
+    S - x_first, giving (w1 (S - x_last) + w2 S + w3 (S - x_first)) / T.
+    Average pooling is S / T, which is exactly numpy's mean.
+    """
     mat = seq.data if isinstance(seq, FeatureSequence) else np.asarray(seq, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] < 1:
         raise EmptySequence(f"expected a nonempty T x d matrix, got shape {mat.shape}")
-    return mat
-
-
-def average_pool(seq: FeatureSequence | np.ndarray) -> np.ndarray:
-    """Column means over snippet rows."""
-    return _matrix(seq).mean(axis=0)
-
-
-def shift_1d(seq: FeatureSequence | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backward-, identity- and forward-shifted copies of the row sequence.
-
-    Row i of the backward shift is input row i-1 (row 0 becomes zeros); row i
-    of the forward shift is input row i+1 (last row becomes zeros).
-    """
-    mat = _matrix(seq)
-    minus = np.zeros_like(mat)
-    plus = np.zeros_like(mat)
-    minus[1:] = mat[:-1]
-    plus[:-1] = mat[1:]
-    return minus, mat.copy(), plus
-
-
-def tsm_aggregate(seq: FeatureSequence | np.ndarray, spec: AggregatorSpec) -> np.ndarray:
-    """Shift-multiply-accumulate with a 3-tap kernel, then average pool.
-
-    With weights (0, 1, 0) this reduces exactly to average_pool.
-    """
-    if spec.kind is not AggregatorKind.TEMPORAL_SHIFT_MAC:
-        raise ValueError(f"tsm_aggregate needs a TEMPORAL_SHIFT_MAC spec, got {spec.kind}")
-    w1, w2, w3 = spec.weights
-    minus, zero, plus = shift_1d(seq)
-    mixed = w1 * minus + w2 * zero + w3 * plus
-    return mixed.mean(axis=0)
-
-
-def aggregate(seq: FeatureSequence | np.ndarray, spec: AggregatorSpec) -> np.ndarray:
+    total = mat.sum(axis=0)
     if spec.kind is AggregatorKind.AVERAGE_POOL:
-        return average_pool(seq)
-    return tsm_aggregate(seq, spec)
+        return total / mat.shape[0]
+    w1, w2, w3 = spec.weights
+    return (w1 * (total - mat[-1]) + w2 * total + w3 * (total - mat[0])) / mat.shape[0]
 
 
 def embed_video(sample: Sample, spec: AggregatorSpec, use_hand: bool = False) -> np.ndarray:

@@ -50,7 +50,7 @@ from zslsign.oracles import (
 )
 from zslsign.evaluation import topk_accuracy
 from zslsign.synth import SynthSpec, generate
-from zslsign.temporal import AggregatorKind, AggregatorSpec, tsm_aggregate
+from zslsign.temporal import AggregatorKind, AggregatorSpec, aggregate
 
 from conftest import make_descriptor
 
@@ -288,7 +288,7 @@ def test_criterion_08_oracle_equivalence():
         mat = rng.normal(size=(int(rng.integers(1, 9)), int(rng.integers(1, 6))))
         weights = tuple(rng.uniform(-1, 1, size=3))
         spec = AggregatorSpec(kind=AggregatorKind.TEMPORAL_SHIFT_MAC, weights=weights)
-        worst["tsm"] = max(worst["tsm"], float(np.max(np.abs(tsm_aggregate(mat, spec) - brute_tsm(mat, weights)))))
+        worst["tsm"] = max(worst["tsm"], float(np.max(np.abs(aggregate(mat, spec) - brute_tsm(mat, weights)))))
     elapsed = time.perf_counter() - start
     for name, gap in worst.items():
         assert gap < 1e-12, f"{name}: {gap}"

@@ -192,16 +192,20 @@ def test_analyze_correct_and_rerun_determinism(workspace, tmp_path):
     assert snapshot(out) == first  # byte-identical rerun
 
 
-def test_analyze_confusions_on_weak_model(workspace, tmp_path):
-    # a barely trained model misclassifies, so real confusion rows exist
-    weak_dir = tmp_path / "weak"
-    argv = ["train", "--manifest", workspace["manifest"], "--out", weak_dir] + TRAIN_OVERRIDES
+def train_weak_model(workspace, out: Path) -> Path:
+    """A barely trained model: it misclassifies, so real confusion pairs exist."""
+    argv = ["train", "--manifest", workspace["manifest"], "--out", out] + TRAIN_OVERRIDES
     argv[argv.index("--epochs") + 1] = "1"
     argv[argv.index("--learning-rate") + 1] = "1e-9"
     assert run(argv) == 0
+    return out / "model.json"
+
+
+def test_analyze_confusions_on_weak_model(workspace, tmp_path):
+    weak_model = train_weak_model(workspace, tmp_path / "weak")
     out = tmp_path / "confusions"
     code = run(
-        ["analyze", "--manifest", workspace["manifest"], "--model", weak_dir / "model.json", "--out", out, "--confusions", "4"]
+        ["analyze", "--manifest", workspace["manifest"], "--model", weak_model, "--out", out, "--confusions", "4"]
         + TRAIN_OVERRIDES
     )
     assert code == 0
@@ -213,6 +217,21 @@ def test_analyze_confusions_on_weak_model(workspace, tmp_path):
         assert len(row["scores"]) == 6  # one score per attribute
     assert (out / "affiliation_predicted.csv").exists()
     assert (out / "affiliation_truth.csv").exists()
+
+
+@pytest.mark.parametrize("count", ["-1", "0"])
+def test_analyze_nonpositive_confusions_exits_1_with_error_line(workspace, tmp_path, capsys, count):
+    weak_model = train_weak_model(workspace, tmp_path / "weak")
+    out = tmp_path / "confusions"
+    capsys.readouterr()
+    code = run(
+        ["analyze", "--manifest", workspace["manifest"], "--model", weak_model, "--out", out, "--confusions", count]
+        + TRAIN_OVERRIDES
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and f"got {count}" in err
+    assert not (out / "influence_confusions.json").exists()
 
 
 def test_analyze_confusions_on_perfect_model_exits_1(workspace, tmp_path):

@@ -5,16 +5,16 @@ import pytest
 
 from zslsign.data import Dataset, SplitMode
 from zslsign.errors import DimensionMismatch, MissingHandStream
+from zslsign.evaluation import topk_accuracy
 from zslsign.experiment import (
     RunConfig,
     candidate_class_ids,
-    candidate_descriptors,
     evaluate,
+    evaluation_samples,
     rank_samples,
     stack_video_embeddings,
     sweep_text_dim,
     train_from_config,
-    validation_top1,
 )
 from zslsign.synth import SynthSpec, generate
 from zslsign.temporal import AggregatorSpec
@@ -47,6 +47,16 @@ def fixture_dataset():
 @pytest.fixture(scope="module")
 def fixture_model(fixture_dataset):
     return train_from_config(fixture_dataset, FIXTURE_CFG)
+
+
+def validation_top1(dataset, model, cfg) -> float:
+    """Class-normalized top-1 of the validation samples, ranked among the validation classes."""
+    val_ids = dataset.split.validation_classes
+    _, ranks, truths, _ = rank_samples(
+        dataset, model, cfg, samples=dataset.samples_of(val_ids), candidates=dataset.descriptors_of(val_ids)
+    )
+    assert set(truths) == val_ids
+    return topk_accuracy(ranks, truths, ks=(1,)).per_k[1]
 
 
 def test_zsl_candidates_exclude_seen(fixture_dataset):
@@ -172,9 +182,9 @@ def test_run_config_round_trip_and_unknown_keys():
 
 
 def test_candidate_descriptors_sorted(fixture_dataset):
-    descriptors = candidate_descriptors(fixture_dataset)
+    descriptors, *_ = evaluation_samples(fixture_dataset, FIXTURE_CFG)
     ids = [c.class_id for c in descriptors]
-    assert ids == sorted(ids)
+    assert ids == sorted(ids) == candidate_class_ids(fixture_dataset.split)
 
 
 def test_two_stream_training_when_hand_covered():

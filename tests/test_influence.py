@@ -167,6 +167,15 @@ def test_confusion_influence_hand_computed():
     assert abs(report.rows[0].scores[0] - 2.0) < 1e-12
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_confusion_matrix_rejects_nonpositive_pair_count(count):
+    model = attr_model([[1.0, -2.0]])
+    cands = candidates_of([[1, 1], [0, 1]])
+    # one confusion pair exists (c1 predicted as c0), so only the count can fail
+    with pytest.raises(ValueError, match=f"top_n_confusions must be >= 1, got {count}"):
+        confusion_influence_matrix(model, np.array([[2.0]]), ["c1"], cands, top_n_confusions=count)
+
+
 def test_class_matrix_single_sample_row():
     model, cands, phi, _ = random_setup(5)
     winner = scores_of(model, phi, cands).argmax()

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from zslsign.cli import main
 from zslsign.models import load_model
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -29,7 +30,11 @@ def test_run_synth_experiment_script(tmp_path):
 
 
 def test_sweep_text_dim_script(tmp_path):
-    proc = run_script("sweep_text_dim.py", "--out", tmp_path, "--values", "2", "--repeats", "1")
-    assert proc.returncode == 0, proc.stderr
-    rows = (tmp_path / "sweep_d_t.csv").read_text().splitlines()
+    """The text-width sweep at SynthSpec defaults, through `zslsign synth` and `zslsign sweep`."""
+    data, out = tmp_path / "data", tmp_path / "sweep"
+    assert main(["synth", "--out", str(data), "--seed", "0"]) == 0
+    argv = ["sweep", "--manifest", str(data / "manifest.json"), "--out", str(out), "--values", "2", "--repeats", "1",
+            "--epochs", "400", "--learning-rate", "0.5", "--lam", "1e-3", "--embedding", "combined", "--seed", "0"]
+    assert main(argv) == 0
+    rows = (out / "sweep_d_t.csv").read_text().splitlines()
     assert rows[0] == "d_t,mean_val_top1,stddev" and rows[1].startswith("2,")

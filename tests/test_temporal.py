@@ -6,17 +6,11 @@ from hypothesis.extra.numpy import arrays
 
 from zslsign.errors import EmptySequence, MissingHandStream
 from zslsign.oracles import brute_column_means, brute_tsm
-from zslsign.temporal import (
-    AggregatorKind,
-    AggregatorSpec,
-    average_pool,
-    embed_video,
-    shift_1d,
-    tsm_aggregate,
-)
+from zslsign.temporal import AggregatorKind, AggregatorSpec, aggregate, embed_video
 
 from conftest import make_sample
 
+AVG = AggregatorSpec()
 TSM = lambda w: AggregatorSpec(kind=AggregatorKind.TEMPORAL_SHIFT_MAC, weights=w)
 
 matrices = arrays(
@@ -24,48 +18,52 @@ matrices = arrays(
     shape=st.tuples(st.integers(1, 8), st.integers(1, 5)),
     elements=st.floats(-100, 100, allow_nan=False),
 )
+taps = st.tuples(*[st.floats(-3, 3, allow_nan=False)] * 3)
+
+
+def one_hot_row_weights(T: int, weights) -> list[float]:
+    """Pooled tsm output when row j is a one-hot row: (w2 + w1 [j < T-1] + w3 [j > 0]) / T."""
+    w1, w2, w3 = weights
+    return [(w2 + w1 * (j < T - 1) + w3 * (j > 0)) / T for j in range(T)]
 
 
 def test_average_pool_basic():
-    assert np.array_equal(average_pool(np.array([[1.0, 2.0], [3.0, 4.0]])), [2.0, 3.0])
+    assert np.array_equal(aggregate(np.array([[1.0, 2.0], [3.0, 4.0]]), AVG), [2.0, 3.0])
 
 
 def test_average_pool_single_row_is_identity():
-    assert np.array_equal(average_pool(np.array([[5.0, 7.0, 9.0]])), [5.0, 7.0, 9.0])
+    assert np.array_equal(aggregate(np.array([[5.0, 7.0, 9.0]]), AVG), [5.0, 7.0, 9.0])
 
 
 def test_average_pool_matches_summation_oracle():
     mat = np.random.default_rng(3).normal(size=(10, 4))
-    assert np.max(np.abs(average_pool(mat) - brute_column_means(mat))) < 1e-12
+    assert np.max(np.abs(aggregate(mat, AVG) - brute_column_means(mat))) < 1e-12
 
 
 def test_average_pool_rejects_empty():
-    with pytest.raises(EmptySequence):
-        average_pool(np.zeros((0, 3)))
+    for spec in (AVG, TSM((0.2, 0.5, 0.3))):
+        with pytest.raises(EmptySequence):
+            aggregate(np.zeros((0, 3)), spec)
 
 
 def test_shift_definition():
-    a, b, c = [1.0, 2.0], [3.0, 4.0], [5.0, 6.0]
-    minus, zero, plus = shift_1d(np.array([a, b, c]))
-    assert np.array_equal(minus, [[0.0, 0.0], a, b])
-    assert np.array_equal(zero, [a, b, c])
-    assert np.array_equal(plus, [b, c, [0.0, 0.0]])
+    # T = 3: row 0 has no predecessor (loses w3), row 2 no successor (loses w1)
+    weights = (2.0, 3.0, 5.0)
+    got = aggregate(np.eye(3), TSM(weights))
+    assert np.array_equal(got, [(3.0 + 2.0) / 3, (3.0 + 2.0 + 5.0) / 3, (3.0 + 5.0) / 3])
 
 
 def test_shift_single_row_is_all_boundary():
-    minus, zero, plus = shift_1d(np.array([[7.0]]))
-    assert np.array_equal(minus, [[0.0]])
-    assert np.array_equal(zero, [[7.0]])
-    assert np.array_equal(plus, [[0.0]])
+    # T = 1: both shifted copies are zero rows, so only the current tap survives
+    assert np.array_equal(aggregate(np.array([[7.0]]), TSM((2.0, 3.0, 5.0))), [3.0 * 7.0])
 
 
 def test_shift_matches_index_oracle():
-    mat = np.random.default_rng(5).normal(size=(5, 3))
-    minus, _, plus = shift_1d(mat)
-    for i in range(5):
-        for j in range(3):
-            assert minus[i, j] == (mat[i - 1, j] if i >= 1 else 0.0)
-            assert plus[i, j] == (mat[i + 1, j] if i + 1 < 5 else 0.0)
+    # one-hot rows for T = 1, 2, 3 read off each row's exact weight, zero-filled boundary included
+    for weights in [(2.0, 3.0, 5.0), (0.2, 0.5, 0.3), (-1.5, 0.25, 3.0)]:
+        for T in (1, 2, 3):
+            got = aggregate(np.eye(T), TSM(weights))
+            assert np.array_equal(got, one_hot_row_weights(T, weights)), (T, weights)
 
 
 @given(st.data())
@@ -77,48 +75,57 @@ def test_shift_is_linear(data):
     )
     a = data.draw(st.floats(-3, 3))
     b = data.draw(st.floats(-3, 3))
-    combined = shift_1d(a * x + b * y)
-    separate = [a * u + b * v for u, v in zip(shift_1d(x), shift_1d(y))]
-    for got, want in zip(combined, separate):
-        assert np.allclose(got, want, atol=1e-9)
+    for spec in (AVG, TSM(data.draw(taps))):
+        combined = aggregate(a * x + b * y, spec)
+        separate = a * aggregate(x, spec) + b * aggregate(y, spec)
+        assert np.allclose(combined, separate, atol=1e-9)
+
+
+@given(matrices, taps)
+@settings(max_examples=200)
+def test_aggregate_matches_brute_oracles(mat, weights):
+    bound = 1e-12 * max(1.0, float(np.max(np.abs(mat))))
+    assert np.max(np.abs(aggregate(mat, TSM(weights)) - brute_tsm(mat, weights))) <= bound
+    assert np.max(np.abs(aggregate(mat, AVG) - brute_column_means(mat))) <= bound
 
 
 def test_tsm_constant_sequence_boundary_arithmetic():
     x = np.array([2.0, -1.0, 0.5])
     seq = np.tile(x, (3, 1))
-    pooled = tsm_aggregate(seq, TSM((1.0, 1.0, 1.0)))
+    pooled = aggregate(seq, TSM((1.0, 1.0, 1.0)))
     assert np.allclose(pooled, (7.0 / 3.0) * x, atol=1e-12)
 
 
 def test_tsm_identity_kernel_equals_average_pool():
     mat = np.random.default_rng(9).normal(size=(6, 4))
-    assert np.array_equal(tsm_aggregate(mat, TSM((0.0, 1.0, 0.0))), average_pool(mat))
+    assert np.array_equal(aggregate(mat, TSM((0.0, 1.0, 0.0))), aggregate(mat, AVG))
 
 
 @given(matrices)
 @settings(max_examples=60)
 def test_tsm_identity_kernel_property(mat):
-    assert np.array_equal(tsm_aggregate(mat, TSM((0.0, 1.0, 0.0))), average_pool(mat))
+    assert np.array_equal(aggregate(mat, TSM((0.0, 1.0, 0.0))), aggregate(mat, AVG))
+    assert np.array_equal(aggregate(mat, AVG), mat.mean(axis=0))
 
 
 def test_tsm_matches_convolution_oracle():
     mat = np.random.default_rng(17).normal(size=(6, 2))
     weights = (0.2, 0.5, 0.3)
-    got = tsm_aggregate(mat, TSM(weights))
+    got = aggregate(mat, TSM(weights))
     assert np.max(np.abs(got - brute_tsm(mat, weights))) < 1e-12
 
 
 def test_average_pool_permutation_invariant_tsm_not():
     seq = np.array([[1.0, 0.0], [5.0, 2.0]])
     flipped = seq[::-1]
-    assert np.array_equal(average_pool(seq), average_pool(flipped))
+    assert np.array_equal(aggregate(seq, AVG), aggregate(flipped, AVG))
     spec = TSM((1.0, 0.0, 0.0))  # w1 != w3
-    assert not np.array_equal(tsm_aggregate(seq, spec), tsm_aggregate(flipped, spec))
+    assert not np.array_equal(aggregate(seq, spec), aggregate(flipped, spec))
 
 
 def test_embed_video_concatenation_order():
     sample = make_sample("s", "c", body=[[1.0, 2.0]], hand=[[3.0]])
-    spec = AggregatorSpec()
+    spec = AVG
     assert np.array_equal(embed_video(sample, spec, use_hand=True), [1.0, 2.0, 3.0])
     assert np.array_equal(embed_video(sample, spec, use_hand=False), [1.0, 2.0])
 
