@@ -41,6 +41,7 @@ from .experiment import (
     rank_samples,
     sweep_text_dim,
     train_from_config,
+    train_repeats,
 )
 from .influence import (
     InfluenceReport,
@@ -159,12 +160,11 @@ def cmd_train(args) -> int:
         print(f"wrote {out / 'model.json'}")
         return 0
 
-    finals = []
-    for r in range(cfg.repeats):
-        model = train_from_config(dataset, cfg, seed=cfg.seed + r)
+    models = train_repeats(dataset, cfg)
+    for r, model in enumerate(models):
         save_model(model, out / f"model_r{r}.json")
         _write_training_log(out / f"training_log_r{r}.csv", model.loss_history, model.final_loss)
-        finals.append(model.final_loss)
+    finals = [model.final_loss for model in models]
     summary = {
         "repeats": cfg.repeats,
         "seeds": [cfg.seed + r for r in range(cfg.repeats)],

@@ -3,21 +3,25 @@
 This module owns the run configuration and the deterministic recipes the CLI
 drives: building embedding matrices, selecting candidate sets per split mode,
 training a model from a config, taking the truth rank and predicted class of
-each evaluation sample, and sweeping the text-reduction width.
+each evaluation sample, and sweeping the text-reduction width. A command's
+independent trainings (a sweep's grid, a train's repeats) run side by side on
+forked worker processes.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .data import ClassDescriptor, Dataset, Sample, SplitConfig, SplitMode
 from .embeddings import ClassEmbeddingSet, EmbeddingMode, ModeKind
-from .errors import DimensionMismatch, MissingFile, MissingHandStream, ParseError
+from .errors import DimensionMismatch, MissingFile, MissingHandStream, ParseError, ZslSignError
 from .evaluation import EvalReport, gzsl_report, topk_accuracy
 from .models import CompatModel, Method, TrainConfig, train_eszsl, train_lle, train_sae, truth_ranks
 from .temporal import AggregatorKind, AggregatorSpec, embed_video
@@ -113,12 +117,17 @@ def candidate_class_ids(split: SplitConfig) -> list[str]:
     return sorted(split.unseen_classes)
 
 
+def _seen_stack(dataset: Dataset, cfg: RunConfig) -> tuple[np.ndarray, list[str], list[ClassDescriptor]]:
+    """What every training reads: the stacked seen-class samples, their labels and the seen descriptors."""
+    check_hand_usable(dataset, cfg.use_hand)
+    seen = dataset.split.seen_classes
+    _, features, labels = stack_video_embeddings(dataset.samples_of(seen), cfg.aggregator_spec(), cfg.use_hand)
+    return features, labels, dataset.descriptors_of(seen)
+
+
 def train_from_config(dataset: Dataset, cfg: RunConfig, seed: int | None = None) -> CompatModel:
     """Train on the seen-class samples following the run configuration."""
-    check_hand_usable(dataset, cfg.use_hand)
-    train_samples = dataset.samples_of(dataset.split.seen_classes)
-    _, features, labels = stack_video_embeddings(train_samples, cfg.aggregator_spec(), cfg.use_hand)
-    return _train_stacked(features, labels, dataset.descriptors_of(dataset.split.seen_classes), cfg, seed)
+    return _train_stacked(*_seen_stack(dataset, cfg), cfg, seed)
 
 
 def _train_stacked(
@@ -138,33 +147,100 @@ def _train_stacked(
     return train_sae(features, labels, classes, lam_sae=cfg.lam_sae)
 
 
+def _fit_seeds(cfg: RunConfig) -> list[int]:
+    """Seeds of the distinct fits behind cfg.repeats repeats.
+
+    lle fits once per seed (cfg.seed, cfg.seed + 1, ...); the closed forms ignore
+    the seed, so one fit serves every repeat (see _per_repeat).
+    """
+    seeds = [cfg.seed + r for r in range(cfg.repeats)]
+    return seeds if Method(cfg.method) is Method.LLE else seeds[:1]
+
+
+def _per_repeat(fits: list, repeats: int) -> list:
+    """One entry per repeat: the fits themselves, or one closed-form fit repeated."""
+    return fits if len(fits) == repeats else fits * repeats
+
+
+def train_repeats(dataset: Dataset, cfg: RunConfig) -> list[CompatModel]:
+    """One model per repeat, for seeds cfg.seed, cfg.seed + 1, ...
+
+    The seen samples are embedded once; the fits run side by side (see
+    _map_jobs). eszsl and sae fit once and every repeat gets that model.
+    """
+    jobs = [(cfg, seed) for seed in _fit_seeds(cfg)]
+    return _per_repeat(_map_jobs(_train_stacked, jobs, _seen_stack(dataset, cfg)), cfg.repeats)
+
+
+_shared: tuple = ()  # a pool worker's shared job arguments, set once by its initializer
+
+
+def _share(*shared) -> None:
+    global _shared
+    _shared = shared
+
+
+def _run_shared(job: Callable, item: tuple):
+    return job(*_shared, *item)
+
+
+def _usable_cpus() -> int:
+    """CPUs in this process's affinity mask; 1 where the OS does not report one."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else 1
+
+
+def _map_jobs(job: Callable, items: Sequence[tuple], shared: tuple) -> list:
+    """[job(*shared, *item) for item in items], on up to one forked worker per usable CPU.
+
+    job is a module-level function, so a worker can unpickle it by name. The
+    workers inherit shared through fork instead of a pickled copy, and each job
+    sends back only its result. Results come back in item order, so they do not
+    depend on the worker count. With one worker, or without the fork start
+    method, the jobs run in this process instead, one after another. fork
+    assumes the caller runs no other threads, as the CLI commands do not. A
+    typed error raised by a job reaches the caller unchanged; a worker that
+    dies becomes a ZslSignError.
+    """
+    workers = min(len(items), _usable_cpus())
+    context = None
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            context = multiprocessing.get_context("fork")
+    if context is None:
+        return [job(*shared, *item) for item in items]
+
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    try:
+        with ProcessPoolExecutor(workers, mp_context=context, initializer=_share, initargs=shared) as pool:
+            return list(pool.map(partial(_run_shared, job), items))
+    except BrokenProcessPool as exc:
+        raise ZslSignError(f"a training worker process ended abruptly: {exc}") from None
+
+
 def evaluation_samples(
-    dataset: Dataset,
-    cfg: RunConfig,
-    samples: Sequence[Sample] | None = None,
-    candidates: Sequence[ClassDescriptor] | None = None,
+    dataset: Dataset, cfg: RunConfig
 ) -> tuple[list[ClassDescriptor], list[str], np.ndarray, list[str]]:
     """Candidate descriptors plus the stacked evaluation samples of the split mode.
 
     Returns (candidates, sample ids, N x d features, truths), samples sorted by id.
     """
     check_hand_usable(dataset, cfg.use_hand)
-    if candidates is None:
-        candidates = [dataset.classes_by_id[cid] for cid in candidate_class_ids(dataset.split)]
-    if samples is None:
-        samples = dataset.samples_of({c.class_id for c in candidates})
-    return list(candidates), *stack_video_embeddings(samples, cfg.aggregator_spec(), cfg.use_hand)
+    candidate_ids = candidate_class_ids(dataset.split)
+    candidates = [dataset.classes_by_id[cid] for cid in candidate_ids]
+    samples = dataset.samples_of(set(candidate_ids))
+    return candidates, *stack_video_embeddings(samples, cfg.aggregator_spec(), cfg.use_hand)
 
 
 def rank_samples(
-    dataset: Dataset,
-    model: CompatModel,
-    cfg: RunConfig,
-    samples: Sequence[Sample] | None = None,
-    candidates: Sequence[ClassDescriptor] | None = None,
+    dataset: Dataset, model: CompatModel, cfg: RunConfig
 ) -> tuple[list[str], np.ndarray, list[str], list[str]]:
     """Sample ids, 0-based truth ranks, truths and predicted classes of the split mode's samples."""
-    candidates, sample_ids, features, truths = evaluation_samples(dataset, cfg, samples, candidates)
+    candidates, sample_ids, features, truths = evaluation_samples(dataset, cfg)
     ranks, predicted = _rank_stacked(model, features, candidates, truths)
     return sample_ids, ranks, truths, predicted
 
@@ -195,32 +271,34 @@ def _validation_set(dataset: Dataset) -> tuple[list[ClassDescriptor], list[Sampl
     return dataset.descriptors_of(val_ids), dataset.samples_of(val_ids)
 
 
+def _validation_top1(train: tuple, val: tuple, cfg: RunConfig, seed: int) -> float:
+    """Validation top-1 of one model trained on the stacked seen samples: one sweep job."""
+    features, candidates, truths = val
+    ranks, _ = _rank_stacked(_train_stacked(*train, cfg, seed), features, candidates, truths)
+    return topk_accuracy(ranks, truths, ks=(1,)).per_k[1]
+
+
 def sweep_text_dim(
     dataset: Dataset, cfg: RunConfig, values: Sequence[int]
 ) -> list[tuple[int, float, float]]:
     """Validation top-1 across text-reduction widths; (value, mean, stddev) rows.
 
     A value equal to the raw text width runs without a reduction layer. The
-    seen and the validation samples are embedded once for the whole sweep.
+    seen and the validation samples are embedded once for the whole sweep, and
+    the (value, seed) fits run side by side (see _map_jobs).
     """
     mode_kind = ModeKind(cfg.embedding)
     if mode_kind is ModeKind.ATTRIBUTES:
         raise ValueError("sweeping d_t needs a text-bearing embedding mode")
-    check_hand_usable(dataset, cfg.use_hand)
-    agg = cfg.aggregator_spec()
-    seen = dataset.split.seen_classes
-    _, train_features, labels = stack_video_embeddings(dataset.samples_of(seen), agg, cfg.use_hand)
-    seen_descriptors = dataset.descriptors_of(seen)
+    train = _seen_stack(dataset, cfg)
     val_candidates, val_samples = _validation_set(dataset)
-    _, val_features, truths = stack_video_embeddings(val_samples, agg, cfg.use_hand)
+    _, val_features, truths = stack_video_embeddings(val_samples, cfg.aggregator_spec(), cfg.use_hand)
+    seeds = _fit_seeds(cfg)
+    jobs = [(replace(cfg, d_t=int(value)), seed) for value in values for seed in seeds]
+    top1 = _map_jobs(_validation_top1, jobs, (train, (val_features, val_candidates, truths)))
     rows = []
-    for value in values:
-        run = replace(cfg, d_t=int(value))
-        scores = []
-        for r in range(cfg.repeats):
-            model = _train_stacked(train_features, labels, seen_descriptors, run, seed=cfg.seed + r)
-            ranks, _ = _rank_stacked(model, val_features, val_candidates, truths)
-            scores.append(topk_accuracy(ranks, truths, ks=(1,)).per_k[1])
+    for i, value in enumerate(values):
+        scores = _per_repeat(top1[i * len(seeds) : (i + 1) * len(seeds)], cfg.repeats)
         mean = float(np.mean(scores))
         std = float(np.std(scores, ddof=1)) if len(scores) > 1 else 0.0
         rows.append((int(value), mean, std))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from zslsign.cli import main as cli_main
-from zslsign.data import Dataset, SplitMode, load_dataset, save_dataset, validate_dataset
+from zslsign.data import Dataset, SplitConfig, SplitMode, load_dataset, save_dataset, validate_dataset
 from zslsign.embeddings import ClassEmbeddingSet, EmbeddingMode, ModeKind, flip_attribute
 from zslsign.errors import InvariantViolation
 from zslsign.evaluation import harmonic_mean, random_baseline
@@ -344,20 +344,20 @@ def test_criterion_10_protocol_shape_checks(tmp_path):
     zsl_ids = candidate_class_ids(dataset.split)
     assert not set(zsl_ids) & set(dataset.split.seen_classes)
 
-    # (b) GZSL model predicting over unseen-only candidates equals the ZSL prediction, exactly
+    # (b) GZSL model predicting over unseen-only candidates equals the ZSL prediction, exactly:
+    # a GZSL split of the unseen classes alone (half of them as its seen ones) has the ZSL
+    # candidate set and evaluation samples
     _, zsl_ranks, zsl_truths, zsl_predicted = rank_samples(dataset, model, cfg)
-    gzsl_dataset = Dataset(dataset.classes, dataset.samples,
-                           dataset.split.with_mode(SplitMode.GZSL), dataset.attribute_count)
-    unseen_descriptors = [gzsl_dataset.classes_by_id[c] for c in sorted(gzsl_dataset.split.unseen_classes)]
-    unseen_samples = gzsl_dataset.samples_of(gzsl_dataset.split.unseen_classes)
-    _, gzsl_ranks, gzsl_truths, gzsl_predicted = rank_samples(gzsl_dataset, model, cfg, samples=unseen_samples,
-                                                               candidates=unseen_descriptors)
+    unseen = sorted(dataset.split.unseen_classes)
+    gzsl_split = SplitConfig(frozenset(unseen[:2]), frozenset(), frozenset(unseen[2:]), SplitMode.GZSL)
+    gzsl_dataset = Dataset(dataset.classes, dataset.samples, gzsl_split, dataset.attribute_count)
+    _, gzsl_ranks, gzsl_truths, gzsl_predicted = rank_samples(gzsl_dataset, model, cfg)
     assert gzsl_truths == zsl_truths
     assert np.array_equal(gzsl_ranks, zsl_ranks)
     assert gzsl_predicted == zsl_predicted
     # the score matrices themselves agree bit for bit, so every class's rank does too
     zsl_candidates, _, zsl_features, _ = evaluation_samples(dataset, cfg)
-    gzsl_candidates, _, gzsl_features, _ = evaluation_samples(gzsl_dataset, cfg, unseen_samples, unseen_descriptors)
+    gzsl_candidates, _, gzsl_features, _ = evaluation_samples(gzsl_dataset, cfg)
     assert zsl_candidates == gzsl_candidates
     assert scores_of(model, gzsl_features, gzsl_candidates).tobytes() == \
         scores_of(model, zsl_features, zsl_candidates).tobytes()

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from zslsign import experiment
 from zslsign.cli import main
 
 SYNTH_ARGS = [
@@ -487,12 +488,104 @@ def test_sweep_command(workspace, tmp_path):
         assert float(row.split(",")[1]) > 100.0 / 2  # two validation classes
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def child_env() -> dict[str, str]:
+    """The environment for a child Python that imports zslsign from this checkout's src/."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+
+
+def test_sweep_csv_bytes_do_not_depend_on_the_worker_count(workspace, tmp_path, monkeypatch):
+    argv = ["sweep", "--manifest", workspace["manifest"], "--values", "2,3,4", "--repeats", "3"]
+    argv += TRAIN_OVERRIDES[:-2] + ["--epochs", "60"]
+    csv = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
+        assert run(argv + ["--out", tmp_path / str(cpus)]) == 0
+        csv[cpus] = (tmp_path / str(cpus) / "sweep_d_t.csv").read_bytes()
+    assert csv[1] == csv[2]
+
+
+@pytest.mark.parametrize("method, trainer", [("eszsl", "train_eszsl"), ("sae", "train_sae")])
+def test_train_repeats_of_a_closed_form_fit_once(workspace, tmp_path, monkeypatch, method, trainer):
+    calls = []
+    original = getattr(experiment, trainer)
+    monkeypatch.setattr(experiment, trainer, lambda *a, **kw: calls.append(1) or original(*a, **kw))
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 1)  # every fit in this process, so counted
+    base = ["train", "--manifest", workspace["manifest"], "--method", method] + TRAIN_OVERRIDES[:-2]
+    assert run(base + ["--out", tmp_path / "one", "--repeats", "1"]) == 0
+    assert run(base + ["--out", tmp_path / "three", "--repeats", "3"]) == 0
+    assert len(calls) == 2  # one fit per command
+    one, three = tmp_path / "one", tmp_path / "three"
+    weights = (one / "model.npy").read_bytes()
+    header = json.loads((one / "model.json").read_text())
+    for r in range(3):
+        assert (three / f"model_r{r}.npy").read_bytes() == weights
+        assert json.loads((three / f"model_r{r}.json").read_text()) == dict(header, weights=f"model_r{r}.npy")
+        assert (three / f"training_log_r{r}.csv").read_bytes() == (one / "training_log.csv").read_bytes()
+    summary = json.loads((three / "summary.json").read_text())
+    assert summary["final_losses"] == [header["final_loss"]] * 3
+    assert summary["final_loss_mean"] == float(np.mean([header["final_loss"]] * 3))
+
+
+@pytest.fixture(scope="module")
+def default_manifest(tmp_path_factory):
+    """A dataset at the SynthSpec defaults: text width 8."""
+    data = tmp_path_factory.mktemp("default") / "data"
+    assert run(["synth", "--out", data, "--seed", "0"]) == 0
+    return data / "manifest.json"
+
+
+@pytest.mark.parametrize("cpus, values", [(1, "4"), (2, "8,4")])
+def test_a_training_jobs_typed_error_keeps_its_exit_code(default_manifest, tmp_path, monkeypatch, capsys, cpus, values):
+    # "8,4" on two CPUs raises in a worker, after another worker's fit succeeded
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
+    argv = ["sweep", "--manifest", default_manifest, "--out", tmp_path, "--method", "eszsl",
+            "--embedding", "combined", "--values", values, "--repeats", "2"]
+    assert run(argv) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "needs a 8x4 reduction matrix" in err[0]
+    assert not (tmp_path / "sweep_d_t.csv").exists()
+
+
+_DYING_WORKER = """
+import os, sys
+from zslsign import experiment
+from zslsign.cli import main
+
+def die(*args):
+    os._exit(7)
+
+experiment._validation_top1 = die
+experiment._usable_cpus = lambda: 2
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_a_worker_that_dies_exits_1_with_one_error_line(workspace, tmp_path):
+    argv = ["sweep", "--manifest", workspace["manifest"], "--out", tmp_path, "--values", "2,4", "--repeats", "2"]
+    argv += TRAIN_OVERRIDES[:-2]
+    proc = subprocess.run(
+        [sys.executable, "-c", _DYING_WORKER, *map(str, argv)],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+    assert proc.returncode == 1
+    err = proc.stderr.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "worker" in err[0]
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    code = "import sys, zslsign.cli; print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_console_entry_point_help():
     # the child gets src/ on its path too, so the test passes from an uninstalled checkout
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-m", "zslsign.cli", "--help"], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "zslsign.cli", "--help"], capture_output=True, text=True, env=child_env()
     )
     assert proc.returncode == 0
     for sub in ("synth", "train", "predict", "eval", "analyze", "baseline", "sweep"):

@@ -1,9 +1,12 @@
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from zslsign.data import Dataset, SplitMode
+from zslsign import experiment
+from zslsign.data import Dataset, SplitConfig, SplitMode
 from zslsign.errors import DimensionMismatch, MissingHandStream
 from zslsign.evaluation import topk_accuracy
 from zslsign.experiment import (
@@ -15,6 +18,7 @@ from zslsign.experiment import (
     stack_video_embeddings,
     sweep_text_dim,
     train_from_config,
+    train_repeats,
 )
 from zslsign.synth import SynthSpec, generate
 from zslsign.temporal import AggregatorSpec
@@ -50,13 +54,31 @@ def fixture_model(fixture_dataset):
 
 
 def validation_top1(dataset, model, cfg) -> float:
-    """Class-normalized top-1 of the validation samples, ranked among the validation classes."""
+    """Class-normalized top-1 of the validation samples, ranked among the validation classes.
+
+    A ZSL split whose unseen classes are the validation classes makes rank_samples
+    rank exactly those samples against exactly those candidates.
+    """
     val_ids = dataset.split.validation_classes
+    val_split = SplitConfig(dataset.split.seen_classes, frozenset(), val_ids, SplitMode.ZSL)
     _, ranks, truths, _ = rank_samples(
-        dataset, model, cfg, samples=dataset.samples_of(val_ids), candidates=dataset.descriptors_of(val_ids)
+        Dataset(dataset.classes, dataset.samples, val_split, dataset.attribute_count), model, cfg
     )
     assert set(truths) == val_ids
+    assert len(truths) == len(dataset.samples_of(val_ids))
     return topk_accuracy(ranks, truths, ks=(1,)).per_k[1]
+
+
+def unseen_as_gzsl(dataset: Dataset, samples=None) -> Dataset:
+    """A GZSL dataset whose seen + unseen candidates are exactly the ZSL unseen classes.
+
+    Its first unseen classes (by id) become its seen ones, so the GZSL candidate
+    set and evaluation samples are those of the ZSL split.
+    """
+    unseen = sorted(dataset.split.unseen_classes)
+    half = len(unseen) // 2
+    split = SplitConfig(frozenset(unseen[:half]), frozenset(), frozenset(unseen[half:]), SplitMode.GZSL)
+    return Dataset(dataset.classes, dataset.samples if samples is None else samples, split, dataset.attribute_count)
 
 
 def test_zsl_candidates_exclude_seen(fixture_dataset):
@@ -73,26 +95,23 @@ def test_gzsl_candidates_are_seen_plus_unseen(fixture_dataset):
 
 def test_gzsl_predict_on_unseen_candidates_equals_zsl(fixture_dataset, fixture_model):
     zsl_ids, zsl_ranks, zsl_truths, zsl_predicted = rank_samples(fixture_dataset, fixture_model, FIXTURE_CFG)
-    gzsl_dataset = Dataset(
-        fixture_dataset.classes,
-        fixture_dataset.samples,
-        fixture_dataset.split.with_mode(SplitMode.GZSL),
-        fixture_dataset.attribute_count,
-    )
-    unseen = [gzsl_dataset.classes_by_id[c] for c in sorted(gzsl_dataset.split.unseen_classes)]
-    samples = gzsl_dataset.samples_of(gzsl_dataset.split.unseen_classes)
-    g_ids, g_ranks, g_truths, g_predicted = rank_samples(
-        gzsl_dataset, fixture_model, FIXTURE_CFG, samples=samples, candidates=unseen
-    )
+    gzsl_dataset = unseen_as_gzsl(fixture_dataset)
+    assert candidate_class_ids(gzsl_dataset.split) == candidate_class_ids(fixture_dataset.split)
+    g_ids, g_ranks, g_truths, g_predicted = rank_samples(gzsl_dataset, fixture_model, FIXTURE_CFG)
     assert g_ids == zsl_ids
     assert g_truths == zsl_truths
     assert np.array_equal(g_ranks, zsl_ranks)  # exact, not approximate
     assert g_predicted == zsl_predicted
     # every unseen class taken in turn as the truth: the whole ranking agrees
-    for cid in sorted(gzsl_dataset.split.unseen_classes):
-        relabeled = [replace(s, class_id=cid) for s in samples]
-        _, g_all, _, _ = rank_samples(gzsl_dataset, fixture_model, FIXTURE_CFG, samples=relabeled, candidates=unseen)
-        _, z_all, _, _ = rank_samples(fixture_dataset, fixture_model, FIXTURE_CFG, samples=relabeled)
+    unseen = fixture_dataset.split.unseen_classes
+    for cid in sorted(unseen):
+        relabeled = [replace(s, class_id=cid) if s.class_id in unseen else s for s in fixture_dataset.samples]
+        zsl_relabeled = Dataset(
+            fixture_dataset.classes, relabeled, fixture_dataset.split, fixture_dataset.attribute_count
+        )
+        _, z_all, z_truths, _ = rank_samples(zsl_relabeled, fixture_model, FIXTURE_CFG)
+        _, g_all, g_truths, _ = rank_samples(unseen_as_gzsl(fixture_dataset, relabeled), fixture_model, FIXTURE_CFG)
+        assert z_truths == g_truths == [cid] * len(zsl_ids)
         assert np.array_equal(g_all, z_all)
 
 
@@ -234,3 +253,72 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(init_scale=0.0)
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="worker pools fork"
+)
+
+
+def _pid_job(offset, scale, value):
+    """A _map_jobs job: its worker's pid and a value computed from the shared arguments."""
+    return os.getpid(), offset + scale * value
+
+
+@needs_fork
+def test_map_jobs_forks_workers_and_keeps_item_order(monkeypatch):
+    items = [(v,) for v in range(7)]
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 1)
+    in_process = experiment._map_jobs(_pid_job, items, (10, 3))
+    assert in_process == [(os.getpid(), 10 + 3 * v) for v in range(7)]
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+    pooled = experiment._map_jobs(_pid_job, items, (10, 3))
+    assert [value for _, value in pooled] == [value for _, value in in_process]
+    pids = {pid for pid, _ in pooled}
+    assert os.getpid() not in pids and 1 <= len(pids) <= 2
+    assert experiment._shared == ()  # only the workers' initializer sets it
+
+
+@needs_fork
+@pytest.mark.parametrize("method", ["lle", "eszsl", "sae"])
+def test_sweep_rows_do_not_depend_on_the_worker_count(fixture_dataset, monkeypatch, method):
+    cfg = replace(FIXTURE_CFG, method=method, epochs=60, repeats=3)
+    values = [2, 3, 4] if method == "lle" else [4]  # the closed forms need d_t == text width
+    rows = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
+        rows[cpus] = sweep_text_dim(fixture_dataset, cfg, values=values)
+    assert rows[1] == rows[2]
+    assert [r[0] for r in rows[1]] == values
+
+
+@needs_fork
+def test_train_repeats_do_not_depend_on_the_worker_count(fixture_dataset, monkeypatch):
+    cfg = replace(FIXTURE_CFG, epochs=40, repeats=3)
+    models = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
+        models[cpus] = train_repeats(fixture_dataset, cfg)
+    for one, two, r in zip(models[1], models[2], range(cfg.repeats)):
+        assert one.seed == two.seed == cfg.seed + r
+        assert one.W.tobytes() == two.W.tobytes()
+        assert one.M.tobytes() == two.M.tobytes() if one.M is not None else two.M is None
+        assert one.loss_history == two.loss_history and one.final_loss == two.final_loss
+    # each repeat is the model train_from_config gives for its seed
+    alone = train_from_config(fixture_dataset, cfg, seed=cfg.seed + 1)
+    assert alone.W.tobytes() == models[2][1].W.tobytes()
+    assert alone.loss_history == models[2][1].loss_history
+
+
+@pytest.mark.parametrize("method, trainer", [("eszsl", "train_eszsl"), ("sae", "train_sae")])
+def test_sweep_fits_a_closed_form_once_per_width(fixture_dataset, monkeypatch, method, trainer):
+    calls = []
+    original = getattr(experiment, trainer)
+    monkeypatch.setattr(experiment, trainer, lambda *a, **kw: calls.append(1) or original(*a, **kw))
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 1)  # every fit in this process, so counted
+    cfg = replace(FIXTURE_CFG, method=method, repeats=3)
+    rows = sweep_text_dim(fixture_dataset, cfg, values=[4, 4])
+    assert len(calls) == 2
+    single = validation_top1(fixture_dataset, train_from_config(fixture_dataset, cfg), cfg)
+    # every repeat's score still enters the mean and the stddev, as three trainings' would
+    assert rows == [(4, float(np.mean([single] * 3)), float(np.std([single] * 3, ddof=1)))] * 2
