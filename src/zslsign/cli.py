@@ -11,16 +11,18 @@ count writes byte-identical files. Exit codes: 0 success, 2 input error,
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import re
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import SplitMode, csv_text, load_dataset, save_dataset
+from .data import SplitMode, load_dataset, save_dataset
 from .errors import (
     DimensionMismatch,
     InvariantViolation,
@@ -43,14 +45,34 @@ from .experiment import (
     train_from_config,
     train_repeats,
 )
-from .influence import (
-    InfluenceReport,
-    class_influence_matrix,
-    confusion_influence_matrix,
-    positive_affiliation_summary,
-)
 from .models import load_model, save_model
-from .synth import SynthSpec, generate
+
+if TYPE_CHECKING:
+    from .influence import InfluenceReport
+
+# Names from the modules that only some commands run. A module is imported on
+# the first lookup of one of its names on this module, so the other commands
+# start without it. Commands look the names up through _lazy, so they also see
+# a replacement bound on this module (a test's or a tracer's).
+_COMMAND_NAMES = {
+    "SynthSpec": "synth",
+    "generate": "synth",
+    "class_influence_matrix": "influence",
+    "confusion_influence_matrix": "influence",
+    "positive_affiliation_summary": "influence",
+}
+
+
+def __getattr__(name: str):
+    module = _COMMAND_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+_lazy = sys.modules[__name__]
 
 
 def _out_dir(args, cfg: RunConfig | None = None) -> Path:
@@ -98,7 +120,7 @@ def _print_metric_table(rows: dict[str, dict[int, float] | None], ks) -> None:
 
 
 def cmd_synth(args) -> int:
-    spec = SynthSpec(
+    spec = _lazy.SynthSpec(
         n_classes=args.classes,
         n_seen=args.seen,
         n_unseen=args.unseen,
@@ -112,10 +134,9 @@ def cmd_synth(args) -> int:
         seed=args.seed,
         split_mode=SplitMode.GZSL if args.gzsl else SplitMode.ZSL,
     )
-    dataset, planted = generate(spec)
+    dataset, planted = _lazy.generate(spec)
     out = _out_dir(args)
-    manifest_path = save_dataset(dataset, out)
-    (out / "planted_map.csv").write_text(csv_text(planted), encoding="utf-8")
+    manifest_path = save_dataset(dataset, out, extra_csv={"planted_map.csv": planted})
     _write_json(
         out / "synth_spec.json",
         {
@@ -251,7 +272,7 @@ def cmd_analyze(args) -> int:
     attrs_of = lambda cid: dataset.classes_by_id[cid].attributes
 
     if args.confusions is not None:
-        report = confusion_influence_matrix(
+        report = _lazy.confusion_influence_matrix(
             model, features, truths, candidates, top_n_confusions=args.confusions
         )
         _write_json(out / "influence_confusions.json", report.to_dict())
@@ -262,13 +283,13 @@ def cmd_analyze(args) -> int:
         return 0
 
     unseen = sorted(dataset.split.unseen_classes)
-    report = class_influence_matrix(model, features, truths, unseen, candidates)
+    report = _lazy.class_influence_matrix(model, features, truths, unseen, candidates)
     _write_json(out / "influence_correct.json", report.to_dict())
     _write_influence_csv(out / "influence_correct.csv", report)
     _write_affiliation_csv(out / "affiliation_correct.csv", report, attrs_of, which="predicted")
     if args.min_affiliation is not None:
         class_attrs = {cid: attrs_of(cid) for cid in unseen}
-        summary = positive_affiliation_summary(report, class_attrs, args.min_affiliation)
+        summary = _lazy.positive_affiliation_summary(report, class_attrs, args.min_affiliation)
         rows = ["attribute,mean_influence"]
         rows.extend(f"{report.attribute_names[k]},{v!r}" for k, v in sorted(summary.items()))
         (out / "affiliation_summary.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")

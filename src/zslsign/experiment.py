@@ -5,25 +5,24 @@ drives: building embedding matrices, selecting candidate sets per split mode,
 training a model from a config, taking the truth rank and predicted class of
 each evaluation sample, and sweeping the text-reduction width. A command's
 independent trainings (a sweep's grid, a train's repeats) run side by side on
-forked worker processes.
+the forked workers of pool.map_jobs.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass, replace
-from functools import partial
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .data import ClassDescriptor, Dataset, Sample, SplitConfig, SplitMode
 from .embeddings import ClassEmbeddingSet, EmbeddingMode, ModeKind
-from .errors import DimensionMismatch, MissingFile, MissingHandStream, ParseError, ZslSignError
+from .errors import DimensionMismatch, MissingFile, MissingHandStream, ParseError
 from .evaluation import EvalReport, gzsl_report, topk_accuracy
 from .models import CompatModel, Method, TrainConfig, train_eszsl, train_lle, train_sae, truth_ranks
+from .pool import map_jobs
 from .temporal import AggregatorKind, AggregatorSpec, embed_video
 
 
@@ -166,60 +165,10 @@ def train_repeats(dataset: Dataset, cfg: RunConfig) -> list[CompatModel]:
     """One model per repeat, for seeds cfg.seed, cfg.seed + 1, ...
 
     The seen samples are embedded once; the fits run side by side (see
-    _map_jobs). eszsl and sae fit once and every repeat gets that model.
+    pool.map_jobs). eszsl and sae fit once and every repeat gets that model.
     """
     jobs = [(cfg, seed) for seed in _fit_seeds(cfg)]
-    return _per_repeat(_map_jobs(_train_stacked, jobs, _seen_stack(dataset, cfg)), cfg.repeats)
-
-
-_shared: tuple = ()  # a pool worker's shared job arguments, set once by its initializer
-
-
-def _share(*shared) -> None:
-    global _shared
-    _shared = shared
-
-
-def _run_shared(job: Callable, item: tuple):
-    return job(*_shared, *item)
-
-
-def _usable_cpus() -> int:
-    """CPUs in this process's affinity mask; 1 where the OS does not report one."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else 1
-
-
-def _map_jobs(job: Callable, items: Sequence[tuple], shared: tuple) -> list:
-    """[job(*shared, *item) for item in items], on up to one forked worker per usable CPU.
-
-    job is a module-level function, so a worker can unpickle it by name. The
-    workers inherit shared through fork instead of a pickled copy, and each job
-    sends back only its result. Results come back in item order, so they do not
-    depend on the worker count. With one worker, or without the fork start
-    method, the jobs run in this process instead, one after another. fork
-    assumes the caller runs no other threads, as the CLI commands do not. A
-    typed error raised by a job reaches the caller unchanged; a worker that
-    dies becomes a ZslSignError.
-    """
-    workers = min(len(items), _usable_cpus())
-    context = None
-    if workers > 1:
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            context = multiprocessing.get_context("fork")
-    if context is None:
-        return [job(*shared, *item) for item in items]
-
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    try:
-        with ProcessPoolExecutor(workers, mp_context=context, initializer=_share, initargs=shared) as pool:
-            return list(pool.map(partial(_run_shared, job), items))
-    except BrokenProcessPool as exc:
-        raise ZslSignError(f"a training worker process ended abruptly: {exc}") from None
+    return _per_repeat(map_jobs(_train_stacked, jobs, _seen_stack(dataset, cfg)), cfg.repeats)
 
 
 def evaluation_samples(
@@ -285,7 +234,7 @@ def sweep_text_dim(
 
     A value equal to the raw text width runs without a reduction layer. The
     seen and the validation samples are embedded once for the whole sweep, and
-    the (value, seed) fits run side by side (see _map_jobs).
+    the (value, seed) fits run side by side (see pool.map_jobs).
     """
     mode_kind = ModeKind(cfg.embedding)
     if mode_kind is ModeKind.ATTRIBUTES:
@@ -295,7 +244,7 @@ def sweep_text_dim(
     _, val_features, truths = stack_video_embeddings(val_samples, cfg.aggregator_spec(), cfg.use_hand)
     seeds = _fit_seeds(cfg)
     jobs = [(replace(cfg, d_t=int(value)), seed) for value in values for seed in seeds]
-    top1 = _map_jobs(_validation_top1, jobs, (train, (val_features, val_candidates, truths)))
+    top1 = map_jobs(_validation_top1, jobs, (train, (val_features, val_candidates, truths)))
     rows = []
     for i, value in enumerate(values):
         scores = _per_repeat(top1[i * len(seeds) : (i + 1) * len(seeds)], cfg.repeats)

@@ -55,7 +55,6 @@ from .errors import (
     SingularSystem,
     UnrankedClass,
 )
-from . import oracles
 
 MAX_STEP_HALVINGS = 30
 
@@ -386,6 +385,8 @@ def train_eszsl(
         raise ValueError(f"gamma must be > 0, got {gamma}")
     if lam <= 0:
         raise ValueError(f"lam must be > 0, got {lam}")
+    from .oracles import eszsl_objective  # the reference module, loaded only by the commands that fit eszsl
+
     X = np.asarray(features, dtype=np.float64).T  # d x N
     S = classes.compose(reduction).T  # t x |C|
     (d, n), (t, c) = X.shape, S.shape
@@ -393,7 +394,7 @@ def train_eszsl(
         Y = np.where(np.arange(c) == _label_indices(labels, classes)[:, None], 1.0, -1.0)
         zero = "eszsl: X Y S' is zero, so the ridge solution is zero"
         W = _svd_closed_form(X, S, Y, 1.0, lambda x, s: (x**2 + gamma) * (s**2 + lam), zero)
-        final_loss = oracles.eszsl_objective(W, X, S, Y, gamma, lam)
+        final_loss = eszsl_objective(W, X, S, Y, gamma, lam)
 
     return CompatModel(
         W=W,
@@ -423,13 +424,15 @@ def train_sae(
     """
     if lam_sae <= 0:
         raise ValueError(f"lam_sae must be > 0, got {lam_sae}")
+    from .oracles import sylvester_residual  # the reference module, loaded only by the commands that fit sae
+
     X = np.asarray(features, dtype=np.float64).T  # d x N
     S = classes.compose(reduction)[_label_indices(labels, classes)].T  # t x N, one column per sample
     (t, n), d = S.shape, X.shape[0]
     with _closed_form_errors(Method.SAE, "Sylvester solve", t, d, n, max(t * n, d * n, t * d)):
         zero = "sae: (1 + lam) S X' is zero, so the minimum-norm projection is zero"
         P = _svd_closed_form(S, X, None, 1.0 + lam_sae, lambda s, x: s**2 + lam_sae * x**2, zero)
-        residual = oracles.sylvester_residual(P, S, X, lam_sae)
+        residual = sylvester_residual(P, S, X, lam_sae)
     if not math.isfinite(residual):
         raise SingularSystem(f"sylvester solve produced non-finite residual {residual!r}")
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zslsign import experiment
+from zslsign import experiment, pool
 from zslsign.cli import main
 
 SYNTH_ARGS = [
@@ -501,7 +501,7 @@ def test_sweep_csv_bytes_do_not_depend_on_the_worker_count(workspace, tmp_path, 
     argv += TRAIN_OVERRIDES[:-2] + ["--epochs", "60"]
     csv = {}
     for cpus in (1, 2):
-        monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
         assert run(argv + ["--out", tmp_path / str(cpus)]) == 0
         csv[cpus] = (tmp_path / str(cpus) / "sweep_d_t.csv").read_bytes()
     assert csv[1] == csv[2]
@@ -512,7 +512,7 @@ def test_train_repeats_of_a_closed_form_fit_once(workspace, tmp_path, monkeypatc
     calls = []
     original = getattr(experiment, trainer)
     monkeypatch.setattr(experiment, trainer, lambda *a, **kw: calls.append(1) or original(*a, **kw))
-    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 1)  # every fit in this process, so counted
+    monkeypatch.setattr(pool, "usable_cpus", lambda: 1)  # every fit in this process, so counted
     base = ["train", "--manifest", workspace["manifest"], "--method", method] + TRAIN_OVERRIDES[:-2]
     assert run(base + ["--out", tmp_path / "one", "--repeats", "1"]) == 0
     assert run(base + ["--out", tmp_path / "three", "--repeats", "3"]) == 0
@@ -540,7 +540,7 @@ def default_manifest(tmp_path_factory):
 @pytest.mark.parametrize("cpus, values", [(1, "4"), (2, "8,4")])
 def test_a_training_jobs_typed_error_keeps_its_exit_code(default_manifest, tmp_path, monkeypatch, capsys, cpus, values):
     # "8,4" on two CPUs raises in a worker, after another worker's fit succeeded
-    monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
     argv = ["sweep", "--manifest", default_manifest, "--out", tmp_path, "--method", "eszsl",
             "--embedding", "combined", "--values", values, "--repeats", "2"]
     assert run(argv) == 4
@@ -550,33 +550,69 @@ def test_a_training_jobs_typed_error_keeps_its_exit_code(default_manifest, tmp_p
 
 
 _DYING_WORKER = """
-import os, sys
-from zslsign import experiment
+import importlib, os, sys
+from zslsign import data, pool
 from zslsign.cli import main
 
 def die(*args):
     os._exit(7)
 
-experiment._validation_top1 = die
-experiment._usable_cpus = lambda: 2
-sys.exit(main(sys.argv[1:]))
+module, name = sys.argv[1].split(":")
+setattr(importlib.import_module(module), name, die)
+pool.usable_cpus = lambda: 2
+data._POOL_MIN_VALUES = 0  # a small dataset's save on the workers too
+sys.exit(main(sys.argv[2:]))
 """
 
 
-def test_a_worker_that_dies_exits_1_with_one_error_line(workspace, tmp_path):
-    argv = ["sweep", "--manifest", workspace["manifest"], "--out", tmp_path, "--values", "2,4", "--repeats", "2"]
-    argv += TRAIN_OVERRIDES[:-2]
-    proc = subprocess.run(
-        [sys.executable, "-c", _DYING_WORKER, *map(str, argv)],
+def _run_with_dying_worker(job: str, argv) -> subprocess.CompletedProcess:
+    """Run the CLI in a child whose pool job `job` ("module:function") kills its worker."""
+    return subprocess.run(
+        [sys.executable, "-c", _DYING_WORKER, job, *map(str, argv)],
         capture_output=True, text=True, env=child_env(), timeout=60,
     )
+
+
+def _assert_one_worker_error_line(proc: subprocess.CompletedProcess) -> None:
     assert proc.returncode == 1
     err = proc.stderr.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "worker" in err[0]
 
 
+def test_a_worker_that_dies_exits_1_with_one_error_line(workspace, tmp_path):
+    argv = ["sweep", "--manifest", workspace["manifest"], "--out", tmp_path, "--values", "2,4", "--repeats", "2"]
+    argv += TRAIN_OVERRIDES[:-2]
+    _assert_one_worker_error_line(_run_with_dying_worker("zslsign.experiment:_validation_top1", argv))
+    assert not (tmp_path / "sweep_d_t.csv").exists()
+
+
+def test_a_synth_whose_save_worker_dies_exits_1_and_leaves_no_manifest(tmp_path):
+    out = tmp_path / "data"
+    proc = _run_with_dying_worker("zslsign.data:_write_documents", ["synth", "--out", out, "--seed", "0"])
+    _assert_one_worker_error_line(proc)
+    assert out.is_dir() and not (out / "manifest.json").exists()
+    assert not (out / "manifest.pack.json").exists()
+
+
+def test_synth_calls_the_generate_bound_on_the_cli_module(tmp_path, monkeypatch):
+    # synth is imported on first use, but a replacement bound on zslsign.cli (a tracer's) is still the one called
+    from zslsign import cli
+
+    seeds = []
+    generate = cli.generate
+    monkeypatch.setattr(cli, "generate", lambda spec: seeds.append(spec.seed) or generate(spec))
+    assert run(SYNTH_ARGS + ["--out", tmp_path]) == 0
+    assert seeds == [5]
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        cli.no_such_name
+
+
+_COMMAND_ONLY_MODULES = ("multiprocessing", "concurrent.futures", "zslsign.synth", "zslsign.influence", "zslsign.oracles")
+
+
 def test_importing_the_cli_loads_no_process_pool():
-    code = "import sys, zslsign.cli; print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+    # nor the modules that only some commands run: synth, the influence analysis and the reference oracles
+    code = f"import sys, zslsign.cli; print(sorted(m for m in {_COMMAND_ONLY_MODULES!r} if m in sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

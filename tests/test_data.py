@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zslsign import data as data_module
+from zslsign import pool
 from zslsign.data import (
     Dataset,
     SplitConfig,
@@ -222,13 +223,13 @@ def test_validate_reports_nan_row():
 
 def test_validate_reports_non_binary_attribute():
     dataset = Dataset(
-        (make_descriptor("c3", [0, 1, 0.5]),),
+        (make_descriptor("c3", [0, 1, 0.5, np.nan, -0.0, 1]),),
         (),
         SplitConfig(frozenset(), frozenset(), frozenset(), SplitMode.ZSL),
-        attribute_count=3,
+        attribute_count=6,
     )
     violations = validate_dataset(dataset)
-    assert "class 'c3' attribute 2 not binary" in violations
+    assert violations == ["class 'c3' attribute 2 not binary", "class 'c3' attribute 3 not binary"]
 
 
 def test_validate_reports_duplicates_and_unknown_refs():
@@ -381,14 +382,14 @@ def test_pack_loads_the_same_bits_as_the_csvs(dataset):
     _assert_same_bits(packed, dataset)
 
 
+def _no_parse(*args):
+    raise AssertionError("a feature CSV was parsed although the pack matched it")
+
+
 def test_intact_pack_replaces_every_feature_parse(tmp_path, monkeypatch):
     manifest = _packed_copy(tmp_path)
     reference = load_dataset(manifest)
-
-    def no_parse(*args):
-        raise AssertionError("a feature CSV was parsed although the pack matched it")
-
-    monkeypatch.setattr(data_module, "_parse_feature_matrix", no_parse)
+    monkeypatch.setattr(data_module, "_parse_feature_matrix", _no_parse)
     _assert_same_bits(load_dataset(manifest), reference)
 
 
@@ -671,3 +672,62 @@ def test_two_manifests_in_one_directory_keep_their_own_packs(tmp_path):
     a_bodies = {s.sample_id: s.body.data for s in packed[0].samples}
     assert np.array_equal(a_bodies["s0"], first.samples[0].body.data)
     assert np.array_equal(a_bodies["s1"], first.samples[1].body.data + 1.0)
+
+
+# ---------------------------------------------------------------------------
+# saving on the worker pool
+# ---------------------------------------------------------------------------
+
+
+def _save_case(case: str) -> Dataset:
+    """A two-stream, a GZSL or a mixed-text-width dataset of 12 samples over 4 classes."""
+    rng = np.random.default_rng(3)
+    texts = rng.normal(size=(4, 6))
+    classes = [make_descriptor(f"c{i}", [(i >> b) & 1 for b in range(3)], t / np.linalg.norm(t)) for i, t in enumerate(texts)]
+    if case == "mixed text widths":
+        classes[0] = make_descriptor("c0", classes[0].attributes, [0.6, 0.8])
+    samples = tuple(
+        make_sample(f"s{j}", f"c{j % 4}", rng.normal(size=(3, 5)), hand=rng.normal(size=(3, 2)) if case == "hand" else None)
+        for j in range(12)
+    )
+    mode = SplitMode.GZSL if case == "gzsl" else SplitMode.ZSL
+    split = SplitConfig(frozenset({"c0", "c1"}), frozenset({"c2"}), frozenset({"c3"}), mode)
+    return Dataset(tuple(classes), samples, split, attribute_count=3)
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("case", ["hand", "gzsl", "mixed text widths"])
+def test_saved_tree_does_not_depend_on_the_worker_count(tmp_path, monkeypatch, case):
+    dataset = _save_case(case)
+    extra = {"planted_map.csv": np.random.default_rng(4).normal(size=(5, 7))}
+    monkeypatch.setattr(data_module, "_POOL_MIN_VALUES", 0)  # this small a save on the workers too
+    trees = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
+        save_dataset(dataset, tmp_path / str(cpus), extra_csv=extra)
+        trees[cpus] = _tree(tmp_path / str(cpus))
+    assert trees[1] == trees[2]
+    streams = 2 if case == "hand" else 1
+    assert len(trees[1]) == 12 * streams + 4  # the CSVs, the extra file, the pack's two files, the manifest
+    assert trees[2]["planted_map.csv"] == data_module.csv_text(extra["planted_map.csv"]).encode("utf-8")
+    if case == "mixed text widths":
+        assert "manifest" not in json.loads(trees[2]["manifest.pack.json"])
+        return
+    manifest = tmp_path / "2" / "manifest.json"
+    with monkeypatch.context() as patch:
+        patch.setattr(data_module, "_parse_feature_matrix", _no_parse)
+        _assert_same_bits(load_dataset(manifest), dataset)  # the pack index matches every CSV
+    _drop_pack(manifest)
+    _assert_same_bits(load_dataset(manifest), dataset)
+
+
+def test_ranges_cover_every_index_once_in_at_most_the_asked_number():
+    sizes = [192, 210, *[4] * 250]
+    for parts in (1, 2, 8, 1000):
+        ranges = data_module._ranges(sizes, parts)
+        assert 1 <= len(ranges) <= parts
+        assert [i for start, stop in ranges for i in range(start, stop)] == list(range(len(sizes)))
+    assert data_module._ranges(sizes, 8)[:2] == [(0, 1), (1, 2)]  # each large document is a job of its own

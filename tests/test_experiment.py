@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from zslsign import experiment
+from zslsign import experiment, pool
 from zslsign.data import Dataset, SplitConfig, SplitMode
 from zslsign.errors import DimensionMismatch, MissingHandStream
 from zslsign.evaluation import topk_accuracy
@@ -261,22 +261,22 @@ needs_fork = pytest.mark.skipif(
 
 
 def _pid_job(offset, scale, value):
-    """A _map_jobs job: its worker's pid and a value computed from the shared arguments."""
+    """A pool.map_jobs job: its worker's pid and a value computed from the shared arguments."""
     return os.getpid(), offset + scale * value
 
 
 @needs_fork
 def test_map_jobs_forks_workers_and_keeps_item_order(monkeypatch):
     items = [(v,) for v in range(7)]
-    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 1)
-    in_process = experiment._map_jobs(_pid_job, items, (10, 3))
+    monkeypatch.setattr(pool, "usable_cpus", lambda: 1)
+    in_process = pool.map_jobs(_pid_job, items, (10, 3))
     assert in_process == [(os.getpid(), 10 + 3 * v) for v in range(7)]
-    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
-    pooled = experiment._map_jobs(_pid_job, items, (10, 3))
+    monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+    pooled = pool.map_jobs(_pid_job, items, (10, 3))
     assert [value for _, value in pooled] == [value for _, value in in_process]
     pids = {pid for pid, _ in pooled}
     assert os.getpid() not in pids and 1 <= len(pids) <= 2
-    assert experiment._shared == ()  # only the workers' initializer sets it
+    assert pool._shared == ()  # only the workers' initializer sets it
 
 
 @needs_fork
@@ -286,7 +286,7 @@ def test_sweep_rows_do_not_depend_on_the_worker_count(fixture_dataset, monkeypat
     values = [2, 3, 4] if method == "lle" else [4]  # the closed forms need d_t == text width
     rows = {}
     for cpus in (1, 2):
-        monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
         rows[cpus] = sweep_text_dim(fixture_dataset, cfg, values=values)
     assert rows[1] == rows[2]
     assert [r[0] for r in rows[1]] == values
@@ -297,7 +297,7 @@ def test_train_repeats_do_not_depend_on_the_worker_count(fixture_dataset, monkey
     cfg = replace(FIXTURE_CFG, epochs=40, repeats=3)
     models = {}
     for cpus in (1, 2):
-        monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
         models[cpus] = train_repeats(fixture_dataset, cfg)
     for one, two, r in zip(models[1], models[2], range(cfg.repeats)):
         assert one.seed == two.seed == cfg.seed + r
@@ -315,7 +315,7 @@ def test_sweep_fits_a_closed_form_once_per_width(fixture_dataset, monkeypatch, m
     calls = []
     original = getattr(experiment, trainer)
     monkeypatch.setattr(experiment, trainer, lambda *a, **kw: calls.append(1) or original(*a, **kw))
-    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 1)  # every fit in this process, so counted
+    monkeypatch.setattr(pool, "usable_cpus", lambda: 1)  # every fit in this process, so counted
     cfg = replace(FIXTURE_CFG, method=method, repeats=3)
     rows = sweep_text_dim(fixture_dataset, cfg, values=[4, 4])
     assert len(calls) == 2
