@@ -10,11 +10,12 @@ Usage: python scripts/run_synth_experiment.py [--out OUT] [--seed N]
 """
 
 import argparse
+from dataclasses import replace
 from pathlib import Path
 
 from zslsign.data import Dataset, SplitMode, save_dataset
 from zslsign.evaluation import random_baseline
-from zslsign.experiment import RunConfig, evaluate, evaluation_samples, train_from_config
+from zslsign.experiment import Role, RunConfig, embed_dataset, evaluate, evaluation_samples, train_from_config
 from zslsign.influence import class_influence_matrix, confusion_influence_matrix
 from zslsign.errors import NoMisclassifications
 from zslsign.models import save_model
@@ -43,30 +44,33 @@ def main() -> None:
     print("random baseline (ZSL candidates): "
           + "  ".join(f"top-{k} {baseline[k]:5.1f}" for k in ks))
 
+    base = RunConfig(
+        embedding="combined",
+        d_t=spec.text_dim,  # equals the raw text width: no reduction layer
+        epochs=args.epochs,
+        learning_rate=0.5,
+        lam=1e-3,
+        seed=args.seed,
+        repeats=1,
+    )
+    # every method reads the same video embeddings: stack them once per sample set
+    seen = embed_dataset(dataset, base, [Role.SEEN])
+    zsl_view = embed_dataset(dataset, base, [Role.CANDIDATES])
+    gzsl_view = embed_dataset(gzsl_dataset, base, [Role.CANDIDATES])
     lle_model = None
     for method in ("lle", "eszsl", "sae"):
-        cfg = RunConfig(
-            embedding="combined",
-            d_t=spec.text_dim,  # equals the raw text width: no reduction layer
-            method=method,
-            epochs=args.epochs,
-            learning_rate=0.5,
-            lam=1e-3,
-            seed=args.seed,
-            repeats=1,
-        )
-        model = train_from_config(dataset, cfg)
+        cfg = replace(base, method=method)
+        model = train_from_config(seen, cfg)
         save_model(model, out / f"model_{method}.json")
-        zsl = evaluate(dataset, model, cfg)
-        gzsl = evaluate(gzsl_dataset, model, cfg)
+        zsl = evaluate(zsl_view, model, cfg)
+        gzsl = evaluate(gzsl_view, model, cfg)
         print(f"{method:6s} ZSL  " + "  ".join(f"top-{k} {zsl.per_k[k]:5.1f}" for k in ks))
         print(f"{'':6s} GZSL harmonic "
               + "  ".join(f"top-{k} {gzsl.harmonic_per_k[k]:5.1f}" for k in ks))
         if method == "lle":
             lle_model = model
-            lle_cfg = cfg
 
-    candidates, _, features, truths = evaluation_samples(dataset, lle_cfg)
+    candidates, _, features, truths = evaluation_samples(zsl_view)
     unseen = sorted(dataset.split.unseen_classes)
     correct = class_influence_matrix(lle_model, features, truths, unseen, candidates)
     print(f"influence (correct predictions): {len(correct.rows)} class rows, "

@@ -18,7 +18,7 @@ import re
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 import numpy as np
 
@@ -35,8 +35,13 @@ from .errors import (
 )
 from .evaluation import random_baseline
 from .experiment import (
+    SWEEP_ROLES,
+    Embedded,
+    Role,
     RunConfig,
     candidate_class_ids,
+    check_sweepable,
+    embed_dataset,
     evaluate,
     evaluation_samples,
     load_run_config,
@@ -92,17 +97,32 @@ def _resolve_config(args) -> RunConfig:
     overrides = {
         f.name: getattr(args, f.name) for f in fields(RunConfig) if getattr(args, f.name, None) is not None
     }
-    if "tsm_weights" in overrides:
-        overrides["tsm_weights"] = tuple(float(v) for v in args.tsm_weights.split(","))
-    if "ks" in overrides:
-        overrides["ks"] = tuple(int(k) for k in args.ks.split(","))
     if getattr(args, "out", None) is not None:
         overrides["out_dir"] = args.out
     return replace(cfg, **overrides)
 
 
-def _echo_config(out: Path, cfg: RunConfig) -> None:
+def _echoed_out_dir(args, cfg: RunConfig) -> Path:
+    """The output directory, with the effective config written into it."""
+    out = _out_dir(args, cfg)
     _write_json(out / "effective_config.json", cfg.to_dict())
+    return out
+
+
+_T = TypeVar("_T")
+
+
+def _load_embedded(cfg: RunConfig, roles: tuple[Role, ...], then: Callable[[], _T]) -> tuple[Embedded, _T]:
+    """Load cfg's dataset, call then(), embed the roles' samples: (the Embedded view, then()'s result).
+
+    The loaded Dataset is a local of this call, so its frames and feature pack
+    are freed before the command trains, scores or forks. then() is the step a
+    command takes between the two (load its model, make its output directory,
+    check its config), so a command's errors come in the order of its steps.
+    """
+    dataset = load_dataset(cfg.manifest)
+    result = then()
+    return embed_dataset(dataset, cfg, roles), result
 
 
 def _print_metric_table(rows: dict[str, dict[int, float] | None], ks) -> None:
@@ -169,19 +189,17 @@ def _write_training_log(path: Path, history: tuple[float, ...], final_loss: floa
 
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
-    dataset = load_dataset(cfg.manifest)
-    out = _out_dir(args, cfg)
-    _echo_config(out, cfg)
+    data, out = _load_embedded(cfg, (Role.SEEN,), lambda: _echoed_out_dir(args, cfg))
 
     if cfg.repeats <= 1:
-        model = train_from_config(dataset, cfg)
+        model = train_from_config(data, cfg)
         save_model(model, out / "model.json")
         _write_training_log(out / "training_log.csv", model.loss_history, model.final_loss)
         print(f"trained {cfg.method} model: final loss {model.final_loss!r}")
         print(f"wrote {out / 'model.json'}")
         return 0
 
-    models = train_repeats(dataset, cfg)
+    models = train_repeats(data, cfg)
     for r, model in enumerate(models):
         save_model(model, out / f"model_r{r}.json")
         _write_training_log(out / f"training_log_r{r}.csv", model.loss_history, model.final_loss)
@@ -202,9 +220,8 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     cfg = _resolve_config(args)
-    dataset = load_dataset(cfg.manifest)
-    model = load_model(args.model)
-    sample_ids, ranks, truths, predicted = rank_samples(dataset, model, cfg)
+    data, model = _load_embedded(cfg, (Role.CANDIDATES,), lambda: load_model(args.model))
+    sample_ids, ranks, truths, predicted = rank_samples(data, model)
     out = _out_dir(args, cfg)
     rows = ["sample_id,truth,predicted,truth_rank"]
     for sid, rank, truth, pred in zip(sample_ids, ranks, truths, predicted):
@@ -216,23 +233,21 @@ def cmd_predict(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
-    dataset = load_dataset(cfg.manifest)
-    model = load_model(args.model)
-    report = evaluate(dataset, model, cfg)
+    data, model = _load_embedded(cfg, (Role.CANDIDATES,), lambda: load_model(args.model))
+    report = evaluate(data, model, cfg)
     payload = report.to_dict()
 
     table: dict[str, dict[int, float] | None] = {"overall": report.per_k}
-    if dataset.split.mode is SplitMode.GZSL:
+    if data.split.mode is SplitMode.GZSL:
         table["seen"] = report.seen_per_k
         table["unseen"] = report.unseen_per_k
         table["harmonic"] = report.harmonic_per_k
     if args.random_baseline:
-        baseline = random_baseline(len(candidate_class_ids(dataset.split)), cfg.ks)
+        baseline = random_baseline(len(candidate_class_ids(data.split)), cfg.ks)
         table["random"] = baseline
         payload["random_per_k"] = {str(k): v for k, v in sorted(baseline.items())}
 
-    out = _out_dir(args, cfg)
-    _echo_config(out, cfg)
+    out = _echoed_out_dir(args, cfg)
     _write_json(out / "report.json", payload)
     _print_metric_table(table, cfg.ks)
     print(f"wrote {out / 'report.json'}")
@@ -264,12 +279,10 @@ def _write_affiliation_csv(path: Path, report: InfluenceReport, attrs_of, which:
 
 def cmd_analyze(args) -> int:
     cfg = _resolve_config(args)
-    dataset = load_dataset(cfg.manifest)
-    model = load_model(args.model)
-    candidates, _, features, truths = evaluation_samples(dataset, cfg)
-    out = _out_dir(args, cfg)
-    _echo_config(out, cfg)
-    attrs_of = lambda cid: dataset.classes_by_id[cid].attributes
+    data, model = _load_embedded(cfg, (Role.CANDIDATES,), lambda: load_model(args.model))
+    candidates, _, features, truths = evaluation_samples(data)
+    out = _echoed_out_dir(args, cfg)
+    attrs_of = lambda cid: data.classes_by_id[cid].attributes
 
     if args.confusions is not None:
         report = _lazy.confusion_influence_matrix(
@@ -282,7 +295,7 @@ def cmd_analyze(args) -> int:
         print(f"wrote {out / 'influence_confusions.json'} ({len(report.rows)} confusion rows)")
         return 0
 
-    unseen = sorted(dataset.split.unseen_classes)
+    unseen = sorted(data.split.unseen_classes)
     report = _lazy.class_influence_matrix(model, features, truths, unseen, candidates)
     _write_json(out / "influence_correct.json", report.to_dict())
     _write_influence_csv(out / "influence_correct.csv", report)
@@ -298,15 +311,14 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    ks = tuple(int(k) for k in args.ks.split(","))
     if args.manifest:
         n_classes = len(candidate_class_ids(load_dataset(args.manifest).split))
     elif args.classes is None:
         raise ParseError("baseline needs either --manifest or --classes")
     else:
         n_classes = args.classes
-    result = random_baseline(n_classes, ks)
-    _print_metric_table({"random": result}, ks)
+    result = random_baseline(n_classes, args.ks)
+    _print_metric_table({"random": result}, args.ks)
     if args.out:
         out = _out_dir(args)
         per_k = {str(k): v for k, v in sorted(result.items())}
@@ -319,11 +331,9 @@ def cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
     if args.param != "d_t":
         raise ParseError(f"only the d_t parameter can be swept, got {args.param!r}")
-    dataset = load_dataset(cfg.manifest)
-    values = [int(v) for v in args.values.split(",")]
-    rows = sweep_text_dim(dataset, cfg, values)
-    out = _out_dir(args, cfg)
-    _echo_config(out, cfg)
+    data, _ = _load_embedded(cfg, SWEEP_ROLES, lambda: check_sweepable(cfg))
+    rows = sweep_text_dim(data, cfg, args.values)
+    out = _echoed_out_dir(args, cfg)
     lines = ["d_t,mean_val_top1,stddev"]
     lines.extend(f"{value},{mean!r},{std!r}" for value, mean, std in rows)
     (out / "sweep_d_t.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -338,11 +348,26 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _list_of(kind: type, what: str):
+    """An argparse type: a comma-separated list of kind values, as a tuple; a bad token exits 2."""
+
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(token) for token in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}") from None
+
+    return parse
+
+
+_INTS = _list_of(int, "integers")
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="run-config JSON file")
     p.add_argument("--manifest", help="dataset manifest path")
     p.add_argument("--aggregator", choices=["avgpool", "tsm"])
-    p.add_argument("--tsm-weights", dest="tsm_weights", help="w1,w2,w3")
+    p.add_argument("--tsm-weights", dest="tsm_weights", type=_list_of(float, "numbers"), help="w1,w2,w3")
     hand = p.add_mutually_exclusive_group()
     hand.add_argument("--use-hand", dest="use_hand", action="store_true", default=None)
     hand.add_argument("--no-use-hand", dest="use_hand", action="store_false", default=None)
@@ -356,7 +381,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--init-scale", dest="init_scale", type=float)
     p.add_argument("--gamma", type=float)
     p.add_argument("--lam-sae", dest="lam_sae", type=float)
-    p.add_argument("--ks", help="comma-separated top-k values, e.g. 1,2,5")
+    p.add_argument("--ks", type=_INTS, help="comma-separated top-k values, e.g. 1,2,5")
     p.add_argument("--repeats", type=int)
     p.add_argument("--out", help="output directory")
 
@@ -413,14 +438,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--manifest", help="take n from the manifest's prediction candidates")
     p.add_argument("--classes", type=int, help="number of candidate classes n")
-    p.add_argument("--ks", default="1,2,5")
+    p.add_argument("--ks", type=_INTS, default=(1, 2, 5))
     p.add_argument("--out")
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("sweep", help="sweep the text-reduction width against validation accuracy")
     _add_config_flags(p)
     p.add_argument("--param", default="d_t")
-    p.add_argument("--values", required=True, help="comma-separated widths, e.g. 8,16,32,64")
+    p.add_argument("--values", type=_INTS, required=True, help="comma-separated widths, e.g. 8,16,32,64")
     p.set_defaults(func=cmd_sweep)
 
     return parser

@@ -25,6 +25,12 @@ zlib, which numpy already loads; a digest from ``hashlib`` would map
 OpenSSL's libcrypto into every command for no gain in detecting edits. The
 manifest is written as compact JSON.
 
+A loaded dataset's snippet frames are read-only views of the pack's values,
+but its class text vectors own their memory. So a command that keeps only
+the class descriptors, the split and the video embeddings (see
+experiment.embed_dataset) frees the frames and the whole pack as soon as it
+drops the Dataset.
+
 :func:`save_dataset` writes in this order: the feature CSVs (and any extra
 CSV files the caller hands it), then the pack's values, then its index, and
 the manifest last. Formatting shortest round-trip reals is nearly all of a
@@ -190,16 +196,18 @@ class Dataset:
 
 
 def _unit_normalized(vec: np.ndarray, class_id: str) -> np.ndarray:
-    """Scale to unit l2 norm.
+    """Scale to unit l2 norm, in memory of its own.
 
-    Vectors already within TEXT_NORM_TOL of unit norm are returned untouched
-    so that a save/load round trip is bit-exact.
+    Vectors already within TEXT_NORM_TOL of unit norm are copied unchanged so
+    that a save/load round trip is bit-exact. The copy matters for a row of
+    the feature pack: a view would keep the pack's whole value buffer alive
+    for as long as the class descriptor lives.
     """
     norm = float(np.linalg.norm(vec))
     if norm == 0.0 or not math.isfinite(norm):
         raise InvariantViolation(f"class {class_id!r}: text vector has no finite nonzero norm")
     if abs(norm - 1.0) <= TEXT_NORM_TOL:
-        return vec
+        return vec.copy()
     return vec / norm
 
 

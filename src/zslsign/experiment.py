@@ -1,25 +1,33 @@
 """Wiring between datasets, aggregation, model training and evaluation.
 
 This module owns the run configuration and the deterministic recipes the CLI
-drives: building embedding matrices, selecting candidate sets per split mode,
-training a model from a config, taking the truth rank and predicted class of
-each evaluation sample, and sweeping the text-reduction width. A command's
-independent trainings (a sweep's grid, a train's repeats) run side by side on
-the forked workers of pool.map_jobs.
+drives: embedding a dataset's samples, selecting candidate sets per split
+mode, training a model from a config, taking the truth rank and predicted
+class of each evaluation sample, and sweeping the text-reduction width. A
+command's independent trainings (a sweep's grid, a train's repeats) run side
+by side on the forked workers of pool.map_jobs.
+
+Training and scoring read only the video embeddings, so the recipes take an
+Embedded view instead of a Dataset: embed_dataset stacks the samples of the
+roles a command uses (seen, validation, candidate) and keeps those N x d rows,
+the class descriptors and the split. Once it returns, nothing holds the
+loaded Dataset's snippet frames or its feature pack, and they are freed
+before training, scoring, analysis and the pool's fork.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, replace
+from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .data import ClassDescriptor, Dataset, Sample, SplitConfig, SplitMode
 from .embeddings import ClassEmbeddingSet, EmbeddingMode, ModeKind
-from .errors import DimensionMismatch, MissingFile, MissingHandStream, ParseError
+from .errors import DegenerateData, DimensionMismatch, EmptyEvaluationSet, MissingFile, MissingHandStream, ParseError
 from .evaluation import EvalReport, gzsl_report, topk_accuracy
 from .models import CompatModel, Method, TrainConfig, train_eszsl, train_lle, train_sae, truth_ranks
 from .pool import map_jobs
@@ -116,17 +124,87 @@ def candidate_class_ids(split: SplitConfig) -> list[str]:
     return sorted(split.unseen_classes)
 
 
-def _seen_stack(dataset: Dataset, cfg: RunConfig) -> tuple[np.ndarray, list[str], list[ClassDescriptor]]:
-    """What every training reads: the stacked seen-class samples, their labels and the seen descriptors."""
+class Role(Enum):
+    """A set of samples a command reads, named after the classes it takes them from."""
+
+    SEEN = "seen"  # what every training fits
+    VALIDATION = "validation"  # what a sweep scores
+    CANDIDATES = "candidate"  # what predict, eval and analyze rank: the split mode's candidate classes
+
+    def class_ids(self, split: SplitConfig) -> list[str]:
+        """The role's class ids, sorted."""
+        if self is Role.SEEN:
+            return sorted(split.seen_classes)
+        if self is Role.VALIDATION:
+            return sorted(split.validation_classes)
+        return candidate_class_ids(split)
+
+
+@dataclass(frozen=True)
+class Stack:
+    """One role's video embeddings: rows sorted by sample id, with their ids and class labels."""
+
+    sample_ids: list[str]
+    features: np.ndarray  # N x d
+    labels: list[str]
+
+
+@dataclass(frozen=True)
+class Embedded:
+    """What a command keeps of its dataset: the stacked rows and class descriptors of its roles, and the split.
+
+    It holds no snippet frames, so once embed_dataset has built it the loaded
+    Dataset and its feature pack can go. The rows were pooled with the
+    aggregator and hand-stream choice of the config that built it.
+    """
+
+    stacks: Mapping[Role, Stack]
+    classes_by_id: Mapping[str, ClassDescriptor]
+    split: SplitConfig
+
+    def stack(self, role: Role) -> Stack:
+        if role not in self.stacks:
+            raise ValueError(f"the {role.value} samples were not embedded")
+        return self.stacks[role]
+
+    def descriptors(self, role: Role) -> list[ClassDescriptor]:
+        """The role's class descriptors, sorted by class_id."""
+        self.stack(role)  # a role that was not embedded raises here
+        return [self.classes_by_id[cid] for cid in role.class_ids(self.split)]
+
+
+def embed_dataset(dataset: Dataset, cfg: RunConfig, roles: Sequence[Role]) -> Embedded:
+    """Stack the samples of each role, in the order given, as cfg's aggregator and hand stream embed them.
+
+    A role without samples is a typed error that names it: DegenerateData for
+    the seen samples, EmptyEvaluationSet for the others.
+    """
     check_hand_usable(dataset, cfg.use_hand)
-    seen = dataset.split.seen_classes
-    _, features, labels = stack_video_embeddings(dataset.samples_of(seen), cfg.aggregator_spec(), cfg.use_hand)
-    return features, labels, dataset.descriptors_of(seen)
+    spec = cfg.aggregator_spec()
+    stacks = {}
+    for role in roles:
+        class_ids = role.class_ids(dataset.split)
+        if role is Role.VALIDATION and not class_ids:
+            raise ValueError("dataset split has no validation classes")
+        samples = dataset.samples_of(set(class_ids))
+        if not samples:
+            if role is Role.SEEN:
+                raise DegenerateData("no seen samples to train on")
+            raise EmptyEvaluationSet(f"no {role.value} samples to evaluate")
+        stacks[role] = Stack(*stack_video_embeddings(samples, spec, cfg.use_hand))
+    classes = {cid: dataset.classes_by_id[cid] for role in stacks for cid in role.class_ids(dataset.split)}
+    return Embedded(stacks, classes, dataset.split)
 
 
-def train_from_config(dataset: Dataset, cfg: RunConfig, seed: int | None = None) -> CompatModel:
+def _seen_stack(data: Embedded) -> tuple[np.ndarray, list[str], list[ClassDescriptor]]:
+    """What every training reads: the stacked seen-class samples, their labels and the seen descriptors."""
+    seen = data.stack(Role.SEEN)
+    return seen.features, seen.labels, data.descriptors(Role.SEEN)
+
+
+def train_from_config(data: Embedded, cfg: RunConfig, seed: int | None = None) -> CompatModel:
     """Train on the seen-class samples following the run configuration."""
-    return _train_stacked(*_seen_stack(dataset, cfg), cfg, seed)
+    return _train_stacked(*_seen_stack(data), cfg, seed)
 
 
 def _train_stacked(
@@ -161,35 +239,28 @@ def _per_repeat(fits: list, repeats: int) -> list:
     return fits if len(fits) == repeats else fits * repeats
 
 
-def train_repeats(dataset: Dataset, cfg: RunConfig) -> list[CompatModel]:
+def train_repeats(data: Embedded, cfg: RunConfig) -> list[CompatModel]:
     """One model per repeat, for seeds cfg.seed, cfg.seed + 1, ...
 
-    The seen samples are embedded once; the fits run side by side (see
-    pool.map_jobs). eszsl and sae fit once and every repeat gets that model.
+    The fits run side by side (see pool.map_jobs). eszsl and sae fit once and
+    every repeat gets that model.
     """
     jobs = [(cfg, seed) for seed in _fit_seeds(cfg)]
-    return _per_repeat(map_jobs(_train_stacked, jobs, _seen_stack(dataset, cfg)), cfg.repeats)
+    return _per_repeat(map_jobs(_train_stacked, jobs, _seen_stack(data)), cfg.repeats)
 
 
-def evaluation_samples(
-    dataset: Dataset, cfg: RunConfig
-) -> tuple[list[ClassDescriptor], list[str], np.ndarray, list[str]]:
+def evaluation_samples(data: Embedded) -> tuple[list[ClassDescriptor], list[str], np.ndarray, list[str]]:
     """Candidate descriptors plus the stacked evaluation samples of the split mode.
 
     Returns (candidates, sample ids, N x d features, truths), samples sorted by id.
     """
-    check_hand_usable(dataset, cfg.use_hand)
-    candidate_ids = candidate_class_ids(dataset.split)
-    candidates = [dataset.classes_by_id[cid] for cid in candidate_ids]
-    samples = dataset.samples_of(set(candidate_ids))
-    return candidates, *stack_video_embeddings(samples, cfg.aggregator_spec(), cfg.use_hand)
+    stack = data.stack(Role.CANDIDATES)
+    return data.descriptors(Role.CANDIDATES), stack.sample_ids, stack.features, stack.labels
 
 
-def rank_samples(
-    dataset: Dataset, model: CompatModel, cfg: RunConfig
-) -> tuple[list[str], np.ndarray, list[str], list[str]]:
+def rank_samples(data: Embedded, model: CompatModel) -> tuple[list[str], np.ndarray, list[str], list[str]]:
     """Sample ids, 0-based truth ranks, truths and predicted classes of the split mode's samples."""
-    candidates, sample_ids, features, truths = evaluation_samples(dataset, cfg)
+    candidates, sample_ids, features, truths = evaluation_samples(data)
     ranks, predicted = _rank_stacked(model, features, candidates, truths)
     return sample_ids, ranks, truths, predicted
 
@@ -205,19 +276,12 @@ def _rank_stacked(
     return truth_ranks(scores, classes.class_ids, truths), predicted
 
 
-def evaluate(dataset: Dataset, model: CompatModel, cfg: RunConfig) -> EvalReport:
-    """ZSL or GZSL evaluation report, per the dataset's split mode."""
-    _, ranks, truths, _ = rank_samples(dataset, model, cfg)
-    if dataset.split.mode is SplitMode.GZSL:
-        return gzsl_report(ranks, truths, dataset.split, cfg.ks)
+def evaluate(data: Embedded, model: CompatModel, cfg: RunConfig) -> EvalReport:
+    """ZSL or GZSL evaluation report, per the split mode, at cfg.ks."""
+    _, ranks, truths, _ = rank_samples(data, model)
+    if data.split.mode is SplitMode.GZSL:
+        return gzsl_report(ranks, truths, data.split, cfg.ks)
     return topk_accuracy(ranks, truths, cfg.ks)
-
-
-def _validation_set(dataset: Dataset) -> tuple[list[ClassDescriptor], list[Sample]]:
-    val_ids = dataset.split.validation_classes
-    if not val_ids:
-        raise ValueError("dataset split has no validation classes")
-    return dataset.descriptors_of(val_ids), dataset.samples_of(val_ids)
 
 
 def _validation_top1(train: tuple, val: tuple, cfg: RunConfig, seed: int) -> float:
@@ -227,24 +291,27 @@ def _validation_top1(train: tuple, val: tuple, cfg: RunConfig, seed: int) -> flo
     return topk_accuracy(ranks, truths, ks=(1,)).per_k[1]
 
 
-def sweep_text_dim(
-    dataset: Dataset, cfg: RunConfig, values: Sequence[int]
-) -> list[tuple[int, float, float]]:
+SWEEP_ROLES = (Role.SEEN, Role.VALIDATION)
+
+
+def check_sweepable(cfg: RunConfig) -> None:
+    if ModeKind(cfg.embedding) is ModeKind.ATTRIBUTES:
+        raise ValueError("sweeping d_t needs a text-bearing embedding mode")
+
+
+def sweep_text_dim(data: Embedded, cfg: RunConfig, values: Sequence[int]) -> list[tuple[int, float, float]]:
     """Validation top-1 across text-reduction widths; (value, mean, stddev) rows.
 
-    A value equal to the raw text width runs without a reduction layer. The
-    seen and the validation samples are embedded once for the whole sweep, and
-    the (value, seed) fits run side by side (see pool.map_jobs).
+    data holds the SWEEP_ROLES. A value equal to the raw text width runs
+    without a reduction layer. The (value, seed) fits run side by side (see
+    pool.map_jobs).
     """
-    mode_kind = ModeKind(cfg.embedding)
-    if mode_kind is ModeKind.ATTRIBUTES:
-        raise ValueError("sweeping d_t needs a text-bearing embedding mode")
-    train = _seen_stack(dataset, cfg)
-    val_candidates, val_samples = _validation_set(dataset)
-    _, val_features, truths = stack_video_embeddings(val_samples, cfg.aggregator_spec(), cfg.use_hand)
+    check_sweepable(cfg)
+    val = data.stack(Role.VALIDATION)
+    validation = (val.features, data.descriptors(Role.VALIDATION), val.labels)
     seeds = _fit_seeds(cfg)
     jobs = [(replace(cfg, d_t=int(value)), seed) for value in values for seed in seeds]
-    top1 = map_jobs(_validation_top1, jobs, (train, (val_features, val_candidates, truths)))
+    top1 = map_jobs(_validation_top1, jobs, (_seen_stack(data), validation))
     rows = []
     for i, value in enumerate(values):
         scores = _per_repeat(top1[i * len(seeds) : (i + 1) * len(seeds)], cfg.repeats)

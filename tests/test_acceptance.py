@@ -17,8 +17,10 @@ from zslsign.embeddings import ClassEmbeddingSet, EmbeddingMode, ModeKind, flip_
 from zslsign.errors import InvariantViolation
 from zslsign.evaluation import harmonic_mean, random_baseline
 from zslsign.experiment import (
+    Role,
     RunConfig,
     candidate_class_ids,
+    embed_dataset,
     evaluate,
     evaluation_samples,
     rank_samples,
@@ -194,15 +196,15 @@ def test_criterion_06_planted_structure_recovery():
     assert FIXTURE_SPEC.noise_sigma == 0.01
     assert FIXTURE_SPEC.samples_per_class == 20
 
-    model = train_from_config(dataset, FIXTURE_CFG)
-    zsl = evaluate(dataset, model, FIXTURE_CFG)
+    model = train_from_config(embed_dataset(dataset, FIXTURE_CFG, [Role.SEEN]), FIXTURE_CFG)
+    zsl = evaluate(embed_dataset(dataset, FIXTURE_CFG, [Role.CANDIDATES]), model, FIXTURE_CFG)
     top1 = zsl.per_k[1]
     assert top1 >= 90.0
 
     gzsl_dataset = Dataset(
         dataset.classes, dataset.samples, dataset.split.with_mode(SplitMode.GZSL), dataset.attribute_count
     )
-    gzsl = evaluate(gzsl_dataset, model, FIXTURE_CFG)
+    gzsl = evaluate(embed_dataset(gzsl_dataset, FIXTURE_CFG, [Role.CANDIDATES]), model, FIXTURE_CFG)
     harmonic = gzsl.harmonic_per_k[1]
     elapsed = time.perf_counter() - start
     assert harmonic > 0.0
@@ -338,7 +340,7 @@ def test_criterion_10_protocol_shape_checks(tmp_path):
                                     text_dim=4, samples_per_class=4, snippets=3, stream_width=8,
                                     noise_sigma=0.01, seed=2))
     cfg = RunConfig(embedding="attr", epochs=60, learning_rate=0.5, seed=2, repeats=1)
-    model = train_from_config(dataset, cfg)
+    model = train_from_config(embed_dataset(dataset, cfg, [Role.SEEN]), cfg)
 
     # (a) ZSL candidate set excludes every seen class
     zsl_ids = candidate_class_ids(dataset.split)
@@ -347,17 +349,19 @@ def test_criterion_10_protocol_shape_checks(tmp_path):
     # (b) GZSL model predicting over unseen-only candidates equals the ZSL prediction, exactly:
     # a GZSL split of the unseen classes alone (half of them as its seen ones) has the ZSL
     # candidate set and evaluation samples
-    _, zsl_ranks, zsl_truths, zsl_predicted = rank_samples(dataset, model, cfg)
+    zsl_view = embed_dataset(dataset, cfg, [Role.CANDIDATES])
+    _, zsl_ranks, zsl_truths, zsl_predicted = rank_samples(zsl_view, model)
     unseen = sorted(dataset.split.unseen_classes)
     gzsl_split = SplitConfig(frozenset(unseen[:2]), frozenset(), frozenset(unseen[2:]), SplitMode.GZSL)
     gzsl_dataset = Dataset(dataset.classes, dataset.samples, gzsl_split, dataset.attribute_count)
-    _, gzsl_ranks, gzsl_truths, gzsl_predicted = rank_samples(gzsl_dataset, model, cfg)
+    gzsl_view = embed_dataset(gzsl_dataset, cfg, [Role.CANDIDATES])
+    _, gzsl_ranks, gzsl_truths, gzsl_predicted = rank_samples(gzsl_view, model)
     assert gzsl_truths == zsl_truths
     assert np.array_equal(gzsl_ranks, zsl_ranks)
     assert gzsl_predicted == zsl_predicted
     # the score matrices themselves agree bit for bit, so every class's rank does too
-    zsl_candidates, _, zsl_features, _ = evaluation_samples(dataset, cfg)
-    gzsl_candidates, _, gzsl_features, _ = evaluation_samples(gzsl_dataset, cfg)
+    zsl_candidates, _, zsl_features, _ = evaluation_samples(zsl_view)
+    gzsl_candidates, _, gzsl_features, _ = evaluation_samples(gzsl_view)
     assert zsl_candidates == gzsl_candidates
     assert scores_of(model, gzsl_features, gzsl_candidates).tobytes() == \
         scores_of(model, zsl_features, zsl_candidates).tobytes()

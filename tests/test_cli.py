@@ -3,12 +3,13 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zslsign import experiment, pool
+from zslsign import cli, experiment, pool
 from zslsign.cli import main
 
 SYNTH_ARGS = [
@@ -315,6 +316,43 @@ def test_option_followed_by_another_option_still_exits_2(workspace, tmp_path, ca
     assert "argument --gamma: expected one argument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, flag, kind",
+    [
+        (["sweep", "--values", "8,x"], "--values", "integers"),
+        (["sweep", "--values", "8,,4"], "--values", "integers"),
+        (["train", "--ks", "1,a"], "--ks", "integers"),
+        (["train", "--tsm-weights", "1,x,2"], "--tsm-weights", "numbers"),
+        (["baseline", "--classes", "5", "--ks", "1,x"], "--ks", "integers"),
+    ],
+    ids=["values-x", "values-empty", "train-ks", "tsm-weights", "baseline-ks"],
+)
+def test_a_malformed_list_flag_exits_2_naming_the_flag(workspace, tmp_path, capsys, argv, flag, kind):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--manifest", workspace["manifest"], "--out", out])
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert last.endswith(f"error: argument {flag}: expected comma-separated {kind}, got {argv[-1]!r}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["train", "--aggregator", "tsm", "--tsm-weights", "1,2"], "exactly 3 weights, got 2"),
+        (["train", "--ks", "0,1"], "got [0, 1]"),
+        (["sweep", "--values", "0"], "d_t must be >= 1, got 0"),
+    ],
+    ids=["two-weights", "k-0", "d_t-0"],
+)
+def test_a_list_flag_out_of_range_still_exits_1(workspace, tmp_path, capsys, argv, named):
+    code = run(argv + ["--manifest", workspace["manifest"], "--out", tmp_path / "out"] + TRAIN_OVERRIDES[:-2])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
+
+
 def _copy_model(workspace, dest: Path) -> Path:
     dest.mkdir()
     for name in ("model.json", "model.npy"):
@@ -486,6 +524,104 @@ def test_sweep_command(workspace, tmp_path):
     # planted structure: every swept width beats the random baseline
     for row in rows[1:]:
         assert float(row.split(",")[1]) > 100.0 / 2  # two validation classes
+
+
+def _without_samples(manifest: Path, role: str) -> Path:
+    """A copy of the manifest, beside it, without the samples of the role's classes.
+
+    The manifest's split is ZSL, so the candidate classes are the unseen ones.
+    """
+    doc = json.loads(manifest.read_text())
+    classes = set(doc["split"]["unseen" if role == "candidate" else role])
+    doc["samples"] = [s for s in doc["samples"] if s["class_id"] not in classes]
+    path = manifest.with_name(f"no_{role}_samples.json")
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "role, commands",
+    [
+        ("seen", [["train", "--method", "lle"], ["train", "--method", "eszsl"], ["train", "--method", "sae"],
+                  ["train", "--repeats", "2"], ["sweep", "--values", "2,4"]]),
+        ("validation", [["sweep", "--values", "2,4"]]),
+        ("candidate", [["predict"], ["eval"], ["analyze", "--correct"], ["analyze", "--confusions", "2"]]),
+    ],
+)
+def test_a_role_without_samples_exits_1_naming_it(workspace, tmp_path, capsys, role, commands):
+    manifest = _without_samples(workspace["manifest"], role)
+    message = "error: no seen samples to train on" if role == "seen" else f"error: no {role} samples to evaluate"
+    for i, command in enumerate(commands):
+        out = tmp_path / str(i)
+        model = ["--model", workspace["model"]] if command[0] in ("predict", "eval", "analyze") else []
+        argv = command[:1] + TRAIN_OVERRIDES + command[1:] + model + ["--manifest", manifest, "--out", out]
+        capsys.readouterr()
+        assert run(argv) == 1, command
+        assert capsys.readouterr().err.strip().splitlines() == [message], command
+        assert not any(p.name != "effective_config.json" for p in out.rglob("*")), command
+
+
+_WORK_STARTS = {
+    experiment: ("train_lle", "train_eszsl", "train_sae", "_rank_stacked", "map_jobs"),
+    cli: ("class_influence_matrix", "confusion_influence_matrix"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, started",
+    [
+        (["train", "--method", "lle"], ["train_lle"]),
+        (["train", "--method", "sae"], ["train_sae"]),
+        (["train", "--method", "eszsl", "--repeats", "2"], ["map_jobs", "train_eszsl"]),
+        (["train", "--repeats", "2"], ["map_jobs", "train_lle", "train_lle"]),
+        (["predict"], ["_rank_stacked"]),
+        (["eval"], ["_rank_stacked"]),
+        (["analyze", "--correct"], ["class_influence_matrix"]),
+        (["analyze", "--confusions", "2"], ["confusion_influence_matrix"]),
+        (["sweep", "--values", "2,4", "--repeats", "1"], ["map_jobs"] + ["train_lle", "_rank_stacked"] * 2),
+    ],
+    ids=["train", "train-sae", "train-eszsl-repeats", "train-repeats", "predict", "eval", "analyze-correct",
+         "analyze-confusions", "sweep"],
+)
+def test_the_loaded_dataset_is_freed_before_the_work_starts(workspace, tmp_path, monkeypatch, command, started):
+    # a weak reference to every Dataset the command loads must be dead when a trainer, the
+    # ranking, an influence analysis or the worker pool starts: only the embeddings are left
+    loaded, calls = [], []
+    load = cli.load_dataset
+
+    def tracked_load(path):
+        dataset = load(path)
+        loaded.append(weakref.ref(dataset))
+        return dataset
+
+    monkeypatch.setattr(cli, "load_dataset", tracked_load)
+
+    def guard(module, name):
+        original = getattr(module, name)
+
+        def guarded(*args, **kwargs):
+            calls.append(name)
+            assert loaded and all(ref() is None for ref in loaded), f"{name} started with the Dataset alive"
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, guarded)
+
+    for module, names in _WORK_STARTS.items():
+        for name in names:
+            guard(module, name)
+    monkeypatch.setattr(pool, "usable_cpus", lambda: 1)  # every job in this process, so guarded
+    model = workspace["model"]
+    if "--confusions" in command:
+        model = train_weak_model(workspace, tmp_path / "weak")  # it misclassifies, so confusions exist
+        loaded.clear()
+        calls.clear()
+    argv = command[:1] + TRAIN_OVERRIDES + command[1:]  # the command's own flags come last, so they win
+    argv += ["--manifest", workspace["manifest"], "--out", tmp_path / "out"]
+    if command[0] in ("predict", "eval", "analyze"):
+        argv += ["--model", model]
+    assert run(argv) == 0
+    assert len(loaded) == 1
+    assert calls == started
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from zslsign import data as data_module
 from zslsign import pool
 from zslsign.data import (
+    TEXT_NORM_TOL,
     Dataset,
     SplitConfig,
     SplitMode,
@@ -365,6 +366,8 @@ def _datasets(draw):
         text = np.array(draw(st.lists(_text_values, min_size=text_dim, max_size=text_dim)))
         norm = np.linalg.norm(text)
         assume(norm > 0)
+        # a valid text vector is unit norm; dividing a tiny vector by its underflowed norm may miss that
+        assume(abs(np.linalg.norm(text / norm) - 1.0) <= TEXT_NORM_TOL)
         classes.append(make_descriptor(cid, attrs, text / norm))
     split = SplitConfig(frozenset({"c0"}), frozenset(), frozenset({"c1"}), SplitMode.ZSL)
     return Dataset(tuple(classes), tuple(samples), split, attribute_count=2)
@@ -391,6 +394,22 @@ def test_intact_pack_replaces_every_feature_parse(tmp_path, monkeypatch):
     reference = load_dataset(manifest)
     monkeypatch.setattr(data_module, "_parse_feature_matrix", _no_parse)
     _assert_same_bits(load_dataset(manifest), reference)
+
+
+def test_packed_text_vectors_do_not_share_the_packs_memory(tmp_path, monkeypatch):
+    # a text vector that viewed the pack would keep all of its values, the frames too, alive
+    manifest = _packed_copy(tmp_path)
+    packs = []
+    read = data_module._FeaturePack.read
+    monkeypatch.setattr(data_module._FeaturePack, "read", staticmethod(lambda path: packs.append(read(path)) or packs[-1]))
+    dataset = load_dataset(manifest)
+    (pack,) = packs
+    packed = pack.manifest(manifest.read_bytes())
+    assert packed is not None  # the text vectors came from the pack
+    assert all(np.shares_memory(seq.data, pack.values) for s in dataset.samples for seq in s.sequences.values())
+    for c, entry in zip(dataset.classes, packed["classes"]):
+        assert c.text.tobytes() == entry["text"].tobytes()
+        assert not np.shares_memory(c.text, pack.values)
 
 
 def test_intact_pack_serves_the_manifest_without_parsing_its_floats(tmp_path, monkeypatch):

@@ -4,14 +4,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zslsign import experiment, pool
 from zslsign.data import Dataset, SplitConfig, SplitMode
-from zslsign.errors import DimensionMismatch, MissingHandStream
+from zslsign.errors import DegenerateData, DimensionMismatch, EmptyEvaluationSet, MissingHandStream
 from zslsign.evaluation import topk_accuracy
 from zslsign.experiment import (
+    SWEEP_ROLES,
+    Role,
     RunConfig,
     candidate_class_ids,
+    embed_dataset,
     evaluate,
     evaluation_samples,
     rank_samples,
@@ -23,7 +28,7 @@ from zslsign.experiment import (
 from zslsign.synth import SynthSpec, generate
 from zslsign.temporal import AggregatorSpec
 
-from conftest import make_sample
+from conftest import make_descriptor, make_sample
 
 FIXTURE_SPEC = SynthSpec(
     n_classes=14,
@@ -48,9 +53,21 @@ def fixture_dataset():
     return dataset
 
 
+def seen_view(dataset, cfg=FIXTURE_CFG):
+    return embed_dataset(dataset, cfg, (Role.SEEN,))
+
+
+def candidate_view(dataset, cfg=FIXTURE_CFG):
+    return embed_dataset(dataset, cfg, (Role.CANDIDATES,))
+
+
+def sweep_view(dataset, cfg=FIXTURE_CFG):
+    return embed_dataset(dataset, cfg, SWEEP_ROLES)
+
+
 @pytest.fixture(scope="module")
 def fixture_model(fixture_dataset):
-    return train_from_config(fixture_dataset, FIXTURE_CFG)
+    return train_from_config(seen_view(fixture_dataset), FIXTURE_CFG)
 
 
 def validation_top1(dataset, model, cfg) -> float:
@@ -62,7 +79,7 @@ def validation_top1(dataset, model, cfg) -> float:
     val_ids = dataset.split.validation_classes
     val_split = SplitConfig(dataset.split.seen_classes, frozenset(), val_ids, SplitMode.ZSL)
     _, ranks, truths, _ = rank_samples(
-        Dataset(dataset.classes, dataset.samples, val_split, dataset.attribute_count), model, cfg
+        candidate_view(Dataset(dataset.classes, dataset.samples, val_split, dataset.attribute_count), cfg), model
     )
     assert set(truths) == val_ids
     assert len(truths) == len(dataset.samples_of(val_ids))
@@ -94,10 +111,10 @@ def test_gzsl_candidates_are_seen_plus_unseen(fixture_dataset):
 
 
 def test_gzsl_predict_on_unseen_candidates_equals_zsl(fixture_dataset, fixture_model):
-    zsl_ids, zsl_ranks, zsl_truths, zsl_predicted = rank_samples(fixture_dataset, fixture_model, FIXTURE_CFG)
+    zsl_ids, zsl_ranks, zsl_truths, zsl_predicted = rank_samples(candidate_view(fixture_dataset), fixture_model)
     gzsl_dataset = unseen_as_gzsl(fixture_dataset)
     assert candidate_class_ids(gzsl_dataset.split) == candidate_class_ids(fixture_dataset.split)
-    g_ids, g_ranks, g_truths, g_predicted = rank_samples(gzsl_dataset, fixture_model, FIXTURE_CFG)
+    g_ids, g_ranks, g_truths, g_predicted = rank_samples(candidate_view(gzsl_dataset), fixture_model)
     assert g_ids == zsl_ids
     assert g_truths == zsl_truths
     assert np.array_equal(g_ranks, zsl_ranks)  # exact, not approximate
@@ -109,8 +126,8 @@ def test_gzsl_predict_on_unseen_candidates_equals_zsl(fixture_dataset, fixture_m
         zsl_relabeled = Dataset(
             fixture_dataset.classes, relabeled, fixture_dataset.split, fixture_dataset.attribute_count
         )
-        _, z_all, z_truths, _ = rank_samples(zsl_relabeled, fixture_model, FIXTURE_CFG)
-        _, g_all, g_truths, _ = rank_samples(unseen_as_gzsl(fixture_dataset, relabeled), fixture_model, FIXTURE_CFG)
+        _, z_all, z_truths, _ = rank_samples(candidate_view(zsl_relabeled), fixture_model)
+        _, g_all, g_truths, _ = rank_samples(candidate_view(unseen_as_gzsl(fixture_dataset, relabeled)), fixture_model)
         assert z_truths == g_truths == [cid] * len(zsl_ids)
         assert np.array_equal(g_all, z_all)
 
@@ -118,14 +135,14 @@ def test_gzsl_predict_on_unseen_candidates_equals_zsl(fixture_dataset, fixture_m
 def test_rank_samples_breaks_ties_by_class_id(fixture_dataset, fixture_model):
     # W = 0 scores every candidate 0: the smallest class id is predicted, and each truth ranks by its id
     model = replace(fixture_model, W=np.zeros_like(fixture_model.W))
-    _, ranks, truths, predicted = rank_samples(fixture_dataset, model, FIXTURE_CFG)
+    _, ranks, truths, predicted = rank_samples(candidate_view(fixture_dataset), model)
     ids = candidate_class_ids(fixture_dataset.split)
     assert predicted == [ids[0]] * len(truths)
     assert ranks.tolist() == [ids.index(t) for t in truths]
 
 
 def test_training_recovers_planted_structure(fixture_dataset, fixture_model):
-    report = evaluate(fixture_dataset, fixture_model, FIXTURE_CFG)
+    report = evaluate(candidate_view(fixture_dataset), fixture_model, FIXTURE_CFG)
     assert report.per_k[1] >= 75.0  # small fixture; the acceptance suite runs the full one
     assert set(report.per_class) <= set(fixture_dataset.split.unseen_classes)
 
@@ -135,15 +152,16 @@ def test_each_method_trains(fixture_dataset):
         cfg = RunConfig(
             embedding="attr", method=method, epochs=30, learning_rate=0.5, seed=1, repeats=1
         )
-        model = train_from_config(fixture_dataset, cfg)
-        report = evaluate(fixture_dataset, model, cfg)
+        model = train_from_config(seen_view(fixture_dataset, cfg), cfg)
+        report = evaluate(candidate_view(fixture_dataset, cfg), model, cfg)
         assert set(report.per_k) == {1, 2, 5}
 
 
 def test_hand_stream_must_cover_dataset(fixture_dataset):
     cfg = RunConfig(use_hand=True, embedding="attr", epochs=1)
-    with pytest.raises(MissingHandStream, match="dataset-wide"):
-        train_from_config(fixture_dataset, cfg)
+    for roles in [(Role.SEEN,), (Role.CANDIDATES,), SWEEP_ROLES]:
+        with pytest.raises(MissingHandStream, match="dataset-wide"):
+            embed_dataset(fixture_dataset, cfg, roles)
 
 
 def test_mixed_widths_raise_dimension_mismatch():
@@ -155,6 +173,96 @@ def test_mixed_widths_raise_dimension_mismatch():
         stack_video_embeddings(samples, AggregatorSpec(), use_hand=False)
 
 
+@st.composite
+def _role_datasets(draw):
+    """Small datasets whose three roles all have samples: ZSL or GZSL, one or two streams, ids out of order."""
+    n_classes = draw(st.integers(3, 6))
+    roles = [0, 1, 2] + draw(st.lists(st.integers(0, 2), min_size=n_classes - 3, max_size=n_classes - 3))
+    ids = [f"c{i}" for i in draw(st.permutations(range(n_classes)))]
+    split = SplitConfig(
+        *(frozenset(cid for cid, r in zip(ids, roles) if r == role) for role in range(3)),
+        draw(st.sampled_from(SplitMode)),
+    )
+    classes = [make_descriptor(cid, [i & 1, (i >> 1) & 1]) for i, cid in enumerate(sorted(ids))]
+    body_cols, hand_cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    two_streams = draw(st.booleans())
+    values = st.floats(-1e3, 1e3, allow_nan=False)
+    samples = []
+    owners = ids + draw(st.lists(st.sampled_from(ids), max_size=6))
+    for j in draw(st.permutations(range(len(owners)))):
+        rows = draw(st.integers(1, 3))
+        matrix = lambda cols: np.reshape(draw(st.lists(values, min_size=rows * cols, max_size=rows * cols)), (rows, cols))
+        hand = matrix(hand_cols) if two_streams else None
+        samples.append(make_sample(f"s{j:02d}", owners[j], matrix(body_cols), hand))
+    return Dataset(tuple(classes), tuple(samples), split, attribute_count=2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _role_datasets(),
+    st.sampled_from(["avgpool", "tsm"]),
+    st.tuples(*[st.floats(-2.0, 2.0, allow_nan=False)] * 3),
+    st.booleans(),
+)
+def test_embedded_roles_equal_the_per_role_stacks(dataset, aggregator, weights, use_hand):
+    cfg = RunConfig(aggregator=aggregator, tsm_weights=weights, use_hand=use_hand)
+    if use_hand and not dataset.has_full_hand_coverage:
+        with pytest.raises(MissingHandStream):
+            embed_dataset(dataset, cfg, tuple(Role))
+        return
+    view = embed_dataset(dataset, cfg, tuple(Role))
+    split = dataset.split
+    for role, class_ids in (
+        (Role.SEEN, split.seen_classes),
+        (Role.VALIDATION, split.validation_classes),
+        (Role.CANDIDATES, set(candidate_class_ids(split))),
+    ):
+        ids, features, labels = stack_video_embeddings(dataset.samples_of(class_ids), cfg.aggregator_spec(), use_hand)
+        stack = view.stack(role)
+        assert stack.sample_ids == ids
+        assert stack.labels == labels
+        assert stack.features.shape == features.shape and stack.features.tobytes() == features.tobytes()
+        assert view.descriptors(role) == [dataset.classes_by_id[cid] for cid in sorted(class_ids)]
+    assert view.split == split and dict(view.classes_by_id) == dataset.classes_by_id
+    # a view keeps only the roles it was asked for, in the order asked, and only their classes
+    two = embed_dataset(dataset, cfg, (Role.CANDIDATES, Role.SEEN))
+    assert list(two.stacks) == [Role.CANDIDATES, Role.SEEN]
+    assert set(two.classes_by_id) == set(candidate_class_ids(split)) | split.seen_classes
+
+
+def _without_role_samples(dataset: Dataset, class_ids) -> Dataset:
+    samples = tuple(s for s in dataset.samples if s.class_id not in class_ids)
+    return Dataset(dataset.classes, samples, dataset.split, dataset.attribute_count)
+
+
+def test_a_role_without_samples_is_a_typed_error_naming_it(fixture_dataset):
+    split = fixture_dataset.split
+    no_seen = _without_role_samples(fixture_dataset, split.seen_classes)
+    with pytest.raises(DegenerateData, match="^no seen samples to train on$"):
+        embed_dataset(no_seen, FIXTURE_CFG, (Role.SEEN,))
+    no_validation = _without_role_samples(fixture_dataset, split.validation_classes)
+    with pytest.raises(EmptyEvaluationSet, match="^no validation samples to evaluate$"):
+        embed_dataset(no_validation, FIXTURE_CFG, SWEEP_ROLES)
+    no_unseen = _without_role_samples(fixture_dataset, split.unseen_classes)
+    with pytest.raises(EmptyEvaluationSet, match="^no candidate samples to evaluate$"):
+        embed_dataset(no_unseen, FIXTURE_CFG, (Role.CANDIDATES,))
+    # each dataset still embeds the roles that have samples
+    assert embed_dataset(no_seen, FIXTURE_CFG, (Role.VALIDATION, Role.CANDIDATES)).stacks
+    assert embed_dataset(no_unseen, FIXTURE_CFG, SWEEP_ROLES).stacks
+    # a split without validation classes keeps its own message
+    no_validation_classes = replace(fixture_dataset, split=replace(split, validation_classes=frozenset()))
+    with pytest.raises(ValueError, match="no validation classes"):
+        embed_dataset(no_validation_classes, FIXTURE_CFG, SWEEP_ROLES)
+
+
+def test_a_view_refuses_a_role_it_did_not_embed(fixture_dataset, fixture_model):
+    view = seen_view(fixture_dataset)
+    with pytest.raises(ValueError, match="candidate samples were not embedded"):
+        rank_samples(view, fixture_model)
+    with pytest.raises(ValueError, match="validation samples were not embedded"):
+        sweep_text_dim(view, FIXTURE_CFG, values=[4])
+
+
 def test_validation_top1_uses_validation_classes(fixture_dataset, fixture_model):
     score = validation_top1(fixture_dataset, fixture_model, FIXTURE_CFG)
     assert 0.0 <= score <= 100.0
@@ -162,16 +270,16 @@ def test_validation_top1_uses_validation_classes(fixture_dataset, fixture_model)
 
 def test_sweep_bypass_value_matches_no_reduction_run(fixture_dataset):
     cfg = FIXTURE_CFG
-    rows = sweep_text_dim(fixture_dataset, cfg, values=[2, 4])
+    rows = sweep_text_dim(sweep_view(fixture_dataset), cfg, values=[2, 4])
     assert [r[0] for r in rows] == [2, 4]
     # d_t == text_dim runs without a reduction matrix; cross-check one repeat
-    model = train_from_config(fixture_dataset, cfg, seed=cfg.seed)
+    model = train_from_config(seen_view(fixture_dataset), cfg, seed=cfg.seed)
     assert model.M is None  # d_t=4 equals the raw text width: identity bypass
     direct = validation_top1(fixture_dataset, model, cfg)
     repeat_scores = [
         validation_top1(
             fixture_dataset,
-            train_from_config(fixture_dataset, cfg, seed=cfg.seed + r),
+            train_from_config(seen_view(fixture_dataset), cfg, seed=cfg.seed + r),
             cfg,
         )
         for r in range(cfg.repeats)
@@ -181,7 +289,7 @@ def test_sweep_bypass_value_matches_no_reduction_run(fixture_dataset):
 
 
 def test_sweep_beats_random_baseline(fixture_dataset):
-    rows = sweep_text_dim(fixture_dataset, FIXTURE_CFG, values=[2, 4])
+    rows = sweep_text_dim(sweep_view(fixture_dataset), FIXTURE_CFG, values=[2, 4])
     n_val = len(fixture_dataset.split.validation_classes)
     random_top1 = 100.0 / n_val
     for _value, mean, _std in rows:
@@ -189,8 +297,9 @@ def test_sweep_beats_random_baseline(fixture_dataset):
 
 
 def test_sweep_rejects_attr_mode(fixture_dataset):
-    with pytest.raises(ValueError):
-        sweep_text_dim(fixture_dataset, RunConfig(embedding="attr"), values=[2])
+    cfg = RunConfig(embedding="attr")
+    with pytest.raises(ValueError, match="text-bearing"):
+        sweep_text_dim(sweep_view(fixture_dataset, cfg), cfg, values=[2])
 
 
 def test_run_config_round_trip_and_unknown_keys():
@@ -201,7 +310,7 @@ def test_run_config_round_trip_and_unknown_keys():
 
 
 def test_candidate_descriptors_sorted(fixture_dataset):
-    descriptors, *_ = evaluation_samples(fixture_dataset, FIXTURE_CFG)
+    descriptors, *_ = evaluation_samples(candidate_view(fixture_dataset))
     ids = [c.class_id for c in descriptors]
     assert ids == sorted(ids) == candidate_class_ids(fixture_dataset.split)
 
@@ -229,7 +338,7 @@ def test_two_stream_training_when_hand_covered():
         attribute_count=4,
     )
     cfg = RunConfig(embedding="attr", use_hand=True, epochs=20, learning_rate=0.1, seed=0, repeats=1)
-    model = train_from_config(dataset, cfg)
+    model = train_from_config(seen_view(dataset, cfg), cfg)
     assert model.W.shape[0] == 5 + 2  # body width + hand width
 
 
@@ -287,7 +396,7 @@ def test_sweep_rows_do_not_depend_on_the_worker_count(fixture_dataset, monkeypat
     rows = {}
     for cpus in (1, 2):
         monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
-        rows[cpus] = sweep_text_dim(fixture_dataset, cfg, values=values)
+        rows[cpus] = sweep_text_dim(sweep_view(fixture_dataset, cfg), cfg, values=values)
     assert rows[1] == rows[2]
     assert [r[0] for r in rows[1]] == values
 
@@ -298,14 +407,14 @@ def test_train_repeats_do_not_depend_on_the_worker_count(fixture_dataset, monkey
     models = {}
     for cpus in (1, 2):
         monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
-        models[cpus] = train_repeats(fixture_dataset, cfg)
+        models[cpus] = train_repeats(seen_view(fixture_dataset, cfg), cfg)
     for one, two, r in zip(models[1], models[2], range(cfg.repeats)):
         assert one.seed == two.seed == cfg.seed + r
         assert one.W.tobytes() == two.W.tobytes()
         assert one.M.tobytes() == two.M.tobytes() if one.M is not None else two.M is None
         assert one.loss_history == two.loss_history and one.final_loss == two.final_loss
     # each repeat is the model train_from_config gives for its seed
-    alone = train_from_config(fixture_dataset, cfg, seed=cfg.seed + 1)
+    alone = train_from_config(seen_view(fixture_dataset, cfg), cfg, seed=cfg.seed + 1)
     assert alone.W.tobytes() == models[2][1].W.tobytes()
     assert alone.loss_history == models[2][1].loss_history
 
@@ -317,8 +426,8 @@ def test_sweep_fits_a_closed_form_once_per_width(fixture_dataset, monkeypatch, m
     monkeypatch.setattr(experiment, trainer, lambda *a, **kw: calls.append(1) or original(*a, **kw))
     monkeypatch.setattr(pool, "usable_cpus", lambda: 1)  # every fit in this process, so counted
     cfg = replace(FIXTURE_CFG, method=method, repeats=3)
-    rows = sweep_text_dim(fixture_dataset, cfg, values=[4, 4])
+    rows = sweep_text_dim(sweep_view(fixture_dataset, cfg), cfg, values=[4, 4])
     assert len(calls) == 2
-    single = validation_top1(fixture_dataset, train_from_config(fixture_dataset, cfg), cfg)
+    single = validation_top1(fixture_dataset, train_from_config(seen_view(fixture_dataset, cfg), cfg), cfg)
     # every repeat's score still enters the mean and the stddev, as three trainings' would
     assert rows == [(4, float(np.mean([single] * 3)), float(np.std([single] * 3, ddof=1)))] * 2
