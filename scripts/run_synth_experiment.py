@@ -15,7 +15,7 @@ from pathlib import Path
 
 from zslsign.data import Dataset, SplitMode, save_dataset
 from zslsign.evaluation import random_baseline
-from zslsign.experiment import Role, RunConfig, embed_dataset, evaluate, evaluation_samples, train_from_config
+from zslsign.experiment import Role, RunConfig, embed_dataset, evaluate, train_from_config
 from zslsign.influence import class_influence_matrix, confusion_influence_matrix
 from zslsign.errors import NoMisclassifications
 from zslsign.models import save_model
@@ -70,13 +70,14 @@ def main() -> None:
         if method == "lle":
             lle_model = model
 
-    candidates, _, features, truths = evaluation_samples(zsl_view)
+    candidates = zsl_view.stack(Role.CANDIDATES)
+    features, truths = candidates.features, candidates.labels
     unseen = sorted(dataset.split.unseen_classes)
-    correct = class_influence_matrix(lle_model, features, truths, unseen, candidates)
+    correct = class_influence_matrix(lle_model, features, truths, unseen, candidates.classes)
     print(f"influence (correct predictions): {len(correct.rows)} class rows, "
           f"{len(correct.omitted)} omitted")
     try:
-        confusions = confusion_influence_matrix(lle_model, features, truths, candidates, top_n_confusions=4)
+        confusions = confusion_influence_matrix(lle_model, features, truths, candidates.classes, top_n_confusions=4)
         print(f"influence (confusions): {len(confusions.rows)} pair rows")
         for row in confusions.rows:
             truth, predicted = row.subject

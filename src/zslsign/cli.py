@@ -43,11 +43,9 @@ from .experiment import (
     check_sweepable,
     embed_dataset,
     evaluate,
-    evaluation_samples,
     load_run_config,
     rank_samples,
     sweep_text_dim,
-    train_from_config,
     train_repeats,
 )
 from .models import load_model, save_model
@@ -190,27 +188,24 @@ def _write_training_log(path: Path, history: tuple[float, ...], final_loss: floa
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
     data, out = _load_embedded(cfg, (Role.SEEN,), lambda: _echoed_out_dir(args, cfg))
-
-    if cfg.repeats <= 1:
-        model = train_from_config(data, cfg)
-        save_model(model, out / "model.json")
-        _write_training_log(out / "training_log.csv", model.loss_history, model.final_loss)
+    models = train_repeats(data, cfg)
+    suffixes = [""] if cfg.repeats == 1 else [f"_r{r}" for r in range(cfg.repeats)]
+    for suffix, model in zip(suffixes, models):
+        save_model(model, out / f"model{suffix}.json")
+        _write_training_log(out / f"training_log{suffix}.csv", model.loss_history, model.final_loss)
+    if cfg.repeats == 1:
         print(f"trained {cfg.method} model: final loss {model.final_loss!r}")
         print(f"wrote {out / 'model.json'}")
         return 0
 
-    models = train_repeats(data, cfg)
-    for r, model in enumerate(models):
-        save_model(model, out / f"model_r{r}.json")
-        _write_training_log(out / f"training_log_r{r}.csv", model.loss_history, model.final_loss)
     finals = [model.final_loss for model in models]
     summary = {
         "repeats": cfg.repeats,
         "seeds": [cfg.seed + r for r in range(cfg.repeats)],
         "final_loss_mean": float(np.mean(finals)),
-        "final_loss_stddev": float(np.std(finals, ddof=1)) if len(finals) > 1 else 0.0,
+        "final_loss_stddev": float(np.std(finals, ddof=1)),
         "final_losses": [float(v) for v in finals],
-        "models": [f"model_r{r}.json" for r in range(cfg.repeats)],
+        "models": [f"model{suffix}.json" for suffix in suffixes],
     }
     _write_json(out / "summary.json", summary)
     print(f"trained {cfg.repeats} {cfg.method} models: mean final loss {summary['final_loss_mean']!r}")
@@ -221,10 +216,11 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     cfg = _resolve_config(args)
     data, model = _load_embedded(cfg, (Role.CANDIDATES,), lambda: load_model(args.model))
-    sample_ids, ranks, truths, predicted = rank_samples(data, model)
+    candidates = data.stack(Role.CANDIDATES)
+    ranks, predicted = rank_samples(model, candidates)
     out = _out_dir(args, cfg)
     rows = ["sample_id,truth,predicted,truth_rank"]
-    for sid, rank, truth, pred in zip(sample_ids, ranks, truths, predicted):
+    for sid, rank, truth, pred in zip(candidates.sample_ids, ranks, candidates.labels, predicted):
         rows.append(f"{sid},{truth},{pred},{rank + 1}")
     (out / "predictions.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     print(f"wrote {out / 'predictions.csv'}")
@@ -243,7 +239,7 @@ def cmd_eval(args) -> int:
         table["unseen"] = report.unseen_per_k
         table["harmonic"] = report.harmonic_per_k
     if args.random_baseline:
-        baseline = random_baseline(len(candidate_class_ids(data.split)), cfg.ks)
+        baseline = random_baseline(len(data.stack(Role.CANDIDATES).classes), cfg.ks)
         table["random"] = baseline
         payload["random_per_k"] = {str(k): v for k, v in sorted(baseline.items())}
 
@@ -263,7 +259,7 @@ def _write_influence_csv(path: Path, report: InfluenceReport) -> None:
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
-def _write_affiliation_csv(path: Path, report: InfluenceReport, attrs_of, which: str) -> None:
+def _write_affiliation_csv(path: Path, report: InfluenceReport, attrs: dict[str, np.ndarray], which: str) -> None:
     header = "subject," + ",".join(report.attribute_names)
     rows = [header]
     for row in report.rows:
@@ -272,36 +268,36 @@ def _write_affiliation_csv(path: Path, report: InfluenceReport, attrs_of, which:
         else:
             subject = f"{row.subject[0]}->{row.subject[1]}"
             cid = row.subject[0] if which == "truth" else row.subject[1]
-        bits = attrs_of(cid)
-        rows.append(f"{subject}," + ",".join(str(int(b)) for b in bits))
+        rows.append(f"{subject}," + ",".join(str(int(b)) for b in attrs[cid]))
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
 def cmd_analyze(args) -> int:
     cfg = _resolve_config(args)
     data, model = _load_embedded(cfg, (Role.CANDIDATES,), lambda: load_model(args.model))
-    candidates, _, features, truths = evaluation_samples(data)
+    candidates = data.stack(Role.CANDIDATES)
+    features, truths = candidates.features, candidates.labels
     out = _echoed_out_dir(args, cfg)
-    attrs_of = lambda cid: data.classes_by_id[cid].attributes
+    attrs = {c.class_id: c.attributes for c in candidates.classes}
 
     if args.confusions is not None:
         report = _lazy.confusion_influence_matrix(
-            model, features, truths, candidates, top_n_confusions=args.confusions
+            model, features, truths, candidates.classes, top_n_confusions=args.confusions
         )
         _write_json(out / "influence_confusions.json", report.to_dict())
         _write_influence_csv(out / "influence_confusions.csv", report)
-        _write_affiliation_csv(out / "affiliation_predicted.csv", report, attrs_of, which="predicted")
-        _write_affiliation_csv(out / "affiliation_truth.csv", report, attrs_of, which="truth")
+        _write_affiliation_csv(out / "affiliation_predicted.csv", report, attrs, which="predicted")
+        _write_affiliation_csv(out / "affiliation_truth.csv", report, attrs, which="truth")
         print(f"wrote {out / 'influence_confusions.json'} ({len(report.rows)} confusion rows)")
         return 0
 
     unseen = sorted(data.split.unseen_classes)
-    report = _lazy.class_influence_matrix(model, features, truths, unseen, candidates)
+    report = _lazy.class_influence_matrix(model, features, truths, unseen, candidates.classes)
     _write_json(out / "influence_correct.json", report.to_dict())
     _write_influence_csv(out / "influence_correct.csv", report)
-    _write_affiliation_csv(out / "affiliation_correct.csv", report, attrs_of, which="predicted")
+    _write_affiliation_csv(out / "affiliation_correct.csv", report, attrs, which="predicted")
     if args.min_affiliation is not None:
-        class_attrs = {cid: attrs_of(cid) for cid in unseen}
+        class_attrs = {cid: attrs[cid] for cid in unseen}
         summary = _lazy.positive_affiliation_summary(report, class_attrs, args.min_affiliation)
         rows = ["attribute,mean_influence"]
         rows.extend(f"{report.attribute_names[k]},{v!r}" for k, v in sorted(summary.items()))

@@ -190,10 +190,6 @@ class Dataset:
     def samples_of(self, class_ids: frozenset[str] | set[str]) -> list[Sample]:
         return [s for s in self.samples if s.class_id in class_ids]
 
-    def descriptors_of(self, class_ids: frozenset[str] | set[str]) -> list[ClassDescriptor]:
-        """Descriptors for the given ids, sorted by class_id for determinism."""
-        return [self.classes_by_id[cid] for cid in sorted(class_ids)]
-
 
 def _unit_normalized(vec: np.ndarray, class_id: str) -> np.ndarray:
     """Scale to unit l2 norm, in memory of its own.

@@ -1,18 +1,20 @@
 """Wiring between datasets, aggregation, model training and evaluation.
 
 This module owns the run configuration and the deterministic recipes the CLI
-drives: embedding a dataset's samples, selecting candidate sets per split
-mode, training a model from a config, taking the truth rank and predicted
-class of each evaluation sample, and sweeping the text-reduction width. A
-command's independent trainings (a sweep's grid, a train's repeats) run side
-by side on the forked workers of pool.map_jobs.
+drives. embed_dataset turns a loaded Dataset into an Embedded view: one Stack
+per role a command uses (seen, validation, candidate), each holding that
+role's N x d video embeddings, sample ids, labels and class descriptors, plus
+the split. Every command then trains and scores through two functions:
+train_from_config fits the configured method on the seen stack, once per
+pool job of train_repeats and of a sweep; rank_samples gives each sample of a
+stack its truth rank and predicted class among that stack's classes, for
+predict, eval and a sweep's validation. A command's independent trainings (a
+sweep's grid, a train's repeats) run side by side on the forked workers of
+pool.map_jobs.
 
-Training and scoring read only the video embeddings, so the recipes take an
-Embedded view instead of a Dataset: embed_dataset stacks the samples of the
-roles a command uses (seen, validation, candidate) and keeps those N x d rows,
-the class descriptors and the split. Once it returns, nothing holds the
-loaded Dataset's snippet frames or its feature pack, and they are freed
-before training, scoring, analysis and the pool's fork.
+The view holds no snippet frames, so once embed_dataset returns, nothing holds
+the loaded Dataset's frames or its feature pack, and they are freed before
+training, scoring, analysis and the pool's fork.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .data import ClassDescriptor, Dataset, Sample, SplitConfig, SplitMode
 from .embeddings import ClassEmbeddingSet, EmbeddingMode, ModeKind
 from .errors import DegenerateData, DimensionMismatch, EmptyEvaluationSet, MissingFile, MissingHandStream, ParseError
 from .evaluation import EvalReport, gzsl_report, topk_accuracy
-from .models import CompatModel, Method, TrainConfig, train_eszsl, train_lle, train_sae, truth_ranks
+from .models import CompatModel, Method, TrainConfig, score_candidates, train_eszsl, train_lle, train_sae, truth_ranks
 from .pool import map_jobs
 from .temporal import AggregatorKind, AggregatorSpec, embed_video
 
@@ -82,16 +84,45 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
+        """The config of a JSON object; an unknown key or a value of the wrong JSON type raises, naming the key."""
+        if not isinstance(raw, dict):
+            raise ParseError(f"a config must be a JSON object, got {type(raw).__name__}")
+        unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        cfg = dict(raw)
-        if "tsm_weights" in cfg:
-            cfg["tsm_weights"] = tuple(float(v) for v in cfg["tsm_weights"])
-        if "ks" in cfg:
-            cfg["ks"] = tuple(int(k) for k in cfg["ks"])
+        cfg = {}
+        for key, value in raw.items():
+            what, fits, convert = _JSON_VALUES[cls.__dataclass_fields__[key].type]
+            if not fits(value):
+                raise ParseError(f"key {key!r} must be {what}, got {json.dumps(value)}")
+            cfg[key] = convert(value)
         return cls(**cfg)
+
+
+def _is_number(value) -> bool:
+    return type(value) in (int, float)  # a JSON true or false is a bool, not a number
+
+
+def _is_list(value, of) -> bool:
+    return type(value) in (list, tuple) and all(map(of, value))
+
+
+def _as_is(value):
+    return value
+
+
+# what each RunConfig field annotation takes from JSON: (its name in messages, check, conversion)
+_JSON_VALUES = {
+    "str": ("a string", lambda v: type(v) is str, _as_is),
+    "str | None": ("a string or null", lambda v: v is None or type(v) is str, _as_is),
+    "bool": ("true or false", lambda v: type(v) is bool, _as_is),
+    "int": ("an integer", lambda v: type(v) is int, _as_is),
+    "float": ("a number", _is_number, _as_is),
+    "tuple[float, float, float]": (
+        "a list of numbers", lambda v: _is_list(v, _is_number), lambda v: tuple(map(float, v))
+    ),
+    "tuple[int, ...]": ("a list of integers", lambda v: _is_list(v, lambda k: type(k) is int), tuple),
+}
 
 
 def check_hand_usable(dataset: Dataset, use_hand: bool) -> None:
@@ -142,16 +173,21 @@ class Role(Enum):
 
 @dataclass(frozen=True)
 class Stack:
-    """One role's video embeddings: rows sorted by sample id, with their ids and class labels."""
+    """One role's samples and classes.
+
+    The rows are video embeddings sorted by sample id, with their ids and class
+    labels; classes are the role's class descriptors, sorted by class id.
+    """
 
     sample_ids: list[str]
     features: np.ndarray  # N x d
     labels: list[str]
+    classes: list[ClassDescriptor]
 
 
 @dataclass(frozen=True)
 class Embedded:
-    """What a command keeps of its dataset: the stacked rows and class descriptors of its roles, and the split.
+    """What a command keeps of its dataset: one Stack per role it uses, and the split.
 
     It holds no snippet frames, so once embed_dataset has built it the loaded
     Dataset and its feature pack can go. The rows were pooled with the
@@ -159,18 +195,12 @@ class Embedded:
     """
 
     stacks: Mapping[Role, Stack]
-    classes_by_id: Mapping[str, ClassDescriptor]
     split: SplitConfig
 
     def stack(self, role: Role) -> Stack:
         if role not in self.stacks:
             raise ValueError(f"the {role.value} samples were not embedded")
         return self.stacks[role]
-
-    def descriptors(self, role: Role) -> list[ClassDescriptor]:
-        """The role's class descriptors, sorted by class_id."""
-        self.stack(role)  # a role that was not embedded raises here
-        return [self.classes_by_id[cid] for cid in role.class_ids(self.split)]
 
 
 def embed_dataset(dataset: Dataset, cfg: RunConfig, roles: Sequence[Role]) -> Embedded:
@@ -191,37 +221,21 @@ def embed_dataset(dataset: Dataset, cfg: RunConfig, roles: Sequence[Role]) -> Em
             if role is Role.SEEN:
                 raise DegenerateData("no seen samples to train on")
             raise EmptyEvaluationSet(f"no {role.value} samples to evaluate")
-        stacks[role] = Stack(*stack_video_embeddings(samples, spec, cfg.use_hand))
-    classes = {cid: dataset.classes_by_id[cid] for role in stacks for cid in role.class_ids(dataset.split)}
-    return Embedded(stacks, classes, dataset.split)
-
-
-def _seen_stack(data: Embedded) -> tuple[np.ndarray, list[str], list[ClassDescriptor]]:
-    """What every training reads: the stacked seen-class samples, their labels and the seen descriptors."""
-    seen = data.stack(Role.SEEN)
-    return seen.features, seen.labels, data.descriptors(Role.SEEN)
+        rows = stack_video_embeddings(samples, spec, cfg.use_hand)
+        stacks[role] = Stack(*rows, [dataset.classes_by_id[cid] for cid in class_ids])
+    return Embedded(stacks, dataset.split)
 
 
 def train_from_config(data: Embedded, cfg: RunConfig, seed: int | None = None) -> CompatModel:
-    """Train on the seen-class samples following the run configuration."""
-    return _train_stacked(*_seen_stack(data), cfg, seed)
-
-
-def _train_stacked(
-    features: np.ndarray,
-    labels: Sequence[str],
-    descriptors: Sequence[ClassDescriptor],
-    cfg: RunConfig,
-    seed: int | None = None,
-) -> CompatModel:
-    """Train the configured method on already-stacked video embeddings."""
-    classes = ClassEmbeddingSet.from_descriptors(descriptors, cfg.embedding_mode())
+    """Train the configured method on the seen samples; seed overrides cfg.seed (lle only)."""
+    seen = data.stack(Role.SEEN)
+    classes = ClassEmbeddingSet.from_descriptors(seen.classes, cfg.embedding_mode())
     method = Method(cfg.method)
     if method is Method.LLE:
-        return train_lle(features, labels, classes, cfg.train_config(seed))
+        return train_lle(seen.features, seen.labels, classes, cfg.train_config(seed))
     if method is Method.ESZSL:
-        return train_eszsl(features, labels, classes, gamma=cfg.gamma, lam=cfg.lam)
-    return train_sae(features, labels, classes, lam_sae=cfg.lam_sae)
+        return train_eszsl(seen.features, seen.labels, classes, gamma=cfg.gamma, lam=cfg.lam)
+    return train_sae(seen.features, seen.labels, classes, lam_sae=cfg.lam_sae)
 
 
 def _fit_seeds(cfg: RunConfig) -> list[int]:
@@ -246,49 +260,30 @@ def train_repeats(data: Embedded, cfg: RunConfig) -> list[CompatModel]:
     every repeat gets that model.
     """
     jobs = [(cfg, seed) for seed in _fit_seeds(cfg)]
-    return _per_repeat(map_jobs(_train_stacked, jobs, _seen_stack(data)), cfg.repeats)
+    return _per_repeat(map_jobs(train_from_config, jobs, (data,)), cfg.repeats)
 
 
-def evaluation_samples(data: Embedded) -> tuple[list[ClassDescriptor], list[str], np.ndarray, list[str]]:
-    """Candidate descriptors plus the stacked evaluation samples of the split mode.
-
-    Returns (candidates, sample ids, N x d features, truths), samples sorted by id.
-    """
-    stack = data.stack(Role.CANDIDATES)
-    return data.descriptors(Role.CANDIDATES), stack.sample_ids, stack.features, stack.labels
-
-
-def rank_samples(data: Embedded, model: CompatModel) -> tuple[list[str], np.ndarray, list[str], list[str]]:
-    """Sample ids, 0-based truth ranks, truths and predicted classes of the split mode's samples."""
-    candidates, sample_ids, features, truths = evaluation_samples(data)
-    ranks, predicted = _rank_stacked(model, features, candidates, truths)
-    return sample_ids, ranks, truths, predicted
-
-
-def _rank_stacked(
-    model: CompatModel, features: np.ndarray, candidates: Sequence[ClassDescriptor], truths: Sequence[str]
-) -> tuple[np.ndarray, list[str]]:
-    """Truth ranks and predicted classes of already-stacked video embeddings."""
-    classes = ClassEmbeddingSet.from_descriptors(candidates, model.mode)
-    scores = model.scores(features, classes.compose(model.M))
+def rank_samples(model: CompatModel, stack: Stack) -> tuple[np.ndarray, list[str]]:
+    """0-based truth ranks and predicted classes of the stack's samples among the stack's classes."""
+    classes, scores = score_candidates(model, stack.features, stack.classes)
     # argmax takes the first maximum: on class-id-sorted columns, the smallest class_id
     predicted = [classes.class_ids[j] for j in scores.argmax(axis=1)]
-    return truth_ranks(scores, classes.class_ids, truths), predicted
+    return truth_ranks(scores, classes.class_ids, stack.labels), predicted
 
 
 def evaluate(data: Embedded, model: CompatModel, cfg: RunConfig) -> EvalReport:
     """ZSL or GZSL evaluation report, per the split mode, at cfg.ks."""
-    _, ranks, truths, _ = rank_samples(data, model)
+    candidates = data.stack(Role.CANDIDATES)
+    ranks, _ = rank_samples(model, candidates)
     if data.split.mode is SplitMode.GZSL:
-        return gzsl_report(ranks, truths, data.split, cfg.ks)
-    return topk_accuracy(ranks, truths, cfg.ks)
+        return gzsl_report(ranks, candidates.labels, data.split, cfg.ks)
+    return topk_accuracy(ranks, candidates.labels, cfg.ks)
 
 
-def _validation_top1(train: tuple, val: tuple, cfg: RunConfig, seed: int) -> float:
-    """Validation top-1 of one model trained on the stacked seen samples: one sweep job."""
-    features, candidates, truths = val
-    ranks, _ = _rank_stacked(_train_stacked(*train, cfg, seed), features, candidates, truths)
-    return topk_accuracy(ranks, truths, ks=(1,)).per_k[1]
+def _validation_top1(data: Embedded, validation: Stack, cfg: RunConfig, seed: int) -> float:
+    """Validation top-1 of one model trained on the seen samples: one sweep job."""
+    ranks, _ = rank_samples(train_from_config(data, cfg, seed), validation)
+    return topk_accuracy(ranks, validation.labels, ks=(1,)).per_k[1]
 
 
 SWEEP_ROLES = (Role.SEEN, Role.VALIDATION)
@@ -307,11 +302,9 @@ def sweep_text_dim(data: Embedded, cfg: RunConfig, values: Sequence[int]) -> lis
     pool.map_jobs).
     """
     check_sweepable(cfg)
-    val = data.stack(Role.VALIDATION)
-    validation = (val.features, data.descriptors(Role.VALIDATION), val.labels)
     seeds = _fit_seeds(cfg)
     jobs = [(replace(cfg, d_t=int(value)), seed) for value in values for seed in seeds]
-    top1 = map_jobs(_validation_top1, jobs, (_seen_stack(data), validation))
+    top1 = map_jobs(_validation_top1, jobs, (data, data.stack(Role.VALIDATION)))
     rows = []
     for i, value in enumerate(values):
         scores = _per_repeat(top1[i * len(seeds) : (i + 1) * len(seeds)], cfg.repeats)
@@ -331,5 +324,5 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ParseError(f"config {path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
     try:
         return RunConfig.from_dict(raw)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ParseError(f"config {path}: {exc}") from None

@@ -31,9 +31,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import ClassDescriptor
-from .embeddings import ClassEmbeddingSet
 from .errors import DimensionMismatch, ModeWithoutAttributes, NoMisclassifications
-from .models import CompatModel
+from .models import CompatModel, score_candidates
 
 
 class InfluenceKind(Enum):
@@ -90,8 +89,7 @@ def _class_scores(model: CompatModel, features, truths: Sequence[str], candidate
         raise DimensionMismatch(
             f"features must be N x d with one row per truth, got {features.shape} for {len(truths)} truths"
         )
-    classes = ClassEmbeddingSet.from_descriptors(list(candidates), model.mode)
-    scores = model.scores(features, classes.compose(model.M))
+    classes, scores = score_candidates(model, features, candidates)
     # argmax takes the first maximum: on class-id-sorted columns, the smallest class_id
     return classes, scores, scores.argmax(axis=1), features @ model.W
 

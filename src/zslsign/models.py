@@ -20,9 +20,12 @@ a d x d or t x t matrix or solves a linear system.
 
 Class posteriors p(c|v) are defined as the softmax of compatibility scores
 over the active candidate set, matching the training loss. This is the
-posterior the attribute-influence analysis differentiates. Evaluation reads
-the score matrix directly: truth_ranks gives each sample the integer rank of
-its true class, and the predicted class is the row's argmax.
+posterior the attribute-influence analysis differentiates. score_candidates
+is the one path from a model, video embeddings and candidate descriptors to
+the class-id-sorted candidate set and its score matrix; ranking and the
+influence analysis both start from it. Evaluation reads the score matrix
+directly: truth_ranks gives each sample the integer rank of its true class,
+and the predicted class is the row's argmax.
 
 A saved model is a JSON header plus a binary weights file beside it
 (model.json and model.npy); the header binds the weights by the CRC-32 of
@@ -42,7 +45,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .data import read_vector, write_vector
+from .data import ClassDescriptor, read_vector, write_vector
 from .embeddings import ClassEmbeddingSet, EmbeddingMode, ModeKind
 from .errors import (
     DegenerateData,
@@ -137,6 +140,14 @@ class CompatModel:
         return _bilinear(phi, self.W, S)
 
 
+def score_candidates(
+    model: CompatModel, features, candidates: Sequence[ClassDescriptor]
+) -> tuple[ClassEmbeddingSet, np.ndarray]:
+    """The candidates as a class-id-sorted ClassEmbeddingSet in the model's mode, and the N x |C| scores."""
+    classes = ClassEmbeddingSet.from_descriptors(list(candidates), model.mode)
+    return classes, model.scores(features, classes.compose(model.M))
+
+
 def posteriors(scores: np.ndarray) -> np.ndarray:
     """Row-wise max-shifted softmax over compatibility scores; rows sum to 1 within 1e-12."""
     shifted = scores - scores.max(axis=-1, keepdims=True)
@@ -217,32 +228,6 @@ def _lle_backward(W, M, features, y, classes, lam, S, E, s) -> tuple[np.ndarray,
         offset = classes.attributes.shape[1] if classes.mode.uses_attributes else 0  # text columns of W
         grad_M = classes.texts.T @ (FG.T @ W[:, offset:])
     return grad_W, grad_M
-
-
-def lle_objective(
-    W: np.ndarray,
-    M: np.ndarray | None,
-    features: np.ndarray,
-    labels: Sequence[str],
-    classes: ClassEmbeddingSet,
-    lam: float,
-) -> float:
-    """Mean cross-entropy of the true class under softmax scores, plus lam * ||W||^2."""
-    return _lle_forward(W, M, features, _label_indices(labels, classes), classes, lam)[0]
-
-
-def lle_gradients(
-    W: np.ndarray,
-    M: np.ndarray | None,
-    features: np.ndarray,
-    labels: Sequence[str],
-    classes: ClassEmbeddingSet,
-    lam: float,
-) -> tuple[float, np.ndarray, np.ndarray | None]:
-    """Objective value and analytic gradients with respect to W (and M if present)."""
-    y = _label_indices(labels, classes)
-    loss, *forward = _lle_forward(W, M, features, y, classes, lam)
-    return (loss, *_lle_backward(W, M, features, y, classes, lam, *forward))
 
 
 def train_lle(
@@ -372,14 +357,13 @@ def train_eszsl(
     classes: ClassEmbeddingSet,
     gamma: float = 1e-3,
     lam: float = 1e-3,
-    reduction: np.ndarray | None = None,
 ) -> CompatModel:
     """Ridge solution W = (X X' + gamma I)^-1 X Y S' (S S' + lam I)^-1 with +1/-1 class targets Y.
 
     With thin SVDs X = V diag(x) Z' (d x N) and S = Q diag(s) R' (t x |C|) it is exactly
     W = V [x_i / (x_i^2 + gamma) (Z'YR)_ij s_j / (s_j^2 + lam)] Q': no d x d or t x t matrix is
-    formed and nothing is solved. gamma and lam must be > 0. A text-bearing mode's reduction is a
-    fixed input: the closed form solves for W only. Errors are as in sae.
+    formed and nothing is solved. gamma and lam must be > 0. The closed form fits no reduction, so a
+    text-bearing mode needs d_t equal to the raw text width. Errors are as in sae.
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
@@ -388,7 +372,7 @@ def train_eszsl(
     from .oracles import eszsl_objective  # the reference module, loaded only by the commands that fit eszsl
 
     X = np.asarray(features, dtype=np.float64).T  # d x N
-    S = classes.compose(reduction).T  # t x |C|
+    S = classes.compose().T  # t x |C|
     (d, n), (t, c) = X.shape, S.shape
     with _closed_form_errors(Method.ESZSL, "ridge solve", t, d, n, max(d * n, t * c, d * t, n * c)):
         Y = np.where(np.arange(c) == _label_indices(labels, classes)[:, None], 1.0, -1.0)
@@ -398,7 +382,7 @@ def train_eszsl(
 
     return CompatModel(
         W=W,
-        M=reduction,
+        M=None,
         mode=classes.mode,
         method=Method.ESZSL,
         hyperparams={"gamma": gamma, "lam": lam},
@@ -412,7 +396,6 @@ def train_sae(
     labels: Sequence[str],
     classes: ClassEmbeddingSet,
     lam_sae: float = 1e-3,
-    reduction: np.ndarray | None = None,
 ) -> CompatModel:
     """Fit the semantic auto-encoder projection and store it as a compatibility W.
 
@@ -427,7 +410,7 @@ def train_sae(
     from .oracles import sylvester_residual  # the reference module, loaded only by the commands that fit sae
 
     X = np.asarray(features, dtype=np.float64).T  # d x N
-    S = classes.compose(reduction)[_label_indices(labels, classes)].T  # t x N, one column per sample
+    S = classes.compose()[_label_indices(labels, classes)].T  # t x N, one column per sample
     (t, n), d = S.shape, X.shape[0]
     with _closed_form_errors(Method.SAE, "Sylvester solve", t, d, n, max(t * n, d * n, t * d)):
         zero = "sae: (1 + lam) S X' is zero, so the minimum-norm projection is zero"
@@ -438,7 +421,7 @@ def train_sae(
 
     return CompatModel(
         W=P.T,
-        M=reduction,
+        M=None,
         mode=classes.mode,
         method=Method.SAE,
         hyperparams={"lam_sae": lam_sae},

@@ -1,4 +1,5 @@
 import json
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from zslsign.data import (
     SplitMode,
     Stream,
 )
+from zslsign.models import _label_indices, _lle_backward, _lle_forward
 
 
 def write_feature_file(path: Path, matrix) -> str:
@@ -69,8 +71,20 @@ def make_descriptor(class_id: str, attributes, text=None) -> ClassDescriptor:
     attributes = np.asarray(attributes, dtype=float)
     if text is None:
         text = np.zeros(4)
-        text[hash(class_id) % 4] = 1.0
+        text[zlib.crc32(class_id.encode()) % 4] = 1.0  # the same index in every session
     return ClassDescriptor(class_id, class_id, attributes, np.asarray(text, dtype=float))
+
+
+def lle_objective(W, M, features, labels, classes, lam) -> float:
+    """The lle loss at (W, M), from the forward pass that train_lle takes."""
+    return _lle_forward(W, M, features, _label_indices(labels, classes), classes, lam)[0]
+
+
+def lle_gradients(W, M, features, labels, classes, lam):
+    """The lle loss and its gradients for W (and M if given), from train_lle's forward and backward pass."""
+    y = _label_indices(labels, classes)
+    loss, *forward = _lle_forward(W, M, features, y, classes, lam)
+    return (loss, *_lle_backward(W, M, features, y, classes, lam, *forward))
 
 
 @pytest.fixture

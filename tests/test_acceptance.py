@@ -22,7 +22,6 @@ from zslsign.experiment import (
     candidate_class_ids,
     embed_dataset,
     evaluate,
-    evaluation_samples,
     rank_samples,
     train_from_config,
 )
@@ -30,8 +29,6 @@ from zslsign.models import (
     CompatModel,
     Method,
     TrainConfig,
-    lle_gradients,
-    lle_objective,
     posteriors,
     train_eszsl,
     train_sae,
@@ -54,7 +51,7 @@ from zslsign.evaluation import topk_accuracy
 from zslsign.synth import SynthSpec, generate
 from zslsign.temporal import AggregatorKind, AggregatorSpec, aggregate
 
-from conftest import make_descriptor
+from conftest import lle_gradients, lle_objective, make_descriptor
 
 ATTR = EmbeddingMode(kind=ModeKind.ATTRIBUTES)
 
@@ -349,22 +346,20 @@ def test_criterion_10_protocol_shape_checks(tmp_path):
     # (b) GZSL model predicting over unseen-only candidates equals the ZSL prediction, exactly:
     # a GZSL split of the unseen classes alone (half of them as its seen ones) has the ZSL
     # candidate set and evaluation samples
-    zsl_view = embed_dataset(dataset, cfg, [Role.CANDIDATES])
-    _, zsl_ranks, zsl_truths, zsl_predicted = rank_samples(zsl_view, model)
+    zsl = embed_dataset(dataset, cfg, [Role.CANDIDATES]).stack(Role.CANDIDATES)
+    zsl_ranks, zsl_predicted = rank_samples(model, zsl)
     unseen = sorted(dataset.split.unseen_classes)
     gzsl_split = SplitConfig(frozenset(unseen[:2]), frozenset(), frozenset(unseen[2:]), SplitMode.GZSL)
     gzsl_dataset = Dataset(dataset.classes, dataset.samples, gzsl_split, dataset.attribute_count)
-    gzsl_view = embed_dataset(gzsl_dataset, cfg, [Role.CANDIDATES])
-    _, gzsl_ranks, gzsl_truths, gzsl_predicted = rank_samples(gzsl_view, model)
-    assert gzsl_truths == zsl_truths
+    gzsl = embed_dataset(gzsl_dataset, cfg, [Role.CANDIDATES]).stack(Role.CANDIDATES)
+    gzsl_ranks, gzsl_predicted = rank_samples(model, gzsl)
+    assert gzsl.labels == zsl.labels
     assert np.array_equal(gzsl_ranks, zsl_ranks)
     assert gzsl_predicted == zsl_predicted
     # the score matrices themselves agree bit for bit, so every class's rank does too
-    zsl_candidates, _, zsl_features, _ = evaluation_samples(zsl_view)
-    gzsl_candidates, _, gzsl_features, _ = evaluation_samples(gzsl_view)
-    assert zsl_candidates == gzsl_candidates
-    assert scores_of(model, gzsl_features, gzsl_candidates).tobytes() == \
-        scores_of(model, zsl_features, zsl_candidates).tobytes()
+    assert zsl.classes == gzsl.classes
+    assert scores_of(model, gzsl.features, gzsl.classes).tobytes() == \
+        scores_of(model, zsl.features, zsl.classes).tobytes()
 
     # (c) the loader rejects overlapping ZSL splits
     save_dataset(dataset, tmp_path)

@@ -353,6 +353,22 @@ def test_a_list_flag_out_of_range_still_exits_1(workspace, tmp_path, capsys, arg
     assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
 
 
+@pytest.mark.parametrize(
+    "key, value, kind",
+    [("d_t", "8", "an integer"), ("epochs", 2.5, "an integer"), ("ks", "12", "a list of integers"),
+     ("use_hand", "no", "true or false")],
+    ids=["d_t-string", "epochs-float", "ks-string", "use_hand-string"],
+)
+def test_a_config_value_of_the_wrong_type_exits_2_naming_the_key(workspace, tmp_path, capsys, key, value, kind):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"epochs": 1, "repeats": 1, key: value}))
+    out = tmp_path / "out"
+    assert run(["train", "--config", config, "--manifest", workspace["manifest"], "--out", out]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: config {config}: key {key!r} must be {kind}, got {json.dumps(value)}"]
+    assert not out.exists()
+
+
 def _copy_model(workspace, dest: Path) -> Path:
     dest.mkdir()
     for name in ("model.json", "model.npy"):
@@ -562,23 +578,23 @@ def test_a_role_without_samples_exits_1_naming_it(workspace, tmp_path, capsys, r
 
 
 _WORK_STARTS = {
-    experiment: ("train_lle", "train_eszsl", "train_sae", "_rank_stacked", "map_jobs"),
-    cli: ("class_influence_matrix", "confusion_influence_matrix"),
+    experiment: ("train_lle", "train_eszsl", "train_sae", "rank_samples", "map_jobs"),
+    cli: ("rank_samples", "class_influence_matrix", "confusion_influence_matrix"),
 }
 
 
 @pytest.mark.parametrize(
     "command, started",
     [
-        (["train", "--method", "lle"], ["train_lle"]),
-        (["train", "--method", "sae"], ["train_sae"]),
+        (["train", "--method", "lle"], ["map_jobs", "train_lle"]),
+        (["train", "--method", "sae"], ["map_jobs", "train_sae"]),
         (["train", "--method", "eszsl", "--repeats", "2"], ["map_jobs", "train_eszsl"]),
         (["train", "--repeats", "2"], ["map_jobs", "train_lle", "train_lle"]),
-        (["predict"], ["_rank_stacked"]),
-        (["eval"], ["_rank_stacked"]),
+        (["predict"], ["rank_samples"]),
+        (["eval"], ["rank_samples"]),
         (["analyze", "--correct"], ["class_influence_matrix"]),
         (["analyze", "--confusions", "2"], ["confusion_influence_matrix"]),
-        (["sweep", "--values", "2,4", "--repeats", "1"], ["map_jobs"] + ["train_lle", "_rank_stacked"] * 2),
+        (["sweep", "--values", "2,4", "--repeats", "1"], ["map_jobs"] + ["train_lle", "rank_samples"] * 2),
     ],
     ids=["train", "train-sae", "train-eszsl-repeats", "train-repeats", "predict", "eval", "analyze-correct",
          "analyze-confusions", "sweep"],

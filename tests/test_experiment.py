@@ -1,3 +1,4 @@
+import json
 import multiprocessing
 import os
 from dataclasses import replace
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from zslsign import experiment, pool
 from zslsign.data import Dataset, SplitConfig, SplitMode
-from zslsign.errors import DegenerateData, DimensionMismatch, EmptyEvaluationSet, MissingHandStream
+from zslsign.errors import DegenerateData, DimensionMismatch, EmptyEvaluationSet, MissingHandStream, ParseError
 from zslsign.evaluation import topk_accuracy
 from zslsign.experiment import (
     SWEEP_ROLES,
@@ -18,7 +19,6 @@ from zslsign.experiment import (
     candidate_class_ids,
     embed_dataset,
     evaluate,
-    evaluation_samples,
     rank_samples,
     stack_video_embeddings,
     sweep_text_dim,
@@ -61,6 +61,10 @@ def candidate_view(dataset, cfg=FIXTURE_CFG):
     return embed_dataset(dataset, cfg, (Role.CANDIDATES,))
 
 
+def candidates_of(dataset, cfg=FIXTURE_CFG):
+    return candidate_view(dataset, cfg).stack(Role.CANDIDATES)
+
+
 def sweep_view(dataset, cfg=FIXTURE_CFG):
     return embed_dataset(dataset, cfg, SWEEP_ROLES)
 
@@ -78,9 +82,9 @@ def validation_top1(dataset, model, cfg) -> float:
     """
     val_ids = dataset.split.validation_classes
     val_split = SplitConfig(dataset.split.seen_classes, frozenset(), val_ids, SplitMode.ZSL)
-    _, ranks, truths, _ = rank_samples(
-        candidate_view(Dataset(dataset.classes, dataset.samples, val_split, dataset.attribute_count), cfg), model
-    )
+    validation = candidates_of(Dataset(dataset.classes, dataset.samples, val_split, dataset.attribute_count), cfg)
+    ranks, _ = rank_samples(model, validation)
+    truths = validation.labels
     assert set(truths) == val_ids
     assert len(truths) == len(dataset.samples_of(val_ids))
     return topk_accuracy(ranks, truths, ks=(1,)).per_k[1]
@@ -111,12 +115,14 @@ def test_gzsl_candidates_are_seen_plus_unseen(fixture_dataset):
 
 
 def test_gzsl_predict_on_unseen_candidates_equals_zsl(fixture_dataset, fixture_model):
-    zsl_ids, zsl_ranks, zsl_truths, zsl_predicted = rank_samples(candidate_view(fixture_dataset), fixture_model)
+    zsl = candidates_of(fixture_dataset)
+    zsl_ranks, zsl_predicted = rank_samples(fixture_model, zsl)
     gzsl_dataset = unseen_as_gzsl(fixture_dataset)
     assert candidate_class_ids(gzsl_dataset.split) == candidate_class_ids(fixture_dataset.split)
-    g_ids, g_ranks, g_truths, g_predicted = rank_samples(candidate_view(gzsl_dataset), fixture_model)
-    assert g_ids == zsl_ids
-    assert g_truths == zsl_truths
+    gzsl = candidates_of(gzsl_dataset)
+    g_ranks, g_predicted = rank_samples(fixture_model, gzsl)
+    assert gzsl.sample_ids == zsl.sample_ids
+    assert gzsl.labels == zsl.labels
     assert np.array_equal(g_ranks, zsl_ranks)  # exact, not approximate
     assert g_predicted == zsl_predicted
     # every unseen class taken in turn as the truth: the whole ranking agrees
@@ -126,16 +132,19 @@ def test_gzsl_predict_on_unseen_candidates_equals_zsl(fixture_dataset, fixture_m
         zsl_relabeled = Dataset(
             fixture_dataset.classes, relabeled, fixture_dataset.split, fixture_dataset.attribute_count
         )
-        _, z_all, z_truths, _ = rank_samples(candidate_view(zsl_relabeled), fixture_model)
-        _, g_all, g_truths, _ = rank_samples(candidate_view(unseen_as_gzsl(fixture_dataset, relabeled)), fixture_model)
-        assert z_truths == g_truths == [cid] * len(zsl_ids)
+        z, g = candidates_of(zsl_relabeled), candidates_of(unseen_as_gzsl(fixture_dataset, relabeled))
+        z_all, _ = rank_samples(fixture_model, z)
+        g_all, _ = rank_samples(fixture_model, g)
+        assert z.labels == g.labels == [cid] * len(zsl.sample_ids)
         assert np.array_equal(g_all, z_all)
 
 
 def test_rank_samples_breaks_ties_by_class_id(fixture_dataset, fixture_model):
     # W = 0 scores every candidate 0: the smallest class id is predicted, and each truth ranks by its id
     model = replace(fixture_model, W=np.zeros_like(fixture_model.W))
-    _, ranks, truths, predicted = rank_samples(candidate_view(fixture_dataset), model)
+    stack = candidates_of(fixture_dataset)
+    ranks, predicted = rank_samples(model, stack)
+    truths = stack.labels
     ids = candidate_class_ids(fixture_dataset.split)
     assert predicted == [ids[0]] * len(truths)
     assert ranks.tolist() == [ids.index(t) for t in truths]
@@ -222,12 +231,13 @@ def test_embedded_roles_equal_the_per_role_stacks(dataset, aggregator, weights, 
         assert stack.sample_ids == ids
         assert stack.labels == labels
         assert stack.features.shape == features.shape and stack.features.tobytes() == features.tobytes()
-        assert view.descriptors(role) == [dataset.classes_by_id[cid] for cid in sorted(class_ids)]
-    assert view.split == split and dict(view.classes_by_id) == dataset.classes_by_id
-    # a view keeps only the roles it was asked for, in the order asked, and only their classes
+        assert stack.classes == [dataset.classes_by_id[cid] for cid in sorted(class_ids)]
+    assert view.split == split
+    # a view keeps only the roles it was asked for, in the order asked, each with only its own classes
     two = embed_dataset(dataset, cfg, (Role.CANDIDATES, Role.SEEN))
     assert list(two.stacks) == [Role.CANDIDATES, Role.SEEN]
-    assert set(two.classes_by_id) == set(candidate_class_ids(split)) | split.seen_classes
+    assert two.stack(Role.CANDIDATES).classes == [dataset.classes_by_id[cid] for cid in candidate_class_ids(split)]
+    assert two.stack(Role.SEEN).classes == [dataset.classes_by_id[cid] for cid in sorted(split.seen_classes)]
 
 
 def _without_role_samples(dataset: Dataset, class_ids) -> Dataset:
@@ -258,7 +268,7 @@ def test_a_role_without_samples_is_a_typed_error_naming_it(fixture_dataset):
 def test_a_view_refuses_a_role_it_did_not_embed(fixture_dataset, fixture_model):
     view = seen_view(fixture_dataset)
     with pytest.raises(ValueError, match="candidate samples were not embedded"):
-        rank_samples(view, fixture_model)
+        evaluate(view, fixture_model, FIXTURE_CFG)
     with pytest.raises(ValueError, match="validation samples were not embedded"):
         sweep_text_dim(view, FIXTURE_CFG, values=[4])
 
@@ -309,9 +319,26 @@ def test_run_config_round_trip_and_unknown_keys():
         RunConfig.from_dict({"nope": 1})
 
 
+def test_run_config_from_json_checks_each_value_type():
+    # every field takes its own value back from JSON, lists standing for tuples
+    cfg = RunConfig(manifest="m.json", use_hand=True, lam=2, ks=(1, 3), tsm_weights=(1.0, 2.0, 0.5), out_dir="o")
+    assert RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+    assert RunConfig.from_dict({"tsm_weights": [1, 2, 1]}).tsm_weights == (1.0, 2.0, 1.0)
+    assert RunConfig.from_dict({"out_dir": None, "gamma": 1}).gamma == 1
+    wrong = [
+        ("seed", True), ("repeats", 2.0), ("lam", "1e-3"), ("lam", False), ("use_hand", 1), ("method", None),
+        ("manifest", 3), ("out_dir", 3), ("ks", [1, 2.0]), ("ks", [True]), ("tsm_weights", [1, "2", 1]),
+        ("tsm_weights", 1.0),
+    ]
+    for key, value in wrong:
+        with pytest.raises(ParseError, match=f"^key '{key}' must be "):
+            RunConfig.from_dict({key: value})
+    with pytest.raises(ParseError, match="must be a JSON object, got list"):
+        RunConfig.from_dict([])
+
+
 def test_candidate_descriptors_sorted(fixture_dataset):
-    descriptors, *_ = evaluation_samples(candidate_view(fixture_dataset))
-    ids = [c.class_id for c in descriptors]
+    ids = [c.class_id for c in candidates_of(fixture_dataset).classes]
     assert ids == sorted(ids) == candidate_class_ids(fixture_dataset.split)
 
 

@@ -22,8 +22,6 @@ from zslsign.models import (
     CompatModel,
     Method,
     TrainConfig,
-    lle_gradients,
-    lle_objective,
     load_model,
     posteriors,
     save_model,
@@ -45,7 +43,7 @@ from zslsign.oracles import (
     sylvester_residual,
 )
 
-from conftest import make_descriptor
+from conftest import lle_gradients, lle_objective, make_descriptor
 
 ATTR = EmbeddingMode(kind=ModeKind.ATTRIBUTES)
 
