@@ -18,11 +18,11 @@ import re
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, TypeVar
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import SplitMode, load_dataset, save_dataset
+from .data import SplitMode, save_dataset
 from .errors import (
     DimensionMismatch,
     InvariantViolation,
@@ -36,13 +36,12 @@ from .errors import (
 from .evaluation import random_baseline
 from .experiment import (
     SWEEP_ROLES,
-    Embedded,
     Role,
     RunConfig,
     candidate_class_ids,
     check_sweepable,
-    embed_dataset,
     evaluate,
+    load_embedded,
     load_run_config,
     rank_samples,
     sweep_text_dim,
@@ -105,22 +104,6 @@ def _echoed_out_dir(args, cfg: RunConfig) -> Path:
     out = _out_dir(args, cfg)
     _write_json(out / "effective_config.json", cfg.to_dict())
     return out
-
-
-_T = TypeVar("_T")
-
-
-def _load_embedded(cfg: RunConfig, roles: tuple[Role, ...], then: Callable[[], _T]) -> tuple[Embedded, _T]:
-    """Load cfg's dataset, call then(), embed the roles' samples: (the Embedded view, then()'s result).
-
-    The loaded Dataset is a local of this call, so its frames and feature pack
-    are freed before the command trains, scores or forks. then() is the step a
-    command takes between the two (load its model, make its output directory,
-    check its config), so a command's errors come in the order of its steps.
-    """
-    dataset = load_dataset(cfg.manifest)
-    result = then()
-    return embed_dataset(dataset, cfg, roles), result
 
 
 def _print_metric_table(rows: dict[str, dict[int, float] | None], ks) -> None:
@@ -187,7 +170,7 @@ def _write_training_log(path: Path, history: tuple[float, ...], final_loss: floa
 
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
-    data, out = _load_embedded(cfg, (Role.SEEN,), lambda: _echoed_out_dir(args, cfg))
+    data, out = load_embedded(cfg, (Role.SEEN,), lambda: _echoed_out_dir(args, cfg))
     models = train_repeats(data, cfg)
     suffixes = [""] if cfg.repeats == 1 else [f"_r{r}" for r in range(cfg.repeats)]
     for suffix, model in zip(suffixes, models):
@@ -215,7 +198,7 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     cfg = _resolve_config(args)
-    data, model = _load_embedded(cfg, (Role.CANDIDATES,), lambda: load_model(args.model))
+    data, model = load_embedded(cfg, (Role.CANDIDATES,), lambda: load_model(args.model))
     candidates = data.stack(Role.CANDIDATES)
     ranks, predicted = rank_samples(model, candidates)
     out = _out_dir(args, cfg)
@@ -229,7 +212,7 @@ def cmd_predict(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
-    data, model = _load_embedded(cfg, (Role.CANDIDATES,), lambda: load_model(args.model))
+    data, model = load_embedded(cfg, (Role.CANDIDATES,), lambda: load_model(args.model))
     report = evaluate(data, model, cfg)
     payload = report.to_dict()
 
@@ -274,7 +257,7 @@ def _write_affiliation_csv(path: Path, report: InfluenceReport, attrs: dict[str,
 
 def cmd_analyze(args) -> int:
     cfg = _resolve_config(args)
-    data, model = _load_embedded(cfg, (Role.CANDIDATES,), lambda: load_model(args.model))
+    data, model = load_embedded(cfg, (Role.CANDIDATES,), lambda: load_model(args.model))
     candidates = data.stack(Role.CANDIDATES)
     features, truths = candidates.features, candidates.labels
     out = _echoed_out_dir(args, cfg)
@@ -308,7 +291,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_baseline(args) -> int:
     if args.manifest:
-        n_classes = len(candidate_class_ids(load_dataset(args.manifest).split))
+        # every file is read and checked, but no sample is pooled or kept
+        data, _ = load_embedded(RunConfig(manifest=args.manifest), ())
+        n_classes = len(candidate_class_ids(data.split))
     elif args.classes is None:
         raise ParseError("baseline needs either --manifest or --classes")
     else:
@@ -327,7 +312,7 @@ def cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
     if args.param != "d_t":
         raise ParseError(f"only the d_t parameter can be swept, got {args.param!r}")
-    data, _ = _load_embedded(cfg, SWEEP_ROLES, lambda: check_sweepable(cfg))
+    data, _ = load_embedded(cfg, SWEEP_ROLES, lambda: check_sweepable(cfg))
     rows = sweep_text_dim(data, cfg, args.values)
     out = _echoed_out_dir(args, cfg)
     lines = ["d_t,mean_val_top1,stddev"]

@@ -3,8 +3,7 @@
 A dataset lives on disk as one JSON manifest plus plain-text feature files
 (one snippet per line, comma-separated reals). All types are immutable after
 construction; invariants that depend on the data content (finiteness, binary
-attributes, split disjointness, ...) are checked by :func:`validate_dataset`,
-which :func:`load_dataset` runs before handing a dataset out.
+attributes, split disjointness, ...) are listed by :func:`validate_dataset`.
 
 The CSV files and the manifest are the source of truth. :func:`save_dataset`
 also writes a feature pack next to the manifest: ``<stem>.pack.npy`` holds
@@ -14,22 +13,28 @@ little-endian float64 vector (see :func:`write_vector`), and
 values, the byte length and ``zlib.crc32`` of its CSV bytes, and the CRC-32 of
 its packed values. The manifest gets the same kind of entry, whose values are
 the class text vectors, plus the manifest's fields without those vectors.
-:func:`load_dataset` still reads the manifest and every CSV. It takes a file's
-values from the pack only when its path, byte length and both CRC-32s match,
-and it takes the manifest's fields and text vectors from the pack only when
-the manifest's byte length and CRC-32 match, so the 250 x 768 text floats of a
-paper-sized manifest are not parsed as JSON text. Anything else (no pack, an
-edited manifest or CSV, a stale, torn, truncated or garbage pack,
-hand-written ``text_file`` rows) is parsed from the files. CRC-32 comes with
+
+:class:`DatasetReader` is the one reader. It walks the manifest's samples in
+order and hands each one on as soon as its files are read, so a caller that
+keeps only what it needs of a sample (experiment.load_embedded pools it into
+one embedding row) never holds more than one sample's snippet frames. It
+still CRC-checks every CSV it reads, in chunks, and takes a file's values from
+the pack only when its path, byte length and both CRC-32s match; it then
+seeks to that file's block and reads only it. Likewise it takes the
+manifest's fields and text vectors from the pack only when the manifest's
+byte length and CRC-32 match, so the 250 x 768 text floats of a paper-sized
+manifest are not parsed as JSON text. Anything else (no pack, an edited
+manifest or CSV, a stale, torn, truncated or garbage pack, hand-written
+``text_file`` rows) is parsed from the files. The class, sample and split
+invariants are checked as the reader goes and raised together after the
+last sample, in :func:`validate_dataset`'s order. :func:`load_dataset`
+collects the reader's samples into a :class:`Dataset`. CRC-32 comes with
 zlib, which numpy already loads; a digest from ``hashlib`` would map
 OpenSSL's libcrypto into every command for no gain in detecting edits. The
 manifest is written as compact JSON.
 
-A loaded dataset's snippet frames are read-only views of the pack's values,
-but its class text vectors own their memory. So a command that keeps only
-the class descriptors, the split and the video embeddings (see
-experiment.embed_dataset) frees the frames and the whole pack as soon as it
-drops the Dataset.
+Each sample's frames and each class text vector own their memory, so
+dropping a sample frees its frames and nothing else.
 
 :func:`save_dataset` writes in this order: the feature CSVs (and any extra
 CSV files the caller hands it), then the pack's values, then its index, and
@@ -46,12 +51,14 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
+import stat
 import zlib
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -196,8 +203,8 @@ def _unit_normalized(vec: np.ndarray, class_id: str) -> np.ndarray:
 
     Vectors already within TEXT_NORM_TOL of unit norm are copied unchanged so
     that a save/load round trip is bit-exact. The copy matters for a row of
-    the feature pack: a view would keep the pack's whole value buffer alive
-    for as long as the class descriptor lives.
+    the pack's text block: a view would keep every class's text alive for as
+    long as any one class descriptor lives.
     """
     norm = float(np.linalg.norm(vec))
     if norm == 0.0 or not math.isfinite(norm):
@@ -205,12 +212,6 @@ def _unit_normalized(vec: np.ndarray, class_id: str) -> np.ndarray:
     if abs(norm - 1.0) <= TEXT_NORM_TOL:
         return vec.copy()
     return vec / norm
-
-
-def _read_bytes(path: Path, entity: str) -> bytes:
-    if not path.is_file():
-        raise MissingFile(f"{entity}: feature file not found: {path}")
-    return path.read_bytes()
 
 
 def _parse_feature_matrix(raw: bytes, path: Path, entity: str) -> np.ndarray:
@@ -245,6 +246,7 @@ def csv_text(matrix: np.ndarray) -> str:
 
 
 _VECTOR_DTYPE = np.dtype("<f8")
+_CRC_CHUNK = 1 << 16  # bytes read at a time when a file is only checksummed
 
 
 def write_vector(path: Path, values: np.ndarray) -> int:
@@ -255,23 +257,44 @@ def write_vector(path: Path, values: np.ndarray) -> int:
     return zlib.crc32(values)
 
 
-def read_vector(raw: bytes) -> np.ndarray:
-    """The values of npy bytes as :func:`write_vector` writes them; ValueError says what differs.
+def _vector_layout(stream, nbytes: int) -> tuple[int, int]:
+    """(byte offset of the first value, value count) of nbytes of npy as write_vector writes them.
 
-    The header is read with np.lib.format and the values are a read-only view
-    of raw, so a corrupt header cannot trigger a large allocation.
+    stream is positioned at the start of the npy; ValueError says what differs.
     """
-    stream = io.BytesIO(raw)
     version = np.lib.format.read_magic(stream)
     if version != (1, 0):
         raise ValueError(f"npy format version {version}, expected (1, 0)")
     shape, _, dtype = np.lib.format.read_array_header_1_0(stream)
     if dtype != _VECTOR_DTYPE:
         raise ValueError(f"dtype {dtype.str}, expected {_VECTOR_DTYPE.str}")
-    values = np.frombuffer(raw, dtype=_VECTOR_DTYPE, offset=stream.tell())
-    if shape != values.shape:
-        raise ValueError(f"header shape {shape}, but the file holds {values.size} values")
-    return values
+    start = stream.tell()
+    count, rest = divmod(nbytes - start, _VECTOR_DTYPE.itemsize)
+    if rest:
+        raise ValueError(f"{nbytes - start} bytes of values are not a whole number of float64 values")
+    if shape != (count,):
+        raise ValueError(f"header shape {shape}, but the file holds {count} values")
+    return start, count
+
+
+def read_vector(raw: bytes) -> np.ndarray:
+    """The values of npy bytes as :func:`write_vector` writes them; ValueError says what differs.
+
+    The header is read with np.lib.format and the values are a read-only view
+    of raw, so a corrupt header cannot trigger a large allocation.
+    """
+    start, _ = _vector_layout(io.BytesIO(raw), len(raw))
+    return np.frombuffer(raw, dtype=_VECTOR_DTYPE, offset=start)
+
+
+def _file_crc32(path: Path, size: int) -> int:
+    """The CRC-32 of a file of about size bytes, read _CRC_CHUNK bytes at a time, so it is never held whole."""
+    crc = 0
+    chunk = memoryview(bytearray(min(size, _CRC_CHUNK)))
+    with open(path, "rb", buffering=0) as f:
+        while n := f.readinto(chunk):
+            crc = zlib.crc32(chunk[:n], crc)
+    return crc
 
 
 def _pack_paths(manifest_path: Path) -> tuple[Path, Path]:
@@ -280,51 +303,69 @@ def _pack_paths(manifest_path: Path) -> tuple[Path, Path]:
 
 
 class _FeaturePack:
-    """Parsed values of the feature CSVs and the manifest as of the last save, checked per file on use."""
+    """The pack saved with a manifest: its index, and its value file, held open so each block is read alone.
 
-    def __init__(self, values: np.ndarray, files: dict, manifest) -> None:
-        self.values = values
+    A block is used only if the file it was packed from still has the byte
+    length and CRC-32 that the index records, and its values still have theirs.
+    """
+
+    def __init__(self, file, start: int, size: int, files: dict, manifest) -> None:
+        self._file = file
+        self._start = start  # byte offset of the first value
+        self._size = size  # values in the file
         self.files = files
         self.manifest_entry = manifest
 
     @classmethod
-    def read(cls, manifest_path: Path) -> "_FeaturePack | None":
-        """The pack saved with this manifest, or None when it is missing or unreadable."""
+    def open(cls, manifest_path: Path) -> "_FeaturePack | None":
+        """The pack saved with this manifest, or None when it is missing or unreadable; close it after use."""
         npy_path, index_path = _pack_paths(manifest_path)
         try:
-            values = read_vector(npy_path.read_bytes())
             index = json.loads(index_path.read_bytes())
         except (OSError, ValueError):
             return None
         files = index.get("files") if isinstance(index, dict) else None
         if not isinstance(files, dict):
             return None
-        return cls(values, files, index.get("manifest"))
+        try:
+            file = open(npy_path, "rb")
+        except OSError:
+            return None
+        try:
+            start, size = _vector_layout(file, os.fstat(file.fileno()).st_size)
+        except ValueError:
+            file.close()
+            return None
+        return cls(file, start, size, files, index.get("manifest"))
 
-    def _block(self, entry, raw: bytes) -> np.ndarray | None:
-        """The rows x cols values of an index entry if it was written for exactly these bytes, else None."""
+    def close(self) -> None:
+        self._file.close()
+
+    def _block(self, entry, source: Path, size: int) -> np.ndarray | None:
+        """The rows x cols values of an index entry if it was packed from exactly source's size bytes, else None."""
         if not isinstance(entry, dict):
             return None
         fields = [entry.get(k) for k in ("offset", "rows", "cols", "bytes", "crc32", "values_crc32")]
         if not all(type(v) is int for v in fields):
             return None
         offset, rows, cols, nbytes, crc, values_crc = fields
-        if nbytes != len(raw) or crc != zlib.crc32(raw):
+        if offset < 0 or rows < 1 or cols < 1 or offset + rows * cols > self._size:
             return None
-        if offset < 0 or rows < 1 or cols < 1 or offset + rows * cols > self.values.size:
+        if nbytes != size or crc != _file_crc32(source, size):
             return None
-        values = self.values[offset : offset + rows * cols]
-        if values_crc != zlib.crc32(values):
+        values = np.empty(rows * cols, dtype=_VECTOR_DTYPE)
+        self._file.seek(self._start + offset * _VECTOR_DTYPE.itemsize)
+        if self._file.readinto(values) != values.nbytes or values_crc != zlib.crc32(values):
             return None
         return values.reshape(rows, cols)
 
-    def matrix(self, rel: str, raw: bytes) -> np.ndarray | None:
-        """The packed rows of `rel` if the pack saw exactly these CSV bytes, else None."""
-        return self._block(self.files.get(rel), raw)
+    def matrix(self, rel: str, path: Path, size: int) -> np.ndarray | None:
+        """The packed rows of `rel`, the file of size bytes at path, if the pack saw exactly its bytes, else None."""
+        return self._block(self.files.get(rel), path, size)
 
-    def manifest(self, raw: bytes) -> dict | None:
-        """The manifest parsed from the pack if the pack saw exactly these manifest bytes, else None."""
-        texts = self._block(self.manifest_entry, raw)
+    def manifest(self, path: Path) -> dict | None:
+        """The manifest at path, from the pack, if the pack saw exactly its bytes, else None."""
+        texts = self._block(self.manifest_entry, path, path.stat().st_size)
         if texts is None:
             return None
         fields = self.manifest_entry.get("fields")
@@ -398,11 +439,10 @@ def _vector_field(value, entity: str, key: str) -> np.ndarray:
 
 def _read_manifest(manifest_path: Path, pack: _FeaturePack | None) -> dict:
     """The manifest's content: from the pack if it saw exactly these bytes, else parsed from them."""
-    raw = manifest_path.read_bytes()
-    manifest = pack.manifest(raw) if pack is not None else None
+    manifest = pack.manifest(manifest_path) if pack is not None else None
     if manifest is None:
         try:
-            manifest = json.loads(raw.decode("utf-8"))
+            manifest = json.loads(manifest_path.read_bytes().decode("utf-8"))
         except json.JSONDecodeError as exc:
             raise ParseError(f"manifest {manifest_path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
     if not isinstance(manifest, dict):
@@ -410,31 +450,159 @@ def _read_manifest(manifest_path: Path, pack: _FeaturePack | None) -> dict:
     return manifest
 
 
-def load_dataset(manifest_path: str | Path) -> Dataset:
-    """Load and validate a dataset from a JSON manifest.
+def _read_split(manifest: dict) -> SplitConfig:
+    split_entry = _require(manifest, "split", "manifest")
+    mode_token = _require(split_entry, "mode", "split")
+    try:
+        mode = SplitMode(mode_token)
+    except ValueError:
+        raise ParseError(f"split field 'mode': expected 'zsl' or 'gzsl', got {mode_token!r}") from None
+    return SplitConfig(
+        seen_classes=frozenset(split_entry.get("seen", [])),
+        validation_classes=frozenset(split_entry.get("validation", [])),
+        unseen_classes=frozenset(split_entry.get("unseen", [])),
+        mode=mode,
+    )
 
-    Text vectors are brought to unit l2 norm; all invariants are enforced and
-    the first batch of violations is raised as InvariantViolation.
+
+class _Checks:
+    """The broken invariants of a dataset, described as its classes, samples and split are checked, in that order."""
+
+    def __init__(self, attribute_count: int) -> None:
+        self.attribute_count = attribute_count
+        self.violations: list[str] = []
+        self._class_ids: set[str] = set()
+        self._sample_ids: set[str] = set()
+
+    def classes(self, classes: Sequence[ClassDescriptor]) -> None:
+        for c in classes:
+            if c.class_id in self._class_ids:
+                self.violations.append(f"class {c.class_id!r} duplicated")
+            self._class_ids.add(c.class_id)
+            if c.attributes.shape[0] != self.attribute_count:
+                self.violations.append(
+                    f"class {c.class_id!r} has {c.attributes.shape[0]} attributes, expected {self.attribute_count}"
+                )
+            a = c.attributes
+            for k in np.flatnonzero((a != 0.0) & (a != 1.0)):  # NaN compares unequal to both
+                self.violations.append(f"class {c.class_id!r} attribute {k} not binary")
+            if not np.all(np.isfinite(c.text)):
+                self.violations.append(f"class {c.class_id!r} text vector non-finite")
+            elif abs(float(np.linalg.norm(c.text)) - 1.0) > TEXT_NORM_TOL:
+                self.violations.append(f"class {c.class_id!r} text vector not unit norm")
+        text_widths = {c.text.shape[0] for c in classes}
+        if len(text_widths) > 1:
+            self.violations.append(f"classes disagree on text dimensionality: {sorted(text_widths)}")
+
+    def sample(self, s: Sample) -> None:
+        if s.sample_id in self._sample_ids:
+            self.violations.append(f"sample {s.sample_id!r} duplicated")
+        self._sample_ids.add(s.sample_id)
+        if s.class_id not in self._class_ids:
+            self.violations.append(f"sample {s.sample_id!r} references unknown class {s.class_id!r}")
+        for stream, seq in s.sequences.items():
+            finite = np.isfinite(seq.data).all(axis=1)
+            for row in np.flatnonzero(~finite):
+                self.violations.append(f"sample {s.sample_id!r} {stream.value} row {row} non-finite")
+        hand = s.hand
+        if hand is not None and hand.length != s.body.length:
+            self.violations.append(f"sample {s.sample_id!r} hand length {hand.length} != body length {s.body.length}")
+
+    def split(self, split: SplitConfig) -> None:
+        for label, ids in (
+            ("seen", split.seen_classes),
+            ("validation", split.validation_classes),
+            ("unseen", split.unseen_classes),
+        ):
+            for cid in sorted(ids - self._class_ids):
+                self.violations.append(f"split {label} references unknown class {cid!r}")
+        if split.mode is SplitMode.ZSL:
+            for a, b in (("seen", "validation"), ("seen", "unseen"), ("validation", "unseen")):
+                overlap = getattr(split, f"{a}_classes") & getattr(split, f"{b}_classes")
+                for cid in sorted(overlap):
+                    self.violations.append(f"class {cid!r} appears in both {a} and {b} splits")
+
+
+class DatasetReader:
+    """A dataset on disk, read and checked one sample at a time.
+
+    Opening reads the manifest, its attribute count, its class descriptors
+    (text unit-normalized) and its split. read_samples then reads the samples
+    in manifest order and hands each one on as soon as its files are read; the
+    reader keeps no sample. Errors come in the order of the files: a missing,
+    unparsable or malformed file or field raises when it is met, a split that
+    does not parse raises after the last sample, and then every broken
+    invariant (see validate_dataset) raises as one InvariantViolation. The
+    reader holds the pack's value file open until it is closed, so use it in a
+    with block.
     """
-    manifest_path = Path(manifest_path)
-    if not manifest_path.exists():
-        raise MissingFile(f"manifest not found: {manifest_path}")
-    pack = _FeaturePack.read(manifest_path)
-    manifest = _read_manifest(manifest_path, pack)
 
-    root = manifest_path.parent
-    attribute_count = manifest.get("attribute_count", DEFAULT_ATTRIBUTE_COUNT)
-    if not isinstance(attribute_count, int) or attribute_count < 1:
-        raise ParseError(f"manifest field 'attribute_count': expected positive integer, got {attribute_count!r}")
+    def __init__(self, manifest_path: str | Path) -> None:
+        path = Path(manifest_path)
+        if not path.exists():
+            raise MissingFile(f"manifest not found: {path}")
+        self._root = path.parent
+        self._pack = _FeaturePack.open(path)
+        try:
+            manifest = _read_manifest(path, self._pack)
+            count = manifest.get("attribute_count", DEFAULT_ATTRIBUTE_COUNT)
+            if not isinstance(count, int) or count < 1:
+                raise ParseError(f"manifest field 'attribute_count': expected positive integer, got {count!r}")
+            self.attribute_count: int = count
+            self.classes = tuple(self._read_class(entry) for entry in _entries(manifest, "classes"))
+            self._samples = _entries(manifest, "samples")
+        except BaseException:
+            self.close()
+            raise
+        self._checks = _Checks(count)
+        self._checks.classes(self.classes)
+        # None when the split does not parse; read_samples raises its error after the samples'
+        self.split: SplitConfig | None = None
+        self._split_error: Exception | None = None
+        try:
+            self.split = _read_split(manifest)
+        except (ParseError, TypeError) as exc:  # TypeError: a split or mode of the wrong JSON type
+            self._split_error = exc
 
-    def read_matrix(rel: str, entity: str) -> np.ndarray:
-        path = root / rel
-        content = _read_bytes(path, entity)
-        data = pack.matrix(rel, content) if pack is not None else None
-        return _parse_feature_matrix(content, path, entity) if data is None else data
+    def close(self) -> None:
+        if self._pack is not None:
+            self._pack.close()
+            self._pack = None
 
-    classes = []
-    for entry in _entries(manifest, "classes"):
+    def __enter__(self) -> "DatasetReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def read_samples(self, visit: Callable[[Sample], object]) -> SplitConfig:
+        """Call visit on each sample as it is read; return the checked split, or raise what is broken.
+
+        Call it once. Nothing here keeps a sample, so a visit that keeps none
+        leaves at most one sample's frames alive at a time.
+        """
+        for entry in self._samples:
+            visit(self._read_sample(entry))
+        if self._split_error is not None:
+            raise self._split_error
+        self._checks.split(self.split)
+        if self._checks.violations:
+            raise InvariantViolation("; ".join(self._checks.violations))
+        return self.split
+
+    def _read_matrix(self, rel: str, entity: str) -> np.ndarray:
+        """The rows of a feature file: its pack block if the pack saw exactly its bytes, else parsed from them."""
+        path = self._root / rel
+        try:
+            info = path.stat()
+        except OSError:
+            info = None
+        if info is None or not stat.S_ISREG(info.st_mode):
+            raise MissingFile(f"{entity}: feature file not found: {path}")
+        data = self._pack.matrix(rel, path, info.st_size) if self._pack is not None else None
+        return _parse_feature_matrix(path.read_bytes(), path, entity) if data is None else data
+
+    def _read_class(self, entry: dict) -> ClassDescriptor:
         cid = _require(entry, "id", "class entry")
         entity = f"class {cid!r}"
         name = entry.get("name", cid)
@@ -444,103 +612,51 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         if "text" in entry:
             text = _vector_field(entry["text"], entity, "text")
         elif "text_file" in entry:
-            text = read_matrix(_path_field(entry["text_file"], entity, "text_file"), f"{entity} text")[0]
+            rel = _path_field(entry["text_file"], entity, "text_file")
+            rows = self._read_matrix(rel, f"{entity} text")
+            if rows.shape[0] != 1:
+                raise InvariantViolation(f"{entity}: text file {rel} has {rows.shape[0]} rows, expected 1")
+            text = rows[0]
         else:
             raise ParseError(f"{entity}: missing field 'text' or 'text_file'")
-        classes.append(ClassDescriptor(cid, name, attrs, _unit_normalized(text, cid)))
+        return ClassDescriptor(cid, name, attrs, _unit_normalized(text, cid))
 
-    def read_sequence(sid: str, stream: Stream, rel) -> FeatureSequence:
+    def _read_sequence(self, sid: str, stream: Stream, rel) -> FeatureSequence:
         entity = f"sample {sid!r}"
-        data = read_matrix(_path_field(rel, entity, stream.value), f"{entity} {stream.value}")
+        data = self._read_matrix(_path_field(rel, entity, stream.value), f"{entity} {stream.value}")
         return FeatureSequence(sid, stream, data)
 
-    samples = []
-    for entry in _entries(manifest, "samples"):
+    def _read_sample(self, entry: dict) -> Sample:
         sid = _require(entry, "id", "sample entry")
         class_id = _require(entry, "class_id", f"sample {sid!r}")
-        sequences = {Stream.BODY: read_sequence(sid, Stream.BODY, _require(entry, "body", f"sample {sid!r}"))}
+        sequences = {Stream.BODY: self._read_sequence(sid, Stream.BODY, _require(entry, "body", f"sample {sid!r}"))}
         if entry.get("hand") is not None:
-            sequences[Stream.HAND] = read_sequence(sid, Stream.HAND, entry["hand"])
-        samples.append(Sample(sid, class_id, sequences))
+            sequences[Stream.HAND] = self._read_sequence(sid, Stream.HAND, entry["hand"])
+        sample = Sample(sid, class_id, sequences)
+        self._checks.sample(sample)
+        return sample
 
-    split_entry = _require(manifest, "split", "manifest")
-    mode_token = _require(split_entry, "mode", "split")
-    try:
-        mode = SplitMode(mode_token)
-    except ValueError:
-        raise ParseError(f"split field 'mode': expected 'zsl' or 'gzsl', got {mode_token!r}") from None
-    split = SplitConfig(
-        seen_classes=frozenset(split_entry.get("seen", [])),
-        validation_classes=frozenset(split_entry.get("validation", [])),
-        unseen_classes=frozenset(split_entry.get("unseen", [])),
-        mode=mode,
-    )
 
-    dataset = Dataset(tuple(classes), tuple(samples), split, attribute_count)
-    violations = validate_dataset(dataset)
-    if violations:
-        raise InvariantViolation("; ".join(violations))
-    return dataset
+def load_dataset(manifest_path: str | Path) -> Dataset:
+    """Load and validate a dataset from a JSON manifest.
+
+    Text vectors are brought to unit l2 norm; all invariants are enforced and
+    the first batch of violations is raised as InvariantViolation.
+    """
+    samples: list[Sample] = []
+    with DatasetReader(manifest_path) as reader:
+        split = reader.read_samples(samples.append)
+    return Dataset(reader.classes, tuple(samples), split, reader.attribute_count)
 
 
 def validate_dataset(dataset: Dataset) -> list[str]:
     """Return a description of every broken invariant (empty list == valid)."""
-    violations: list[str] = []
-
-    seen_ids: set[str] = set()
-    for c in dataset.classes:
-        if c.class_id in seen_ids:
-            violations.append(f"class {c.class_id!r} duplicated")
-        seen_ids.add(c.class_id)
-        if c.attributes.shape[0] != dataset.attribute_count:
-            violations.append(
-                f"class {c.class_id!r} has {c.attributes.shape[0]} attributes, expected {dataset.attribute_count}"
-            )
-        a = c.attributes
-        for k in np.flatnonzero((a != 0.0) & (a != 1.0)):  # NaN compares unequal to both
-            violations.append(f"class {c.class_id!r} attribute {k} not binary")
-        if not np.all(np.isfinite(c.text)):
-            violations.append(f"class {c.class_id!r} text vector non-finite")
-        elif abs(float(np.linalg.norm(c.text)) - 1.0) > TEXT_NORM_TOL:
-            violations.append(f"class {c.class_id!r} text vector not unit norm")
-
-    text_widths = {c.text.shape[0] for c in dataset.classes}
-    if len(text_widths) > 1:
-        violations.append(f"classes disagree on text dimensionality: {sorted(text_widths)}")
-
-    known = {c.class_id for c in dataset.classes}
-    sample_ids: set[str] = set()
+    checks = _Checks(dataset.attribute_count)
+    checks.classes(dataset.classes)
     for s in dataset.samples:
-        if s.sample_id in sample_ids:
-            violations.append(f"sample {s.sample_id!r} duplicated")
-        sample_ids.add(s.sample_id)
-        if s.class_id not in known:
-            violations.append(f"sample {s.sample_id!r} references unknown class {s.class_id!r}")
-        for stream, seq in s.sequences.items():
-            finite = np.isfinite(seq.data).all(axis=1)
-            for row in np.flatnonzero(~finite):
-                violations.append(f"sample {s.sample_id!r} {stream.value} row {row} non-finite")
-        hand = s.hand
-        if hand is not None and hand.length != s.body.length:
-            violations.append(
-                f"sample {s.sample_id!r} hand length {hand.length} != body length {s.body.length}"
-            )
-
-    split = dataset.split
-    for label, ids in (
-        ("seen", split.seen_classes),
-        ("validation", split.validation_classes),
-        ("unseen", split.unseen_classes),
-    ):
-        for cid in sorted(ids - known):
-            violations.append(f"split {label} references unknown class {cid!r}")
-    if split.mode is SplitMode.ZSL:
-        for a, b in (("seen", "validation"), ("seen", "unseen"), ("validation", "unseen")):
-            overlap = getattr(split, f"{a}_classes") & getattr(split, f"{b}_classes")
-            for cid in sorted(overlap):
-                violations.append(f"class {cid!r} appears in both {a} and {b} splits")
-
-    return violations
+        checks.sample(s)
+    checks.split(dataset.split)
+    return checks.violations
 
 
 # Below this many values to format, save_dataset formats every file in this

@@ -11,13 +11,13 @@ are used directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .data import ClassDescriptor
-from .errors import DimensionMismatch, IndexOutOfRange, MissingReduction
+from .errors import DimensionMismatch, MissingReduction
 
 
 class ModeKind(Enum):
@@ -50,16 +50,6 @@ class EmbeddingMode:
         text_part = self.d_t if self.uses_text else 0
         attr_part = attribute_count if self.uses_attributes else 0
         return attr_part + text_part
-
-
-def flip_attribute(descriptor: ClassDescriptor, k: int) -> ClassDescriptor:
-    """Copy of the descriptor with binary attribute k flipped (an involution)."""
-    n = descriptor.attributes.shape[0]
-    if not 0 <= k < n:
-        raise IndexOutOfRange(f"attribute index {k} outside [0, {n})")
-    attrs = descriptor.attributes.copy()
-    attrs[k] = 1.0 - attrs[k]
-    return replace(descriptor, attributes=attrs)
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,21 @@
 """Wiring between datasets, aggregation, model training and evaluation.
 
 This module owns the run configuration and the deterministic recipes the CLI
-drives. embed_dataset turns a loaded Dataset into an Embedded view: one Stack
-per role a command uses (seen, validation, candidate), each holding that
-role's N x d video embeddings, sample ids, labels and class descriptors, plus
-the split. Every command then trains and scores through two functions:
-train_from_config fits the configured method on the seen stack, once per
-pool job of train_repeats and of a sweep; rank_samples gives each sample of a
-stack its truth rank and predicted class among that stack's classes, for
-predict, eval and a sweep's validation. A command's independent trainings (a
-sweep's grid, a train's repeats) run side by side on the forked workers of
-pool.map_jobs.
-
-The view holds no snippet frames, so once embed_dataset returns, nothing holds
-the loaded Dataset's frames or its feature pack, and they are freed before
-training, scoring, analysis and the pool's fork.
+drives. A command reads its dataset through load_embedded: it walks the
+dataset's samples with data.DatasetReader and pools each sample of the roles
+it uses (seen, validation, candidate) into one embedding row as soon as the
+sample is read, so no more than one sample's snippet frames are alive at a
+time, and nothing of them is left once it returns. The result is an Embedded
+view: one Stack per role, each holding that role's N x d video embeddings,
+sample ids, labels and class descriptors, plus the split. embed_dataset builds
+the same view from a Dataset already in memory. Every command then trains and
+scores through two functions: train_from_config fits the configured method on
+the seen stack, once per pool job of train_repeats and of a sweep;
+rank_samples gives each sample of a stack its truth rank and predicted class
+among that stack's classes, for predict, eval and a sweep's validation. A
+command's independent trainings (a sweep's grid, a train's repeats) run side
+by side on the forked workers of pool.map_jobs, which inherit embeddings, not
+frames.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ import json
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from .data import ClassDescriptor, Dataset, Sample, SplitConfig, SplitMode
+from .data import ClassDescriptor, Dataset, DatasetReader, Sample, SplitConfig, SplitMode
 from .embeddings import ClassEmbeddingSet, EmbeddingMode, ModeKind
 from .errors import DegenerateData, DimensionMismatch, EmptyEvaluationSet, MissingFile, MissingHandStream, ParseError
 from .evaluation import EvalReport, gzsl_report, topk_accuracy
@@ -125,29 +126,6 @@ _JSON_VALUES = {
 }
 
 
-def check_hand_usable(dataset: Dataset, use_hand: bool) -> None:
-    if use_hand and not dataset.has_full_hand_coverage:
-        missing = next(s.sample_id for s in dataset.samples if s.hand is None)
-        raise MissingHandStream(
-            f"hand stream disabled dataset-wide: sample {missing!r} (at least) has no hand sequence"
-        )
-
-
-def stack_video_embeddings(
-    samples: Sequence[Sample], spec: AggregatorSpec, use_hand: bool
-) -> tuple[list[str], np.ndarray, list[str]]:
-    """Embed samples (sorted by sample_id) into one N x d matrix.
-
-    Returns the sample ids, the matrix and the class id of each row.
-    """
-    ordered = sorted(samples, key=lambda s: s.sample_id)
-    embeddings = [embed_video(s, spec, use_hand) for s in ordered]
-    widths = {e.shape[0] for e in embeddings}
-    if len(widths) > 1:
-        raise DimensionMismatch(f"samples disagree on embedded width: {sorted(widths)}")
-    return [s.sample_id for s in ordered], np.stack(embeddings), [s.class_id for s in ordered]
-
-
 def candidate_class_ids(split: SplitConfig) -> list[str]:
     """Prediction-time candidate classes: unseen for ZSL, seen + unseen for GZSL."""
     if split.mode is SplitMode.GZSL:
@@ -189,9 +167,8 @@ class Stack:
 class Embedded:
     """What a command keeps of its dataset: one Stack per role it uses, and the split.
 
-    It holds no snippet frames, so once embed_dataset has built it the loaded
-    Dataset and its feature pack can go. The rows were pooled with the
-    aggregator and hand-stream choice of the config that built it.
+    It holds no snippet frames. The rows were pooled with the aggregator and
+    hand-stream choice of the config that built it.
     """
 
     stacks: Mapping[Role, Stack]
@@ -203,27 +180,95 @@ class Embedded:
         return self.stacks[role]
 
 
+class _RolePooler:
+    """Pools each sample of some roles as it comes, then stacks each role's rows into an Embedded view.
+
+    It keeps one embedding row per pooled sample and never a sample, so it can
+    take the samples of a DatasetReader one at a time. Whatever keeps a role
+    from being stacked is raised by embedded(), not by add().
+    """
+
+    def __init__(self, cfg: RunConfig, roles: Sequence[Role], split: SplitConfig | None) -> None:
+        self._spec = cfg.aggregator_spec()
+        self._use_hand = cfg.use_hand
+        self._split = split
+        # no split (it did not parse, so the read raises): nothing to pool
+        self._class_ids = {role: set(role.class_ids(split)) if split else set() for role in roles}
+        self._rows: dict[Role, list[tuple[str, np.ndarray, str]]] = {role: [] for role in roles}
+        self._without_hand: str | None = None  # the first sample without a hand sequence
+
+    def add(self, sample: Sample) -> None:
+        if sample.hand is None and self._without_hand is None:
+            self._without_hand = sample.sample_id
+        roles = [role for role, ids in self._class_ids.items() if sample.class_id in ids]
+        if not roles or (self._use_hand and sample.hand is None):
+            return
+        row = (sample.sample_id, embed_video(sample, self._spec, self._use_hand), sample.class_id)
+        for role in roles:
+            self._rows[role].append(row)
+
+    def embedded(self, classes: Mapping[str, ClassDescriptor]) -> Embedded:
+        """The view of the roles, in the order given, with their classes taken from classes.
+
+        A role without samples is a typed error that names it: DegenerateData
+        for the seen samples, EmptyEvaluationSet for the others.
+        """
+        if self._use_hand and self._without_hand is not None:
+            raise MissingHandStream(
+                f"hand stream disabled dataset-wide: sample {self._without_hand!r} (at least) has no hand sequence"
+            )
+        stacks = {}
+        for role, rows in self._rows.items():
+            class_ids = role.class_ids(self._split)
+            if role is Role.VALIDATION and not class_ids:
+                raise ValueError("dataset split has no validation classes")
+            if not rows:
+                if role is Role.SEEN:
+                    raise DegenerateData("no seen samples to train on")
+                raise EmptyEvaluationSet(f"no {role.value} samples to evaluate")
+            rows.sort(key=lambda row: row[0])
+            widths = {row[1].shape[0] for row in rows}
+            if len(widths) > 1:
+                raise DimensionMismatch(f"samples disagree on embedded width: {sorted(widths)}")
+            sample_ids, embeddings, labels = zip(*rows)
+            role_classes = [classes[cid] for cid in class_ids]
+            stacks[role] = Stack(list(sample_ids), np.stack(embeddings), list(labels), role_classes)
+        return Embedded(stacks, self._split)
+
+
 def embed_dataset(dataset: Dataset, cfg: RunConfig, roles: Sequence[Role]) -> Embedded:
     """Stack the samples of each role, in the order given, as cfg's aggregator and hand stream embed them.
 
-    A role without samples is a typed error that names it: DegenerateData for
-    the seen samples, EmptyEvaluationSet for the others.
+    Each role's rows are sorted by sample id. A role without samples is a
+    typed error that names it: DegenerateData for the seen samples,
+    EmptyEvaluationSet for the others.
     """
-    check_hand_usable(dataset, cfg.use_hand)
-    spec = cfg.aggregator_spec()
-    stacks = {}
-    for role in roles:
-        class_ids = role.class_ids(dataset.split)
-        if role is Role.VALIDATION and not class_ids:
-            raise ValueError("dataset split has no validation classes")
-        samples = dataset.samples_of(set(class_ids))
-        if not samples:
-            if role is Role.SEEN:
-                raise DegenerateData("no seen samples to train on")
-            raise EmptyEvaluationSet(f"no {role.value} samples to evaluate")
-        rows = stack_video_embeddings(samples, spec, cfg.use_hand)
-        stacks[role] = Stack(*rows, [dataset.classes_by_id[cid] for cid in class_ids])
-    return Embedded(stacks, dataset.split)
+    pooler = _RolePooler(cfg, roles, dataset.split)
+    for sample in dataset.samples:
+        pooler.add(sample)
+    return pooler.embedded(dataset.classes_by_id)
+
+
+_T = TypeVar("_T")
+
+
+def load_embedded(
+    cfg: RunConfig, roles: Sequence[Role], then: Callable[[], _T] = lambda: None
+) -> tuple[Embedded, _T]:
+    """Read cfg's dataset, pooling each sample of the roles as it is read; call then(); stack the roles.
+
+    Returns (what embed_dataset(load_dataset(cfg.manifest), cfg, roles) returns,
+    then()'s result), but no more than one sample's frames are alive at a time.
+    Every load error comes first, then then()'s, then the view's (a missing hand
+    stream, an empty role, a width mismatch), so a command's errors come in the
+    order of its steps: then() is the step it takes between the two (load its
+    model, make its output directory, check its config).
+    """
+    with DatasetReader(cfg.manifest) as reader:
+        pooler = _RolePooler(cfg, roles, reader.split)
+        reader.read_samples(pooler.add)  # raises unless the split parsed, so the pooler has it
+    result = then()
+    return pooler.embedded({c.class_id: c for c in reader.classes}), result
 
 
 def train_from_config(data: Embedded, cfg: RunConfig, seed: int | None = None) -> CompatModel:

@@ -391,6 +391,31 @@ def train_eszsl(
     )
 
 
+_RESIDUAL_ROWS = 64  # rows of P per block of sae's residual: no t x d temporary is formed
+
+
+def _sylvester_residual(P: np.ndarray, S: np.ndarray, X: np.ndarray, lam: float) -> float:
+    """oracles.sylvester_residual of P, one block of _RESIDUAL_ROWS rows of P at a time.
+
+    Each block's rows of S S' P + lam P X X' and (1 + lam) S X' are formed as
+    the oracle forms them, through the sample dimension, and only their sums of
+    squares are kept. The sums add up in another order than the oracle's one
+    norm over all rows, so the two agree to rounding, not bit for bit.
+    """
+    SP = S.T @ P  # N x d
+    misfit = scale = np.float64(0.0)
+    for start in range(0, P.shape[0], _RESIDUAL_ROWS):
+        rows = slice(start, start + _RESIDUAL_ROWS)
+        rhs = ((1.0 + lam) * S[rows] @ X.T).ravel()
+        diff = S[rows] @ SP
+        diff += lam * (P[rows] @ X) @ X.T
+        diff = diff.ravel()
+        diff -= rhs
+        misfit += diff @ diff
+        scale += rhs @ rhs
+    return float(np.sqrt(misfit) / np.sqrt(scale))
+
+
 def train_sae(
     features: np.ndarray,
     labels: Sequence[str],
@@ -407,15 +432,13 @@ def train_sae(
     """
     if lam_sae <= 0:
         raise ValueError(f"lam_sae must be > 0, got {lam_sae}")
-    from .oracles import sylvester_residual  # the reference module, loaded only by the commands that fit sae
-
     X = np.asarray(features, dtype=np.float64).T  # d x N
     S = classes.compose()[_label_indices(labels, classes)].T  # t x N, one column per sample
     (t, n), d = S.shape, X.shape[0]
     with _closed_form_errors(Method.SAE, "Sylvester solve", t, d, n, max(t * n, d * n, t * d)):
         zero = "sae: (1 + lam) S X' is zero, so the minimum-norm projection is zero"
         P = _svd_closed_form(S, X, None, 1.0 + lam_sae, lambda s, x: s**2 + lam_sae * x**2, zero)
-        residual = sylvester_residual(P, S, X, lam_sae)
+        residual = _sylvester_residual(P, S, X, lam_sae)
     if not math.isfinite(residual):
         raise SingularSystem(f"sylvester solve produced non-finite residual {residual!r}")
 

@@ -8,13 +8,13 @@ desk-scale only: instances beyond 64 per dimension are rejected.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .data import ClassDescriptor
-from .embeddings import flip_attribute
-from .errors import InstanceTooLarge, SingularSystem
+from .errors import IndexOutOfRange, InstanceTooLarge, SingularSystem
 
 MAX_DIM = 64
 TRIAL_CHUNK = 10_000  # Monte-Carlo trials drawn at once
@@ -275,6 +275,16 @@ def sylvester_residual(W: np.ndarray, S: np.ndarray, X: np.ndarray, lam: float) 
 # ---------------------------------------------------------------------------
 # per-sample attribute flip influence: recompose the flipped class, rescore all
 # ---------------------------------------------------------------------------
+
+
+def flip_attribute(descriptor: ClassDescriptor, k: int) -> ClassDescriptor:
+    """Copy of the descriptor with binary attribute k flipped (an involution)."""
+    n = descriptor.attributes.shape[0]
+    if not 0 <= k < n:
+        raise IndexOutOfRange(f"attribute index {k} outside [0, {n})")
+    attrs = descriptor.attributes.copy()
+    attrs[k] = 1.0 - attrs[k]
+    return replace(descriptor, attributes=attrs)
 
 
 def _candidate_scores(model, phi, candidates: Sequence[ClassDescriptor]) -> np.ndarray:

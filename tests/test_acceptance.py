@@ -13,7 +13,7 @@ import pytest
 
 from zslsign.cli import main as cli_main
 from zslsign.data import Dataset, SplitConfig, SplitMode, load_dataset, save_dataset, validate_dataset
-from zslsign.embeddings import ClassEmbeddingSet, EmbeddingMode, ModeKind, flip_attribute
+from zslsign.embeddings import ClassEmbeddingSet, EmbeddingMode, ModeKind
 from zslsign.errors import InvariantViolation
 from zslsign.evaluation import harmonic_mean, random_baseline
 from zslsign.experiment import (
@@ -42,6 +42,7 @@ from zslsign.oracles import (
     eszsl_gradient,
     eszsl_objective,
     finite_difference_grad,
+    flip_attribute,
     flip_influence_confusion,
     flip_influence_correct,
     rank_scores,

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import weakref
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zslsign import cli, experiment, pool
+from zslsign import cli, data, experiment, pool
 from zslsign.cli import main
 
 SYNTH_ARGS = [
@@ -461,6 +462,20 @@ def test_baseline_from_manifest(workspace, tmp_path, capsys):
     assert payload == {"n_classes": 4, "per_k": {"1": 25.0, "3": 75.0, "5": 100.0}}
 
 
+def test_baseline_from_manifest_checks_every_file_but_pools_none(workspace, tmp_path, monkeypatch, capsys):
+    pooled = []
+    monkeypatch.setattr(experiment, "embed_video", lambda *args: pooled.append(args))
+    assert run(["baseline", "--manifest", workspace["manifest"]]) == 0
+    assert pooled == []
+    # the last sample's feature file is still read and checked
+    data_dir = Path(shutil.copytree(workspace["manifest"].parent, tmp_path / "data"))
+    last = json.loads((data_dir / "manifest.json").read_text())["samples"][-1]["body"]
+    (data_dir / last).write_text("1.0,oops\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run(["baseline", "--manifest", data_dir / "manifest.json"]) == 2
+    assert "not a number: 'oops'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv, named",
     [
@@ -600,24 +615,26 @@ _WORK_STARTS = {
          "analyze-confusions", "sweep"],
 )
 def test_the_loaded_dataset_is_freed_before_the_work_starts(workspace, tmp_path, monkeypatch, command, started):
-    # a weak reference to every Dataset the command loads must be dead when a trainer, the
-    # ranking, an influence analysis or the worker pool starts: only the embeddings are left
+    # a weak reference to every sample the command reads must be dead when the reader reads the
+    # next one, and when a trainer, the ranking, an influence analysis or the worker pool starts:
+    # only the embeddings are left
     loaded, calls = [], []
-    load = cli.load_dataset
+    read_sample = data.DatasetReader._read_sample
 
-    def tracked_load(path):
-        dataset = load(path)
-        loaded.append(weakref.ref(dataset))
-        return dataset
+    def tracked_read(reader, entry):
+        assert all(ref() is None for ref in loaded), "a sample was read with an earlier one alive"
+        sample = read_sample(reader, entry)
+        loaded.append(weakref.ref(sample))
+        return sample
 
-    monkeypatch.setattr(cli, "load_dataset", tracked_load)
+    monkeypatch.setattr(data.DatasetReader, "_read_sample", tracked_read)
 
     def guard(module, name):
         original = getattr(module, name)
 
         def guarded(*args, **kwargs):
             calls.append(name)
-            assert loaded and all(ref() is None for ref in loaded), f"{name} started with the Dataset alive"
+            assert loaded and all(ref() is None for ref in loaded), f"{name} started with a sample alive"
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, guarded)
@@ -636,7 +653,7 @@ def test_the_loaded_dataset_is_freed_before_the_work_starts(workspace, tmp_path,
     if command[0] in ("predict", "eval", "analyze"):
         argv += ["--model", model]
     assert run(argv) == 0
-    assert len(loaded) == 1
+    assert len(loaded) == len(json.loads(workspace["manifest"].read_text())["samples"])  # each sample read once
     assert calls == started
 
 

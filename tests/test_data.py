@@ -1,6 +1,8 @@
 import json
 import re
 import tempfile
+import zlib
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,7 @@ from zslsign.data import (
     validate_dataset,
 )
 from zslsign.errors import InvariantViolation, MissingFile, ParseError, ZslSignError
+from zslsign.experiment import Role, RunConfig, embed_dataset, load_embedded
 
 from conftest import make_descriptor, make_sample, small_manifest, write_feature_file, write_manifest
 
@@ -37,8 +40,7 @@ def test_zsl_split_overlap_rejected(tmp_path):
     path = small_manifest(
         tmp_path, split={"mode": "zsl", "seen": ["c0", "c2"], "validation": ["c1"], "unseen": ["c2"]}
     )
-    with pytest.raises(InvariantViolation, match="c2"):
-        load_dataset(path)
+    _assert_load_error(path, InvariantViolation, "c2")
 
 
 def test_gzsl_split_overlap_is_not_a_zsl_violation(tmp_path):
@@ -75,8 +77,7 @@ def test_large_split_shape(tmp_path):
 
 
 def test_missing_manifest(tmp_path):
-    with pytest.raises(MissingFile):
-        load_dataset(tmp_path / "nope.json")
+    _assert_load_error(tmp_path / "nope.json", MissingFile, "not found")
 
 
 def test_missing_feature_file(tmp_path):
@@ -84,8 +85,7 @@ def test_missing_feature_file(tmp_path):
     manifest = json.loads(path.read_text())
     manifest["samples"][0]["body"] = "features/gone.csv"
     write_manifest(tmp_path, manifest)
-    with pytest.raises(MissingFile):
-        load_dataset(path)
+    _assert_load_error(path, MissingFile, "not found")
 
 
 def test_feature_path_naming_a_directory_is_a_missing_file(tmp_path):
@@ -93,22 +93,19 @@ def test_feature_path_naming_a_directory_is_a_missing_file(tmp_path):
     manifest = json.loads(path.read_text())
     manifest["samples"][0]["body"] = "features"
     write_manifest(tmp_path, manifest)
-    with pytest.raises(MissingFile, match="sample 's0' body: feature file not found"):
-        load_dataset(path)
+    _assert_load_error(path, MissingFile, "sample 's0' body: feature file not found")
 
 
 def test_parse_error_names_line_and_field(tmp_path):
     path = small_manifest(tmp_path)
     (tmp_path / "features" / "s0.csv").write_text("1.0,2.0,3.0\n1.0,oops,3.0\n", encoding="utf-8")
-    with pytest.raises(ParseError, match=r"line 2 field 2"):
-        load_dataset(path)
+    _assert_load_error(path, ParseError, r"line 2 field 2")
 
 
 def test_ragged_rows_rejected(tmp_path):
     path = small_manifest(tmp_path)
     (tmp_path / "features" / "s0.csv").write_text("1.0,2.0,3.0\n1.0,2.0\n", encoding="utf-8")
-    with pytest.raises(InvariantViolation, match="ragged"):
-        load_dataset(path)
+    _assert_load_error(path, InvariantViolation, "ragged")
 
 
 def test_crlf_feature_files_accepted(tmp_path):
@@ -131,13 +128,29 @@ def test_text_file_reference(tmp_path):
     assert np.allclose(text, [0.6, 0.8, 0.0, 0.0])  # normalized on load
 
 
+def test_text_file_of_more_than_one_row_rejected(tmp_path, monkeypatch):
+    path = small_manifest(tmp_path)
+    manifest = json.loads(path.read_text())
+    rows = np.array([[3.0, 4.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+    write_feature_file(tmp_path / "text_c1.csv", rows)
+    del manifest["classes"][1]["text"]
+    manifest["classes"][1]["text_file"] = "text_c1.csv"
+    write_manifest(tmp_path, manifest)
+    expected = r"^class 'c1': text file text_c1.csv has 2 rows, expected 1$"
+    _assert_load_error(path, InvariantViolation, expected)
+    # the same when the rows come from a pack that matches the file
+    raw = (tmp_path / "text_c1.csv").read_bytes()
+    data_module._FeaturePack.write(path, {"text_c1.csv": (rows, len(raw), zlib.crc32(raw))})
+    monkeypatch.setattr(data_module, "_parse_feature_matrix", _no_parse)
+    _assert_load_error(path, InvariantViolation, expected)
+
+
 def test_text_and_text_file_together_rejected(tmp_path):
     path = small_manifest(tmp_path)
     manifest = json.loads(path.read_text())
     manifest["classes"][0]["text_file"] = "whatever.csv"
     write_manifest(tmp_path, manifest)
-    with pytest.raises(ParseError, match="either"):
-        load_dataset(path)
+    _assert_load_error(path, ParseError, "either")
 
 
 def test_missing_body_field_rejected(tmp_path):
@@ -145,8 +158,7 @@ def test_missing_body_field_rejected(tmp_path):
     manifest = json.loads(path.read_text())
     del manifest["samples"][0]["body"]
     write_manifest(tmp_path, manifest)
-    with pytest.raises(ParseError, match="body"):
-        load_dataset(path)
+    _assert_load_error(path, ParseError, "body")
 
 
 def _set(section: str, key: str, value):
@@ -177,8 +189,7 @@ def test_malformed_fields_raise_parse_error(tmp_path, change, expected):
     manifest = json.loads(path.read_text())
     change(manifest)
     write_manifest(tmp_path, manifest)
-    with pytest.raises(ParseError, match=expected):
-        load_dataset(path)
+    _assert_load_error(path, ParseError, expected)
 
 
 def test_malformed_text_file_field_raises_parse_error(tmp_path):
@@ -187,8 +198,18 @@ def test_malformed_text_file_field_raises_parse_error(tmp_path):
     del manifest["classes"][0]["text"]
     manifest["classes"][0]["text_file"] = 5
     write_manifest(tmp_path, manifest)
-    with pytest.raises(ParseError, match=r"class 'c0': field 'text_file' must be a relative file path"):
-        load_dataset(path)
+    _assert_load_error(path, ParseError, r"class 'c0': field 'text_file' must be a relative file path")
+
+
+@pytest.mark.parametrize("split", [{"mode": "zs"}, {"seen": ["c0"]}])
+def test_split_errors_come_after_the_samples_and_before_the_invariants(tmp_path, split):
+    path = small_manifest(tmp_path, split=split)
+    error = _load_error(path)
+    assert error[0] is ParseError
+    (tmp_path / "features" / "s5.csv").write_text("1.0,2.0,3.0\nnan,2.0,3.0\n", encoding="utf-8")
+    assert _load_error(path) == error  # the non-finite row is an invariant: it comes after the split
+    (tmp_path / "features" / "s5.csv").unlink()
+    _assert_load_error(path, MissingFile, r"^sample 's5' body: feature file not found")
 
 
 def test_hand_length_mismatch_rejected(tmp_path):
@@ -197,8 +218,7 @@ def test_hand_length_mismatch_rejected(tmp_path):
     rel = write_feature_file(tmp_path / "features" / "h0.csv", np.ones((2, 3)))  # body has 4 rows
     manifest["samples"][0]["hand"] = f"features/{rel}"
     write_manifest(tmp_path, manifest)
-    with pytest.raises(InvariantViolation, match="hand length"):
-        load_dataset(path)
+    _assert_load_error(path, InvariantViolation, "hand length")
 
 
 def test_zero_text_vector_rejected(tmp_path):
@@ -206,8 +226,7 @@ def test_zero_text_vector_rejected(tmp_path):
     manifest = json.loads(path.read_text())
     manifest["classes"][0]["text"] = [0.0, 0.0, 0.0, 0.0]
     write_manifest(tmp_path, manifest)
-    with pytest.raises(InvariantViolation, match="norm"):
-        load_dataset(path)
+    _assert_load_error(path, InvariantViolation, "norm")
 
 
 def test_validate_reports_nan_row():
@@ -329,10 +348,50 @@ def _assert_same_bits(a, b) -> None:
     assert (a.split, a.attribute_count) == (b.split, b.attribute_count)
 
 
+def _command_load(manifest: Path):
+    """A command's load: every role pooled as it is read, no Dataset built."""
+    return load_embedded(RunConfig(manifest=str(manifest)), tuple(Role))
+
+
 def _load_error(manifest: Path) -> tuple[type, str]:
-    with pytest.raises(ZslSignError) as info:
-        load_dataset(manifest)
-    return type(info.value), str(info.value)
+    """The error of load_dataset, which a command's load raises too, with the same type and message."""
+    errors = []
+    for load in (load_dataset, _command_load):
+        with pytest.raises(ZslSignError) as info:
+            load(manifest)
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
+    return errors[0]
+
+
+def _assert_load_error(manifest: Path, kind: type, pattern: str) -> None:
+    error, message = _load_error(manifest)
+    assert issubclass(error, kind), (error, message)
+    assert re.search(pattern, message), message
+
+
+def _roles_with_samples(dataset) -> tuple:
+    return tuple(r for r in Role if dataset.samples_of(set(r.class_ids(dataset.split))))
+
+
+def _stack_bits(stack) -> tuple:
+    classes = [(c.class_id, c.name, c.attributes.tobytes(), c.text.shape, c.text.tobytes()) for c in stack.classes]
+    return stack.sample_ids, stack.labels, stack.features.shape, stack.features.tobytes(), classes
+
+
+def _assert_loads(manifest: Path, reference) -> None:
+    """load_dataset reads reference's bits from manifest, and a command's load pools them as embed_dataset does."""
+    _assert_same_bits(load_dataset(manifest), reference)
+    hand = reference.has_full_hand_coverage
+    cfg = RunConfig(manifest=str(manifest), aggregator="tsm", tsm_weights=(0.5, 1.0, -2.0), use_hand=hand)
+    roles = _roles_with_samples(reference)
+    with np.errstate(over="ignore", invalid="ignore"):  # extreme frames pool to inf or nan, on both paths alike
+        view, _ = load_embedded(cfg, roles)
+        expected = embed_dataset(reference, cfg, roles)
+    assert list(view.stacks) == list(expected.stacks) == list(roles)
+    for role in roles:
+        assert _stack_bits(view.stack(role)) == _stack_bits(expected.stack(role)), role
+    assert view.split == expected.split
 
 
 _SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300, 1.7976931348623157e308]
@@ -378,11 +437,9 @@ def _datasets(draw):
 def test_pack_loads_the_same_bits_as_the_csvs(dataset):
     with tempfile.TemporaryDirectory() as tmp:
         manifest = save_dataset(dataset, tmp)
-        packed = load_dataset(manifest)
+        _assert_loads(manifest, dataset)
         _drop_pack(manifest)
-        parsed = load_dataset(manifest)
-    _assert_same_bits(packed, parsed)
-    _assert_same_bits(packed, dataset)
+        _assert_loads(manifest, dataset)
 
 
 def _no_parse(*args):
@@ -393,23 +450,44 @@ def test_intact_pack_replaces_every_feature_parse(tmp_path, monkeypatch):
     manifest = _packed_copy(tmp_path)
     reference = load_dataset(manifest)
     monkeypatch.setattr(data_module, "_parse_feature_matrix", _no_parse)
-    _assert_same_bits(load_dataset(manifest), reference)
+    _assert_loads(manifest, reference)
+
+
+def test_chunked_checksums_match_the_pack(tmp_path, monkeypatch):
+    # a CRC-32 carried across reads of a few bytes is the CRC-32 of the whole file
+    manifest = _packed_copy(tmp_path)
+    reference = load_dataset(manifest)
+    monkeypatch.setattr(data_module, "_CRC_CHUNK", 7)
+    monkeypatch.setattr(data_module, "_parse_feature_matrix", _no_parse)
+    monkeypatch.setattr(data_module.json, "loads", _no_manifest_parse(manifest))
+    _assert_loads(manifest, reference)
+
+
+def _no_manifest_parse(manifest: Path):
+    loads = json.loads
+    raw = manifest.read_text(encoding="utf-8")
+
+    def guarded(text, *args, **kwargs):
+        assert (text.decode("utf-8") if isinstance(text, bytes) else text) != raw, "the manifest was parsed"
+        return loads(text, *args, **kwargs)
+
+    return guarded
 
 
 def test_packed_text_vectors_do_not_share_the_packs_memory(tmp_path, monkeypatch):
-    # a text vector that viewed the pack would keep all of its values, the frames too, alive
+    # an array that viewed a shared buffer (the pack's text block, or a read of several files) would keep
+    # the other classes' text or other samples' frames alive: no two loaded arrays may share memory
     manifest = _packed_copy(tmp_path)
-    packs = []
-    read = data_module._FeaturePack.read
-    monkeypatch.setattr(data_module._FeaturePack, "read", staticmethod(lambda path: packs.append(read(path)) or packs[-1]))
+    with closing(data_module._FeaturePack.open(manifest)) as pack:
+        packed = pack.manifest(manifest)
+    assert packed is not None  # the text vectors come from the pack
+    monkeypatch.setattr(data_module, "_parse_feature_matrix", _no_parse)  # and so do the frames
     dataset = load_dataset(manifest)
-    (pack,) = packs
-    packed = pack.manifest(manifest.read_bytes())
-    assert packed is not None  # the text vectors came from the pack
-    assert all(np.shares_memory(seq.data, pack.values) for s in dataset.samples for seq in s.sequences.values())
     for c, entry in zip(dataset.classes, packed["classes"]):
         assert c.text.tobytes() == entry["text"].tobytes()
-        assert not np.shares_memory(c.text, pack.values)
+    arrays = [c.text for c in dataset.classes] + [seq.data for s in dataset.samples for seq in s.sequences.values()]
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
 
 
 def test_intact_pack_serves_the_manifest_without_parsing_its_floats(tmp_path, monkeypatch):
@@ -437,7 +515,7 @@ def test_pack_manifest_matches_a_parse_of_the_manifest(tmp_path):
     assert fields == {**source, "classes": [{k: v for k, v in c.items() if k != "text"} for c in source["classes"]]}
     with_pack = load_dataset(manifest)
     _drop_pack(manifest)
-    _assert_same_bits(with_pack, load_dataset(manifest))
+    _assert_loads(manifest, with_pack)
 
 
 def _rename_class(text: str) -> str:
@@ -467,8 +545,8 @@ def test_edited_manifest_overrides_the_pack(tmp_path, edit):
     after = edit(before)
     assert after != before
     manifest.write_text(after, encoding="utf-8")
-    pack = data_module._FeaturePack.read(manifest)
-    assert pack is not None and pack.manifest(manifest.read_bytes()) is None
+    with closing(data_module._FeaturePack.open(manifest)) as pack:
+        assert pack.manifest(manifest) is None
     try:
         with_pack = load_dataset(manifest)
     except ZslSignError:  # the split edit makes c2 both seen and unseen
@@ -476,8 +554,9 @@ def test_edited_manifest_overrides_the_pack(tmp_path, edit):
         _drop_pack(manifest)
         assert _load_error(manifest) == with_pack
         return
+    _assert_loads(manifest, with_pack)
     _drop_pack(manifest)
-    _assert_same_bits(with_pack, load_dataset(manifest))
+    _assert_loads(manifest, with_pack)
 
 
 def _rewrite_manifest_entry(path: Path, change) -> None:
@@ -513,8 +592,9 @@ def test_damaged_manifest_entry_falls_back_to_the_manifest(tmp_path, damage):
         index_path.write_text(json.dumps(index))
     else:
         _rewrite_manifest_entry(index_path, _MANIFEST_ENTRY_DAMAGE[damage])
-    assert data_module._FeaturePack.read(manifest).manifest(manifest.read_bytes()) is None
-    _assert_same_bits(load_dataset(manifest), reference)
+    with closing(data_module._FeaturePack.open(manifest)) as pack:
+        assert pack.manifest(manifest) is None
+    _assert_loads(manifest, reference)
 
 
 def test_text_of_mixed_widths_is_left_to_the_manifest(tmp_path):
@@ -559,8 +639,7 @@ def test_edited_csv_overrides_the_pack(tmp_path, edit):
     edit(manifest.parent / "features" / "s0_body.csv")
     with_pack = load_dataset(manifest)
     _drop_pack(manifest)
-    without_pack = load_dataset(manifest)
-    _assert_same_bits(with_pack, without_pack)
+    _assert_loads(manifest, with_pack)
     s0 = next(s for s in with_pack.samples if s.sample_id == "s0")
     assert s0.body.data.tobytes() != before.samples[0].body.data.tobytes()
 
@@ -572,8 +651,11 @@ def test_swapped_csvs_override_the_pack(tmp_path):
     b0, b1 = f0.read_bytes(), f1.read_bytes()
     f0.write_bytes(b1)
     f1.write_bytes(b0)
-    after = {s.sample_id: s.body.data for s in load_dataset(manifest).samples}
+    swapped = load_dataset(manifest)
+    after = {s.sample_id: s.body.data for s in swapped.samples}
     assert np.array_equal(after["s0"], before["s1"]) and np.array_equal(after["s1"], before["s0"])
+    _drop_pack(manifest)
+    _assert_loads(manifest, swapped)
 
 
 @pytest.mark.parametrize(
@@ -641,7 +723,7 @@ def test_damaged_pack_falls_back_to_the_csvs(tmp_path, damage):
     reference = load_dataset(manifest)
     suffix, change = _PACK_DAMAGE[damage]
     change(manifest.with_suffix(suffix))
-    _assert_same_bits(load_dataset(manifest), reference)
+    _assert_loads(manifest, reference)
 
 
 def test_stale_pack_entry_is_not_used(tmp_path):
@@ -653,10 +735,10 @@ def test_stale_pack_entry_is_not_used(tmp_path):
     files = index["files"]
     files["features/s0_body.csv"]["offset"] = files["features/s1_body.csv"]["offset"]
     index_path.write_text(json.dumps(index))
-    assert np.array_equal(load_dataset(manifest).samples[0].body.data, reference.samples[0].body.data)
+    _assert_loads(manifest, reference)
     files["features/s0_body.csv"]["crc32"] = files["features/s1_body.csv"]["crc32"]
     index_path.write_text(json.dumps(index))
-    assert np.array_equal(load_dataset(manifest).samples[0].body.data, reference.samples[0].body.data)
+    _assert_loads(manifest, reference)
 
 
 def test_index_of_another_save_is_not_used(tmp_path):
@@ -668,7 +750,7 @@ def test_index_of_another_save_is_not_used(tmp_path):
     reordered = Dataset(first.classes, first.samples[::-1], first.split, first.attribute_count)
     save_dataset(reordered, tmp_path / "copy")
     manifest.with_suffix(".pack.json").write_bytes(old_index)
-    _assert_same_bits(load_dataset(manifest), first)
+    _assert_loads(manifest, first)
 
 
 def test_two_manifests_in_one_directory_keep_their_own_packs(tmp_path):
@@ -687,7 +769,7 @@ def test_two_manifests_in_one_directory_keep_their_own_packs(tmp_path):
     for m in (a, b):
         _drop_pack(m)
     for with_pack, manifest in zip(packed, (a, b)):
-        _assert_same_bits(with_pack, load_dataset(manifest))
+        _assert_loads(manifest, with_pack)
     a_bodies = {s.sample_id: s.body.data for s in packed[0].samples}
     assert np.array_equal(a_bodies["s0"], first.samples[0].body.data)
     assert np.array_equal(a_bodies["s1"], first.samples[1].body.data + 1.0)

@@ -1,16 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from zslsign.data import ClassDescriptor
-from zslsign.embeddings import (
-    ClassEmbeddingSet,
-    EmbeddingMode,
-    ModeKind,
-    flip_attribute,
-)
-from zslsign.errors import DimensionMismatch, IndexOutOfRange, MissingReduction
+from zslsign.embeddings import ClassEmbeddingSet, EmbeddingMode, ModeKind
+from zslsign.errors import DimensionMismatch, MissingReduction
+from zslsign.oracles import flip_attribute
 
 from conftest import make_descriptor
 
@@ -63,32 +57,6 @@ def test_wrong_reduction_shape_raises():
     c = make_descriptor("c", [1], text=unit([1.0, 1.0, 1.0]))
     with pytest.raises(DimensionMismatch):
         compose_one(c, EmbeddingMode(kind=ModeKind.TEXT, d_t=2), reduction=np.eye(3))
-
-
-def test_flip_examples():
-    c = make_descriptor("c", [1, 0])
-    assert np.array_equal(flip_attribute(c, 0).attributes, [0.0, 0.0])
-    c2 = make_descriptor("c", [1, 0, 1])
-    assert np.array_equal(flip_attribute(c2, 1).attributes, [1.0, 1.0, 1.0])
-
-
-@given(st.lists(st.integers(0, 1), min_size=1, max_size=12), st.data())
-@settings(max_examples=50)
-def test_flip_is_involution(bits, data):
-    k = data.draw(st.integers(0, len(bits) - 1))
-    c = make_descriptor("c", bits)
-    back = flip_attribute(flip_attribute(c, k), k)
-    assert np.array_equal(back.attributes, c.attributes)
-    assert np.array_equal(back.text, c.text)
-    assert back.class_id == c.class_id
-
-
-def test_flip_index_out_of_range():
-    c = make_descriptor("c", [1, 0])
-    with pytest.raises(IndexOutOfRange):
-        flip_attribute(c, 2)
-    with pytest.raises(IndexOutOfRange):
-        flip_attribute(c, -1)
 
 
 def test_composition_linear_in_text():

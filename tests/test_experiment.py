@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zslsign import experiment, pool
-from zslsign.data import Dataset, SplitConfig, SplitMode
+from zslsign.data import Dataset, SplitConfig, SplitMode, save_dataset
 from zslsign.errors import DegenerateData, DimensionMismatch, EmptyEvaluationSet, MissingHandStream, ParseError
 from zslsign.evaluation import topk_accuracy
 from zslsign.experiment import (
@@ -19,14 +20,14 @@ from zslsign.experiment import (
     candidate_class_ids,
     embed_dataset,
     evaluate,
+    load_embedded,
     rank_samples,
-    stack_video_embeddings,
     sweep_text_dim,
     train_from_config,
     train_repeats,
 )
 from zslsign.synth import SynthSpec, generate
-from zslsign.temporal import AggregatorSpec
+from zslsign.temporal import embed_video
 
 from conftest import make_descriptor, make_sample
 
@@ -174,12 +175,21 @@ def test_hand_stream_must_cover_dataset(fixture_dataset):
 
 
 def test_mixed_widths_raise_dimension_mismatch():
-    samples = [
+    samples = (
         make_sample("s0", "c", [[1.0, 2.0]]),
         make_sample("s1", "c", [[1.0, 2.0, 3.0]]),
-    ]
-    with pytest.raises(DimensionMismatch):
-        stack_video_embeddings(samples, AggregatorSpec(), use_hand=False)
+    )
+    split = SplitConfig(frozenset({"c"}), frozenset(), frozenset(), SplitMode.ZSL)
+    dataset = Dataset((make_descriptor("c", [1.0]),), samples, split, attribute_count=1)
+    with pytest.raises(DimensionMismatch, match=r"samples disagree on embedded width: \[2, 3\]"):
+        embed_dataset(dataset, RunConfig(), (Role.SEEN,))
+
+
+def reference_stack(samples, cfg: RunConfig):
+    """The samples sorted by id, embedded one by one: (sample ids, N x d matrix, class ids)."""
+    ordered = sorted(samples, key=lambda s: s.sample_id)
+    rows = [embed_video(s, cfg.aggregator_spec(), cfg.use_hand) for s in ordered]
+    return [s.sample_id for s in ordered], np.stack(rows), [s.class_id for s in ordered]
 
 
 @st.composite
@@ -226,7 +236,7 @@ def test_embedded_roles_equal_the_per_role_stacks(dataset, aggregator, weights, 
         (Role.VALIDATION, split.validation_classes),
         (Role.CANDIDATES, set(candidate_class_ids(split))),
     ):
-        ids, features, labels = stack_video_embeddings(dataset.samples_of(class_ids), cfg.aggregator_spec(), use_hand)
+        ids, features, labels = reference_stack(dataset.samples_of(class_ids), cfg)
         stack = view.stack(role)
         assert stack.sample_ids == ids
         assert stack.labels == labels
@@ -263,6 +273,30 @@ def test_a_role_without_samples_is_a_typed_error_naming_it(fixture_dataset):
     no_validation_classes = replace(fixture_dataset, split=replace(split, validation_classes=frozenset()))
     with pytest.raises(ValueError, match="no validation classes"):
         embed_dataset(no_validation_classes, FIXTURE_CFG, SWEEP_ROLES)
+
+
+def test_a_commands_load_holds_no_more_than_about_one_samples_frames(tmp_path):
+    spec = SynthSpec(
+        n_classes=6, n_seen=3, n_unseen=2, attribute_count=4, text_dim=8, samples_per_class=4,
+        snippets=64, stream_width=256, noise_sigma=0.1, seed=1,
+    )
+    dataset, _ = generate(spec)
+    manifest = save_dataset(dataset, tmp_path)
+    sample_frames = max(sum(seq.data.nbytes for seq in s.sequences.values()) for s in dataset.samples)
+    all_frames = sum(seq.data.nbytes for s in dataset.samples for seq in s.sequences.values())
+    assert all_frames >= 20 * sample_frames
+    text = sum(c.text.nbytes for c in dataset.classes)
+    del dataset
+    roles = tuple(Role)
+    tracemalloc.start()
+    try:
+        view, _ = load_embedded(RunConfig(manifest=str(manifest)), roles)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    embeddings = sum(view.stack(role).features.nbytes for role in roles)
+    assert sum(len(view.stack(role).sample_ids) for role in roles) == 24
+    assert peak < 2 * sample_frames + embeddings + text
 
 
 def test_a_view_refuses_a_role_it_did_not_embed(fixture_dataset, fixture_model):

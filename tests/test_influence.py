@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from zslsign.embeddings import ClassEmbeddingSet, EmbeddingMode, ModeKind, flip_attribute
+from zslsign.embeddings import ClassEmbeddingSet, EmbeddingMode, ModeKind
 from zslsign.errors import DimensionMismatch, IndexOutOfRange, ModeWithoutAttributes, NoMisclassifications
 from zslsign.influence import (
     InfluenceKind,
@@ -10,7 +10,7 @@ from zslsign.influence import (
     positive_affiliation_summary,
 )
 from zslsign.models import CompatModel, Method, posteriors
-from zslsign.oracles import brute_softmax, flip_influence_confusion, flip_influence_correct, log_ratio
+from zslsign.oracles import brute_softmax, flip_attribute, flip_influence_confusion, flip_influence_correct, log_ratio
 
 from conftest import make_descriptor
 

@@ -1,8 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zslsign.embeddings import ClassEmbeddingSet, EmbeddingMode
-from zslsign.errors import InstanceTooLarge
+from zslsign.errors import IndexOutOfRange, InstanceTooLarge
+from zslsign.models import _RESIDUAL_ROWS, _sylvester_residual
 from zslsign.oracles import (
     brute_bilinear,
     brute_column_means,
@@ -16,9 +21,12 @@ from zslsign.oracles import (
     eszsl_gradient,
     eszsl_objective,
     finite_difference_grad,
+    flip_attribute,
     rank_scores,
     sylvester_residual,
 )
+
+from conftest import make_descriptor
 
 
 def test_brute_bilinear_hand_case():
@@ -78,6 +86,32 @@ def test_sylvester_residual_zero_for_exact_solution():
     assert sylvester_residual(W, S, X, 1.0) == 0.0
 
 
+@pytest.mark.parametrize("t", [1, _RESIDUAL_ROWS, 2 * _RESIDUAL_ROWS + 5])
+def test_blocked_residual_matches_the_oracle_off_the_solution(t):
+    # at a solution both values are rounding noise; on a random P both are O(1), so they must agree
+    rng = np.random.default_rng(t)
+    for n, d in ((7, 3), (20, 30)):
+        S, X, P = rng.normal(size=(t, n)), rng.normal(size=(d, n)), rng.normal(size=(t, d))
+        for lam in (1e-3, 0.5):
+            expected = sylvester_residual(P, S, X, lam)
+            assert expected > 1e-3
+            assert _sylvester_residual(P, S, X, lam) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def test_blocked_residual_forms_no_t_by_d_matrix():
+    t, n, d = 32 * _RESIDUAL_ROWS, 10, 200
+    rng = np.random.default_rng(1)
+    S, X, P = rng.normal(size=(t, n)), rng.normal(size=(d, n)), rng.normal(size=(t, d))
+    tracemalloc.start()
+    try:
+        _sylvester_residual(P, S, X, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = _RESIDUAL_ROWS * d * P.itemsize
+    assert peak < 4 * block < P.nbytes / 4  # the oracle's lhs, rhs and their difference are each P.nbytes
+
+
 def test_brute_sylvester_rectangular():
     rng = np.random.default_rng(14)
     A = rng.normal(size=(4, 4))
@@ -128,3 +162,29 @@ def test_size_guards():
             oracle(np.eye(2), None, np.zeros((65, 2)), ["a"] * 65, classes, 0.0)
         with pytest.raises(InstanceTooLarge, match=r"oracle limit: d=65 exceeds 64"):
             oracle(np.zeros((65, 2)), None, np.zeros((1, 65)), ["a"], classes, 0.0)
+
+
+def test_flip_examples():
+    c = make_descriptor("c", [1, 0])
+    assert np.array_equal(flip_attribute(c, 0).attributes, [0.0, 0.0])
+    c2 = make_descriptor("c", [1, 0, 1])
+    assert np.array_equal(flip_attribute(c2, 1).attributes, [1.0, 1.0, 1.0])
+
+
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=12), st.data())
+@settings(max_examples=50)
+def test_flip_is_involution(bits, data):
+    k = data.draw(st.integers(0, len(bits) - 1))
+    c = make_descriptor("c", bits)
+    back = flip_attribute(flip_attribute(c, k), k)
+    assert np.array_equal(back.attributes, c.attributes)
+    assert np.array_equal(back.text, c.text)
+    assert back.class_id == c.class_id
+
+
+def test_flip_index_out_of_range():
+    c = make_descriptor("c", [1, 0])
+    with pytest.raises(IndexOutOfRange):
+        flip_attribute(c, 2)
+    with pytest.raises(IndexOutOfRange):
+        flip_attribute(c, -1)
