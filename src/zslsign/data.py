@@ -15,23 +15,29 @@ its packed values. The manifest gets the same kind of entry, whose values are
 the class text vectors, plus the manifest's fields without those vectors.
 
 :class:`DatasetReader` is the one reader. It walks the manifest's samples in
-order and hands each one on as soon as its files are read, so a caller that
-keeps only what it needs of a sample (experiment.load_embedded pools it into
-one embedding row) never holds more than one sample's snippet frames. It
-still CRC-checks every CSV it reads, in chunks, and takes a file's values from
-the pack only when its path, byte length and both CRC-32s match; it then
-seeks to that file's block and reads only it. Likewise it takes the
-manifest's fields and text vectors from the pack only when the manifest's
-byte length and CRC-32 match, so the 250 x 768 text floats of a paper-sized
-manifest are not parsed as JSON text. Anything else (no pack, an edited
-manifest or CSV, a stale, torn, truncated or garbage pack, hand-written
-``text_file`` rows) is parsed from the files. The class, sample and split
-invariants are checked as the reader goes and raised together after the
-last sample, in :func:`validate_dataset`'s order. :func:`load_dataset`
-collects the reader's samples into a :class:`Dataset`. CRC-32 comes with
-zlib, which numpy already loads; a digest from ``hashlib`` would map
-OpenSSL's libcrypto into every command for no gain in detecting edits. The
-manifest is written as compact JSON.
+order and hands each one on as soon as its files are read, as a record: its
+id, its class id and its body and hand frame matrices (see
+:attr:`Sample.record`). A caller that keeps only what it needs of a sample
+(experiment.load_embedded pools it into one embedding row) never holds more
+than one sample's snippet frames. Each CSV costs one open (nonblocking, so a
+FIFO cannot stall the load), one ``fstat`` for its type and byte length, and
+the reads of its CRC-32 in ``_CRC_CHUNK`` pieces; every CSV is still
+CRC-checked on every load. A file's values come from the pack only when its
+path, byte length and both CRC-32s match; save_dataset packs the files in the
+manifest's sample order, so the reader reads the blocks in file order from
+the one open value file. Likewise the manifest's fields and text vectors come
+from the pack only when the manifest's byte length and CRC-32 match, so the
+250 x 768 text floats of a paper-sized manifest are not parsed as JSON text.
+Anything else (no pack, an edited manifest or CSV, a stale, torn, truncated
+or garbage pack, hand-written ``text_file`` rows) is parsed from the files.
+The class, sample and split invariants are checked as the reader goes
+(finiteness as one check per stream, the failing rows looked for only when it
+fails) and raised together after the last sample, in
+:func:`validate_dataset`'s order. :func:`load_dataset` builds a
+:class:`Sample` from each record and collects them into a :class:`Dataset`.
+CRC-32 comes with zlib, which numpy already loads; a digest from ``hashlib``
+would map OpenSSL's libcrypto into every command for no gain in detecting
+edits. The manifest is written as compact JSON.
 
 Each sample's frames and each class text vector own their memory, so
 dropping a sample frees its frames and nothing else.
@@ -130,6 +136,19 @@ class Sample:
     @property
     def hand(self) -> FeatureSequence | None:
         return self.sequences.get(Stream.HAND)
+
+    @property
+    def record(self) -> tuple[str, str, np.ndarray, np.ndarray | None]:
+        """(sample id, class id, body frames, hand frames or None): the sample as DatasetReader hands it on."""
+        hand = self.hand
+        return self.sample_id, self.class_id, self.body.data, None if hand is None else hand.data
+
+    @classmethod
+    def from_record(cls, sample_id: str, class_id: str, body: np.ndarray, hand: np.ndarray | None) -> "Sample":
+        sequences = {Stream.BODY: FeatureSequence(sample_id, Stream.BODY, body)}
+        if hand is not None:
+            sequences[Stream.HAND] = FeatureSequence(sample_id, Stream.HAND, hand)
+        return cls(sample_id, class_id, sequences)
 
 
 @dataclass(frozen=True)
@@ -247,6 +266,8 @@ def csv_text(matrix: np.ndarray) -> str:
 
 _VECTOR_DTYPE = np.dtype("<f8")
 _CRC_CHUNK = 1 << 16  # bytes read at a time when a file is only checksummed
+# how a feature file is opened: nonblocking, so that opening a FIFO returns at once and fstat refuses it
+_OPEN_FLAGS = os.O_RDONLY | getattr(os, "O_NONBLOCK", 0) | getattr(os, "O_BINARY", 0)
 
 
 def write_vector(path: Path, values: np.ndarray) -> int:
@@ -287,19 +308,27 @@ def read_vector(raw: bytes) -> np.ndarray:
     return np.frombuffer(raw, dtype=_VECTOR_DTYPE, offset=start)
 
 
-def _file_crc32(path: Path, size: int) -> int:
-    """The CRC-32 of a file of about size bytes, read _CRC_CHUNK bytes at a time, so it is never held whole."""
+def _fd_crc32(fd: int) -> int:
+    """The CRC-32 of the rest of an open file, read _CRC_CHUNK bytes at a time, so it is never held whole."""
     crc = 0
-    chunk = memoryview(bytearray(min(size, _CRC_CHUNK)))
-    with open(path, "rb", buffering=0) as f:
-        while n := f.readinto(chunk):
-            crc = zlib.crc32(chunk[:n], crc)
+    while chunk := os.read(fd, _CRC_CHUNK):
+        crc = zlib.crc32(chunk, crc)
     return crc
+
+
+def _fd_bytes(fd: int) -> bytes:
+    """Every byte of an open file, from its start."""
+    os.lseek(fd, 0, os.SEEK_SET)
+    with open(fd, "rb", buffering=0, closefd=False) as f:
+        return f.readall()
 
 
 def _pack_paths(manifest_path: Path) -> tuple[Path, Path]:
     """The pack's value file and index, named after the manifest stem."""
     return manifest_path.with_suffix(".pack.npy"), manifest_path.with_suffix(".pack.json")
+
+
+_ENTRY_FIELDS = ("offset", "rows", "cols", "bytes", "crc32", "values_crc32")
 
 
 class _FeaturePack:
@@ -341,17 +370,21 @@ class _FeaturePack:
     def close(self) -> None:
         self._file.close()
 
-    def _block(self, entry, source: Path, size: int) -> np.ndarray | None:
-        """The rows x cols values of an index entry if it was packed from exactly source's size bytes, else None."""
-        if not isinstance(entry, dict):
+    def _block(self, entry, fd: int, size: int) -> np.ndarray | None:
+        """The rows x cols values of an index entry if it was packed from exactly the size bytes of open file fd.
+
+        None otherwise; fd is then read to its end, or not at all when the entry itself is unusable.
+        """
+        try:
+            fields = [entry[key] for key in _ENTRY_FIELDS]
+        except (KeyError, TypeError):  # a missing field, or an entry that is not an object
             return None
-        fields = [entry.get(k) for k in ("offset", "rows", "cols", "bytes", "crc32", "values_crc32")]
-        if not all(type(v) is int for v in fields):
+        if list(map(type, fields)) != [int] * len(_ENTRY_FIELDS):
             return None
         offset, rows, cols, nbytes, crc, values_crc = fields
         if offset < 0 or rows < 1 or cols < 1 or offset + rows * cols > self._size:
             return None
-        if nbytes != size or crc != _file_crc32(source, size):
+        if nbytes != size or crc != _fd_crc32(fd):
             return None
         values = np.empty(rows * cols, dtype=_VECTOR_DTYPE)
         self._file.seek(self._start + offset * _VECTOR_DTYPE.itemsize)
@@ -359,13 +392,14 @@ class _FeaturePack:
             return None
         return values.reshape(rows, cols)
 
-    def matrix(self, rel: str, path: Path, size: int) -> np.ndarray | None:
-        """The packed rows of `rel`, the file of size bytes at path, if the pack saw exactly its bytes, else None."""
-        return self._block(self.files.get(rel), path, size)
+    def matrix(self, rel: str, fd: int, size: int) -> np.ndarray | None:
+        """The packed rows of `rel`, open as fd with size bytes, if the pack saw exactly its bytes, else None."""
+        return self._block(self.files.get(rel), fd, size)
 
     def manifest(self, path: Path) -> dict | None:
         """The manifest at path, from the pack, if the pack saw exactly its bytes, else None."""
-        texts = self._block(self.manifest_entry, path, path.stat().st_size)
+        with open(path, "rb", buffering=0) as f:
+            texts = self._block(self.manifest_entry, f.fileno(), os.fstat(f.fileno()).st_size)
         if texts is None:
             return None
         fields = self.manifest_entry.get("fields")
@@ -420,6 +454,12 @@ def _entries(manifest: dict, key: str) -> list[dict]:
     return entries
 
 
+def _string_field(value, entity: str, key: str) -> str:
+    if not isinstance(value, str):
+        raise ParseError(f"{entity}: field {key!r} must be a string, got {type(value).__name__}")
+    return value
+
+
 def _path_field(value, entity: str, key: str) -> str:
     if not isinstance(value, str):
         raise ParseError(f"{entity}: field {key!r} must be a relative file path, got {type(value).__name__}")
@@ -450,17 +490,26 @@ def _read_manifest(manifest_path: Path, pack: _FeaturePack | None) -> dict:
     return manifest
 
 
+def _split_ids(split_entry: dict, key: str) -> frozenset[str]:
+    ids = split_entry.get(key, [])
+    if not isinstance(ids, list) or not all(isinstance(cid, str) for cid in ids):
+        raise ParseError(f"split field {key!r}: expected a list of class id strings")
+    return frozenset(ids)
+
+
 def _read_split(manifest: dict) -> SplitConfig:
     split_entry = _require(manifest, "split", "manifest")
+    if not isinstance(split_entry, dict):
+        raise ParseError(f"manifest field 'split': expected an object, got {type(split_entry).__name__}")
     mode_token = _require(split_entry, "mode", "split")
     try:
         mode = SplitMode(mode_token)
     except ValueError:
         raise ParseError(f"split field 'mode': expected 'zsl' or 'gzsl', got {mode_token!r}") from None
     return SplitConfig(
-        seen_classes=frozenset(split_entry.get("seen", [])),
-        validation_classes=frozenset(split_entry.get("validation", [])),
-        unseen_classes=frozenset(split_entry.get("unseen", [])),
+        seen_classes=_split_ids(split_entry, "seen"),
+        validation_classes=_split_ids(split_entry, "validation"),
+        unseen_classes=_split_ids(split_entry, "unseen"),
         mode=mode,
     )
 
@@ -484,8 +533,10 @@ class _Checks:
                     f"class {c.class_id!r} has {c.attributes.shape[0]} attributes, expected {self.attribute_count}"
                 )
             a = c.attributes
-            for k in np.flatnonzero((a != 0.0) & (a != 1.0)):  # NaN compares unequal to both
-                self.violations.append(f"class {c.class_id!r} attribute {k} not binary")
+            not_binary = (a != 0.0) & (a != 1.0)  # NaN compares unequal to both
+            if not_binary.any():
+                for k in np.flatnonzero(not_binary):
+                    self.violations.append(f"class {c.class_id!r} attribute {k} not binary")
             if not np.all(np.isfinite(c.text)):
                 self.violations.append(f"class {c.class_id!r} text vector non-finite")
             elif abs(float(np.linalg.norm(c.text)) - 1.0) > TEXT_NORM_TOL:
@@ -494,19 +545,25 @@ class _Checks:
         if len(text_widths) > 1:
             self.violations.append(f"classes disagree on text dimensionality: {sorted(text_widths)}")
 
-    def sample(self, s: Sample) -> None:
-        if s.sample_id in self._sample_ids:
-            self.violations.append(f"sample {s.sample_id!r} duplicated")
-        self._sample_ids.add(s.sample_id)
-        if s.class_id not in self._class_ids:
-            self.violations.append(f"sample {s.sample_id!r} references unknown class {s.class_id!r}")
-        for stream, seq in s.sequences.items():
-            finite = np.isfinite(seq.data).all(axis=1)
-            for row in np.flatnonzero(~finite):
-                self.violations.append(f"sample {s.sample_id!r} {stream.value} row {row} non-finite")
-        hand = s.hand
-        if hand is not None and hand.length != s.body.length:
-            self.violations.append(f"sample {s.sample_id!r} hand length {hand.length} != body length {s.body.length}")
+    def sample(self, sample_id: str, class_id: str, body: np.ndarray, hand: np.ndarray | None) -> None:
+        """Check one sample, given as its record (see Sample.record)."""
+        if sample_id in self._sample_ids:
+            self.violations.append(f"sample {sample_id!r} duplicated")
+        self._sample_ids.add(sample_id)
+        if class_id not in self._class_ids:
+            self.violations.append(f"sample {sample_id!r} references unknown class {class_id!r}")
+        self._finite(sample_id, Stream.BODY, body)
+        if hand is not None:
+            self._finite(sample_id, Stream.HAND, hand)
+            if hand.shape[0] != body.shape[0]:
+                self.violations.append(
+                    f"sample {sample_id!r} hand length {hand.shape[0]} != body length {body.shape[0]}"
+                )
+
+    def _finite(self, sample_id: str, stream: Stream, frames: np.ndarray) -> None:
+        if not np.isfinite(frames).all():  # one check per stream; the rows are only looked for when it fails
+            for row in np.flatnonzero(~np.isfinite(frames).all(axis=1)):
+                self.violations.append(f"sample {sample_id!r} {stream.value} row {row} non-finite")
 
     def split(self, split: SplitConfig) -> None:
         for label, ids in (
@@ -542,11 +599,12 @@ class DatasetReader:
         if not path.exists():
             raise MissingFile(f"manifest not found: {path}")
         self._root = path.parent
+        self._dir = str(self._root)  # what each feature path is joined to, without pathlib in the loop
         self._pack = _FeaturePack.open(path)
         try:
             manifest = _read_manifest(path, self._pack)
             count = manifest.get("attribute_count", DEFAULT_ATTRIBUTE_COUNT)
-            if not isinstance(count, int) or count < 1:
+            if type(count) is not int or count < 1:  # a JSON true is a bool, not a count
                 raise ParseError(f"manifest field 'attribute_count': expected positive integer, got {count!r}")
             self.attribute_count: int = count
             self.classes = tuple(self._read_class(entry) for entry in _entries(manifest, "classes"))
@@ -561,7 +619,7 @@ class DatasetReader:
         self._split_error: Exception | None = None
         try:
             self.split = _read_split(manifest)
-        except (ParseError, TypeError) as exc:  # TypeError: a split or mode of the wrong JSON type
+        except ParseError as exc:
             self._split_error = exc
 
     def close(self) -> None:
@@ -575,14 +633,16 @@ class DatasetReader:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def read_samples(self, visit: Callable[[Sample], object]) -> SplitConfig:
-        """Call visit on each sample as it is read; return the checked split, or raise what is broken.
+    def read_samples(self, visit: Callable[[str, str, np.ndarray, np.ndarray | None], object]) -> SplitConfig:
+        """Call visit on each sample's record as it is read; return the checked split, or raise what is broken.
 
-        Call it once. Nothing here keeps a sample, so a visit that keeps none
-        leaves at most one sample's frames alive at a time.
+        A record is (sample id, class id, body frames, hand frames or None),
+        as Sample.record gives it. Call it once. Nothing here keeps a sample,
+        so a visit that keeps none leaves at most one sample's frames alive at
+        a time.
         """
         for entry in self._samples:
-            visit(self._read_sample(entry))
+            visit(*self._read_sample(entry))
         if self._split_error is not None:
             raise self._split_error
         self._checks.split(self.split)
@@ -590,20 +650,36 @@ class DatasetReader:
             raise InvariantViolation("; ".join(self._checks.violations))
         return self.split
 
-    def _read_matrix(self, rel: str, entity: str) -> np.ndarray:
-        """The rows of a feature file: its pack block if the pack saw exactly its bytes, else parsed from them."""
-        path = self._root / rel
+    def _open(self, rel: str) -> int | None:
+        """A descriptor of the file at rel, opened nonblocking, so that a FIFO cannot stall the load; None if missing."""
         try:
-            info = path.stat()
-        except OSError:
-            info = None
-        if info is None or not stat.S_ISREG(info.st_mode):
-            raise MissingFile(f"{entity}: feature file not found: {path}")
-        data = self._pack.matrix(rel, path, info.st_size) if self._pack is not None else None
-        return _parse_feature_matrix(path.read_bytes(), path, entity) if data is None else data
+            return os.open(os.path.join(self._dir, rel), _OPEN_FLAGS)
+        except OSError:  # pathlib's spelling of the path may still name a file ("a.csv/")
+            path = self._root / rel
+            try:
+                regular = stat.S_ISREG(path.stat().st_mode)
+            except OSError:
+                return None
+            return os.open(path, _OPEN_FLAGS) if regular else None
+
+    def _read_matrix(self, rel: str, entity: str) -> np.ndarray:
+        """The rows of a feature file: its pack block if the pack saw exactly its bytes, else parsed from them.
+
+        The file is opened once; fstat of it gives its type and byte length.
+        """
+        fd = self._open(rel)
+        try:
+            info = None if fd is None else os.fstat(fd)
+            if info is None or not stat.S_ISREG(info.st_mode):
+                raise MissingFile(f"{entity}: feature file not found: {self._root / rel}")
+            data = self._pack.matrix(rel, fd, info.st_size) if self._pack is not None else None
+            return _parse_feature_matrix(_fd_bytes(fd), self._root / rel, entity) if data is None else data
+        finally:
+            if fd is not None:
+                os.close(fd)
 
     def _read_class(self, entry: dict) -> ClassDescriptor:
-        cid = _require(entry, "id", "class entry")
+        cid = _string_field(_require(entry, "id", "class entry"), "class entry", "id")
         entity = f"class {cid!r}"
         name = entry.get("name", cid)
         attrs = _vector_field(_require(entry, "attributes", entity), entity, "attributes")
@@ -621,20 +697,17 @@ class DatasetReader:
             raise ParseError(f"{entity}: missing field 'text' or 'text_file'")
         return ClassDescriptor(cid, name, attrs, _unit_normalized(text, cid))
 
-    def _read_sequence(self, sid: str, stream: Stream, rel) -> FeatureSequence:
+    def _read_sample(self, entry: dict) -> tuple[str, str, np.ndarray, np.ndarray | None]:
+        """The record of a sample entry (see Sample.record), its files read and its invariants checked."""
+        sid = _string_field(_require(entry, "id", "sample entry"), "sample entry", "id")
         entity = f"sample {sid!r}"
-        data = self._read_matrix(_path_field(rel, entity, stream.value), f"{entity} {stream.value}")
-        return FeatureSequence(sid, stream, data)
-
-    def _read_sample(self, entry: dict) -> Sample:
-        sid = _require(entry, "id", "sample entry")
-        class_id = _require(entry, "class_id", f"sample {sid!r}")
-        sequences = {Stream.BODY: self._read_sequence(sid, Stream.BODY, _require(entry, "body", f"sample {sid!r}"))}
-        if entry.get("hand") is not None:
-            sequences[Stream.HAND] = self._read_sequence(sid, Stream.HAND, entry["hand"])
-        sample = Sample(sid, class_id, sequences)
-        self._checks.sample(sample)
-        return sample
+        class_id = _string_field(_require(entry, "class_id", entity), entity, "class_id")
+        body = self._read_matrix(_path_field(_require(entry, "body", entity), entity, "body"), f"{entity} body")
+        hand = entry.get("hand")
+        if hand is not None:
+            hand = self._read_matrix(_path_field(hand, entity, "hand"), f"{entity} hand")
+        self._checks.sample(sid, class_id, body, hand)
+        return sid, class_id, body, hand
 
 
 def load_dataset(manifest_path: str | Path) -> Dataset:
@@ -645,7 +718,7 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     """
     samples: list[Sample] = []
     with DatasetReader(manifest_path) as reader:
-        split = reader.read_samples(samples.append)
+        split = reader.read_samples(lambda *record: samples.append(Sample.from_record(*record)))
     return Dataset(reader.classes, tuple(samples), split, reader.attribute_count)
 
 
@@ -654,7 +727,7 @@ def validate_dataset(dataset: Dataset) -> list[str]:
     checks = _Checks(dataset.attribute_count)
     checks.classes(dataset.classes)
     for s in dataset.samples:
-        checks.sample(s)
+        checks.sample(*s.record)
     checks.split(dataset.split)
     return checks.violations
 

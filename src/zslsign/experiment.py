@@ -28,7 +28,7 @@ from typing import Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from .data import ClassDescriptor, Dataset, DatasetReader, Sample, SplitConfig, SplitMode
+from .data import ClassDescriptor, Dataset, DatasetReader, SplitConfig, SplitMode
 from .embeddings import ClassEmbeddingSet, EmbeddingMode, ModeKind
 from .errors import DegenerateData, DimensionMismatch, EmptyEvaluationSet, MissingFile, MissingHandStream, ParseError
 from .evaluation import EvalReport, gzsl_report, topk_accuracy
@@ -183,9 +183,10 @@ class Embedded:
 class _RolePooler:
     """Pools each sample of some roles as it comes, then stacks each role's rows into an Embedded view.
 
-    It keeps one embedding row per pooled sample and never a sample, so it can
-    take the samples of a DatasetReader one at a time. Whatever keeps a role
-    from being stacked is raised by embedded(), not by add().
+    It takes a sample as its record (see Sample.record), so it can take the
+    samples of a DatasetReader one at a time, and it keeps one embedding row
+    per pooled sample and nothing of the frames. Whatever keeps a role from
+    being stacked is raised by embedded(), not by add().
     """
 
     def __init__(self, cfg: RunConfig, roles: Sequence[Role], split: SplitConfig | None) -> None:
@@ -197,13 +198,13 @@ class _RolePooler:
         self._rows: dict[Role, list[tuple[str, np.ndarray, str]]] = {role: [] for role in roles}
         self._without_hand: str | None = None  # the first sample without a hand sequence
 
-    def add(self, sample: Sample) -> None:
-        if sample.hand is None and self._without_hand is None:
-            self._without_hand = sample.sample_id
-        roles = [role for role, ids in self._class_ids.items() if sample.class_id in ids]
-        if not roles or (self._use_hand and sample.hand is None):
+    def add(self, sample_id: str, class_id: str, body: np.ndarray, hand: np.ndarray | None) -> None:
+        if hand is None and self._without_hand is None:
+            self._without_hand = sample_id
+        roles = [role for role, ids in self._class_ids.items() if class_id in ids]
+        if not roles or (self._use_hand and hand is None):
             return
-        row = (sample.sample_id, embed_video(sample, self._spec, self._use_hand), sample.class_id)
+        row = (sample_id, embed_video(body, hand if self._use_hand else None, self._spec), class_id)
         for role in roles:
             self._rows[role].append(row)
 
@@ -245,7 +246,7 @@ def embed_dataset(dataset: Dataset, cfg: RunConfig, roles: Sequence[Role]) -> Em
     """
     pooler = _RolePooler(cfg, roles, dataset.split)
     for sample in dataset.samples:
-        pooler.add(sample)
+        pooler.add(*sample.record)
     return pooler.embedded(dataset.classes_by_id)
 
 

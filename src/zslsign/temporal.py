@@ -12,8 +12,8 @@ from enum import Enum
 
 import numpy as np
 
-from .data import FeatureSequence, Sample
-from .errors import EmptySequence, MissingHandStream
+from .data import FeatureSequence
+from .errors import EmptySequence
 
 
 class AggregatorKind(Enum):
@@ -60,12 +60,9 @@ def aggregate(seq: FeatureSequence | np.ndarray, spec: AggregatorSpec) -> np.nda
     return (w1 * (total - mat[-1]) + w2 * total + w3 * (total - mat[0])) / mat.shape[0]
 
 
-def embed_video(sample: Sample, spec: AggregatorSpec, use_hand: bool = False) -> np.ndarray:
-    """Video embedding: each stream aggregated, then concatenated body first, hand second."""
-    parts = [aggregate(sample.body, spec)]
-    if use_hand:
-        hand = sample.hand
-        if hand is None:
-            raise MissingHandStream(f"sample {sample.sample_id!r} has no hand sequence")
+def embed_video(body: np.ndarray, hand: np.ndarray | None, spec: AggregatorSpec) -> np.ndarray:
+    """Video embedding: the body frames aggregated, then the hand frames when given, concatenated."""
+    parts = [aggregate(body, spec)]
+    if hand is not None:
         parts.append(aggregate(hand, spec))
     return np.concatenate(parts)

@@ -12,6 +12,8 @@ import pytest
 
 from zslsign import cli, data, experiment, pool
 from zslsign.cli import main
+from zslsign.data import load_dataset
+from zslsign.errors import ParseError
 
 SYNTH_ARGS = [
     "synth",
@@ -422,6 +424,55 @@ def test_malformed_manifest_field_exits_2(workspace, tmp_path, capsys):
     assert len(err) == 1 and "field 'body' must be a relative file path" in err[0]
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        pytest.param(lambda m: m.update(split=5), "manifest field 'split': expected an object, got int", id="split-int"),
+        pytest.param(
+            lambda m: m.update(split=["mode"]), "manifest field 'split': expected an object, got list", id="split-list"
+        ),
+        pytest.param(
+            lambda m: m["split"].update(seen=[["c000"]]),
+            "split field 'seen': expected a list of class id strings",
+            id="seen-nested",
+        ),
+        pytest.param(
+            lambda m: m["split"].update(seen=3), "split field 'seen': expected a list of class id strings", id="seen-int"
+        ),
+        pytest.param(
+            lambda m: m["classes"][0].update(id=["c000"]),
+            "class entry: field 'id' must be a string, got list",
+            id="class-id-list",
+        ),
+        pytest.param(
+            lambda m: m["samples"][0].update(class_id={"id": "c000"}),
+            "sample 'c000_s00': field 'class_id' must be a string, got dict",
+            id="sample-class_id-object",
+        ),
+        pytest.param(
+            lambda m: m.update(attribute_count=True),
+            "manifest field 'attribute_count': expected positive integer, got True",
+            id="attribute_count-true",
+        ),
+        pytest.param(
+            lambda m: m["samples"][0].update(id=7), "sample entry: field 'id' must be a string, got int", id="sample-id-int"
+        ),
+    ],
+)
+def test_a_manifest_field_of_the_wrong_json_type_exits_2_naming_it(workspace, tmp_path, capsys, change, message):
+    data_dir = Path(shutil.copytree(workspace["manifest"].parent, tmp_path / "data"))
+    manifest = json.loads((data_dir / "manifest.json").read_text())
+    change(manifest)
+    (data_dir / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ParseError) as info:
+        load_dataset(data_dir / "manifest.json")
+    assert str(info.value) == message
+    capsys.readouterr()
+    argv = ["eval", "--manifest", data_dir / "manifest.json", "--model", workspace["model"], "--out", tmp_path / "e"]
+    assert run(argv + TRAIN_OVERRIDES) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+
+
 def test_analyze_text_model_exits_4(workspace, tmp_path):
     train_text = tmp_path / "train_text"
     argv = ["train", "--manifest", workspace["manifest"], "--out", train_text] + TRAIN_OVERRIDES
@@ -615,17 +666,19 @@ _WORK_STARTS = {
          "analyze-confusions", "sweep"],
 )
 def test_the_loaded_dataset_is_freed_before_the_work_starts(workspace, tmp_path, monkeypatch, command, started):
-    # a weak reference to every sample the command reads must be dead when the reader reads the
-    # next one, and when a trainer, the ranking, an influence analysis or the worker pool starts:
-    # only the embeddings are left
+    # a weak reference to the frames of every sample the command reads must be dead when the reader
+    # reads the next one, and when a trainer, the ranking, an influence analysis or the worker pool
+    # starts: only the embeddings are left
     loaded, calls = [], []
     read_sample = data.DatasetReader._read_sample
 
     def tracked_read(reader, entry):
-        assert all(ref() is None for ref in loaded), "a sample was read with an earlier one alive"
-        sample = read_sample(reader, entry)
-        loaded.append(weakref.ref(sample))
-        return sample
+        assert all(ref() is None for ref in loaded), "a sample was read with an earlier one's frames alive"
+        record = read_sample(reader, entry)
+        sample_id, _, body, hand = record
+        assert sample_id == entry["id"] and (hand is None) == (entry.get("hand") is None)
+        loaded.extend(weakref.ref(frames) for frames in (body, hand) if frames is not None)
+        return record
 
     monkeypatch.setattr(data.DatasetReader, "_read_sample", tracked_read)
 
@@ -653,7 +706,8 @@ def test_the_loaded_dataset_is_freed_before_the_work_starts(workspace, tmp_path,
     if command[0] in ("predict", "eval", "analyze"):
         argv += ["--model", model]
     assert run(argv) == 0
-    assert len(loaded) == len(json.loads(workspace["manifest"].read_text())["samples"])  # each sample read once
+    # each sample read once: the workspace samples have a body and no hand
+    assert len(loaded) == len(json.loads(workspace["manifest"].read_text())["samples"])
     assert calls == started
 
 

@@ -1,7 +1,11 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import zlib
+from collections import Counter
 from contextlib import closing
 from pathlib import Path
 
@@ -94,6 +98,47 @@ def test_feature_path_naming_a_directory_is_a_missing_file(tmp_path):
     manifest["samples"][0]["body"] = "features"
     write_manifest(tmp_path, manifest)
     _assert_load_error(path, MissingFile, "sample 's0' body: feature file not found")
+
+
+_LOAD_BOTH_WAYS = """
+import sys
+from zslsign.data import load_dataset
+from zslsign.errors import MissingFile
+from zslsign.experiment import Role, RunConfig, load_embedded
+for load in (load_dataset, lambda manifest: load_embedded(RunConfig(manifest=manifest), tuple(Role))):
+    try:
+        load(sys.argv[1])
+    except MissingFile as exc:
+        print(exc)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="the platform has no FIFOs")
+def test_feature_path_naming_a_fifo_is_a_missing_file_and_never_blocks(tmp_path):
+    # with and without the pack; in a child with a deadline, since an open that waits for a writer never returns
+    manifest = _packed_copy(tmp_path)
+    fifo = manifest.parent / "features" / "s0_body.csv"
+    fifo.unlink()
+    os.mkfifo(fifo)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for with_pack in (True, False):
+        if not with_pack:
+            _drop_pack(manifest)
+        child = subprocess.run(
+            [sys.executable, "-c", _LOAD_BOTH_WAYS, str(manifest)], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.splitlines() == [f"sample 's0' body: feature file not found: {fifo}"] * 2
+
+
+def test_feature_path_with_a_trailing_slash_names_its_file_as_before(tmp_path):
+    path = small_manifest(tmp_path)
+    reference = load_dataset(path)
+    manifest = json.loads(path.read_text())
+    manifest["samples"][0]["body"] += "/"
+    write_manifest(tmp_path, manifest)
+    _assert_loads(path, reference)
 
 
 def test_parse_error_names_line_and_field(tmp_path):
@@ -201,7 +246,7 @@ def test_malformed_text_file_field_raises_parse_error(tmp_path):
     _assert_load_error(path, ParseError, r"class 'c0': field 'text_file' must be a relative file path")
 
 
-@pytest.mark.parametrize("split", [{"mode": "zs"}, {"seen": ["c0"]}])
+@pytest.mark.parametrize("split", [{"mode": "zs"}, {"seen": ["c0"]}, 5, ["mode"], {"mode": "zsl", "seen": [["c0"]]}])
 def test_split_errors_come_after_the_samples_and_before_the_invariants(tmp_path, split):
     path = small_manifest(tmp_path, split=split)
     error = _load_error(path)
@@ -461,6 +506,37 @@ def test_chunked_checksums_match_the_pack(tmp_path, monkeypatch):
     monkeypatch.setattr(data_module, "_parse_feature_matrix", _no_parse)
     monkeypatch.setattr(data_module.json, "loads", _no_manifest_parse(manifest))
     _assert_loads(manifest, reference)
+
+
+def test_an_intact_pack_costs_one_open_per_csv_and_no_parse(tmp_path, monkeypatch):
+    # the I/O a load rests on: each feature CSV opened exactly once and never stat'ed by path (its length
+    # comes from fstat of the open file), the manifest opened once for its CRC-32, one open of the pack's
+    # value file for every block, and no CSV parsed
+    manifest = save_dataset(_save_case("hand"), tmp_path)
+    samples = json.loads(manifest.read_text())["samples"]
+    features = {os.path.normpath(tmp_path / s[stream]) for s in samples for stream in ("body", "hand")}
+    assert len(features) == 24
+    calls = {"open": [], "stat": []}
+
+    def spy(name, real):
+        def counted(path, *args, **kwargs):
+            if not isinstance(path, int):  # a descriptor opened again is no new open of a path
+                calls[name].append(os.path.normpath(path))
+            return real(path, *args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(os, "open", spy("open", os.open))
+    monkeypatch.setattr(os, "stat", spy("stat", os.stat))
+    monkeypatch.setattr(data_module, "open", spy("open", open), raising=False)
+    monkeypatch.setattr(data_module, "_parse_feature_matrix", _no_parse)
+    for load in (load_dataset, _command_load):
+        calls["open"].clear()
+        calls["stat"].clear()
+        load(manifest)
+        opened = Counter(calls["open"])
+        assert opened == dict.fromkeys([*features, str(manifest), str(manifest.with_suffix(".pack.npy"))], 1)
+        assert features.isdisjoint(calls["stat"])
 
 
 def _no_manifest_parse(manifest: Path):

@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import tempfile
 import tracemalloc
 from dataclasses import replace
 
@@ -10,8 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zslsign import experiment, pool
-from zslsign.data import Dataset, SplitConfig, SplitMode, save_dataset
-from zslsign.errors import DegenerateData, DimensionMismatch, EmptyEvaluationSet, MissingHandStream, ParseError
+from zslsign.data import Dataset, SplitConfig, SplitMode, csv_text, load_dataset, save_dataset
+from zslsign.errors import (
+    DegenerateData,
+    DimensionMismatch,
+    EmptyEvaluationSet,
+    MissingHandStream,
+    ParseError,
+    ZslSignError,
+)
 from zslsign.evaluation import topk_accuracy
 from zslsign.experiment import (
     SWEEP_ROLES,
@@ -188,7 +196,7 @@ def test_mixed_widths_raise_dimension_mismatch():
 def reference_stack(samples, cfg: RunConfig):
     """The samples sorted by id, embedded one by one: (sample ids, N x d matrix, class ids)."""
     ordered = sorted(samples, key=lambda s: s.sample_id)
-    rows = [embed_video(s, cfg.aggregator_spec(), cfg.use_hand) for s in ordered]
+    rows = [embed_video(s.body.data, s.hand.data if cfg.use_hand else None, cfg.aggregator_spec()) for s in ordered]
     return [s.sample_id for s in ordered], np.stack(rows), [s.class_id for s in ordered]
 
 
@@ -225,6 +233,7 @@ def _role_datasets(draw):
 )
 def test_embedded_roles_equal_the_per_role_stacks(dataset, aggregator, weights, use_hand):
     cfg = RunConfig(aggregator=aggregator, tsm_weights=weights, use_hand=use_hand)
+    _assert_command_loads_of_the_saved_dataset_equal_embed_dataset(dataset, cfg)
     if use_hand and not dataset.has_full_hand_coverage:
         with pytest.raises(MissingHandStream):
             embed_dataset(dataset, cfg, tuple(Role))
@@ -248,6 +257,51 @@ def test_embedded_roles_equal_the_per_role_stacks(dataset, aggregator, weights, 
     assert list(two.stacks) == [Role.CANDIDATES, Role.SEEN]
     assert two.stack(Role.CANDIDATES).classes == [dataset.classes_by_id[cid] for cid in candidate_class_ids(split)]
     assert two.stack(Role.SEEN).classes == [dataset.classes_by_id[cid] for cid in sorted(split.seen_classes)]
+
+
+# the roles each command loads: train, predict/eval/analyze, sweep and baseline; and every role
+COMMAND_ROLE_SETS = [(Role.SEEN,), (Role.CANDIDATES,), SWEEP_ROLES, (), tuple(Role)]
+
+
+def _assert_command_loads_of_the_saved_dataset_equal_embed_dataset(dataset: Dataset, cfg: RunConfig) -> None:
+    """A command's load of the saved dataset gives embed_dataset(load_dataset(...))'s views, byte for byte.
+
+    From the pack, with one CSV edited after the save (parsed, the others from
+    the pack), and with the pack files deleted.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = save_dataset(dataset, tmp)
+        _assert_command_loads_equal_embed_dataset(manifest, cfg)
+        edited = manifest.parent / json.loads(manifest.read_text())["samples"][0]["body"]
+        body = dataset.samples[0].body.data * 0.5 + 1.0
+        edited.write_text(csv_text(body), encoding="utf-8")
+        assert load_dataset(manifest).samples[0].body.data.tobytes() == body.tobytes()
+        _assert_command_loads_equal_embed_dataset(manifest, cfg)
+        manifest.with_suffix(".pack.npy").unlink()
+        manifest.with_suffix(".pack.json").unlink()
+        _assert_command_loads_equal_embed_dataset(manifest, cfg)
+
+
+def _view_bits(build) -> tuple:
+    """Every byte of the view build() returns, or the type and message of the error it raises."""
+    try:
+        view = build()
+    except ZslSignError as exc:
+        return type(exc), str(exc)
+    stacks = [
+        (role, stack.sample_ids, stack.labels, stack.features.shape, stack.features.tobytes(),
+         [(c.class_id, c.name, c.attributes.tobytes(), c.text.tobytes()) for c in stack.classes])
+        for role, stack in view.stacks.items()
+    ]
+    return stacks, view.split
+
+
+def _assert_command_loads_equal_embed_dataset(manifest, cfg: RunConfig) -> None:
+    cfg = replace(cfg, manifest=str(manifest))
+    dataset = load_dataset(manifest)
+    for roles in COMMAND_ROLE_SETS:
+        expected = _view_bits(lambda: embed_dataset(dataset, cfg, roles))
+        assert _view_bits(lambda: load_embedded(cfg, roles)[0]) == expected, roles
 
 
 def _without_role_samples(dataset: Dataset, class_ids) -> Dataset:

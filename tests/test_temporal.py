@@ -4,11 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from zslsign.data import Dataset, SplitConfig, SplitMode
 from zslsign.errors import EmptySequence, MissingHandStream
+from zslsign.experiment import Role, RunConfig, embed_dataset
 from zslsign.oracles import brute_column_means, brute_tsm
 from zslsign.temporal import AggregatorKind, AggregatorSpec, aggregate, embed_video
 
-from conftest import make_sample
+from conftest import make_descriptor, make_sample
 
 AVG = AggregatorSpec()
 TSM = lambda w: AggregatorSpec(kind=AggregatorKind.TEMPORAL_SHIFT_MAC, weights=w)
@@ -124,22 +126,24 @@ def test_average_pool_permutation_invariant_tsm_not():
 
 
 def test_embed_video_concatenation_order():
-    sample = make_sample("s", "c", body=[[1.0, 2.0]], hand=[[3.0]])
-    spec = AVG
-    assert np.array_equal(embed_video(sample, spec, use_hand=True), [1.0, 2.0, 3.0])
-    assert np.array_equal(embed_video(sample, spec, use_hand=False), [1.0, 2.0])
+    body, hand = np.array([[1.0, 2.0]]), np.array([[3.0]])
+    assert np.array_equal(embed_video(body, hand, AVG), [1.0, 2.0, 3.0])
+    assert np.array_equal(embed_video(body, None, AVG), [1.0, 2.0])
 
 
 def test_embed_video_missing_hand():
-    sample = make_sample("s", "c", body=[[1.0, 2.0]])
-    with pytest.raises(MissingHandStream):
-        embed_video(sample, AggregatorSpec(), use_hand=True)
+    # embed_video pools the hand frames it is given; a two-stream embedding of a sample that has
+    # none is refused, naming the sample
+    samples = (make_sample("s0", "c", [[1.0, 2.0]], hand=[[3.0]]), make_sample("s1", "c", [[1.0, 2.0]]))
+    split = SplitConfig(frozenset({"c"}), frozenset(), frozenset(), SplitMode.ZSL)
+    dataset = Dataset((make_descriptor("c", [1.0]),), samples, split, attribute_count=1)
+    with pytest.raises(MissingHandStream, match="sample 's1'"):
+        embed_dataset(dataset, RunConfig(use_hand=True), (Role.SEEN,))
 
 
 def test_two_stream_width_doubles():
     rng = np.random.default_rng(1)
-    sample = make_sample("s", "c", body=rng.normal(size=(3, 1024)), hand=rng.normal(size=(3, 1024)))
-    emb = embed_video(sample, AggregatorSpec(), use_hand=True)
+    emb = embed_video(rng.normal(size=(3, 1024)), rng.normal(size=(3, 1024)), AggregatorSpec())
     assert emb.shape == (2048,)
 
 
