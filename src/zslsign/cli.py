@@ -16,7 +16,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -35,6 +35,7 @@ from .errors import (
 )
 from .evaluation import random_baseline
 from .experiment import (
+    CHOICES,
     SWEEP_ROLES,
     Role,
     RunConfig,
@@ -138,23 +139,7 @@ def cmd_synth(args) -> int:
     dataset, planted = _lazy.generate(spec)
     out = _out_dir(args)
     manifest_path = save_dataset(dataset, out, extra_csv={"planted_map.csv": planted})
-    _write_json(
-        out / "synth_spec.json",
-        {
-            "n_classes": spec.n_classes,
-            "n_seen": spec.n_seen,
-            "n_unseen": spec.n_unseen,
-            "attribute_count": spec.attribute_count,
-            "text_dim": spec.text_dim,
-            "samples_per_class": spec.samples_per_class,
-            "snippets": spec.snippets,
-            "stream_width": spec.stream_width,
-            "noise_sigma": spec.noise_sigma,
-            "planted_map_scale": spec.planted_map_scale,
-            "seed": spec.seed,
-            "split_mode": spec.split_mode.value,
-        },
-    )
+    _write_json(out / "synth_spec.json", {**asdict(spec), "split_mode": spec.split_mode.value})
     print(f"wrote {manifest_path}")
     return 0
 
@@ -170,7 +155,8 @@ def _write_training_log(path: Path, history: tuple[float, ...], final_loss: floa
 
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
-    data, out = load_embedded(cfg, (Role.SEEN,), lambda: _echoed_out_dir(args, cfg))
+    data = load_embedded(cfg, (Role.SEEN,))
+    out = _echoed_out_dir(args, cfg)
     models = train_repeats(data, cfg)
     suffixes = [""] if cfg.repeats == 1 else [f"_r{r}" for r in range(cfg.repeats)]
     for suffix, model in zip(suffixes, models):
@@ -198,7 +184,8 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     cfg = _resolve_config(args)
-    data, model = load_embedded(cfg, (Role.CANDIDATES,), lambda: load_model(args.model))
+    model = load_model(args.model)
+    data = load_embedded(cfg, (Role.CANDIDATES,))
     candidates = data.stack(Role.CANDIDATES)
     ranks, predicted = rank_samples(model, candidates)
     out = _out_dir(args, cfg)
@@ -212,7 +199,8 @@ def cmd_predict(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
-    data, model = load_embedded(cfg, (Role.CANDIDATES,), lambda: load_model(args.model))
+    model = load_model(args.model)
+    data = load_embedded(cfg, (Role.CANDIDATES,))
     report = evaluate(data, model, cfg)
     payload = report.to_dict()
 
@@ -257,7 +245,8 @@ def _write_affiliation_csv(path: Path, report: InfluenceReport, attrs: dict[str,
 
 def cmd_analyze(args) -> int:
     cfg = _resolve_config(args)
-    data, model = load_embedded(cfg, (Role.CANDIDATES,), lambda: load_model(args.model))
+    model = load_model(args.model)
+    data = load_embedded(cfg, (Role.CANDIDATES,))
     candidates = data.stack(Role.CANDIDATES)
     features, truths = candidates.features, candidates.labels
     out = _echoed_out_dir(args, cfg)
@@ -292,7 +281,7 @@ def cmd_analyze(args) -> int:
 def cmd_baseline(args) -> int:
     if args.manifest:
         # every file is read and checked, but no sample is pooled or kept
-        data, _ = load_embedded(RunConfig(manifest=args.manifest), ())
+        data = load_embedded(RunConfig(manifest=args.manifest), ())
         n_classes = len(candidate_class_ids(data.split))
     elif args.classes is None:
         raise ParseError("baseline needs either --manifest or --classes")
@@ -312,7 +301,8 @@ def cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
     if args.param != "d_t":
         raise ParseError(f"only the d_t parameter can be swept, got {args.param!r}")
-    data, _ = load_embedded(cfg, SWEEP_ROLES, lambda: check_sweepable(cfg))
+    check_sweepable(cfg)
+    data = load_embedded(cfg, SWEEP_ROLES)
     rows = sweep_text_dim(data, cfg, args.values)
     out = _echoed_out_dir(args, cfg)
     lines = ["d_t,mean_val_top1,stddev"]
@@ -347,14 +337,14 @@ _INTS = _list_of(int, "integers")
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="run-config JSON file")
     p.add_argument("--manifest", help="dataset manifest path")
-    p.add_argument("--aggregator", choices=["avgpool", "tsm"])
+    p.add_argument("--aggregator", choices=CHOICES["aggregator"])
     p.add_argument("--tsm-weights", dest="tsm_weights", type=_list_of(float, "numbers"), help="w1,w2,w3")
     hand = p.add_mutually_exclusive_group()
     hand.add_argument("--use-hand", dest="use_hand", action="store_true", default=None)
     hand.add_argument("--no-use-hand", dest="use_hand", action="store_false", default=None)
-    p.add_argument("--embedding", choices=["attr", "text", "combined"])
+    p.add_argument("--embedding", choices=CHOICES["embedding"])
     p.add_argument("--d-t", dest="d_t", type=int)
-    p.add_argument("--method", choices=["lle", "eszsl", "sae"])
+    p.add_argument("--method", choices=CHOICES["method"])
     p.add_argument("--lam", type=float)
     p.add_argument("--learning-rate", dest="learning_rate", type=float)
     p.add_argument("--epochs", type=int)

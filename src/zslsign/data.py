@@ -19,25 +19,27 @@ order and hands each one on as soon as its files are read, as a record: its
 id, its class id and its body and hand frame matrices (see
 :attr:`Sample.record`). A caller that keeps only what it needs of a sample
 (experiment.load_embedded pools it into one embedding row) never holds more
-than one sample's snippet frames. Each CSV costs one open (nonblocking, so a
-FIFO cannot stall the load), one ``fstat`` for its type and byte length, and
-the reads of its CRC-32 in ``_CRC_CHUNK`` pieces; every CSV is still
-CRC-checked on every load. A file's values come from the pack only when its
-path, byte length and both CRC-32s match; save_dataset packs the files in the
-manifest's sample order, so the reader reads the blocks in file order from
-the one open value file. Likewise the manifest's fields and text vectors come
-from the pack only when the manifest's byte length and CRC-32 match, so the
-250 x 768 text floats of a paper-sized manifest are not parsed as JSON text.
-Anything else (no pack, an edited manifest or CSV, a stale, torn, truncated
-or garbage pack, hand-written ``text_file`` rows) is parsed from the files.
-The class, sample and split invariants are checked as the reader goes
-(finiteness as one check per stream, the failing rows looked for only when it
-fails) and raised together after the last sample, in
-:func:`validate_dataset`'s order. :func:`load_dataset` builds a
-:class:`Sample` from each record and collects them into a :class:`Dataset`.
-CRC-32 comes with zlib, which numpy already loads; a digest from ``hashlib``
-would map OpenSSL's libcrypto into every command for no gain in detecting
-edits. The manifest is written as compact JSON.
+than one sample's snippet frames. Every input, of this module or another, is
+opened by :func:`open_input`, which refuses anything but a regular file and
+cannot block on a FIFO. Each CSV costs that open and ``fstat``, and the reads
+of its CRC-32 in ``_CRC_CHUNK`` pieces; every CSV is still CRC-checked on
+every load. A file's values come from the pack only when its path, byte length
+and both CRC-32s match; save_dataset packs the files in the manifest's sample
+order, so the reader reads the blocks in file order from the one open value
+file. Likewise the manifest's fields and text vectors come from the pack only
+when the manifest's byte length and CRC-32 match, so the 250 x 768 text floats
+of a paper-sized manifest are not parsed as JSON text. Anything else (no pack,
+an edited manifest or CSV, a stale, torn, truncated or garbage pack,
+hand-written ``text_file`` rows) is parsed from the files. A field that does
+not parse, the split's included, raises as it is read. The class, sample and
+split invariants are checked as the reader goes (finiteness as one check per
+stream, the failing rows looked for only when it fails) and raised together
+after the last sample, in :func:`validate_dataset`'s order.
+:func:`load_dataset` builds a :class:`Sample` from each record and collects
+them into a :class:`Dataset`. CRC-32 comes with zlib, which numpy already
+loads; a digest from ``hashlib`` would map OpenSSL's libcrypto into every
+command for no gain in detecting edits. The manifest is written as compact
+JSON.
 
 Each sample's frames and each class text vector own their memory, so
 dropping a sample frees its frames and nothing else.
@@ -105,14 +107,6 @@ class FeatureSequence:
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"feature sequence for {self.sample_id!r} must be at least 1x1, got {arr.shape}")
         object.__setattr__(self, "data", _freeze(arr))
-
-    @property
-    def length(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
 
 
 @dataclass(frozen=True)
@@ -233,7 +227,7 @@ def _unit_normalized(vec: np.ndarray, class_id: str) -> np.ndarray:
     return vec / norm
 
 
-def _parse_feature_matrix(raw: bytes, path: Path, entity: str) -> np.ndarray:
+def _parse_feature_matrix(raw: bytes, path: str, entity: str) -> np.ndarray:
     rows: list[list[float]] = []
     width: int | None = None
     for lineno, line in enumerate(raw.decode("utf-8").splitlines(), start=1):
@@ -255,7 +249,7 @@ def _parse_feature_matrix(raw: bytes, path: Path, entity: str) -> np.ndarray:
             )
         rows.append(values)
     if not rows:
-        raise InvariantViolation(f"{entity}: feature file {path} has no rows")
+        raise InvariantViolation(f"{entity}: feature file {Path(path)} has no rows")
     return np.array(rows, dtype=np.float64)
 
 
@@ -266,7 +260,7 @@ def csv_text(matrix: np.ndarray) -> str:
 
 _VECTOR_DTYPE = np.dtype("<f8")
 _CRC_CHUNK = 1 << 16  # bytes read at a time when a file is only checksummed
-# how a feature file is opened: nonblocking, so that opening a FIFO returns at once and fstat refuses it
+# how an input is opened: nonblocking, so that opening a FIFO returns at once and fstat refuses it
 _OPEN_FLAGS = os.O_RDONLY | getattr(os, "O_NONBLOCK", 0) | getattr(os, "O_BINARY", 0)
 
 
@@ -323,6 +317,37 @@ def _fd_bytes(fd: int) -> bytes:
         return f.readall()
 
 
+def open_input(path: str | os.PathLike, what: str) -> tuple[int, int]:
+    """A descriptor of the regular file at path, as written, and its byte length; close it after use.
+
+    This is how every input is opened: nonblocking, so a FIFO cannot stall the
+    open, then fstat of the open file for its type and length. Anything but a
+    regular file, and any failed open but a PermissionError, is MissingFile
+    "<what> not found: <path>".
+    """
+    try:
+        fd = os.open(path, _OPEN_FLAGS)
+    except PermissionError:
+        raise
+    except OSError:
+        pass
+    else:
+        info = os.fstat(fd)
+        if stat.S_ISREG(info.st_mode):
+            return fd, info.st_size
+        os.close(fd)
+    raise MissingFile(f"{what} not found: {Path(path)}")
+
+
+def read_input(path: str | os.PathLike, what: str) -> bytes:
+    """Every byte of the input at path, opened by open_input."""
+    fd, _ = open_input(path, what)
+    try:
+        return _fd_bytes(fd)
+    finally:
+        os.close(fd)
+
+
 def _pack_paths(manifest_path: Path) -> tuple[Path, Path]:
     """The pack's value file and index, named after the manifest stem."""
     return manifest_path.with_suffix(".pack.npy"), manifest_path.with_suffix(".pack.json")
@@ -349,19 +374,20 @@ class _FeaturePack:
     def open(cls, manifest_path: Path) -> "_FeaturePack | None":
         """The pack saved with this manifest, or None when it is missing or unreadable; close it after use."""
         npy_path, index_path = _pack_paths(manifest_path)
-        try:
-            index = json.loads(index_path.read_bytes())
+        try:  # a pack file that is missing, unreadable or not a regular file (MissingFile) leaves no pack
+            index = json.loads(read_input(index_path, "feature pack index"))
         except (OSError, ValueError):
             return None
         files = index.get("files") if isinstance(index, dict) else None
         if not isinstance(files, dict):
             return None
         try:
-            file = open(npy_path, "rb")
+            fd, nbytes = open_input(npy_path, "feature pack")
         except OSError:
             return None
+        file = open(fd, "rb")
         try:
-            start, size = _vector_layout(file, os.fstat(file.fileno()).st_size)
+            start, size = _vector_layout(file, nbytes)
         except ValueError:
             file.close()
             return None
@@ -370,7 +396,7 @@ class _FeaturePack:
     def close(self) -> None:
         self._file.close()
 
-    def _block(self, entry, fd: int, size: int) -> np.ndarray | None:
+    def block(self, entry, fd: int, size: int) -> np.ndarray | None:
         """The rows x cols values of an index entry if it was packed from exactly the size bytes of open file fd.
 
         None otherwise; fd is then read to its end, or not at all when the entry itself is unusable.
@@ -392,14 +418,9 @@ class _FeaturePack:
             return None
         return values.reshape(rows, cols)
 
-    def matrix(self, rel: str, fd: int, size: int) -> np.ndarray | None:
-        """The packed rows of `rel`, open as fd with size bytes, if the pack saw exactly its bytes, else None."""
-        return self._block(self.files.get(rel), fd, size)
-
-    def manifest(self, path: Path) -> dict | None:
-        """The manifest at path, from the pack, if the pack saw exactly its bytes, else None."""
-        with open(path, "rb", buffering=0) as f:
-            texts = self._block(self.manifest_entry, f.fileno(), os.fstat(f.fileno()).st_size)
+    def manifest(self, fd: int, size: int) -> dict | None:
+        """The manifest, open as fd with size bytes, from the pack, if the pack saw exactly its bytes, else None."""
+        texts = self.block(self.manifest_entry, fd, size)
         if texts is None:
             return None
         fields = self.manifest_entry.get("fields")
@@ -478,13 +499,16 @@ def _vector_field(value, entity: str, key: str) -> np.ndarray:
 
 
 def _read_manifest(manifest_path: Path, pack: _FeaturePack | None) -> dict:
-    """The manifest's content: from the pack if it saw exactly these bytes, else parsed from them."""
-    manifest = pack.manifest(manifest_path) if pack is not None else None
-    if manifest is None:
-        try:
-            manifest = json.loads(manifest_path.read_bytes().decode("utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"manifest {manifest_path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    """The manifest's content: from the pack if it saw exactly its bytes, else parsed from them; opened once."""
+    fd, size = open_input(manifest_path, "manifest")
+    try:
+        manifest = pack.manifest(fd, size) if pack is not None else None
+        if manifest is None:
+            manifest = json.loads(_fd_bytes(fd).decode("utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"manifest {manifest_path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    finally:
+        os.close(fd)
     if not isinstance(manifest, dict):
         raise ParseError(f"manifest {manifest_path}: top level must be a JSON object")
     return manifest
@@ -587,19 +611,16 @@ class DatasetReader:
     (text unit-normalized) and its split. read_samples then reads the samples
     in manifest order and hands each one on as soon as its files are read; the
     reader keeps no sample. Errors come in the order of the files: a missing,
-    unparsable or malformed file or field raises when it is met, a split that
-    does not parse raises after the last sample, and then every broken
-    invariant (see validate_dataset) raises as one InvariantViolation. The
-    reader holds the pack's value file open until it is closed, so use it in a
-    with block.
+    unparsable or malformed file or field raises when it is met (the split's
+    with the manifest's other fields), and every broken invariant (see
+    validate_dataset) raises as one InvariantViolation after the last sample.
+    The reader holds the pack's value file open until it is closed, so use it
+    in a with block.
     """
 
     def __init__(self, manifest_path: str | Path) -> None:
         path = Path(manifest_path)
-        if not path.exists():
-            raise MissingFile(f"manifest not found: {path}")
-        self._root = path.parent
-        self._dir = str(self._root)  # what each feature path is joined to, without pathlib in the loop
+        self._dir = str(path.parent)  # what each feature path is joined to, without pathlib in the loop
         self._pack = _FeaturePack.open(path)
         try:
             manifest = _read_manifest(path, self._pack)
@@ -609,18 +630,12 @@ class DatasetReader:
             self.attribute_count: int = count
             self.classes = tuple(self._read_class(entry) for entry in _entries(manifest, "classes"))
             self._samples = _entries(manifest, "samples")
+            self.split = _read_split(manifest)
         except BaseException:
             self.close()
             raise
         self._checks = _Checks(count)
         self._checks.classes(self.classes)
-        # None when the split does not parse; read_samples raises its error after the samples'
-        self.split: SplitConfig | None = None
-        self._split_error: Exception | None = None
-        try:
-            self.split = _read_split(manifest)
-        except ParseError as exc:
-            self._split_error = exc
 
     def close(self) -> None:
         if self._pack is not None:
@@ -633,8 +648,8 @@ class DatasetReader:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def read_samples(self, visit: Callable[[str, str, np.ndarray, np.ndarray | None], object]) -> SplitConfig:
-        """Call visit on each sample's record as it is read; return the checked split, or raise what is broken.
+    def read_samples(self, visit: Callable[[str, str, np.ndarray, np.ndarray | None], object]) -> None:
+        """Call visit on each sample's record as it is read, then raise every broken invariant, if any.
 
         A record is (sample id, class id, body frames, hand frames or None),
         as Sample.record gives it. Call it once. Nothing here keeps a sample,
@@ -643,40 +658,19 @@ class DatasetReader:
         """
         for entry in self._samples:
             visit(*self._read_sample(entry))
-        if self._split_error is not None:
-            raise self._split_error
         self._checks.split(self.split)
         if self._checks.violations:
             raise InvariantViolation("; ".join(self._checks.violations))
-        return self.split
-
-    def _open(self, rel: str) -> int | None:
-        """A descriptor of the file at rel, opened nonblocking, so that a FIFO cannot stall the load; None if missing."""
-        try:
-            return os.open(os.path.join(self._dir, rel), _OPEN_FLAGS)
-        except OSError:  # pathlib's spelling of the path may still name a file ("a.csv/")
-            path = self._root / rel
-            try:
-                regular = stat.S_ISREG(path.stat().st_mode)
-            except OSError:
-                return None
-            return os.open(path, _OPEN_FLAGS) if regular else None
 
     def _read_matrix(self, rel: str, entity: str) -> np.ndarray:
-        """The rows of a feature file: its pack block if the pack saw exactly its bytes, else parsed from them.
-
-        The file is opened once; fstat of it gives its type and byte length.
-        """
-        fd = self._open(rel)
+        """The rows of a feature file: its pack block if the pack saw exactly its bytes, else parsed from them."""
+        path = os.path.join(self._dir, rel)
+        fd, size = open_input(path, f"{entity}: feature file")
         try:
-            info = None if fd is None else os.fstat(fd)
-            if info is None or not stat.S_ISREG(info.st_mode):
-                raise MissingFile(f"{entity}: feature file not found: {self._root / rel}")
-            data = self._pack.matrix(rel, fd, info.st_size) if self._pack is not None else None
-            return _parse_feature_matrix(_fd_bytes(fd), self._root / rel, entity) if data is None else data
+            data = self._pack.block(self._pack.files.get(rel), fd, size) if self._pack is not None else None
+            return _parse_feature_matrix(_fd_bytes(fd), path, entity) if data is None else data
         finally:
-            if fd is not None:
-                os.close(fd)
+            os.close(fd)
 
     def _read_class(self, entry: dict) -> ClassDescriptor:
         cid = _string_field(_require(entry, "id", "class entry"), "class entry", "id")
@@ -718,8 +712,8 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     """
     samples: list[Sample] = []
     with DatasetReader(manifest_path) as reader:
-        split = reader.read_samples(lambda *record: samples.append(Sample.from_record(*record)))
-    return Dataset(reader.classes, tuple(samples), split, reader.attribute_count)
+        reader.read_samples(lambda *record: samples.append(Sample.from_record(*record)))
+    return Dataset(reader.classes, tuple(samples), reader.split, reader.attribute_count)
 
 
 def validate_dataset(dataset: Dataset) -> list[str]:

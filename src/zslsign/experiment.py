@@ -1,7 +1,10 @@
 """Wiring between datasets, aggregation, model training and evaluation.
 
 This module owns the run configuration and the deterministic recipes the CLI
-drives. A command reads its dataset through load_embedded: it walks the
+drives. A command reads its inputs straight through, in the order it uses
+them: its config (load_run_config), then its model or its sweep's mode check,
+then its dataset, and it makes its output directory only once the dataset's
+view is built. It reads the dataset through load_embedded, which walks the
 dataset's samples with data.DatasetReader and pools each sample of the roles
 it uses (seen, validation, candidate) into one embedding row as soon as the
 sample is read, so no more than one sample's snippet frames are alive at a
@@ -24,13 +27,13 @@ import json
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import ClassDescriptor, Dataset, DatasetReader, SplitConfig, SplitMode
+from .data import ClassDescriptor, Dataset, DatasetReader, SplitConfig, SplitMode, read_input
 from .embeddings import ClassEmbeddingSet, EmbeddingMode, ModeKind
-from .errors import DegenerateData, DimensionMismatch, EmptyEvaluationSet, MissingFile, MissingHandStream, ParseError
+from .errors import DegenerateData, DimensionMismatch, EmptyEvaluationSet, MissingHandStream, ParseError
 from .evaluation import EvalReport, gzsl_report, topk_accuracy
 from .models import CompatModel, Method, TrainConfig, score_candidates, train_eszsl, train_lle, train_sae, truth_ranks
 from .pool import map_jobs
@@ -94,6 +97,8 @@ class RunConfig:
         cfg = {}
         for key, value in raw.items():
             what, fits, convert = _JSON_VALUES[cls.__dataclass_fields__[key].type]
+            if key in CHOICES:
+                what, fits = "one of " + ", ".join(map(json.dumps, CHOICES[key])), CHOICES[key].__contains__
             if not fits(value):
                 raise ParseError(f"key {key!r} must be {what}, got {json.dumps(value)}")
             cfg[key] = convert(value)
@@ -111,6 +116,13 @@ def _is_list(value, of) -> bool:
 def _as_is(value):
     return value
 
+
+# the values of the RunConfig fields that name an enum member, for a config file and for the CLI's flags alike
+CHOICES = {
+    "aggregator": tuple(kind.value for kind in AggregatorKind),
+    "embedding": tuple(kind.value for kind in ModeKind),
+    "method": tuple(method.value for method in Method),
+}
 
 # what each RunConfig field annotation takes from JSON: (its name in messages, check, conversion)
 _JSON_VALUES = {
@@ -189,12 +201,11 @@ class _RolePooler:
     being stacked is raised by embedded(), not by add().
     """
 
-    def __init__(self, cfg: RunConfig, roles: Sequence[Role], split: SplitConfig | None) -> None:
+    def __init__(self, cfg: RunConfig, roles: Sequence[Role], split: SplitConfig) -> None:
         self._spec = cfg.aggregator_spec()
         self._use_hand = cfg.use_hand
         self._split = split
-        # no split (it did not parse, so the read raises): nothing to pool
-        self._class_ids = {role: set(role.class_ids(split)) if split else set() for role in roles}
+        self._class_ids = {role: set(role.class_ids(split)) for role in roles}
         self._rows: dict[Role, list[tuple[str, np.ndarray, str]]] = {role: [] for role in roles}
         self._without_hand: str | None = None  # the first sample without a hand sequence
 
@@ -250,26 +261,18 @@ def embed_dataset(dataset: Dataset, cfg: RunConfig, roles: Sequence[Role]) -> Em
     return pooler.embedded(dataset.classes_by_id)
 
 
-_T = TypeVar("_T")
+def load_embedded(cfg: RunConfig, roles: Sequence[Role]) -> Embedded:
+    """Read cfg's dataset, pooling each sample of the roles as it is read, and stack the roles.
 
-
-def load_embedded(
-    cfg: RunConfig, roles: Sequence[Role], then: Callable[[], _T] = lambda: None
-) -> tuple[Embedded, _T]:
-    """Read cfg's dataset, pooling each sample of the roles as it is read; call then(); stack the roles.
-
-    Returns (what embed_dataset(load_dataset(cfg.manifest), cfg, roles) returns,
-    then()'s result), but no more than one sample's frames are alive at a time.
-    Every load error comes first, then then()'s, then the view's (a missing hand
-    stream, an empty role, a width mismatch), so a command's errors come in the
-    order of its steps: then() is the step it takes between the two (load its
-    model, make its output directory, check its config).
+    Returns what embed_dataset(load_dataset(cfg.manifest), cfg, roles) returns,
+    but no more than one sample's frames are alive at a time. Every load error
+    comes first, then the view's (a missing hand stream, an empty role, a width
+    mismatch).
     """
     with DatasetReader(cfg.manifest) as reader:
         pooler = _RolePooler(cfg, roles, reader.split)
-        reader.read_samples(pooler.add)  # raises unless the split parsed, so the pooler has it
-    result = then()
-    return pooler.embedded({c.class_id: c for c in reader.classes}), result
+        reader.read_samples(pooler.add)
+    return pooler.embedded({c.class_id: c for c in reader.classes})
 
 
 def train_from_config(data: Embedded, cfg: RunConfig, seed: int | None = None) -> CompatModel:
@@ -362,10 +365,8 @@ def sweep_text_dim(data: Embedded, cfg: RunConfig, values: Sequence[int]) -> lis
 
 def load_run_config(path: str | Path) -> RunConfig:
     path = Path(path)
-    if not path.exists():
-        raise MissingFile(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(read_input(path, "config file").decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"config {path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
     try:

@@ -131,7 +131,6 @@ def class_influence_matrix(
     truths: Sequence[str],
     report_classes: Sequence[str],
     candidates: Sequence[ClassDescriptor],
-    attribute_names: Sequence[str] | None = None,
 ) -> InfluenceReport:
     """Average per-attribute flip influence over correctly classified samples.
 
@@ -139,8 +138,6 @@ def class_influence_matrix(
     classified sample; classes without any are listed as omitted.
     """
     classes, scores, predicted, q = _class_scores(model, features, truths, candidates)
-    n_attrs = classes.attributes.shape[1]
-    names = tuple(attribute_names) if attribute_names is not None else default_attribute_names(n_attrs)
     truths = np.asarray(truths, dtype=object)
     correct = np.flatnonzero(truths == np.asarray(classes.class_ids, dtype=object)[predicted])
     cols = predicted[correct]
@@ -160,7 +157,7 @@ def class_influence_matrix(
     return InfluenceReport(
         kind=InfluenceKind.CORRECT_CONFIDENCE,
         rows=tuple(rows),
-        attribute_names=names,
+        attribute_names=default_attribute_names(classes.attributes.shape[1]),
         omitted=tuple(omitted),
     )
 
@@ -198,7 +195,6 @@ def confusion_influence_matrix(
     truths: Sequence[str],
     candidates: Sequence[ClassDescriptor],
     top_n_confusions: int = 4,
-    attribute_names: Sequence[str] | None = None,
 ) -> InfluenceReport:
     """Per-attribute log-ratio influence for the most frequent confusion pairs.
 
@@ -209,8 +205,6 @@ def confusion_influence_matrix(
     if top_n_confusions < 1:
         raise ValueError(f"top_n_confusions must be >= 1, got {top_n_confusions}")
     classes, _, predicted, q = _class_scores(model, features, truths, candidates)
-    n_attrs = classes.attributes.shape[1]
-    names = tuple(attribute_names) if attribute_names is not None else default_attribute_names(n_attrs)
     pairs = [(truth, classes.class_ids[col]) for truth, col in zip(truths, predicted)]
     counts = Counter(pair for pair in pairs if pair[0] != pair[1])
     if not counts:
@@ -227,5 +221,5 @@ def confusion_influence_matrix(
     return InfluenceReport(
         kind=InfluenceKind.CONFUSION_LOG_RATIO,
         rows=tuple(rows),
-        attribute_names=names,
+        attribute_names=default_attribute_names(classes.attributes.shape[1]),
     )

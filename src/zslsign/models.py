@@ -45,14 +45,13 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .data import ClassDescriptor, read_vector, write_vector
+from .data import ClassDescriptor, read_input, read_vector, write_vector
 from .embeddings import ClassEmbeddingSet, EmbeddingMode, ModeKind
 from .errors import (
     DegenerateData,
     DimensionMismatch,
     EmptyCandidates,
     InstanceTooLarge,
-    MissingFile,
     NonFiniteLoss,
     SchemaMismatch,
     SingularSystem,
@@ -493,10 +492,8 @@ def save_model(model: CompatModel, path: str | Path) -> Path:
 def load_model(path: str | Path) -> CompatModel:
     """Read a model written by save_model; a header that disagrees with its weights is a SchemaMismatch."""
     path = Path(path)
-    if not path.exists():
-        raise MissingFile(f"model file not found: {path}")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(read_input(path, "model file").decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaMismatch(f"model file {path} is not valid JSON: {exc.msg}") from None
     if not isinstance(doc, dict):
@@ -523,10 +520,8 @@ def load_model(path: str | Path) -> CompatModel:
         raise SchemaMismatch(f"model file {path}: M present but d_text is {d_text!r}")
 
     weights = path.parent / name
-    if not weights.is_file():
-        raise MissingFile(f"model weights file not found: {weights}")
     try:
-        flat = read_vector(weights.read_bytes())
+        flat = read_vector(read_input(weights, "model weights file"))
     except ValueError as exc:
         raise SchemaMismatch(f"model weights {weights} are not a float64 npy vector: {exc}") from None
     m_size = d_text * mode.d_t if has_m else 0

@@ -12,7 +12,6 @@ from enum import Enum
 
 import numpy as np
 
-from .data import FeatureSequence
 from .errors import EmptySequence
 
 
@@ -42,7 +41,7 @@ class AggregatorSpec:
         object.__setattr__(self, "weights", w)
 
 
-def aggregate(seq: FeatureSequence | np.ndarray, spec: AggregatorSpec) -> np.ndarray:
+def aggregate(mat: np.ndarray, spec: AggregatorSpec) -> np.ndarray:
     """Pool a T x d sequence into one d-vector.
 
     Pooling is linear, so the shift kernel folds into the column sums S: the
@@ -50,7 +49,6 @@ def aggregate(seq: FeatureSequence | np.ndarray, spec: AggregatorSpec) -> np.nda
     S - x_first, giving (w1 (S - x_last) + w2 S + w3 (S - x_first)) / T.
     Average pooling is S / T, which is exactly numpy's mean.
     """
-    mat = seq.data if isinstance(seq, FeatureSequence) else np.asarray(seq, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] < 1:
         raise EmptySequence(f"expected a nonempty T x d matrix, got shape {mat.shape}")
     total = mat.sum(axis=0)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -14,6 +15,7 @@ from zslsign import cli, data, experiment, pool
 from zslsign.cli import main
 from zslsign.data import load_dataset
 from zslsign.errors import ParseError
+from zslsign.synth import SynthSpec
 
 SYNTH_ARGS = [
     "synth",
@@ -70,6 +72,8 @@ def test_synth_writes_complete_tree(workspace):
     assert (data / "synth_spec.json").exists()
     manifest = json.loads(workspace["manifest"].read_text())
     assert len(manifest["classes"]) == 14
+    spec = json.loads((data / "synth_spec.json").read_text())
+    assert list(spec) == sorted(f.name for f in dataclasses.fields(SynthSpec))
     feature_files = list((data / "features").glob("*.csv"))
     assert len(feature_files) == 14 * 6
 
@@ -359,8 +363,10 @@ def test_a_list_flag_out_of_range_still_exits_1(workspace, tmp_path, capsys, arg
 @pytest.mark.parametrize(
     "key, value, kind",
     [("d_t", "8", "an integer"), ("epochs", 2.5, "an integer"), ("ks", "12", "a list of integers"),
-     ("use_hand", "no", "true or false")],
-    ids=["d_t-string", "epochs-float", "ks-string", "use_hand-string"],
+     ("use_hand", "no", "true or false"), ("method", "svm", 'one of "lle", "eszsl", "sae"'),
+     ("embedding", "foo", 'one of "attr", "text", "combined"'), ("aggregator", "max", 'one of "avgpool", "tsm"')],
+    ids=["d_t-string", "epochs-float", "ks-string", "use_hand-string", "method-svm", "embedding-foo",
+         "aggregator-max"],
 )
 def test_a_config_value_of_the_wrong_type_exits_2_naming_the_key(workspace, tmp_path, capsys, key, value, kind):
     config = tmp_path / "config.json"
@@ -640,7 +646,7 @@ def test_a_role_without_samples_exits_1_naming_it(workspace, tmp_path, capsys, r
         capsys.readouterr()
         assert run(argv) == 1, command
         assert capsys.readouterr().err.strip().splitlines() == [message], command
-        assert not any(p.name != "effective_config.json" for p in out.rglob("*")), command
+        assert not out.exists(), command  # a refused view comes before the output directory
 
 
 _WORK_STARTS = {
@@ -857,3 +863,139 @@ def test_env_var_sets_default_output_root(workspace, tmp_path, monkeypatch):
     code = run(["train", "--manifest", workspace["manifest"]] + TRAIN_OVERRIDES[:-2] + ["--epochs", "10", "--repeats", "1"])
     assert code == 0
     assert (root / "model.json").exists()
+
+
+# every input of an eval, by its path in the tree the eval runs in; None is the first sample's body CSV
+_INPUTS = {
+    "config": "config.json",
+    "model": "model/model.json",
+    "weights": "model/model.npy",
+    "manifest": "data/manifest.json",
+    "feature": None,
+    "pack-index": "data/manifest.pack.json",
+    "pack-values": "data/manifest.pack.npy",
+}
+_EVAL = ["eval", "--config", "config.json", "--model", "model/model.json", "--manifest", "data/manifest.json",
+         "--out", "out"]
+
+
+def _eval_child(cwd: Path) -> subprocess.CompletedProcess:
+    # with a deadline: an open that waits for a FIFO's writer never returns
+    return subprocess.run(
+        [sys.executable, "-m", "zslsign.cli", *_EVAL], cwd=cwd, capture_output=True, text=True, env=child_env(),
+        timeout=60,
+    )
+
+
+@pytest.fixture(scope="module")
+def eval_tree(workspace, tmp_path_factory):
+    """A tree of every input of an eval, the eval's stdout and report.json, and the path of each input."""
+    root = tmp_path_factory.mktemp("inputs")
+    shutil.copytree(workspace["manifest"].parent, root / "data")
+    _copy_model(workspace, root / "model")
+    (root / "config.json").write_text(json.dumps({"embedding": "combined", "d_t": 4}))
+    intact = _eval_child(root)
+    assert intact.returncode == 0, intact.stderr
+    report = (root / "out" / "report.json").read_bytes()
+    shutil.rmtree(root / "out")
+    first = json.loads((root / "data" / "manifest.json").read_text())["samples"][0]
+    paths = dict(_INPUTS, feature=f"data/{first['body']}")
+    return root, intact.stdout, report, paths, f"sample {first['id']!r} body: feature file"
+
+
+def _case(eval_tree, tmp_path: Path) -> Path:
+    case = tmp_path / "case"
+    shutil.copytree(eval_tree[0], case)
+    return case
+
+
+def _fifo(path: Path) -> None:
+    path.unlink()
+    os.mkfifo(path)
+
+
+def _directory(path: Path) -> None:
+    path.unlink()
+    path.mkdir()
+
+
+@pytest.mark.parametrize("special", [_fifo, _directory], ids=["fifo", "directory"])
+@pytest.mark.parametrize("kind", list(_INPUTS))
+def test_an_input_that_is_a_fifo_or_a_directory_never_blocks(eval_tree, tmp_path, kind, special):
+    if special is _fifo and not hasattr(os, "mkfifo"):
+        pytest.skip("the platform has no FIFOs")
+    _, stdout, report, paths, feature = eval_tree
+    case = _case(eval_tree, tmp_path)
+    special(case / paths[kind])
+    proc = _eval_child(case)
+    if kind.startswith("pack"):  # an unusable pack: the CSVs and the manifest are read alone, to the same output
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == stdout
+        assert (case / "out" / "report.json").read_bytes() == report
+        return
+    what = {"config": "config file", "model": "model file", "weights": "model weights file",
+            "manifest": "manifest", "feature": feature}[kind]
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines() == [f"error: {what} not found: {Path(paths[kind])}"]
+    assert proc.stdout == "" and not (case / "out").exists()
+
+
+def _rewrite(text: str):
+    return lambda path: path.write_text(text)
+
+
+def _append_blank_line(path: Path) -> None:
+    path.write_text(path.read_text() + "\n")  # the same rows, other bytes: the pack's block is not used
+
+
+_LOAD_FAULTS = [  # (input, damage, exit code)
+    ("feature", Path.unlink, 2),
+    ("feature", _fifo, 2),
+    ("feature", _append_blank_line, 0),
+    ("feature", _rewrite("1.0,oops\n"), 2),
+    ("feature", _rewrite("nan\n"), 2),  # an invariant, raised after the last sample
+    ("manifest", _fifo, 2),
+    ("manifest", _directory, 2),
+    ("manifest", _rewrite("{"), 2),
+    ("config", _fifo, 2),
+    ("config", _rewrite("{"), 2),
+    ("model", _fifo, 2),
+    ("model", _rewrite("{"), 3),
+    ("weights", _fifo, 2),
+    ("weights", _rewrite("garbage"), 3),
+    ("pack-index", _fifo, 0),
+    ("pack-values", _directory, 0),
+    ("pack-values", _rewrite("garbage"), 0),
+]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd (Linux)")
+def test_no_load_leaves_a_descriptor_open(eval_tree, tmp_path, monkeypatch, capsys):
+    # a raw descriptor left open raises no ResourceWarning, so this process's descriptors are listed instead
+    paths = eval_tree[3]
+    cases = []
+    for i, (kind, damage, code) in enumerate(_LOAD_FAULTS):
+        case = _case(eval_tree, tmp_path / str(i))
+        damage(case / paths[kind])
+        cases.append((case, code))
+    monkeypatch.chdir(_case(eval_tree, tmp_path / "first"))
+    assert run(_EVAL) == 0  # whatever a first eval opens for good (imports, BLAS) is open before the listing
+    before = sorted(os.listdir("/proc/self/fd"))
+    for case, code in cases:
+        monkeypatch.chdir(case)
+        assert run(_EVAL) == code, (case, capsys.readouterr().err)
+    assert sorted(os.listdir("/proc/self/fd")) == before
+
+
+@pytest.mark.parametrize("command", [["predict"], ["eval"], ["analyze", "--correct"]])
+def test_a_model_error_comes_before_a_dataset_error(tmp_path, capsys, command):
+    model = tmp_path / "absent_model.json"
+    assert run(command + ["--manifest", tmp_path / "absent.json", "--model", model, "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: model file not found: {model}"]
+
+
+def test_a_sweep_without_text_is_refused_before_the_dataset_is_read(tmp_path, capsys):
+    argv = ["sweep", "--manifest", tmp_path / "absent.json", "--embedding", "attr", "--values", "2"]
+    assert run(argv + ["--out", tmp_path / "o"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: sweeping d_t needs a text-bearing embedding mode"]
+    assert not (tmp_path / "o").exists()

@@ -19,6 +19,7 @@ from zslsign import pool
 from zslsign.data import (
     TEXT_NORM_TOL,
     Dataset,
+    DatasetReader,
     SplitConfig,
     SplitMode,
     Stream,
@@ -132,13 +133,15 @@ def test_feature_path_naming_a_fifo_is_a_missing_file_and_never_blocks(tmp_path)
         assert child.stdout.splitlines() == [f"sample 's0' body: feature file not found: {fifo}"] * 2
 
 
-def test_feature_path_with_a_trailing_slash_names_its_file_as_before(tmp_path):
+def test_feature_path_with_a_trailing_slash_is_a_missing_file_naming_the_file(tmp_path):
+    # a path is opened as written, and "s0.csv/" names a directory, which the file s0.csv is not
     path = small_manifest(tmp_path)
-    reference = load_dataset(path)
     manifest = json.loads(path.read_text())
     manifest["samples"][0]["body"] += "/"
     write_manifest(tmp_path, manifest)
-    _assert_loads(path, reference)
+    named = tmp_path / "features" / "s0.csv"
+    assert named.is_file()
+    _assert_load_error(path, MissingFile, "^" + re.escape(f"sample 's0' body: feature file not found: {named}") + "$")
 
 
 def test_parse_error_names_line_and_field(tmp_path):
@@ -247,14 +250,17 @@ def test_malformed_text_file_field_raises_parse_error(tmp_path):
 
 
 @pytest.mark.parametrize("split", [{"mode": "zs"}, {"seen": ["c0"]}, 5, ["mode"], {"mode": "zsl", "seen": [["c0"]]}])
-def test_split_errors_come_after_the_samples_and_before_the_invariants(tmp_path, split):
+def test_split_errors_come_with_the_manifest_before_the_samples(tmp_path, split):
     path = small_manifest(tmp_path, split=split)
     error = _load_error(path)
     assert error[0] is ParseError
+    with pytest.raises(ParseError) as info:  # the reader raises it before it reads a sample
+        DatasetReader(path)
+    assert str(info.value) == error[1]
     (tmp_path / "features" / "s5.csv").write_text("1.0,2.0,3.0\nnan,2.0,3.0\n", encoding="utf-8")
     assert _load_error(path) == error  # the non-finite row is an invariant: it comes after the split
     (tmp_path / "features" / "s5.csv").unlink()
-    _assert_load_error(path, MissingFile, r"^sample 's5' body: feature file not found")
+    assert _load_error(path) == error  # and so does a sample's missing file
 
 
 def test_hand_length_mismatch_rejected(tmp_path):
@@ -431,7 +437,7 @@ def _assert_loads(manifest: Path, reference) -> None:
     cfg = RunConfig(manifest=str(manifest), aggregator="tsm", tsm_weights=(0.5, 1.0, -2.0), use_hand=hand)
     roles = _roles_with_samples(reference)
     with np.errstate(over="ignore", invalid="ignore"):  # extreme frames pool to inf or nan, on both paths alike
-        view, _ = load_embedded(cfg, roles)
+        view = load_embedded(cfg, roles)
         expected = embed_dataset(reference, cfg, roles)
     assert list(view.stacks) == list(expected.stacks) == list(roles)
     for role in roles:
@@ -510,8 +516,8 @@ def test_chunked_checksums_match_the_pack(tmp_path, monkeypatch):
 
 def test_an_intact_pack_costs_one_open_per_csv_and_no_parse(tmp_path, monkeypatch):
     # the I/O a load rests on: each feature CSV opened exactly once and never stat'ed by path (its length
-    # comes from fstat of the open file), the manifest opened once for its CRC-32, one open of the pack's
-    # value file for every block, and no CSV parsed
+    # comes from fstat of the open file), the manifest opened once for its CRC-32, the pack's index opened
+    # once, one open of the pack's value file for every block, and no CSV parsed
     manifest = save_dataset(_save_case("hand"), tmp_path)
     samples = json.loads(manifest.read_text())["samples"]
     features = {os.path.normpath(tmp_path / s[stream]) for s in samples for stream in ("body", "hand")}
@@ -535,7 +541,8 @@ def test_an_intact_pack_costs_one_open_per_csv_and_no_parse(tmp_path, monkeypatc
         calls["stat"].clear()
         load(manifest)
         opened = Counter(calls["open"])
-        assert opened == dict.fromkeys([*features, str(manifest), str(manifest.with_suffix(".pack.npy"))], 1)
+        pack = [str(manifest.with_suffix(suffix)) for suffix in (".pack.json", ".pack.npy")]
+        assert opened == dict.fromkeys([*features, str(manifest), *pack], 1)
         assert features.isdisjoint(calls["stat"])
 
 
@@ -550,12 +557,21 @@ def _no_manifest_parse(manifest: Path):
     return guarded
 
 
+def _packed_manifest(manifest: Path) -> dict | None:
+    """What the pack saved with manifest gives as its content, the manifest opened as a load opens it."""
+    fd, size = data_module.open_input(manifest, "manifest")
+    try:
+        with closing(data_module._FeaturePack.open(manifest)) as pack:
+            return pack.manifest(fd, size)
+    finally:
+        os.close(fd)
+
+
 def test_packed_text_vectors_do_not_share_the_packs_memory(tmp_path, monkeypatch):
     # an array that viewed a shared buffer (the pack's text block, or a read of several files) would keep
     # the other classes' text or other samples' frames alive: no two loaded arrays may share memory
     manifest = _packed_copy(tmp_path)
-    with closing(data_module._FeaturePack.open(manifest)) as pack:
-        packed = pack.manifest(manifest)
+    packed = _packed_manifest(manifest)
     assert packed is not None  # the text vectors come from the pack
     monkeypatch.setattr(data_module, "_parse_feature_matrix", _no_parse)  # and so do the frames
     dataset = load_dataset(manifest)
@@ -621,8 +637,7 @@ def test_edited_manifest_overrides_the_pack(tmp_path, edit):
     after = edit(before)
     assert after != before
     manifest.write_text(after, encoding="utf-8")
-    with closing(data_module._FeaturePack.open(manifest)) as pack:
-        assert pack.manifest(manifest) is None
+    assert _packed_manifest(manifest) is None
     try:
         with_pack = load_dataset(manifest)
     except ZslSignError:  # the split edit makes c2 both seen and unseen
@@ -668,8 +683,7 @@ def test_damaged_manifest_entry_falls_back_to_the_manifest(tmp_path, damage):
         index_path.write_text(json.dumps(index))
     else:
         _rewrite_manifest_entry(index_path, _MANIFEST_ENTRY_DAMAGE[damage])
-    with closing(data_module._FeaturePack.open(manifest)) as pack:
-        assert pack.manifest(manifest) is None
+    assert _packed_manifest(manifest) is None
     _assert_loads(manifest, reference)
 
 

@@ -301,7 +301,7 @@ def _assert_command_loads_equal_embed_dataset(manifest, cfg: RunConfig) -> None:
     dataset = load_dataset(manifest)
     for roles in COMMAND_ROLE_SETS:
         expected = _view_bits(lambda: embed_dataset(dataset, cfg, roles))
-        assert _view_bits(lambda: load_embedded(cfg, roles)[0]) == expected, roles
+        assert _view_bits(lambda: load_embedded(cfg, roles)) == expected, roles
 
 
 def _without_role_samples(dataset: Dataset, class_ids) -> Dataset:
@@ -344,7 +344,7 @@ def test_a_commands_load_holds_no_more_than_about_one_samples_frames(tmp_path):
     roles = tuple(Role)
     tracemalloc.start()
     try:
-        view, _ = load_embedded(RunConfig(manifest=str(manifest)), roles)
+        view = load_embedded(RunConfig(manifest=str(manifest)), roles)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

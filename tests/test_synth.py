@@ -65,7 +65,7 @@ def test_zero_noise_plants_exact_structure():
     for sample in dataset.samples:
         descriptor = dataset.classes_by_id[sample.class_id]
         rho = np.concatenate([descriptor.attributes, descriptor.text])
-        pooled = aggregate(sample.body, AggregatorSpec())
+        pooled = aggregate(sample.body.data, AggregatorSpec())
         assert np.max(np.abs(pooled - planted @ rho)) < 1e-12
     # distinct class embeddings -> a zero-error linear scorer exists by construction
     stacked = [np.concatenate([c.attributes, c.text]) for c in dataset.classes]
@@ -78,7 +78,7 @@ def test_noisy_means_stay_centered_on_target():
     cid = dataset.classes[0].class_id
     descriptor = dataset.classes_by_id[cid]
     rho = np.concatenate([descriptor.attributes, descriptor.text])
-    pooled = np.stack([aggregate(s.body, AggregatorSpec()) for s in dataset.samples_of({cid})])
+    pooled = np.stack([aggregate(s.body.data, AggregatorSpec()) for s in dataset.samples_of({cid})])
     assert np.max(np.abs(pooled.mean(axis=0) - planted @ rho)) < 5 * 0.05 / np.sqrt(40)
 
 
