@@ -33,14 +33,13 @@ from .errors import (
     SchemaMismatch,
     ZslSignError,
 )
-from .evaluation import random_baseline
+from .evaluation import check_baseline_ks, random_baseline
 from .experiment import (
     CHOICES,
     SWEEP_ROLES,
     Role,
     RunConfig,
     candidate_class_ids,
-    check_sweepable,
     evaluate,
     load_embedded,
     load_run_config,
@@ -60,6 +59,7 @@ if TYPE_CHECKING:
 _COMMAND_NAMES = {
     "SynthSpec": "synth",
     "generate": "synth",
+    "check_confusion_count": "influence",
     "class_influence_matrix": "influence",
     "confusion_influence_matrix": "influence",
     "positive_affiliation_summary": "influence",
@@ -91,13 +91,21 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _resolve_config(args) -> RunConfig:
+    """The --config file's config with the flags merged in, refused before any other input is opened.
+
+    RunConfig.check takes a sweep's --values with the config; analyze's --confusions is checked after it.
+    """
     cfg = load_run_config(args.config) if getattr(args, "config", None) else RunConfig()
     overrides = {
         f.name: getattr(args, f.name) for f in fields(RunConfig) if getattr(args, f.name, None) is not None
     }
     if getattr(args, "out", None) is not None:
         overrides["out_dir"] = args.out
-    return replace(cfg, **overrides)
+    cfg = replace(cfg, **overrides)
+    cfg.check(getattr(args, "values", ()))
+    if getattr(args, "confusions", None) is not None:
+        _lazy.check_confusion_count(args.confusions)
+    return cfg
 
 
 def _echoed_out_dir(args, cfg: RunConfig) -> Path:
@@ -155,7 +163,7 @@ def _write_training_log(path: Path, history: tuple[float, ...], final_loss: floa
 
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
-    data = load_embedded(cfg, (Role.SEEN,))
+    data = load_embedded(cfg, (Role.SEEN,), (cfg.d_t,))
     out = _echoed_out_dir(args, cfg)
     models = train_repeats(data, cfg)
     suffixes = [""] if cfg.repeats == 1 else [f"_r{r}" for r in range(cfg.repeats)]
@@ -280,6 +288,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_baseline(args) -> int:
     if args.manifest:
+        check_baseline_ks(args.ks)
         # every file is read and checked, but no sample is pooled or kept
         data = load_embedded(RunConfig(manifest=args.manifest), ())
         n_classes = len(candidate_class_ids(data.split))
@@ -301,8 +310,7 @@ def cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
     if args.param != "d_t":
         raise ParseError(f"only the d_t parameter can be swept, got {args.param!r}")
-    check_sweepable(cfg)
-    data = load_embedded(cfg, SWEEP_ROLES)
+    data = load_embedded(cfg, SWEEP_ROLES, args.values)
     rows = sweep_text_dim(data, cfg, args.values)
     out = _echoed_out_dir(args, cfg)
     lines = ["d_t,mean_val_top1,stddev"]

@@ -228,9 +228,13 @@ def _unit_normalized(vec: np.ndarray, class_id: str) -> np.ndarray:
 
 
 def _parse_feature_matrix(raw: bytes, path: str, entity: str) -> np.ndarray:
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{entity}: feature file {Path(path)} is not UTF-8 text: {exc}") from None
     rows: list[list[float]] = []
     width: int | None = None
-    for lineno, line in enumerate(raw.decode("utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         values = []
@@ -507,6 +511,8 @@ def _read_manifest(manifest_path: Path, pack: _FeaturePack | None) -> dict:
             manifest = json.loads(_fd_bytes(fd).decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"manifest {manifest_path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"manifest {manifest_path}: not UTF-8 text: {exc}") from None
     finally:
         os.close(fd)
     if not isinstance(manifest, dict):

@@ -26,6 +26,19 @@ def harmonic_mean(seen: float, unseen: float) -> float:
     return 2.0 * seen * unseen / (seen + unseen)
 
 
+def check_ks(ks: Sequence[int]) -> None:
+    """Refuse an empty list of top-k cut-offs or a cut-off below 1."""
+    if not ks or any(k < 1 for k in ks):
+        raise ValueError(f"ks must be nonempty positive integers, got {list(ks)}")
+
+
+def check_baseline_ks(ks: Sequence[int]) -> None:
+    """Refuse a random-baseline cut-off below 1, naming it."""
+    for k in ks:
+        if k < 1:
+            raise ValueError(f"top-k needs k >= 1, got k={k}")
+
+
 @dataclass(frozen=True)
 class EvalReport:
     per_k: dict[int, float]  # percentage, class-normalized over all evaluated samples
@@ -64,8 +77,7 @@ def topk_accuracy(
         raise ValueError(f"{ranks.shape} ranks for {len(truths)} truths")
     if not len(truths):
         raise EmptyEvaluationSet("no samples to evaluate")
-    if not ks or any(k < 1 for k in ks):
-        raise ValueError(f"ks must be nonempty positive integers, got {list(ks)}")
+    check_ks(ks)
 
     classes, column = np.unique(np.asarray(truths, dtype=str), return_inverse=True)  # sorted class ids
     sizes = np.bincount(column)
@@ -109,7 +121,5 @@ def random_baseline(n_classes: int, ks: Sequence[int] = (1, 2, 5)) -> dict[int, 
     """
     if n_classes < 1:
         raise ValueError(f"the baseline needs at least one candidate class, got n_classes={n_classes}")
-    for k in ks:
-        if k < 1:
-            raise ValueError(f"top-k needs k >= 1, got k={k}")
+    check_baseline_ks(ks)
     return {k: 100.0 * min(k, n_classes) / n_classes for k in ks}

@@ -2,13 +2,14 @@
 
 This module owns the run configuration and the deterministic recipes the CLI
 drives. A command reads its inputs straight through, in the order it uses
-them: its config (load_run_config), then its model or its sweep's mode check,
-then its dataset, and it makes its output directory only once the dataset's
-view is built. It reads the dataset through load_embedded, which walks the
-dataset's samples with data.DatasetReader and pools each sample of the roles
-it uses (seen, validation, candidate) into one embedding row as soon as the
-sample is read, so no more than one sample's snippet frames are alive at a
-time, and nothing of them is left once it returns. The result is an Embedded
+them: its config (load_run_config), which RunConfig.check refuses before any
+other input is opened, then its model, then its dataset, and it makes its
+output directory only once the dataset's view is built. It reads the dataset
+through load_embedded, which walks the dataset's samples with
+data.DatasetReader and pools each sample of the roles it uses (seen,
+validation, candidate) into one embedding row as soon as the sample is read,
+so no more than one sample's snippet frames are alive at a time, and nothing
+of them is left once it returns. The result is an Embedded
 view: one Stack per role, each holding that role's N x d video embeddings,
 sample ids, labels and class descriptors, plus the split. embed_dataset builds
 the same view from a Dataset already in memory. Every command then trains and
@@ -24,6 +25,7 @@ frames.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -34,8 +36,18 @@ import numpy as np
 from .data import ClassDescriptor, Dataset, DatasetReader, SplitConfig, SplitMode, read_input
 from .embeddings import ClassEmbeddingSet, EmbeddingMode, ModeKind
 from .errors import DegenerateData, DimensionMismatch, EmptyEvaluationSet, MissingHandStream, ParseError
-from .evaluation import EvalReport, gzsl_report, topk_accuracy
-from .models import CompatModel, Method, TrainConfig, score_candidates, train_eszsl, train_lle, train_sae, truth_ranks
+from .evaluation import EvalReport, check_ks, gzsl_report, topk_accuracy
+from .models import (
+    CompatModel,
+    Method,
+    TrainConfig,
+    check_closed_form,
+    score_candidates,
+    train_eszsl,
+    train_lle,
+    train_sae,
+    truth_ranks,
+)
 from .pool import map_jobs
 from .temporal import AggregatorKind, AggregatorSpec, embed_video
 
@@ -63,16 +75,38 @@ class RunConfig:
     repeats: int = 5
 
     def __post_init__(self) -> None:
-        if not self.ks or any(k < 1 for k in self.ks):
-            raise ValueError(f"ks must be nonempty positive integers, got {list(self.ks)}")
+        check_ks(self.ks)
         if self.repeats < 1:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")
+
+    def check(self, sweep_values: Sequence[int] = ()) -> None:
+        """Refuse this config, and a sweep over the d_t values sweep_values, before any input is read.
+
+        Each check is its owner's: the aggregator spec's, the embedding mode's
+        for d_t and each swept value (a sweep also needs a text-bearing mode),
+        and the method's: TrainConfig's for lle, check_closed_form's for eszsl
+        and sae. The one check that needs the data, a closed form's text width,
+        is load_embedded's.
+        """
+        if sweep_values and ModeKind(self.embedding) is ModeKind.ATTRIBUTES:
+            raise ValueError("sweeping d_t needs a text-bearing embedding mode")
+        self.aggregator_spec()
+        for d_t in (self.d_t, *sweep_values):
+            self.embedding_mode(d_t)
+        method = Method(self.method)
+        if method is Method.LLE:
+            self.train_config()
+        elif method is Method.ESZSL:
+            check_closed_form(gamma=self.gamma, lam=self.lam)
+        else:
+            check_closed_form(lam_sae=self.lam_sae)
 
     def aggregator_spec(self) -> AggregatorSpec:
         return AggregatorSpec(kind=AggregatorKind(self.aggregator), weights=tuple(self.tsm_weights))
 
-    def embedding_mode(self) -> EmbeddingMode:
-        return EmbeddingMode(kind=ModeKind(self.embedding), d_t=self.d_t)
+    def embedding_mode(self, d_t: int | None = None) -> EmbeddingMode:
+        """The configured mode, at d_t if given, else at the configured d_t."""
+        return EmbeddingMode(kind=ModeKind(self.embedding), d_t=self.d_t if d_t is None else d_t)
 
     def train_config(self, seed: int | None = None) -> TrainConfig:
         return TrainConfig(
@@ -106,7 +140,8 @@ class RunConfig:
 
 
 def _is_number(value) -> bool:
-    return type(value) in (int, float)  # a JSON true or false is a bool, not a number
+    # a JSON true or false is a bool, not a number; NaN and Infinity are not JSON numbers
+    return type(value) in (int, float) and math.isfinite(value)
 
 
 def _is_list(value, of) -> bool:
@@ -261,15 +296,34 @@ def embed_dataset(dataset: Dataset, cfg: RunConfig, roles: Sequence[Role]) -> Em
     return pooler.embedded(dataset.classes_by_id)
 
 
-def load_embedded(cfg: RunConfig, roles: Sequence[Role]) -> Embedded:
+def _check_text_width(cfg: RunConfig, reader: DatasetReader, fit_d_t: Sequence[int]) -> None:
+    """Raise MissingReduction where a closed form would fit a text mode at a d_t other than the text width.
+
+    It composes the manifest's seen classes in the mode of each d_t, as the fit
+    would. Seen classes that disagree on a width are left to the load, which
+    reports them after the samples.
+    """
+    if Method(cfg.method) is Method.LLE:
+        return  # lle trains the reduction
+    seen = [c for c in reader.classes if c.class_id in reader.split.seen_classes]
+    if len({(c.attributes.shape, c.text.shape) for c in seen}) == 1:
+        for d_t in fit_d_t:
+            ClassEmbeddingSet.from_descriptors(seen, cfg.embedding_mode(d_t)).compose()
+
+
+def load_embedded(cfg: RunConfig, roles: Sequence[Role], fit_d_t: Sequence[int] = ()) -> Embedded:
     """Read cfg's dataset, pooling each sample of the roles as it is read, and stack the roles.
 
     Returns what embed_dataset(load_dataset(cfg.manifest), cfg, roles) returns,
-    but no more than one sample's frames are alive at a time. Every load error
-    comes first, then the view's (a missing hand stream, an empty role, a width
-    mismatch).
+    but no more than one sample's frames are alive at a time. fit_d_t holds
+    the d_t of each fit the caller will make: once the manifest is read, and
+    before any sample file is, a closed-form method in a text mode is refused
+    at a d_t other than the text width (MissingReduction). Then come the other
+    load errors, then the view's (a missing hand stream, an empty role, a
+    width mismatch).
     """
     with DatasetReader(cfg.manifest) as reader:
+        _check_text_width(cfg, reader, fit_d_t)
         pooler = _RolePooler(cfg, roles, reader.split)
         reader.read_samples(pooler.add)
     return pooler.embedded({c.class_id: c for c in reader.classes})
@@ -338,19 +392,15 @@ def _validation_top1(data: Embedded, validation: Stack, cfg: RunConfig, seed: in
 SWEEP_ROLES = (Role.SEEN, Role.VALIDATION)
 
 
-def check_sweepable(cfg: RunConfig) -> None:
-    if ModeKind(cfg.embedding) is ModeKind.ATTRIBUTES:
-        raise ValueError("sweeping d_t needs a text-bearing embedding mode")
-
-
 def sweep_text_dim(data: Embedded, cfg: RunConfig, values: Sequence[int]) -> list[tuple[int, float, float]]:
     """Validation top-1 across text-reduction widths; (value, mean, stddev) rows.
 
     data holds the SWEEP_ROLES. A value equal to the raw text width runs
-    without a reduction layer. The (value, seed) fits run side by side (see
+    without a reduction layer. cfg and values are checked first (see
+    RunConfig.check). The (value, seed) fits run side by side (see
     pool.map_jobs).
     """
-    check_sweepable(cfg)
+    cfg.check(values)
     seeds = _fit_seeds(cfg)
     jobs = [(replace(cfg, d_t=int(value)), seed) for value in values for seed in seeds]
     top1 = map_jobs(_validation_top1, jobs, (data, data.stack(Role.VALIDATION)))
@@ -369,6 +419,8 @@ def load_run_config(path: str | Path) -> RunConfig:
         raw = json.loads(read_input(path, "config file").decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"config {path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"config {path}: not UTF-8 text: {exc}") from None
     try:
         return RunConfig.from_dict(raw)
     except ValueError as exc:

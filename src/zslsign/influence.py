@@ -189,6 +189,12 @@ def positive_affiliation_summary(
     return summary
 
 
+def check_confusion_count(top_n_confusions: int) -> None:
+    """Refuse a count of confusion pairs below 1."""
+    if top_n_confusions < 1:
+        raise ValueError(f"top_n_confusions must be >= 1, got {top_n_confusions}")
+
+
 def confusion_influence_matrix(
     model: CompatModel,
     features,  # N x d video embeddings
@@ -202,8 +208,7 @@ def confusion_influence_matrix(
     ties broken by lexicographic pair order; the top pairs each contribute one
     row averaged over their samples. top_n_confusions must be at least 1.
     """
-    if top_n_confusions < 1:
-        raise ValueError(f"top_n_confusions must be >= 1, got {top_n_confusions}")
+    check_confusion_count(top_n_confusions)
     classes, _, predicted, q = _class_scores(model, features, truths, candidates)
     pairs = [(truth, classes.class_ids[col]) for truth, col in zip(truths, predicted)]
     counts = Counter(pair for pair in pairs if pair[0] != pair[1])

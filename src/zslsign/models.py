@@ -67,6 +67,14 @@ class Method(Enum):
     SAE = "sae"
 
 
+def _check_bound(key: str, value: float, low: float, strict: bool) -> None:
+    """Refuse a value below low (or at it, when strict) or not finite, naming key and value."""
+    if value < low or (strict and value == low):
+        raise ValueError(f"{key} must be {'>' if strict else '>='} {low}, got {value}")
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Gradient-descent settings for the lle trainer."""
@@ -78,14 +86,17 @@ class TrainConfig:
     init_scale: float = 1e-3
 
     def __post_init__(self) -> None:
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.init_scale <= 0:
-            raise ValueError(f"init_scale must be > 0, got {self.init_scale}")
+        _check_bound("lam", self.lam, 0, strict=False)
+        _check_bound("learning_rate", self.learning_rate, 0, strict=True)
+        _check_bound("epochs", self.epochs, 1, strict=False)
+        _check_bound("init_scale", self.init_scale, 0, strict=True)
+        _check_bound("seed", self.seed, 0, strict=False)
+
+
+def check_closed_form(**params: float) -> None:
+    """Refuse an eszsl or sae hyperparameter (gamma, lam, lam_sae) unless it is a finite number > 0."""
+    for key, value in params.items():
+        _check_bound(key, value, 0, strict=True)
 
 
 @dataclass(frozen=True)
@@ -361,13 +372,10 @@ def train_eszsl(
 
     With thin SVDs X = V diag(x) Z' (d x N) and S = Q diag(s) R' (t x |C|) it is exactly
     W = V [x_i / (x_i^2 + gamma) (Z'YR)_ij s_j / (s_j^2 + lam)] Q': no d x d or t x t matrix is
-    formed and nothing is solved. gamma and lam must be > 0. The closed form fits no reduction, so a
-    text-bearing mode needs d_t equal to the raw text width. Errors are as in sae.
+    formed and nothing is solved. gamma and lam must be finite and > 0. The closed form fits no reduction,
+    so a text-bearing mode needs d_t equal to the raw text width. Errors are as in sae.
     """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
-    if lam <= 0:
-        raise ValueError(f"lam must be > 0, got {lam}")
+    check_closed_form(gamma=gamma, lam=lam)
     from .oracles import eszsl_objective  # the reference module, loaded only by the commands that fit eszsl
 
     X = np.asarray(features, dtype=np.float64).T  # d x N
@@ -429,8 +437,7 @@ def train_sae(
     solution is P = Q [(1 + lam) s_i (R'Z)_ij x_j / (s_i^2 + lam x_j^2)] V',
     where every kept denominator is positive.
     """
-    if lam_sae <= 0:
-        raise ValueError(f"lam_sae must be > 0, got {lam_sae}")
+    check_closed_form(lam_sae=lam_sae)
     X = np.asarray(features, dtype=np.float64).T  # d x N
     S = classes.compose()[_label_indices(labels, classes)].T  # t x N, one column per sample
     (t, n), d = S.shape, X.shape[0]
@@ -496,6 +503,8 @@ def load_model(path: str | Path) -> CompatModel:
         doc = json.loads(read_input(path, "model file").decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaMismatch(f"model file {path} is not valid JSON: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise SchemaMismatch(f"model file {path} is not UTF-8 text: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaMismatch(f"model file {path}: top level must be a JSON object")
     if "W" in doc:

@@ -14,7 +14,7 @@ import pytest
 from zslsign import cli, data, experiment, pool
 from zslsign.cli import main
 from zslsign.data import load_dataset
-from zslsign.errors import ParseError
+from zslsign.errors import MissingReduction, ParseError
 from zslsign.synth import SynthSpec
 
 SYNTH_ARGS = [
@@ -364,9 +364,11 @@ def test_a_list_flag_out_of_range_still_exits_1(workspace, tmp_path, capsys, arg
     "key, value, kind",
     [("d_t", "8", "an integer"), ("epochs", 2.5, "an integer"), ("ks", "12", "a list of integers"),
      ("use_hand", "no", "true or false"), ("method", "svm", 'one of "lle", "eszsl", "sae"'),
-     ("embedding", "foo", 'one of "attr", "text", "combined"'), ("aggregator", "max", 'one of "avgpool", "tsm"')],
+     ("embedding", "foo", 'one of "attr", "text", "combined"'), ("aggregator", "max", 'one of "avgpool", "tsm"'),
+     ("lam", float("nan"), "a number"), ("gamma", float("inf"), "a number"),
+     ("tsm_weights", [1, float("-inf"), 1], "a list of numbers")],
     ids=["d_t-string", "epochs-float", "ks-string", "use_hand-string", "method-svm", "embedding-foo",
-         "aggregator-max"],
+         "aggregator-max", "lam-NaN", "gamma-Infinity", "tsm_weights--Infinity"],
 )
 def test_a_config_value_of_the_wrong_type_exits_2_naming_the_key(workspace, tmp_path, capsys, key, value, kind):
     config = tmp_path / "config.json"
@@ -768,13 +770,22 @@ def default_manifest(tmp_path_factory):
 
 @pytest.mark.parametrize("cpus, values", [(1, "4"), (2, "8,4")])
 def test_a_training_jobs_typed_error_keeps_its_exit_code(default_manifest, tmp_path, monkeypatch, capsys, cpus, values):
-    # "8,4" on two CPUs raises in a worker, after another worker's fit succeeded
+    # "8,4" on two CPUs raises in a worker, after another worker's fit succeeded; the run config passes
+    # every check made before the fits, so the error is the fit's own
+    train_lle = experiment.train_lle
+
+    def refuse_d_t_4(features, labels, classes, cfg):
+        if classes.mode.d_t == 4:
+            raise MissingReduction("the fit at d_t=4 needs a reduction matrix")
+        return train_lle(features, labels, classes, cfg)
+
+    monkeypatch.setattr(experiment, "train_lle", refuse_d_t_4)
     monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
-    argv = ["sweep", "--manifest", default_manifest, "--out", tmp_path, "--method", "eszsl",
-            "--embedding", "combined", "--values", values, "--repeats", "2"]
+    argv = ["sweep", "--manifest", default_manifest, "--out", tmp_path, "--embedding", "combined",
+            "--values", values, "--repeats", "2", "--epochs", "5"]
     assert run(argv) == 4
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and "needs a 8x4 reduction matrix" in err[0]
+    assert err == ["error: the fit at d_t=4 needs a reduction matrix"]
     assert not (tmp_path / "sweep_d_t.csv").exists()
 
 
@@ -999,3 +1010,118 @@ def test_a_sweep_without_text_is_refused_before_the_dataset_is_read(tmp_path, ca
     assert run(argv + ["--out", tmp_path / "o"]) == 1
     assert capsys.readouterr().err.splitlines() == ["error: sweeping d_t needs a text-bearing embedding mode"]
     assert not (tmp_path / "o").exists()
+
+
+def _spy_on_inputs(monkeypatch) -> list[Path]:
+    """The path of every input opened from now on: every input goes through data.open_input."""
+    opened: list[Path] = []
+    real = data.open_input
+    monkeypatch.setattr(data, "open_input", lambda path, what: opened.append(Path(path)) or real(path, what))
+    return opened
+
+
+# (command and flags, error line): each is refused by its owner's check before any input but the config
+_REFUSED_CONFIGS = [
+    (["train", "--method", "eszsl", "--gamma=-1e-3"], "gamma must be > 0, got -0.001"),
+    (["train", "--method", "eszsl", "--lam=-1e-3"], "lam must be > 0, got -0.001"),
+    (["train", "--method", "sae", "--lam-sae", "0"], "lam_sae must be > 0, got 0.0"),
+    (["train", "--learning-rate=-1"], "learning_rate must be > 0, got -1.0"),
+    (["train", "--epochs", "0"], "epochs must be >= 1, got 0"),
+    (["train", "--init-scale", "0"], "init_scale must be > 0, got 0.0"),
+    (["train", "--d-t", "0"], "d_t must be >= 1, got 0"),
+    (["train", "--aggregator", "tsm", "--tsm-weights", "1,2"], "shift kernel needs exactly 3 weights, got 2"),
+    (["eval", "--model", "MODEL", "--aggregator", "tsm", "--tsm-weights", "1,2"],
+     "shift kernel needs exactly 3 weights, got 2"),
+    (["sweep", "--embedding", "combined", "--values", "8,0"], "d_t must be >= 1, got 0"),
+    (["analyze", "--model", "MODEL", "--confusions", "0"], "top_n_confusions must be >= 1, got 0"),
+    (["baseline", "--manifest", "MANIFEST", "--ks", "0"], "top-k needs k >= 1, got k=0"),
+    (["train", "--manifest", "MISSING", "--d-t", "0"], "d_t must be >= 1, got 0"),
+    (["train", "--method", "eszsl", "--lam", "inf"], "lam must be finite, got inf"),
+    (["train", "--method", "eszsl", "--gamma", "nan"], "gamma must be finite, got nan"),
+    (["train", "--method", "sae", "--lam-sae", "inf"], "lam_sae must be finite, got inf"),
+    (["train", "--init-scale", "nan"], "init_scale must be finite, got nan"),
+    (["train", "--lam", "nan"], "lam must be finite, got nan"),
+    (["train", "--learning-rate", "inf"], "learning_rate must be finite, got inf"),
+    (["train", "--seed", "-1"], "seed must be >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", _REFUSED_CONFIGS, ids=["-".join(argv).replace("--", "") for argv, _ in _REFUSED_CONFIGS]
+)
+def test_a_bad_run_config_is_refused_before_any_input_is_read(workspace, tmp_path, monkeypatch, capsys, argv, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"manifest": str(workspace["manifest"]), "repeats": 1}))
+    names = {"MODEL": workspace["model"], "MANIFEST": workspace["manifest"], "MISSING": tmp_path / "absent.json"}
+    argv = [names.get(token, token) for token in argv]
+    if argv[0] != "baseline":  # baseline takes no --config
+        argv += ["--config", config]
+    out = tmp_path / "out"
+    opened = _spy_on_inputs(monkeypatch)
+    assert run(argv + ["--out", out]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+    assert opened == ([] if argv[0] == "baseline" else [config])
+
+
+@pytest.mark.parametrize(
+    "doc, code, message",
+    [
+        ('{"repeats": 0}', 2, "config {}: repeats must be >= 1, got 0"),
+        ('{"ks": [0]}', 2, "config {}: ks must be nonempty positive integers, got [0]"),
+        ('{"d_t": 0}', 1, "d_t must be >= 1, got 0"),
+    ],
+    ids=["repeats-0", "ks-0", "d_t-0"],
+)
+def test_a_config_file_out_of_range_keeps_its_exit_code(workspace, tmp_path, monkeypatch, capsys, doc, code, message):
+    # a file's repeats or ks below 1 exits 2 (RunConfig refuses it as the file is read); other range errors exit 1
+    config = tmp_path / "config.json"
+    config.write_text(doc)
+    out = tmp_path / "out"
+    opened = _spy_on_inputs(monkeypatch)
+    assert run(["train", "--config", config, "--manifest", workspace["manifest"], "--out", out]) == code
+    assert capsys.readouterr().err.splitlines() == ["error: " + message.format(config)]
+    assert opened == [config] and not out.exists()
+
+
+@pytest.mark.parametrize("method", ["eszsl", "sae"])
+@pytest.mark.parametrize("argv", [["train", "--d-t", "4"], ["sweep", "--values", "4,8"]], ids=["train", "sweep"])
+def test_a_closed_form_off_the_text_width_is_refused_from_the_manifest(
+    default_manifest, tmp_path, monkeypatch, capsys, argv, method
+):
+    out = tmp_path / "out"
+    opened = _spy_on_inputs(monkeypatch)
+    command, *flags = argv
+    code = run([command, "--manifest", default_manifest, "--method", method, "--embedding", "combined", *flags,
+                "--repeats", "1", "--out", out])
+    assert code == 4
+    assert capsys.readouterr().err.splitlines() == ["error: mode 'combined' with d_t=4 needs a 8x4 reduction matrix"]
+    assert sorted(path.name for path in opened) == ["manifest.json", "manifest.pack.json", "manifest.pack.npy"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, output",
+    [(["eval"], "report.json"), (["predict"], "predictions.csv"), (["analyze", "--correct"], "influence_correct.json")],
+)
+def test_predict_eval_and_analyze_score_in_the_models_mode(workspace, tmp_path, command, output):
+    # the fixture model is combined at d_t 4: a config's embedding and d_t are checked and echoed, not used
+    base = [*command, "--manifest", workspace["manifest"], "--model", workspace["model"]]
+    own, other = tmp_path / "own", tmp_path / "other"
+    assert run(base + ["--out", own, "--embedding", "combined", "--d-t", "4"]) == 0
+    assert run(base + ["--out", other, "--embedding", "attr", "--d-t", "3"]) == 0
+    assert (own / output).read_bytes() == (other / output).read_bytes()
+
+
+@pytest.mark.parametrize("kind, code", [("config", 2), ("model", 3), ("manifest", 2), ("feature", 2)])
+def test_an_input_that_is_not_utf8_exits_naming_its_file(eval_tree, tmp_path, monkeypatch, capsys, kind, code):
+    paths = eval_tree[3]
+    case = _case(eval_tree, tmp_path)
+    damaged = case / paths[kind]
+    damaged.write_bytes(damaged.read_bytes() + b"\xff\n")
+    monkeypatch.chdir(case)
+    assert run(_EVAL) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(Path(paths[kind])) in err[0]
+    assert "can't decode byte 0xff" in err[0]
+    assert not (case / "out").exists()

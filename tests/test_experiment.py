@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import re
 import tempfile
 import tracemalloc
 from dataclasses import replace
@@ -16,7 +17,9 @@ from zslsign.errors import (
     DegenerateData,
     DimensionMismatch,
     EmptyEvaluationSet,
+    InvariantViolation,
     MissingHandStream,
+    MissingReduction,
     ParseError,
     ZslSignError,
 )
@@ -416,13 +419,81 @@ def test_run_config_from_json_checks_each_value_type():
     wrong = [
         ("seed", True), ("repeats", 2.0), ("lam", "1e-3"), ("lam", False), ("use_hand", 1), ("method", None),
         ("manifest", 3), ("out_dir", 3), ("ks", [1, 2.0]), ("ks", [True]), ("tsm_weights", [1, "2", 1]),
-        ("tsm_weights", 1.0),
+        ("tsm_weights", 1.0), ("lam", float("nan")), ("gamma", float("inf")), ("lam_sae", float("-inf")),
+        ("tsm_weights", [1, float("nan"), 1]),  # json reads NaN and Infinity as floats; they are no JSON numbers
     ]
     for key, value in wrong:
         with pytest.raises(ParseError, match=f"^key '{key}' must be "):
             RunConfig.from_dict({key: value})
     with pytest.raises(ParseError, match="must be a JSON object, got list"):
         RunConfig.from_dict([])
+
+
+@pytest.mark.parametrize(
+    "cfg, sweep_values, message",
+    [
+        (RunConfig(d_t=0), (), "d_t must be >= 1, got 0"),
+        (RunConfig(embedding="combined"), (8, 0), "d_t must be >= 1, got 0"),
+        (RunConfig(embedding="attr", d_t=0), (8,), "sweeping d_t needs a text-bearing embedding mode"),
+        (RunConfig(aggregator="tsm", tsm_weights=(1.0, 2.0)), (), "shift kernel needs exactly 3 weights, got 2"),
+        (RunConfig(epochs=0), (), "epochs must be >= 1, got 0"),
+        (RunConfig(seed=-1), (), "seed must be >= 0, got -1"),
+        (RunConfig(lam=float("nan")), (), "lam must be finite, got nan"),
+        (RunConfig(method="eszsl", lam=0.0), (), "lam must be > 0, got 0.0"),
+        (RunConfig(method="eszsl", gamma=float("inf")), (), "gamma must be finite, got inf"),
+        (RunConfig(method="sae", lam_sae=-1.0), (), "lam_sae must be > 0, got -1.0"),
+    ],
+)
+def test_run_config_check_refuses_with_the_owners_message(cfg, sweep_values, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cfg.check(sweep_values)
+
+
+def test_run_config_check_holds_each_method_to_its_own_hyperparameters():
+    RunConfig().check()
+    RunConfig(embedding="text").check((1, 8))
+    RunConfig(method="lle", lam=0.0, gamma=-1.0, lam_sae=0.0).check()  # lle takes lam >= 0 and no gamma or lam_sae
+    RunConfig(method="eszsl", learning_rate=-1.0, epochs=0, seed=-1, lam_sae=0.0).check()  # descent settings unused
+    RunConfig(method="sae", lam=-1.0, gamma=0.0).check()
+
+
+def _count_sample_reads(monkeypatch) -> list:
+    """One entry per DatasetReader.read_samples call from now on: a load that reads its samples."""
+    read = []
+    read_samples = experiment.DatasetReader.read_samples
+    monkeypatch.setattr(
+        experiment.DatasetReader, "read_samples", lambda self, visit: read.append(visit) or read_samples(self, visit)
+    )
+    return read
+
+
+def test_load_embedded_refuses_a_closed_form_off_the_text_width_before_any_sample(tmp_path, monkeypatch):
+    manifest = save_dataset(generate(SynthSpec(samples_per_class=2, seed=0))[0], tmp_path / "data")  # text width 8
+    read = _count_sample_reads(monkeypatch)
+    for method in ("eszsl", "sae"):
+        cfg = RunConfig(manifest=str(manifest), method=method, embedding="text")
+        with pytest.raises(MissingReduction, match=r"^mode 'text' with d_t=4 needs a 8x4 reduction matrix$"):
+            load_embedded(cfg, (Role.SEEN,), (8, 4))
+        load_embedded(cfg, (Role.SEEN,), (8,))  # at the text width
+        load_embedded(cfg, (Role.CANDIDATES,))  # no fit: the model's mode is the one scored
+    load_embedded(RunConfig(manifest=str(manifest), embedding="text"), (Role.SEEN,), (4,))  # lle trains M
+    assert len(read) == 5  # the refused loads read no sample
+
+
+@pytest.mark.parametrize("field, violation", [("text", "classes disagree on text dimensionality"),
+                                              ("attributes", "attributes, expected 12")])
+def test_a_closed_form_leaves_seen_classes_of_two_widths_to_the_load(tmp_path, monkeypatch, field, violation):
+    manifest = save_dataset(generate(SynthSpec(samples_per_class=2, seed=0))[0], tmp_path / "data")
+    doc = json.loads(manifest.read_text())
+    seen = doc["split"]["seen"][0]
+    entry = next(c for c in doc["classes"] if c["id"] == seen)
+    entry[field] = entry[field][:-1]
+    manifest.write_text(json.dumps(doc))
+    read = _count_sample_reads(monkeypatch)
+    cfg = RunConfig(manifest=str(manifest), method="eszsl", embedding="combined", d_t=4)
+    with pytest.raises(InvariantViolation, match=violation):  # as without the closed form's text check
+        load_embedded(cfg, (Role.SEEN,), (4,))
+    assert len(read) == 1
 
 
 def test_candidate_descriptors_sorted(fixture_dataset):

@@ -22,6 +22,7 @@ from zslsign.models import (
     CompatModel,
     Method,
     TrainConfig,
+    check_closed_form,
     load_model,
     posteriors,
     save_model,
@@ -502,6 +503,44 @@ def test_eszsl_rejects_nonpositive_penalties(name, value):
     features, labels, classes, _ = random_training_problem(28, n=4, d=6, mode_kind=ModeKind.ATTRIBUTES)
     with pytest.raises(ValueError, match=rf"{name} must be > 0, got {value}"):
         train_eszsl(features, labels, classes, **{"gamma": 1e-3, "lam": 1e-3, name: value})
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan, -np.inf], ids=["inf", "nan", "-inf"])
+@pytest.mark.parametrize("name", ["gamma", "lam", "lam_sae"])
+def test_closed_forms_refuse_a_non_finite_penalty(name, value):
+    # eszsl at lam = inf used to fit an all-zero W with a NaN final_loss; -inf keeps the "> 0" message
+    features, labels, classes, _ = random_training_problem(28, n=4, d=6, mode_kind=ModeKind.ATTRIBUTES)
+    message = f"{name} must be > 0, got -inf" if value < 0 else f"{name} must be finite, got {value}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check_closed_form(**{name: value})
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        if name == "lam_sae":
+            train_sae(features, labels, classes, lam_sae=value)
+        else:
+            train_eszsl(features, labels, classes, **{"gamma": 1e-3, "lam": 1e-3, name: value})
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("lam", np.inf, "lam must be finite, got inf"),
+        ("lam", np.nan, "lam must be finite, got nan"),
+        ("lam", -np.inf, "lam must be >= 0, got -inf"),
+        ("learning_rate", np.inf, "learning_rate must be finite, got inf"),
+        ("learning_rate", np.nan, "learning_rate must be finite, got nan"),
+        ("init_scale", np.inf, "init_scale must be finite, got inf"),
+        ("init_scale", np.nan, "init_scale must be finite, got nan"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("lam", -1.0, "lam must be >= 0, got -1.0"),
+        ("learning_rate", 0.0, "learning_rate must be > 0, got 0.0"),
+        ("epochs", 0, "epochs must be >= 1, got 0"),
+        ("init_scale", 0.0, "init_scale must be > 0, got 0.0"),
+    ],
+)
+def test_train_config_names_the_field_and_value_it_refuses(field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TrainConfig(**{field: value})
+    assert TrainConfig(lam=0.0, seed=0).lam == 0.0  # the bounds themselves: lam >= 0, seed >= 0
 
 
 def test_eszsl_zero_semantics_raises_singular_system_without_warnings():
