@@ -10,6 +10,11 @@ count writes byte-identical files. Exit codes: 0 success, 2 input error,
 
 from __future__ import annotations
 
+import gc
+
+if __name__ == "__main__":
+    gc.disable()  # while the imports below build numpy's and this package's objects; run() enables it again
+
 import argparse
 import importlib
 import json
@@ -87,7 +92,7 @@ def _out_dir(args, cfg: RunConfig | None = None) -> Path:
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
 
 
 def _resolve_config(args) -> RunConfig:
@@ -467,5 +472,19 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> int:
+    """The process entry of the `zslsign` script and of `python -m zslsign.cli`: main() on a frozen heap.
+
+    gc.freeze() moves every object alive at this point, mostly what the
+    imports of numpy and this package built, to a generation that no
+    collection walks: not the command's own, not a forked pool worker's and not
+    the one at interpreter exit. Library callers use main(argv), which leaves
+    the collector as it finds it.
+    """
+    gc.freeze()
+    gc.enable()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -752,7 +752,7 @@ def _write_documents(out_dir: Path, documents: list[tuple[str, object]], start: 
     results = []
     for rel, content in documents[start:stop]:
         if isinstance(content, dict):
-            results.append((json.dumps(content, sort_keys=True) + "\n").encode("utf-8"))
+            results.append((json.dumps(content, sort_keys=True, allow_nan=False) + "\n").encode("utf-8"))
         else:
             raw = csv_text(content).encode("utf-8")
             (out_dir / rel).write_bytes(raw)

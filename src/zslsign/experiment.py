@@ -42,6 +42,7 @@ from .models import (
     Method,
     TrainConfig,
     check_closed_form,
+    is_json_number,
     score_candidates,
     train_eszsl,
     train_lle,
@@ -85,8 +86,9 @@ class RunConfig:
         Each check is its owner's: the aggregator spec's, the embedding mode's
         for d_t and each swept value (a sweep also needs a text-bearing mode),
         and the method's: TrainConfig's for lle, check_closed_form's for eszsl
-        and sae. The one check that needs the data, a closed form's text width,
-        is load_embedded's.
+        and sae. A float key the method does not read must still be finite, as
+        effective_config.json is strict JSON. The one check that needs the
+        data, a closed form's text width, is load_embedded's.
         """
         if sweep_values and ModeKind(self.embedding) is ModeKind.ATTRIBUTES:
             raise ValueError("sweeping d_t needs a text-bearing embedding mode")
@@ -100,6 +102,10 @@ class RunConfig:
             check_closed_form(gamma=self.gamma, lam=self.lam)
         else:
             check_closed_form(lam_sae=self.lam_sae)
+        for key, spec in self.__dataclass_fields__.items():  # every key is echoed to effective_config.json
+            value = getattr(self, key)
+            if spec.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
 
     def aggregator_spec(self) -> AggregatorSpec:
         return AggregatorSpec(kind=AggregatorKind(self.aggregator), weights=tuple(self.tsm_weights))
@@ -139,11 +145,6 @@ class RunConfig:
         return cls(**cfg)
 
 
-def _is_number(value) -> bool:
-    # a JSON true or false is a bool, not a number; NaN and Infinity are not JSON numbers
-    return type(value) in (int, float) and math.isfinite(value)
-
-
 def _is_list(value, of) -> bool:
     return type(value) in (list, tuple) and all(map(of, value))
 
@@ -165,9 +166,9 @@ _JSON_VALUES = {
     "str | None": ("a string or null", lambda v: v is None or type(v) is str, _as_is),
     "bool": ("true or false", lambda v: type(v) is bool, _as_is),
     "int": ("an integer", lambda v: type(v) is int, _as_is),
-    "float": ("a number", _is_number, _as_is),
+    "float": ("a number", is_json_number, _as_is),
     "tuple[float, float, float]": (
-        "a list of numbers", lambda v: _is_list(v, _is_number), lambda v: tuple(map(float, v))
+        "a list of numbers", lambda v: _is_list(v, is_json_number), lambda v: tuple(map(float, v))
     ),
     "tuple[int, ...]": ("a list of integers", lambda v: _is_list(v, lambda k: type(k) is int), tuple),
 }

@@ -67,6 +67,11 @@ class Method(Enum):
     SAE = "sae"
 
 
+def is_json_number(value) -> bool:
+    """A finite int or float: what a strict JSON number parses to (true and false are bools, not numbers)."""
+    return type(value) in (int, float) and math.isfinite(value)
+
+
 def _check_bound(key: str, value: float, low: float, strict: bool) -> None:
     """Refuse a value below low (or at it, when strict) or not finite, naming key and value."""
     if value < low or (strict and value == low):
@@ -492,7 +497,7 @@ def save_model(model: CompatModel, path: str | Path) -> Path:
         "epochs": model.epochs,
         "final_loss": float(model.final_loss),
     }
-    path.write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(doc, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
     return path
 
 
@@ -521,12 +526,21 @@ def load_model(path: str | Path) -> CompatModel:
         has_m = doc["has_M"]
         name = doc["weights"]
         crc = doc["weights_crc32"]
+        hyperparams, seed, epochs = doc["hyperparams"], doc["seed"], doc["epochs"]
+        final_loss = doc["final_loss"]
     except (KeyError, ValueError, TypeError) as exc:
         raise SchemaMismatch(f"model file {path} is missing or corrupts a schema field: {exc}") from None
     if d < 1 or t < 1 or type(has_m) is not bool or not isinstance(name, str):
         raise SchemaMismatch(f"model file {path}: corrupt d, t, has_M or weights field")
     if has_m and not (type(d_text) is int and d_text >= 1):
         raise SchemaMismatch(f"model file {path}: M present but d_text is {d_text!r}")
+    if not (type(hyperparams) is dict and all(map(is_json_number, hyperparams.values()))):
+        raise SchemaMismatch(f"model file {path}: hyperparams must be an object of numbers, got {hyperparams!r}")
+    for key, value in (("seed", seed), ("epochs", epochs)):
+        if not (type(value) is int and value >= 0):
+            raise SchemaMismatch(f"model file {path}: {key} must be an integer >= 0, got {value!r}")
+    if not is_json_number(final_loss):
+        raise SchemaMismatch(f"model file {path}: final_loss must be a finite number, got {final_loss!r}")
 
     weights = path.parent / name
     try:
@@ -547,9 +561,9 @@ def load_model(path: str | Path) -> CompatModel:
         M=M,
         mode=mode,
         method=method,
-        hyperparams=dict(doc.get("hyperparams", {})),
-        seed=int(doc.get("seed", 0)),
-        epochs=int(doc.get("epochs", 0)),
-        final_loss=float(doc["final_loss"]),
+        hyperparams=dict(hyperparams),
+        seed=seed,
+        epochs=epochs,
+        final_loss=float(final_loss),
         d_text=d_text,
     )

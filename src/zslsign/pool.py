@@ -4,7 +4,8 @@ A sweep's (d_t, seed) fits, a train's repeats and the formatting of a saved
 dataset's files all go through :func:`map_jobs`. ``multiprocessing`` and
 ``concurrent.futures`` are imported only when a call has more than one job
 and more than one usable CPU, so commands that never get there do not pay for
-them.
+them. Under the CLI's process entry, cli.run, workers fork from a frozen heap:
+their collections neither walk nor copy the parent's import-time objects.
 """
 
 from __future__ import annotations

@@ -55,6 +55,9 @@ class SynthSpec:
             )
         if self.noise_sigma < 0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        for name, value in (("noise_sigma", self.noise_sigma), ("planted_map_scale", self.planted_map_scale)):
+            if not math.isfinite(value):  # synth_spec.json is strict JSON
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 def box_muller(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:

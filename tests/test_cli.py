@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import os
 import re
@@ -417,6 +418,29 @@ def test_damaged_model_file_exit_codes(workspace, tmp_path, capsys, damage, code
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not (tmp_path / "e" / "report.json").exists()
+
+
+# each changes one header field outside the schema; the error line names the model file and the field
+_HEADER_FIELDS = {
+    "final_loss-missing": (lambda doc: doc.pop("final_loss"), "missing or corrupts a schema field: 'final_loss'"),
+    "hyperparams-5": (lambda doc: doc.update(hyperparams=5), "hyperparams must be an object of numbers, got 5"),
+    "epochs-null": (lambda doc: doc.update(epochs=None), "epochs must be an integer >= 0, got None"),
+    "seed-x": (lambda doc: doc.update(seed="x"), "seed must be an integer >= 0, got 'x'"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_HEADER_FIELDS))
+def test_a_header_field_outside_the_schema_exits_3_naming_the_model_file(workspace, tmp_path, capsys, field):
+    change, message = _HEADER_FIELDS[field]
+    model = _copy_model(workspace, tmp_path / "m")
+    doc = json.loads(model.read_text())
+    change(doc)
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "e"
+    assert run(["eval", "--manifest", workspace["manifest"], "--model", model, "--out", out] + TRAIN_OVERRIDES) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: model file {model}") and err[0].endswith(message)
+    assert not out.exists()
 
 
 def test_malformed_manifest_field_exits_2(workspace, tmp_path, capsys):
@@ -847,6 +871,14 @@ def test_synth_calls_the_generate_bound_on_the_cli_module(tmp_path, monkeypatch)
         cli.no_such_name
 
 
+@pytest.mark.parametrize("flag, key", [("--noise", "noise_sigma"), ("--scale", "planted_map_scale")])
+def test_synth_refuses_a_non_finite_value_before_writing(tmp_path, capsys, flag, key):
+    out = tmp_path / "data"
+    assert run(SYNTH_ARGS + [flag, "nan", "--out", out]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {key} must be finite, got nan"]
+    assert not out.exists()
+
+
 _COMMAND_ONLY_MODULES = ("multiprocessing", "concurrent.futures", "zslsign.synth", "zslsign.influence", "zslsign.oracles")
 
 
@@ -858,6 +890,13 @@ def test_importing_the_cli_loads_no_process_pool():
     assert proc.stdout.strip() == "[]"
 
 
+def test_importing_the_cli_leaves_the_collector_on_and_unfrozen():
+    # the import-time pause of the collector is only for `python -m zslsign.cli`
+    code = "import gc, zslsign.cli; print(gc.isenabled(), gc.get_freeze_count())"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True 0\n", "")
+
+
 def test_console_entry_point_help():
     # the child gets src/ on its path too, so the test passes from an uninstalled checkout
     proc = subprocess.run(
@@ -866,6 +905,79 @@ def test_console_entry_point_help():
     assert proc.returncode == 0
     for sub in ("synth", "train", "predict", "eval", "analyze", "baseline", "sweep"):
         assert sub in proc.stdout
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("classes, code", [("10", 0), ("0", 1)], ids=["success", "refusal"])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, enabled, classes, code):
+    # only the process entry, run(), freezes the heap; an in-process caller's collector stays its own
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        frozen = gc.get_freeze_count()
+        assert run(["baseline", "--classes", classes, "--out", tmp_path]) == code
+        assert gc.isenabled() is enabled and gc.get_freeze_count() == frozen
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+# what each process entry runs after its imports: `python -m zslsign.cli` (as runpy runs it) and the script's run()
+_ENTRY_CODE = {
+    "module": "import runpy; runpy.run_module('zslsign.cli', run_name='__main__', alter_sys=True)",
+    "run": "import zslsign.cli; sys.exit(zslsign.cli.run())",
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_CODE))
+def test_a_process_entry_runs_the_command_on_a_frozen_heap_with_the_collector_on(tmp_path, capsys, entry):
+    assert main(["baseline", "--classes", "4"]) == 0
+    main_stdout = capsys.readouterr().out.splitlines()
+    code = (
+        "import atexit, gc, sys; atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0)); "
+        f"sys.argv[1:] = ['baseline', '--classes', '4']; {_ENTRY_CODE[entry]}"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True, env=child_env(), timeout=60
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    *printed, state = proc.stdout.splitlines()
+    assert printed == main_stdout and state == "True True"
+
+
+# the process entries of `python -m zslsign.cli` and of the `zslsign` script
+_ENTRIES = {
+    "module": ["-m", "zslsign.cli"],
+    "run": ["-c", "import sys; from zslsign.cli import run; sys.exit(run())"],
+}
+# by exit code: a success that writes a tree, a missing manifest, a model header without final_loss
+_ENTRY_CASES = {
+    0: ["synth", "--classes", "6", "--seen", "3", "--unseen", "2", "--samples-per-class", "2", "--out", "out"],
+    2: ["train", "--manifest", "absent.json", "--out", "out", "--repeats", "1"],
+    3: ["eval", "--manifest", "absent.json", "--model", "model/model.json", "--out", "out"],
+}
+
+
+@pytest.mark.parametrize("code", sorted(_ENTRY_CASES))
+def test_the_process_entries_exit_print_and_write_as_main_does(workspace, tmp_path, monkeypatch, capsys, code):
+    def case(name: str) -> Path:
+        directory = tmp_path / name
+        directory.mkdir()
+        if code == 3:
+            model = _copy_model(workspace, directory / "model")
+            model.write_text(json.dumps({k: v for k, v in json.loads(model.read_text()).items() if k != "final_loss"}))
+        return directory
+
+    monkeypatch.chdir(case("main"))
+    expected = (main(_ENTRY_CASES[code]), *capsys.readouterr())
+    assert expected[0] == code
+    for name, entry in _ENTRIES.items():
+        cwd = case(name)
+        proc = subprocess.run(
+            [sys.executable, *entry, *_ENTRY_CASES[code]], cwd=cwd, capture_output=True, text=True,
+            env=child_env(), timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected, name
+        assert snapshot(cwd) == snapshot(tmp_path / "main"), name
 
 
 def test_env_var_sets_default_output_root(workspace, tmp_path, monkeypatch):
@@ -1043,6 +1155,14 @@ _REFUSED_CONFIGS = [
     (["train", "--lam", "nan"], "lam must be finite, got nan"),
     (["train", "--learning-rate", "inf"], "learning_rate must be finite, got inf"),
     (["train", "--seed", "-1"], "seed must be >= 0, got -1"),
+    # a float key the method does not read is echoed to effective_config.json, so it must be finite too
+    (["train", "--gamma", "inf"], "gamma must be finite, got inf"),
+    (["train", "--lam-sae", "nan"], "lam_sae must be finite, got nan"),
+    (["train", "--method", "eszsl", "--learning-rate", "nan"], "learning_rate must be finite, got nan"),
+    (["train", "--method", "eszsl", "--init-scale", "inf"], "init_scale must be finite, got inf"),
+    (["train", "--method", "sae", "--lam=-inf"], "lam must be finite, got -inf"),
+    (["train", "--tsm-weights", "1,inf,1"], "shift kernel weights must be finite, got (1.0, inf, 1.0)"),
+    (["eval", "--model", "MODEL", "--method", "sae", "--gamma", "nan"], "gamma must be finite, got nan"),
 ]
 
 

@@ -890,6 +890,18 @@ def _tree(root: Path) -> dict[str, bytes]:
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def test_save_dataset_writes_no_manifest_strict_json_cannot_hold(tmp_path):
+    from zslsign.synth import SynthSpec, generate
+
+    dataset, _ = generate(SynthSpec(n_classes=4, n_seen=2, n_unseen=1, samples_per_class=1))
+    text = dataset.classes[0].text.copy()
+    text[0] = np.inf
+    object.__setattr__(dataset.classes[0], "text", text)  # past the descriptor's own check
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        save_dataset(dataset, tmp_path)
+    assert not (tmp_path / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("case", ["hand", "gzsl", "mixed text widths"])
 def test_saved_tree_does_not_depend_on_the_worker_count(tmp_path, monkeypatch, case):
     dataset = _save_case(case)

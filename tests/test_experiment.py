@@ -457,6 +457,22 @@ def test_run_config_check_holds_each_method_to_its_own_hyperparameters():
     RunConfig(method="sae", lam=-1.0, gamma=0.0).check()
 
 
+# (method, float key it does not read): each method against every key of the others
+_UNREAD_KEYS = [
+    ("lle", "gamma"), ("lle", "lam_sae"),
+    ("eszsl", "learning_rate"), ("eszsl", "init_scale"), ("eszsl", "lam_sae"),
+    ("sae", "lam"), ("sae", "learning_rate"), ("sae", "init_scale"), ("sae", "gamma"),
+]
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("method, key", _UNREAD_KEYS, ids=[f"{m}-{k}" for m, k in _UNREAD_KEYS])
+def test_run_config_check_refuses_a_non_finite_key_the_method_does_not_read(method, key, value):
+    # effective_config.json echoes every key, and it is strict JSON
+    with pytest.raises(ValueError, match=f"^{key} must be finite, got {value}$"):
+        RunConfig(method=method, **{key: value}).check()
+
+
 def _count_sample_reads(monkeypatch) -> list:
     """One entry per DatasetReader.read_samples call from now on: a load that reads its samples."""
     read = []

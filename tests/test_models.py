@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 import warnings
 import zlib
@@ -888,6 +889,45 @@ def test_damaged_weights_are_refused(tmp_path, damage):
     change(path, path.with_suffix(".npy"))
     with pytest.raises(error, match=message):
         load_model(path)
+
+
+_DELETED = object()
+
+# (field, value): each header field read after the weights-format fields, set outside the schema or deleted
+_HEADER_FIELDS = [
+    ("final_loss", _DELETED), ("final_loss", None), ("final_loss", "0.5"), ("final_loss", True),
+    ("final_loss", float("nan")), ("final_loss", float("inf")),
+    ("hyperparams", _DELETED), ("hyperparams", 5), ("hyperparams", [0.1]), ("hyperparams", {"lam": "x"}),
+    ("hyperparams", {"lam": None}), ("hyperparams", {"lam": float("nan")}),
+    ("seed", _DELETED), ("seed", "x"), ("seed", None), ("seed", -1), ("seed", 1.5), ("seed", True),
+    ("epochs", _DELETED), ("epochs", None), ("epochs", "5"), ("epochs", -1), ("epochs", 5.0), ("epochs", False),
+]
+
+
+@pytest.mark.parametrize("field, value", _HEADER_FIELDS, ids=[f"{f}-{v!r}" for f, v in _HEADER_FIELDS])
+def test_a_header_field_outside_the_schema_is_a_schema_mismatch_naming_the_file(tmp_path, field, value):
+    _, path = _saved_lle(tmp_path)
+    _rewrite_header(path, lambda doc: doc.pop(field) if value is _DELETED else doc.update({field: value}))
+    with pytest.raises(SchemaMismatch, match=f"^model file {re.escape(str(path))}.*{field}"):
+        load_model(path)
+
+
+def test_a_header_keeps_integral_and_float_numbers_as_written(tmp_path):
+    _, path = _saved_lle(tmp_path)
+    _rewrite_header(path, lambda doc: doc.update(final_loss=2, hyperparams={"lam": 0}, seed=7, epochs=0))
+    loaded = load_model(path)
+    assert (loaded.final_loss, loaded.hyperparams, loaded.seed, loaded.epochs) == (2.0, {"lam": 0}, 7, 0)
+    assert type(loaded.final_loss) is float
+
+
+@pytest.mark.parametrize(
+    "change", [{"final_loss": float("nan")}, {"hyperparams": {"lam": float("inf")}}], ids=["final_loss", "hyperparams"]
+)
+def test_save_model_refuses_a_value_strict_json_cannot_hold(tmp_path, change):
+    model = attr_model(np.eye(2), **{"final_loss": 0.5, **change})
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        save_model(model, tmp_path / "model.json")
+    assert not (tmp_path / "model.json").exists()
 
 
 def test_inline_w_model_file_is_refused(tmp_path):

@@ -103,6 +103,11 @@ def test_spec_validation():
         small_spec(noise_sigma=-0.1)
     with pytest.raises(ValueError):
         small_spec(samples_per_class=0)
+    # synth_spec.json is strict JSON
+    for key in ("noise_sigma", "planted_map_scale"):
+        for value in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match=f"^{key} must be finite, got {value}$"):
+                small_spec(**{key: value})
 
 
 def test_gzsl_split_mode_flag():
