@@ -1,36 +1,41 @@
 """Domain types and dataset I/O.
 
-A dataset lives on disk as one JSON manifest plus plain-text feature files
-(one snippet per line, comma-separated reals). All types are immutable after
-construction; invariants that depend on the data content (finiteness, binary
-attributes, split disjointness, ...) are listed by :func:`validate_dataset`.
+A dataset lives on disk as one JSON manifest plus the feature frames of its
+samples. All types are immutable after construction; invariants that depend on
+the data content (finiteness, binary attributes, split disjointness, ...) are
+listed by :func:`validate_dataset`.
 
-The CSV files and the manifest are the source of truth. :func:`save_dataset`
-also writes a feature pack next to the manifest: ``<stem>.pack.npy`` holds
-every sample feature file's values, then the class text matrix, as one
-little-endian float64 vector (see :func:`write_vector`), and
-``<stem>.pack.json`` records, per file path, the offset and rows x cols of its
-values, the byte length and ``zlib.crc32`` of its CSV bytes, and the CRC-32 of
-its packed values. The manifest gets the same kind of entry, whose values are
-the class text vectors, plus the manifest's fields without those vectors.
+:func:`save_dataset` writes the manifest and a feature pack beside it. The
+value file, ``<stem>.pack.npy``, which the manifest names in ``"pack_file"``,
+holds every sample stream's frames, in the manifest's sample order, then the
+class text matrix, as one little-endian float64 vector (see
+:func:`write_vector`). Each sample entry binds its frames under ``"pack"``:
+per stream, the offset, rows, cols and CRC-32 of its block of values. The
+class text stays inline in the manifest. ``<stem>.pack.json``
+holds the manifest's fields without the text vectors, the text block's entry,
+and the byte length and ``zlib.crc32`` of the manifest they were saved with.
+A hand-written sample names one CSV file per stream instead (``"body"``,
+``"hand"``: one snippet per line, comma-separated reals), and a class may
+name its text as a one-row CSV (``"text_file"``).
 
 :class:`DatasetReader` is the one reader. It walks the manifest's samples in
-order and hands each one on as soon as its files are read, as a record: its
+order and hands each one on as soon as its frames are read, as a record: its
 id, its class id and its body and hand frame matrices (see
 :attr:`Sample.record`). A caller that keeps only what it needs of a sample
 (experiment.load_embedded pools it into one embedding row) never holds more
 than one sample's snippet frames. Every input, of this module or another, is
 opened by :func:`open_input`, which refuses anything but a regular file and
-cannot block on a FIFO. Each CSV costs that open and ``fstat``, and the reads
-of its CRC-32 in ``_CRC_CHUNK`` pieces; every CSV is still CRC-checked on
-every load. A file's values come from the pack only when its path, byte length
-and both CRC-32s match; save_dataset packs the files in the manifest's sample
-order, so the reader reads the blocks in file order from the one open value
-file. Likewise the manifest's fields and text vectors come from the pack only
-when the manifest's byte length and CRC-32 match, so the 250 x 768 text floats
-of a paper-sized manifest are not parsed as JSON text. Anything else (no pack,
-an edited manifest or CSV, a stale, torn, truncated or garbage pack,
-hand-written ``text_file`` rows) is parsed from the files. A field that does
+cannot block on a FIFO. A packed stream is read from its block of the value
+file, which save_dataset fills in the manifest's sample order, so the blocks
+are read in file order. The pack holds the only copy of those frames: a block
+that the file does not hold, or whose values have another CRC-32, raises
+PackMismatch naming the pack and the sample, so a damaged value file, another
+save's pack and a save torn between the pack and the manifest are refused,
+never read. A CSV stream is always parsed from its file. The manifest's fields
+and text vectors come from the pack only when the manifest's byte length and
+CRC-32 match and the text block is intact, so the 250 x 768 text floats of a
+paper-sized manifest are not parsed as JSON text; an edited manifest, or a
+missing or damaged index, is parsed from its bytes instead. A field that does
 not parse, the split's included, raises as it is read. The class, sample and
 split invariants are checked as the reader goes (finiteness as one check per
 stream, the failing rows looked for only when it fails) and raised together
@@ -44,14 +49,13 @@ JSON.
 Each sample's frames and each class text vector own their memory, so
 dropping a sample frees its frames and nothing else.
 
-:func:`save_dataset` writes in this order: the feature CSVs (and any extra
-CSV files the caller hands it), then the pack's values, then its index, and
-the manifest last. Formatting shortest round-trip reals is nearly all of a
-save's cost, so a large save formats on the forked workers of
-:func:`pool.map_jobs`: each worker formats and writes a range of the files and
-sends back only their byte lengths and CRC-32s, and the manifest's JSON bytes.
-The files do not depend on the worker count. A save cut short before the end
-leaves no new manifest.
+:func:`save_dataset` serializes the manifest first, so a value strict JSON
+cannot hold writes nothing, then writes any extra CSV files the caller hands
+it, the pack's values, its index, and the manifest last. A save cut short
+before the end leaves no new manifest; the old one then names blocks the new
+value file does not hold, and its load is refused. A dataset in the CSV layout
+(hand-written, or saved before the pack held the frames) converts with
+``save_dataset(load_dataset(path), out)``.
 """
 
 from __future__ import annotations
@@ -70,8 +74,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import pool
-from .errors import InvariantViolation, MissingFile, ParseError
+from .errors import InvariantViolation, MissingFile, PackMismatch, ParseError, ZslSignError
 
 DEFAULT_ATTRIBUTE_COUNT = 53
 TEXT_NORM_TOL = 1e-9
@@ -263,17 +266,16 @@ def csv_text(matrix: np.ndarray) -> str:
 
 
 _VECTOR_DTYPE = np.dtype("<f8")
-_CRC_CHUNK = 1 << 16  # bytes read at a time when a file is only checksummed
+_CRC_CHUNK = 1 << 16  # bytes of the manifest read at a time when it is only checksummed
 # how an input is opened: nonblocking, so that opening a FIFO returns at once and fstat refuses it
 _OPEN_FLAGS = os.O_RDONLY | getattr(os, "O_NONBLOCK", 0) | getattr(os, "O_BINARY", 0)
 
 
-def write_vector(path: Path, values: np.ndarray) -> int:
-    """Write values as one little-endian float64 npy 1.0 vector; return the CRC-32 of the values."""
+def write_vector(path: Path, values: np.ndarray) -> None:
+    """Write values as one little-endian float64 npy 1.0 vector."""
     values = np.ascontiguousarray(values, dtype=_VECTOR_DTYPE).ravel()
     with open(path, "wb") as f:
         np.lib.format.write_array(f, values, version=(1, 0))
-    return zlib.crc32(values)
 
 
 def _vector_layout(stream, nbytes: int) -> tuple[int, int]:
@@ -352,118 +354,90 @@ def read_input(path: str | os.PathLike, what: str) -> bytes:
         os.close(fd)
 
 
-def _pack_paths(manifest_path: Path) -> tuple[Path, Path]:
-    """The pack's value file and index, named after the manifest stem."""
-    return manifest_path.with_suffix(".pack.npy"), manifest_path.with_suffix(".pack.json")
+_BLOCK_FIELDS = ("offset", "rows", "cols", "crc32")
 
 
-_ENTRY_FIELDS = ("offset", "rows", "cols", "bytes", "crc32", "values_crc32")
+def _block_field(value, entity: str, key: str) -> tuple[int, int, int, int]:
+    """A pack block entry, {offset, rows, cols, crc32}, as those four integers; ParseError names the field."""
+    fields = [value.get(k) for k in _BLOCK_FIELDS] if isinstance(value, dict) else []
+    if list(map(type, fields)) != [int] * len(_BLOCK_FIELDS) or fields[0] < 0 or min(fields[1:3]) < 1:
+        raise ParseError(
+            f"{entity}: field {key!r} must be a pack block, integers offset >= 0, rows >= 1, cols >= 1 and crc32"
+        )
+    return tuple(fields)
 
 
 class _FeaturePack:
-    """The pack saved with a manifest: its index, and its value file, held open so each block is read alone.
+    """The pack of a manifest: the index saved beside it, and the value file the manifest names.
 
-    A block is used only if the file it was packed from still has the byte
-    length and CRC-32 that the index records, and its values still have theirs.
+    The value file is opened at the first block read and held open from then
+    on, so each block is read alone.
     """
 
-    def __init__(self, file, start: int, size: int, files: dict, manifest) -> None:
-        self._file = file
-        self._start = start  # byte offset of the first value
-        self._size = size  # values in the file
-        self.files = files
-        self.manifest_entry = manifest
-
-    @classmethod
-    def open(cls, manifest_path: Path) -> "_FeaturePack | None":
-        """The pack saved with this manifest, or None when it is missing or unreadable; close it after use."""
-        npy_path, index_path = _pack_paths(manifest_path)
-        try:  # a pack file that is missing, unreadable or not a regular file (MissingFile) leaves no pack
-            index = json.loads(read_input(index_path, "feature pack index"))
+    def __init__(self, manifest_path: Path) -> None:
+        self._dir = manifest_path.parent
+        self.path: Path | None = None  # the value file, once the manifest names it (see use)
+        self._file = None
+        self._start = 0  # byte offset of the first value
+        self._size = 0  # values in the file
+        try:  # an index that is missing, unreadable or not a regular file (MissingFile) leaves the manifest parsed
+            index = json.loads(read_input(manifest_path.with_suffix(".pack.json"), "feature pack index"))
         except (OSError, ValueError):
-            return None
-        files = index.get("files") if isinstance(index, dict) else None
-        if not isinstance(files, dict):
-            return None
-        try:
-            fd, nbytes = open_input(npy_path, "feature pack")
-        except OSError:
-            return None
-        file = open(fd, "rb")
-        try:
-            start, size = _vector_layout(file, nbytes)
-        except ValueError:
-            file.close()
-            return None
-        return cls(file, start, size, files, index.get("manifest"))
+            index = None
+        self._manifest = index.get("manifest") if isinstance(index, dict) else None
+
+    def use(self, rel: str) -> None:
+        """Read blocks from the value file at rel, relative to the manifest (its "pack_file" field)."""
+        self.path = self._dir / rel
 
     def close(self) -> None:
-        self._file.close()
+        if self._file is not None:
+            self._file.close()
+            self._file = None
 
-    def block(self, entry, fd: int, size: int) -> np.ndarray | None:
-        """The rows x cols values of an index entry if it was packed from exactly the size bytes of open file fd.
-
-        None otherwise; fd is then read to its end, or not at all when the entry itself is unusable.
-        """
-        try:
-            fields = [entry[key] for key in _ENTRY_FIELDS]
-        except (KeyError, TypeError):  # a missing field, or an entry that is not an object
-            return None
-        if list(map(type, fields)) != [int] * len(_ENTRY_FIELDS):
-            return None
-        offset, rows, cols, nbytes, crc, values_crc = fields
-        if offset < 0 or rows < 1 or cols < 1 or offset + rows * cols > self._size:
-            return None
-        if nbytes != size or crc != _fd_crc32(fd):
-            return None
-        values = np.empty(rows * cols, dtype=_VECTOR_DTYPE)
-        self._file.seek(self._start + offset * _VECTOR_DTYPE.itemsize)
-        if self._file.readinto(values) != values.nbytes or values_crc != zlib.crc32(values):
-            return None
-        return values.reshape(rows, cols)
+    def block(self, block: tuple[int, int, int, int], entity: str) -> np.ndarray:
+        """The rows x cols values of a block entry (see _block_field); PackMismatch if the file does not hold them."""
+        if self._file is None:
+            if self.path is None:
+                raise ParseError(f"{entity}: a packed stream needs the manifest field 'pack_file'")
+            fd, nbytes = open_input(self.path, f"{entity}: feature pack")
+            file = open(fd, "rb")
+            try:
+                self._start, self._size = _vector_layout(file, nbytes)
+            except ValueError as exc:
+                file.close()
+                raise PackMismatch(f"{entity}: feature pack {self.path} is not a float64 npy vector: {exc}") from None
+            self._file = file
+        offset, rows, cols, crc = block
+        if offset + rows * cols <= self._size:
+            values = np.empty(rows * cols, dtype=_VECTOR_DTYPE)
+            self._file.seek(self._start + offset * _VECTOR_DTYPE.itemsize)
+            if self._file.readinto(values) == values.nbytes and zlib.crc32(values) == crc:
+                return values.reshape(rows, cols)
+        raise PackMismatch(
+            f"{entity}: feature pack {self.path} does not hold the {rows}x{cols} block at offset {offset} that the "
+            "manifest names (a damaged pack, another save's, or a save cut short before its manifest)"
+        )
 
     def manifest(self, fd: int, size: int) -> dict | None:
-        """The manifest, open as fd with size bytes, from the pack, if the pack saw exactly its bytes, else None."""
-        texts = self.block(self.manifest_entry, fd, size)
-        if texts is None:
+        """The manifest, open as fd with size bytes, from the index, if the index saw exactly its bytes, else None."""
+        entry = self._manifest
+        if not isinstance(entry, dict) or entry.get("bytes") != size:
             return None
-        fields = self.manifest_entry.get("fields")
+        fields = entry.get("fields")
         classes = fields.get("classes") if isinstance(fields, dict) else None
-        if not isinstance(classes, list) or len(classes) != len(texts) or not all(isinstance(c, dict) for c in classes):
+        if not isinstance(classes, list) or not all(isinstance(c, dict) for c in classes):
+            return None
+        if not isinstance(fields.get("pack_file"), str) or entry.get("crc32") != _fd_crc32(fd):
+            return None
+        self.use(fields["pack_file"])
+        try:
+            texts = self.block(_block_field(entry.get("text"), "manifest", "text"), "manifest text")
+        except (ZslSignError, OSError):  # the text is inline in the manifest too
+            return None
+        if len(texts) != len(classes):
             return None
         return {**fields, "classes": [{**c, "text": row} for c, row in zip(classes, texts)]}
-
-    @staticmethod
-    def write(manifest_path: Path, files: dict[str, tuple[np.ndarray, int, int]], manifest=None) -> None:
-        """Pack each file's matrix, indexed by its path and the byte length and CRC-32 of its CSV.
-
-        manifest, when given, is (class text matrix, manifest byte length,
-        manifest CRC-32, manifest fields without the text vectors); its block
-        follows the files'.
-        """
-        npy_path, index_path = _pack_paths(manifest_path)
-        blocks = [*files.values(), *([manifest[:3]] if manifest is not None else [])]
-        flats = [m.astype(_VECTOR_DTYPE).ravel() for m, _, _ in blocks]
-        entries = []
-        offset = 0
-        for (matrix, nbytes, crc), flat in zip(blocks, flats):
-            rows, cols = matrix.shape
-            entries.append(
-                {
-                    "offset": offset,
-                    "rows": rows,
-                    "cols": cols,
-                    "bytes": nbytes,
-                    "crc32": crc,
-                    "values_crc32": zlib.crc32(flat),
-                }
-            )
-            offset += flat.size
-        index: dict = {"files": dict(zip(files, entries))}
-        if manifest is not None:
-            index["manifest"] = {**entries[-1], "fields": manifest[3]}
-        write_vector(npy_path, np.concatenate(flats) if flats else np.empty(0))
-        index_path.write_text(json.dumps(index) + "\n", encoding="utf-8")
 
 
 def _require(entry: dict, key: str, entity: str):
@@ -502,11 +476,11 @@ def _vector_field(value, entity: str, key: str) -> np.ndarray:
     return vec.astype(np.float64, copy=False)
 
 
-def _read_manifest(manifest_path: Path, pack: _FeaturePack | None) -> dict:
+def _read_manifest(manifest_path: Path, pack: _FeaturePack) -> dict:
     """The manifest's content: from the pack if it saw exactly its bytes, else parsed from them; opened once."""
     fd, size = open_input(manifest_path, "manifest")
     try:
-        manifest = pack.manifest(fd, size) if pack is not None else None
+        manifest = pack.manifest(fd, size)
         if manifest is None:
             manifest = json.loads(_fd_bytes(fd).decode("utf-8"))
     except json.JSONDecodeError as exc:
@@ -617,23 +591,25 @@ class DatasetReader:
     (text unit-normalized) and its split. read_samples then reads the samples
     in manifest order and hands each one on as soon as its files are read; the
     reader keeps no sample. Errors come in the order of the files: a missing,
-    unparsable or malformed file or field raises when it is met (the split's
-    with the manifest's other fields), and every broken invariant (see
-    validate_dataset) raises as one InvariantViolation after the last sample.
-    The reader holds the pack's value file open until it is closed, so use it
-    in a with block.
+    unparsable or malformed file, field or pack block raises when it is met
+    (the split's with the manifest's other fields), and every broken invariant
+    (see validate_dataset) raises as one InvariantViolation after the last
+    sample. The reader holds the pack's value file open until it is closed, so
+    use it in a with block.
     """
 
     def __init__(self, manifest_path: str | Path) -> None:
         path = Path(manifest_path)
         self._dir = str(path.parent)  # what each feature path is joined to, without pathlib in the loop
-        self._pack = _FeaturePack.open(path)
+        self._pack = _FeaturePack(path)
         try:
             manifest = _read_manifest(path, self._pack)
             count = manifest.get("attribute_count", DEFAULT_ATTRIBUTE_COUNT)
             if type(count) is not int or count < 1:  # a JSON true is a bool, not a count
                 raise ParseError(f"manifest field 'attribute_count': expected positive integer, got {count!r}")
             self.attribute_count: int = count
+            if "pack_file" in manifest:
+                self._pack.use(_path_field(manifest["pack_file"], "manifest", "pack_file"))
             self.classes = tuple(self._read_class(entry) for entry in _entries(manifest, "classes"))
             self._samples = _entries(manifest, "samples")
             self.split = _read_split(manifest)
@@ -644,9 +620,7 @@ class DatasetReader:
         self._checks.classes(self.classes)
 
     def close(self) -> None:
-        if self._pack is not None:
-            self._pack.close()
-            self._pack = None
+        self._pack.close()
 
     def __enter__(self) -> "DatasetReader":
         return self
@@ -669,14 +643,9 @@ class DatasetReader:
             raise InvariantViolation("; ".join(self._checks.violations))
 
     def _read_matrix(self, rel: str, entity: str) -> np.ndarray:
-        """The rows of a feature file: its pack block if the pack saw exactly its bytes, else parsed from them."""
+        """The rows of a CSV feature file."""
         path = os.path.join(self._dir, rel)
-        fd, size = open_input(path, f"{entity}: feature file")
-        try:
-            data = self._pack.block(self._pack.files.get(rel), fd, size) if self._pack is not None else None
-            return _parse_feature_matrix(_fd_bytes(fd), path, entity) if data is None else data
-        finally:
-            os.close(fd)
+        return _parse_feature_matrix(read_input(path, f"{entity}: feature file"), path, entity)
 
     def _read_class(self, entry: dict) -> ClassDescriptor:
         cid = _string_field(_require(entry, "id", "class entry"), "class entry", "id")
@@ -702,10 +671,21 @@ class DatasetReader:
         sid = _string_field(_require(entry, "id", "sample entry"), "sample entry", "id")
         entity = f"sample {sid!r}"
         class_id = _string_field(_require(entry, "class_id", entity), entity, "class_id")
-        body = self._read_matrix(_path_field(_require(entry, "body", entity), entity, "body"), f"{entity} body")
-        hand = entry.get("hand")
-        if hand is not None:
-            hand = self._read_matrix(_path_field(hand, entity, "hand"), f"{entity} hand")
+        if "pack" in entry:
+            if "body" in entry or "hand" in entry:
+                raise ParseError(f"{entity}: give either 'pack' or 'body' and 'hand' files, not both")
+            blocks = entry["pack"]
+            if not isinstance(blocks, dict):
+                raise ParseError(f"{entity}: field 'pack' must be an object of stream blocks")
+            body = self._pack.block(_block_field(_require(blocks, "body", entity), entity, "body"), f"{entity} body")
+            hand = blocks.get("hand")
+            if hand is not None:
+                hand = self._pack.block(_block_field(hand, entity, "hand"), f"{entity} hand")
+        else:
+            body = self._read_matrix(_path_field(_require(entry, "body", entity), entity, "body"), f"{entity} body")
+            hand = entry.get("hand")
+            if hand is not None:
+                hand = self._read_matrix(_path_field(hand, entity, "hand"), f"{entity} hand")
         self._checks.sample(sid, class_id, body, hand)
         return sid, class_id, body, hand
 
@@ -732,82 +712,48 @@ def validate_dataset(dataset: Dataset) -> list[str]:
     return checks.violations
 
 
-# Below this many values to format, save_dataset formats every file in this
-# process. Measured crossover, fresh processes on a 2-core host: the pooled and
-# the in-process save tie at the synth defaults (113K values in 780 files; the
-# pool won 8 of 16 alternating pairs), and the pool wins from 131K values (13
-# of 16 pairs in 780 files, 14 of 16 in 195). Creating a file took about
-# 0.3 ms on that host whatever the worker count, so small files gain less.
-_POOL_MIN_VALUES = 120_000
-_RANGES_PER_CPU = 4  # enough ranges to even out the workers' loads, few enough that each is worth a job
-
-
-def _write_documents(out_dir: Path, documents: list[tuple[str, object]], start: int, stop: int) -> list:
-    """Format documents[start:stop], (name, content) pairs.
-
-    A matrix is written to out_dir/name as CSV and stands for the (byte
-    length, CRC-32) of its bytes in the result; a dict, the manifest, stands
-    for its JSON bytes, which the caller writes.
-    """
-    results = []
-    for rel, content in documents[start:stop]:
-        if isinstance(content, dict):
-            results.append((json.dumps(content, sort_keys=True, allow_nan=False) + "\n").encode("utf-8"))
-        else:
-            raw = csv_text(content).encode("utf-8")
-            (out_dir / rel).write_bytes(raw)
-            results.append((len(raw), zlib.crc32(raw)))
-    return results
-
-
-def _ranges(sizes: list[int], parts: int) -> list[tuple[int, int]]:
-    """Consecutive (start, stop) ranges over sizes, at most parts of them, of about equal size sums."""
-    total = sum(sizes)
-    cuts = [0]
-    done = 0
-    for i, size in enumerate(sizes[:-1], start=1):
-        done += size
-        if done * parts > total * len(cuts):
-            cuts.append(i)
-    return list(zip(cuts, [*cuts[1:], len(sizes)]))
-
-
 def save_dataset(
     dataset: Dataset,
     out_dir: str | Path,
     manifest_name: str = "manifest.json",
     extra_csv: Mapping[str, np.ndarray] | None = None,
 ) -> Path:
-    """Write the feature-file tree, the feature pack and then the manifest; inverse of load_dataset.
+    """Write the feature pack and then the manifest; inverse of load_dataset.
 
-    Floats are serialized with shortest round-trip representation, so
-    load(save(load(p))) reproduces every numeric field bit-exactly. extra_csv
-    maps further file names under out_dir to matrices that are written as CSV
-    alongside the feature files but are not part of the dataset. The
-    formatting runs on the workers of pool.map_jobs in consecutive ranges of
-    the files (in this process below _POOL_MIN_VALUES values); the manifest
-    is written last, once every other file is.
+    Frames go to the pack bit for bit, and the text vectors into the manifest
+    as shortest round-trip reals, so load(save(load(p))) reproduces every
+    numeric field bit-exactly. extra_csv maps further file names under out_dir
+    to matrices that are written as CSV (see csv_text) before the pack but are
+    not part of the dataset. The manifest is serialized before any file is
+    written and written last, once every other file is.
     """
     out_dir = Path(out_dir)
-    features_dir = out_dir / "features"
-    features_dir.mkdir(parents=True, exist_ok=True)
+    values: list[np.ndarray] = []  # the pack's blocks, flat, in file order
+    offset = 0
+
+    def block(matrix: np.ndarray) -> dict:
+        nonlocal offset
+        flat = np.ascontiguousarray(matrix, dtype=_VECTOR_DTYPE).ravel()
+        entry = {"offset": offset, "rows": matrix.shape[0], "cols": matrix.shape[1], "crc32": zlib.crc32(flat)}
+        values.append(flat)
+        offset += flat.size
+        return entry
 
     sample_entries = []
-    features: dict[str, np.ndarray] = {}
     for s in dataset.samples:
-        entry: dict = {"id": s.sample_id, "class_id": s.class_id}
-        for stream, seq in sorted(s.sequences.items(), key=lambda kv: kv[0].value):
-            rel = f"features/{s.sample_id}_{stream.value}.csv"
-            entry[stream.value] = rel
-            features[rel] = seq.data
-        sample_entries.append(entry)
-
+        streams = sorted(s.sequences.items(), key=lambda kv: kv[0].value)
+        sample_entries.append(
+            {"id": s.sample_id, "class_id": s.class_id, "pack": {st.value: block(seq.data) for st, seq in streams}}
+        )
+    manifest_path = out_dir / manifest_name
+    npy_path = manifest_path.with_suffix(".pack.npy")
     fields = {
         "attribute_count": dataset.attribute_count,
         "classes": [
             {"id": c.class_id, "name": c.name, "attributes": [int(v) for v in c.attributes]}
             for c in dataset.classes
         ],
+        "pack_file": npy_path.name,
         "samples": sample_entries,
         "split": {
             "mode": dataset.split.mode.value,
@@ -820,21 +766,16 @@ def save_dataset(
         **fields,
         "classes": [{**entry, "text": c.text.tolist()} for entry, c in zip(fields["classes"], dataset.classes)],
     }
-    # the manifest and the extra files are the largest documents: they go first, so they start first
-    extra = dict(extra_csv or {})
-    documents = [(manifest_name, manifest), *extra.items(), *features.items()]
-    sizes = [sum(c.text.size for c in dataset.classes), *(m.size for _, m in documents[1:])]
-    parts = 1 if sum(sizes) < _POOL_MIN_VALUES else _RANGES_PER_CPU * pool.usable_cpus()
-    chunks = pool.map_jobs(_write_documents, _ranges(sizes, parts), (out_dir, documents))
-    results = [result for chunk in chunks for result in chunk]
-    raw = results[0]
-    files = {rel: (matrix, *result) for (rel, matrix), result in zip(features.items(), results[1 + len(extra) :])}
+    raw = (json.dumps(manifest, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
 
-    # the text vectors go into the pack as one matrix, so they need a common width
-    widths = {c.text.shape for c in dataset.classes}
-    texts = np.array([c.text for c in dataset.classes]) if len(widths) == 1 else None
-    manifest_path = out_dir / manifest_name
-    pack_manifest = (texts, len(raw), zlib.crc32(raw), fields) if texts is not None else None
-    _FeaturePack.write(manifest_path, files, pack_manifest)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for rel, matrix in (extra_csv or {}).items():
+        (out_dir / rel).write_text(csv_text(matrix), encoding="utf-8")
+    index = {}
+    if len({c.text.shape for c in dataset.classes}) == 1:  # the text vectors go into the pack as one matrix
+        text = block(np.array([c.text for c in dataset.classes]))
+        index["manifest"] = {"bytes": len(raw), "crc32": zlib.crc32(raw), "text": text, "fields": fields}
+    write_vector(npy_path, np.concatenate(values) if values else np.empty(0))
+    manifest_path.with_suffix(".pack.json").write_text(json.dumps(index) + "\n", encoding="utf-8")
     manifest_path.write_bytes(raw)
     return manifest_path

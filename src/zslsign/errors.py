@@ -17,6 +17,10 @@ class ParseError(ZslSignError, ValueError):
     """A file exists but its content cannot be parsed; message names line/field."""
 
 
+class PackMismatch(ParseError):
+    """A feature pack does not hold the block a manifest names: damaged, another save's, or from a torn save."""
+
+
 class InvariantViolation(ZslSignError, ValueError):
     """A dataset-level invariant is broken (overlapping splits, non-binary attribute, ...)."""
 

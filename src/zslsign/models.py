@@ -475,13 +475,20 @@ def save_model(model: CompatModel, path: str | Path) -> Path:
     The .npy file holds W.ravel() then M.ravel() as one little-endian float64
     vector (data.write_vector), so the values round-trip bit for bit. The
     header names that file and carries the CRC-32 of its values, which binds
-    the two files of one save together.
+    the two files of one save together. The header is serialized as strict
+    JSON before either file is written: a non-finite final_loss or
+    hyperparameter is a ValueError naming the path and the field, and writes
+    nothing.
     """
     path = Path(path)
     weights = path.with_suffix(".npy")
     parts = [model.W.ravel()] + ([model.M.ravel()] if model.M is not None else [])
-    path.parent.mkdir(parents=True, exist_ok=True)
-    crc = write_vector(weights, np.concatenate(parts))
+    values = np.concatenate(parts).astype("<f8", copy=False)
+    hyperparams = {k: float(v) for k, v in sorted(model.hyperparams.items())}
+    numbers = {"final_loss": float(model.final_loss), **{f"hyperparams.{k}": v for k, v in hyperparams.items()}}
+    for key, value in numbers.items():
+        if not math.isfinite(value):
+            raise ValueError(f"model file {path}: {key} is {value!r}, which is not JSON compliant")
     doc = {
         "method": model.method.value,
         "mode": model.mode.kind.value,
@@ -491,13 +498,16 @@ def save_model(model: CompatModel, path: str | Path) -> Path:
         "d_t": model.mode.d_t,
         "has_M": model.M is not None,
         "weights": weights.name,
-        "weights_crc32": crc,
-        "hyperparams": {k: float(v) for k, v in sorted(model.hyperparams.items())},
+        "weights_crc32": zlib.crc32(values),
+        "hyperparams": hyperparams,
         "seed": model.seed,
         "epochs": model.epochs,
-        "final_loss": float(model.final_loss),
+        "final_loss": numbers["final_loss"],
     }
-    path.write_text(json.dumps(doc, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
+    header = json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_vector(weights, values)
+    path.write_text(header, encoding="utf-8")
     return path
 
 

@@ -1,11 +1,11 @@
 """The forked worker pool that runs a command's independent jobs side by side.
 
-A sweep's (d_t, seed) fits, a train's repeats and the formatting of a saved
-dataset's files all go through :func:`map_jobs`. ``multiprocessing`` and
-``concurrent.futures`` are imported only when a call has more than one job
-and more than one usable CPU, so commands that never get there do not pay for
-them. Under the CLI's process entry, cli.run, workers fork from a frozen heap:
-their collections neither walk nor copy the parent's import-time objects.
+A sweep's (d_t, seed) fits and a train's repeats go through :func:`map_jobs`.
+``multiprocessing`` and ``concurrent.futures`` are imported only when a call
+has more than one job and more than one usable CPU, so commands that never
+get there do not pay for them. Under the CLI's process entry, cli.run,
+workers fork from a frozen heap: their collections neither walk nor copy the
+parent's import-time objects.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from zslsign.data import (
     SplitConfig,
     SplitMode,
     Stream,
+    csv_text,
 )
 from zslsign.models import _label_indices, _lle_backward, _lle_forward
 
@@ -28,6 +29,43 @@ def write_manifest(root: Path, manifest: dict, name: str = "manifest.json") -> P
     root.mkdir(parents=True, exist_ok=True)
     path = root / name
     path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    return path
+
+
+def write_csv_layout(dataset: Dataset, out: Path, manifest_name: str = "manifest.json") -> Path:
+    """Write dataset in the CSV layout and return its manifest path.
+
+    This is how a hand-written dataset is laid out, and how save_dataset wrote
+    one before the pack held the frames: each sample stream in
+    features/<sample id>_<stream>.csv (csv_text), the class text inline in the
+    manifest, and no pack (one left in out by an earlier save is deleted).
+    """
+    (out / "features").mkdir(parents=True, exist_ok=True)
+    samples = []
+    for s in dataset.samples:
+        entry = {"id": s.sample_id, "class_id": s.class_id}
+        for stream, seq in sorted(s.sequences.items(), key=lambda kv: kv[0].value):
+            entry[stream.value] = f"features/{s.sample_id}_{stream.value}.csv"
+            (out / entry[stream.value]).write_text(csv_text(seq.data), encoding="utf-8")
+        samples.append(entry)
+    manifest = {
+        "attribute_count": dataset.attribute_count,
+        "classes": [
+            {"id": c.class_id, "name": c.name, "attributes": [int(v) for v in c.attributes], "text": c.text.tolist()}
+            for c in dataset.classes
+        ],
+        "samples": samples,
+        "split": {
+            "mode": dataset.split.mode.value,
+            "seen": sorted(dataset.split.seen_classes),
+            "validation": sorted(dataset.split.validation_classes),
+            "unseen": sorted(dataset.split.unseen_classes),
+        },
+    }
+    path = out / manifest_name
+    for suffix in (".pack.npy", ".pack.json"):
+        path.with_suffix(suffix).unlink(missing_ok=True)
+    path.write_text(json.dumps(manifest, sort_keys=True) + "\n", encoding="utf-8")
     return path
 
 

@@ -18,6 +18,8 @@ from zslsign.data import load_dataset
 from zslsign.errors import MissingReduction, ParseError
 from zslsign.synth import SynthSpec
 
+from conftest import write_csv_layout
+
 SYNTH_ARGS = [
     "synth",
     "--classes", "14",
@@ -75,8 +77,10 @@ def test_synth_writes_complete_tree(workspace):
     assert len(manifest["classes"]) == 14
     spec = json.loads((data / "synth_spec.json").read_text())
     assert list(spec) == sorted(f.name for f in dataclasses.fields(SynthSpec))
-    feature_files = list((data / "features").glob("*.csv"))
-    assert len(feature_files) == 14 * 6
+    # the frames are in the pack only: one block per sample, no feature CSV
+    assert [len(s["pack"]) for s in manifest["samples"]] == [1] * 14 * 6
+    assert manifest["pack_file"] == "manifest.pack.npy" and (data / "manifest.pack.npy").is_file()
+    assert not (data / "features").exists()
 
 
 def test_train_outputs(workspace):
@@ -447,6 +451,7 @@ def test_malformed_manifest_field_exits_2(workspace, tmp_path, capsys):
     data = tmp_path / "data"
     assert run(SYNTH_ARGS + ["--out", data]) == 0
     manifest = json.loads((data / "manifest.json").read_text())
+    del manifest["samples"][0]["pack"]
     manifest["samples"][0]["body"] = 5
     (data / "manifest.json").write_text(json.dumps(manifest))
     capsys.readouterr()
@@ -550,12 +555,20 @@ def test_baseline_from_manifest_checks_every_file_but_pools_none(workspace, tmp_
     monkeypatch.setattr(experiment, "embed_video", lambda *args: pooled.append(args))
     assert run(["baseline", "--manifest", workspace["manifest"]]) == 0
     assert pooled == []
-    # the last sample's feature file is still read and checked
+    # the last sample's frames are still read and checked: its pack block, and in the CSV layout its file
     data_dir = Path(shutil.copytree(workspace["manifest"].parent, tmp_path / "data"))
-    last = json.loads((data_dir / "manifest.json").read_text())["samples"][-1]["body"]
-    (data_dir / last).write_text("1.0,oops\n", encoding="utf-8")
+    manifest = data_dir / "manifest.json"
+    last = json.loads(manifest.read_text())["samples"][-1]
+    npy = manifest.with_suffix(".pack.npy")
+    values = np.load(npy)
+    values[last["pack"]["body"]["offset"]] += 1.0
+    np.save(npy, values)
     capsys.readouterr()
-    assert run(["baseline", "--manifest", data_dir / "manifest.json"]) == 2
+    assert run(["baseline", "--manifest", manifest]) == 2
+    assert capsys.readouterr().err.startswith(f"error: sample {last['id']!r} body: feature pack {npy} does not hold")
+    write_csv_layout(load_dataset(workspace["manifest"]), data_dir)
+    (data_dir / "features" / f"{last['id']}_body.csv").write_text("1.0,oops\n", encoding="utf-8")
+    assert run(["baseline", "--manifest", manifest]) == 2
     assert "not a number: 'oops'" in capsys.readouterr().err
 
 
@@ -815,7 +828,7 @@ def test_a_training_jobs_typed_error_keeps_its_exit_code(default_manifest, tmp_p
 
 _DYING_WORKER = """
 import importlib, os, sys
-from zslsign import data, pool
+from zslsign import pool
 from zslsign.cli import main
 
 def die(*args):
@@ -824,7 +837,6 @@ def die(*args):
 module, name = sys.argv[1].split(":")
 setattr(importlib.import_module(module), name, die)
 pool.usable_cpus = lambda: 2
-data._POOL_MIN_VALUES = 0  # a small dataset's save on the workers too
 sys.exit(main(sys.argv[2:]))
 """
 
@@ -850,10 +862,10 @@ def test_a_worker_that_dies_exits_1_with_one_error_line(workspace, tmp_path):
     assert not (tmp_path / "sweep_d_t.csv").exists()
 
 
-def test_a_synth_whose_save_worker_dies_exits_1_and_leaves_no_manifest(tmp_path):
+def test_a_synth_that_dies_writing_its_pack_leaves_no_manifest(tmp_path):
     out = tmp_path / "data"
-    proc = _run_with_dying_worker("zslsign.data:_write_documents", ["synth", "--out", out, "--seed", "0"])
-    _assert_one_worker_error_line(proc)
+    proc = _run_with_dying_worker("zslsign.data:write_vector", ["synth", "--out", out, "--seed", "0"])
+    assert proc.returncode == 7, proc.stderr
     assert out.is_dir() and not (out / "manifest.json").exists()
     assert not (out / "manifest.pack.json").exists()
 
@@ -988,7 +1000,8 @@ def test_env_var_sets_default_output_root(workspace, tmp_path, monkeypatch):
     assert (root / "model.json").exists()
 
 
-# every input of an eval, by its path in the tree the eval runs in; None is the first sample's body CSV
+# every input of an eval, by its path in the tree the eval runs in; None is the first sample's body CSV, in
+# the CSV layout of the same dataset
 _INPUTS = {
     "config": "config.json",
     "model": "model/model.json",
@@ -1021,14 +1034,22 @@ def eval_tree(workspace, tmp_path_factory):
     assert intact.returncode == 0, intact.stderr
     report = (root / "out" / "report.json").read_bytes()
     shutil.rmtree(root / "out")
-    first = json.loads((root / "data" / "manifest.json").read_text())["samples"][0]
+    csv_tree = tmp_path_factory.mktemp("csv_inputs")
+    shutil.copytree(root, csv_tree, dirs_exist_ok=True)
+    csv_manifest = write_csv_layout(load_dataset(root / "data" / "manifest.json"), csv_tree / "data")
+    rendered = _eval_child(csv_tree)  # the CSV layout evaluates to the same bytes
+    assert (rendered.returncode, rendered.stdout) == (0, intact.stdout), rendered.stderr
+    assert (csv_tree / "out" / "report.json").read_bytes() == report
+    shutil.rmtree(csv_tree / "out")
+    first = json.loads(csv_manifest.read_text())["samples"][0]
     paths = dict(_INPUTS, feature=f"data/{first['body']}")
-    return root, intact.stdout, report, paths, f"sample {first['id']!r} body: feature file"
+    return (root, csv_tree), intact.stdout, report, paths, f"sample {first['id']!r}"
 
 
-def _case(eval_tree, tmp_path: Path) -> Path:
+def _case(eval_tree, tmp_path: Path, kind: str) -> Path:
+    """A copy of the eval's tree, in the CSV layout if the case damages a feature CSV."""
     case = tmp_path / "case"
-    shutil.copytree(eval_tree[0], case)
+    shutil.copytree(eval_tree[0][kind == "feature"], case)
     return case
 
 
@@ -1047,17 +1068,18 @@ def _directory(path: Path) -> None:
 def test_an_input_that_is_a_fifo_or_a_directory_never_blocks(eval_tree, tmp_path, kind, special):
     if special is _fifo and not hasattr(os, "mkfifo"):
         pytest.skip("the platform has no FIFOs")
-    _, stdout, report, paths, feature = eval_tree
-    case = _case(eval_tree, tmp_path)
+    _, stdout, report, paths, sample = eval_tree
+    case = _case(eval_tree, tmp_path, kind)
     special(case / paths[kind])
     proc = _eval_child(case)
-    if kind.startswith("pack"):  # an unusable pack: the CSVs and the manifest are read alone, to the same output
+    if kind == "pack-index":  # an unusable index: the manifest is parsed, to the same output
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == stdout
         assert (case / "out" / "report.json").read_bytes() == report
         return
     what = {"config": "config file", "model": "model file", "weights": "model weights file",
-            "manifest": "manifest", "feature": feature}[kind]
+            "manifest": "manifest", "feature": f"{sample} body: feature file",
+            "pack-values": f"{sample} body: feature pack"}[kind]
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.splitlines() == [f"error: {what} not found: {Path(paths[kind])}"]
     assert proc.stdout == "" and not (case / "out").exists()
@@ -1068,7 +1090,7 @@ def _rewrite(text: str):
 
 
 def _append_blank_line(path: Path) -> None:
-    path.write_text(path.read_text() + "\n")  # the same rows, other bytes: the pack's block is not used
+    path.write_text(path.read_text() + "\n")  # the same rows, other bytes
 
 
 _LOAD_FAULTS = [  # (input, damage, exit code)
@@ -1087,8 +1109,10 @@ _LOAD_FAULTS = [  # (input, damage, exit code)
     ("weights", _fifo, 2),
     ("weights", _rewrite("garbage"), 3),
     ("pack-index", _fifo, 0),
-    ("pack-values", _directory, 0),
-    ("pack-values", _rewrite("garbage"), 0),
+    ("pack-index", _rewrite("garbage"), 0),
+    ("pack-values", _directory, 2),
+    ("pack-values", _rewrite("garbage"), 2),
+    ("pack-values", Path.unlink, 2),
 ]
 
 
@@ -1098,10 +1122,10 @@ def test_no_load_leaves_a_descriptor_open(eval_tree, tmp_path, monkeypatch, caps
     paths = eval_tree[3]
     cases = []
     for i, (kind, damage, code) in enumerate(_LOAD_FAULTS):
-        case = _case(eval_tree, tmp_path / str(i))
+        case = _case(eval_tree, tmp_path / str(i), kind)
         damage(case / paths[kind])
         cases.append((case, code))
-    monkeypatch.chdir(_case(eval_tree, tmp_path / "first"))
+    monkeypatch.chdir(_case(eval_tree, tmp_path / "first", "manifest"))
     assert run(_EVAL) == 0  # whatever a first eval opens for good (imports, BLAS) is open before the listing
     before = sorted(os.listdir("/proc/self/fd"))
     for case, code in cases:
@@ -1236,7 +1260,7 @@ def test_predict_eval_and_analyze_score_in_the_models_mode(workspace, tmp_path, 
 @pytest.mark.parametrize("kind, code", [("config", 2), ("model", 3), ("manifest", 2), ("feature", 2)])
 def test_an_input_that_is_not_utf8_exits_naming_its_file(eval_tree, tmp_path, monkeypatch, capsys, kind, code):
     paths = eval_tree[3]
-    case = _case(eval_tree, tmp_path)
+    case = _case(eval_tree, tmp_path, kind)
     damaged = case / paths[kind]
     damaged.write_bytes(damaged.read_bytes() + b"\xff\n")
     monkeypatch.chdir(case)

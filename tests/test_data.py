@@ -4,7 +4,6 @@ import re
 import subprocess
 import sys
 import tempfile
-import zlib
 from collections import Counter
 from contextlib import closing
 from pathlib import Path
@@ -15,7 +14,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zslsign import data as data_module
-from zslsign import pool
 from zslsign.data import (
     TEXT_NORM_TOL,
     Dataset,
@@ -27,10 +25,17 @@ from zslsign.data import (
     save_dataset,
     validate_dataset,
 )
-from zslsign.errors import InvariantViolation, MissingFile, ParseError, ZslSignError
+from zslsign.errors import InvariantViolation, MissingFile, PackMismatch, ParseError, ZslSignError
 from zslsign.experiment import Role, RunConfig, embed_dataset, load_embedded
 
-from conftest import make_descriptor, make_sample, small_manifest, write_feature_file, write_manifest
+from conftest import (
+    make_descriptor,
+    make_sample,
+    small_manifest,
+    write_csv_layout,
+    write_feature_file,
+    write_manifest,
+)
 
 
 def test_load_small_manifest(tmp_path):
@@ -116,21 +121,24 @@ for load in (load_dataset, lambda manifest: load_embedded(RunConfig(manifest=man
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="the platform has no FIFOs")
 def test_feature_path_naming_a_fifo_is_a_missing_file_and_never_blocks(tmp_path):
-    # with and without the pack; in a child with a deadline, since an open that waits for a writer never returns
-    manifest = _packed_copy(tmp_path)
-    fifo = manifest.parent / "features" / "s0_body.csv"
-    fifo.unlink()
-    os.mkfifo(fifo)
+    # a sample's CSV, and a packed sample's value file; in a child with a deadline, since an open that waits
+    # for a writer never returns
+    csv_manifest = _csv_copy(tmp_path / "csv")
+    packed_manifest = _packed_copy(tmp_path / "packed")
+    cases = [
+        (csv_manifest, csv_manifest.parent / "features" / "s0_body.csv", "feature file"),
+        (packed_manifest, packed_manifest.with_suffix(".pack.npy"), "feature pack"),
+    ]
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    for with_pack in (True, False):
-        if not with_pack:
-            _drop_pack(manifest)
+    for manifest, fifo, what in cases:
+        fifo.unlink()
+        os.mkfifo(fifo)
         child = subprocess.run(
             [sys.executable, "-c", _LOAD_BOTH_WAYS, str(manifest)], env=env, capture_output=True, text=True, timeout=60
         )
         assert child.returncode == 0, child.stderr
-        assert child.stdout.splitlines() == [f"sample 's0' body: feature file not found: {fifo}"] * 2
+        assert child.stdout.splitlines() == [f"sample 's0' body: {what} not found: {fifo}"] * 2
 
 
 def test_feature_path_with_a_trailing_slash_is_a_missing_file_naming_the_file(tmp_path):
@@ -176,7 +184,7 @@ def test_text_file_reference(tmp_path):
     assert np.allclose(text, [0.6, 0.8, 0.0, 0.0])  # normalized on load
 
 
-def test_text_file_of_more_than_one_row_rejected(tmp_path, monkeypatch):
+def test_text_file_of_more_than_one_row_rejected(tmp_path):
     path = small_manifest(tmp_path)
     manifest = json.loads(path.read_text())
     rows = np.array([[3.0, 4.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
@@ -185,11 +193,6 @@ def test_text_file_of_more_than_one_row_rejected(tmp_path, monkeypatch):
     manifest["classes"][1]["text_file"] = "text_c1.csv"
     write_manifest(tmp_path, manifest)
     expected = r"^class 'c1': text file text_c1.csv has 2 rows, expected 1$"
-    _assert_load_error(path, InvariantViolation, expected)
-    # the same when the rows come from a pack that matches the file
-    raw = (tmp_path / "text_c1.csv").read_bytes()
-    data_module._FeaturePack.write(path, {"text_c1.csv": (rows, len(raw), zlib.crc32(raw))})
-    monkeypatch.setattr(data_module, "_parse_feature_matrix", _no_parse)
     _assert_load_error(path, InvariantViolation, expected)
 
 
@@ -376,8 +379,13 @@ def _packed_copy(tmp_path) -> Path:
     return save_dataset(load_dataset(small_manifest(tmp_path / "orig")), tmp_path / "copy")
 
 
-def _drop_pack(manifest: Path) -> None:
-    manifest.with_suffix(".pack.npy").unlink()
+def _csv_copy(tmp_path) -> Path:
+    """The manifest of the same dataset in the CSV layout: samples s0..s5, features/s<j>_body.csv."""
+    return write_csv_layout(load_dataset(small_manifest(tmp_path / "orig")), tmp_path / "copy")
+
+
+def _drop_index(manifest: Path) -> None:
+    """Delete the pack's index: the manifest is then parsed, and the frames still come from the value file."""
     manifest.with_suffix(".pack.json").unlink()
 
 
@@ -486,11 +494,10 @@ def _datasets(draw):
 @settings(max_examples=40, deadline=None)
 @given(_datasets())
 def test_pack_loads_the_same_bits_as_the_csvs(dataset):
+    # a saved dataset and its CSV rendering both load to the dataset's records, bit for bit
     with tempfile.TemporaryDirectory() as tmp:
-        manifest = save_dataset(dataset, tmp)
-        _assert_loads(manifest, dataset)
-        _drop_pack(manifest)
-        _assert_loads(manifest, dataset)
+        _assert_loads(save_dataset(dataset, Path(tmp) / "packed"), dataset)
+        _assert_loads(write_csv_layout(dataset, Path(tmp) / "csv"), dataset)
 
 
 def _no_parse(*args):
@@ -514,14 +521,13 @@ def test_chunked_checksums_match_the_pack(tmp_path, monkeypatch):
     _assert_loads(manifest, reference)
 
 
-def test_an_intact_pack_costs_one_open_per_csv_and_no_parse(tmp_path, monkeypatch):
-    # the I/O a load rests on: each feature CSV opened exactly once and never stat'ed by path (its length
-    # comes from fstat of the open file), the manifest opened once for its CRC-32, the pack's index opened
-    # once, one open of the pack's value file for every block, and no CSV parsed
+def test_a_packed_load_opens_each_file_once_and_parses_no_csv(tmp_path, monkeypatch):
+    # the I/O a load rests on: the manifest opened once for its CRC-32, the pack's index once, the pack's
+    # value file once for all 24 blocks, no other file, none of them stat'ed by path (a length comes from
+    # fstat of the open file), and no CSV parsed
     manifest = save_dataset(_save_case("hand"), tmp_path)
     samples = json.loads(manifest.read_text())["samples"]
-    features = {os.path.normpath(tmp_path / s[stream]) for s in samples for stream in ("body", "hand")}
-    assert len(features) == 24
+    assert sum(len(s["pack"]) for s in samples) == 24
     calls = {"open": [], "stat": []}
 
     def spy(name, real):
@@ -542,8 +548,8 @@ def test_an_intact_pack_costs_one_open_per_csv_and_no_parse(tmp_path, monkeypatc
         load(manifest)
         opened = Counter(calls["open"])
         pack = [str(manifest.with_suffix(suffix)) for suffix in (".pack.json", ".pack.npy")]
-        assert opened == dict.fromkeys([*features, str(manifest), *pack], 1)
-        assert features.isdisjoint(calls["stat"])
+        assert opened == dict.fromkeys([str(manifest), *pack], 1)
+        assert opened.keys().isdisjoint(calls["stat"])
 
 
 def _no_manifest_parse(manifest: Path):
@@ -561,7 +567,7 @@ def _packed_manifest(manifest: Path) -> dict | None:
     """What the pack saved with manifest gives as its content, the manifest opened as a load opens it."""
     fd, size = data_module.open_input(manifest, "manifest")
     try:
-        with closing(data_module._FeaturePack.open(manifest)) as pack:
+        with closing(data_module._FeaturePack(manifest)) as pack:
             return pack.manifest(fd, size)
     finally:
         os.close(fd)
@@ -605,9 +611,9 @@ def test_pack_manifest_matches_a_parse_of_the_manifest(tmp_path):
     fields = index["manifest"]["fields"]
     source = json.loads(manifest.read_text())
     assert fields == {**source, "classes": [{k: v for k, v in c.items() if k != "text"} for c in source["classes"]]}
-    with_pack = load_dataset(manifest)
-    _drop_pack(manifest)
-    _assert_loads(manifest, with_pack)
+    with_index = load_dataset(manifest)
+    _drop_index(manifest)
+    _assert_loads(manifest, with_index)
 
 
 def _rename_class(text: str) -> str:
@@ -632,6 +638,7 @@ def _text_digit(text: str) -> str:
     ],
 )
 def test_edited_manifest_overrides_the_pack(tmp_path, edit):
+    # a hand-edited manifest is parsed, and its samples' frames still come from the pack's value file
     manifest = _packed_copy(tmp_path)
     before = manifest.read_text(encoding="utf-8")
     after = edit(before)
@@ -639,15 +646,27 @@ def test_edited_manifest_overrides_the_pack(tmp_path, edit):
     manifest.write_text(after, encoding="utf-8")
     assert _packed_manifest(manifest) is None
     try:
-        with_pack = load_dataset(manifest)
+        with_index = load_dataset(manifest)
     except ZslSignError:  # the split edit makes c2 both seen and unseen
-        with_pack = _load_error(manifest)
-        _drop_pack(manifest)
-        assert _load_error(manifest) == with_pack
+        with_index = _load_error(manifest)
+        _drop_index(manifest)
+        assert _load_error(manifest) == with_index
         return
-    _assert_loads(manifest, with_pack)
-    _drop_pack(manifest)
-    _assert_loads(manifest, with_pack)
+    _assert_loads(manifest, with_index)
+    _drop_index(manifest)
+    _assert_loads(manifest, with_index)
+
+
+def test_a_manifest_copied_under_another_name_reads_the_pack_it_names(tmp_path):
+    manifest = _packed_copy(tmp_path)
+    reference = load_dataset(manifest)
+    doc = json.loads(manifest.read_text())
+    doc["samples"] = doc["samples"][::2]
+    copy = manifest.with_name("every_other.json")
+    copy.write_text(json.dumps(doc, indent=1))
+    assert doc["pack_file"] == "manifest.pack.npy" and not copy.with_suffix(".pack.json").exists()
+    every_other = Dataset(reference.classes, reference.samples[::2], reference.split, reference.attribute_count)
+    _assert_loads(copy, every_other)
 
 
 def _rewrite_manifest_entry(path: Path, change) -> None:
@@ -663,12 +682,15 @@ _MANIFEST_ENTRY_DAMAGE = {
     "classes-missing": lambda e: e["fields"].pop("classes"),
     "classes-not-objects": lambda e: e["fields"].update(classes=[1, 2, 3]),
     "one-class-less": lambda e: e["fields"]["classes"].pop(),
-    "rows-wrong": lambda e: e.update(rows=e["rows"] - 1),
-    "cols-wrong": lambda e: e.update(cols=e["cols"] + 1),
-    "offset-wrong": lambda e: e.update(offset=0),
+    "pack-file-missing": lambda e: e["fields"].pop("pack_file"),
+    "pack-file-elsewhere": lambda e: e["fields"].update(pack_file="features/none.npy"),
+    "text-missing": lambda e: e.pop("text"),
+    "rows-wrong": lambda e: e["text"].update(rows=e["text"]["rows"] - 1),
+    "cols-wrong": lambda e: e["text"].update(cols=e["text"]["cols"] + 1),
+    "offset-wrong": lambda e: e["text"].update(offset=0),
     "crc-wrong": lambda e: e.update(crc32=e["crc32"] ^ 1),
     "bytes-wrong": lambda e: e.update(bytes=e["bytes"] - 1),
-    "values-crc-wrong": lambda e: e.update(values_crc32=e["values_crc32"] ^ 1),
+    "values-crc-wrong": lambda e: e["text"].update(crc32=e["text"]["crc32"] ^ 1),
 }
 
 
@@ -693,10 +715,10 @@ def test_text_of_mixed_widths_is_left_to_the_manifest(tmp_path):
     mixed = Dataset((short, *first.classes[1:]), first.samples, first.split, first.attribute_count)
     manifest = save_dataset(mixed, tmp_path / "copy")
     assert "manifest" not in json.loads(manifest.with_suffix(".pack.json").read_text())
-    with_pack = _load_error(manifest)
-    assert "text dimensionality" in with_pack[1]
-    _drop_pack(manifest)
-    assert _load_error(manifest) == with_pack
+    with_index = _load_error(manifest)
+    assert "text dimensionality" in with_index[1]
+    _drop_index(manifest)
+    assert _load_error(manifest) == with_index
 
 
 def test_manifest_is_one_line_of_json(tmp_path):
@@ -723,19 +745,18 @@ def _bump_last_digit(text: str) -> str:
         pytest.param(lambda f: f.write_text(f.read_text()[:-6] + "\n"), id="cut-last-value"),
     ],
 )
-def test_edited_csv_overrides_the_pack(tmp_path, edit):
-    manifest = _packed_copy(tmp_path)
+def test_an_edited_csv_is_read_as_edited(tmp_path, edit):
+    manifest = _csv_copy(tmp_path)
     before = load_dataset(manifest)
     edit(manifest.parent / "features" / "s0_body.csv")
-    with_pack = load_dataset(manifest)
-    _drop_pack(manifest)
-    _assert_loads(manifest, with_pack)
-    s0 = next(s for s in with_pack.samples if s.sample_id == "s0")
-    assert s0.body.data.tobytes() != before.samples[0].body.data.tobytes()
+    edited = load_dataset(manifest)
+    _assert_loads(manifest, edited)
+    assert edited.samples[0].body.data.tobytes() != before.samples[0].body.data.tobytes()
+    assert all(a.body.data.tobytes() == b.body.data.tobytes() for a, b in zip(edited.samples[1:], before.samples[1:]))
 
 
-def test_swapped_csvs_override_the_pack(tmp_path):
-    manifest = _packed_copy(tmp_path)
+def test_swapped_csvs_are_read_swapped(tmp_path):
+    manifest = _csv_copy(tmp_path)
     before = {s.sample_id: s.body.data for s in load_dataset(manifest).samples}
     f0, f1 = (manifest.parent / "features" / f"s{j}_body.csv" for j in (0, 1))
     b0, b1 = f0.read_bytes(), f1.read_bytes()
@@ -744,7 +765,6 @@ def test_swapped_csvs_override_the_pack(tmp_path):
     swapped = load_dataset(manifest)
     after = {s.sample_id: s.body.data for s in swapped.samples}
     assert np.array_equal(after["s0"], before["s1"]) and np.array_equal(after["s1"], before["s0"])
-    _drop_pack(manifest)
     _assert_loads(manifest, swapped)
 
 
@@ -758,19 +778,10 @@ def test_swapped_csvs_override_the_pack(tmp_path):
         ("\n\n", "no rows"),
     ],
 )
-def test_bad_csv_raises_the_same_error_with_and_without_a_pack(tmp_path, content, expected):
-    manifest = _packed_copy(tmp_path)
+def test_a_bad_csv_raises_the_same_error_in_both_loads(tmp_path, content, expected):
+    manifest = _csv_copy(tmp_path)
     (manifest.parent / "features" / "s0_body.csv").write_text(content, encoding="utf-8")
-    with_pack = _load_error(manifest)
-    _drop_pack(manifest)
-    assert _load_error(manifest) == with_pack
-    assert re.search(expected, with_pack[1])
-
-
-def _rewrite_index(path: Path, change) -> None:
-    index = json.loads(path.read_text())
-    change(index["files"]["features/s0_body.csv"])
-    path.write_text(json.dumps(index))
+    assert re.search(expected, _load_error(manifest)[1])
 
 
 def _write_npy(path: Path, array) -> None:
@@ -778,95 +789,223 @@ def _write_npy(path: Path, array) -> None:
         np.save(f, array)
 
 
+def _flip_byte(path: Path, value_index: int) -> None:
+    """Flip one bit of the value at value_index of the pack's value file."""
+    raw = bytearray(path.read_bytes())
+    i = len(raw) - np.load(path).nbytes + 8 * value_index + 3
+    raw[i] ^= 0x10
+    path.write_bytes(bytes(raw))
+
+
 _PACK_DAMAGE = {
-    "npy-garbage": (".pack.npy", lambda p: p.write_bytes(b"not a pack" * 20)),
-    "npy-empty": (".pack.npy", lambda p: p.write_bytes(b"")),
-    "npy-truncated": (".pack.npy", lambda p: p.write_bytes(p.read_bytes()[:200])),
-    "npy-cut-one-byte": (".pack.npy", lambda p: p.write_bytes(p.read_bytes()[:-1])),
-    "npy-header-only": (".pack.npy", lambda p: p.write_bytes(p.read_bytes()[:128])),
-    "npy-float32": (".pack.npy", lambda p: _write_npy(p, np.load(p).astype(np.float32))),
-    "npy-big-endian": (".pack.npy", lambda p: _write_npy(p, np.load(p).astype(">f8"))),
-    "npy-2d": (".pack.npy", lambda p: _write_npy(p, np.load(p).reshape(-1, 3))),
-    "npy-shorter": (".pack.npy", lambda p: _write_npy(p, np.load(p)[:10])),
-    "npy-missing": (".pack.npy", lambda p: p.unlink()),
-    "index-garbage": (".pack.json", lambda p: p.write_bytes(b"\xff\xfe{not json")),
-    "index-truncated": (".pack.json", lambda p: p.write_text(p.read_text()[:40])),
-    "index-list": (".pack.json", lambda p: p.write_text("[]")),
-    "index-files-list": (".pack.json", lambda p: p.write_text('{"files": []}')),
-    "index-missing": (".pack.json", lambda p: p.unlink()),
-    "offset-negative": (".pack.json", lambda p: _rewrite_index(p, lambda e: e.update(offset=-1))),
-    "offset-past-end": (".pack.json", lambda p: _rewrite_index(p, lambda e: e.update(offset=10**9))),
-    "rows-zero": (".pack.json", lambda p: _rewrite_index(p, lambda e: e.update(rows=0))),
-    "rows-float": (".pack.json", lambda p: _rewrite_index(p, lambda e: e.update(rows=4.0))),
-    "cols-bool": (".pack.json", lambda p: _rewrite_index(p, lambda e: e.update(cols=True))),
-    "crc-missing": (".pack.json", lambda p: _rewrite_index(p, lambda e: e.pop("crc32"))),
-    "crc-wrong": (".pack.json", lambda p: _rewrite_index(p, lambda e: e.update(crc32=e["crc32"] ^ 1))),
-    "bytes-wrong": (".pack.json", lambda p: _rewrite_index(p, lambda e: e.update(bytes=e["bytes"] + 1))),
-    "values-crc-wrong": (".pack.json", lambda p: _rewrite_index(p, lambda e: e.update(values_crc32=0))),
-    "entry-string": (".pack.json", lambda p: _rewrite_index(p, lambda e: e.clear())),
+    "npy-garbage": lambda p: p.write_bytes(b"not a pack" * 20),
+    "npy-empty": lambda p: p.write_bytes(b""),
+    "npy-truncated": lambda p: p.write_bytes(p.read_bytes()[:200]),
+    "npy-cut-one-byte": lambda p: p.write_bytes(p.read_bytes()[:-1]),
+    "npy-header-only": lambda p: p.write_bytes(p.read_bytes()[:128]),
+    "npy-float32": lambda p: _write_npy(p, np.load(p).astype(np.float32)),
+    "npy-big-endian": lambda p: _write_npy(p, np.load(p).astype(">f8")),
+    "npy-2d": lambda p: _write_npy(p, np.load(p).reshape(-1, 3)),
+    "npy-shorter": lambda p: _write_npy(p, np.load(p)[:10]),
+    "npy-missing": lambda p: p.unlink(),
+    "npy-flipped-byte": lambda p: _flip_byte(p, 5),
+    "npy-zeroed": lambda p: _write_npy(p, np.zeros_like(np.load(p))),
 }
 
 
 @pytest.mark.parametrize("damage", sorted(_PACK_DAMAGE))
-def test_damaged_pack_falls_back_to_the_csvs(tmp_path, damage):
+def test_damaged_pack_is_refused_naming_the_pack_and_the_sample(tmp_path, damage):
+    manifest = _packed_copy(tmp_path)
+    npy = manifest.with_suffix(".pack.npy")
+    _PACK_DAMAGE[damage](npy)
+    error, message = _load_error(manifest)
+    assert error is (MissingFile if damage == "npy-missing" else PackMismatch), message
+    assert message.startswith("sample 's0' body: feature pack ") and str(npy) in message
+
+
+def test_a_flipped_byte_in_one_block_is_refused_naming_its_sample(tmp_path):
+    manifest = _packed_copy(tmp_path)
+    block = json.loads(manifest.read_text())["samples"][3]["pack"]["body"]
+    npy = manifest.with_suffix(".pack.npy")
+    _flip_byte(npy, block["offset"] + block["rows"] * block["cols"] - 1)  # the block's last value
+    expected = f"^sample 's3' body: feature pack {re.escape(str(npy))} does not hold the 4x3 block at offset "
+    _assert_load_error(manifest, PackMismatch, expected)
+
+
+_INDEX_DAMAGE = {
+    "index-garbage": lambda p: p.write_bytes(b"\xff\xfe{not json"),
+    "index-truncated": lambda p: p.write_text(p.read_text()[:40]),
+    "index-list": lambda p: p.write_text("[]"),
+    "index-files-list": lambda p: p.write_text('{"files": []}'),
+    "index-missing": lambda p: p.unlink(),
+    "index-directory": lambda p: p.unlink() or p.mkdir(),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(_INDEX_DAMAGE))
+def test_damaged_index_falls_back_to_the_manifest(tmp_path, damage):
     manifest = _packed_copy(tmp_path)
     reference = load_dataset(manifest)
-    suffix, change = _PACK_DAMAGE[damage]
-    change(manifest.with_suffix(suffix))
+    _INDEX_DAMAGE[damage](manifest.with_suffix(".pack.json"))
+    assert _packed_manifest(manifest) is None
     _assert_loads(manifest, reference)
+
+
+def _s0_body(change):
+    return lambda m: change(m["samples"][0]["pack"]["body"])
+
+
+_BAD_BODY = "sample 's0': field 'body' must be a pack block, integers offset >= 0, rows >= 1, cols >= 1 and crc32$"
+_NOT_HELD = r"sample 's0' body: feature pack .*manifest\.pack\.npy does not hold the "
+
+
+@pytest.mark.parametrize(
+    "change, kind, expected",
+    [
+        pytest.param(_s0_body(lambda e: e.update(offset=-1)), ParseError, _BAD_BODY,
+                     id="offset-negative"),
+        pytest.param(_s0_body(lambda e: e.update(rows=0)), ParseError, _BAD_BODY, id="rows-zero"),
+        pytest.param(_s0_body(lambda e: e.update(rows=4.0)), ParseError, _BAD_BODY, id="rows-float"),
+        pytest.param(_s0_body(lambda e: e.update(cols=True)), ParseError, _BAD_BODY, id="cols-bool"),
+        pytest.param(_s0_body(lambda e: e.pop("crc32")), ParseError, _BAD_BODY, id="crc-missing"),
+        pytest.param(_s0_body(lambda e: e.clear()), ParseError, _BAD_BODY, id="entry-empty"),
+        pytest.param(lambda m: m["samples"][0]["pack"].update(body="s0.csv"), ParseError, _BAD_BODY,
+                     id="entry-string"),
+        pytest.param(lambda m: m["samples"][0]["pack"].pop("body"), ParseError, "sample 's0': missing field 'body'",
+                     id="body-missing"),
+        pytest.param(lambda m: m["samples"][0].update(pack=[1]), ParseError,
+                     "sample 's0': field 'pack' must be an object", id="pack-list"),
+        pytest.param(lambda m: m.pop("pack_file"), ParseError,
+                     "sample 's0' body: a packed stream needs the manifest field 'pack_file'", id="pack-file-missing"),
+        pytest.param(lambda m: m.update(pack_file=3), ParseError,
+                     "manifest: field 'pack_file' must be a relative file path", id="pack-file-int"),
+        pytest.param(lambda m: m.update(pack_file="none.npy"), MissingFile,
+                     "sample 's0' body: feature pack not found: .*none\\.npy", id="pack-file-gone"),
+        pytest.param(_s0_body(lambda e: e.update(offset=10**9)), PackMismatch, _NOT_HELD, id="offset-past-end"),
+        pytest.param(_s0_body(lambda e: e.update(crc32=e["crc32"] ^ 1)), PackMismatch, _NOT_HELD, id="crc-wrong"),
+        pytest.param(_s0_body(lambda e: e.update(rows=e["rows"] - 1)), PackMismatch, _NOT_HELD, id="rows-wrong"),
+        pytest.param(_s0_body(lambda e: e.update(offset=e["offset"] + 1)), PackMismatch, _NOT_HELD,
+                     id="offset-wrong"),
+    ],
+)
+def test_a_malformed_or_wrong_block_entry_is_refused(tmp_path, change, kind, expected):
+    manifest = _packed_copy(tmp_path)
+    doc = json.loads(manifest.read_text())
+    change(doc)
+    manifest.write_text(json.dumps(doc))
+    _assert_load_error(manifest, kind, "^" + expected)
+
+
+def test_a_sample_that_names_both_a_block_and_a_csv_is_a_parse_error(tmp_path):
+    manifest = _packed_copy(tmp_path)
+    write_feature_file(manifest.parent / "features" / "s0.csv", np.ones((4, 3)))
+    doc = json.loads(manifest.read_text())
+    doc["samples"][0]["body"] = "features/s0.csv"
+    manifest.write_text(json.dumps(doc))
+    expected = "^sample 's0': give either 'pack' or 'body' and 'hand' files, not both$"
+    _assert_load_error(manifest, ParseError, expected)
 
 
 def test_stale_pack_entry_is_not_used(tmp_path):
-    # The index points s0 at s1's values: only the CRC of s0's own bytes may pick a slice.
+    # The manifest points s0 at s1's values: only s0's own CRC-32 may pick a block.
     manifest = _packed_copy(tmp_path)
-    reference = load_dataset(manifest)
-    index_path = manifest.with_suffix(".pack.json")
-    index = json.loads(index_path.read_text())
-    files = index["files"]
-    files["features/s0_body.csv"]["offset"] = files["features/s1_body.csv"]["offset"]
-    index_path.write_text(json.dumps(index))
-    _assert_loads(manifest, reference)
-    files["features/s0_body.csv"]["crc32"] = files["features/s1_body.csv"]["crc32"]
-    index_path.write_text(json.dumps(index))
-    _assert_loads(manifest, reference)
+    doc = json.loads(manifest.read_text())
+    samples = doc["samples"]
+    samples[0]["pack"]["body"]["offset"] = samples[1]["pack"]["body"]["offset"]
+    manifest.write_text(json.dumps(doc))
+    _assert_load_error(manifest, PackMismatch, "^" + _NOT_HELD)
+
+
+def _shifted(dataset: Dataset) -> Dataset:
+    """The same dataset with every body frame moved by 1."""
+    samples = tuple(make_sample(s.sample_id, s.class_id, s.body.data + 1.0) for s in dataset.samples)
+    return Dataset(dataset.classes, samples, dataset.split, dataset.attribute_count)
+
+
+@pytest.mark.parametrize("files", [(".pack.npy",), (".pack.npy", ".pack.json")], ids=["values", "values-and-index"])
+def test_another_saves_pack_is_refused(tmp_path, files):
+    manifest = _packed_copy(tmp_path)
+    other = save_dataset(_shifted(load_dataset(manifest)), tmp_path / "other")
+    for suffix in files:
+        manifest.with_suffix(suffix).write_bytes(other.with_suffix(suffix).read_bytes())
+    _assert_load_error(manifest, PackMismatch, "^" + _NOT_HELD)
+
+
+def test_a_save_torn_before_its_manifest_is_refused(tmp_path, monkeypatch):
+    # the second save into the directory stops after its pack: the pack is newer than the manifest
+    manifest = _packed_copy(tmp_path)
+    before = manifest.read_bytes()
+    shifted = _shifted(load_dataset(manifest))
+
+    def torn(path, data):
+        raise OSError(f"no space left to write {path}")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Path, "write_bytes", torn)
+        with pytest.raises(OSError, match="no space left"):
+            save_dataset(shifted, manifest.parent)
+    assert manifest.read_bytes() == before  # the old manifest, beside the new pack
+    _assert_load_error(manifest, PackMismatch, "^" + _NOT_HELD)
+    save_dataset(shifted, manifest.parent)  # a save that ends repairs it
+    _assert_loads(manifest, shifted)
 
 
 def test_index_of_another_save_is_not_used(tmp_path):
-    # A save torn between the value file and the index leaves an index that
-    # describes other values; s0's CSV is unchanged, but its offset moved.
+    # A save torn between the index and the manifest, here undone for the index alone, leaves an index that
+    # describes another manifest; the manifest is parsed.
     first = load_dataset(small_manifest(tmp_path / "orig"))
     manifest = save_dataset(first, tmp_path / "copy")
     old_index = manifest.with_suffix(".pack.json").read_bytes()
     reordered = Dataset(first.classes, first.samples[::-1], first.split, first.attribute_count)
     save_dataset(reordered, tmp_path / "copy")
     manifest.with_suffix(".pack.json").write_bytes(old_index)
-    _assert_loads(manifest, first)
+    assert _packed_manifest(manifest) is None
+    _assert_loads(manifest, reordered)
 
 
 def test_two_manifests_in_one_directory_keep_their_own_packs(tmp_path):
     first = load_dataset(small_manifest(tmp_path / "orig"))
-    shifted = tuple(
-        make_sample(s.sample_id if j % 2 else f"x{j}", s.class_id, s.body.data + 1.0)
-        for j, s in enumerate(first.samples)
-    )
-    second = Dataset(first.classes, shifted, first.split, first.attribute_count)
+    second = _shifted(first)
     out = tmp_path / "shared"
     a = save_dataset(first, out, "a.json")
     b = save_dataset(second, out, "b.json")
+    assert json.loads(a.read_text())["pack_file"] == "a.pack.npy"
+    assert json.loads(b.read_text())["pack_file"] == "b.pack.npy"
     assert a.with_suffix(".pack.npy").read_bytes() != b.with_suffix(".pack.npy").read_bytes()
-    packed = load_dataset(a), load_dataset(b)
-    # s1, s3, s5 were overwritten by the second save: a.json must read b's CSV values for them.
-    for m in (a, b):
-        _drop_pack(m)
-    for with_pack, manifest in zip(packed, (a, b)):
-        _assert_loads(manifest, with_pack)
-    a_bodies = {s.sample_id: s.body.data for s in packed[0].samples}
-    assert np.array_equal(a_bodies["s0"], first.samples[0].body.data)
-    assert np.array_equal(a_bodies["s1"], first.samples[1].body.data + 1.0)
+    _assert_loads(a, first)
+    _assert_loads(b, second)
+
+
+PARENT_SAVE = Path(__file__).resolve().parent / "data" / "parent_save"
+
+
+def _parent_save_case() -> Dataset:
+    """The dataset in tests/data/parent_save: three classes, three two-stream samples."""
+    rng = np.random.default_rng(7)
+    texts = rng.normal(size=(3, 4))
+    classes = tuple(make_descriptor(f"c{i}", [i & 1, i >> 1], t / np.linalg.norm(t)) for i, t in enumerate(texts))
+    samples = tuple(
+        make_sample(f"s{j}", f"c{j}", rng.normal(size=(2 + j, 3)), hand=rng.normal(size=(2 + j, 2))) for j in range(3)
+    )
+    split = SplitConfig(frozenset({"c0"}), frozenset({"c1"}), frozenset({"c2"}), SplitMode.ZSL)
+    return Dataset(classes, samples, split, attribute_count=2)
+
+
+def test_a_dataset_saved_in_the_csv_layout_loads_the_same_records_and_converts(tmp_path):
+    # tests/data/parent_save was written by save_dataset before the pack held the frames: one CSV per sample
+    # stream, and a pack whose index is keyed by the CSVs' paths, byte lengths and CRC-32s
+    manifest = PARENT_SAVE / "manifest.json"
+    assert "files" in json.loads(manifest.with_suffix(".pack.json").read_text())
+    assert len(list((PARENT_SAVE / "features").glob("*.csv"))) == 6
+    reference = _parent_save_case()
+    _assert_loads(manifest, reference)
+    converted = save_dataset(load_dataset(manifest), tmp_path)
+    _assert_loads(converted, reference)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "manifest.pack.json", "manifest.pack.npy"]
 
 
 # ---------------------------------------------------------------------------
-# saving on the worker pool
+# saving
 # ---------------------------------------------------------------------------
 
 
@@ -898,39 +1037,28 @@ def test_save_dataset_writes_no_manifest_strict_json_cannot_hold(tmp_path):
     text[0] = np.inf
     object.__setattr__(dataset.classes[0], "text", text)  # past the descriptor's own check
     with pytest.raises(ValueError, match="not JSON compliant"):
-        save_dataset(dataset, tmp_path)
-    assert not (tmp_path / "manifest.json").exists()
+        save_dataset(dataset, tmp_path / "out")
+    assert not (tmp_path / "out").exists()  # serialized before any file is written
 
 
 @pytest.mark.parametrize("case", ["hand", "gzsl", "mixed text widths"])
-def test_saved_tree_does_not_depend_on_the_worker_count(tmp_path, monkeypatch, case):
+def test_saved_tree_is_the_manifest_its_pack_and_the_extra_files(tmp_path, monkeypatch, case):
     dataset = _save_case(case)
     extra = {"planted_map.csv": np.random.default_rng(4).normal(size=(5, 7))}
-    monkeypatch.setattr(data_module, "_POOL_MIN_VALUES", 0)  # this small a save on the workers too
-    trees = {}
-    for cpus in (1, 2):
-        monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
-        save_dataset(dataset, tmp_path / str(cpus), extra_csv=extra)
-        trees[cpus] = _tree(tmp_path / str(cpus))
-    assert trees[1] == trees[2]
-    streams = 2 if case == "hand" else 1
-    assert len(trees[1]) == 12 * streams + 4  # the CSVs, the extra file, the pack's two files, the manifest
-    assert trees[2]["planted_map.csv"] == data_module.csv_text(extra["planted_map.csv"]).encode("utf-8")
+    trees = []
+    for run in ("a", "b"):
+        save_dataset(dataset, tmp_path / run, extra_csv=extra)
+        trees.append(_tree(tmp_path / run))
+    assert trees[0] == trees[1]  # a save depends on nothing but its arguments
+    assert sorted(trees[0]) == ["manifest.json", "manifest.pack.json", "manifest.pack.npy", "planted_map.csv"]
+    assert trees[0]["planted_map.csv"] == data_module.csv_text(extra["planted_map.csv"]).encode("utf-8")
     if case == "mixed text widths":
-        assert "manifest" not in json.loads(trees[2]["manifest.pack.json"])
+        assert "manifest" not in json.loads(trees[0]["manifest.pack.json"])
         return
-    manifest = tmp_path / "2" / "manifest.json"
+    manifest = tmp_path / "b" / "manifest.json"
     with monkeypatch.context() as patch:
         patch.setattr(data_module, "_parse_feature_matrix", _no_parse)
-        _assert_same_bits(load_dataset(manifest), dataset)  # the pack index matches every CSV
-    _drop_pack(manifest)
+        patch.setattr(data_module.json, "loads", _no_manifest_parse(manifest))
+        _assert_same_bits(load_dataset(manifest), dataset)  # the index serves the manifest, the blocks the frames
+    _drop_index(manifest)
     _assert_same_bits(load_dataset(manifest), dataset)
-
-
-def test_ranges_cover_every_index_once_in_at_most_the_asked_number():
-    sizes = [192, 210, *[4] * 250]
-    for parts in (1, 2, 8, 1000):
-        ranges = data_module._ranges(sizes, parts)
-        assert 1 <= len(ranges) <= parts
-        assert [i for start, stop in ranges for i in range(start, stop)] == list(range(len(sizes)))
-    assert data_module._ranges(sizes, 8)[:2] == [(0, 1), (1, 2)]  # each large document is a job of its own

@@ -5,6 +5,7 @@ import re
 import tempfile
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ from zslsign.experiment import (
 from zslsign.synth import SynthSpec, generate
 from zslsign.temporal import embed_video
 
-from conftest import make_descriptor, make_sample
+from conftest import make_descriptor, make_sample, write_csv_layout
 
 FIXTURE_SPEC = SynthSpec(
     n_classes=14,
@@ -269,19 +270,20 @@ COMMAND_ROLE_SETS = [(Role.SEEN,), (Role.CANDIDATES,), SWEEP_ROLES, (), tuple(Ro
 def _assert_command_loads_of_the_saved_dataset_equal_embed_dataset(dataset: Dataset, cfg: RunConfig) -> None:
     """A command's load of the saved dataset gives embed_dataset(load_dataset(...))'s views, byte for byte.
 
-    From the pack, with one CSV edited after the save (parsed, the others from
-    the pack), and with the pack files deleted.
+    From the pack, with the pack's index deleted (the manifest parsed), and
+    in the CSV layout with one CSV edited after it was written.
     """
     with tempfile.TemporaryDirectory() as tmp:
-        manifest = save_dataset(dataset, tmp)
+        manifest = save_dataset(dataset, Path(tmp) / "packed")
+        _assert_command_loads_equal_embed_dataset(manifest, cfg)
+        manifest.with_suffix(".pack.json").unlink()
+        _assert_command_loads_equal_embed_dataset(manifest, cfg)
+        manifest = write_csv_layout(dataset, Path(tmp) / "csv")
         _assert_command_loads_equal_embed_dataset(manifest, cfg)
         edited = manifest.parent / json.loads(manifest.read_text())["samples"][0]["body"]
         body = dataset.samples[0].body.data * 0.5 + 1.0
         edited.write_text(csv_text(body), encoding="utf-8")
         assert load_dataset(manifest).samples[0].body.data.tobytes() == body.tobytes()
-        _assert_command_loads_equal_embed_dataset(manifest, cfg)
-        manifest.with_suffix(".pack.npy").unlink()
-        manifest.with_suffix(".pack.json").unlink()
         _assert_command_loads_equal_embed_dataset(manifest, cfg)
 
 

@@ -924,10 +924,14 @@ def test_a_header_keeps_integral_and_float_numbers_as_written(tmp_path):
     "change", [{"final_loss": float("nan")}, {"hyperparams": {"lam": float("inf")}}], ids=["final_loss", "hyperparams"]
 )
 def test_save_model_refuses_a_value_strict_json_cannot_hold(tmp_path, change):
+    # refused before either file is written, naming the path and the field
     model = attr_model(np.eye(2), **{"final_loss": 0.5, **change})
-    with pytest.raises(ValueError, match="not JSON compliant"):
-        save_model(model, tmp_path / "model.json")
-    assert not (tmp_path / "model.json").exists()
+    path = tmp_path / "model.json"
+    field = "final_loss" if "final_loss" in change else "hyperparams.lam"
+    with pytest.raises(ValueError, match=f"^model file {re.escape(str(path))}: {field} is .*not JSON compliant"):
+        save_model(model, path)
+    assert not path.exists()
+    assert not (tmp_path / "model.npy").exists()
 
 
 def test_inline_w_model_file_is_refused(tmp_path):
