@@ -151,8 +151,11 @@ def cmd_synth(args) -> int:
     )
     dataset, planted = _lazy.generate(spec)
     out = _out_dir(args)
-    manifest_path = save_dataset(dataset, out, extra_csv={"planted_map.csv": planted})
+    # the spec and the planted map go before the dataset, so the manifest is the last file synth writes
     _write_json(out / "synth_spec.json", {**asdict(spec), "split_mode": spec.split_mode.value})
+    with open(out / "planted_map.npy", "wb") as f:
+        np.lib.format.write_array(f, np.ascontiguousarray(planted, dtype="<f8"), version=(1, 0))
+    manifest_path = save_dataset(dataset, out)
     print(f"wrote {manifest_path}")
     return 0
 

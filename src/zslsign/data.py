@@ -50,12 +50,11 @@ Each sample's frames and each class text vector own their memory, so
 dropping a sample frees its frames and nothing else.
 
 :func:`save_dataset` serializes the manifest first, so a value strict JSON
-cannot hold writes nothing, then writes any extra CSV files the caller hands
-it, the pack's values, its index, and the manifest last. A save cut short
-before the end leaves no new manifest; the old one then names blocks the new
-value file does not hold, and its load is refused. A dataset in the CSV layout
-(hand-written, or saved before the pack held the frames) converts with
-``save_dataset(load_dataset(path), out)``.
+cannot hold writes nothing, then writes the pack's values, its index, and the
+manifest last. A save cut short before the end leaves no new manifest; the
+old one then names blocks the new value file does not hold, and its load is
+refused. A dataset in the CSV layout (hand-written, or saved before the pack
+held the frames) converts with ``save_dataset(load_dataset(path), out)``.
 """
 
 from __future__ import annotations
@@ -258,11 +257,6 @@ def _parse_feature_matrix(raw: bytes, path: str, entity: str) -> np.ndarray:
     if not rows:
         raise InvariantViolation(f"{entity}: feature file {Path(path)} has no rows")
     return np.array(rows, dtype=np.float64)
-
-
-def csv_text(matrix: np.ndarray) -> str:
-    """One line per row, comma-separated shortest round-trip reals, LF-terminated."""
-    return "\n".join(",".join(map(repr, row)) for row in matrix.tolist()) + "\n"
 
 
 _VECTOR_DTYPE = np.dtype("<f8")
@@ -716,16 +710,13 @@ def save_dataset(
     dataset: Dataset,
     out_dir: str | Path,
     manifest_name: str = "manifest.json",
-    extra_csv: Mapping[str, np.ndarray] | None = None,
 ) -> Path:
     """Write the feature pack and then the manifest; inverse of load_dataset.
 
     Frames go to the pack bit for bit, and the text vectors into the manifest
     as shortest round-trip reals, so load(save(load(p))) reproduces every
-    numeric field bit-exactly. extra_csv maps further file names under out_dir
-    to matrices that are written as CSV (see csv_text) before the pack but are
-    not part of the dataset. The manifest is serialized before any file is
-    written and written last, once every other file is.
+    numeric field bit-exactly. The manifest is serialized before any file is
+    written and written last, once the pack and its index are.
     """
     out_dir = Path(out_dir)
     values: list[np.ndarray] = []  # the pack's blocks, flat, in file order
@@ -769,8 +760,6 @@ def save_dataset(
     raw = (json.dumps(manifest, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    for rel, matrix in (extra_csv or {}).items():
-        (out_dir / rel).write_text(csv_text(matrix), encoding="utf-8")
     index = {}
     if len({c.text.shape for c in dataset.classes}) == 1:  # the text vectors go into the pack as one matrix
         text = block(np.array([c.text for c in dataset.classes]))

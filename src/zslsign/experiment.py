@@ -75,21 +75,20 @@ class RunConfig:
     out_dir: str | None = None
     repeats: int = 5
 
-    def __post_init__(self) -> None:
-        check_ks(self.ks)
-        if self.repeats < 1:
-            raise ValueError(f"repeats must be >= 1, got {self.repeats}")
-
     def check(self, sweep_values: Sequence[int] = ()) -> None:
         """Refuse this config, and a sweep over the d_t values sweep_values, before any input is read.
 
-        Each check is its owner's: the aggregator spec's, the embedding mode's
-        for d_t and each swept value (a sweep also needs a text-bearing mode),
-        and the method's: TrainConfig's for lle, check_closed_form's for eszsl
-        and sae. A float key the method does not read must still be finite, as
-        effective_config.json is strict JSON. The one check that needs the
-        data, a closed form's text width, is load_embedded's.
+        Each check is its owner's: check_ks's for ks, the aggregator spec's,
+        the embedding mode's for d_t and each swept value (a sweep also needs a
+        text-bearing mode), and the method's: TrainConfig's for lle,
+        check_closed_form's for eszsl and sae. A float key the method does not
+        read must still be finite, as effective_config.json is strict JSON.
+        The one check that needs the data, a closed form's text width, is
+        load_embedded's.
         """
+        check_ks(self.ks)
+        if self.repeats < 1:
+            raise ValueError(f"repeats must be >= 1, got {self.repeats}")
         if sweep_values and ModeKind(self.embedding) is ModeKind.ATTRIBUTES:
             raise ValueError("sweeping d_t needs a text-bearing embedding mode")
         self.aggregator_spec()
@@ -360,9 +359,10 @@ def _per_repeat(fits: list, repeats: int) -> list:
 def train_repeats(data: Embedded, cfg: RunConfig) -> list[CompatModel]:
     """One model per repeat, for seeds cfg.seed, cfg.seed + 1, ...
 
-    The fits run side by side (see pool.map_jobs). eszsl and sae fit once and
-    every repeat gets that model.
+    cfg is checked first (see RunConfig.check). The fits run side by side (see
+    pool.map_jobs). eszsl and sae fit once and every repeat gets that model.
     """
+    cfg.check()
     jobs = [(cfg, seed) for seed in _fit_seeds(cfg)]
     return _per_repeat(map_jobs(train_from_config, jobs, (data,)), cfg.repeats)
 

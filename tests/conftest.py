@@ -13,9 +13,13 @@ from zslsign.data import (
     SplitConfig,
     SplitMode,
     Stream,
-    csv_text,
 )
 from zslsign.models import _label_indices, _lle_backward, _lle_forward
+
+
+def csv_text(matrix: np.ndarray) -> str:
+    """A feature file's text: one line per row, comma-separated shortest round-trip reals, LF-terminated."""
+    return "\n".join(",".join(map(repr, row)) for row in matrix.tolist()) + "\n"
 
 
 def write_feature_file(path: Path, matrix) -> str:

@@ -14,9 +14,9 @@ import pytest
 
 from zslsign import cli, data, experiment, pool
 from zslsign.cli import main
-from zslsign.data import load_dataset
+from zslsign.data import SplitMode, load_dataset
 from zslsign.errors import MissingReduction, ParseError
-from zslsign.synth import SynthSpec
+from zslsign.synth import SynthSpec, generate
 
 from conftest import write_csv_layout
 
@@ -70,13 +70,20 @@ def snapshot(directory: Path) -> dict[str, bytes]:
 
 def test_synth_writes_complete_tree(workspace):
     data = workspace["manifest"].parent
-    assert (data / "manifest.json").exists()
-    assert (data / "planted_map.csv").exists()
-    assert (data / "synth_spec.json").exists()
+    assert sorted(snapshot(data)) == [
+        "manifest.json", "manifest.pack.json", "manifest.pack.npy", "planted_map.npy", "synth_spec.json"
+    ]
     manifest = json.loads(workspace["manifest"].read_text())
     assert len(manifest["classes"]) == 14
     spec = json.loads((data / "synth_spec.json").read_text())
     assert list(spec) == sorted(f.name for f in dataclasses.fields(SynthSpec))
+    # the planted map is generate's matrix bit for bit, as a little-endian float64 npy 1.0 file
+    _, planted = generate(SynthSpec(**{**spec, "split_mode": SplitMode(spec["split_mode"])}))
+    with open(data / "planted_map.npy", "rb") as f:
+        assert np.lib.format.read_magic(f) == (1, 0)
+    loaded = np.load(data / "planted_map.npy")
+    assert loaded.dtype == np.dtype("<f8") and loaded.shape == planted.shape == (12, 6 + 4)
+    assert loaded.tobytes() == planted.tobytes()
     # the frames are in the pack only: one block per sample, no feature CSV
     assert [len(s["pack"]) for s in manifest["samples"]] == [1] * 14 * 6
     assert manifest["pack_file"] == "manifest.pack.npy" and (data / "manifest.pack.npy").is_file()
@@ -870,6 +877,42 @@ def test_a_synth_that_dies_writing_its_pack_leaves_no_manifest(tmp_path):
     assert not (out / "manifest.pack.json").exists()
 
 
+# Runs the CLI with an audit hook that prints each file a command opens for writing, in order.
+_CREATION_SPY = """
+import os, sys
+from zslsign.cli import main
+
+def spy(event, args):
+    if event == "open" and args[0] is not None and not isinstance(args[0], int):
+        mode, flags = args[1], args[2]
+        if ("w" in mode or "x" in mode or "a" in mode) if mode else flags & (os.O_WRONLY | os.O_RDWR):
+            print("created", os.fspath(args[0]), flush=True)
+
+sys.addaudithook(spy)
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_synth_writes_its_manifest_last(tmp_path):
+    # a synth cut short before the manifest leaves no new manifest beside a missing or stale spec or planted map
+    out = tmp_path / "data"
+    proc = subprocess.run(
+        [sys.executable, "-c", _CREATION_SPY, *map(str, SYNTH_ARGS), "--out", str(out)],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    created = [Path(line.split(" ", 1)[1]).name for line in proc.stdout.splitlines() if line.startswith("created ")]
+    assert sorted(created) == sorted(snapshot(out)) and len(created) == 5
+    assert created[-1] == "manifest.json"
+
+
+def test_two_synths_with_the_same_seed_write_identical_trees(tmp_path):
+    for tree in ("a", "b"):
+        assert run(SYNTH_ARGS + ["--out", tmp_path / tree]) == 0
+    assert snapshot(tmp_path / "a") == snapshot(tmp_path / "b")
+    assert len(snapshot(tmp_path / "a")) == 5
+
+
 def test_synth_calls_the_generate_bound_on_the_cli_module(tmp_path, monkeypatch):
     # synth is imported on first use, but a replacement bound on zslsign.cli (a tracer's) is still the one called
     from zslsign import cli
@@ -1209,23 +1252,37 @@ def test_a_bad_run_config_is_refused_before_any_input_is_read(workspace, tmp_pat
 
 
 @pytest.mark.parametrize(
-    "doc, code, message",
+    "doc, flags, message",
     [
-        ('{"repeats": 0}', 2, "config {}: repeats must be >= 1, got 0"),
-        ('{"ks": [0]}', 2, "config {}: ks must be nonempty positive integers, got [0]"),
-        ('{"d_t": 0}', 1, "d_t must be >= 1, got 0"),
+        ('{"repeats": 0}', ["--repeats", "0"], "repeats must be >= 1, got 0"),
+        ('{"ks": [0]}', ["--ks", "0"], "ks must be nonempty positive integers, got [0]"),
+        ('{"d_t": 0}', ["--d-t", "0"], "d_t must be >= 1, got 0"),
     ],
     ids=["repeats-0", "ks-0", "d_t-0"],
 )
-def test_a_config_file_out_of_range_keeps_its_exit_code(workspace, tmp_path, monkeypatch, capsys, doc, code, message):
-    # a file's repeats or ks below 1 exits 2 (RunConfig refuses it as the file is read); other range errors exit 1
+def test_a_config_file_out_of_range_keeps_its_exit_code(workspace, tmp_path, monkeypatch, capsys, doc, flags, message):
+    # a value of the right JSON type but out of range exits 1 with the same line from a file as from a flag
     config = tmp_path / "config.json"
     config.write_text(doc)
     out = tmp_path / "out"
     opened = _spy_on_inputs(monkeypatch)
-    assert run(["train", "--config", config, "--manifest", workspace["manifest"], "--out", out]) == code
-    assert capsys.readouterr().err.splitlines() == ["error: " + message.format(config)]
+    assert run(["train", "--config", config, "--manifest", workspace["manifest"], "--out", out]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: " + message]
     assert opened == [config] and not out.exists()
+    assert run(["train", *flags, "--manifest", workspace["manifest"], "--out", out]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: " + message]
+    assert opened == [config] and not out.exists()
+
+
+def test_a_flag_overrides_a_config_files_out_of_range_value(workspace, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text('{"repeats": 0, "ks": [0]}')
+    out = tmp_path / "out"
+    argv = ["train", "--config", config, "--manifest", workspace["manifest"], "--out", out] + TRAIN_OVERRIDES
+    assert run(argv + ["--ks", "1,2"]) == 0
+    effective = json.loads((out / "effective_config.json").read_text())
+    assert (effective["repeats"], effective["ks"]) == (1, [1, 2])
+    assert (out / "model.json").read_bytes() == workspace["model"].read_bytes()
 
 
 @pytest.mark.parametrize("method", ["eszsl", "sae"])

@@ -1042,16 +1042,18 @@ def test_save_dataset_writes_no_manifest_strict_json_cannot_hold(tmp_path):
 
 
 @pytest.mark.parametrize("case", ["hand", "gzsl", "mixed text widths"])
-def test_saved_tree_is_the_manifest_its_pack_and_the_extra_files(tmp_path, monkeypatch, case):
+def test_saved_tree_is_the_manifest_and_its_pack(tmp_path, monkeypatch, case):
     dataset = _save_case(case)
-    extra = {"planted_map.csv": np.random.default_rng(4).normal(size=(5, 7))}
     trees = []
     for run in ("a", "b"):
-        save_dataset(dataset, tmp_path / run, extra_csv=extra)
+        save_dataset(dataset, tmp_path / run)
         trees.append(_tree(tmp_path / run))
     assert trees[0] == trees[1]  # a save depends on nothing but its arguments
-    assert sorted(trees[0]) == ["manifest.json", "manifest.pack.json", "manifest.pack.npy", "planted_map.csv"]
-    assert trees[0]["planted_map.csv"] == data_module.csv_text(extra["planted_map.csv"]).encode("utf-8")
+    assert sorted(trees[0]) == ["manifest.json", "manifest.pack.json", "manifest.pack.npy"]
+    # files of the caller's own beside the dataset (synth's spec and planted map) are left as they are
+    (tmp_path / "b" / "planted_map.npy").write_bytes(b"caller's file")
+    save_dataset(dataset, tmp_path / "b")
+    assert _tree(tmp_path / "b") == {**trees[0], "planted_map.npy": b"caller's file"}
     if case == "mixed text widths":
         assert "manifest" not in json.loads(trees[0]["manifest.pack.json"])
         return

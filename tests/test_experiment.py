@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zslsign import experiment, pool
-from zslsign.data import Dataset, SplitConfig, SplitMode, csv_text, load_dataset, save_dataset
+from zslsign.data import Dataset, SplitConfig, SplitMode, load_dataset, save_dataset
 from zslsign.errors import (
     DegenerateData,
     DimensionMismatch,
@@ -41,7 +41,7 @@ from zslsign.experiment import (
 from zslsign.synth import SynthSpec, generate
 from zslsign.temporal import embed_video
 
-from conftest import make_descriptor, make_sample, write_csv_layout
+from conftest import csv_text, make_descriptor, make_sample, write_csv_layout
 
 FIXTURE_SPEC = SynthSpec(
     n_classes=14,
@@ -547,12 +547,20 @@ def test_two_stream_training_when_hand_covered():
 
 
 def test_run_config_validates_ks_and_repeats():
-    with pytest.raises(ValueError):
-        RunConfig(ks=())
-    with pytest.raises(ValueError):
-        RunConfig(ks=(0,))
-    with pytest.raises(ValueError):
-        RunConfig(repeats=0)
+    # a value of the right type but out of range is refused by check, not at construction, so a flag can override it
+    cases = [
+        ({"ks": ()}, "ks must be nonempty positive integers, got []"),
+        ({"ks": (0,)}, "ks must be nonempty positive integers, got [0]"),
+        ({"repeats": 0}, "repeats must be >= 1, got 0"),
+    ]
+    for fields, message in cases:
+        cfg = RunConfig.from_dict({key: list(value) if key == "ks" else value for key, value in fields.items()})
+        assert cfg == RunConfig(**fields)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cfg.check()
+        replace(cfg, ks=(1,), repeats=1).check()
+    with pytest.raises(ValueError, match=r"^repeats must be >= 1, got 0$"):
+        train_repeats(None, RunConfig(repeats=0))  # refused before the data is looked at, not an empty list
 
 
 def test_train_config_validation():
