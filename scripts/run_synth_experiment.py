@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """End-to-end experiment on a synthetic dataset with planted structure.
 
-Generates the fixture, trains one model per formulation (lle / eszsl / sae),
-reports ZSL and GZSL accuracy against the random baseline, and runs both
-attribute-influence analyses on the lle model. Everything is seeded, so the
-printed numbers are reproducible.
+Generates the fixture and saves it, and a GZSL copy of its split, as datasets
+under OUT/data, then reads them back as the commands do (load_embedded). It
+trains one model per formulation (lle / eszsl / sae), reports ZSL and GZSL
+accuracy against the random baseline, and runs both attribute-influence
+analyses on the lle model. Everything is seeded, so the printed numbers are
+reproducible, and `zslsign eval` on OUT/data/manifest.json with a saved model
+prints that model's ZSL numbers.
 
 Usage: python scripts/run_synth_experiment.py [--out OUT] [--seed N]
 """
@@ -13,9 +16,9 @@ import argparse
 from dataclasses import replace
 from pathlib import Path
 
-from zslsign.data import Dataset, SplitMode, save_dataset
+from zslsign.data import SplitMode, save_dataset
 from zslsign.evaluation import random_baseline
-from zslsign.experiment import Role, RunConfig, embed_dataset, evaluate, train_from_config
+from zslsign.experiment import Role, RunConfig, evaluate, load_embedded, train_from_config
 from zslsign.influence import class_influence_matrix, confusion_influence_matrix
 from zslsign.errors import NoMisclassifications
 from zslsign.models import save_model
@@ -35,9 +38,8 @@ def main() -> None:
     manifest = save_dataset(dataset, out / "data")
     print(f"fixture: {len(dataset.classes)} classes, {len(dataset.samples)} samples -> {manifest}")
 
-    gzsl_dataset = Dataset(
-        dataset.classes, dataset.samples, dataset.split.with_mode(SplitMode.GZSL), dataset.attribute_count
-    )
+    gzsl_split = replace(dataset.split, mode=SplitMode.GZSL)
+    gzsl_manifest = save_dataset(replace(dataset, split=gzsl_split), out / "data", "manifest_gzsl.json")
     ks = (1, 2, 5)
     n_unseen = len(dataset.split.unseen_classes)
     baseline = random_baseline(n_unseen, ks)
@@ -45,6 +47,7 @@ def main() -> None:
           + "  ".join(f"top-{k} {baseline[k]:5.1f}" for k in ks))
 
     base = RunConfig(
+        manifest=str(manifest),
         embedding="combined",
         d_t=spec.text_dim,  # equals the raw text width: no reduction layer
         epochs=args.epochs,
@@ -53,16 +56,15 @@ def main() -> None:
         seed=args.seed,
         repeats=1,
     )
-    # every method reads the same video embeddings: stack them once per sample set
-    seen = embed_dataset(dataset, base, [Role.SEEN])
-    zsl_view = embed_dataset(dataset, base, [Role.CANDIDATES])
-    gzsl_view = embed_dataset(gzsl_dataset, base, [Role.CANDIDATES])
+    # every method reads the same video embeddings: load them once per manifest
+    view = load_embedded(base, [Role.SEEN, Role.CANDIDATES])
+    gzsl_view = load_embedded(replace(base, manifest=str(gzsl_manifest)), [Role.CANDIDATES])
     lle_model = None
     for method in ("lle", "eszsl", "sae"):
         cfg = replace(base, method=method)
-        model = train_from_config(seen, cfg)
+        model = train_from_config(view, cfg)
         save_model(model, out / f"model_{method}.json")
-        zsl = evaluate(zsl_view, model, cfg)
+        zsl = evaluate(view, model, cfg)
         gzsl = evaluate(gzsl_view, model, cfg)
         print(f"{method:6s} ZSL  " + "  ".join(f"top-{k} {zsl.per_k[k]:5.1f}" for k in ks))
         print(f"{'':6s} GZSL harmonic "
@@ -70,7 +72,7 @@ def main() -> None:
         if method == "lle":
             lle_model = model
 
-    candidates = zsl_view.stack(Role.CANDIDATES)
+    candidates = view.stack(Role.CANDIDATES)
     features, truths = candidates.features, candidates.labels
     unseen = sorted(dataset.split.unseen_classes)
     correct = class_influence_matrix(lle_model, features, truths, unseen, candidates.classes)

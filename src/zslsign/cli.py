@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import SplitMode, save_dataset
+from .data import SplitMode, save_dataset, write_vector
 from .errors import (
     DimensionMismatch,
     InvariantViolation,
@@ -153,8 +153,7 @@ def cmd_synth(args) -> int:
     out = _out_dir(args)
     # the spec and the planted map go before the dataset, so the manifest is the last file synth writes
     _write_json(out / "synth_spec.json", {**asdict(spec), "split_mode": spec.split_mode.value})
-    with open(out / "planted_map.npy", "wb") as f:
-        np.lib.format.write_array(f, np.ascontiguousarray(planted, dtype="<f8"), version=(1, 0))
+    write_vector(out / "planted_map.npy", planted)
     manifest_path = save_dataset(dataset, out)
     print(f"wrote {manifest_path}")
     return 0
@@ -295,15 +294,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    if args.manifest:
+    n_classes = args.classes
+    if args.manifest is not None:
         check_baseline_ks(args.ks)
         # every file is read and checked, but no sample is pooled or kept
         data = load_embedded(RunConfig(manifest=args.manifest), ())
         n_classes = len(candidate_class_ids(data.split))
-    elif args.classes is None:
-        raise ParseError("baseline needs either --manifest or --classes")
-    else:
-        n_classes = args.classes
     result = random_baseline(n_classes, args.ks)
     _print_metric_table({"random": result}, args.ks)
     if args.out:
@@ -423,8 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "baseline", help="exact class-normalized top-k accuracy of uniformly random rankings, 100*min(k,n)/n"
     )
-    p.add_argument("--manifest", help="take n from the manifest's prediction candidates")
-    p.add_argument("--classes", type=int, help="number of candidate classes n")
+    n = p.add_mutually_exclusive_group(required=True)
+    n.add_argument("--manifest", help="take n from the manifest's prediction candidates")
+    n.add_argument("--classes", type=int, help="number of candidate classes n")
     p.add_argument("--ks", type=_INTS, default=(1, 2, 5))
     p.add_argument("--out")
     p.set_defaults(func=cmd_baseline)

@@ -1,9 +1,10 @@
 """Domain types and dataset I/O.
 
 A dataset lives on disk as one JSON manifest plus the feature frames of its
-samples. All types are immutable after construction; invariants that depend on
-the data content (finiteness, binary attributes, split disjointness, ...) are
-listed by :func:`validate_dataset`.
+samples. All types are immutable after construction. The invariants that
+depend on the data content (finiteness, binary attributes, split
+disjointness, ...) are checked by :class:`DatasetReader` as it reads, so a
+dataset in memory is validated by saving it and reading it back.
 
 :func:`save_dataset` writes the manifest and a feature pack beside it. The
 value file, ``<stem>.pack.npy``, which the manifest names in ``"pack_file"``,
@@ -20,8 +21,8 @@ name its text as a one-row CSV (``"text_file"``).
 
 :class:`DatasetReader` is the one reader. It walks the manifest's samples in
 order and hands each one on as soon as its frames are read, as a record: its
-id, its class id and its body and hand frame matrices (see
-:attr:`Sample.record`). A caller that keeps only what it needs of a sample
+id, its class id and its body and hand frame matrices (None for a sample
+without a hand stream). A caller that keeps only what it needs of a sample
 (experiment.load_embedded pools it into one embedding row) never holds more
 than one sample's snippet frames. Every input, of this module or another, is
 opened by :func:`open_input`, which refuses anything but a regular file and
@@ -39,12 +40,12 @@ missing or damaged index, is parsed from its bytes instead. A field that does
 not parse, the split's included, raises as it is read. The class, sample and
 split invariants are checked as the reader goes (finiteness as one check per
 stream, the failing rows looked for only when it fails) and raised together
-after the last sample, in :func:`validate_dataset`'s order.
-:func:`load_dataset` builds a :class:`Sample` from each record and collects
-them into a :class:`Dataset`. CRC-32 comes with zlib, which numpy already
-loads; a digest from ``hashlib`` would map OpenSSL's libcrypto into every
-command for no gain in detecting edits. The manifest is written as compact
-JSON.
+after the last sample. :func:`load_dataset` wraps each record in a
+:class:`Sample` and collects them into a :class:`Dataset`; the commands read
+through experiment.load_embedded instead. CRC-32 comes with zlib, which numpy
+already loads; a digest from ``hashlib`` would map OpenSSL's libcrypto into
+every command for no gain in detecting edits. The manifest is written as
+compact JSON.
 
 Each sample's frames and each class text vector own their memory, so
 dropping a sample frees its frames and nothing else.
@@ -65,11 +66,10 @@ import math
 import os
 import stat
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -129,23 +129,6 @@ class Sample:
     def body(self) -> FeatureSequence:
         return self.sequences[Stream.BODY]
 
-    @property
-    def hand(self) -> FeatureSequence | None:
-        return self.sequences.get(Stream.HAND)
-
-    @property
-    def record(self) -> tuple[str, str, np.ndarray, np.ndarray | None]:
-        """(sample id, class id, body frames, hand frames or None): the sample as DatasetReader hands it on."""
-        hand = self.hand
-        return self.sample_id, self.class_id, self.body.data, None if hand is None else hand.data
-
-    @classmethod
-    def from_record(cls, sample_id: str, class_id: str, body: np.ndarray, hand: np.ndarray | None) -> "Sample":
-        sequences = {Stream.BODY: FeatureSequence(sample_id, Stream.BODY, body)}
-        if hand is not None:
-            sequences[Stream.HAND] = FeatureSequence(sample_id, Stream.HAND, hand)
-        return cls(sample_id, class_id, sequences)
-
 
 @dataclass(frozen=True)
 class ClassDescriptor:
@@ -181,9 +164,6 @@ class SplitConfig:
         object.__setattr__(self, "validation_classes", frozenset(self.validation_classes))
         object.__setattr__(self, "unseen_classes", frozenset(self.unseen_classes))
 
-    def with_mode(self, mode: SplitMode) -> "SplitConfig":
-        return replace(self, mode=mode)
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -195,22 +175,6 @@ class Dataset:
     def __post_init__(self) -> None:
         object.__setattr__(self, "classes", tuple(self.classes))
         object.__setattr__(self, "samples", tuple(self.samples))
-
-    @cached_property
-    def classes_by_id(self) -> dict[str, ClassDescriptor]:
-        return {c.class_id: c for c in self.classes}
-
-    @property
-    def has_full_hand_coverage(self) -> bool:
-        """True when every sample carries a hand sequence.
-
-        Hand-stream use is disabled dataset-wide otherwise, since two-stream
-        concatenation needs uniform dimensionality.
-        """
-        return all(s.hand is not None for s in self.samples)
-
-    def samples_of(self, class_ids: frozenset[str] | set[str]) -> list[Sample]:
-        return [s for s in self.samples if s.class_id in class_ids]
 
 
 def _unit_normalized(vec: np.ndarray, class_id: str) -> np.ndarray:
@@ -266,8 +230,11 @@ _OPEN_FLAGS = os.O_RDONLY | getattr(os, "O_NONBLOCK", 0) | getattr(os, "O_BINARY
 
 
 def write_vector(path: Path, values: np.ndarray) -> None:
-    """Write values as one little-endian float64 npy 1.0 vector."""
-    values = np.ascontiguousarray(values, dtype=_VECTOR_DTYPE).ravel()
+    """Write values, in their shape, as a little-endian float64 npy 1.0 array in C order.
+
+    read_vector reads back a 1-D one; np.load reads any.
+    """
+    values = np.ascontiguousarray(values, dtype=_VECTOR_DTYPE)
     with open(path, "wb") as f:
         np.lib.format.write_array(f, values, version=(1, 0))
 
@@ -512,72 +479,6 @@ def _read_split(manifest: dict) -> SplitConfig:
     )
 
 
-class _Checks:
-    """The broken invariants of a dataset, described as its classes, samples and split are checked, in that order."""
-
-    def __init__(self, attribute_count: int) -> None:
-        self.attribute_count = attribute_count
-        self.violations: list[str] = []
-        self._class_ids: set[str] = set()
-        self._sample_ids: set[str] = set()
-
-    def classes(self, classes: Sequence[ClassDescriptor]) -> None:
-        for c in classes:
-            if c.class_id in self._class_ids:
-                self.violations.append(f"class {c.class_id!r} duplicated")
-            self._class_ids.add(c.class_id)
-            if c.attributes.shape[0] != self.attribute_count:
-                self.violations.append(
-                    f"class {c.class_id!r} has {c.attributes.shape[0]} attributes, expected {self.attribute_count}"
-                )
-            a = c.attributes
-            not_binary = (a != 0.0) & (a != 1.0)  # NaN compares unequal to both
-            if not_binary.any():
-                for k in np.flatnonzero(not_binary):
-                    self.violations.append(f"class {c.class_id!r} attribute {k} not binary")
-            if not np.all(np.isfinite(c.text)):
-                self.violations.append(f"class {c.class_id!r} text vector non-finite")
-            elif abs(float(np.linalg.norm(c.text)) - 1.0) > TEXT_NORM_TOL:
-                self.violations.append(f"class {c.class_id!r} text vector not unit norm")
-        text_widths = {c.text.shape[0] for c in classes}
-        if len(text_widths) > 1:
-            self.violations.append(f"classes disagree on text dimensionality: {sorted(text_widths)}")
-
-    def sample(self, sample_id: str, class_id: str, body: np.ndarray, hand: np.ndarray | None) -> None:
-        """Check one sample, given as its record (see Sample.record)."""
-        if sample_id in self._sample_ids:
-            self.violations.append(f"sample {sample_id!r} duplicated")
-        self._sample_ids.add(sample_id)
-        if class_id not in self._class_ids:
-            self.violations.append(f"sample {sample_id!r} references unknown class {class_id!r}")
-        self._finite(sample_id, Stream.BODY, body)
-        if hand is not None:
-            self._finite(sample_id, Stream.HAND, hand)
-            if hand.shape[0] != body.shape[0]:
-                self.violations.append(
-                    f"sample {sample_id!r} hand length {hand.shape[0]} != body length {body.shape[0]}"
-                )
-
-    def _finite(self, sample_id: str, stream: Stream, frames: np.ndarray) -> None:
-        if not np.isfinite(frames).all():  # one check per stream; the rows are only looked for when it fails
-            for row in np.flatnonzero(~np.isfinite(frames).all(axis=1)):
-                self.violations.append(f"sample {sample_id!r} {stream.value} row {row} non-finite")
-
-    def split(self, split: SplitConfig) -> None:
-        for label, ids in (
-            ("seen", split.seen_classes),
-            ("validation", split.validation_classes),
-            ("unseen", split.unseen_classes),
-        ):
-            for cid in sorted(ids - self._class_ids):
-                self.violations.append(f"split {label} references unknown class {cid!r}")
-        if split.mode is SplitMode.ZSL:
-            for a, b in (("seen", "validation"), ("seen", "unseen"), ("validation", "unseen")):
-                overlap = getattr(split, f"{a}_classes") & getattr(split, f"{b}_classes")
-                for cid in sorted(overlap):
-                    self.violations.append(f"class {cid!r} appears in both {a} and {b} splits")
-
-
 class DatasetReader:
     """A dataset on disk, read and checked one sample at a time.
 
@@ -587,9 +488,9 @@ class DatasetReader:
     reader keeps no sample. Errors come in the order of the files: a missing,
     unparsable or malformed file, field or pack block raises when it is met
     (the split's with the manifest's other fields), and every broken invariant
-    (see validate_dataset) raises as one InvariantViolation after the last
-    sample. The reader holds the pack's value file open until it is closed, so
-    use it in a with block.
+    raises as one InvariantViolation after the last sample: those of the
+    classes, then of the samples, then of the split. The reader holds the
+    pack's value file open until it is closed, so use it in a with block.
     """
 
     def __init__(self, manifest_path: str | Path) -> None:
@@ -610,8 +511,10 @@ class DatasetReader:
         except BaseException:
             self.close()
             raise
-        self._checks = _Checks(count)
-        self._checks.classes(self.classes)
+        self._violations: list[str] = []
+        self._class_ids: set[str] = set()
+        self._sample_ids: set[str] = set()
+        self._check_classes()
 
     def close(self) -> None:
         self._pack.close()
@@ -625,16 +528,63 @@ class DatasetReader:
     def read_samples(self, visit: Callable[[str, str, np.ndarray, np.ndarray | None], object]) -> None:
         """Call visit on each sample's record as it is read, then raise every broken invariant, if any.
 
-        A record is (sample id, class id, body frames, hand frames or None),
-        as Sample.record gives it. Call it once. Nothing here keeps a sample,
-        so a visit that keeps none leaves at most one sample's frames alive at
-        a time.
+        A record is (sample id, class id, body frames, hand frames or None).
+        Call it once. Nothing here keeps a sample, so a visit that keeps none
+        leaves at most one sample's frames alive at a time.
         """
         for entry in self._samples:
             visit(*self._read_sample(entry))
-        self._checks.split(self.split)
-        if self._checks.violations:
-            raise InvariantViolation("; ".join(self._checks.violations))
+        self._check_split()
+        if self._violations:
+            raise InvariantViolation("; ".join(self._violations))
+
+    def _check_classes(self) -> None:
+        for c in self.classes:
+            if c.class_id in self._class_ids:
+                self._violations.append(f"class {c.class_id!r} duplicated")
+            self._class_ids.add(c.class_id)
+            if c.attributes.shape[0] != self.attribute_count:
+                self._violations.append(
+                    f"class {c.class_id!r} has {c.attributes.shape[0]} attributes, expected {self.attribute_count}"
+                )
+            a = c.attributes
+            not_binary = (a != 0.0) & (a != 1.0)  # NaN compares unequal to both
+            for k in np.flatnonzero(not_binary):
+                self._violations.append(f"class {c.class_id!r} attribute {k} not binary")
+            # _unit_normalized refused a non-finite text; a unit norm can still be missed by a tiny vector's rounding
+            if abs(float(np.linalg.norm(c.text)) - 1.0) > TEXT_NORM_TOL:
+                self._violations.append(f"class {c.class_id!r} text vector not unit norm")
+        text_widths = {c.text.shape[0] for c in self.classes}
+        if len(text_widths) > 1:
+            self._violations.append(f"classes disagree on text dimensionality: {sorted(text_widths)}")
+
+    def _check_sample(self, sample_id: str, class_id: str, body: np.ndarray, hand: np.ndarray | None) -> None:
+        if sample_id in self._sample_ids:
+            self._violations.append(f"sample {sample_id!r} duplicated")
+        self._sample_ids.add(sample_id)
+        if class_id not in self._class_ids:
+            self._violations.append(f"sample {sample_id!r} references unknown class {class_id!r}")
+        for stream, frames in ((Stream.BODY, body), (Stream.HAND, hand)):
+            if frames is not None and not np.isfinite(frames).all():  # one check per stream; rows only on failure
+                for row in np.flatnonzero(~np.isfinite(frames).all(axis=1)):
+                    self._violations.append(f"sample {sample_id!r} {stream.value} row {row} non-finite")
+        if hand is not None and hand.shape[0] != body.shape[0]:
+            self._violations.append(f"sample {sample_id!r} hand length {hand.shape[0]} != body length {body.shape[0]}")
+
+    def _check_split(self) -> None:
+        split = self.split
+        for label, ids in (
+            ("seen", split.seen_classes),
+            ("validation", split.validation_classes),
+            ("unseen", split.unseen_classes),
+        ):
+            for cid in sorted(ids - self._class_ids):
+                self._violations.append(f"split {label} references unknown class {cid!r}")
+        if split.mode is SplitMode.ZSL:
+            for a, b in (("seen", "validation"), ("seen", "unseen"), ("validation", "unseen")):
+                overlap = getattr(split, f"{a}_classes") & getattr(split, f"{b}_classes")
+                for cid in sorted(overlap):
+                    self._violations.append(f"class {cid!r} appears in both {a} and {b} splits")
 
     def _read_matrix(self, rel: str, entity: str) -> np.ndarray:
         """The rows of a CSV feature file."""
@@ -661,7 +611,7 @@ class DatasetReader:
         return ClassDescriptor(cid, name, attrs, _unit_normalized(text, cid))
 
     def _read_sample(self, entry: dict) -> tuple[str, str, np.ndarray, np.ndarray | None]:
-        """The record of a sample entry (see Sample.record), its files read and its invariants checked."""
+        """The record of a sample entry (see read_samples), its files read and its invariants checked."""
         sid = _string_field(_require(entry, "id", "sample entry"), "sample entry", "id")
         entity = f"sample {sid!r}"
         class_id = _string_field(_require(entry, "class_id", entity), entity, "class_id")
@@ -680,30 +630,25 @@ class DatasetReader:
             hand = entry.get("hand")
             if hand is not None:
                 hand = self._read_matrix(_path_field(hand, entity, "hand"), f"{entity} hand")
-        self._checks.sample(sid, class_id, body, hand)
+        self._check_sample(sid, class_id, body, hand)
         return sid, class_id, body, hand
 
 
 def load_dataset(manifest_path: str | Path) -> Dataset:
-    """Load and validate a dataset from a JSON manifest.
+    """Load and validate a dataset from a JSON manifest, each sample as a Sample of its streams.
 
     Text vectors are brought to unit l2 norm; all invariants are enforced and
     the first batch of violations is raised as InvariantViolation.
     """
     samples: list[Sample] = []
+
+    def keep(sample_id: str, class_id: str, *frames: np.ndarray | None) -> None:  # frames: body, hand, as Stream
+        streams = {s: FeatureSequence(sample_id, s, f) for s, f in zip(Stream, frames) if f is not None}
+        samples.append(Sample(sample_id, class_id, streams))
+
     with DatasetReader(manifest_path) as reader:
-        reader.read_samples(lambda *record: samples.append(Sample.from_record(*record)))
+        reader.read_samples(keep)
     return Dataset(reader.classes, tuple(samples), reader.split, reader.attribute_count)
-
-
-def validate_dataset(dataset: Dataset) -> list[str]:
-    """Return a description of every broken invariant (empty list == valid)."""
-    checks = _Checks(dataset.attribute_count)
-    checks.classes(dataset.classes)
-    for s in dataset.samples:
-        checks.sample(*s.record)
-    checks.split(dataset.split)
-    return checks.violations
 
 
 def save_dataset(
@@ -716,7 +661,11 @@ def save_dataset(
     Frames go to the pack bit for bit, and the text vectors into the manifest
     as shortest round-trip reals, so load(save(load(p))) reproduces every
     numeric field bit-exactly. The manifest is serialized before any file is
-    written and written last, once the pack and its index are.
+    written and written last, once the pack and its index are. Nothing is
+    validated here: every value is written as it is, so the load of the saved
+    dataset refuses what is invalid (a non-binary attribute, a non-finite
+    frame), and a value strict JSON cannot hold (a NaN attribute, a
+    non-finite text value) raises ValueError before any file is written.
     """
     out_dir = Path(out_dir)
     values: list[np.ndarray] = []  # the pack's blocks, flat, in file order
@@ -741,7 +690,12 @@ def save_dataset(
     fields = {
         "attribute_count": dataset.attribute_count,
         "classes": [
-            {"id": c.class_id, "name": c.name, "attributes": [int(v) for v in c.attributes]}
+            {
+                "id": c.class_id,
+                "name": c.name,
+                # 0 and 1 as integers; any other value as it is, for the load to refuse (a NaN, strict JSON here)
+                "attributes": [int(v) if v in (0, 1) else v for v in c.attributes.tolist()],
+            }
             for c in dataset.classes
         ],
         "pack_file": npy_path.name,

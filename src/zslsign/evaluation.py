@@ -27,16 +27,20 @@ def harmonic_mean(seen: float, unseen: float) -> float:
 
 
 def check_ks(ks: Sequence[int]) -> None:
-    """Refuse an empty list of top-k cut-offs or a cut-off below 1."""
+    """Refuse an empty list of top-k cut-offs, a cut-off below 1 or a repeated one."""
     if not ks or any(k < 1 for k in ks):
         raise ValueError(f"ks must be nonempty positive integers, got {list(ks)}")
+    if len(set(ks)) < len(ks):
+        raise ValueError(f"ks must not repeat a value, got {list(ks)}")
 
 
 def check_baseline_ks(ks: Sequence[int]) -> None:
-    """Refuse a random-baseline cut-off below 1, naming it."""
-    for k in ks:
+    """Refuse a random-baseline cut-off below 1 or a repeated one, naming it."""
+    for i, k in enumerate(ks):
         if k < 1:
             raise ValueError(f"top-k needs k >= 1, got k={k}")
+        if k in ks[:i]:
+            raise ValueError(f"top-k needs distinct k, got k={k} twice")
 
 
 @dataclass(frozen=True)

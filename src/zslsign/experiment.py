@@ -11,9 +11,10 @@ validation, candidate) into one embedding row as soon as the sample is read,
 so no more than one sample's snippet frames are alive at a time, and nothing
 of them is left once it returns. The result is an Embedded
 view: one Stack per role, each holding that role's N x d video embeddings,
-sample ids, labels and class descriptors, plus the split. embed_dataset builds
-the same view from a Dataset already in memory. Every command then trains and
-scores through two functions: train_from_config fits the configured method on
+sample ids, labels and class descriptors, plus the split. It is the one way
+from a dataset to its embeddings: a dataset built in memory is saved with
+data.save_dataset and read back. Every command then trains and scores through
+two functions: train_from_config fits the configured method on
 the seen stack, once per pool job of train_repeats and of a sweep;
 rank_samples gives each sample of a stack its truth rank and predicted class
 among that stack's classes, for predict, eval and a sweep's validation. A
@@ -33,7 +34,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import ClassDescriptor, Dataset, DatasetReader, SplitConfig, SplitMode, read_input
+from .data import ClassDescriptor, DatasetReader, SplitConfig, SplitMode, read_input
 from .embeddings import ClassEmbeddingSet, EmbeddingMode, ModeKind
 from .errors import DegenerateData, DimensionMismatch, EmptyEvaluationSet, MissingHandStream, ParseError
 from .evaluation import EvalReport, check_ks, gzsl_report, topk_accuracy
@@ -79,16 +80,18 @@ class RunConfig:
         """Refuse this config, and a sweep over the d_t values sweep_values, before any input is read.
 
         Each check is its owner's: check_ks's for ks, the aggregator spec's,
-        the embedding mode's for d_t and each swept value (a sweep also needs a
-        text-bearing mode), and the method's: TrainConfig's for lle,
-        check_closed_form's for eszsl and sae. A float key the method does not
-        read must still be finite, as effective_config.json is strict JSON.
-        The one check that needs the data, a closed form's text width, is
-        load_embedded's.
+        the embedding mode's for d_t and each swept value (a sweep also needs
+        distinct values and a text-bearing mode), and the method's:
+        TrainConfig's for lle, check_closed_form's for eszsl and sae. A float
+        key the method does not read must still be finite, as
+        effective_config.json is strict JSON. The one check that needs the
+        data, a closed form's text width, is load_embedded's.
         """
         check_ks(self.ks)
         if self.repeats < 1:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")
+        if len(set(sweep_values)) < len(sweep_values):
+            raise ValueError(f"sweep values must not repeat, got {list(sweep_values)}")
         if sweep_values and ModeKind(self.embedding) is ModeKind.ATTRIBUTES:
             raise ValueError("sweeping d_t needs a text-bearing embedding mode")
         self.aggregator_spec()
@@ -227,75 +230,6 @@ class Embedded:
         return self.stacks[role]
 
 
-class _RolePooler:
-    """Pools each sample of some roles as it comes, then stacks each role's rows into an Embedded view.
-
-    It takes a sample as its record (see Sample.record), so it can take the
-    samples of a DatasetReader one at a time, and it keeps one embedding row
-    per pooled sample and nothing of the frames. Whatever keeps a role from
-    being stacked is raised by embedded(), not by add().
-    """
-
-    def __init__(self, cfg: RunConfig, roles: Sequence[Role], split: SplitConfig) -> None:
-        self._spec = cfg.aggregator_spec()
-        self._use_hand = cfg.use_hand
-        self._split = split
-        self._class_ids = {role: set(role.class_ids(split)) for role in roles}
-        self._rows: dict[Role, list[tuple[str, np.ndarray, str]]] = {role: [] for role in roles}
-        self._without_hand: str | None = None  # the first sample without a hand sequence
-
-    def add(self, sample_id: str, class_id: str, body: np.ndarray, hand: np.ndarray | None) -> None:
-        if hand is None and self._without_hand is None:
-            self._without_hand = sample_id
-        roles = [role for role, ids in self._class_ids.items() if class_id in ids]
-        if not roles or (self._use_hand and hand is None):
-            return
-        row = (sample_id, embed_video(body, hand if self._use_hand else None, self._spec), class_id)
-        for role in roles:
-            self._rows[role].append(row)
-
-    def embedded(self, classes: Mapping[str, ClassDescriptor]) -> Embedded:
-        """The view of the roles, in the order given, with their classes taken from classes.
-
-        A role without samples is a typed error that names it: DegenerateData
-        for the seen samples, EmptyEvaluationSet for the others.
-        """
-        if self._use_hand and self._without_hand is not None:
-            raise MissingHandStream(
-                f"hand stream disabled dataset-wide: sample {self._without_hand!r} (at least) has no hand sequence"
-            )
-        stacks = {}
-        for role, rows in self._rows.items():
-            class_ids = role.class_ids(self._split)
-            if role is Role.VALIDATION and not class_ids:
-                raise ValueError("dataset split has no validation classes")
-            if not rows:
-                if role is Role.SEEN:
-                    raise DegenerateData("no seen samples to train on")
-                raise EmptyEvaluationSet(f"no {role.value} samples to evaluate")
-            rows.sort(key=lambda row: row[0])
-            widths = {row[1].shape[0] for row in rows}
-            if len(widths) > 1:
-                raise DimensionMismatch(f"samples disagree on embedded width: {sorted(widths)}")
-            sample_ids, embeddings, labels = zip(*rows)
-            role_classes = [classes[cid] for cid in class_ids]
-            stacks[role] = Stack(list(sample_ids), np.stack(embeddings), list(labels), role_classes)
-        return Embedded(stacks, self._split)
-
-
-def embed_dataset(dataset: Dataset, cfg: RunConfig, roles: Sequence[Role]) -> Embedded:
-    """Stack the samples of each role, in the order given, as cfg's aggregator and hand stream embed them.
-
-    Each role's rows are sorted by sample id. A role without samples is a
-    typed error that names it: DegenerateData for the seen samples,
-    EmptyEvaluationSet for the others.
-    """
-    pooler = _RolePooler(cfg, roles, dataset.split)
-    for sample in dataset.samples:
-        pooler.add(*sample.record)
-    return pooler.embedded(dataset.classes_by_id)
-
-
 def _check_text_width(cfg: RunConfig, reader: DatasetReader, fit_d_t: Sequence[int]) -> None:
     """Raise MissingReduction where a closed form would fit a text mode at a d_t other than the text width.
 
@@ -312,21 +246,59 @@ def _check_text_width(cfg: RunConfig, reader: DatasetReader, fit_d_t: Sequence[i
 
 
 def load_embedded(cfg: RunConfig, roles: Sequence[Role], fit_d_t: Sequence[int] = ()) -> Embedded:
-    """Read cfg's dataset, pooling each sample of the roles as it is read, and stack the roles.
+    """Read cfg's dataset, pooling each sample of the roles as it is read, and stack each role, in the order given.
 
-    Returns what embed_dataset(load_dataset(cfg.manifest), cfg, roles) returns,
-    but no more than one sample's frames are alive at a time. fit_d_t holds
-    the d_t of each fit the caller will make: once the manifest is read, and
-    before any sample file is, a closed-form method in a text mode is refused
-    at a d_t other than the text width (MissingReduction). Then come the other
-    load errors, then the view's (a missing hand stream, an empty role, a
-    width mismatch).
+    Each sample is embedded with cfg's aggregator and hand-stream choice, and
+    each role's rows are sorted by sample id; no more than one sample's frames
+    are alive at a time. fit_d_t holds the d_t of each fit the caller will
+    make: once the manifest is read, and before any sample file is, a
+    closed-form method in a text mode is refused at a d_t other than the text
+    width (MissingReduction). Then come the other load errors, then the
+    view's: a missing hand stream, a role without samples (DegenerateData for
+    the seen samples, EmptyEvaluationSet for the others, naming the role), a
+    width mismatch.
     """
+    spec, use_hand = cfg.aggregator_spec(), cfg.use_hand
+    rows: dict[Role, list[tuple[str, np.ndarray, str]]] = {role: [] for role in roles}
+    without_hand: list[str] = []  # the first sample without a hand sequence
+
     with DatasetReader(cfg.manifest) as reader:
         _check_text_width(cfg, reader, fit_d_t)
-        pooler = _RolePooler(cfg, roles, reader.split)
-        reader.read_samples(pooler.add)
-    return pooler.embedded({c.class_id: c for c in reader.classes})
+        split = reader.split
+        class_ids = {role: set(role.class_ids(split)) for role in roles}
+
+        def pool(sample_id: str, class_id: str, body: np.ndarray, hand: np.ndarray | None) -> None:
+            if hand is None and not without_hand:
+                without_hand.append(sample_id)
+            ours = [role for role, ids in class_ids.items() if class_id in ids]
+            if ours and (hand is not None or not use_hand):
+                row = (sample_id, embed_video(body, hand if use_hand else None, spec), class_id)
+                for role in ours:
+                    rows[role].append(row)
+
+        reader.read_samples(pool)
+    if use_hand and without_hand:
+        raise MissingHandStream(
+            f"hand stream disabled dataset-wide: sample {without_hand[0]!r} (at least) has no hand sequence"
+        )
+    classes = {c.class_id: c for c in reader.classes}
+    stacks = {}
+    for role, role_rows in rows.items():
+        role_class_ids = role.class_ids(split)
+        if role is Role.VALIDATION and not role_class_ids:
+            raise ValueError("dataset split has no validation classes")
+        if not role_rows:
+            if role is Role.SEEN:
+                raise DegenerateData("no seen samples to train on")
+            raise EmptyEvaluationSet(f"no {role.value} samples to evaluate")
+        role_rows.sort(key=lambda row: row[0])
+        widths = {row[1].shape[0] for row in role_rows}
+        if len(widths) > 1:
+            raise DimensionMismatch(f"samples disagree on embedded width: {sorted(widths)}")
+        sample_ids, embeddings, labels = zip(*role_rows)
+        role_classes = [classes[cid] for cid in role_class_ids]
+        stacks[role] = Stack(list(sample_ids), np.stack(embeddings), list(labels), role_classes)
+    return Embedded(stacks, split)
 
 
 def train_from_config(data: Embedded, cfg: RunConfig, seed: int | None = None) -> CompatModel:

@@ -1,5 +1,6 @@
 import json
 import zlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,11 @@ from zslsign.data import (
     SplitConfig,
     SplitMode,
     Stream,
+    save_dataset,
 )
+from zslsign.experiment import Embedded, RunConfig, load_embedded
 from zslsign.models import _label_indices, _lle_backward, _lle_forward
+from zslsign.temporal import embed_video
 
 
 def csv_text(matrix: np.ndarray) -> str:
@@ -107,6 +111,36 @@ def make_sample(sample_id: str, class_id: str, body, hand=None) -> Sample:
     if hand is not None:
         sequences[Stream.HAND] = FeatureSequence(sample_id, Stream.HAND, np.asarray(hand, dtype=float))
     return Sample(sample_id, class_id, sequences)
+
+
+def reference_stack(samples, cfg: RunConfig):
+    """The samples sorted by id, embedded one by one: (sample ids, N x d matrix, class ids)."""
+    ordered = sorted(samples, key=lambda s: s.sample_id)
+    spec = cfg.aggregator_spec()
+    rows = [embed_video(s.body.data, s.sequences[Stream.HAND].data if cfg.use_hand else None, spec) for s in ordered]
+    return [s.sample_id for s in ordered], np.stack(rows), [s.class_id for s in ordered]
+
+
+class SavedDatasets:
+    """In-memory datasets, each saved once into a directory of its own and read back as a command reads it."""
+
+    def __init__(self, root: Path) -> None:
+        self._root = root
+        self._saved: dict[int, tuple[Dataset, Path]] = {}  # by id; the dataset is kept, so its id is not reused
+
+    def manifest(self, dataset: Dataset) -> Path:
+        if id(dataset) not in self._saved:
+            self._saved[id(dataset)] = dataset, save_dataset(dataset, self._root / str(len(self._saved)))
+        return self._saved[id(dataset)][1]
+
+    def view(self, dataset: Dataset, cfg: RunConfig, roles) -> Embedded:
+        """load_embedded of the saved dataset, with cfg's aggregator and hand stream."""
+        return load_embedded(replace(cfg, manifest=str(self.manifest(dataset))), roles)
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory) -> SavedDatasets:
+    return SavedDatasets(tmp_path_factory.mktemp("saved"))
 
 
 def make_descriptor(class_id: str, attributes, text=None) -> ClassDescriptor:

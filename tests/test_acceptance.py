@@ -6,13 +6,14 @@ lines alongside pytest's own pass/fail report.
 
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from zslsign.cli import main as cli_main
-from zslsign.data import Dataset, SplitConfig, SplitMode, load_dataset, save_dataset, validate_dataset
+from zslsign.data import SplitConfig, SplitMode, load_dataset, save_dataset
 from zslsign.embeddings import ClassEmbeddingSet, EmbeddingMode, ModeKind
 from zslsign.errors import InvariantViolation
 from zslsign.evaluation import harmonic_mean, random_baseline
@@ -20,7 +21,6 @@ from zslsign.experiment import (
     Role,
     RunConfig,
     candidate_class_ids,
-    embed_dataset,
     evaluate,
     rank_samples,
     train_from_config,
@@ -187,22 +187,21 @@ def test_criterion_05_sae_sylvester_residual():
     report(5, f"SAE relative residual worst {worst:.2e} (< 1e-8) over 50 instances in {elapsed:.2f}s")
 
 
-def test_criterion_06_planted_structure_recovery():
+def test_criterion_06_planted_structure_recovery(saved):
     start = time.perf_counter()
     dataset, _ = generate(FIXTURE_SPEC)
     assert len(dataset.split.unseen_classes) == 10
     assert FIXTURE_SPEC.noise_sigma == 0.01
     assert FIXTURE_SPEC.samples_per_class == 20
 
-    model = train_from_config(embed_dataset(dataset, FIXTURE_CFG, [Role.SEEN]), FIXTURE_CFG)
-    zsl = evaluate(embed_dataset(dataset, FIXTURE_CFG, [Role.CANDIDATES]), model, FIXTURE_CFG)
+    view = saved.view(dataset, FIXTURE_CFG, [Role.SEEN, Role.CANDIDATES])
+    model = train_from_config(view, FIXTURE_CFG)
+    zsl = evaluate(view, model, FIXTURE_CFG)
     top1 = zsl.per_k[1]
     assert top1 >= 90.0
 
-    gzsl_dataset = Dataset(
-        dataset.classes, dataset.samples, dataset.split.with_mode(SplitMode.GZSL), dataset.attribute_count
-    )
-    gzsl = evaluate(embed_dataset(gzsl_dataset, FIXTURE_CFG, [Role.CANDIDATES]), model, FIXTURE_CFG)
+    gzsl_dataset = replace(dataset, split=replace(dataset.split, mode=SplitMode.GZSL))
+    gzsl = evaluate(saved.view(gzsl_dataset, FIXTURE_CFG, [Role.CANDIDATES]), model, FIXTURE_CFG)
     harmonic = gzsl.harmonic_per_k[1]
     elapsed = time.perf_counter() - start
     assert harmonic > 0.0
@@ -333,12 +332,13 @@ def test_criterion_09_command_determinism(tmp_path):
     report(9, f"train/eval/analyze reruns byte-identical across {n_files} output files")
 
 
-def test_criterion_10_protocol_shape_checks(tmp_path):
+def test_criterion_10_protocol_shape_checks(tmp_path, saved):
     dataset, _ = generate(SynthSpec(n_classes=12, n_seen=6, n_unseen=4, attribute_count=5,
                                     text_dim=4, samples_per_class=4, snippets=3, stream_width=8,
                                     noise_sigma=0.01, seed=2))
     cfg = RunConfig(embedding="attr", epochs=60, learning_rate=0.5, seed=2, repeats=1)
-    model = train_from_config(embed_dataset(dataset, cfg, [Role.SEEN]), cfg)
+    view = saved.view(dataset, cfg, [Role.SEEN, Role.CANDIDATES])
+    model = train_from_config(view, cfg)
 
     # (a) ZSL candidate set excludes every seen class
     zsl_ids = candidate_class_ids(dataset.split)
@@ -347,18 +347,18 @@ def test_criterion_10_protocol_shape_checks(tmp_path):
     # (b) GZSL model predicting over unseen-only candidates equals the ZSL prediction, exactly:
     # a GZSL split of the unseen classes alone (half of them as its seen ones) has the ZSL
     # candidate set and evaluation samples
-    zsl = embed_dataset(dataset, cfg, [Role.CANDIDATES]).stack(Role.CANDIDATES)
+    zsl = view.stack(Role.CANDIDATES)
     zsl_ranks, zsl_predicted = rank_samples(model, zsl)
     unseen = sorted(dataset.split.unseen_classes)
     gzsl_split = SplitConfig(frozenset(unseen[:2]), frozenset(), frozenset(unseen[2:]), SplitMode.GZSL)
-    gzsl_dataset = Dataset(dataset.classes, dataset.samples, gzsl_split, dataset.attribute_count)
-    gzsl = embed_dataset(gzsl_dataset, cfg, [Role.CANDIDATES]).stack(Role.CANDIDATES)
+    gzsl = saved.view(replace(dataset, split=gzsl_split), cfg, [Role.CANDIDATES]).stack(Role.CANDIDATES)
     gzsl_ranks, gzsl_predicted = rank_samples(model, gzsl)
     assert gzsl.labels == zsl.labels
     assert np.array_equal(gzsl_ranks, zsl_ranks)
     assert gzsl_predicted == zsl_predicted
     # the score matrices themselves agree bit for bit, so every class's rank does too
-    assert zsl.classes == gzsl.classes
+    class_bits = lambda stack: [(c.class_id, c.attributes.tobytes(), c.text.tobytes()) for c in stack.classes]
+    assert class_bits(zsl) == class_bits(gzsl)
     assert scores_of(model, gzsl.features, gzsl.classes).tobytes() == \
         scores_of(model, zsl.features, zsl.classes).tobytes()
 
@@ -369,6 +369,6 @@ def test_criterion_10_protocol_shape_checks(tmp_path):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(InvariantViolation):
         load_dataset(tmp_path / "manifest.json")
-    assert validate_dataset(dataset) == []
+    load_dataset(saved.manifest(dataset))  # the split as generated loads
     report(10, "ZSL candidates exclude seen classes; GZSL-over-unseen == ZSL exactly; "
                "overlapping ZSL split rejected")

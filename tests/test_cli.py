@@ -597,6 +597,26 @@ def test_baseline_rejects_nonpositive_k_and_class_count(argv, named, tmp_path, c
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "one of the arguments --manifest --classes is required"),
+        (["--manifest", "MANIFEST", "--classes", "7"], "argument --classes: not allowed with argument --manifest"),
+    ],
+    ids=["neither", "both"],
+)
+def test_baseline_takes_its_class_count_from_exactly_one_of_manifest_and_classes(
+    workspace, tmp_path, monkeypatch, capsys, argv, message
+):
+    opened = _spy_on_inputs(monkeypatch)
+    out = tmp_path / "base"
+    with pytest.raises(SystemExit) as exc:
+        run(["baseline", *[workspace["manifest"] if a == "MANIFEST" else a for a in argv], "--out", out])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: {message}")
+    assert opened == [] and not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["baseline", "--classes", "5", "--trials", "10"],
@@ -1214,6 +1234,11 @@ _REFUSED_CONFIGS = [
     (["sweep", "--embedding", "combined", "--values", "8,0"], "d_t must be >= 1, got 0"),
     (["analyze", "--model", "MODEL", "--confusions", "0"], "top_n_confusions must be >= 1, got 0"),
     (["baseline", "--manifest", "MANIFEST", "--ks", "0"], "top-k needs k >= 1, got k=0"),
+    # a repeated value would print a column twice, or fit and write one width twice
+    (["eval", "--model", "MODEL", "--ks", "1,1,2"], "ks must not repeat a value, got [1, 1, 2]"),
+    (["baseline", "--classes", "5", "--ks", "2,1,2"], "top-k needs distinct k, got k=2 twice"),
+    (["baseline", "--manifest", "MANIFEST", "--ks", "2,1,2"], "top-k needs distinct k, got k=2 twice"),
+    (["sweep", "--embedding", "combined", "--values", "4,4"], "sweep values must not repeat, got [4, 4]"),
     (["train", "--manifest", "MISSING", "--d-t", "0"], "d_t must be >= 1, got 0"),
     (["train", "--method", "eszsl", "--lam", "inf"], "lam must be finite, got inf"),
     (["train", "--method", "eszsl", "--gamma", "nan"], "gamma must be finite, got nan"),
@@ -1257,8 +1282,9 @@ def test_a_bad_run_config_is_refused_before_any_input_is_read(workspace, tmp_pat
         ('{"repeats": 0}', ["--repeats", "0"], "repeats must be >= 1, got 0"),
         ('{"ks": [0]}', ["--ks", "0"], "ks must be nonempty positive integers, got [0]"),
         ('{"d_t": 0}', ["--d-t", "0"], "d_t must be >= 1, got 0"),
+        ('{"ks": [1, 1, 2]}', ["--ks", "1,1,2"], "ks must not repeat a value, got [1, 1, 2]"),
     ],
-    ids=["repeats-0", "ks-0", "d_t-0"],
+    ids=["repeats-0", "ks-0", "d_t-0", "ks-repeated"],
 )
 def test_a_config_file_out_of_range_keeps_its_exit_code(workspace, tmp_path, monkeypatch, capsys, doc, flags, message):
     # a value of the right JSON type but out of range exits 1 with the same line from a file as from a flag

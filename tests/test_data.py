@@ -4,8 +4,10 @@ import re
 import subprocess
 import sys
 import tempfile
+import zlib
 from collections import Counter
 from contextlib import closing
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zslsign import data as data_module
+from zslsign.cli import main
 from zslsign.data import (
     TEXT_NORM_TOL,
     Dataset,
@@ -23,14 +26,14 @@ from zslsign.data import (
     Stream,
     load_dataset,
     save_dataset,
-    validate_dataset,
 )
-from zslsign.errors import InvariantViolation, MissingFile, PackMismatch, ParseError, ZslSignError
-from zslsign.experiment import Role, RunConfig, embed_dataset, load_embedded
+from zslsign.errors import InvariantViolation, MissingFile, MissingHandStream, PackMismatch, ParseError, ZslSignError
+from zslsign.experiment import Role, RunConfig, load_embedded
 
 from conftest import (
     make_descriptor,
     make_sample,
+    reference_stack,
     small_manifest,
     write_csv_layout,
     write_feature_file,
@@ -43,7 +46,7 @@ def test_load_small_manifest(tmp_path):
     assert len(dataset.classes) == 3
     assert len(dataset.samples) == 6
     assert dataset.attribute_count == 5
-    assert validate_dataset(dataset) == []
+    _assert_same_bits(load_dataset(save_dataset(dataset, tmp_path / "copy")), dataset)  # valid once saved, too
 
 
 def test_zsl_split_overlap_rejected(tmp_path):
@@ -180,7 +183,7 @@ def test_text_file_reference(tmp_path):
     manifest["classes"][0]["text_file"] = "text_c0.csv"
     write_manifest(tmp_path, manifest)
     dataset = load_dataset(path)
-    text = dataset.classes_by_id["c0"].text
+    text = next(c.text for c in dataset.classes if c.class_id == "c0")
     assert np.allclose(text, [0.6, 0.8, 0.0, 0.0])  # normalized on load
 
 
@@ -283,7 +286,8 @@ def test_zero_text_vector_rejected(tmp_path):
     _assert_load_error(path, InvariantViolation, "norm")
 
 
-def test_validate_reports_nan_row():
+def test_validate_reports_nan_row(tmp_path):
+    # a dataset in memory is validated by its save's load: the pack holds the NaN, the load refuses it
     sample = make_sample("s1", "c1", [[1.0, 2.0], [np.nan, 4.0], [5.0, 6.0]])
     dataset = Dataset(
         (make_descriptor("c1", [0, 1, 0]),),
@@ -291,22 +295,23 @@ def test_validate_reports_nan_row():
         SplitConfig(frozenset(), frozenset(), frozenset(), SplitMode.ZSL),
         attribute_count=3,
     )
-    violations = validate_dataset(dataset)
-    assert "sample 's1' body row 1 non-finite" in violations
+    _assert_load_error(save_dataset(dataset, tmp_path), InvariantViolation, "^sample 's1' body row 1 non-finite$")
 
 
-def test_validate_reports_non_binary_attribute():
-    dataset = Dataset(
-        (make_descriptor("c3", [0, 1, 0.5, np.nan, -0.0, 1]),),
-        (),
-        SplitConfig(frozenset(), frozenset(), frozenset(), SplitMode.ZSL),
-        attribute_count=6,
-    )
-    violations = validate_dataset(dataset)
-    assert violations == ["class 'c3' attribute 2 not binary", "class 'c3' attribute 3 not binary"]
+def test_validate_reports_non_binary_attribute(tmp_path):
+    # a hand-written manifest may hold a NaN (json reads NaN), which compares unequal to 0 and to 1
+    path = small_manifest(tmp_path)
+    manifest = json.loads(path.read_text())
+    manifest["attribute_count"] = 6
+    for c in manifest["classes"]:
+        c["attributes"] = [0, 1, 1, 0, 0, 1]
+    manifest["classes"][2]["attributes"] = [0, 1, 0.5, float("nan"), -0.0, 1]
+    write_manifest(tmp_path, manifest)
+    expected = "^class 'c2' attribute 2 not binary; class 'c2' attribute 3 not binary$"
+    _assert_load_error(path, InvariantViolation, expected)
 
 
-def test_validate_reports_duplicates_and_unknown_refs():
+def test_validate_reports_duplicates_and_unknown_refs(tmp_path):
     c = make_descriptor("c1", [0, 1])
     s = make_sample("s1", "ghost", [[1.0]])
     dataset = Dataset(
@@ -315,14 +320,17 @@ def test_validate_reports_duplicates_and_unknown_refs():
         SplitConfig(frozenset({"phantom"}), frozenset(), frozenset(), SplitMode.ZSL),
         attribute_count=2,
     )
-    violations = validate_dataset(dataset)
-    assert any("duplicated" in v for v in violations)
-    assert any("'ghost'" in v for v in violations)
-    assert any("'phantom'" in v for v in violations)
+    _, message = _load_error(save_dataset(dataset, tmp_path))
+    violations = message.split("; ")
+    assert violations == [
+        "class 'c1' duplicated",
+        "sample 's1' references unknown class 'ghost'",
+        "split seen references unknown class 'phantom'",
+    ]
 
 
-def test_validate_clean_dataset_is_empty(tiny_dataset):
-    assert validate_dataset(tiny_dataset) == []
+def test_validate_clean_dataset_is_empty(tiny_dataset, tmp_path):
+    _assert_loads(save_dataset(tiny_dataset, tmp_path), tiny_dataset)
 
 
 def test_round_trip_is_bit_exact(tmp_path):
@@ -351,16 +359,77 @@ def test_loaded_text_vectors_are_unit_norm(tmp_path):
     manifest["classes"][0]["text"] = [2.0, 0.0, 0.0, 0.0]
     write_manifest(tmp_path, manifest)
     dataset = load_dataset(path)
-    assert np.array_equal(dataset.classes_by_id["c0"].text, [1.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(next(c.text for c in dataset.classes if c.class_id == "c0"), [1.0, 0.0, 0.0, 0.0])
 
 
-def test_hand_coverage_flag(tiny_dataset):
-    assert tiny_dataset.has_full_hand_coverage is False  # body-only samples
+def test_a_tiny_text_vector_that_normalizes_off_unit_norm_is_refused(tmp_path):
+    # its norm underflows in the last digits: divided by it, the vector misses unit norm by 5.6e-6
+    path = small_manifest(tmp_path)
+    manifest = json.loads(path.read_text())
+    manifest["classes"][0]["text"] = [1e-160, 1e-160, 0.0, 0.0]
+    write_manifest(tmp_path, manifest)
+    _assert_load_error(path, InvariantViolation, "^class 'c0' text vector not unit norm$")
+
+
+def _nan_in_the_packed_text(tmp_path) -> Path:
+    """A saved manifest whose pack serves a text vector with a NaN, the pack's CRC-32s made to match it."""
+    manifest = _packed_copy(tmp_path)
+    index_path, npy = manifest.with_suffix(".pack.json"), manifest.with_suffix(".pack.npy")
+    index = json.loads(index_path.read_text())
+    text = index["manifest"]["text"]
+    values = np.load(npy)
+    values[text["offset"]] = np.nan
+    _write_npy(npy, values)
+    text["crc32"] = zlib.crc32(values[text["offset"] : text["offset"] + text["rows"] * text["cols"]])
+    index_path.write_text(json.dumps(index))
+    assert np.isnan(_packed_manifest(manifest)["classes"][0]["text"][0])  # the pack, not the manifest, serves it
+    return manifest
+
+
+def _non_finite_text(value: float, where: str):
+    def change(tmp_path) -> Path:
+        path = small_manifest(tmp_path)
+        manifest = json.loads(path.read_text())
+        if where == "text_file":
+            write_feature_file(tmp_path / "text_c0.csv", [[value, 1.0, 0.0, 0.0]])
+            del manifest["classes"][0]["text"]
+            manifest["classes"][0]["text_file"] = "text_c0.csv"
+        else:
+            manifest["classes"][0]["text"] = [value, 1.0, 0.0, 0.0]  # json writes NaN, Infinity and -Infinity
+        return write_manifest(tmp_path, manifest)
+
+    return change
+
+
+_NON_FINITE_TEXTS = {
+    **{f"{where}-{value}": _non_finite_text(value, where) for where in ("text", "text_file")
+       for value in (float("nan"), float("inf"), float("-inf"))},
+    "pack-nan": _nan_in_the_packed_text,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NON_FINITE_TEXTS))
+def test_a_non_finite_text_stops_at_its_normalization_in_every_reader_input(tmp_path, case):
+    # every input a text vector comes from, inline, a text file or the pack, stops at its normalization,
+    # as the reader opens the manifest, before any sample is read: no invariant check sees a non-finite text
+    path = _NON_FINITE_TEXTS[case](tmp_path)
+    expected = "^class 'c0': text vector has no finite nonzero norm$"
+    with pytest.raises(InvariantViolation, match=expected):
+        DatasetReader(path).close()  # the open raises, before any sample is read
+    _assert_load_error(path, InvariantViolation, expected)
+
+
+def test_hand_coverage_flag(tiny_dataset, saved):
+    # the hand stream is usable only when every sample carries one
+    with pytest.raises(MissingHandStream, match="^hand stream disabled dataset-wide: sample 's0' "):
+        saved.view(tiny_dataset, RunConfig(use_hand=True), (Role.SEEN,))
+    assert saved.view(tiny_dataset, RunConfig(), (Role.SEEN,)).stack(Role.SEEN).features.shape == (2, 2)
     with_hand = make_sample("h", "c1", [[1.0, 2.0]], hand=[[3.0]])
     dataset = Dataset(
         tiny_dataset.classes, (with_hand,), tiny_dataset.split, tiny_dataset.attribute_count
     )
-    assert dataset.has_full_hand_coverage is True
+    stack = saved.view(dataset, RunConfig(use_hand=True), (Role.SEEN,)).stack(Role.SEEN)
+    assert stack.features.tolist() == [[1.0, 2.0, 3.0]]
 
 
 def test_sequences_are_immutable(tiny_dataset):
@@ -393,17 +462,13 @@ def _features(dataset) -> dict:
     return {(s.sample_id, stream): seq.data for s in dataset.samples for stream, seq in s.sequences.items()}
 
 
-def _classes(dataset) -> list:
-    return [(c.class_id, c.name, c.attributes.tobytes(), c.text.shape, c.text.tobytes()) for c in dataset.classes]
-
-
 def _assert_same_bits(a, b) -> None:
     fa, fb = _features(a), _features(b)
     assert fa.keys() == fb.keys()
     for key in fa:
         assert fa[key].shape == fb[key].shape, key
         assert fa[key].tobytes() == fb[key].tobytes(), key
-    assert _classes(a) == _classes(b)
+    assert _classes_bits(a.classes) == _classes_bits(b.classes)
     assert (a.split, a.attribute_count) == (b.split, b.attribute_count)
 
 
@@ -429,28 +494,32 @@ def _assert_load_error(manifest: Path, kind: type, pattern: str) -> None:
     assert re.search(pattern, message), message
 
 
-def _roles_with_samples(dataset) -> tuple:
-    return tuple(r for r in Role if dataset.samples_of(set(r.class_ids(dataset.split))))
+def _role_samples(dataset, role: Role) -> list:
+    class_ids = role.class_ids(dataset.split)
+    return [s for s in dataset.samples if s.class_id in class_ids]
 
 
-def _stack_bits(stack) -> tuple:
-    classes = [(c.class_id, c.name, c.attributes.tobytes(), c.text.shape, c.text.tobytes()) for c in stack.classes]
-    return stack.sample_ids, stack.labels, stack.features.shape, stack.features.tobytes(), classes
+def _classes_bits(classes) -> list:
+    return [(c.class_id, c.name, c.attributes.tobytes(), c.text.shape, c.text.tobytes()) for c in classes]
 
 
 def _assert_loads(manifest: Path, reference) -> None:
-    """load_dataset reads reference's bits from manifest, and a command's load pools them as embed_dataset does."""
+    """load_dataset reads reference's bits from manifest, and a command's load pools them as reference_stack does."""
     _assert_same_bits(load_dataset(manifest), reference)
-    hand = reference.has_full_hand_coverage
+    hand = all(Stream.HAND in s.sequences for s in reference.samples)
     cfg = RunConfig(manifest=str(manifest), aggregator="tsm", tsm_weights=(0.5, 1.0, -2.0), use_hand=hand)
-    roles = _roles_with_samples(reference)
+    roles = tuple(role for role in Role if _role_samples(reference, role))
+    classes = {c.class_id: c for c in reference.classes}
     with np.errstate(over="ignore", invalid="ignore"):  # extreme frames pool to inf or nan, on both paths alike
         view = load_embedded(cfg, roles)
-        expected = embed_dataset(reference, cfg, roles)
-    assert list(view.stacks) == list(expected.stacks) == list(roles)
-    for role in roles:
-        assert _stack_bits(view.stack(role)) == _stack_bits(expected.stack(role)), role
-    assert view.split == expected.split
+        expected = {role: reference_stack(_role_samples(reference, role), cfg) for role in roles}
+    assert list(view.stacks) == list(roles)
+    for role, (ids, features, labels) in expected.items():
+        stack = view.stack(role)
+        assert (stack.sample_ids, stack.labels) == (ids, labels), role
+        assert (stack.features.shape, stack.features.tobytes()) == (features.shape, features.tobytes()), role
+        assert _classes_bits(stack.classes) == _classes_bits(classes[c] for c in role.class_ids(reference.split))
+    assert view.split == reference.split
 
 
 _SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300, 1.7976931348623157e308]
@@ -1039,6 +1108,27 @@ def test_save_dataset_writes_no_manifest_strict_json_cannot_hold(tmp_path):
     with pytest.raises(ValueError, match="not JSON compliant"):
         save_dataset(dataset, tmp_path / "out")
     assert not (tmp_path / "out").exists()  # serialized before any file is written
+
+
+def test_a_non_binary_attribute_is_saved_as_it_is_for_the_load_to_refuse(tmp_path):
+    dataset = _save_case("gzsl")
+    classes = (make_descriptor("c0", [0, 1.5, 0.7], dataset.classes[0].text), *dataset.classes[1:])
+    manifest = save_dataset(replace(dataset, classes=classes), tmp_path)
+    saved = json.loads(manifest.read_text())["classes"]
+    assert [c["attributes"] for c in saved] == [[0, 1.5, 0.7], [1, 0, 0], [0, 1, 0], [1, 1, 0]]
+    assert all(type(v) is int for c in saved[1:] for v in c["attributes"])  # 0 and 1 as integers, as ever
+    expected = "^class 'c0' attribute 1 not binary; class 'c0' attribute 2 not binary$"
+    _assert_load_error(manifest, InvariantViolation, expected)
+    assert main(["baseline", "--manifest", str(manifest)]) == 2
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_a_non_finite_attribute_is_refused_before_any_file_is_written(tmp_path, value):
+    dataset = _save_case("gzsl")
+    classes = (make_descriptor("c0", [0, value, 1], dataset.classes[0].text), *dataset.classes[1:])
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        save_dataset(replace(dataset, classes=classes), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("case", ["hand", "gzsl", "mixed text widths"])

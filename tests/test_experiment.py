@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zslsign import experiment, pool
-from zslsign.data import Dataset, SplitConfig, SplitMode, load_dataset, save_dataset
+from zslsign.data import Dataset, SplitConfig, SplitMode, Stream, load_dataset, save_dataset
 from zslsign.errors import (
     DegenerateData,
     DimensionMismatch,
@@ -30,7 +30,6 @@ from zslsign.experiment import (
     Role,
     RunConfig,
     candidate_class_ids,
-    embed_dataset,
     evaluate,
     load_embedded,
     rank_samples,
@@ -39,9 +38,8 @@ from zslsign.experiment import (
     train_repeats,
 )
 from zslsign.synth import SynthSpec, generate
-from zslsign.temporal import embed_video
 
-from conftest import csv_text, make_descriptor, make_sample, write_csv_layout
+from conftest import csv_text, make_descriptor, make_sample, reference_stack, write_csv_layout
 
 FIXTURE_SPEC = SynthSpec(
     n_classes=14,
@@ -66,28 +64,28 @@ def fixture_dataset():
     return dataset
 
 
-def seen_view(dataset, cfg=FIXTURE_CFG):
-    return embed_dataset(dataset, cfg, (Role.SEEN,))
+def seen_view(saved, dataset, cfg=FIXTURE_CFG):
+    return saved.view(dataset, cfg, (Role.SEEN,))
 
 
-def candidate_view(dataset, cfg=FIXTURE_CFG):
-    return embed_dataset(dataset, cfg, (Role.CANDIDATES,))
+def candidate_view(saved, dataset, cfg=FIXTURE_CFG):
+    return saved.view(dataset, cfg, (Role.CANDIDATES,))
 
 
-def candidates_of(dataset, cfg=FIXTURE_CFG):
-    return candidate_view(dataset, cfg).stack(Role.CANDIDATES)
+def candidates_of(saved, dataset, cfg=FIXTURE_CFG):
+    return candidate_view(saved, dataset, cfg).stack(Role.CANDIDATES)
 
 
-def sweep_view(dataset, cfg=FIXTURE_CFG):
-    return embed_dataset(dataset, cfg, SWEEP_ROLES)
+def sweep_view(saved, dataset, cfg=FIXTURE_CFG):
+    return saved.view(dataset, cfg, SWEEP_ROLES)
 
 
 @pytest.fixture(scope="module")
-def fixture_model(fixture_dataset):
-    return train_from_config(seen_view(fixture_dataset), FIXTURE_CFG)
+def fixture_model(saved, fixture_dataset):
+    return train_from_config(seen_view(saved, fixture_dataset), FIXTURE_CFG)
 
 
-def validation_top1(dataset, model, cfg) -> float:
+def validation_top1(saved, dataset, model, cfg) -> float:
     """Class-normalized top-1 of the validation samples, ranked among the validation classes.
 
     A ZSL split whose unseen classes are the validation classes makes rank_samples
@@ -95,11 +93,11 @@ def validation_top1(dataset, model, cfg) -> float:
     """
     val_ids = dataset.split.validation_classes
     val_split = SplitConfig(dataset.split.seen_classes, frozenset(), val_ids, SplitMode.ZSL)
-    validation = candidates_of(Dataset(dataset.classes, dataset.samples, val_split, dataset.attribute_count), cfg)
+    validation = candidates_of(saved, replace(dataset, split=val_split), cfg)
     ranks, _ = rank_samples(model, validation)
     truths = validation.labels
     assert set(truths) == val_ids
-    assert len(truths) == len(dataset.samples_of(val_ids))
+    assert len(truths) == sum(s.class_id in val_ids for s in dataset.samples)
     return topk_accuracy(ranks, truths, ks=(1,)).per_k[1]
 
 
@@ -122,17 +120,17 @@ def test_zsl_candidates_exclude_seen(fixture_dataset):
 
 
 def test_gzsl_candidates_are_seen_plus_unseen(fixture_dataset):
-    split = fixture_dataset.split.with_mode(SplitMode.GZSL)
+    split = replace(fixture_dataset.split, mode=SplitMode.GZSL)
     ids = candidate_class_ids(split)
     assert set(ids) == set(split.seen_classes | split.unseen_classes)
 
 
-def test_gzsl_predict_on_unseen_candidates_equals_zsl(fixture_dataset, fixture_model):
-    zsl = candidates_of(fixture_dataset)
+def test_gzsl_predict_on_unseen_candidates_equals_zsl(saved, fixture_dataset, fixture_model):
+    zsl = candidates_of(saved, fixture_dataset)
     zsl_ranks, zsl_predicted = rank_samples(fixture_model, zsl)
     gzsl_dataset = unseen_as_gzsl(fixture_dataset)
     assert candidate_class_ids(gzsl_dataset.split) == candidate_class_ids(fixture_dataset.split)
-    gzsl = candidates_of(gzsl_dataset)
+    gzsl = candidates_of(saved, gzsl_dataset)
     g_ranks, g_predicted = rank_samples(fixture_model, gzsl)
     assert gzsl.sample_ids == zsl.sample_ids
     assert gzsl.labels == zsl.labels
@@ -145,17 +143,17 @@ def test_gzsl_predict_on_unseen_candidates_equals_zsl(fixture_dataset, fixture_m
         zsl_relabeled = Dataset(
             fixture_dataset.classes, relabeled, fixture_dataset.split, fixture_dataset.attribute_count
         )
-        z, g = candidates_of(zsl_relabeled), candidates_of(unseen_as_gzsl(fixture_dataset, relabeled))
+        z, g = candidates_of(saved, zsl_relabeled), candidates_of(saved, unseen_as_gzsl(fixture_dataset, relabeled))
         z_all, _ = rank_samples(fixture_model, z)
         g_all, _ = rank_samples(fixture_model, g)
         assert z.labels == g.labels == [cid] * len(zsl.sample_ids)
         assert np.array_equal(g_all, z_all)
 
 
-def test_rank_samples_breaks_ties_by_class_id(fixture_dataset, fixture_model):
+def test_rank_samples_breaks_ties_by_class_id(saved, fixture_dataset, fixture_model):
     # W = 0 scores every candidate 0: the smallest class id is predicted, and each truth ranks by its id
     model = replace(fixture_model, W=np.zeros_like(fixture_model.W))
-    stack = candidates_of(fixture_dataset)
+    stack = candidates_of(saved, fixture_dataset)
     ranks, predicted = rank_samples(model, stack)
     truths = stack.labels
     ids = candidate_class_ids(fixture_dataset.split)
@@ -163,30 +161,30 @@ def test_rank_samples_breaks_ties_by_class_id(fixture_dataset, fixture_model):
     assert ranks.tolist() == [ids.index(t) for t in truths]
 
 
-def test_training_recovers_planted_structure(fixture_dataset, fixture_model):
-    report = evaluate(candidate_view(fixture_dataset), fixture_model, FIXTURE_CFG)
+def test_training_recovers_planted_structure(saved, fixture_dataset, fixture_model):
+    report = evaluate(candidate_view(saved, fixture_dataset), fixture_model, FIXTURE_CFG)
     assert report.per_k[1] >= 75.0  # small fixture; the acceptance suite runs the full one
     assert set(report.per_class) <= set(fixture_dataset.split.unseen_classes)
 
 
-def test_each_method_trains(fixture_dataset):
+def test_each_method_trains(saved, fixture_dataset):
     for method in ("lle", "eszsl", "sae"):
         cfg = RunConfig(
             embedding="attr", method=method, epochs=30, learning_rate=0.5, seed=1, repeats=1
         )
-        model = train_from_config(seen_view(fixture_dataset, cfg), cfg)
-        report = evaluate(candidate_view(fixture_dataset, cfg), model, cfg)
+        model = train_from_config(seen_view(saved, fixture_dataset, cfg), cfg)
+        report = evaluate(candidate_view(saved, fixture_dataset, cfg), model, cfg)
         assert set(report.per_k) == {1, 2, 5}
 
 
-def test_hand_stream_must_cover_dataset(fixture_dataset):
+def test_hand_stream_must_cover_dataset(saved, fixture_dataset):
     cfg = RunConfig(use_hand=True, embedding="attr", epochs=1)
     for roles in [(Role.SEEN,), (Role.CANDIDATES,), SWEEP_ROLES]:
         with pytest.raises(MissingHandStream, match="dataset-wide"):
-            embed_dataset(fixture_dataset, cfg, roles)
+            saved.view(fixture_dataset, cfg, roles)
 
 
-def test_mixed_widths_raise_dimension_mismatch():
+def test_mixed_widths_raise_dimension_mismatch(saved):
     samples = (
         make_sample("s0", "c", [[1.0, 2.0]]),
         make_sample("s1", "c", [[1.0, 2.0, 3.0]]),
@@ -194,14 +192,7 @@ def test_mixed_widths_raise_dimension_mismatch():
     split = SplitConfig(frozenset({"c"}), frozenset(), frozenset(), SplitMode.ZSL)
     dataset = Dataset((make_descriptor("c", [1.0]),), samples, split, attribute_count=1)
     with pytest.raises(DimensionMismatch, match=r"samples disagree on embedded width: \[2, 3\]"):
-        embed_dataset(dataset, RunConfig(), (Role.SEEN,))
-
-
-def reference_stack(samples, cfg: RunConfig):
-    """The samples sorted by id, embedded one by one: (sample ids, N x d matrix, class ids)."""
-    ordered = sorted(samples, key=lambda s: s.sample_id)
-    rows = [embed_video(s.body.data, s.hand.data if cfg.use_hand else None, cfg.aggregator_spec()) for s in ordered]
-    return [s.sample_id for s in ordered], np.stack(rows), [s.class_id for s in ordered]
+        saved.view(dataset, RunConfig(), (Role.SEEN,))
 
 
 @st.composite
@@ -236,55 +227,35 @@ def _role_datasets(draw):
     st.booleans(),
 )
 def test_embedded_roles_equal_the_per_role_stacks(dataset, aggregator, weights, use_hand):
-    cfg = RunConfig(aggregator=aggregator, tsm_weights=weights, use_hand=use_hand)
-    _assert_command_loads_of_the_saved_dataset_equal_embed_dataset(dataset, cfg)
-    if use_hand and not dataset.has_full_hand_coverage:
-        with pytest.raises(MissingHandStream):
-            embed_dataset(dataset, cfg, tuple(Role))
-        return
-    view = embed_dataset(dataset, cfg, tuple(Role))
-    split = dataset.split
-    for role, class_ids in (
-        (Role.SEEN, split.seen_classes),
-        (Role.VALIDATION, split.validation_classes),
-        (Role.CANDIDATES, set(candidate_class_ids(split))),
-    ):
-        ids, features, labels = reference_stack(dataset.samples_of(class_ids), cfg)
-        stack = view.stack(role)
-        assert stack.sample_ids == ids
-        assert stack.labels == labels
-        assert stack.features.shape == features.shape and stack.features.tobytes() == features.tobytes()
-        assert stack.classes == [dataset.classes_by_id[cid] for cid in sorted(class_ids)]
-    assert view.split == split
-    # a view keeps only the roles it was asked for, in the order asked, each with only its own classes
-    two = embed_dataset(dataset, cfg, (Role.CANDIDATES, Role.SEEN))
-    assert list(two.stacks) == [Role.CANDIDATES, Role.SEEN]
-    assert two.stack(Role.CANDIDATES).classes == [dataset.classes_by_id[cid] for cid in candidate_class_ids(split)]
-    assert two.stack(Role.SEEN).classes == [dataset.classes_by_id[cid] for cid in sorted(split.seen_classes)]
-
-
-# the roles each command loads: train, predict/eval/analyze, sweep and baseline; and every role
-COMMAND_ROLE_SETS = [(Role.SEEN,), (Role.CANDIDATES,), SWEEP_ROLES, (), tuple(Role)]
-
-
-def _assert_command_loads_of_the_saved_dataset_equal_embed_dataset(dataset: Dataset, cfg: RunConfig) -> None:
-    """A command's load of the saved dataset gives embed_dataset(load_dataset(...))'s views, byte for byte.
+    """A command's load gives each role's reference_stack, byte for byte, from every layout of the dataset.
 
     From the pack, with the pack's index deleted (the manifest parsed), and
-    in the CSV layout with one CSV edited after it was written.
+    in the CSV layout, also with one CSV edited after it was written.
     """
+    cfg = RunConfig(aggregator=aggregator, tsm_weights=weights, use_hand=use_hand)
     with tempfile.TemporaryDirectory() as tmp:
         manifest = save_dataset(dataset, Path(tmp) / "packed")
-        _assert_command_loads_equal_embed_dataset(manifest, cfg)
+        _assert_command_loads_equal_the_reference_stacks(manifest, dataset, cfg)
         manifest.with_suffix(".pack.json").unlink()
-        _assert_command_loads_equal_embed_dataset(manifest, cfg)
+        _assert_command_loads_equal_the_reference_stacks(manifest, dataset, cfg)
         manifest = write_csv_layout(dataset, Path(tmp) / "csv")
-        _assert_command_loads_equal_embed_dataset(manifest, cfg)
+        _assert_command_loads_equal_the_reference_stacks(manifest, dataset, cfg)
         edited = manifest.parent / json.loads(manifest.read_text())["samples"][0]["body"]
-        body = dataset.samples[0].body.data * 0.5 + 1.0
+        first = dataset.samples[0]
+        body = first.body.data * 0.5 + 1.0
         edited.write_text(csv_text(body), encoding="utf-8")
         assert load_dataset(manifest).samples[0].body.data.tobytes() == body.tobytes()
-        _assert_command_loads_equal_embed_dataset(manifest, cfg)
+        streams = {**first.sequences, Stream.BODY: replace(first.body, data=body)}
+        dataset = replace(dataset, samples=(replace(first, sequences=streams), *dataset.samples[1:]))
+        _assert_command_loads_equal_the_reference_stacks(manifest, dataset, cfg)
+
+
+# the roles each command loads: train, predict/eval/analyze, sweep and baseline; every role; and two out of order
+COMMAND_ROLE_SETS = [(Role.SEEN,), (Role.CANDIDATES,), SWEEP_ROLES, (), tuple(Role), (Role.CANDIDATES, Role.SEEN)]
+
+
+def _classes_bits(classes) -> list:
+    return [(c.class_id, c.name, c.attributes.tobytes(), c.text.tobytes()) for c in classes]
 
 
 def _view_bits(build) -> tuple:
@@ -295,18 +266,36 @@ def _view_bits(build) -> tuple:
         return type(exc), str(exc)
     stacks = [
         (role, stack.sample_ids, stack.labels, stack.features.shape, stack.features.tobytes(),
-         [(c.class_id, c.name, c.attributes.tobytes(), c.text.tobytes()) for c in stack.classes])
+         _classes_bits(stack.classes))
         for role, stack in view.stacks.items()
     ]
     return stacks, view.split
 
 
-def _assert_command_loads_equal_embed_dataset(manifest, cfg: RunConfig) -> None:
+def _reference_bits(dataset: Dataset, cfg: RunConfig, roles) -> tuple:
+    """What _view_bits must give of a load of dataset: each role's reference_stack, or the missing hand stream.
+
+    The datasets of _role_datasets have samples in every role and one width per stream.
+    """
+    without_hand = [s.sample_id for s in dataset.samples if Stream.HAND not in s.sequences]
+    if cfg.use_hand and without_hand:
+        message = f"hand stream disabled dataset-wide: sample {without_hand[0]!r} (at least) has no hand sequence"
+        return MissingHandStream, message
+    classes = {c.class_id: c for c in dataset.classes}
+    stacks = []
+    for role in roles:
+        class_ids = role.class_ids(dataset.split)
+        ids, features, labels = reference_stack([s for s in dataset.samples if s.class_id in class_ids], cfg)
+        stacks.append(
+            (role, ids, labels, features.shape, features.tobytes(), _classes_bits(classes[c] for c in class_ids))
+        )
+    return stacks, dataset.split
+
+
+def _assert_command_loads_equal_the_reference_stacks(manifest, dataset: Dataset, cfg: RunConfig) -> None:
     cfg = replace(cfg, manifest=str(manifest))
-    dataset = load_dataset(manifest)
     for roles in COMMAND_ROLE_SETS:
-        expected = _view_bits(lambda: embed_dataset(dataset, cfg, roles))
-        assert _view_bits(lambda: load_embedded(cfg, roles)) == expected, roles
+        assert _view_bits(lambda: load_embedded(cfg, roles)) == _reference_bits(dataset, cfg, roles), roles
 
 
 def _without_role_samples(dataset: Dataset, class_ids) -> Dataset:
@@ -314,24 +303,24 @@ def _without_role_samples(dataset: Dataset, class_ids) -> Dataset:
     return Dataset(dataset.classes, samples, dataset.split, dataset.attribute_count)
 
 
-def test_a_role_without_samples_is_a_typed_error_naming_it(fixture_dataset):
+def test_a_role_without_samples_is_a_typed_error_naming_it(saved, fixture_dataset):
     split = fixture_dataset.split
     no_seen = _without_role_samples(fixture_dataset, split.seen_classes)
     with pytest.raises(DegenerateData, match="^no seen samples to train on$"):
-        embed_dataset(no_seen, FIXTURE_CFG, (Role.SEEN,))
+        saved.view(no_seen, FIXTURE_CFG, (Role.SEEN,))
     no_validation = _without_role_samples(fixture_dataset, split.validation_classes)
     with pytest.raises(EmptyEvaluationSet, match="^no validation samples to evaluate$"):
-        embed_dataset(no_validation, FIXTURE_CFG, SWEEP_ROLES)
+        saved.view(no_validation, FIXTURE_CFG, SWEEP_ROLES)
     no_unseen = _without_role_samples(fixture_dataset, split.unseen_classes)
     with pytest.raises(EmptyEvaluationSet, match="^no candidate samples to evaluate$"):
-        embed_dataset(no_unseen, FIXTURE_CFG, (Role.CANDIDATES,))
+        saved.view(no_unseen, FIXTURE_CFG, (Role.CANDIDATES,))
     # each dataset still embeds the roles that have samples
-    assert embed_dataset(no_seen, FIXTURE_CFG, (Role.VALIDATION, Role.CANDIDATES)).stacks
-    assert embed_dataset(no_unseen, FIXTURE_CFG, SWEEP_ROLES).stacks
+    assert saved.view(no_seen, FIXTURE_CFG, (Role.VALIDATION, Role.CANDIDATES)).stacks
+    assert saved.view(no_unseen, FIXTURE_CFG, SWEEP_ROLES).stacks
     # a split without validation classes keeps its own message
     no_validation_classes = replace(fixture_dataset, split=replace(split, validation_classes=frozenset()))
     with pytest.raises(ValueError, match="no validation classes"):
-        embed_dataset(no_validation_classes, FIXTURE_CFG, SWEEP_ROLES)
+        saved.view(no_validation_classes, FIXTURE_CFG, SWEEP_ROLES)
 
 
 def test_a_commands_load_holds_no_more_than_about_one_samples_frames(tmp_path):
@@ -358,31 +347,32 @@ def test_a_commands_load_holds_no_more_than_about_one_samples_frames(tmp_path):
     assert peak < 2 * sample_frames + embeddings + text
 
 
-def test_a_view_refuses_a_role_it_did_not_embed(fixture_dataset, fixture_model):
-    view = seen_view(fixture_dataset)
+def test_a_view_refuses_a_role_it_did_not_embed(saved, fixture_dataset, fixture_model):
+    view = seen_view(saved, fixture_dataset)
     with pytest.raises(ValueError, match="candidate samples were not embedded"):
         evaluate(view, fixture_model, FIXTURE_CFG)
     with pytest.raises(ValueError, match="validation samples were not embedded"):
         sweep_text_dim(view, FIXTURE_CFG, values=[4])
 
 
-def test_validation_top1_uses_validation_classes(fixture_dataset, fixture_model):
-    score = validation_top1(fixture_dataset, fixture_model, FIXTURE_CFG)
+def test_validation_top1_uses_validation_classes(saved, fixture_dataset, fixture_model):
+    score = validation_top1(saved, fixture_dataset, fixture_model, FIXTURE_CFG)
     assert 0.0 <= score <= 100.0
 
 
-def test_sweep_bypass_value_matches_no_reduction_run(fixture_dataset):
+def test_sweep_bypass_value_matches_no_reduction_run(saved, fixture_dataset):
     cfg = FIXTURE_CFG
-    rows = sweep_text_dim(sweep_view(fixture_dataset), cfg, values=[2, 4])
+    rows = sweep_text_dim(sweep_view(saved, fixture_dataset), cfg, values=[2, 4])
     assert [r[0] for r in rows] == [2, 4]
     # d_t == text_dim runs without a reduction matrix; cross-check one repeat
-    model = train_from_config(seen_view(fixture_dataset), cfg, seed=cfg.seed)
+    model = train_from_config(seen_view(saved, fixture_dataset), cfg, seed=cfg.seed)
     assert model.M is None  # d_t=4 equals the raw text width: identity bypass
-    direct = validation_top1(fixture_dataset, model, cfg)
+    direct = validation_top1(saved, fixture_dataset, model, cfg)
     repeat_scores = [
         validation_top1(
+            saved,
             fixture_dataset,
-            train_from_config(seen_view(fixture_dataset), cfg, seed=cfg.seed + r),
+            train_from_config(seen_view(saved, fixture_dataset), cfg, seed=cfg.seed + r),
             cfg,
         )
         for r in range(cfg.repeats)
@@ -391,18 +381,18 @@ def test_sweep_bypass_value_matches_no_reduction_run(fixture_dataset):
     assert direct == repeat_scores[0]
 
 
-def test_sweep_beats_random_baseline(fixture_dataset):
-    rows = sweep_text_dim(sweep_view(fixture_dataset), FIXTURE_CFG, values=[2, 4])
+def test_sweep_beats_random_baseline(saved, fixture_dataset):
+    rows = sweep_text_dim(sweep_view(saved, fixture_dataset), FIXTURE_CFG, values=[2, 4])
     n_val = len(fixture_dataset.split.validation_classes)
     random_top1 = 100.0 / n_val
     for _value, mean, _std in rows:
         assert mean > random_top1
 
 
-def test_sweep_rejects_attr_mode(fixture_dataset):
+def test_sweep_rejects_attr_mode(saved, fixture_dataset):
     cfg = RunConfig(embedding="attr")
     with pytest.raises(ValueError, match="text-bearing"):
-        sweep_text_dim(sweep_view(fixture_dataset, cfg), cfg, values=[2])
+        sweep_text_dim(sweep_view(saved, fixture_dataset, cfg), cfg, values=[2])
 
 
 def test_run_config_round_trip_and_unknown_keys():
@@ -444,6 +434,8 @@ def test_run_config_from_json_checks_each_value_type():
         (RunConfig(method="eszsl", lam=0.0), (), "lam must be > 0, got 0.0"),
         (RunConfig(method="eszsl", gamma=float("inf")), (), "gamma must be finite, got inf"),
         (RunConfig(method="sae", lam_sae=-1.0), (), "lam_sae must be > 0, got -1.0"),
+        (RunConfig(ks=(1, 1, 2)), (), "ks must not repeat a value, got [1, 1, 2]"),
+        (RunConfig(embedding="combined"), (4, 8, 4), "sweep values must not repeat, got [4, 8, 4]"),
     ],
 )
 def test_run_config_check_refuses_with_the_owners_message(cfg, sweep_values, message):
@@ -514,12 +506,12 @@ def test_a_closed_form_leaves_seen_classes_of_two_widths_to_the_load(tmp_path, m
     assert len(read) == 1
 
 
-def test_candidate_descriptors_sorted(fixture_dataset):
-    ids = [c.class_id for c in candidates_of(fixture_dataset).classes]
+def test_candidate_descriptors_sorted(saved, fixture_dataset):
+    ids = [c.class_id for c in candidates_of(saved, fixture_dataset).classes]
     assert ids == sorted(ids) == candidate_class_ids(fixture_dataset.split)
 
 
-def test_two_stream_training_when_hand_covered():
+def test_two_stream_training_when_hand_covered(saved):
     rng = np.random.default_rng(20)
     from conftest import make_descriptor
 
@@ -542,7 +534,7 @@ def test_two_stream_training_when_hand_covered():
         attribute_count=4,
     )
     cfg = RunConfig(embedding="attr", use_hand=True, epochs=20, learning_rate=0.1, seed=0, repeats=1)
-    model = train_from_config(seen_view(dataset, cfg), cfg)
+    model = train_from_config(seen_view(saved, dataset, cfg), cfg)
     assert model.W.shape[0] == 5 + 2  # body width + hand width
 
 
@@ -602,44 +594,48 @@ def test_map_jobs_forks_workers_and_keeps_item_order(monkeypatch):
 
 @needs_fork
 @pytest.mark.parametrize("method", ["lle", "eszsl", "sae"])
-def test_sweep_rows_do_not_depend_on_the_worker_count(fixture_dataset, monkeypatch, method):
+def test_sweep_rows_do_not_depend_on_the_worker_count(saved, fixture_dataset, monkeypatch, method):
     cfg = replace(FIXTURE_CFG, method=method, epochs=60, repeats=3)
     values = [2, 3, 4] if method == "lle" else [4]  # the closed forms need d_t == text width
     rows = {}
     for cpus in (1, 2):
         monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
-        rows[cpus] = sweep_text_dim(sweep_view(fixture_dataset, cfg), cfg, values=values)
+        rows[cpus] = sweep_text_dim(sweep_view(saved, fixture_dataset, cfg), cfg, values=values)
     assert rows[1] == rows[2]
     assert [r[0] for r in rows[1]] == values
 
 
 @needs_fork
-def test_train_repeats_do_not_depend_on_the_worker_count(fixture_dataset, monkeypatch):
+def test_train_repeats_do_not_depend_on_the_worker_count(saved, fixture_dataset, monkeypatch):
     cfg = replace(FIXTURE_CFG, epochs=40, repeats=3)
     models = {}
     for cpus in (1, 2):
         monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
-        models[cpus] = train_repeats(seen_view(fixture_dataset, cfg), cfg)
+        models[cpus] = train_repeats(seen_view(saved, fixture_dataset, cfg), cfg)
     for one, two, r in zip(models[1], models[2], range(cfg.repeats)):
         assert one.seed == two.seed == cfg.seed + r
         assert one.W.tobytes() == two.W.tobytes()
         assert one.M.tobytes() == two.M.tobytes() if one.M is not None else two.M is None
         assert one.loss_history == two.loss_history and one.final_loss == two.final_loss
     # each repeat is the model train_from_config gives for its seed
-    alone = train_from_config(seen_view(fixture_dataset, cfg), cfg, seed=cfg.seed + 1)
+    alone = train_from_config(seen_view(saved, fixture_dataset, cfg), cfg, seed=cfg.seed + 1)
     assert alone.W.tobytes() == models[2][1].W.tobytes()
     assert alone.loss_history == models[2][1].loss_history
 
 
 @pytest.mark.parametrize("method, trainer", [("eszsl", "train_eszsl"), ("sae", "train_sae")])
-def test_sweep_fits_a_closed_form_once_per_width(fixture_dataset, monkeypatch, method, trainer):
+def test_sweep_fits_a_closed_form_once_per_width(saved, fixture_dataset, monkeypatch, method, trainer):
     calls = []
     original = getattr(experiment, trainer)
     monkeypatch.setattr(experiment, trainer, lambda *a, **kw: calls.append(1) or original(*a, **kw))
     monkeypatch.setattr(pool, "usable_cpus", lambda: 1)  # every fit in this process, so counted
     cfg = replace(FIXTURE_CFG, method=method, repeats=3)
-    rows = sweep_text_dim(sweep_view(fixture_dataset, cfg), cfg, values=[4, 4])
-    assert len(calls) == 2
-    single = validation_top1(fixture_dataset, train_from_config(seen_view(fixture_dataset, cfg), cfg), cfg)
+    view = sweep_view(saved, fixture_dataset, cfg)
+    with pytest.raises(ValueError, match=r"^sweep values must not repeat, got \[4, 4\]$"):
+        sweep_text_dim(view, cfg, values=[4, 4])  # refused before any fit
+    assert calls == []
+    rows = sweep_text_dim(view, cfg, values=[4])  # the closed forms fit at the text width only
+    assert len(calls) == 1
+    single = validation_top1(saved, fixture_dataset, train_from_config(seen_view(saved, fixture_dataset, cfg), cfg), cfg)
     # every repeat's score still enters the mean and the stddev, as three trainings' would
-    assert rows == [(4, float(np.mean([single] * 3)), float(np.std([single] * 3, ddof=1)))] * 2
+    assert rows == [(4, float(np.mean([single] * 3)), float(np.std([single] * 3, ddof=1)))]

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ def run_script(name: str, *args) -> subprocess.CompletedProcess:
     )
 
 
-def test_run_synth_experiment_script(tmp_path):
+def test_run_synth_experiment_script(tmp_path, capsys):
     proc = run_script("run_synth_experiment.py", "--out", tmp_path, "--epochs", "20")
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "data" / "manifest.json").exists()
@@ -27,6 +28,18 @@ def test_run_synth_experiment_script(tmp_path):
         assert header.with_suffix(".npy").exists()
         assert load_model(header).method.value == method
     assert "influence (correct predictions)" in proc.stdout
+    # the script reads its saved dataset as the commands do: eval of its lle model prints its ZSL numbers
+    script = re.search(r"^lle +ZSL +(.*)$", proc.stdout, re.MULTILINE).group(1)
+    eval_out = tmp_path / "eval"
+    argv = ["eval", "--manifest", tmp_path / "data" / "manifest.json", "--model", tmp_path / "model_lle.json",
+            "--embedding", "combined", "--d-t", "8", "--out", eval_out]
+    assert main(list(map(str, argv))) == 0
+    table = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines()[:2])
+    assert table["metric"].split() == re.findall(r"top-\d+", script) == ["top-1", "top-2", "top-5"]
+    assert table["overall"].split() == re.findall(r"top-\d+ +([\d.]+)", script)
+    assert set(os.listdir(tmp_path / "data")) == {
+        f"{stem}{suffix}" for stem in ("manifest", "manifest_gzsl") for suffix in (".json", ".pack.json", ".pack.npy")
+    }
 
 
 def test_sweep_text_dim_script(tmp_path):

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from zslsign.data import Dataset, SplitConfig, SplitMode
 from zslsign.errors import EmptySequence, MissingHandStream
-from zslsign.experiment import Role, RunConfig, embed_dataset
+from zslsign.experiment import Role, RunConfig
 from zslsign.oracles import brute_column_means, brute_tsm
 from zslsign.temporal import AggregatorKind, AggregatorSpec, aggregate, embed_video
 
@@ -131,14 +131,14 @@ def test_embed_video_concatenation_order():
     assert np.array_equal(embed_video(body, None, AVG), [1.0, 2.0])
 
 
-def test_embed_video_missing_hand():
+def test_embed_video_missing_hand(saved):
     # embed_video pools the hand frames it is given; a two-stream embedding of a sample that has
     # none is refused, naming the sample
     samples = (make_sample("s0", "c", [[1.0, 2.0]], hand=[[3.0]]), make_sample("s1", "c", [[1.0, 2.0]]))
     split = SplitConfig(frozenset({"c"}), frozenset(), frozenset(), SplitMode.ZSL)
     dataset = Dataset((make_descriptor("c", [1.0]),), samples, split, attribute_count=1)
     with pytest.raises(MissingHandStream, match="sample 's1'"):
-        embed_dataset(dataset, RunConfig(use_hand=True), (Role.SEEN,))
+        saved.view(dataset, RunConfig(use_hand=True), (Role.SEEN,))
 
 
 def test_two_stream_width_doubles():
