@@ -312,8 +312,6 @@ def cmd_baseline(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
-    if args.param != "d_t":
-        raise ParseError(f"only the d_t parameter can be swept, got {args.param!r}")
     data = load_embedded(cfg, SWEEP_ROLES, args.values)
     rows = sweep_text_dim(data, cfg, args.values)
     out = _echoed_out_dir(args, cfg)
@@ -428,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="sweep the text-reduction width against validation accuracy")
     _add_config_flags(p)
-    p.add_argument("--param", default="d_t")
+    p.add_argument("--param", choices=("d_t",), default="d_t")
     p.add_argument("--values", type=_INTS, required=True, help="comma-separated widths, e.g. 8,16,32,64")
     p.set_defaults(func=cmd_sweep)
 

@@ -8,8 +8,11 @@ multiply-adds for the shapes. Three trainers produce W:
 * lle    - softmax cross-entropy with l2 penalty on W, minimized by
            deterministic full-batch gradient descent; a text-reduction matrix
            M is optimized jointly when the embedding mode calls for one. Each
-           pass scores through the same Phi W S' path, exponentiates once, and
-           shares one d x |C| product F'G between the gradients of W and M.
+           pass scores class-major, Z' = S W' F' (|C| x N, one column per
+           sample), through the same bilinear helper as Phi W S', so every
+           per-sample softmax step runs down a column. It exponentiates once,
+           and one |C| x d product G'F serves the gradients of W and M. A fit
+           composes its class matrix once and rewrites only its text block.
 * eszsl  - ridge-style regression closed form
            W = (X X' + gamma I)^-1 X Y S' (S S' + lam I)^-1.
 * sae    - auto-encoding projection: the minimum-norm solution P of the
@@ -210,38 +213,63 @@ def _label_indices(labels: Sequence[str], classes: ClassEmbeddingSet) -> np.ndar
     return np.array([classes.index_of(label) for label in labels], dtype=np.intp)
 
 
-def _lle_forward(W, M, features, y, classes, lam) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Objective value, class matrix S, and the softmax pieces E = exp(Z - max) and s = E.sum(1) of one pass.
+class _LleFit:
+    """One lle fit's fixed operands, laid out for class-major scores Z' = S W' F' (|C| x N).
 
-    The loss is mean(m + log s - z_y) + lam ||W||^2 for scores Z with row maxima m; E
-    overwrites Z, so one N x |C| array holds scores, then numerators.
+    Each sample's scores are a column of Z', so every per-sample reduction runs down columns
+    over contiguous rows. truth holds the flat index of each sample's true-class score in Z'.
+    F is only read, through transposed views, never copied. S is composed once, at the
+    reduction M the fit starts from; class_matrix(M) writes T M into its text block in place
+    (the attribute block stays as written), and without a reduction S is never recomposed.
     """
-    S = classes.compose(M)
-    Z = _bilinear(features, W, S)
-    z_y = Z[np.arange(len(y)), y]
-    m = Z.max(axis=1)
-    Z -= m[:, None]
+
+    def __init__(self, features: np.ndarray, labels: Sequence[str], classes: ClassEmbeddingSet, lam: float, M) -> None:
+        n = len(labels)
+        self.features = features
+        self.truth = _label_indices(labels, classes) * n + np.arange(n)
+        self.lam = lam
+        self.texts = classes.texts
+        self.offset = classes.attributes.shape[1] if classes.mode.uses_attributes else 0  # text columns of W and S
+        self.S = classes.compose(M)
+
+    def class_matrix(self, M) -> np.ndarray:
+        """S at reduction M (|C| x t); valid until the next call."""
+        if M is not None:
+            np.matmul(self.texts, M, out=self.S[:, self.offset :])
+        return self.S
+
+
+def _lle_forward(W, M, fit: _LleFit) -> tuple[float, np.ndarray, np.ndarray]:
+    """Objective value and the softmax pieces E = exp(Z' - m) and s = column sums of E of one pass.
+
+    For class-major scores Z' with column maxima m, the loss is mean(m + log s - z_y) + lam ||W||^2.
+    E overwrites Z', so one |C| x N array holds scores, then numerators.
+    """
+    Z = _bilinear(fit.class_matrix(M), W.T, fit.features)
+    z_y = Z.take(fit.truth)
+    m = Z.max(axis=0)
+    Z -= m
     E = np.exp(Z, out=Z)
-    s = E.sum(axis=1)
-    loss = float(np.mean(np.log(s) - (z_y - m)) + lam * np.sum(W * W))
-    return loss, S, E, s
+    s = E.sum(axis=0)
+    loss = float((np.log(s) - (z_y - m)).sum() / len(s) + fit.lam * np.vdot(W, W))
+    return loss, E, s
 
 
-def _lle_backward(W, M, features, y, classes, lam, S, E, s) -> tuple[np.ndarray, np.ndarray | None]:
-    """Gradients with respect to W (and M if present) from a forward pass at (W, M); E is overwritten.
+def _lle_backward(W, M, fit: _LleFit, E, s) -> tuple[np.ndarray, np.ndarray | None]:
+    """Gradients with respect to W (and M if present) from the forward pass just taken at (W, M); E is overwritten.
 
-    With G = E / (n s) - onehot / n, both gradients share FG = F'G (d x |C|):
-    grad_W = FG S + 2 lam W and grad_M = T' (FG' W_text).
+    With G' = E / (n s) - onehot / n (|C| x N), both gradients share GF = G'F (|C| x d):
+    grad_W = GF' S + 2 lam W and grad_M = T' (GF W_text).
     """
-    n = len(y)
-    G = np.divide(E, (n * s)[:, None], out=E)
-    G[np.arange(n), y] -= 1.0 / n
-    FG = features.T @ G
-    grad_W = FG @ S + 2.0 * lam * W
+    n = len(s)
+    G = np.divide(E, n * s, out=E)
+    G.reshape(-1)[fit.truth] -= 1.0 / n  # E is the C-contiguous product of _bilinear, so this is a view
+    GF = G @ fit.features
+    grad_W = GF.T @ fit.S
+    grad_W += 2.0 * fit.lam * W
     grad_M = None
     if M is not None:
-        offset = classes.attributes.shape[1] if classes.mode.uses_attributes else 0  # text columns of W
-        grad_M = classes.texts.T @ (FG.T @ W[:, offset:])
+        grad_M = fit.texts.T @ (GF @ W[:, fit.offset :])
     return grad_W, grad_M
 
 
@@ -256,10 +284,13 @@ def train_lle(
     Each epoch takes one full-batch step; if the step would increase the loss
     the step size is halved, up to MAX_STEP_HALVINGS times, before giving up
     with NonFiniteLoss. Same seed and config therefore reproduce the exact
-    same parameters. A trial step costs one forward pass (scores, one max-shifted
-    exp, the loss); only an accepted step adds the backward pass, which turns
-    that pass's exp into G = softmax/n - onehot/n and shares F'G between
-    grad_W = F'G S + 2 lam W and grad_M = T' (F'G)' W_text.
+    same parameters. A trial step costs one forward pass (class-major scores
+    S W' F', one max-shifted exp down each sample's column, the loss); only an
+    accepted step adds the backward pass, which turns that pass's exp into
+    G' = softmax/n - onehot/n and shares G'F between grad_W = (G'F)' S + 2 lam W
+    and grad_M = T' (G'F W_text). The fit's operands live in one _LleFit: F is
+    never copied, and the class matrix is one buffer whose text block T M each
+    trial rewrites in place.
     """
     features = np.asarray(features, dtype=np.float64)
     if classes.n_classes < 2:
@@ -278,11 +309,11 @@ def train_lle(
     W = rng.uniform(-cfg.init_scale, cfg.init_scale, size=(d, t))
     M = rng.uniform(-cfg.init_scale, cfg.init_scale, size=(classes.text_dim, mode.d_t)) if trains_reduction else None
 
-    y = _label_indices(labels, classes)
-    loss, *forward = _lle_forward(W, M, features, y, classes, cfg.lam)
+    fit = _LleFit(features, labels, classes, cfg.lam, M)
+    loss, *forward = _lle_forward(W, M, fit)
     if not math.isfinite(loss):
         raise NonFiniteLoss(f"initial loss is {loss}")
-    grad_W, grad_M = _lle_backward(W, M, features, y, classes, cfg.lam, *forward)
+    grad_W, grad_M = _lle_backward(W, M, fit, *forward)
     history = [loss]
 
     # at a converged point the theoretical decrease of a tiny step underflows and
@@ -295,14 +326,14 @@ def train_lle(
         for _attempt in range(MAX_STEP_HALVINGS + 1):
             W_try = W - step * grad_W
             M_try = M - step * grad_M if M is not None else None
-            loss_try, *forward = _lle_forward(W_try, M_try, features, y, classes, cfg.lam)
+            loss_try, *forward = _lle_forward(W_try, M_try, fit)
             if math.isfinite(loss_try) and loss_try <= loss:
                 W, M, loss = W_try, M_try, loss_try
                 moved = True
                 break
             step *= 0.5
         if moved:
-            grad_W, grad_M = _lle_backward(W, M, features, y, classes, cfg.lam, *forward)
+            grad_W, grad_M = _lle_backward(W, M, fit, *forward)
         elif not (math.isfinite(loss_try) and loss_try - loss <= plateau_tol):
             raise NonFiniteLoss(
                 f"step halving exhausted after {MAX_STEP_HALVINGS} halvings at loss {loss!r}"

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import ClassDescriptor
-from .errors import IndexOutOfRange, InstanceTooLarge, SingularSystem
+from .errors import IndexOutOfRange, InstanceTooLarge, NonFiniteLoss, SingularSystem
 
 MAX_DIM = 64
 TRIAL_CHUNK = 10_000  # Monte-Carlo trials drawn at once
@@ -101,6 +101,44 @@ def brute_lle_gradients(W, M, features, labels, classes, lam: float) -> tuple[np
             if grad_M is not None:
                 grad_M += g * np.outer(text.astype(np.longdouble), phi @ W_text)
     return grad_W.astype(np.float64), None if grad_M is None else grad_M.astype(np.float64)
+
+
+def brute_lle_descent(
+    W, M, features, labels, classes, lam: float, learning_rate: float, epochs: int, max_halvings: int
+) -> tuple[np.ndarray, np.ndarray | None, list[float], list[list[float]]]:
+    """lle's step-halving descent from (W, M) on brute_lle_objective and brute_lle_gradients.
+
+    Each epoch tries W - step grad_W (and M - step grad_M) from step = learning_rate, halving the
+    step after each trial whose loss is not finite or rises, up to max_halvings halvings. A trial
+    that does not rise is taken. When none is, (W, M) stay: the loss has plateaued if the last
+    trial rose by at most 32 eps max(1, |initial loss|), and otherwise NonFiniteLoss is raised.
+    Returns W, M, the losses (the initial one, then one after each epoch) and, per epoch, the
+    loss of each trial in order.
+    """
+    loss = brute_lle_objective(W, M, features, labels, classes, lam)
+    if not np.isfinite(loss):
+        raise NonFiniteLoss(f"initial loss is {loss}")
+    grad_W, grad_M = brute_lle_gradients(W, M, features, labels, classes, lam)
+    history, trials = [loss], []
+    plateau_tol = 32.0 * np.finfo(np.float64).eps * max(1.0, abs(loss))
+    for _ in range(epochs):
+        step = learning_rate
+        trials.append([])
+        for _ in range(max_halvings + 1):
+            W_try = W - step * grad_W
+            M_try = None if M is None else M - step * grad_M
+            loss_try = brute_lle_objective(W_try, M_try, features, labels, classes, lam)
+            trials[-1].append(loss_try)
+            if np.isfinite(loss_try) and loss_try <= loss:
+                W, M, loss = W_try, M_try, loss_try
+                grad_W, grad_M = brute_lle_gradients(W, M, features, labels, classes, lam)
+                break
+            step *= 0.5
+        else:
+            if not (np.isfinite(loss_try) and loss_try - loss <= plateau_tol):
+                raise NonFiniteLoss(f"step halving exhausted after {max_halvings} halvings at loss {loss!r}")
+        history.append(loss)
+    return W, M, history, trials
 
 
 def brute_column_means(matrix: np.ndarray) -> np.ndarray:

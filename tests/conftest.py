@@ -17,7 +17,7 @@ from zslsign.data import (
     save_dataset,
 )
 from zslsign.experiment import Embedded, RunConfig, load_embedded
-from zslsign.models import _label_indices, _lle_backward, _lle_forward
+from zslsign.models import _lle_backward, _lle_forward, _LleFit
 from zslsign.temporal import embed_video
 
 
@@ -153,14 +153,14 @@ def make_descriptor(class_id: str, attributes, text=None) -> ClassDescriptor:
 
 def lle_objective(W, M, features, labels, classes, lam) -> float:
     """The lle loss at (W, M), from the forward pass that train_lle takes."""
-    return _lle_forward(W, M, features, _label_indices(labels, classes), classes, lam)[0]
+    return _lle_forward(W, M, _LleFit(features, labels, classes, lam, M))[0]
 
 
 def lle_gradients(W, M, features, labels, classes, lam):
     """The lle loss and its gradients for W (and M if given), from train_lle's forward and backward pass."""
-    y = _label_indices(labels, classes)
-    loss, *forward = _lle_forward(W, M, features, y, classes, lam)
-    return (loss, *_lle_backward(W, M, features, y, classes, lam, *forward))
+    fit = _LleFit(features, labels, classes, lam, M)
+    loss, *forward = _lle_forward(W, M, fit)
+    return (loss, *_lle_backward(W, M, fit, *forward))
 
 
 @pytest.fixture

@@ -616,6 +616,19 @@ def test_baseline_takes_its_class_count_from_exactly_one_of_manifest_and_classes
     assert opened == [] and not out.exists()
 
 
+@pytest.mark.parametrize("embedding", ["attr", "combined"])
+def test_sweep_refuses_any_param_but_d_t_at_parse_time(workspace, tmp_path, monkeypatch, capsys, embedding):
+    # the --param error comes first, whatever the mode: attr alone would be refused later as no text to sweep
+    opened = _spy_on_inputs(monkeypatch)
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--manifest", workspace["manifest"], "--out", out, "--embedding", embedding]
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--param", "gamma", "--values", "1,2"])
+    assert exc.value.code == 2
+    assert "error: argument --param: invalid choice: 'gamma'" in capsys.readouterr().err.splitlines()[-1]
+    assert opened == [] and not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from zslsign import models
 from zslsign.embeddings import ClassEmbeddingSet, EmbeddingMode, ModeKind
 from zslsign.errors import (
     DegenerateData,
@@ -20,6 +21,7 @@ from zslsign.errors import (
     SingularSystem,
 )
 from zslsign.models import (
+    MAX_STEP_HALVINGS,
     CompatModel,
     Method,
     TrainConfig,
@@ -34,6 +36,7 @@ from zslsign.models import (
 )
 from zslsign.oracles import (
     brute_bilinear,
+    brute_lle_descent,
     brute_lle_gradients,
     brute_lle_objective,
     brute_softmax,
@@ -391,6 +394,99 @@ def test_lle_objective_and_gradients_match_the_per_sample_oracle(problem):
     assert (grad_M is None) == (M is None)
     if M is not None:
         assert np.max(np.abs(grad_M - want_M)) <= 1e-12 * scale_M
+
+
+# (mode, whether a reduction M is trained: d_t differs from the raw text width)
+_DESCENT_MODES = [
+    (ModeKind.ATTRIBUTES, False), (ModeKind.TEXT, False), (ModeKind.TEXT, True),
+    (ModeKind.COMBINED, False), (ModeKind.COMBINED, True),
+]
+
+
+@st.composite
+def descent_problems(draw, kind, trains_reduction):
+    """A short lle run: features, labels, classes and a TrainConfig, in one of three shape regimes.
+
+    N > |C| with d <= N, N > |C| with d > N, and N < |C| with d > N.
+    """
+    regime = draw(st.sampled_from(["tall", "tall-wide", "wide"]))
+    if regime == "wide":
+        n_classes = draw(st.integers(3, 7))
+        n = draw(st.integers(1, n_classes - 1))
+    else:
+        n_classes = draw(st.integers(2, 4))
+        n = draw(st.integers(n_classes + 1, 8))
+    d = draw(st.integers(1, n)) if regime == "tall" else draw(st.integers(n + 1, 10))
+    attr_count, text_dim = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    d_t = draw(st.integers(1, 3).filter(lambda v: v != text_dim)) if trains_reduction else text_dim
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    classes = ClassEmbeddingSet(
+        class_ids=tuple(f"c{i}" for i in range(n_classes)),
+        attributes=rng.integers(0, 2, size=(n_classes, attr_count)).astype(float),
+        texts=rng.normal(size=(n_classes, text_dim)),
+        mode=EmbeddingMode(kind=kind, d_t=d_t),
+    )
+    labels = [classes.class_ids[j] for j in rng.integers(0, n_classes, size=n)]
+    cfg = TrainConfig(
+        lam=draw(st.sampled_from([0.0, 1e-3, 0.1])),
+        learning_rate=draw(st.sampled_from([0.1, 0.5, 2.0, 8.0])),  # the larger rates halve
+        epochs=draw(st.integers(3, 8)),
+        seed=draw(st.integers(0, 2**16)),
+        init_scale=draw(st.sampled_from([1e-3, 0.5])),
+    )
+    return rng.normal(size=(n, d)), labels, classes, cfg
+
+
+@pytest.mark.parametrize(
+    "kind, trains_reduction", _DESCENT_MODES, ids=[f"{k.value}-{'M' if m else 'noM'}" for k, m in _DESCENT_MODES]
+)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_train_lle_takes_the_steps_of_the_brute_descent(kind, trains_reduction, data):
+    features, labels, classes, cfg = data.draw(descent_problems(kind, trains_reduction))
+    rng = np.random.default_rng(cfg.seed)  # train_lle's init: W first, then M when a reduction is trained
+    W0 = rng.uniform(-cfg.init_scale, cfg.init_scale, size=(features.shape[1], classes.embedding_dim))
+    M0 = rng.uniform(-cfg.init_scale, cfg.init_scale, size=(classes.text_dim, classes.mode.d_t))
+    M0 = M0 if trains_reduction else None
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # an overshooting trial may leave its range
+        W, M, history, trials = brute_lle_descent(
+            W0, M0, features, labels, classes, cfg.lam, cfg.learning_rate, cfg.epochs, MAX_STEP_HALVINGS
+        )
+    want, before = [history[0]], [history[0]]  # each evaluation's brute loss, and the loss it is tested against
+    for loss, tried_in_epoch in zip(history, trials):
+        want += tried_in_epoch
+        before += [loss] * len(tried_in_epoch)
+    # a trial within 1e-10 of the loss it is tested against is a near-tie (a plateau) that the two paths'
+    # rounding may break either way; away from such ties, losses that agree within 1e-12 decide alike
+    assume(not any(abs(w - b) <= 1e-10 * max(1.0, abs(b)) for w, b in zip(want[1:], before[1:])))
+
+    tried = []  # the loss of every forward pass train_lle takes: the initial point, then each trial step
+    forward = models._lle_forward
+
+    def spy(*args):
+        out = forward(*args)
+        tried.append(out[0])
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(models, "_lle_forward", spy)
+        model = train_lle(features, labels, classes, cfg)
+
+    assert len(tried) == len(want)  # the same trials, so the same steps
+    # the oracle's posteriors are float64: past -log p = 700 they near the subnormals, and a mean loss
+    # up to 700 / N keeps every sample's below that
+    in_range = 700.0 / len(features)
+    for got, w, b in zip(tried, want, before):
+        if w <= in_range:
+            assert abs(got - w) <= 1e-12 * max(1.0, abs(w))
+        else:  # a trial beyond the oracle's range (nan included) overshoots: both paths refuse it
+            assert not got <= b
+    assert len(model.loss_history) == len(history)
+    assert all(abs(got - w) <= 1e-12 * max(1.0, abs(w)) for got, w in zip(model.loss_history, history))
+    assert np.max(np.abs(model.W - W)) <= 1e-10 * np.max(np.abs(W))
+    assert (model.M is None) == (M is None) == (not trains_reduction)
+    if M is not None:
+        assert np.max(np.abs(model.M - M)) <= 1e-10 * np.max(np.abs(M))
 
 
 def test_lle_loss_is_non_increasing():
@@ -904,7 +1000,9 @@ _HEADER_FIELDS = [
 ]
 
 
-@pytest.mark.parametrize("field, value", _HEADER_FIELDS, ids=[f"{f}-{v!r}" for f, v in _HEADER_FIELDS])
+@pytest.mark.parametrize(
+    "field, value", _HEADER_FIELDS, ids=[f"{f}-{'deleted' if v is _DELETED else repr(v)}" for f, v in _HEADER_FIELDS]
+)
 def test_a_header_field_outside_the_schema_is_a_schema_mismatch_naming_the_file(tmp_path, field, value):
     _, path = _saved_lle(tmp_path)
     _rewrite_header(path, lambda doc: doc.pop(field) if value is _DELETED else doc.update({field: value}))
