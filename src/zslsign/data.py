@@ -26,26 +26,28 @@ without a hand stream). A caller that keeps only what it needs of a sample
 (experiment.load_embedded pools it into one embedding row) never holds more
 than one sample's snippet frames. Every input, of this module or another, is
 opened by :func:`open_input`, which refuses anything but a regular file and
-cannot block on a FIFO. A packed stream is read from its block of the value
-file, which save_dataset fills in the manifest's sample order, so the blocks
-are read in file order. The pack holds the only copy of those frames: a block
-that the file does not hold, or whose values have another CRC-32, raises
-PackMismatch naming the pack and the sample, so a damaged value file, another
-save's pack and a save torn between the pack and the manifest are refused,
-never read. A CSV stream is always parsed from its file. The manifest's fields
-and text vectors come from the pack only when the manifest's byte length and
-CRC-32 match and the text block is intact, so the 250 x 768 text floats of a
-paper-sized manifest are not parsed as JSON text; an edited manifest, or a
-missing or damaged index, is parsed from its bytes instead. A field that does
-not parse, the split's included, raises as it is read. The class, sample and
-split invariants are checked as the reader goes (finiteness as one check per
-stream, the failing rows looked for only when it fails) and raised together
-after the last sample. :func:`load_dataset` wraps each record in a
-:class:`Sample` and collects them into a :class:`Dataset`; the commands read
-through experiment.load_embedded instead. CRC-32 comes with zlib, which numpy
-already loads; a digest from ``hashlib`` would map OpenSSL's libcrypto into
-every command for no gain in detecting edits. The manifest is written as
-compact JSON.
+cannot block on a FIFO. :func:`parse_json` is the one JSON reader (manifest,
+pack index, run config, model header): anything but a JSON object raises the
+caller's typed error, naming the input. A packed stream is read from its block
+of the value file, which save_dataset fills in the manifest's sample order, so
+the blocks are read in file order. The pack holds the only copy of those
+frames: a block that the file does not hold, or whose values have another
+CRC-32, raises PackMismatch naming the pack and the sample, so a damaged value
+file, another save's pack and a save torn between the pack and the manifest
+are refused, never read. A CSV stream is always parsed from its file. The
+manifest's fields and text vectors come from the pack only when the manifest's
+byte length and CRC-32 match and the text block is intact, so the 250 x 768
+text floats of a paper-sized manifest are not parsed as JSON text; an edited
+manifest, or an index that is missing, damaged or does not parse, is parsed
+from its bytes instead. A field that does not parse, the split's included,
+raises as it is read. The class, sample and split invariants are checked as
+the reader goes (finiteness as one check per stream, the failing rows looked
+for only when it fails) and raised together after the last sample.
+:func:`load_dataset` wraps each record in a :class:`Sample` and collects them
+into a :class:`Dataset`; the commands read through experiment.load_embedded
+instead. CRC-32 comes with zlib, which numpy already loads; a digest from
+``hashlib`` would map OpenSSL's libcrypto into every command for no gain in
+detecting edits. The manifest is written as compact JSON.
 
 Each sample's frames and each class text vector own their memory, so
 dropping a sample frees its frames and nothing else.
@@ -315,6 +317,27 @@ def read_input(path: str | os.PathLike, what: str) -> bytes:
         os.close(fd)
 
 
+def parse_json(raw: bytes, what: str, error: type[ZslSignError]) -> dict:
+    """The JSON object in raw, the bytes of the input that what names.
+
+    Bytes that are not UTF-8 or not JSON, JSON nested past the parser's recursion limit or holding an integer
+    too long to convert, and a top level that is not an object each raise error, its message starting with what.
+    """
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise error(f"{what}: not UTF-8 text: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise error(f"{what}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except RecursionError:
+        raise error(f"{what}: nested too deeply to parse") from None
+    except ValueError as exc:  # an integer of more digits than Python converts
+        raise error(f"{what}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise error(f"{what}: top level must be a JSON object")
+    return doc
+
+
 _BLOCK_FIELDS = ("offset", "rows", "cols", "crc32")
 
 
@@ -341,11 +364,12 @@ class _FeaturePack:
         self._file = None
         self._start = 0  # byte offset of the first value
         self._size = 0  # values in the file
-        try:  # an index that is missing, unreadable or not a regular file (MissingFile) leaves the manifest parsed
-            index = json.loads(read_input(manifest_path.with_suffix(".pack.json"), "feature pack index"))
-        except (OSError, ValueError):
-            index = None
-        self._manifest = index.get("manifest") if isinstance(index, dict) else None
+        path = manifest_path.with_suffix(".pack.json")
+        try:  # an index that is missing, unreadable, not a regular file or not a JSON object leaves the manifest parsed
+            index = parse_json(read_input(path, "feature pack index"), f"feature pack index {path}", ParseError)
+        except (OSError, ParseError):
+            index = {}
+        self._manifest = index.get("manifest")
 
     def use(self, rel: str) -> None:
         """Read blocks from the value file at rel, relative to the manifest (its "pack_file" field)."""
@@ -441,18 +465,9 @@ def _read_manifest(manifest_path: Path, pack: _FeaturePack) -> dict:
     """The manifest's content: from the pack if it saw exactly its bytes, else parsed from them; opened once."""
     fd, size = open_input(manifest_path, "manifest")
     try:
-        manifest = pack.manifest(fd, size)
-        if manifest is None:
-            manifest = json.loads(_fd_bytes(fd).decode("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"manifest {manifest_path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"manifest {manifest_path}: not UTF-8 text: {exc}") from None
+        return pack.manifest(fd, size) or parse_json(_fd_bytes(fd), f"manifest {manifest_path}", ParseError)
     finally:
         os.close(fd)
-    if not isinstance(manifest, dict):
-        raise ParseError(f"manifest {manifest_path}: top level must be a JSON object")
-    return manifest
 
 
 def _split_ids(split_entry: dict, key: str) -> frozenset[str]:

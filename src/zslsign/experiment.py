@@ -34,7 +34,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import ClassDescriptor, DatasetReader, SplitConfig, SplitMode, read_input
+from .data import ClassDescriptor, DatasetReader, SplitConfig, SplitMode, parse_json, read_input
 from .embeddings import ClassEmbeddingSet, EmbeddingMode, ModeKind
 from .errors import DegenerateData, DimensionMismatch, EmptyEvaluationSet, MissingHandStream, ParseError
 from .evaluation import EvalReport, check_ks, gzsl_report, topk_accuracy
@@ -388,12 +388,7 @@ def sweep_text_dim(data: Embedded, cfg: RunConfig, values: Sequence[int]) -> lis
 
 def load_run_config(path: str | Path) -> RunConfig:
     path = Path(path)
-    try:
-        raw = json.loads(read_input(path, "config file").decode("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"config {path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"config {path}: not UTF-8 text: {exc}") from None
+    raw = parse_json(read_input(path, "config file"), f"config {path}", ParseError)
     try:
         return RunConfig.from_dict(raw)
     except ValueError as exc:

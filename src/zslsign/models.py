@@ -48,7 +48,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .data import ClassDescriptor, read_input, read_vector, write_vector
+from .data import ClassDescriptor, parse_json, read_input, read_vector, write_vector
 from .embeddings import ClassEmbeddingSet, EmbeddingMode, ModeKind
 from .errors import (
     DegenerateData,
@@ -545,14 +545,7 @@ def save_model(model: CompatModel, path: str | Path) -> Path:
 def load_model(path: str | Path) -> CompatModel:
     """Read a model written by save_model; a header that disagrees with its weights is a SchemaMismatch."""
     path = Path(path)
-    try:
-        doc = json.loads(read_input(path, "model file").decode("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaMismatch(f"model file {path} is not valid JSON: {exc.msg}") from None
-    except UnicodeDecodeError as exc:
-        raise SchemaMismatch(f"model file {path} is not UTF-8 text: {exc}") from None
-    if not isinstance(doc, dict):
-        raise SchemaMismatch(f"model file {path}: top level must be a JSON object")
+    doc = parse_json(read_input(path, "model file"), f"model file {path}", SchemaMismatch)
     if "W" in doc:
         raise SchemaMismatch(
             f"model file {path} holds W inline, an older format that is no longer read; "
@@ -560,26 +553,21 @@ def load_model(path: str | Path) -> CompatModel:
         )
 
     try:
-        method = Method(doc["method"])
-        mode = EmbeddingMode(kind=ModeKind(doc["mode"]), d_t=doc["d_t"])
-        d, t = int(doc["d"]), int(doc["t"])
-        d_text = doc["d_text"]
-        has_m = doc["has_M"]
-        name = doc["weights"]
-        crc = doc["weights_crc32"]
-        hyperparams, seed, epochs = doc["hyperparams"], doc["seed"], doc["epochs"]
-        final_loss = doc["final_loss"]
-    except (KeyError, ValueError, TypeError) as exc:
+        method, kind = Method(doc["method"]), ModeKind(doc["mode"])
+        d, t, d_t, d_text = doc["d"], doc["t"], doc["d_t"], doc["d_text"]
+        has_m, name, crc = doc["has_M"], doc["weights"], doc["weights_crc32"]
+        hyperparams, seed, epochs, final_loss = doc["hyperparams"], doc["seed"], doc["epochs"], doc["final_loss"]
+    except (KeyError, ValueError) as exc:
         raise SchemaMismatch(f"model file {path} is missing or corrupts a schema field: {exc}") from None
-    if d < 1 or t < 1 or type(has_m) is not bool or not isinstance(name, str):
+    if not all(type(n) is int and n >= 1 for n in (d, t)) or type(has_m) is not bool or not isinstance(name, str):
         raise SchemaMismatch(f"model file {path}: corrupt d, t, has_M or weights field")
-    if has_m and not (type(d_text) is int and d_text >= 1):
-        raise SchemaMismatch(f"model file {path}: M present but d_text is {d_text!r}")
+    if not (type(d_text) is int and d_text >= 1 or d_text is None and not has_m):
+        raise SchemaMismatch(f"model file {path}: d_text must be an integer >= 1, or null without M, got {d_text!r}")
     if not (type(hyperparams) is dict and all(map(is_json_number, hyperparams.values()))):
         raise SchemaMismatch(f"model file {path}: hyperparams must be an object of numbers, got {hyperparams!r}")
-    for key, value in (("seed", seed), ("epochs", epochs)):
-        if not (type(value) is int and value >= 0):
-            raise SchemaMismatch(f"model file {path}: {key} must be an integer >= 0, got {value!r}")
+    for key, value, low in (("d_t", d_t, 1), ("weights_crc32", crc, 0), ("seed", seed, 0), ("epochs", epochs, 0)):
+        if not (type(value) is int and value >= low):
+            raise SchemaMismatch(f"model file {path}: {key} must be an integer >= {low}, got {value!r}")
     if not is_json_number(final_loss):
         raise SchemaMismatch(f"model file {path}: final_loss must be a finite number, got {final_loss!r}")
 
@@ -588,19 +576,19 @@ def load_model(path: str | Path) -> CompatModel:
         flat = read_vector(read_input(weights, "model weights file"))
     except ValueError as exc:
         raise SchemaMismatch(f"model weights {weights} are not a float64 npy vector: {exc}") from None
-    m_size = d_text * mode.d_t if has_m else 0
+    m_size = d_text * d_t if has_m else 0
     if flat.size != d * t + m_size:
-        expected = f"{d}x{t}" + (f" + {d_text}x{mode.d_t}" if has_m else "")
+        expected = f"{d}x{t}" + (f" + {d_text}x{d_t}" if has_m else "")
         raise SchemaMismatch(f"model weights {weights} hold {flat.size} values, header {path} says {expected}")
     if zlib.crc32(flat) != crc:
         raise SchemaMismatch(f"model weights {weights} do not match the CRC-32 in {path} (another save's file?)")
     W = flat[: d * t].reshape(d, t)
-    M = flat[d * t :].reshape(d_text, mode.d_t) if has_m else None
+    M = flat[d * t :].reshape(d_text, d_t) if has_m else None
 
     return CompatModel(
         W=W,
         M=M,
-        mode=mode,
+        mode=EmbeddingMode(kind=kind, d_t=d_t),
         method=method,
         hyperparams=dict(hyperparams),
         seed=seed,

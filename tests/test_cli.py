@@ -437,6 +437,7 @@ _HEADER_FIELDS = {
     "hyperparams-5": (lambda doc: doc.update(hyperparams=5), "hyperparams must be an object of numbers, got 5"),
     "epochs-null": (lambda doc: doc.update(epochs=None), "epochs must be an integer >= 0, got None"),
     "seed-x": (lambda doc: doc.update(seed="x"), "seed must be an integer >= 0, got 'x'"),
+    "d-1e999": (lambda doc: doc.update(d=1e999), "corrupt d, t, has_M or weights field"),
 }
 
 
@@ -1364,4 +1365,29 @@ def test_an_input_that_is_not_utf8_exits_naming_its_file(eval_tree, tmp_path, mo
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and str(Path(paths[kind])) in err[0]
     assert "can't decode byte 0xff" in err[0]
+    assert not (case / "out").exists()
+
+
+_UNPARSABLE = {  # JSON that the parser refuses: nested past its recursion limit, an integer past Python's digit limit
+    "nested": ('{"x": ' + "[" * 10_000 + "]" * 10_000 + "}", "nested too deeply to parse"),
+    "long-integer": ('{"x": ' + "1" * 5_000 + "}", "Exceeds the limit (4300"),
+}
+
+
+@pytest.mark.parametrize("content", sorted(_UNPARSABLE))
+@pytest.mark.parametrize(
+    "kind, code, what", [("config", 2, "config"), ("model", 3, "model file"), ("manifest", 2, "manifest")]
+)
+def test_json_the_parser_refuses_exits_naming_its_file(
+    eval_tree, tmp_path, monkeypatch, capsys, kind, code, what, content
+):
+    text, message = _UNPARSABLE[content]
+    paths = eval_tree[3]
+    case = _case(eval_tree, tmp_path, kind)
+    (case / paths[kind]).write_text(text)
+    monkeypatch.chdir(case)
+    assert run(_EVAL) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {what} {paths[kind]}: ")
+    assert message in err[0]
     assert not (case / "out").exists()

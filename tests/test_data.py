@@ -25,6 +25,7 @@ from zslsign.data import (
     SplitMode,
     Stream,
     load_dataset,
+    parse_json,
     save_dataset,
 )
 from zslsign.errors import InvariantViolation, MissingFile, MissingHandStream, PackMismatch, ParseError, ZslSignError
@@ -790,6 +791,23 @@ def test_text_of_mixed_widths_is_left_to_the_manifest(tmp_path):
     assert _load_error(manifest) == with_index
 
 
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (b'{"a": 1}\xff', "not UTF-8 text: 'utf-8' codec can't decode byte 0xff"),
+        (b'{"a": 1,\n}', "invalid JSON at line 2: "),
+        (b'{"a": ' + b"[" * 10_000 + b"]" * 10_000 + b"}", "nested too deeply to parse"),
+        (b'{"a": ' + b"1" * 5_000 + b"}", "Exceeds the limit (4300"),
+        (b"[]", "top level must be a JSON object"),
+    ],
+    ids=["not-utf8", "not-json", "nested", "long-integer", "list"],
+)
+def test_parse_json_raises_the_callers_error_naming_the_input(raw, message):
+    with pytest.raises(InvariantViolation, match=f"^input x: {re.escape(message)}"):
+        parse_json(raw, "input x", InvariantViolation)
+    assert parse_json(b'{"a": [1]}', "input x", InvariantViolation) == {"a": [1]}
+
+
 def test_manifest_is_one_line_of_json(tmp_path):
     source = json.loads(small_manifest(tmp_path / "orig").read_text())
     text = _packed_copy(tmp_path).read_text(encoding="utf-8")
@@ -905,6 +923,7 @@ _INDEX_DAMAGE = {
     "index-garbage": lambda p: p.write_bytes(b"\xff\xfe{not json"),
     "index-truncated": lambda p: p.write_text(p.read_text()[:40]),
     "index-list": lambda p: p.write_text("[]"),
+    "index-nested": lambda p: p.write_text("[" * 10_000 + "]" * 10_000),
     "index-files-list": lambda p: p.write_text('{"files": []}'),
     "index-missing": lambda p: p.unlink(),
     "index-directory": lambda p: p.unlink() or p.mkdir(),

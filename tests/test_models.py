@@ -473,9 +473,9 @@ def test_train_lle_takes_the_steps_of_the_brute_descent(kind, trains_reduction, 
         model = train_lle(features, labels, classes, cfg)
 
     assert len(tried) == len(want)  # the same trials, so the same steps
-    # the oracle's posteriors are float64: past -log p = 700 they near the subnormals, and a mean loss
-    # up to 700 / N keeps every sample's below that
-    in_range = 700.0 / len(features)
+    # the oracle's posteriors are extended precision: past -log p = 11355 they are subnormal, and a mean loss
+    # up to 11000 / N keeps every sample's below that
+    in_range = 11000.0 / len(features)
     for got, w, b in zip(tried, want, before):
         if w <= in_range:
             assert abs(got - w) <= 1e-12 * max(1.0, abs(w))
@@ -989,8 +989,10 @@ def test_damaged_weights_are_refused(tmp_path, damage):
 
 _DELETED = object()
 
-# (field, value): each header field read after the weights-format fields, set outside the schema or deleted
+# (field, value): each header field set outside the schema or deleted; an integer field takes only a JSON integer
 _HEADER_FIELDS = [
+    ("d", "24"), ("d", 24.0), ("d", 24.9), ("d", float("inf")), ("t", "20"), ("t", True),
+    ("d_t", 8.0), ("d_t", float("inf")), ("weights_crc32", "abc"), ("weights_crc32", -1),
     ("final_loss", _DELETED), ("final_loss", None), ("final_loss", "0.5"), ("final_loss", True),
     ("final_loss", float("nan")), ("final_loss", float("inf")),
     ("hyperparams", _DELETED), ("hyperparams", 5), ("hyperparams", [0.1]), ("hyperparams", {"lam": "x"}),
@@ -1008,6 +1010,19 @@ def test_a_header_field_outside_the_schema_is_a_schema_mismatch_naming_the_file(
     _rewrite_header(path, lambda doc: doc.pop(field) if value is _DELETED else doc.update({field: value}))
     with pytest.raises(SchemaMismatch, match=f"^model file {re.escape(str(path))}.*{field}"):
         load_model(path)
+
+
+@pytest.mark.parametrize("d_text", ["x", 0, 4.0, True, None])
+def test_a_header_without_M_takes_d_text_as_a_positive_integer_or_null(tmp_path, d_text):
+    features, labels, classes, _ = random_training_problem(16, d_t=4)  # d_t is the text width: no M is trained
+    model = train_lle(features, labels, classes, TrainConfig(epochs=5, seed=5))
+    path = save_model(model, tmp_path / "model.json")
+    _rewrite_header(path, lambda doc: doc.update(d_text=d_text))
+    if d_text is None:
+        assert load_model(path).W.tobytes() == model.W.tobytes()
+    else:
+        with pytest.raises(SchemaMismatch, match=f"^model file {re.escape(str(path))}: d_text must be"):
+            load_model(path)
 
 
 def test_a_header_keeps_integral_and_float_numbers_as_written(tmp_path):

@@ -42,6 +42,14 @@ def test_brute_softmax_uniform_and_extreme():
     assert np.all(np.isfinite(p)) and p[0] > 1 - 1e-12
 
 
+@pytest.mark.parametrize("gap", [700.0, 1000.0, 11000.0])
+def test_brute_lle_objective_holds_a_posterior_far_below_float64s_range(gap):
+    # one sample scores 0 on class a and -gap on its own class b, so -log p(b) = gap + log(1 + e^-gap)
+    classes = ClassEmbeddingSet(("a", "b"), np.eye(2), np.zeros((2, 1)), EmbeddingMode())
+    loss = brute_lle_objective(np.array([[0.0, -gap]]), None, np.ones((1, 1)), ["b"], classes, 0.0)
+    assert abs(loss - gap) <= 1e-15 * gap
+
+
 def test_brute_column_means_hand_case():
     assert np.array_equal(brute_column_means(np.array([[1.0, 2.0], [3.0, 4.0]])), [2.0, 3.0])
 
