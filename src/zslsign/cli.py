@@ -64,7 +64,7 @@ if TYPE_CHECKING:
 _COMMAND_NAMES = {
     "SynthSpec": "synth",
     "generate": "synth",
-    "check_confusion_count": "influence",
+    "check_count": "influence",
     "class_influence_matrix": "influence",
     "confusion_influence_matrix": "influence",
     "positive_affiliation_summary": "influence",
@@ -83,10 +83,9 @@ def __getattr__(name: str):
 _lazy = sys.modules[__name__]
 
 
-def _out_dir(args, cfg: RunConfig | None = None) -> Path:
-    root = os.environ.get("ZSLSIGN_OUT_ROOT", ".")
-    chosen = getattr(args, "out", None) or (cfg.out_dir if cfg else None) or root
-    path = Path(chosen)
+def _out_dir(chosen: str | None) -> Path:
+    """The directory chosen, else $ZSLSIGN_OUT_ROOT, else the working directory; made if missing."""
+    path = Path(chosen or os.environ.get("ZSLSIGN_OUT_ROOT", "."))
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -98,7 +97,7 @@ def _write_json(path: Path, payload) -> None:
 def _resolve_config(args) -> RunConfig:
     """The --config file's config with the flags merged in, refused before any other input is opened.
 
-    RunConfig.check takes a sweep's --values with the config; analyze's --confusions is checked after it.
+    RunConfig.check takes a sweep's --values with the config; analyze's two counts are checked after it.
     """
     cfg = load_run_config(args.config) if getattr(args, "config", None) else RunConfig()
     overrides = {
@@ -109,13 +108,15 @@ def _resolve_config(args) -> RunConfig:
     cfg = replace(cfg, **overrides)
     cfg.check(getattr(args, "values", ()))
     if getattr(args, "confusions", None) is not None:
-        _lazy.check_confusion_count(args.confusions)
+        _lazy.check_count("top_n_confusions", args.confusions)
+    if getattr(args, "min_affiliation", None) is not None:
+        _lazy.check_count("min_affiliation", args.min_affiliation)
     return cfg
 
 
-def _echoed_out_dir(args, cfg: RunConfig) -> Path:
-    """The output directory, with the effective config written into it."""
-    out = _out_dir(args, cfg)
+def _echoed_out_dir(cfg: RunConfig) -> Path:
+    """The config's output directory, with the effective config written into it."""
+    out = _out_dir(cfg.out_dir)
     _write_json(out / "effective_config.json", cfg.to_dict())
     return out
 
@@ -150,7 +151,7 @@ def cmd_synth(args) -> int:
         split_mode=SplitMode.GZSL if args.gzsl else SplitMode.ZSL,
     )
     dataset, planted = _lazy.generate(spec)
-    out = _out_dir(args)
+    out = _out_dir(args.out)
     # the spec and the planted map go before the dataset, so the manifest is the last file synth writes
     _write_json(out / "synth_spec.json", {**asdict(spec), "split_mode": spec.split_mode.value})
     write_vector(out / "planted_map.npy", planted)
@@ -171,7 +172,7 @@ def _write_training_log(path: Path, history: tuple[float, ...], final_loss: floa
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
     data = load_embedded(cfg, (Role.SEEN,), (cfg.d_t,))
-    out = _echoed_out_dir(args, cfg)
+    out = _echoed_out_dir(cfg)
     models = train_repeats(data, cfg)
     suffixes = [""] if cfg.repeats == 1 else [f"_r{r}" for r in range(cfg.repeats)]
     for suffix, model in zip(suffixes, models):
@@ -203,7 +204,7 @@ def cmd_predict(args) -> int:
     data = load_embedded(cfg, (Role.CANDIDATES,))
     candidates = data.stack(Role.CANDIDATES)
     ranks, predicted = rank_samples(model, candidates)
-    out = _out_dir(args, cfg)
+    out = _echoed_out_dir(cfg)
     rows = ["sample_id,truth,predicted,truth_rank"]
     for sid, rank, truth, pred in zip(candidates.sample_ids, ranks, candidates.labels, predicted):
         rows.append(f"{sid},{truth},{pred},{rank + 1}")
@@ -229,7 +230,7 @@ def cmd_eval(args) -> int:
         table["random"] = baseline
         payload["random_per_k"] = {str(k): v for k, v in sorted(baseline.items())}
 
-    out = _echoed_out_dir(args, cfg)
+    out = _echoed_out_dir(cfg)
     _write_json(out / "report.json", payload)
     _print_metric_table(table, cfg.ks)
     print(f"wrote {out / 'report.json'}")
@@ -259,12 +260,14 @@ def _write_affiliation_csv(path: Path, report: InfluenceReport, attrs: dict[str,
 
 
 def cmd_analyze(args) -> int:
+    if args.min_affiliation is not None and args.confusions is not None:
+        args.usage_error("argument --min-affiliation: not allowed with argument --confusions")
     cfg = _resolve_config(args)
     model = load_model(args.model)
     data = load_embedded(cfg, (Role.CANDIDATES,))
     candidates = data.stack(Role.CANDIDATES)
     features, truths = candidates.features, candidates.labels
-    out = _echoed_out_dir(args, cfg)
+    out = _echoed_out_dir(cfg)
     attrs = {c.class_id: c.attributes for c in candidates.classes}
 
     if args.confusions is not None:
@@ -303,7 +306,7 @@ def cmd_baseline(args) -> int:
     result = random_baseline(n_classes, args.ks)
     _print_metric_table({"random": result}, args.ks)
     if args.out:
-        out = _out_dir(args)
+        out = _out_dir(args.out)
         per_k = {str(k): v for k, v in sorted(result.items())}
         _write_json(out / "baseline.json", {"n_classes": n_classes, "per_k": per_k})
         print(f"wrote {out / 'baseline.json'}")
@@ -314,7 +317,7 @@ def cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
     data = load_embedded(cfg, SWEEP_ROLES, args.values)
     rows = sweep_text_dim(data, cfg, args.values)
-    out = _echoed_out_dir(args, cfg)
+    out = _echoed_out_dir(cfg)
     lines = ["d_t,mean_val_top1,stddev"]
     lines.extend(f"{value},{mean!r},{std!r}" for value, mean, std in rows)
     (out / "sweep_d_t.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -411,8 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--correct", action="store_true")
     group.add_argument("--confusions", type=int, metavar="N")
-    p.add_argument("--min-affiliation", dest="min_affiliation", type=int)
-    p.set_defaults(func=cmd_analyze)
+    p.add_argument("--min-affiliation", dest="min_affiliation", type=int, help="with --correct only")
+    p.set_defaults(func=cmd_analyze, usage_error=p.error)
 
     p = sub.add_parser(
         "baseline", help="exact class-normalized top-k accuracy of uniformly random rankings, 100*min(k,n)/n"

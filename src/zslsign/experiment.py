@@ -14,8 +14,9 @@ view: one Stack per role, each holding that role's N x d video embeddings,
 sample ids, labels and class descriptors, plus the split. It is the one way
 from a dataset to its embeddings: a dataset built in memory is saved with
 data.save_dataset and read back. Every command then trains and scores through
-two functions: train_from_config fits the configured method on
-the seen stack, once per pool job of train_repeats and of a sweep;
+two functions: train_from_config fits the configured method on the seen
+stack, once per pool job of train_repeats and of a sweep (a job's config
+carries its seed);
 rank_samples gives each sample of a stack its truth rank and predicted class
 among that stack's classes, for predict, eval and a sweep's validation. A
 command's independent trainings (a sweep's grid, a train's repeats) run side
@@ -39,10 +40,10 @@ from .embeddings import ClassEmbeddingSet, EmbeddingMode, ModeKind
 from .errors import DegenerateData, DimensionMismatch, EmptyEvaluationSet, MissingHandStream, ParseError
 from .evaluation import EvalReport, check_ks, gzsl_report, topk_accuracy
 from .models import (
+    HYPERPARAMETERS,
     CompatModel,
     Method,
-    TrainConfig,
-    check_closed_form,
+    check_hyperparameters,
     is_json_number,
     score_candidates,
     train_eszsl,
@@ -81,11 +82,11 @@ class RunConfig:
 
         Each check is its owner's: check_ks's for ks, the aggregator spec's,
         the embedding mode's for d_t and each swept value (a sweep also needs
-        distinct values and a text-bearing mode), and the method's:
-        TrainConfig's for lle, check_closed_form's for eszsl and sae. A float
-        key the method does not read must still be finite, as
-        effective_config.json is strict JSON. The one check that needs the
-        data, a closed form's text width, is load_embedded's.
+        distinct values and a text-bearing mode), and check_hyperparameters's
+        for the method's own keys. A float key the method does not read must
+        still be finite, as effective_config.json is strict JSON. The one
+        check that needs the data, a closed form's text width, is
+        load_embedded's.
         """
         check_ks(self.ks)
         if self.repeats < 1:
@@ -97,13 +98,7 @@ class RunConfig:
         self.aggregator_spec()
         for d_t in (self.d_t, *sweep_values):
             self.embedding_mode(d_t)
-        method = Method(self.method)
-        if method is Method.LLE:
-            self.train_config()
-        elif method is Method.ESZSL:
-            check_closed_form(gamma=self.gamma, lam=self.lam)
-        else:
-            check_closed_form(lam_sae=self.lam_sae)
+        check_hyperparameters(Method(self.method), **self.hyperparameters())
         for key, spec in self.__dataclass_fields__.items():  # every key is echoed to effective_config.json
             value = getattr(self, key)
             if spec.type == "float" and not math.isfinite(value):
@@ -116,14 +111,9 @@ class RunConfig:
         """The configured mode, at d_t if given, else at the configured d_t."""
         return EmbeddingMode(kind=ModeKind(self.embedding), d_t=self.d_t if d_t is None else d_t)
 
-    def train_config(self, seed: int | None = None) -> TrainConfig:
-        return TrainConfig(
-            lam=self.lam,
-            learning_rate=self.learning_rate,
-            epochs=self.epochs,
-            seed=self.seed if seed is None else seed,
-            init_scale=self.init_scale,
-        )
+    def hyperparameters(self) -> dict:
+        """The configured method's hyperparameters by name, as its trainer takes them (see models.HYPERPARAMETERS)."""
+        return {name: getattr(self, name) for name, _, _ in HYPERPARAMETERS[Method(self.method)]}
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -301,26 +291,24 @@ def load_embedded(cfg: RunConfig, roles: Sequence[Role], fit_d_t: Sequence[int] 
     return Embedded(stacks, split)
 
 
-def train_from_config(data: Embedded, cfg: RunConfig, seed: int | None = None) -> CompatModel:
-    """Train the configured method on the seen samples; seed overrides cfg.seed (lle only)."""
+def train_from_config(data: Embedded, cfg: RunConfig) -> CompatModel:
+    """Train the configured method on the seen samples, with cfg's values of the method's hyperparameters."""
     seen = data.stack(Role.SEEN)
     classes = ClassEmbeddingSet.from_descriptors(seen.classes, cfg.embedding_mode())
-    method = Method(cfg.method)
-    if method is Method.LLE:
-        return train_lle(seen.features, seen.labels, classes, cfg.train_config(seed))
-    if method is Method.ESZSL:
-        return train_eszsl(seen.features, seen.labels, classes, gamma=cfg.gamma, lam=cfg.lam)
-    return train_sae(seen.features, seen.labels, classes, lam_sae=cfg.lam_sae)
+    # the trainers are looked up on each call, so a replacement bound on this module (a test's or a tracer's) is used
+    trainer = {Method.LLE: train_lle, Method.ESZSL: train_eszsl, Method.SAE: train_sae}[Method(cfg.method)]
+    return trainer(seen.features, seen.labels, classes, **cfg.hyperparameters())
 
 
 def _fit_seeds(cfg: RunConfig) -> list[int]:
     """Seeds of the distinct fits behind cfg.repeats repeats.
 
-    lle fits once per seed (cfg.seed, cfg.seed + 1, ...); the closed forms ignore
-    the seed, so one fit serves every repeat (see _per_repeat).
+    A method that takes a seed (lle) fits once per seed (cfg.seed, cfg.seed +
+    1, ...); the closed forms take none, so one fit serves every repeat (see
+    _per_repeat).
     """
     seeds = [cfg.seed + r for r in range(cfg.repeats)]
-    return seeds if Method(cfg.method) is Method.LLE else seeds[:1]
+    return seeds if "seed" in cfg.hyperparameters() else seeds[:1]
 
 
 def _per_repeat(fits: list, repeats: int) -> list:
@@ -335,7 +323,7 @@ def train_repeats(data: Embedded, cfg: RunConfig) -> list[CompatModel]:
     pool.map_jobs). eszsl and sae fit once and every repeat gets that model.
     """
     cfg.check()
-    jobs = [(cfg, seed) for seed in _fit_seeds(cfg)]
+    jobs = [(replace(cfg, seed=seed),) for seed in _fit_seeds(cfg)]
     return _per_repeat(map_jobs(train_from_config, jobs, (data,)), cfg.repeats)
 
 
@@ -356,9 +344,9 @@ def evaluate(data: Embedded, model: CompatModel, cfg: RunConfig) -> EvalReport:
     return topk_accuracy(ranks, candidates.labels, cfg.ks)
 
 
-def _validation_top1(data: Embedded, validation: Stack, cfg: RunConfig, seed: int) -> float:
+def _validation_top1(data: Embedded, validation: Stack, cfg: RunConfig) -> float:
     """Validation top-1 of one model trained on the seen samples: one sweep job."""
-    ranks, _ = rank_samples(train_from_config(data, cfg, seed), validation)
+    ranks, _ = rank_samples(train_from_config(data, cfg), validation)
     return topk_accuracy(ranks, validation.labels, ks=(1,)).per_k[1]
 
 
@@ -375,7 +363,7 @@ def sweep_text_dim(data: Embedded, cfg: RunConfig, values: Sequence[int]) -> lis
     """
     cfg.check(values)
     seeds = _fit_seeds(cfg)
-    jobs = [(replace(cfg, d_t=int(value)), seed) for value in values for seed in seeds]
+    jobs = [(replace(cfg, d_t=int(value), seed=seed),) for value in values for seed in seeds]
     top1 = map_jobs(_validation_top1, jobs, (data, data.stack(Role.VALIDATION)))
     rows = []
     for i, value in enumerate(values):

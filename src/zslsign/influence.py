@@ -172,7 +172,9 @@ def positive_affiliation_summary(
     Attributes positively defined for fewer than min_affiliation of the
     classes in class_attrs are excluded. The mean runs over exactly the
     affiliated classes, restricted to those that have a row in the report.
+    min_affiliation must be at least 1.
     """
+    check_count("min_affiliation", min_affiliation)
     if report.kind is not InfluenceKind.CORRECT_CONFIDENCE:
         raise ValueError("affiliation summary applies to correct-confidence reports only")
     by_subject = {row.subject: row.scores for row in report.rows}
@@ -189,10 +191,10 @@ def positive_affiliation_summary(
     return summary
 
 
-def check_confusion_count(top_n_confusions: int) -> None:
-    """Refuse a count of confusion pairs below 1."""
-    if top_n_confusions < 1:
-        raise ValueError(f"top_n_confusions must be >= 1, got {top_n_confusions}")
+def check_count(key: str, count: int) -> None:
+    """Refuse a count below 1 (top_n_confusions, min_affiliation), naming key and value."""
+    if count < 1:
+        raise ValueError(f"{key} must be >= 1, got {count}")
 
 
 def confusion_influence_matrix(
@@ -208,7 +210,7 @@ def confusion_influence_matrix(
     ties broken by lexicographic pair order; the top pairs each contribute one
     row averaged over their samples. top_n_confusions must be at least 1.
     """
-    check_confusion_count(top_n_confusions)
+    check_count("top_n_confusions", top_n_confusions)
     classes, _, predicted, q = _class_scores(model, features, truths, candidates)
     pairs = [(truth, classes.class_ids[col]) for truth, col in zip(truths, predicted)]
     counts = Counter(pair for pair in pairs if pair[0] != pair[1])

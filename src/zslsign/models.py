@@ -19,7 +19,9 @@ multiply-adds for the shapes. Three trainers produce W:
            Sylvester equation S S' P + lam P X X' = (1 + lam) S X', as W = P'.
 
 eszsl and sae share one closed form from thin SVDs of X and S; neither forms
-a d x d or t x t matrix or solves a linear system.
+a d x d or t x t matrix or solves a linear system. Each trainer takes its
+hyperparameters as keywords and checks them first against its row of
+HYPERPARAMETERS.
 
 Class posteriors p(c|v) are defined as the softmax of compatibility scores
 over the active candidate set, matching the training loss. This is the
@@ -83,28 +85,19 @@ def _check_bound(key: str, value: float, low: float, strict: bool) -> None:
         raise ValueError(f"{key} must be finite, got {value}")
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    """Gradient-descent settings for the lle trainer."""
-
-    lam: float = 1e-3
-    learning_rate: float = 1e-2
-    epochs: int = 1000
-    seed: int = 0
-    init_scale: float = 1e-3
-
-    def __post_init__(self) -> None:
-        _check_bound("lam", self.lam, 0, strict=False)
-        _check_bound("learning_rate", self.learning_rate, 0, strict=True)
-        _check_bound("epochs", self.epochs, 1, strict=False)
-        _check_bound("init_scale", self.init_scale, 0, strict=True)
-        _check_bound("seed", self.seed, 0, strict=False)
+# each method's hyperparameters, in check order: (name, low, strict) refuses a value below low, or at it when strict
+HYPERPARAMETERS: dict[Method, tuple[tuple[str, float, bool], ...]] = {
+    Method.LLE: (("lam", 0, False), ("learning_rate", 0, True), ("epochs", 1, False), ("init_scale", 0, True),
+                 ("seed", 0, False)),
+    Method.ESZSL: (("gamma", 0, True), ("lam", 0, True)),
+    Method.SAE: (("lam_sae", 0, True),),
+}
 
 
-def check_closed_form(**params: float) -> None:
-    """Refuse an eszsl or sae hyperparameter (gamma, lam, lam_sae) unless it is a finite number > 0."""
-    for key, value in params.items():
-        _check_bound(key, value, 0, strict=True)
+def check_hyperparameters(method: Method, **values: float) -> None:
+    """Refuse the first of the method's values, in HYPERPARAMETERS order, that is out of range or not finite."""
+    for name, low, strict in HYPERPARAMETERS[method]:
+        _check_bound(name, values[name], low, strict)
 
 
 @dataclass(frozen=True)
@@ -277,21 +270,29 @@ def train_lle(
     features: np.ndarray,
     labels: Sequence[str],
     classes: ClassEmbeddingSet,
-    cfg: TrainConfig = TrainConfig(),
+    lam: float = 1e-3,
+    learning_rate: float = 1e-2,
+    epochs: int = 1000,
+    seed: int = 0,
+    init_scale: float = 1e-3,
 ) -> CompatModel:
     """Fit W (and, in text-reducing modes, M) by deterministic gradient descent.
 
-    Each epoch takes one full-batch step; if the step would increase the loss
-    the step size is halved, up to MAX_STEP_HALVINGS times, before giving up
-    with NonFiniteLoss. Same seed and config therefore reproduce the exact
-    same parameters. A trial step costs one forward pass (class-major scores
-    S W' F', one max-shifted exp down each sample's column, the loss); only an
-    accepted step adds the backward pass, which turns that pass's exp into
+    W and M start uniform in [-init_scale, init_scale], drawn from seed. Each
+    epoch takes one full-batch step; if the step would increase the loss the
+    step size is halved, up to MAX_STEP_HALVINGS times, before giving up with
+    NonFiniteLoss. The same seed and hyperparameters therefore reproduce the
+    exact same parameters. A trial step costs one forward pass (class-major
+    scores S W' F', one max-shifted exp down each sample's column, the loss);
+    only an accepted step adds the backward pass, which turns that pass's exp into
     G' = softmax/n - onehot/n and shares G'F between grad_W = (G'F)' S + 2 lam W
     and grad_M = T' (G'F W_text). The fit's operands live in one _LleFit: F is
     never copied, and the class matrix is one buffer whose text block T M each
     trial rewrites in place.
     """
+    check_hyperparameters(
+        Method.LLE, lam=lam, learning_rate=learning_rate, epochs=epochs, init_scale=init_scale, seed=seed
+    )
     features = np.asarray(features, dtype=np.float64)
     if classes.n_classes < 2:
         raise DegenerateData(f"need at least 2 seen classes to train, got {classes.n_classes}")
@@ -305,11 +306,11 @@ def train_lle(
     mode = classes.mode
     trains_reduction = mode.uses_text and mode.d_t != classes.text_dim
 
-    rng = np.random.default_rng(cfg.seed)
-    W = rng.uniform(-cfg.init_scale, cfg.init_scale, size=(d, t))
-    M = rng.uniform(-cfg.init_scale, cfg.init_scale, size=(classes.text_dim, mode.d_t)) if trains_reduction else None
+    rng = np.random.default_rng(seed)
+    W = rng.uniform(-init_scale, init_scale, size=(d, t))
+    M = rng.uniform(-init_scale, init_scale, size=(classes.text_dim, mode.d_t)) if trains_reduction else None
 
-    fit = _LleFit(features, labels, classes, cfg.lam, M)
+    fit = _LleFit(features, labels, classes, lam, M)
     loss, *forward = _lle_forward(W, M, fit)
     if not math.isfinite(loss):
         raise NonFiniteLoss(f"initial loss is {loss}")
@@ -319,8 +320,8 @@ def train_lle(
     # at a converged point the theoretical decrease of a tiny step underflows and
     # re-evaluation noise sits a few ulps above the current loss; treat that as a plateau
     plateau_tol = 32.0 * np.finfo(np.float64).eps * max(1.0, abs(loss))
-    for _ in range(cfg.epochs):
-        step = cfg.learning_rate
+    for _ in range(epochs):
+        step = learning_rate
         moved = False
         loss_try = math.inf
         for _attempt in range(MAX_STEP_HALVINGS + 1):
@@ -345,9 +346,9 @@ def train_lle(
         M=M,
         mode=mode,
         method=Method.LLE,
-        hyperparams={"lam": cfg.lam, "learning_rate": cfg.learning_rate, "init_scale": cfg.init_scale},
-        seed=cfg.seed,
-        epochs=cfg.epochs,
+        hyperparams={"lam": lam, "learning_rate": learning_rate, "init_scale": init_scale},
+        seed=seed,
+        epochs=epochs,
         final_loss=history[-1],
         d_text=classes.text_dim if mode.uses_text else None,
         loss_history=tuple(history),
@@ -411,7 +412,7 @@ def train_eszsl(
     formed and nothing is solved. gamma and lam must be finite and > 0. The closed form fits no reduction,
     so a text-bearing mode needs d_t equal to the raw text width. Errors are as in sae.
     """
-    check_closed_form(gamma=gamma, lam=lam)
+    check_hyperparameters(Method.ESZSL, gamma=gamma, lam=lam)
     from .oracles import eszsl_objective  # the reference module, loaded only by the commands that fit eszsl
 
     X = np.asarray(features, dtype=np.float64).T  # d x N
@@ -473,7 +474,7 @@ def train_sae(
     solution is P = Q [(1 + lam) s_i (R'Z)_ij x_j / (s_i^2 + lam x_j^2)] V',
     where every kept denominator is positive.
     """
-    check_closed_form(lam_sae=lam_sae)
+    check_hyperparameters(Method.SAE, lam_sae=lam_sae)
     X = np.asarray(features, dtype=np.float64).T  # d x N
     S = classes.compose()[_label_indices(labels, classes)].T  # t x N, one column per sample
     (t, n), d = S.shape, X.shape[0]
@@ -559,13 +560,16 @@ def load_model(path: str | Path) -> CompatModel:
         hyperparams, seed, epochs, final_loss = doc["hyperparams"], doc["seed"], doc["epochs"], doc["final_loss"]
     except (KeyError, ValueError) as exc:
         raise SchemaMismatch(f"model file {path} is missing or corrupts a schema field: {exc}") from None
-    if not all(type(n) is int and n >= 1 for n in (d, t)) or type(has_m) is not bool or not isinstance(name, str):
-        raise SchemaMismatch(f"model file {path}: corrupt d, t, has_M or weights field")
+    if type(has_m) is not bool:
+        raise SchemaMismatch(f"model file {path}: has_M must be true or false, got {has_m!r}")
+    if not isinstance(name, str):
+        raise SchemaMismatch(f"model file {path}: weights must be a file name string, got {name!r}")
     if not (type(d_text) is int and d_text >= 1 or d_text is None and not has_m):
         raise SchemaMismatch(f"model file {path}: d_text must be an integer >= 1, or null without M, got {d_text!r}")
     if not (type(hyperparams) is dict and all(map(is_json_number, hyperparams.values()))):
         raise SchemaMismatch(f"model file {path}: hyperparams must be an object of numbers, got {hyperparams!r}")
-    for key, value, low in (("d_t", d_t, 1), ("weights_crc32", crc, 0), ("seed", seed, 0), ("epochs", epochs, 0)):
+    for key, value, low in (("d", d, 1), ("t", t, 1), ("d_t", d_t, 1),
+                            ("weights_crc32", crc, 0), ("seed", seed, 0), ("epochs", epochs, 0)):
         if not (type(value) is int and value >= low):
             raise SchemaMismatch(f"model file {path}: {key} must be an integer >= {low}, got {value!r}")
     if not is_json_number(final_loss):

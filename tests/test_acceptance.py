@@ -28,7 +28,6 @@ from zslsign.experiment import (
 from zslsign.models import (
     CompatModel,
     Method,
-    TrainConfig,
     posteriors,
     train_eszsl,
     train_sae,

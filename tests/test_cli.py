@@ -437,7 +437,7 @@ _HEADER_FIELDS = {
     "hyperparams-5": (lambda doc: doc.update(hyperparams=5), "hyperparams must be an object of numbers, got 5"),
     "epochs-null": (lambda doc: doc.update(epochs=None), "epochs must be an integer >= 0, got None"),
     "seed-x": (lambda doc: doc.update(seed="x"), "seed must be an integer >= 0, got 'x'"),
-    "d-1e999": (lambda doc: doc.update(d=1e999), "corrupt d, t, has_M or weights field"),
+    "d-1e999": (lambda doc: doc.update(d=1e999), "d must be an integer >= 1, got inf"),
 }
 
 
@@ -614,6 +614,26 @@ def test_baseline_takes_its_class_count_from_exactly_one_of_manifest_and_classes
         run(["baseline", *[workspace["manifest"] if a == "MANIFEST" else a for a in argv], "--out", out])
     assert exc.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: {message}")
+    assert opened == [] and not out.exists()
+
+
+@pytest.mark.parametrize("config", [False, True], ids=["flags", "config"])
+def test_analyze_refuses_min_affiliation_with_confusions_before_any_input(workspace, tmp_path, monkeypatch, capsys,
+                                                                         config):
+    # the summary is of correct-confidence rows only, so with --confusions the flag would be dropped
+    opened = _spy_on_inputs(monkeypatch)
+    out = tmp_path / "out"
+    argv = ["analyze", "--manifest", workspace["manifest"], "--model", workspace["model"], "--out", out,
+            "--confusions", "2", "--min-affiliation", "1"]
+    if config:
+        (tmp_path / "run.json").write_text('{"repeats": 1}')
+        argv += ["--config", tmp_path / "run.json"]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: zslsign analyze ")
+    assert err[-1] == "zslsign analyze: error: argument --min-affiliation: not allowed with argument --confusions"
     assert opened == [] and not out.exists()
 
 
@@ -852,10 +872,10 @@ def test_a_training_jobs_typed_error_keeps_its_exit_code(default_manifest, tmp_p
     # every check made before the fits, so the error is the fit's own
     train_lle = experiment.train_lle
 
-    def refuse_d_t_4(features, labels, classes, cfg):
+    def refuse_d_t_4(features, labels, classes, **hyperparameters):
         if classes.mode.d_t == 4:
             raise MissingReduction("the fit at d_t=4 needs a reduction matrix")
-        return train_lle(features, labels, classes, cfg)
+        return train_lle(features, labels, classes, **hyperparameters)
 
     monkeypatch.setattr(experiment, "train_lle", refuse_d_t_4)
     monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
@@ -1247,6 +1267,8 @@ _REFUSED_CONFIGS = [
      "shift kernel needs exactly 3 weights, got 2"),
     (["sweep", "--embedding", "combined", "--values", "8,0"], "d_t must be >= 1, got 0"),
     (["analyze", "--model", "MODEL", "--confusions", "0"], "top_n_confusions must be >= 1, got 0"),
+    (["analyze", "--model", "MODEL", "--correct", "--min-affiliation", "0"], "min_affiliation must be >= 1, got 0"),
+    (["analyze", "--model", "MODEL", "--correct", "--min-affiliation=-5"], "min_affiliation must be >= 1, got -5"),
     (["baseline", "--manifest", "MANIFEST", "--ks", "0"], "top-k needs k >= 1, got k=0"),
     # a repeated value would print a column twice, or fit and write one width twice
     (["eval", "--model", "MODEL", "--ks", "1,1,2"], "ks must not repeat a value, got [1, 1, 2]"),
@@ -1352,6 +1374,9 @@ def test_predict_eval_and_analyze_score_in_the_models_mode(workspace, tmp_path, 
     assert run(base + ["--out", own, "--embedding", "combined", "--d-t", "4"]) == 0
     assert run(base + ["--out", other, "--embedding", "attr", "--d-t", "3"]) == 0
     assert (own / output).read_bytes() == (other / output).read_bytes()
+    effective = json.loads((other / "effective_config.json").read_text())
+    cfg = experiment.RunConfig(manifest=str(workspace["manifest"]), embedding="attr", d_t=3, out_dir=str(other))
+    assert effective == json.loads(json.dumps(cfg.to_dict()))
 
 
 @pytest.mark.parametrize("kind, code", [("config", 2), ("model", 3), ("manifest", 2), ("feature", 2)])

@@ -365,14 +365,14 @@ def test_sweep_bypass_value_matches_no_reduction_run(saved, fixture_dataset):
     rows = sweep_text_dim(sweep_view(saved, fixture_dataset), cfg, values=[2, 4])
     assert [r[0] for r in rows] == [2, 4]
     # d_t == text_dim runs without a reduction matrix; cross-check one repeat
-    model = train_from_config(seen_view(saved, fixture_dataset), cfg, seed=cfg.seed)
+    model = train_from_config(seen_view(saved, fixture_dataset), replace(cfg, seed=cfg.seed))
     assert model.M is None  # d_t=4 equals the raw text width: identity bypass
     direct = validation_top1(saved, fixture_dataset, model, cfg)
     repeat_scores = [
         validation_top1(
             saved,
             fixture_dataset,
-            train_from_config(seen_view(saved, fixture_dataset), cfg, seed=cfg.seed + r),
+            train_from_config(seen_view(saved, fixture_dataset), replace(cfg, seed=cfg.seed + r)),
             cfg,
         )
         for r in range(cfg.repeats)
@@ -556,16 +556,17 @@ def test_run_config_validates_ks_and_repeats():
 
 
 def test_train_config_validation():
-    from zslsign.models import TrainConfig
+    from zslsign.models import Method, check_hyperparameters
 
+    lle = RunConfig().hyperparameters()
     with pytest.raises(ValueError):
-        TrainConfig(lam=-1.0)
+        check_hyperparameters(Method.LLE, **dict(lle, lam=-1.0))
     with pytest.raises(ValueError):
-        TrainConfig(learning_rate=0.0)
+        check_hyperparameters(Method.LLE, **dict(lle, learning_rate=0.0))
     with pytest.raises(ValueError):
-        TrainConfig(epochs=0)
+        check_hyperparameters(Method.LLE, **dict(lle, epochs=0))
     with pytest.raises(ValueError):
-        TrainConfig(init_scale=0.0)
+        check_hyperparameters(Method.LLE, **dict(lle, init_scale=0.0))
 
 
 needs_fork = pytest.mark.skipif(
@@ -618,7 +619,7 @@ def test_train_repeats_do_not_depend_on_the_worker_count(saved, fixture_dataset,
         assert one.M.tobytes() == two.M.tobytes() if one.M is not None else two.M is None
         assert one.loss_history == two.loss_history and one.final_loss == two.final_loss
     # each repeat is the model train_from_config gives for its seed
-    alone = train_from_config(seen_view(saved, fixture_dataset, cfg), cfg, seed=cfg.seed + 1)
+    alone = train_from_config(seen_view(saved, fixture_dataset, cfg), replace(cfg, seed=cfg.seed + 1))
     assert alone.W.tobytes() == models[2][1].W.tobytes()
     assert alone.loss_history == models[2][1].loss_history
 

@@ -245,6 +245,9 @@ def test_affiliation_summary_threshold_excludes():
     report = class_influence_matrix(model, phi[None, :], [cid], [cid], cands)
     attrs = {cid: np.ones(4)}  # positive in exactly one class, threshold demands ten
     assert positive_affiliation_summary(report, attrs, min_affiliation=10) == {}
+    for below in (0, -5):  # below 1 every attribute would pass, as at 1: refused, not read as 1
+        with pytest.raises(ValueError, match=rf"^min_affiliation must be >= 1, got {below}$"):
+            positive_affiliation_summary(report, attrs, min_affiliation=below)
 
 
 def test_affiliation_summary_matches_filtered_mean():

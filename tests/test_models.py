@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 import struct
@@ -20,12 +21,13 @@ from zslsign.errors import (
     SchemaMismatch,
     SingularSystem,
 )
+from zslsign.experiment import RunConfig
 from zslsign.models import (
+    HYPERPARAMETERS,
     MAX_STEP_HALVINGS,
     CompatModel,
     Method,
-    TrainConfig,
-    check_closed_form,
+    check_hyperparameters,
     load_model,
     posteriors,
     save_model,
@@ -276,8 +278,7 @@ def test_truth_ranks_rejects_a_score_matrix_of_the_wrong_shape():
 
 def test_lle_huge_regularizer_shrinks_w():
     features, labels, classes, _ = random_training_problem(5, mode_kind=ModeKind.ATTRIBUTES, d_t=1)
-    cfg = TrainConfig(lam=1e6, learning_rate=1e-2, epochs=200, seed=0)
-    model = train_lle(features, labels, classes, cfg)
+    model = train_lle(features, labels, classes, lam=1e6, learning_rate=1e-2, epochs=200, seed=0)
     assert np.linalg.norm(model.W) < 1e-2
 
 
@@ -296,8 +297,7 @@ def test_lle_fits_linearly_compatible_data():
         c = i % n_classes
         labels.append(f"c{c}")
         rows.append(A_star @ S[classes.index_of(f'c{c}')] + 0.01 * rng.normal(size=d))
-    cfg = TrainConfig(lam=1e-4, learning_rate=0.5, epochs=300, seed=1)
-    model = train_lle(np.array(rows), labels, classes, cfg)
+    model = train_lle(np.array(rows), labels, classes, lam=1e-4, learning_rate=0.5, epochs=300, seed=1)
     assert model.final_loss < np.log(n_classes)  # beats uniform prediction
     assert model.loss_history[0] > model.final_loss
 
@@ -405,7 +405,7 @@ _DESCENT_MODES = [
 
 @st.composite
 def descent_problems(draw, kind, trains_reduction):
-    """A short lle run: features, labels, classes and a TrainConfig, in one of three shape regimes.
+    """A short lle run: features, labels, classes and train_lle's keywords, in one of three shape regimes.
 
     N > |C| with d <= N, N > |C| with d > N, and N < |C| with d > N.
     """
@@ -427,14 +427,14 @@ def descent_problems(draw, kind, trains_reduction):
         mode=EmbeddingMode(kind=kind, d_t=d_t),
     )
     labels = [classes.class_ids[j] for j in rng.integers(0, n_classes, size=n)]
-    cfg = TrainConfig(
+    hyper = dict(
         lam=draw(st.sampled_from([0.0, 1e-3, 0.1])),
         learning_rate=draw(st.sampled_from([0.1, 0.5, 2.0, 8.0])),  # the larger rates halve
         epochs=draw(st.integers(3, 8)),
         seed=draw(st.integers(0, 2**16)),
         init_scale=draw(st.sampled_from([1e-3, 0.5])),
     )
-    return rng.normal(size=(n, d)), labels, classes, cfg
+    return rng.normal(size=(n, d)), labels, classes, hyper
 
 
 @pytest.mark.parametrize(
@@ -443,14 +443,15 @@ def descent_problems(draw, kind, trains_reduction):
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
 def test_train_lle_takes_the_steps_of_the_brute_descent(kind, trains_reduction, data):
-    features, labels, classes, cfg = data.draw(descent_problems(kind, trains_reduction))
-    rng = np.random.default_rng(cfg.seed)  # train_lle's init: W first, then M when a reduction is trained
-    W0 = rng.uniform(-cfg.init_scale, cfg.init_scale, size=(features.shape[1], classes.embedding_dim))
-    M0 = rng.uniform(-cfg.init_scale, cfg.init_scale, size=(classes.text_dim, classes.mode.d_t))
+    features, labels, classes, hyper = data.draw(descent_problems(kind, trains_reduction))
+    rng = np.random.default_rng(hyper["seed"])  # train_lle's init: W first, then M when a reduction is trained
+    scale = hyper["init_scale"]
+    W0 = rng.uniform(-scale, scale, size=(features.shape[1], classes.embedding_dim))
+    M0 = rng.uniform(-scale, scale, size=(classes.text_dim, classes.mode.d_t))
     M0 = M0 if trains_reduction else None
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # an overshooting trial may leave its range
         W, M, history, trials = brute_lle_descent(
-            W0, M0, features, labels, classes, cfg.lam, cfg.learning_rate, cfg.epochs, MAX_STEP_HALVINGS
+            W0, M0, features, labels, classes, hyper["lam"], hyper["learning_rate"], hyper["epochs"], MAX_STEP_HALVINGS
         )
     want, before = [history[0]], [history[0]]  # each evaluation's brute loss, and the loss it is tested against
     for loss, tried_in_epoch in zip(history, trials):
@@ -470,7 +471,7 @@ def test_train_lle_takes_the_steps_of_the_brute_descent(kind, trains_reduction, 
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(models, "_lle_forward", spy)
-        model = train_lle(features, labels, classes, cfg)
+        model = train_lle(features, labels, classes, **hyper)
 
     assert len(tried) == len(want)  # the same trials, so the same steps
     # the oracle's posteriors are extended precision: past -log p = 11355 they are subnormal, and a mean loss
@@ -491,25 +492,24 @@ def test_train_lle_takes_the_steps_of_the_brute_descent(kind, trains_reduction, 
 
 def test_lle_loss_is_non_increasing():
     features, labels, classes, _ = random_training_problem(8)
-    model = train_lle(features, labels, classes, TrainConfig(epochs=50, learning_rate=0.3, seed=3))
+    model = train_lle(features, labels, classes, epochs=50, learning_rate=0.3, seed=3)
     losses = np.array(model.loss_history)
     assert np.all(np.diff(losses) <= 0.0)
 
 
 def test_lle_is_deterministic():
     features, labels, classes, _ = random_training_problem(9)
-    cfg = TrainConfig(epochs=40, seed=42)
-    m1 = train_lle(features, labels, classes, cfg)
-    m2 = train_lle(features, labels, classes, cfg)
+    m1 = train_lle(features, labels, classes, epochs=40, seed=42)
+    m2 = train_lle(features, labels, classes, epochs=40, seed=42)
     assert np.array_equal(m1.W, m2.W)
     assert np.array_equal(m1.M, m2.M)
-    m3 = train_lle(features, labels, classes, TrainConfig(epochs=40, seed=43))
+    m3 = train_lle(features, labels, classes, epochs=40, seed=43)
     assert not np.array_equal(m1.W, m3.W)
 
 
 def test_lle_trains_reduction_jointly():
     features, labels, classes, _ = random_training_problem(10)
-    model = train_lle(features, labels, classes, TrainConfig(epochs=30, seed=0))
+    model = train_lle(features, labels, classes, epochs=30, seed=0)
     assert model.M is not None
     assert model.M.shape == (classes.text_dim, classes.mode.d_t)
     # reduction moved away from its random initialization (W is drawn first, then M)
@@ -522,7 +522,7 @@ def test_lle_trains_reduction_jointly():
 def test_lle_rejects_single_class():
     features, labels, classes, _ = random_training_problem(11, n_classes=1)
     with pytest.raises(DegenerateData):
-        train_lle(features, ["c0"] * len(labels), classes, TrainConfig(epochs=1))
+        train_lle(features, ["c0"] * len(labels), classes, epochs=1)
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +609,10 @@ def test_closed_forms_refuse_a_non_finite_penalty(name, value):
     features, labels, classes, _ = random_training_problem(28, n=4, d=6, mode_kind=ModeKind.ATTRIBUTES)
     message = f"{name} must be > 0, got -inf" if value < 0 else f"{name} must be finite, got {value}"
     with pytest.raises(ValueError, match=f"^{message}$"):
-        check_closed_form(**{name: value})
+        if name == "lam_sae":
+            check_hyperparameters(Method.SAE, lam_sae=value)
+        else:
+            check_hyperparameters(Method.ESZSL, **{"gamma": 1e-3, "lam": 1e-3, name: value})
     with pytest.raises(ValueError, match=f"^{message}$"):
         if name == "lam_sae":
             train_sae(features, labels, classes, lam_sae=value)
@@ -634,10 +637,59 @@ def test_closed_forms_refuse_a_non_finite_penalty(name, value):
         ("init_scale", 0.0, "init_scale must be > 0, got 0.0"),
     ],
 )
-def test_train_config_names_the_field_and_value_it_refuses(field, value, message):
+def test_train_lle_names_the_hyperparameter_and_value_it_refuses(field, value, message):
+    features, labels, classes, _ = random_training_problem(5, mode_kind=ModeKind.ATTRIBUTES, d_t=1)
     with pytest.raises(ValueError, match=f"^{message}$"):
-        TrainConfig(**{field: value})
-    assert TrainConfig(lam=0.0, seed=0).lam == 0.0  # the bounds themselves: lam >= 0, seed >= 0
+        train_lle(features, labels, classes, **{field: value})
+    model = train_lle(features, labels, classes, lam=0.0, seed=0, epochs=1)  # the bounds: lam >= 0, seed >= 0
+    assert (model.hyperparams["lam"], model.seed, model.epochs) == (0.0, 0, 1)
+
+
+_TRAINERS = {Method.LLE: train_lle, Method.ESZSL: train_eszsl, Method.SAE: train_sae}
+_VALID = {"lam": 1e-3, "learning_rate": 1e-2, "epochs": 3, "init_scale": 1e-3, "seed": 0, "gamma": 1e-3, "lam_sae": 1e-3}
+_OUT_OF_RANGE = [  # (method, key, value, expected error line), for every key of every row of HYPERPARAMETERS
+    (method, name, value, f"{name} must be {'>' if strict else '>='} {low}, got {value}")
+    for method, row in HYPERPARAMETERS.items()
+    for name, low, strict in row
+    for value in [low - 1, -np.inf] + ([low] if strict else [])
+] + [
+    (method, name, value, f"{name} must be finite, got {value}")
+    for method, row in HYPERPARAMETERS.items()
+    for name, _, _ in row
+    for value in (np.inf, np.nan)
+]
+
+
+def test_every_trainer_takes_the_keywords_of_its_row_and_run_config_has_them():
+    assert set(HYPERPARAMETERS) == set(Method) == set(_TRAINERS)
+    for method, row in HYPERPARAMETERS.items():
+        keywords = list(inspect.signature(_TRAINERS[method]).parameters)[3:]  # after features, labels, classes
+        assert sorted(keywords) == sorted(name for name, _, _ in row), method
+        assert all(name in RunConfig.__dataclass_fields__ for name in keywords)
+        assert RunConfig(method=method.value).hyperparameters() == {name: getattr(RunConfig(), name) for name in keywords}
+        for name, low, strict in row:  # a bound that is not strict is itself accepted
+            if not strict:
+                check_hyperparameters(method, **{**_VALID, name: low})
+
+
+@pytest.mark.parametrize(
+    "method, name, value, message", _OUT_OF_RANGE, ids=[f"{m.value}-{n}-{v}" for m, n, v, _ in _OUT_OF_RANGE]
+)
+def test_a_hyperparameter_out_of_range_is_refused_alike_by_the_config_the_check_and_the_trainer(
+    method, name, value, message
+):
+    features, labels, classes, _ = random_training_problem(5, n=8, d=3, mode_kind=ModeKind.ATTRIBUTES, d_t=1)
+    values = {key: _VALID[key] for key, _, _ in HYPERPARAMETERS[method]}
+    values[name] = value
+    cfg = RunConfig(method=method.value, **values)
+    assert cfg.hyperparameters() == values
+    for refuse in (
+        cfg.check,
+        lambda: check_hyperparameters(method, **values),
+        lambda: _TRAINERS[method](features, labels, classes, **values),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            refuse()
 
 
 def test_eszsl_zero_semantics_raises_singular_system_without_warnings():
@@ -891,7 +943,7 @@ def test_sae_rejects_nonpositive_lam():
 
 def test_save_load_round_trip(tmp_path):
     features, labels, classes, _ = random_training_problem(15)
-    model = train_lle(features, labels, classes, TrainConfig(epochs=20, seed=5))
+    model = train_lle(features, labels, classes, epochs=20, seed=5)
     path = save_model(model, tmp_path / "model.json")
     loaded = load_model(path)
     assert np.array_equal(loaded.W, model.W)
@@ -930,7 +982,7 @@ def test_save_model_pins_float_bytes(tmp_path):
 
 def _saved_lle(tmp_path, seed=5):
     features, labels, classes, _ = random_training_problem(16)
-    model = train_lle(features, labels, classes, TrainConfig(epochs=5, seed=seed))
+    model = train_lle(features, labels, classes, epochs=5, seed=seed)
     return model, save_model(model, tmp_path / "model.json")
 
 
@@ -972,9 +1024,11 @@ _WEIGHTS_DAMAGE = {
     "header-crc": (SchemaMismatch, "CRC-32", lambda h, w: _rewrite_header(h, lambda d: d.update(weights_crc32=d["weights_crc32"] ^ 1))),
     "header-no-crc": (SchemaMismatch, "weights_crc32", lambda h, w: _rewrite_header(h, lambda d: d.pop("weights_crc32"))),
     "header-weights-elsewhere": (MissingFile, "absent.npy", lambda h, w: _rewrite_header(h, lambda d: d.update(weights="absent.npy"))),
-    "header-weights-int": (SchemaMismatch, "weights", lambda h, w: _rewrite_header(h, lambda d: d.update(weights=3))),
+    "header-weights-int": (SchemaMismatch, "weights must be a file name string, got 3$", lambda h, w: _rewrite_header(h, lambda d: d.update(weights=3))),
+    "header-has-M-string": (SchemaMismatch, "has_M must be true or false, got 'true'$", lambda h, w: _rewrite_header(h, lambda d: d.update(has_M="true"))),
     "header-without-M": (SchemaMismatch, "hold", lambda h, w: _rewrite_header(h, lambda d: d.update(has_M=False))),
-    "header-d-zero": (SchemaMismatch, "corrupt", lambda h, w: _rewrite_header(h, lambda d: d.update(d=0))),
+    "header-d-zero": (SchemaMismatch, "d must be an integer >= 1, got 0$", lambda h, w: _rewrite_header(h, lambda d: d.update(d=0))),
+    "header-t-zero": (SchemaMismatch, "t must be an integer >= 1, got 0$", lambda h, w: _rewrite_header(h, lambda d: d.update(t=0))),
 }
 
 
@@ -991,7 +1045,8 @@ _DELETED = object()
 
 # (field, value): each header field set outside the schema or deleted; an integer field takes only a JSON integer
 _HEADER_FIELDS = [
-    ("d", "24"), ("d", 24.0), ("d", 24.9), ("d", float("inf")), ("t", "20"), ("t", True),
+    ("d", "24"), ("d", None), ("d", 24.0), ("d", 24.9), ("d", float("inf")), ("t", "20"), ("t", True), ("t", 0),
+    ("has_M", None), ("has_M", 1), ("weights", None), ("weights", ["model.npy"]),
     ("d_t", 8.0), ("d_t", float("inf")), ("weights_crc32", "abc"), ("weights_crc32", -1),
     ("final_loss", _DELETED), ("final_loss", None), ("final_loss", "0.5"), ("final_loss", True),
     ("final_loss", float("nan")), ("final_loss", float("inf")),
@@ -1015,7 +1070,7 @@ def test_a_header_field_outside_the_schema_is_a_schema_mismatch_naming_the_file(
 @pytest.mark.parametrize("d_text", ["x", 0, 4.0, True, None])
 def test_a_header_without_M_takes_d_text_as_a_positive_integer_or_null(tmp_path, d_text):
     features, labels, classes, _ = random_training_problem(16, d_t=4)  # d_t is the text width: no M is trained
-    model = train_lle(features, labels, classes, TrainConfig(epochs=5, seed=5))
+    model = train_lle(features, labels, classes, epochs=5, seed=5)
     path = save_model(model, tmp_path / "model.json")
     _rewrite_header(path, lambda doc: doc.update(d_text=d_text))
     if d_text is None:
@@ -1074,7 +1129,7 @@ def test_weights_file_is_named_after_the_header(tmp_path):
 
 def test_load_rejects_wrong_dimension_header(tmp_path):
     features, labels, classes, _ = random_training_problem(16)
-    model = train_lle(features, labels, classes, TrainConfig(epochs=5, seed=5))
+    model = train_lle(features, labels, classes, epochs=5, seed=5)
     path = save_model(model, tmp_path / "model.json")
     raw = json.loads(path.read_text())
     raw["d"] = raw["d"] + 1
@@ -1085,7 +1140,7 @@ def test_load_rejects_wrong_dimension_header(tmp_path):
 
 def test_combined_mode_model_carries_reduction(tmp_path):
     features, labels, classes, _ = random_training_problem(17)
-    model = train_lle(features, labels, classes, TrainConfig(epochs=5, seed=2))
+    model = train_lle(features, labels, classes, epochs=5, seed=2)
     loaded = load_model(save_model(model, tmp_path / "m.json"))
     assert loaded.M is not None
     assert loaded.M.shape == (classes.text_dim, classes.mode.d_t)

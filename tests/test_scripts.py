@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from zslsign.cli import main
 from zslsign.models import load_model
 
@@ -51,3 +53,28 @@ def test_sweep_text_dim_script(tmp_path):
     assert main(argv) == 0
     rows = (out / "sweep_d_t.csv").read_text().splitlines()
     assert rows[0] == "d_t,mean_val_top1,stddev" and rows[1].startswith("2,")
+
+
+def _library_use_blocks() -> list[str]:
+    """The Python blocks of README's "Library use" section, in order."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^```python\n(.*?)^```$", section, re.MULTILINE | re.DOTALL)
+
+
+def test_readme_library_use_blocks_run(tmp_path, monkeypatch):
+    first, second = _library_use_blocks()
+    monkeypatch.chdir(tmp_path)  # the blocks write under out/
+    names: dict = {}
+    exec(compile(first, "README.md: Library use, block 1", "exec"), names)
+    assert (tmp_path / "out" / "data" / "manifest.json").exists()
+    assert names["same"].W.tobytes() == names["model"].W.tobytes()  # the trainer's own fit is train_from_config's
+    assert [m.seed for m in names["repeats"]] == [1, 2]
+    assert not np.array_equal(names["repeats"][0].W, names["repeats"][1].W)
+    # the second block scores the first block's candidate stack
+    stack = names["candidates"]
+    names.update(features=stack.features, truths=stack.labels, candidates=stack.classes)
+    exec(compile(second, "README.md: Library use, block 2", "exec"), names)
+    assert names["ranks"].tolist() == list(names["rank_samples"](names["model"], stack)[0])
+    assert names["report"].per_k == names["evaluate"](names["view"], names["model"], names["cfg"]).per_k
+    assert np.allclose(names["probs"].sum(axis=1), 1.0)
