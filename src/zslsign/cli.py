@@ -179,14 +179,16 @@ def cmd_train(args) -> int:
         save_model(model, out / f"model{suffix}.json")
         _write_training_log(out / f"training_log{suffix}.csv", model.loss_history, model.final_loss)
     if cfg.repeats == 1:
-        print(f"trained {cfg.method} model: final loss {model.final_loss!r}")
+        ran = f" after {model.epochs} epochs ({model.stop})" if model.stop is not None else ""
+        print(f"trained {cfg.method} model: final loss {model.final_loss!r}{ran}")
         print(f"wrote {out / 'model.json'}")
         return 0
 
     finals = [model.final_loss for model in models]
     summary = {
         "repeats": cfg.repeats,
-        "seeds": [cfg.seed + r for r in range(cfg.repeats)],
+        "seeds": [model.seed for model in models],
+        "epochs": [model.epochs for model in models],
         "final_loss_mean": float(np.mean(finals)),
         "final_loss_stddev": float(np.std(finals, ddof=1)),
         "final_losses": [float(v) for v in finals],

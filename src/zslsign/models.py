@@ -5,8 +5,9 @@ the dense bilinear form phi' W rho; CompatModel.scores evaluates it for all
 samples and classes at once as Phi W S', in whichever association costs fewer
 multiply-adds for the shapes. Three trainers produce W:
 
-* lle    - softmax cross-entropy with l2 penalty on W, minimized by
-           deterministic full-batch gradient descent; a text-reduction matrix
+* lle    - softmax cross-entropy with l2 penalty on W and M, minimized by
+           deterministic full-batch gradient descent with Barzilai-Borwein
+           steps until it converges (epochs is a cap); a text-reduction matrix
            M is optimized jointly when the embedding mode calls for one. Each
            pass scores class-major, Z' = S W' F' (|C| x N, one column per
            sample), through the same bilinear helper as Phi W S', so every
@@ -64,6 +65,9 @@ from .errors import (
 )
 
 MAX_STEP_HALVINGS = 30
+MAX_STEP_GROWTH = 4.0  # a Barzilai-Borwein step is at most this multiple of the last accepted step
+STOP_WINDOW = 10  # epochs over which the convergence stop reads the loss's relative decrease
+STOP_TOLERANCE = 1e-4  # a decrease over STOP_WINDOW epochs at or below this fraction of the loss ends a fit
 
 
 class Method(Enum):
@@ -112,6 +116,7 @@ class CompatModel:
     final_loss: float = float("nan")
     d_text: int | None = None
     loss_history: tuple[float, ...] = field(default=(), compare=False)  # in-memory only
+    stop: str | None = field(default=None, compare=False)  # in-memory only: what ended an lle fit (see train_lle)
 
     def __post_init__(self) -> None:
         W = np.asarray(self.W, dtype=np.float64)
@@ -232,10 +237,15 @@ class _LleFit:
         return self.S
 
 
+def _inner(W1, M1, W2, M2) -> float:
+    """<(W1, M1), (W2, M2)>: the inner product of two (W, M) pairs as vectors; M1 and M2 are both None without M."""
+    return float(np.vdot(W1, W2) + (np.vdot(M1, M2) if M1 is not None else 0.0))
+
+
 def _lle_forward(W, M, fit: _LleFit) -> tuple[float, np.ndarray, np.ndarray]:
     """Objective value and the softmax pieces E = exp(Z' - m) and s = column sums of E of one pass.
 
-    For class-major scores Z' with column maxima m, the loss is mean(m + log s - z_y) + lam ||W||^2.
+    For class-major scores Z' with column maxima m, the loss is mean(m + log s - z_y) + lam (||W||^2 + ||M||^2).
     E overwrites Z', so one |C| x N array holds scores, then numerators.
     """
     Z = _bilinear(fit.class_matrix(M), W.T, fit.features)
@@ -244,7 +254,7 @@ def _lle_forward(W, M, fit: _LleFit) -> tuple[float, np.ndarray, np.ndarray]:
     Z -= m
     E = np.exp(Z, out=Z)
     s = E.sum(axis=0)
-    loss = float((np.log(s) - (z_y - m)).sum() / len(s) + fit.lam * np.vdot(W, W))
+    loss = float((np.log(s) - (z_y - m)).sum() / len(s) + fit.lam * _inner(W, M, W, M))
     return loss, E, s
 
 
@@ -252,7 +262,7 @@ def _lle_backward(W, M, fit: _LleFit, E, s) -> tuple[np.ndarray, np.ndarray | No
     """Gradients with respect to W (and M if present) from the forward pass just taken at (W, M); E is overwritten.
 
     With G' = E / (n s) - onehot / n (|C| x N), both gradients share GF = G'F (|C| x d):
-    grad_W = GF' S + 2 lam W and grad_M = T' (GF W_text).
+    grad_W = GF' S + 2 lam W and grad_M = T' (GF W_text) + 2 lam M.
     """
     n = len(s)
     G = np.divide(E, n * s, out=E)
@@ -263,7 +273,22 @@ def _lle_backward(W, M, fit: _LleFit, E, s) -> tuple[np.ndarray, np.ndarray | No
     grad_M = None
     if M is not None:
         grad_M = fit.texts.T @ (GF @ W[:, fit.offset :])
+        grad_M += 2.0 * fit.lam * M
     return grad_W, grad_M
+
+
+def _next_step(step: float, old_sq: float, cross: float, new_sq: float) -> float:
+    """The first trial step after an accepted step of size step: BB2 = s'y / y'y, at most MAX_STEP_GROWTH * step.
+
+    With s = -step g_old and y = g - g_old over W and M together, s'y = step (||g_old||^2 - <g_old, g>)
+    and y'y = ||g||^2 - 2 <g_old, g> + ||g_old||^2, so three inner products give it. When s'y or y'y
+    is not positive, or the quotient is not finite, the accepted step is kept.
+    """
+    sy = step * (old_sq - cross)
+    yy = new_sq - 2.0 * cross + old_sq
+    if not (sy > 0.0 and yy > 0.0 and math.isfinite(sy / yy)):
+        return step
+    return min(sy / yy, MAX_STEP_GROWTH * step)
 
 
 def train_lle(
@@ -276,19 +301,30 @@ def train_lle(
     seed: int = 0,
     init_scale: float = 1e-3,
 ) -> CompatModel:
-    """Fit W (and, in text-reducing modes, M) by deterministic gradient descent.
+    """Fit W (and, in text-reducing modes, M) by deterministic gradient descent with Barzilai-Borwein steps.
 
-    W and M start uniform in [-init_scale, init_scale], drawn from seed. Each
-    epoch takes one full-batch step; if the step would increase the loss the
-    step size is halved, up to MAX_STEP_HALVINGS times, before giving up with
-    NonFiniteLoss. The same seed and hyperparameters therefore reproduce the
-    exact same parameters. A trial step costs one forward pass (class-major
-    scores S W' F', one max-shifted exp down each sample's column, the loss);
-    only an accepted step adds the backward pass, which turns that pass's exp into
-    G' = softmax/n - onehot/n and shares G'F between grad_W = (G'F)' S + 2 lam W
-    and grad_M = T' (G'F W_text). The fit's operands live in one _LleFit: F is
-    never copied, and the class matrix is one buffer whose text block T M each
-    trial rewrites in place.
+    The objective is mean softmax cross-entropy + lam (||W||^2 + ||M||^2); the penalty on M gives it
+    a minimum, since scaling M by c and W's text block by 1/c leaves every score as it is. W and M start
+    uniform in [-init_scale, init_scale], drawn from seed (W first). Each epoch tries one full-batch step
+    along the negative gradient of W and M together, halving the step after a trial whose loss is not
+    finite or rises, up to MAX_STEP_HALVINGS times; the first trial that does not rise is taken. Epoch 1 first
+    tries learning_rate; each later epoch first tries the BB2 step s'y / y'y of the step just taken
+    (_next_step), at most MAX_STEP_GROWTH times that step. A fit ends after the epoch that
+    * accepts no step: "plateau", when its last trial rose by at most 32 eps max(1, |initial loss|),
+      which is rounding at a converged point; otherwise it raises NonFiniteLoss;
+    * brings the loss to within STOP_TOLERANCE of it, relative, of the loss STOP_WINDOW epochs before:
+      "tolerance";
+    * is the epochs-th: "cap".
+    So epochs is a cap and learning_rate a first step. The model records the epochs run, the loss
+    after each (loss_history, the initial loss first) and which of the three ended the fit (stop).
+    The same seed and hyperparameters reproduce the exact same parameters.
+
+    A trial step costs one forward pass (class-major scores S W' F', one max-shifted exp down each
+    sample's column, the loss); only an accepted step adds the backward pass, which turns that pass's
+    exp into G' = softmax/n - onehot/n and shares G'F between grad_W = (G'F)' S + 2 lam W and
+    grad_M = T' (G'F W_text) + 2 lam M. The step rule keeps no gradient difference: it reads three
+    inner products. The fit's operands live in one _LleFit: F is never copied, and the class matrix is
+    one buffer whose text block T M each trial rewrites in place.
     """
     check_hyperparameters(
         Method.LLE, lam=lam, learning_rate=learning_rate, epochs=epochs, init_scale=init_scale, seed=seed
@@ -315,13 +351,16 @@ def train_lle(
     if not math.isfinite(loss):
         raise NonFiniteLoss(f"initial loss is {loss}")
     grad_W, grad_M = _lle_backward(W, M, fit, *forward)
+    grad_sq = _inner(grad_W, grad_M, grad_W, grad_M)
     history = [loss]
 
     # at a converged point the theoretical decrease of a tiny step underflows and
     # re-evaluation noise sits a few ulps above the current loss; treat that as a plateau
     plateau_tol = 32.0 * np.finfo(np.float64).eps * max(1.0, abs(loss))
+    first_step = learning_rate
+    stop = "cap"
     for _ in range(epochs):
-        step = learning_rate
+        step = first_step
         moved = False
         loss_try = math.inf
         for _attempt in range(MAX_STEP_HALVINGS + 1):
@@ -333,13 +372,22 @@ def train_lle(
                 moved = True
                 break
             step *= 0.5
-        if moved:
-            grad_W, grad_M = _lle_backward(W, M, fit, *forward)
-        elif not (math.isfinite(loss_try) and loss_try - loss <= plateau_tol):
-            raise NonFiniteLoss(
-                f"step halving exhausted after {MAX_STEP_HALVINGS} halvings at loss {loss!r}"
-            )
         history.append(loss)
+        if not moved:
+            if not (math.isfinite(loss_try) and loss_try - loss <= plateau_tol):
+                raise NonFiniteLoss(
+                    f"step halving exhausted after {MAX_STEP_HALVINGS} halvings at loss {loss!r}"
+                )
+            stop = "plateau"
+            break
+        old, old_sq = (grad_W, grad_M), grad_sq
+        grad_W, grad_M = _lle_backward(W, M, fit, *forward)
+        grad_sq = _inner(grad_W, grad_M, grad_W, grad_M)
+        first_step = _next_step(step, old_sq, _inner(*old, grad_W, grad_M), grad_sq)
+        del old  # so the next epoch's trials run beside one gradient, not two
+        if len(history) > STOP_WINDOW and history[-1 - STOP_WINDOW] - loss <= STOP_TOLERANCE * abs(loss):
+            stop = "tolerance"
+            break
 
     return CompatModel(
         W=W,
@@ -348,10 +396,11 @@ def train_lle(
         method=Method.LLE,
         hyperparams={"lam": lam, "learning_rate": learning_rate, "init_scale": init_scale},
         seed=seed,
-        epochs=epochs,
+        epochs=len(history) - 1,
         final_loss=history[-1],
         d_text=classes.text_dim if mode.uses_text else None,
         loss_history=tuple(history),
+        stop=stop,
     )
 
 

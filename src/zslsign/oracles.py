@@ -73,12 +73,16 @@ def _lle_samples(W, M, features, labels, classes):
 
 
 def brute_lle_objective(W, M, features, labels, classes, lam: float) -> float:
-    """lle's objective, mean_i -log p(y_i | phi_i) + lam ||W||^2, one sample at a time in extended precision."""
+    """lle's objective, mean_i -log p(y_i | phi_i) + lam (||W||^2 + ||M||^2), one sample at a time.
+
+    Sums run in extended precision; without M the penalty is lam ||W||^2.
+    """
     samples, _ = _lle_samples(W, M, features, labels, classes)
     acc = np.longdouble(0.0)
     for _, probs, y in samples:
         acc -= np.log(np.longdouble(probs[y]))
-    penalty = sum(np.longdouble(w) * np.longdouble(w) for w in W.ravel())
+    weights = W.ravel() if M is None else np.concatenate([W.ravel(), M.ravel()])
+    penalty = sum(np.longdouble(w) * np.longdouble(w) for w in weights)
     return float(acc / len(samples) + np.longdouble(lam) * penalty)
 
 
@@ -86,14 +90,15 @@ def brute_lle_gradients(W, M, features, labels, classes, lam: float) -> tuple[np
     """Gradients of brute_lle_objective with respect to W (and M if given), summed per sample and class.
 
     With g_c = (p_c - [c = y]) / n, a sample adds g_c phi rho_c' to grad_W and, through the
-    text block rho_c = [.., M' tau_c], g_c tau_c (W_text' phi)' to grad_M.
+    text block rho_c = [.., M' tau_c], g_c tau_c (W_text' phi)' to grad_M; the penalty adds
+    2 lam W and 2 lam M.
     """
     samples, rhos = _lle_samples(W, M, features, labels, classes)
     n = len(samples)
     offset = classes.attributes.shape[1] if classes.mode.uses_attributes else 0  # rho = [attributes, text]
     W_text = W[:, offset:].astype(np.longdouble)
     grad_W = 2 * np.longdouble(lam) * W.astype(np.longdouble)
-    grad_M = None if M is None else np.zeros(M.shape, dtype=np.longdouble)
+    grad_M = None if M is None else 2 * np.longdouble(lam) * M.astype(np.longdouble)
     for phi, probs, y in samples:
         phi = phi.astype(np.longdouble)
         for c, (rho, text) in enumerate(zip(rhos, classes.texts)):
@@ -105,41 +110,61 @@ def brute_lle_gradients(W, M, features, labels, classes, lam: float) -> tuple[np
 
 
 def brute_lle_descent(
-    W, M, features, labels, classes, lam: float, learning_rate: float, epochs: int, max_halvings: int
-) -> tuple[np.ndarray, np.ndarray | None, list[float], list[list[float]]]:
-    """lle's step-halving descent from (W, M) on brute_lle_objective and brute_lle_gradients.
+    W, M, features, labels, classes, lam: float, learning_rate: float, epochs: int, max_halvings: int,
+    max_growth: float, window: int, tolerance: float,
+) -> tuple[np.ndarray, np.ndarray | None, list[float], list[list[float]], str]:
+    """lle's Barzilai-Borwein descent from (W, M) on brute_lle_objective and brute_lle_gradients.
 
-    Each epoch tries W - step grad_W (and M - step grad_M) from step = learning_rate, halving the
-    step after each trial whose loss is not finite or rises, up to max_halvings halvings. A trial
-    that does not rise is taken. When none is, (W, M) stay: the loss has plateaued if the last
-    trial rose by at most 32 eps max(1, |initial loss|), and otherwise NonFiniteLoss is raised.
-    Returns W, M, the losses (the initial one, then one after each epoch) and, per epoch, the
-    loss of each trial in order.
+    Each epoch tries W - step grad_W (and M - step grad_M), halving the step after each trial whose
+    loss is not finite or rises, up to max_halvings halvings; a trial that does not rise is taken.
+    Epoch 1 starts at step = learning_rate. After a step that was taken, with s = -step g_old and
+    y = g - g_old formed as vectors over W and M (g_old and g the gradients before and after it),
+    the next epoch starts at s'y / y'y, or at max_growth times the step taken if that is less, or
+    at the step taken if s'y or y'y is not positive or the quotient not finite. The descent ends
+    after the epoch that
+    * takes no step ("plateau", when the last trial rose by at most 32 eps max(1, |initial loss|);
+      otherwise NonFiniteLoss is raised);
+    * ends at a loss whose decrease from the loss window epochs before is at most tolerance times
+      its magnitude ("tolerance");
+    * is the epochs-th ("cap").
+    Returns W, M, the losses (the initial one, then one after each epoch run), per epoch the loss of
+    each trial in order, and what ended it.
     """
     loss = brute_lle_objective(W, M, features, labels, classes, lam)
     if not np.isfinite(loss):
         raise NonFiniteLoss(f"initial loss is {loss}")
-    grad_W, grad_M = brute_lle_gradients(W, M, features, labels, classes, lam)
+    grads = brute_lle_gradients(W, M, features, labels, classes, lam)
     history, trials = [loss], []
     plateau_tol = 32.0 * np.finfo(np.float64).eps * max(1.0, abs(loss))
+    step = learning_rate
     for _ in range(epochs):
-        step = learning_rate
         trials.append([])
         for _ in range(max_halvings + 1):
-            W_try = W - step * grad_W
-            M_try = None if M is None else M - step * grad_M
+            W_try = W - step * grads[0]
+            M_try = None if M is None else M - step * grads[1]
             loss_try = brute_lle_objective(W_try, M_try, features, labels, classes, lam)
             trials[-1].append(loss_try)
             if np.isfinite(loss_try) and loss_try <= loss:
-                W, M, loss = W_try, M_try, loss_try
-                grad_W, grad_M = brute_lle_gradients(W, M, features, labels, classes, lam)
                 break
             step *= 0.5
         else:
             if not (np.isfinite(loss_try) and loss_try - loss <= plateau_tol):
                 raise NonFiniteLoss(f"step halving exhausted after {max_halvings} halvings at loss {loss!r}")
+            history.append(loss)
+            return W, M, history, trials, "plateau"
+        old = grads
+        W, M, loss = W_try, M_try, loss_try
+        grads = brute_lle_gradients(W, M, features, labels, classes, lam)
         history.append(loss)
-    return W, M, history, trials
+        g_old, g = (np.concatenate([part.ravel() for part in pair if part is not None]) for pair in (old, grads))
+        g_old, g = g_old.astype(np.longdouble), g.astype(np.longdouble)
+        s, y = -np.longdouble(step) * g_old, g - g_old
+        sy, yy = s @ y, y @ y
+        bb = float(sy / yy) if sy > 0 and yy > 0 else np.nan
+        step = min(bb, max_growth * step) if np.isfinite(bb) else step
+        if len(history) > window and history[-1 - window] - loss <= tolerance * abs(loss):
+            return W, M, history, trials, "tolerance"
+    return W, M, history, trials, "cap"
 
 
 def brute_column_means(matrix: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ from zslsign import cli, data, experiment, pool
 from zslsign.cli import main
 from zslsign.data import SplitMode, load_dataset
 from zslsign.errors import MissingReduction, ParseError
+from zslsign.models import load_model
 from zslsign.synth import SynthSpec, generate
 
 from conftest import write_csv_layout
@@ -127,6 +128,54 @@ def test_train_repeats_default_writes_five_models_and_summary(workspace, tmp_pat
     assert summary["final_loss_stddev"] >= 0.0
     seeds = {json.loads((out / f"model_r{r}.json").read_text())["seed"] for r in range(5)}
     assert seeds == {5, 6, 7, 8, 9}
+
+
+@pytest.mark.parametrize("method", ["lle", "eszsl", "sae"])
+def test_train_summary_lists_each_saved_models_seed_and_epochs(workspace, tmp_path, method):
+    out = tmp_path / method
+    argv = ["train", "--manifest", workspace["manifest"], "--out", out, "--method", method, "--repeats", "2"]
+    assert run(argv + TRAIN_OVERRIDES[:-2]) == 0
+    headers = [json.loads((out / f"model_r{r}.json").read_text()) for r in range(2)]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["seeds"] == [h["seed"] for h in headers]  # a closed form's one fit has seed 0, not 5 and 6
+    assert summary["epochs"] == [h["epochs"] for h in headers]
+    if method == "lle":
+        assert summary["seeds"] == [5, 6] and all(1 <= e < 200 for e in summary["epochs"])
+
+
+def test_train_says_after_how_many_epochs_and_why_an_lle_fit_ended(workspace, tmp_path, capsys):
+    base = ["train", "--manifest", workspace["manifest"]] + TRAIN_OVERRIDES
+    for method, cap in [("lle", "200"), ("lle", "3"), ("eszsl", "200"), ("sae", "200")]:
+        out = tmp_path / f"{method}{cap}"
+        assert run(base + ["--out", out, "--method", method, "--epochs", cap]) == 0
+        header = json.loads((out / "model.json").read_text())
+        log = (out / "training_log.csv").read_text().splitlines()
+        first = capsys.readouterr().out.splitlines()[0]
+        if method != "lle":  # a closed form's line is as it was
+            assert first == f"trained {method} model: final loss {header['final_loss']!r}"
+            continue
+        stop = "cap" if cap == "3" else "tolerance"
+        ran = f"after {header['epochs']} epochs ({stop})"
+        assert first == f"trained lle model: final loss {header['final_loss']!r} {ran}"
+        assert len(log) == header["epochs"] + 2  # the header row, the initial loss, then one row per epoch run
+        assert (header["epochs"] == 3) == (cap == "3")
+
+
+def test_an_lle_reduction_of_width_2_converges_to_a_bounded_m(workspace, tmp_path):
+    """Scaling M by c and W's text block by 1/c leaves every score: only lam ||M||^2 keeps ||M|| from growing.
+
+    Without it, this fit's ||M|| reached 10.5 after 60 epochs and 20.4 after 400, and a sweep at this width fell
+    to chance.
+    """
+    models = {}
+    for cap in ("60", "400"):
+        out = tmp_path / cap
+        argv = ["train", "--manifest", workspace["manifest"], "--out", out] + TRAIN_OVERRIDES
+        assert run(argv + ["--d-t", "2", "--epochs", cap]) == 0
+        models[cap] = load_model(out / "model.json")
+        assert models[cap].epochs < 60
+    assert (out / "model.npy").read_bytes() == (tmp_path / "60" / "model.npy").read_bytes()
+    assert np.linalg.norm(models["400"].M) < 5.0
 
 
 def test_eval_zsl_restricts_candidates(workspace, tmp_path, capsys):

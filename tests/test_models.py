@@ -24,7 +24,10 @@ from zslsign.errors import (
 from zslsign.experiment import RunConfig
 from zslsign.models import (
     HYPERPARAMETERS,
+    MAX_STEP_GROWTH,
     MAX_STEP_HALVINGS,
+    STOP_TOLERANCE,
+    STOP_WINDOW,
     CompatModel,
     Method,
     check_hyperparameters,
@@ -373,7 +376,8 @@ def gradient_term_scales(W, M, features, classes, lam):
     if M is None:
         return scale_W, None
     offset = classes.attributes.shape[1] if classes.mode.uses_attributes else 0
-    scale_M = np.max(np.outer(np.abs(classes.texts).max(axis=0), row_mass @ np.abs(W[:, offset:])))
+    text_terms = np.outer(np.abs(classes.texts).max(axis=0), row_mass @ np.abs(W[:, offset:]))
+    scale_M = np.max(text_terms + 2.0 * lam * np.abs(M))
     return scale_W, scale_M
 
 
@@ -443,51 +447,72 @@ def descent_problems(draw, kind, trains_reduction):
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
 def test_train_lle_takes_the_steps_of_the_brute_descent(kind, trains_reduction, data):
+    """train_lle takes the oracle's trials, and both end after the same epoch for the same reason.
+
+    BB steps grow up to 4x an epoch, so rounding differences grow too: runs stay short, and the
+    convergence window is shortened (in both), and sometimes the tolerance widened, so that the
+    tolerance can end them.
+    """
     features, labels, classes, hyper = data.draw(descent_problems(kind, trains_reduction))
+    window, tolerance = data.draw(st.integers(2, 4)), data.draw(st.sampled_from([STOP_TOLERANCE, 1e-2]))
     rng = np.random.default_rng(hyper["seed"])  # train_lle's init: W first, then M when a reduction is trained
     scale = hyper["init_scale"]
     W0 = rng.uniform(-scale, scale, size=(features.shape[1], classes.embedding_dim))
     M0 = rng.uniform(-scale, scale, size=(classes.text_dim, classes.mode.d_t))
     M0 = M0 if trains_reduction else None
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # an overshooting trial may leave its range
-        W, M, history, trials = brute_lle_descent(
-            W0, M0, features, labels, classes, hyper["lam"], hyper["learning_rate"], hyper["epochs"], MAX_STEP_HALVINGS
+        W, M, history, trials, stop = brute_lle_descent(
+            W0, M0, features, labels, classes, hyper["lam"], hyper["learning_rate"], hyper["epochs"],
+            MAX_STEP_HALVINGS, MAX_STEP_GROWTH, window, tolerance,
         )
-    want, before = [history[0]], [history[0]]  # each evaluation's brute loss, and the loss it is tested against
+    # each evaluation's brute loss, the loss it is tested against, and the index of the point it steps from
+    want, before, origin = [history[0]], [history[0]], [0]
     for loss, tried_in_epoch in zip(history, trials):
+        origin += [len(want) - 1] * len(tried_in_epoch)  # an epoch's accepted trial is its last
         want += tried_in_epoch
         before += [loss] * len(tried_in_epoch)
     # a trial within 1e-10 of the loss it is tested against is a near-tie (a plateau) that the two paths'
-    # rounding may break either way; away from such ties, losses that agree within 1e-12 decide alike
+    # rounding may break either way, and so is a decrease over the window within 1e-10 of the
+    # tolerance; away from such ties, losses that agree within 1e-12 decide alike
     assume(not any(abs(w - b) <= 1e-10 * max(1.0, abs(b)) for w, b in zip(want[1:], before[1:])))
+    margins = [(h - loss - tolerance * abs(loss), loss) for h, loss in zip(history, history[window:])]
+    assume(not any(abs(margin) <= 1e-10 * max(1.0, abs(loss)) for margin, loss in margins))
 
-    tried = []  # the loss of every forward pass train_lle takes: the initial point, then each trial step
+    tried = []  # per forward pass train_lle takes (the initial point, then each trial): its loss, max |W| and max |M|
     forward = models._lle_forward
 
-    def spy(*args):
-        out = forward(*args)
-        tried.append(out[0])
+    def spy(W, M, fit):
+        out = forward(W, M, fit)
+        tried.append((out[0], np.max(np.abs(W)), 0.0 if M is None else np.max(np.abs(M))))
         return out
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(models, "_lle_forward", spy)
+        patch.setattr(models, "STOP_WINDOW", window)
+        patch.setattr(models, "STOP_TOLERANCE", tolerance)
         model = train_lle(features, labels, classes, **hyper)
 
     assert len(tried) == len(want)  # the same trials, so the same steps
     # the oracle's posteriors are extended precision: past -log p = 11355 they are subnormal, and a mean loss
     # up to 11000 / N keeps every sample's below that
     in_range = 11000.0 / len(features)
-    for got, w, b in zip(tried, want, before):
+    for (got, *size), w, b, start in zip(tried, want, before, origin):
         if w <= in_range:
-            assert abs(got - w) <= 1e-12 * max(1.0, abs(w))
+            # a trial that shrinks the parameters (a BB step near 1 / (2 lam) cancels W's decay against W)
+            # carries the rounding of the larger point it steps from
+            shrink = max(tried[start][1:]) / max(*size, np.finfo(np.float64).tiny)
+            assert abs(got - w) <= 1e-12 * max(1.0, abs(w)) * max(1.0, shrink)
         else:  # a trial beyond the oracle's range (nan included) overshoots: both paths refuse it
             assert not got <= b
-    assert len(model.loss_history) == len(history)
+    assert len(model.loss_history) == len(history) == model.epochs + 1  # both stop after the same epoch
+    assert model.stop == stop
     assert all(abs(got - w) <= 1e-12 * max(1.0, abs(w)) for got, w in zip(model.loss_history, history))
-    assert np.max(np.abs(model.W - W)) <= 1e-10 * np.max(np.abs(W))
+    # the parameters carry the rounding of the largest point the descent passed through
+    accepted = [tried[i] for i in set(origin) | ({len(tried) - 1} if stop != "plateau" else set())]
+    assert np.max(np.abs(model.W - W)) <= 1e-10 * max(size_W for _, size_W, _ in accepted)
     assert (model.M is None) == (M is None) == (not trains_reduction)
     if M is not None:
-        assert np.max(np.abs(model.M - M)) <= 1e-10 * np.max(np.abs(M))
+        assert np.max(np.abs(model.M - M)) <= 1e-10 * max(size_M for _, _, size_M in accepted)
 
 
 def test_lle_loss_is_non_increasing():
@@ -495,6 +520,55 @@ def test_lle_loss_is_non_increasing():
     model = train_lle(features, labels, classes, epochs=50, learning_rate=0.3, seed=3)
     losses = np.array(model.loss_history)
     assert np.all(np.diff(losses) <= 0.0)
+
+
+def test_a_converged_lle_fit_ends_before_its_cap(tmp_path):
+    features, labels, classes, _ = random_training_problem(8)
+    model = train_lle(features, labels, classes, epochs=1000, learning_rate=0.3, seed=3)
+    assert model.stop == "tolerance"
+    assert model.epochs == len(model.loss_history) - 1 < 1000
+    window = model.loss_history[-1 - STOP_WINDOW :]
+    assert window[0] - window[-1] <= STOP_TOLERANCE * abs(window[-1])
+    assert load_model(save_model(model, tmp_path / "model.json")).epochs == model.epochs  # the header's epochs
+
+
+def test_a_capped_lle_fit_runs_every_epoch():
+    features, labels, classes, _ = random_training_problem(8)
+    model = train_lle(features, labels, classes, epochs=3, learning_rate=0.3, seed=3)
+    assert (model.stop, model.epochs, len(model.loss_history)) == ("cap", 3, 4)
+
+
+def test_lle_tries_learning_rate_first_then_the_bb_step():
+    features, labels, classes, _ = random_training_problem(8)
+    points = []  # (W, M) of every forward pass
+    forward = models._lle_forward
+
+    def spy(W, M, fit):
+        points.append((W.copy(), M.copy()))
+        return forward(W, M, fit)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(models, "_lle_forward", spy)
+        train_lle(features, labels, classes, epochs=2, learning_rate=0.3, seed=3)
+    (W0, M0), (W1, M1) = points[:2]
+    _, g_W, g_M = lle_gradients(W0, M0, features, labels, classes, 1e-3)
+    assert np.array_equal(W1, W0 - 0.3 * g_W) and np.array_equal(M1, M0 - 0.3 * g_M)  # epoch 1 accepts this trial
+    _, h_W, h_M = lle_gradients(W1, M1, features, labels, classes, 1e-3)
+    # BB2 from the explicit step s and gradient change y, over W and M together
+    s = np.concatenate([(W1 - W0).ravel(), (M1 - M0).ravel()])
+    y = np.concatenate([(h_W - g_W).ravel(), (h_M - g_M).ravel()])
+    step = min(s @ y / (y @ y), MAX_STEP_GROWTH * 0.3)
+    W2, M2 = points[2]
+    assert np.allclose(W2, W1 - step * h_W, rtol=1e-12, atol=0) and np.allclose(M2, M1 - step * h_M, rtol=1e-12, atol=0)
+
+
+def test_a_converged_lle_fit_does_not_depend_on_its_cap():
+    features, labels, classes, _ = random_training_problem(10)
+    short = train_lle(features, labels, classes, epochs=200, learning_rate=0.5, seed=0)
+    long = train_lle(features, labels, classes, epochs=2000, learning_rate=0.5, seed=0)
+    assert short.stop == long.stop == "tolerance"
+    assert short.W.tobytes() == long.W.tobytes() and short.M.tobytes() == long.M.tobytes()
+    assert short.loss_history == long.loss_history
 
 
 def test_lle_is_deterministic():
