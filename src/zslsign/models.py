@@ -68,6 +68,7 @@ MAX_STEP_HALVINGS = 30
 MAX_STEP_GROWTH = 4.0  # a Barzilai-Borwein step is at most this multiple of the last accepted step
 STOP_WINDOW = 10  # epochs over which the convergence stop reads the loss's relative decrease
 STOP_TOLERANCE = 1e-4  # a decrease over STOP_WINDOW epochs at or below this fraction of the loss ends a fit
+BLOCK_ROWS = 64  # rows per block of lle's elementwise passes over W, M and their gradients
 
 
 class Method(Enum):
@@ -242,6 +243,16 @@ def _inner(W1, M1, W2, M2) -> float:
     return float(np.vdot(W1, W2) + (np.vdot(M1, M2) if M1 is not None else 0.0))
 
 
+def _row_blocks(n_rows: int) -> Iterator[slice]:
+    return (slice(start, start + BLOCK_ROWS) for start in range(0, n_rows, BLOCK_ROWS))
+
+
+def _add_decay(grad: np.ndarray, lam: float, param: np.ndarray) -> None:
+    """grad += 2 lam param, BLOCK_ROWS rows at a time, so that no temporary is param's size."""
+    for rows in _row_blocks(len(param)):
+        grad[rows] += 2.0 * lam * param[rows]
+
+
 def _lle_forward(W, M, fit: _LleFit) -> tuple[float, np.ndarray, np.ndarray]:
     """Objective value and the softmax pieces E = exp(Z' - m) and s = column sums of E of one pass.
 
@@ -269,23 +280,41 @@ def _lle_backward(W, M, fit: _LleFit, E, s) -> tuple[np.ndarray, np.ndarray | No
     G.reshape(-1)[fit.truth] -= 1.0 / n  # E is the C-contiguous product of _bilinear, so this is a view
     GF = G @ fit.features
     grad_W = GF.T @ fit.S
-    grad_W += 2.0 * fit.lam * W
+    _add_decay(grad_W, fit.lam, W)
     grad_M = None
     if M is not None:
         grad_M = fit.texts.T @ (GF @ W[:, fit.offset :])
-        grad_M += 2.0 * fit.lam * M
+        _add_decay(grad_M, fit.lam, M)
     return grad_W, grad_M
 
 
-def _next_step(step: float, old_sq: float, cross: float, new_sq: float) -> float:
+def _gradient_change(old, new) -> tuple[float, float]:
+    """<g_old, y> and <y, y> for y = g - g_old over W and M together; old and new are (grad_W, grad_M) pairs.
+
+    y is formed BLOCK_ROWS rows at a time, so no array of a gradient's size is kept. An entry of y
+    whose g and g_old agree within a factor 2, as near convergence, is exact; the same two numbers
+    read off ||g_old||^2, <g_old, g> and ||g||^2 would lose eps ||g||^2 / ||y||^2 of their size to
+    cancellation.
+    """
+    g_old_y = y_y = 0.0
+    for g_old, g in zip(old, new):
+        if g is None:
+            continue
+        for rows in _row_blocks(len(g)):
+            y = g[rows] - g_old[rows]
+            g_old_y += float(np.vdot(g_old[rows], y))
+            y_y += float(np.vdot(y, y))
+    return g_old_y, y_y
+
+
+def _next_step(step: float, g_old_y: float, y_y: float) -> float:
     """The first trial step after an accepted step of size step: BB2 = s'y / y'y, at most MAX_STEP_GROWTH * step.
 
-    With s = -step g_old and y = g - g_old over W and M together, s'y = step (||g_old||^2 - <g_old, g>)
-    and y'y = ||g||^2 - 2 <g_old, g> + ||g_old||^2, so three inner products give it. When s'y or y'y
-    is not positive, or the quotient is not finite, the accepted step is kept.
+    With s = -step g_old and y = g - g_old over W and M together (_gradient_change gives <g_old, y>
+    and y'y), s'y = -step <g_old, y>. When s'y or y'y is not positive, or the quotient is not
+    finite, the accepted step is kept.
     """
-    sy = step * (old_sq - cross)
-    yy = new_sq - 2.0 * cross + old_sq
+    sy, yy = -step * g_old_y, y_y
     if not (sy > 0.0 and yy > 0.0 and math.isfinite(sy / yy)):
         return step
     return min(sy / yy, MAX_STEP_GROWTH * step)
@@ -322,9 +351,10 @@ def train_lle(
     A trial step costs one forward pass (class-major scores S W' F', one max-shifted exp down each
     sample's column, the loss); only an accepted step adds the backward pass, which turns that pass's
     exp into G' = softmax/n - onehot/n and shares G'F between grad_W = (G'F)' S + 2 lam W and
-    grad_M = T' (G'F W_text) + 2 lam M. The step rule keeps no gradient difference: it reads three
-    inner products. The fit's operands live in one _LleFit: F is never copied, and the class matrix is
-    one buffer whose text block T M each trial rewrites in place.
+    grad_M = T' (G'F W_text) + 2 lam M. The penalty terms and the step rule's gradient difference
+    are formed BLOCK_ROWS rows at a time, so neither keeps an array of W's or M's size. The fit's
+    operands live in one _LleFit: F is never copied, and the class matrix is one buffer whose text
+    block T M each trial rewrites in place.
     """
     check_hyperparameters(
         Method.LLE, lam=lam, learning_rate=learning_rate, epochs=epochs, init_scale=init_scale, seed=seed
@@ -351,7 +381,6 @@ def train_lle(
     if not math.isfinite(loss):
         raise NonFiniteLoss(f"initial loss is {loss}")
     grad_W, grad_M = _lle_backward(W, M, fit, *forward)
-    grad_sq = _inner(grad_W, grad_M, grad_W, grad_M)
     history = [loss]
 
     # at a converged point the theoretical decrease of a tiny step underflows and
@@ -364,6 +393,7 @@ def train_lle(
         moved = False
         loss_try = math.inf
         for _attempt in range(MAX_STEP_HALVINGS + 1):
+            W_try = M_try = forward = None  # freed before the next trial forms, or they set the fit's memory peak
             W_try = W - step * grad_W
             M_try = M - step * grad_M if M is not None else None
             loss_try, *forward = _lle_forward(W_try, M_try, fit)
@@ -380,10 +410,9 @@ def train_lle(
                 )
             stop = "plateau"
             break
-        old, old_sq = (grad_W, grad_M), grad_sq
+        old = grad_W, grad_M
         grad_W, grad_M = _lle_backward(W, M, fit, *forward)
-        grad_sq = _inner(grad_W, grad_M, grad_W, grad_M)
-        first_step = _next_step(step, old_sq, _inner(*old, grad_W, grad_M), grad_sq)
+        first_step = _next_step(step, *_gradient_change(old, (grad_W, grad_M)))
         del old  # so the next epoch's trials run beside one gradient, not two
         if len(history) > STOP_WINDOW and history[-1 - STOP_WINDOW] - loss <= STOP_TOLERANCE * abs(loss):
             stop = "tolerance"

@@ -112,7 +112,7 @@ def brute_lle_gradients(W, M, features, labels, classes, lam: float) -> tuple[np
 def brute_lle_descent(
     W, M, features, labels, classes, lam: float, learning_rate: float, epochs: int, max_halvings: int,
     max_growth: float, window: int, tolerance: float,
-) -> tuple[np.ndarray, np.ndarray | None, list[float], list[list[float]], str]:
+) -> tuple[np.ndarray, np.ndarray | None, list[float], list[list[tuple[float, float]]], str]:
     """lle's Barzilai-Borwein descent from (W, M) on brute_lle_objective and brute_lle_gradients.
 
     Each epoch tries W - step grad_W (and M - step grad_M), halving the step after each trial whose
@@ -127,8 +127,8 @@ def brute_lle_descent(
     * ends at a loss whose decrease from the loss window epochs before is at most tolerance times
       its magnitude ("tolerance");
     * is the epochs-th ("cap").
-    Returns W, M, the losses (the initial one, then one after each epoch run), per epoch the loss of
-    each trial in order, and what ended it.
+    Returns W, M, the losses (the initial one, then one after each epoch run), per epoch the step and
+    the loss of each trial in order, and what ended it.
     """
     loss = brute_lle_objective(W, M, features, labels, classes, lam)
     if not np.isfinite(loss):
@@ -143,7 +143,7 @@ def brute_lle_descent(
             W_try = W - step * grads[0]
             M_try = None if M is None else M - step * grads[1]
             loss_try = brute_lle_objective(W_try, M_try, features, labels, classes, lam)
-            trials[-1].append(loss_try)
+            trials[-1].append((step, loss_try))
             if np.isfinite(loss_try) and loss_try <= loss:
                 break
             step *= 0.5

@@ -400,6 +400,10 @@ def test_lle_objective_and_gradients_match_the_per_sample_oracle(problem):
         assert np.max(np.abs(grad_M - want_M)) <= 1e-12 * scale_M
 
 
+# multiples of a step's rounding (eps of the point it leaves and of the step times the gradient's term
+# scale) that the descent property lets the point it reaches keep
+CARRIED_EPS = 8
+
 # (mode, whether a reduction M is trained: d_t differs from the raw text width)
 _DESCENT_MODES = [
     (ModeKind.ATTRIBUTES, False), (ModeKind.TEXT, False), (ModeKind.TEXT, True),
@@ -465,12 +469,15 @@ def test_train_lle_takes_the_steps_of_the_brute_descent(kind, trains_reduction, 
             W0, M0, features, labels, classes, hyper["lam"], hyper["learning_rate"], hyper["epochs"],
             MAX_STEP_HALVINGS, MAX_STEP_GROWTH, window, tolerance,
         )
-    # each evaluation's brute loss, the loss it is tested against, and the index of the point it steps from
-    want, before, origin = [history[0]], [history[0]], [0]
+    # per forward pass (the initial point, then each trial): the brute loss, the loss it is tested against,
+    # the step the brute descent took to it, and the index of the point it steps from
+    want, before, steps, origin = [history[0]], [history[0]], [0.0], [0]
     for loss, tried_in_epoch in zip(history, trials):
         origin += [len(want) - 1] * len(tried_in_epoch)  # an epoch's accepted trial is its last
-        want += tried_in_epoch
-        before += [loss] * len(tried_in_epoch)
+        for step, loss_try in tried_in_epoch:
+            want.append(loss_try)
+            before.append(loss)
+            steps.append(step)
     # a trial within 1e-10 of the loss it is tested against is a near-tie (a plateau) that the two paths'
     # rounding may break either way, and so is a decrease over the window within 1e-10 of the
     # tolerance; away from such ties, losses that agree within 1e-12 decide alike
@@ -478,12 +485,17 @@ def test_train_lle_takes_the_steps_of_the_brute_descent(kind, trains_reduction, 
     margins = [(h - loss - tolerance * abs(loss), loss) for h, loss in zip(history, history[window:])]
     assume(not any(abs(margin) <= 1e-10 * max(1.0, abs(loss)) for margin, loss in margins))
 
-    tried = []  # per forward pass train_lle takes (the initial point, then each trial): its loss, max |W| and max |M|
+    # per forward pass train_lle takes: its loss, the largest entry of W and M, the largest of their
+    # gradient_term_scales, and a bound on the 1-norm of the loss's gradient there
+    tried = []
     forward = models._lle_forward
 
     def spy(W, M, fit):
         out = forward(W, M, fit)
-        tried.append((out[0], np.max(np.abs(W)), 0.0 if M is None else np.max(np.abs(M))))
+        scale_W, scale_M = gradient_term_scales(W, M, features, classes, hyper["lam"])
+        size = max(np.max(np.abs(W)), 0.0 if M is None else np.max(np.abs(M)))
+        grad_1norm = W.size * scale_W + (0.0 if M is None else M.size * scale_M)
+        tried.append((out[0], size, max(scale_W, scale_M or 0.0), grad_1norm))
         return out
 
     with pytest.MonkeyPatch.context() as patch:
@@ -493,26 +505,32 @@ def test_train_lle_takes_the_steps_of_the_brute_descent(kind, trains_reduction, 
         model = train_lle(features, labels, classes, **hyper)
 
     assert len(tried) == len(want)  # the same trials, so the same steps
+    # A trial theta - step g keeps the rounding of theta and of step g, eps of max |theta| and of step times
+    # the gradient's term scale (as the gradient oracle test bounds it). That is more than 1e-12 of the
+    # trial when the step cancels most of theta, as a BB step near 1 / (2 lam) cancels W's decay against
+    # W; such a trial's loss moves by at most the gradient's 1-norm times it.
+    eps = np.finfo(np.float64).eps
+    rounding = [0.0] + [eps * (tried[i][1] + step * tried[i][2]) for i, step in zip(origin[1:], steps[1:])]
+    bound = [1e-12 * max(1.0, abs(w)) + CARRIED_EPS * r * t[3] for w, r, t in zip(want, rounding, tried)]
     # the oracle's posteriors are extended precision: past -log p = 11355 they are subnormal, and a mean loss
     # up to 11000 / N keeps every sample's below that
     in_range = 11000.0 / len(features)
-    for (got, *size), w, b, start in zip(tried, want, before, origin):
+    for (got, *_), w, b, bound_i in zip(tried, want, before, bound):
         if w <= in_range:
-            # a trial that shrinks the parameters (a BB step near 1 / (2 lam) cancels W's decay against W)
-            # carries the rounding of the larger point it steps from
-            shrink = max(tried[start][1:]) / max(*size, np.finfo(np.float64).tiny)
-            assert abs(got - w) <= 1e-12 * max(1.0, abs(w)) * max(1.0, shrink)
+            assert abs(got - w) <= bound_i
         else:  # a trial beyond the oracle's range (nan included) overshoots: both paths refuse it
             assert not got <= b
     assert len(model.loss_history) == len(history) == model.epochs + 1  # both stop after the same epoch
     assert model.stop == stop
-    assert all(abs(got - w) <= 1e-12 * max(1.0, abs(w)) for got, w in zip(model.loss_history, history))
-    # the parameters carry the rounding of the largest point the descent passed through
-    accepted = [tried[i] for i in set(origin) | ({len(tried) - 1} if stop != "plateau" else set())]
-    assert np.max(np.abs(model.W - W)) <= 1e-10 * max(size_W for _, size_W, _ in accepted)
+    # the point each epoch ends at: after a plateau, the one its trials stepped from; else its last trial
+    ends = sorted(set(origin)) + [origin[-1] if stop == "plateau" else len(tried) - 1]
+    assert all(abs(got - w) <= bound[i] for got, w, i in zip(model.loss_history, history, ends))
+    # W and M also keep the rounding of each step they took
+    carried = CARRIED_EPS * max(rounding[i] for i in ends)
+    assert np.max(np.abs(model.W - W)) <= 1e-10 * np.max(np.abs(W)) + carried
     assert (model.M is None) == (M is None) == (not trains_reduction)
     if M is not None:
-        assert np.max(np.abs(model.M - M)) <= 1e-10 * max(size_M for _, _, size_M in accepted)
+        assert np.max(np.abs(model.M - M)) <= 1e-10 * np.max(np.abs(M)) + carried
 
 
 def test_lle_loss_is_non_increasing():
