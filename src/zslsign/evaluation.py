@@ -10,6 +10,7 @@ presentation concern.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -75,7 +76,10 @@ def topk_accuracy(
     truths: Sequence[str],
     ks: Sequence[int] = (1, 2, 5),
 ) -> EvalReport:
-    """Class-normalized top-k accuracy from each sample's 0-based truth rank; a hit is rank < k."""
+    """Class-normalized top-k accuracy from each sample's 0-based truth rank; a hit is rank < k.
+
+    Rates add up exactly rounded (math.fsum), so per_k does not depend on which class holds which rate.
+    """
     ranks = np.asarray(ranks)
     if ranks.shape != (len(truths),):
         raise ValueError(f"{ranks.shape} ranks for {len(truths)} truths")
@@ -87,7 +91,7 @@ def topk_accuracy(
     sizes = np.bincount(column)
     hits = {k: np.bincount(column, weights=ranks < k, minlength=len(classes)) for k in ks}
     per_class = {str(cid): {k: float(hits[k][j] / sizes[j]) for k in ks} for j, cid in enumerate(classes)}
-    per_k = {k: 100.0 * float(np.mean([rates[k] for rates in per_class.values()])) for k in ks}
+    per_k = {k: 100.0 * (math.fsum(rates[k] for rates in per_class.values()) / len(classes)) for k in ks}
     return EvalReport(per_k=per_k, per_class=per_class, n_samples=len(truths), n_classes=len(classes))
 
 

@@ -19,10 +19,10 @@ multiply-adds for the shapes. Three trainers produce W:
 * sae    - auto-encoding projection: the minimum-norm solution P of the
            Sylvester equation S S' P + lam P X X' = (1 + lam) S X', as W = P'.
 
-eszsl and sae share one closed form from thin SVDs of X and S; neither forms
-a d x d or t x t matrix or solves a linear system. Each trainer takes its
-hyperparameters as keywords and checks them first against its row of
-HYPERPARAMETERS.
+eszsl and sae share one closed form from thin SVDs of X and of a t x |C| class
+matrix, and read the objective they minimize off its core; neither forms a
+t x N, d x d or t x t matrix or solves a linear system. Each trainer takes its
+hyperparameters as keywords and checks them first against its row of HYPERPARAMETERS.
 
 Class posteriors p(c|v) are defined as the softmax of compatibility scores
 over the active candidate set, matching the training loss. This is the
@@ -446,34 +446,40 @@ def _kept_svd(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @contextmanager
-def _closed_form_errors(method: Method, solve: str, t: int, d: int, n: int, largest: int) -> Iterator[None]:
+def _closed_form_errors(method: Method, solve: str, X: np.ndarray, classes: ClassEmbeddingSet) -> Iterator[None]:
     """Turn a closed form's MemoryError into InstanceTooLarge and a failed SVD into SingularSystem."""
     try:
         yield
     except MemoryError:
-        nbytes = largest * np.dtype(np.float64).itemsize
+        (d, n), t, c = X.shape, classes.embedding_dim, classes.n_classes  # operands d x N, t x |C|, d x t, N x |C|
+        nbytes = max(d * n, t * c, d * t, n * c) * np.dtype(np.float64).itemsize
         raise InstanceTooLarge(
             f"{method.value}: the {solve} for t={t}, d={d}, N={n} could not allocate its operands "
-            f"(the largest is {nbytes} bytes, {nbytes / 2**30:.1f} GiB)"
+            f"(the largest is {nbytes} bytes, {nbytes / 2**20:.1f} MiB)"
         ) from None
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"{method.value}: singular value decomposition failed: {exc}") from None
 
 
-def _svd_closed_form(A, B, mixing, scale, denominator, zero_rhs: str) -> np.ndarray:
-    """U [scale a_i (Vh mixing Wh')_ij b_j / denominator(a_i, b_j)] P' from A = U diag(a) Vh and B = P diag(b) Wh.
+def _svd_closed_form(A, B, mixing, scale, denominator, total, zero_rhs) -> tuple[np.ndarray, float]:
+    """The solution U core P' from A = U diag(a) Vh and B = P diag(b) Wh, and the objective it minimizes.
 
-    Both SVDs are cut by _kept_svd; mixing None is the identity. The right-hand side lies in
-    range(A) x range(B), so cut singular values carry none of it. A projected middle within
-    rounding of zero (relative to ||mixing||) raises SingularSystem(zero_rhs), not noise.
+    numer = scale a_i (Vh mixing Wh')_ij b_j and core = numer / denominator(a_i, b_j). The objective is a quadratic
+    with right-hand side U numer P' and value total(a, b) at zero (read off the singular values, so no caller keeps
+    A), so its minimum is that less <core, numer>. The cuts of _kept_svd lose none of the right-hand side, which
+    lies in range(A) x range(B). A middle that is all rounding (relative to ||mixing||) raises SingularSystem(zero_rhs).
     """
     U, a, Vh = _kept_svd(A)
     P, b, Wh = _kept_svd(B)
-    middle = Vh @ Wh.T if mixing is None else Vh @ mixing @ Wh.T
-    norm = 1.0 if mixing is None else np.linalg.norm(mixing)
-    if np.abs(middle).max(initial=0.0) <= (Vh.shape[1] + Wh.shape[1]) * np.finfo(np.float64).eps * norm:
+    middle = Vh @ mixing @ Wh.T
+    if np.abs(middle).max(initial=0.0) <= (Vh.shape[1] + Wh.shape[1]) * np.finfo(float).eps * np.linalg.norm(mixing):
         raise SingularSystem(zero_rhs)
-    return U @ (scale * a[:, None] * middle * b / denominator(a[:, None], b)) @ P.T
+    del A, B, mixing  # operands passed as expressions are freed before the t x d product, the fit's memory peak
+    numer = scale * a[:, None] * middle * b
+    core = numer / denominator(a[:, None], b)
+    objective = float(total(a, b) - np.vdot(core, numer))
+    del middle, numer  # freed before that product as well
+    return U @ core @ P.T, objective
 
 
 def train_eszsl(
@@ -487,20 +493,19 @@ def train_eszsl(
 
     With thin SVDs X = V diag(x) Z' (d x N) and S = Q diag(s) R' (t x |C|) it is exactly
     W = V [x_i / (x_i^2 + gamma) (Z'YR)_ij s_j / (s_j^2 + lam)] Q': no d x d or t x t matrix is
-    formed and nothing is solved. gamma and lam must be finite and > 0. The closed form fits no reduction,
-    so a text-bearing mode needs d_t equal to the raw text width. Errors are as in sae.
+    formed and nothing is solved. final_loss is the objective W minimizes, ||X'WS - Y||^2 + gamma ||WS||^2
+    + lam ||X'W||^2 + gamma lam ||W||^2, read off the core as ||Y||^2 = N |C| less <core, numer>.
+    gamma and lam must be finite and > 0. The closed form fits no reduction, so a text-bearing mode needs
+    d_t equal to the raw text width. Errors are as in sae.
     """
     check_hyperparameters(Method.ESZSL, gamma=gamma, lam=lam)
-    from .oracles import eszsl_objective  # the reference module, loaded only by the commands that fit eszsl
-
     X = np.asarray(features, dtype=np.float64).T  # d x N
-    S = classes.compose().T  # t x |C|
-    (d, n), (t, c) = X.shape, S.shape
-    with _closed_form_errors(Method.ESZSL, "ridge solve", t, d, n, max(d * n, t * c, d * t, n * c)):
-        Y = np.where(np.arange(c) == _label_indices(labels, classes)[:, None], 1.0, -1.0)
+    with _closed_form_errors(Method.ESZSL, "ridge solve", X, classes):
+        Y = np.where(np.arange(classes.n_classes) == _label_indices(labels, classes)[:, None], 1.0, -1.0)
         zero = "eszsl: X Y S' is zero, so the ridge solution is zero"
-        W = _svd_closed_form(X, S, Y, 1.0, lambda x, s: (x**2 + gamma) * (s**2 + lam), zero)
-        final_loss = eszsl_objective(W, X, S, Y, gamma, lam)
+        W, final_loss = _svd_closed_form(  # S = classes.compose().T, t x |C|
+            X, classes.compose().T, Y, 1.0, lambda x, s: (x**2 + gamma) * (s**2 + lam), lambda x, s: Y.size, zero
+        )
 
     return CompatModel(
         W=W,
@@ -513,31 +518,6 @@ def train_eszsl(
     )
 
 
-_RESIDUAL_ROWS = 64  # rows of P per block of sae's residual: no t x d temporary is formed
-
-
-def _sylvester_residual(P: np.ndarray, S: np.ndarray, X: np.ndarray, lam: float) -> float:
-    """oracles.sylvester_residual of P, one block of _RESIDUAL_ROWS rows of P at a time.
-
-    Each block's rows of S S' P + lam P X X' and (1 + lam) S X' are formed as
-    the oracle forms them, through the sample dimension, and only their sums of
-    squares are kept. The sums add up in another order than the oracle's one
-    norm over all rows, so the two agree to rounding, not bit for bit.
-    """
-    SP = S.T @ P  # N x d
-    misfit = scale = np.float64(0.0)
-    for start in range(0, P.shape[0], _RESIDUAL_ROWS):
-        rows = slice(start, start + _RESIDUAL_ROWS)
-        rhs = ((1.0 + lam) * S[rows] @ X.T).ravel()
-        diff = S[rows] @ SP
-        diff += lam * (P[rows] @ X) @ X.T
-        diff = diff.ravel()
-        diff -= rhs
-        misfit += diff @ diff
-        scale += rhs @ rhs
-    return float(np.sqrt(misfit) / np.sqrt(scale))
-
-
 def train_sae(
     features: np.ndarray,
     labels: Sequence[str],
@@ -546,22 +526,27 @@ def train_sae(
 ) -> CompatModel:
     """Fit the semantic auto-encoder projection and store it as a compatibility W.
 
-    Solves S S' P + lam P X X' = (1 + lam) S X' for the t x d projection P,
-    with S holding one class-embedding column per training sample; W = P'.
-    With thin SVDs S = Q diag(s) R' and X = V diag(x) Z' the minimum-norm
-    solution is P = Q [(1 + lam) s_i (R'Z)_ij x_j / (s_i^2 + lam x_j^2)] V',
-    where every kept denominator is positive.
+    Solves S S' P + lam P X X' = (1 + lam) S X' for the t x d projection P, with S (t x N) holding one
+    class-embedding column per training sample; W = P'. S = A D has only |C| distinct columns: A is the
+    t x |C| class matrix with each column times the root of its class's sample count n_c, and
+    D = diag(1 / sqrt n_c) E' (E the N x |C| one-hot labels; an empty class's row is 0) has orthonormal
+    rows on A's range. So with thin SVDs A = Q diag(s) R' and X = V diag(x) Z' the minimum-norm solution
+    is P = Q [(1 + lam) s_i (R'DZ)_ij x_j / (s_i^2 + lam x_j^2)] V', and no t x N matrix is formed.
+    final_loss is the objective P minimizes, ||X - P'S||^2 + lam ||PX - S||^2, read off the core as
+    ||X||^2 + lam ||A||^2 = x'x + lam s's less <core, numer>.
     """
     check_hyperparameters(Method.SAE, lam_sae=lam_sae)
     X = np.asarray(features, dtype=np.float64).T  # d x N
-    S = classes.compose()[_label_indices(labels, classes)].T  # t x N, one column per sample
-    (t, n), d = S.shape, X.shape[0]
-    with _closed_form_errors(Method.SAE, "Sylvester solve", t, d, n, max(t * n, d * n, t * d)):
+    onehot = np.arange(classes.n_classes)[:, None] == _label_indices(labels, classes)  # E', |C| x N
+    root = np.sqrt(onehot.sum(axis=1))  # sqrt n_c
+    with _closed_form_errors(Method.SAE, "Sylvester solve", X, classes):
         zero = "sae: (1 + lam) S X' is zero, so the minimum-norm projection is zero"
-        P = _svd_closed_form(S, X, None, 1.0 + lam_sae, lambda s, x: s**2 + lam_sae * x**2, zero)
-        residual = _sylvester_residual(P, S, X, lam_sae)
-    if not math.isfinite(residual):
-        raise SingularSystem(f"sylvester solve produced non-finite residual {residual!r}")
+        P, final_loss = _svd_closed_form(
+            classes.compose().T * root, X, onehot / np.maximum(root, 1.0)[:, None],  # A and D, S = A D
+            1.0 + lam_sae, lambda s, x: s**2 + lam_sae * x**2, lambda s, x: x @ x + lam_sae * (s @ s), zero,
+        )
+    if not math.isfinite(final_loss):
+        raise SingularSystem(f"sae: the Sylvester solve produced a non-finite objective {final_loss!r}")
 
     return CompatModel(
         W=P.T,
@@ -569,7 +554,7 @@ def train_sae(
         mode=classes.mode,
         method=Method.SAE,
         hyperparams={"lam_sae": lam_sae},
-        final_loss=residual,
+        final_loss=final_loss,
         d_text=classes.text_dim if classes.mode.uses_text else None,
     )
 

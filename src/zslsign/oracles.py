@@ -325,6 +325,12 @@ def brute_sylvester(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
     return w.reshape((t, d), order="F")
 
 
+def sae_objective(P: np.ndarray, S: np.ndarray, X: np.ndarray, lam: float) -> float:
+    """sae's objective ||X - P'S||^2 + lam ||P X - S||^2 for P t x d, S t x N (one class column per sample), X d x N."""
+    decoded, encoded = X - P.T @ S, P @ X - S
+    return float(np.sum(decoded * decoded) + lam * np.sum(encoded * encoded))
+
+
 def sylvester_residual(W: np.ndarray, S: np.ndarray, X: np.ndarray, lam: float) -> float:
     """Relative residual of S S' W + lam W X X' = (1 + lam) S X'.
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from zslsign.data import (
     ClassDescriptor,
@@ -19,6 +20,10 @@ from zslsign.data import (
 from zslsign.experiment import Embedded, RunConfig, load_embedded
 from zslsign.models import _lle_backward, _lle_forward, _LleFit
 from zslsign.temporal import embed_video
+
+# a failing property prints the @reproduce_failure blob that replays its example; every other setting keeps its default
+settings.register_profile("zslsign", print_blob=True)
+settings.load_profile("zslsign")
 
 
 def csv_text(matrix: np.ndarray) -> str:

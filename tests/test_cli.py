@@ -1048,6 +1048,19 @@ def test_importing_the_cli_loads_no_process_pool():
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("method", ["eszsl", "sae"])
+def test_training_a_closed_form_loads_no_oracle(workspace, tmp_path, method):
+    # the reference oracles pin the closed forms in the tests; no fit reads them
+    argv = ["train", "--manifest", workspace["manifest"], "--out", tmp_path, "--method", method] + TRAIN_OVERRIDES
+    code = (
+        f"import sys; from zslsign.cli import main; code = main({list(map(str, argv))!r}); "
+        "print(code, 'zslsign.oracles' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
 def test_importing_the_cli_leaves_the_collector_on_and_unfrozen():
     # the import-time pause of the collector is only for `python -m zslsign.cli`
     code = "import gc, zslsign.cli; print(gc.isenabled(), gc.get_freeze_count())"

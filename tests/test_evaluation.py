@@ -76,6 +76,14 @@ def test_duplicating_a_class_leaves_accuracy_unchanged():
     assert doubled == base
 
 
+def test_per_k_does_not_depend_on_which_class_holds_a_miss():
+    # 30 classes of 6 samples and one miss: a pairwise mean of the rates read 99.44444444444446 or ...443,
+    # by the position of the class whose rate is 5/6
+    truths = [f"c{i:02d}" for i in range(30) for _ in range(6)]
+    per_k = {repr(topk_accuracy([int(j == miss) for j in range(180)], truths, ks=[1]).per_k) for miss in range(0, 180, 6)}
+    assert per_k == {"{1: 99.44444444444443}"}
+
+
 def test_unranked_truth_class_raises():
     with pytest.raises(UnrankedClass, match="'z'"):
         truth_ranks(np.zeros((1, 2)), ["a", "b"], ["z"])

@@ -2,6 +2,7 @@ import inspect
 import json
 import re
 import struct
+import tracemalloc
 import warnings
 import zlib
 
@@ -50,6 +51,7 @@ from zslsign.oracles import (
     eszsl_objective,
     finite_difference_grad,
     rank_scores,
+    sae_objective,
     sylvester_residual,
 )
 
@@ -627,6 +629,7 @@ def test_eszsl_scalar_closed_form():
     model = train_eszsl(np.array([[1.0]]), ["c0"], classes, gamma=1.0, lam=1.0)
     assert model.W.shape == (1, 1)
     assert abs(model.W[0, 0] - 0.25) < 1e-15
+    assert model.final_loss == 0.75  # (1/4 - 1)^2 + 3 (1/4)^2, eszsl_objective at W = 1/4
 
 
 def test_eszsl_solution_is_stationary():
@@ -672,7 +675,7 @@ def test_eszsl_out_of_memory_raises_instance_too_large(monkeypatch):
     features, labels, classes, _ = random_training_problem(25, n=12, d=6, mode_kind=ModeKind.ATTRIBUTES)
     monkeypatch.setattr(np.linalg, "svd", no_memory)
     # operands: d x N (the largest: 6 * 12 * 8 bytes), t x |C|, d x t, N x |C|
-    with pytest.raises(InstanceTooLarge, match=r"eszsl: the ridge solve for t=3, d=6, N=12 .* \(the largest is 576 bytes"):
+    with pytest.raises(InstanceTooLarge, match=r"eszsl: the ridge solve for t=3, d=6, N=12 .* \(the largest is 576 bytes, 0\.0 MiB\)"):
         train_eszsl(features, labels, classes, gamma=0.1, lam=0.2)
 
 
@@ -827,6 +830,7 @@ def test_sae_scalar_sylvester():
     classes = ClassEmbeddingSet.from_descriptors([make_descriptor("c0", [1])], ATTR)
     model = train_sae(np.array([[1.0]]), ["c0"], classes, lam_sae=1.0)
     assert abs(model.W[0, 0] - 1.0) < 1e-12  # W + W = 2
+    assert model.final_loss == 0.0  # P = 1 reconstructs both X = 1 and S = 1
 
 
 def test_sae_identity_solution():
@@ -839,25 +843,16 @@ def test_sae_identity_solution():
     assert np.max(np.abs(model.W - np.eye(3))) < 1e-8
 
 
-def test_sae_residual_on_random_instances():
-    for seed in range(10):
-        features, labels, classes, _ = random_training_problem(
-            100 + seed, n=12, d=6, n_classes=4, mode_kind=ModeKind.ATTRIBUTES
-        )
-        model = train_sae(features, labels, classes, lam_sae=0.5)
-        X = features.T
-        S = classes.compose(None)[[classes.index_of(l) for l in labels]].T
-        assert sylvester_residual(model.W.T, S, X, 0.5) < 1e-8
-        assert model.final_loss < 1e-8
-
-
-def sae_instance(seed, distinct=None, column_scale=1.0, **sizes):
+def sae_instance(seed, distinct=None, column_scale=1.0, label_indices=None, **sizes):
     """An attribute-mode training problem with its per-sample class matrix S (t x N) and X (d x N).
 
     Only the first `distinct` feature rows differ (the rest repeat them), and
-    the first feature column is multiplied by column_scale.
+    the first feature column is multiplied by column_scale. label_indices, when
+    given, names each sample's class by its index (labels c{i % n_classes} otherwise).
     """
     features, labels, classes, _ = random_training_problem(seed, mode_kind=ModeKind.ATTRIBUTES, **sizes)
+    if label_indices is not None:
+        labels = [f"c{i}" for i in label_indices]
     features = features[np.arange(len(features)) % (distinct or len(features))]
     features[:, 0] *= column_scale
     S = classes.compose(None)[[classes.index_of(label) for label in labels]].T
@@ -888,13 +883,18 @@ def gram_spectrum(M) -> np.ndarray:
 
 @st.composite
 def attribute_instances(draw):
-    """sae_instance draws: t, d <= 32, N <= 40, 1-6 classes, repeated samples and one scaled feature row."""
+    """sae_instance draws: t, d <= 32, N <= 40, 1-6 classes, repeated samples and one scaled feature row.
+
+    Each sample's class is drawn, so class counts differ, a class may hold one
+    sample or none, and the samples come in no particular order.
+    """
     n_classes = draw(st.integers(1, 6))
-    n = draw(st.integers(n_classes, 40))
+    n = draw(st.integers(1, 40))
     instance = sae_instance(
         draw(st.integers(0, 2**32 - 1)),
         distinct=draw(st.integers(1, n)),
         column_scale=draw(st.sampled_from([1.0, 1e-4, 1e-8])),
+        label_indices=draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)),
         attr_count=draw(st.integers(1, 32)),
         d=draw(st.integers(1, 32)),
         n_classes=n_classes,
@@ -934,6 +934,19 @@ def test_eszsl_paper_shaped_instance_satisfies_its_normal_equation():
     assert (classes.embedding_dim, features.shape) == (821, (170, 256))
     model = train_eszsl(features, labels, classes, gamma=1e-3, lam=1e-2)
     assert normal_equation_residual(model.W, features, labels, classes, 1e-3, 1e-2) <= 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(attribute_instances(), log_uniform_penalties, log_uniform_penalties)
+def test_eszsl_final_loss_is_the_objective_at_its_solution(instance, gamma, lam):
+    features, labels, classes, _, _ = instance
+    try:
+        model = train_eszsl(features, labels, classes, gamma=gamma, lam=lam)
+    except SingularSystem:
+        return  # the refusal is pinned by test_eszsl_satisfies_its_normal_equation
+    X, S, Y = eszsl_operands(features, labels, classes)
+    # N |C| = ||Y||^2 is the objective at W = 0
+    assert abs(model.final_loss - eszsl_objective(model.W, X, S, Y, gamma, lam)) <= 1e-13 * Y.size
 
 
 @settings(max_examples=60, deadline=None)
@@ -992,6 +1005,30 @@ def test_sae_paper_shaped_instance_trains():
     assert sylvester_residual(model.W.T, S, features.T, 1e-3) < 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(sae_problems())
+def test_sae_final_loss_is_the_objective_at_its_solution(problem):
+    (features, labels, classes, S, X), lam = problem
+    model = train_sae(features, labels, classes, lam_sae=lam)
+    total = np.vdot(X, X) + lam * np.vdot(S, S)  # the objective at P = 0
+    assert abs(model.final_loss - sae_objective(model.W.T, S, X, lam)) <= 1e-13 * total
+
+
+@pytest.mark.parametrize("method", [Method.ESZSL, Method.SAE], ids=["eszsl", "sae"])
+def test_closed_forms_form_no_t_by_n_matrix(method):
+    # 4 classes of 100 samples: a per-sample class matrix would be t x N = 2,000 x 400, 6.4 MB
+    features, labels, classes, _ = random_training_problem(
+        34, n=400, d=10, n_classes=4, attr_count=2000, mode_kind=ModeKind.ATTRIBUTES
+    )
+    tracemalloc.start()
+    try:
+        _TRAINERS[method](features, labels, classes, **{name: 0.5 for name, _, _ in HYPERPARAMETERS[method]})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < classes.embedding_dim * len(labels) * features.itemsize / 4
+
+
 def test_sae_zero_semantics_raises_singular_system_without_warnings():
     descriptors = [make_descriptor(f"c{i}", [0, 0, 0]) for i in range(3)]
     classes = ClassEmbeddingSet.from_descriptors(descriptors, ATTR)
@@ -1008,8 +1045,19 @@ def test_sae_out_of_memory_raises_instance_too_large(monkeypatch):
 
     features, labels, classes, _ = random_training_problem(23, n=12, d=6, mode_kind=ModeKind.ATTRIBUTES)
     monkeypatch.setattr(np.linalg, "svd", no_memory)
-    with pytest.raises(InstanceTooLarge, match=r"t=3, d=6, N=12 .* \(the largest is 576 bytes"):
+    # operands: t x |C|, d x N (the largest: 6 * 12 * 8 bytes), t x d, |C| x N
+    with pytest.raises(InstanceTooLarge, match=r"t=3, d=6, N=12 .* \(the largest is 576 bytes, 0\.0 MiB\)"):
         train_sae(features, labels, classes, lam_sae=0.5)
+
+
+def test_instance_too_large_gives_the_largest_operand_in_bytes_and_mib():
+    # paper-full's d x N features, 2,024 x 1,020 float64, are the largest operand
+    _, _, classes, _ = random_training_problem(35, n_classes=170, attr_count=53, text_dim=768, d_t=768)
+    X = np.broadcast_to(0.0, (2024, 1020))
+    match = r"sae: the Sylvester solve for t=821, d=2024, N=1020 .* \(the largest is 16515840 bytes, 15\.8 MiB\)$"
+    with pytest.raises(InstanceTooLarge, match=match):
+        with models._closed_form_errors(Method.SAE, "Sylvester solve", X, classes):
+            raise MemoryError("Unable to allocate")
 
 
 def test_sae_svd_failure_raises_singular_system(monkeypatch):

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +5,6 @@ from hypothesis import strategies as st
 
 from zslsign.embeddings import ClassEmbeddingSet, EmbeddingMode
 from zslsign.errors import IndexOutOfRange, InstanceTooLarge
-from zslsign.models import _RESIDUAL_ROWS, _sylvester_residual
 from zslsign.oracles import (
     brute_bilinear,
     brute_column_means,
@@ -23,6 +20,7 @@ from zslsign.oracles import (
     finite_difference_grad,
     flip_attribute,
     rank_scores,
+    sae_objective,
     sylvester_residual,
 )
 
@@ -94,30 +92,11 @@ def test_sylvester_residual_zero_for_exact_solution():
     assert sylvester_residual(W, S, X, 1.0) == 0.0
 
 
-@pytest.mark.parametrize("t", [1, _RESIDUAL_ROWS, 2 * _RESIDUAL_ROWS + 5])
-def test_blocked_residual_matches_the_oracle_off_the_solution(t):
-    # at a solution both values are rounding noise; on a random P both are O(1), so they must agree
-    rng = np.random.default_rng(t)
-    for n, d in ((7, 3), (20, 30)):
-        S, X, P = rng.normal(size=(t, n)), rng.normal(size=(d, n)), rng.normal(size=(t, d))
-        for lam in (1e-3, 0.5):
-            expected = sylvester_residual(P, S, X, lam)
-            assert expected > 1e-3
-            assert _sylvester_residual(P, S, X, lam) == pytest.approx(expected, rel=1e-12, abs=0)
-
-
-def test_blocked_residual_forms_no_t_by_d_matrix():
-    t, n, d = 32 * _RESIDUAL_ROWS, 10, 200
-    rng = np.random.default_rng(1)
-    S, X, P = rng.normal(size=(t, n)), rng.normal(size=(d, n)), rng.normal(size=(t, d))
-    tracemalloc.start()
-    try:
-        _sylvester_residual(P, S, X, 0.5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    block = _RESIDUAL_ROWS * d * P.itemsize
-    assert peak < 4 * block < P.nbytes / 4  # the oracle's lhs, rhs and their difference are each P.nbytes
+def test_sae_objective_hand_case():
+    # S = [1, 0]', X = 1, P = [1, 1]': X - P'S = 0 and P X - S = [0, 1]'
+    S, X, P = np.array([[1.0], [0.0]]), np.array([[1.0]]), np.array([[1.0], [1.0]])
+    assert sae_objective(P, S, X, 0.5) == 0.5
+    assert sae_objective(np.zeros((2, 1)), S, X, 0.5) == 1.5  # at P = 0: ||X||^2 + lam ||S||^2
 
 
 def test_brute_sylvester_rectangular():
